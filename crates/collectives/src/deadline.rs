@@ -15,7 +15,7 @@
 //!   so every member still ends with the *identical* (partial) vector.
 //! * **Sparse** ([`hitopk_all_reduce_ef_deadline`]): the miss is decided
 //!   at the sparsification point, per *(instance, member)* — a late member
-//!   contributes an **empty sparse block** and `ErrorFeedback::absorb`
+//!   contributes an **empty sparse block** and `ErrorFeedback::withhold`
 //!   keeps its entire compensated shard in the residual. Nothing is lost,
 //!   only delayed: the conformance mass-conservation ledger holds, and all
 //!   ranks observe the same contributed blocks so replicas stay bitwise
@@ -34,7 +34,7 @@ use cloudtrain_tensor::ops;
 use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 
 use crate::group::Peer;
-use crate::hierarchical::{group_wire_bytes, shard_k, HiTopKReport};
+use crate::hierarchical::{group_wire_bytes, scatter_gathered, shard_k, HiTopKReport};
 use crate::ring::{
     all_gather_f32_scratch, all_gather_u32_scratch, ring_all_gather_scratch,
     ring_reduce_scatter_scratch,
@@ -252,7 +252,7 @@ pub fn ring_all_reduce_deadline(
 /// Deadline-bounded HiTopKComm with error feedback: the data flow of
 /// [`crate::hierarchical::hitopk_all_reduce_ef_scratch`], with this rank's
 /// contribution checked against the budget at the sparsification point. A
-/// late member transmits an empty sparse block and `ef.absorb` keeps its
+/// late member transmits an empty sparse block and `ef.withhold` keeps its
 /// whole compensated shard in the residual — the discarded mass is
 /// re-injected next invocation (the mass-conservation ledger holds).
 ///
@@ -292,35 +292,29 @@ pub fn hitopk_all_reduce_ef_deadline<C: Compressor + ?Sized>(
     );
 
     let k = shard_k(d, n, rho).min(shard.len());
-    let shard_buf = shard.slice_mut(x);
-    ef.compensate(shard_buf);
     // Deadline check at the sparsification point: would this member's
     // compressed block (k values + k indices) have landed inside the
-    // budget? A miss selects nothing, so absorb() keeps the whole
-    // compensated shard as residual.
+    // budget? A miss selects nothing and withholds the whole shard in the
+    // residual.
     let mut report = DeadlineReport { hops: 1, missed: 0 };
     let lateness = faults.contribution_lateness(instance, peer.rank());
     let wire = 8 * k;
     let selection: SparseGrad = if policy.hop_missed(wire, lateness) {
         report.missed = 1;
+        ef.withhold(shard.slice(x));
         SparseGrad::empty(shard.len())
     } else {
-        compressor.compress(shard_buf, k)
+        let selection = ef.select(shard.slice(x), k, compressor);
+        ef.release(&selection);
+        selection
     };
-    ef.absorb(shard_buf, &selection);
 
     let value_blocks = all_gather_f32_scratch(peer, &selection.values, &inter, scratch);
     let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
     let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
 
-    let shard_buf = shard.slice_mut(x);
-    ops::fill(shard_buf, 0.0);
-    for (vals, idxs) in value_blocks.into_iter().zip(index_blocks) {
-        ops::scatter_add(shard_buf, &idxs, &vals);
-        scratch.put_f32(vals);
-        scratch.put_u32(idxs);
-    }
-    let shard_nonzeros = shard_buf.iter().filter(|v| **v != 0.0).count();
+    let blocks = value_blocks.into_iter().zip(index_blocks);
+    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
 
     ring_all_gather_scratch(peer, x, &intra, scratch);
 

@@ -27,7 +27,7 @@ use cloudtrain_tensor::ops;
 use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 
 use crate::group::Peer;
-use crate::hierarchical::{group_wire_bytes, shard_k, HiTopKReport};
+use crate::hierarchical::{group_wire_bytes, scatter_gathered, shard_k, HiTopKReport};
 use crate::resilience::{
     all_gather_f32_resilient, all_gather_u32_resilient, ring_all_gather_resilient, ResilientPeer,
 };
@@ -173,9 +173,10 @@ pub fn hitopk_all_reduce_fused_traced<C: Compressor + ?Sized>(
     hitopk_fused_impl(peer, x, m, n, rho, compressor, None, scratch, Some(reg))
 }
 
-/// Fused HiTopKComm with error feedback: the compensate → select → absorb
-/// cycle runs on the ring buffer holding the reduced shard (the residual
-/// still lives at the sparsification point and has dimension `d/n`).
+/// Fused HiTopKComm with error feedback: the residual accumulates, and the
+/// selection is drawn from, the ring buffer holding the reduced shard (the
+/// residual still lives at the sparsification point and has dimension
+/// `d/n`).
 ///
 /// Bitwise identical to [`crate::hierarchical::hitopk_all_reduce_ef`].
 ///
@@ -250,7 +251,7 @@ fn hitopk_fused_impl<C: Compressor + ?Sized>(
     // (x stays read-only) and the compressor consumes the reduced shard
     // straight out of it — no dense materialization in between.
     let span = obs::span_begin(&mut reg, "hitopk/fused reduce-compress");
-    let (shard, mut reduced) = ring_reduce_scatter_fused(peer, x, &intra, scratch);
+    let (shard, reduced) = ring_reduce_scatter_fused(peer, x, &intra, scratch);
     debug_assert_eq!(shard, shard_for(d, n, pos.gpu));
     let k = shard_k(d, n, rho).min(shard.len());
     let selection: SparseGrad = match ef {
@@ -260,9 +261,8 @@ fn hitopk_fused_impl<C: Compressor + ?Sized>(
                 shard.len(),
                 "hitopk_all_reduce_ef: residual must match the shard"
             );
-            ef.compensate(&mut reduced);
-            let selection = compressor.compress(&reduced, k);
-            ef.absorb(&reduced, &selection);
+            let selection = ef.select(&reduced, k, compressor);
+            ef.release(&selection);
             selection
         }
         None => compressor.compress(&reduced, k),
@@ -280,14 +280,7 @@ fn hitopk_fused_impl<C: Compressor + ?Sized>(
         all_gather_pairs_scratch(peer, &selection.values, &selection.indices, &inter, scratch);
     let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
 
-    let shard_buf = shard.slice_mut(x);
-    ops::fill(shard_buf, 0.0);
-    for (vals, idxs) in blocks {
-        ops::scatter_add(shard_buf, &idxs, &vals);
-        scratch.put_f32(vals);
-        scratch.put_u32(idxs);
-    }
-    let shard_nonzeros = shard_buf.iter().filter(|v| **v != 0.0).count();
+    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
     obs::span_end(&mut reg, span, (2 * m * k) as f64);
 
     // Intra-node AllGather overwrites every non-own chunk of x, so the
@@ -339,7 +332,7 @@ pub fn hitopk_all_reduce_ef_fused_resilient<C: Compressor + ?Sized>(
     let intra = intra_node_members(pos.node, n);
     let inter = inter_node_members(pos.gpu, m, n);
 
-    let (shard, mut reduced) = ring_reduce_scatter_fused_resilient(rp, x, &intra, scratch);
+    let (shard, reduced) = ring_reduce_scatter_fused_resilient(rp, x, &intra, scratch);
     assert_eq!(
         ef.dim(),
         shard.len(),
@@ -347,29 +340,24 @@ pub fn hitopk_all_reduce_ef_fused_resilient<C: Compressor + ?Sized>(
     );
 
     let k = shard_k(d, n, rho).min(shard.len());
-    ef.compensate(&mut reduced);
     // Deadline check at the sparsification point: a degraded member selects
-    // nothing, so absorb() keeps its whole compensated shard as residual.
+    // nothing and withholds its whole shard in the residual.
     let selection: SparseGrad = if rp.contribution_degraded(instance) {
+        ef.withhold(&reduced);
         SparseGrad::empty(shard.len())
     } else {
-        compressor.compress(&reduced, k)
+        let selection = ef.select(&reduced, k, compressor);
+        ef.release(&selection);
+        selection
     };
-    ef.absorb(&reduced, &selection);
     scratch.put_f32(reduced);
 
     let value_blocks = all_gather_f32_resilient(rp, &selection.values, &inter, scratch);
     let index_blocks = all_gather_u32_resilient(rp, &selection.indices, &inter, scratch);
     let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
 
-    let shard_buf = shard.slice_mut(x);
-    ops::fill(shard_buf, 0.0);
-    for (vals, idxs) in value_blocks.into_iter().zip(index_blocks) {
-        ops::scatter_add(shard_buf, &idxs, &vals);
-        scratch.put_f32(vals);
-        scratch.put_u32(idxs);
-    }
-    let shard_nonzeros = shard_buf.iter().filter(|v| **v != 0.0).count();
+    let blocks = value_blocks.into_iter().zip(index_blocks);
+    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
 
     ring_all_gather_resilient(rp, x, &intra, scratch);
 

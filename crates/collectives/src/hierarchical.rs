@@ -72,6 +72,50 @@ pub fn pair_wire_bytes(entries: usize) -> usize {
     8 * entries
 }
 
+/// The accumulate that ends the inter-node step of every hitopk- and
+/// O(k)-family variant: zeroes `shard_buf`, scatter-adds the gathered
+/// `(values, indices)` blocks in member order, returns the blocks to the
+/// pool, and reports [`HiTopKReport::shard_nonzeros`].
+///
+/// The count visits the gathered indices — sorted and deduplicated, a few
+/// percent of the shard at trained densities — instead of streaming the
+/// shard: after the fill an untouched coordinate is exactly `0.0`, so only
+/// a touched one can pass `!= 0.0`. The indices are collected in the first
+/// block's own buffer before it goes back to the pool, so the pool's
+/// take/put traffic is what it was. (The sort is the stable one on purpose:
+/// selections arrive index-sorted, and it merges presorted runs in
+/// `O(n log m)`.)
+pub(crate) fn scatter_gathered(
+    shard_buf: &mut [f32],
+    blocks: impl IntoIterator<Item = (Vec<f32>, Vec<u32>)>,
+    scratch: &mut CommScratch,
+) -> usize {
+    ops::fill(shard_buf, 0.0);
+    let mut touched: Option<Vec<u32>> = None;
+    for (vals, idxs) in blocks {
+        ops::scatter_add(shard_buf, &idxs, &vals);
+        scratch.put_f32(vals);
+        match touched.as_mut() {
+            None => touched = Some(idxs),
+            Some(touched) => {
+                touched.extend_from_slice(&idxs);
+                scratch.put_u32(idxs);
+            }
+        }
+    }
+    let Some(mut touched) = touched else {
+        return 0;
+    };
+    touched.sort();
+    touched.dedup();
+    let nonzeros = touched
+        .iter()
+        .filter(|&&i| shard_buf[i as usize] != 0.0)
+        .count();
+    scratch.put_u32(touched);
+    nonzeros
+}
+
 /// HiTopKComm (Algorithm 2): hierarchical sparse AllReduce over an
 /// `m × n` grid. On return every rank's `x` holds
 /// `Σ_nodes TopK(node-local dense sum)` per shard — identical on all ranks.
@@ -191,14 +235,8 @@ fn hitopk_impl<C: Compressor + ?Sized>(
     let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
     let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
 
-    let shard_buf = shard.slice_mut(x);
-    ops::fill(shard_buf, 0.0);
-    for (vals, idxs) in value_blocks.into_iter().zip(index_blocks) {
-        ops::scatter_add(shard_buf, &idxs, &vals);
-        scratch.put_f32(vals);
-        scratch.put_u32(idxs);
-    }
-    let shard_nonzeros = shard_buf.iter().filter(|v| **v != 0.0).count();
+    let blocks = value_blocks.into_iter().zip(index_blocks);
+    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
     obs::span_end(&mut reg, span, (2 * m * k) as f64);
 
     // Step 4: intra-node AllGather reassembles the (sparse-aggregated)
@@ -222,8 +260,9 @@ fn hitopk_impl<C: Compressor + ?Sized>(
 }
 
 /// HiTopKComm with error feedback: like [`hitopk_all_reduce`], but the
-/// shard owner compensates its shard with a local residual before the
-/// top-k selection and absorbs the unselected remainder afterwards.
+/// shard owner accumulates its shard into a local residual, selects the
+/// top-k from the sum and keeps the unselected remainder there for the next
+/// invocation.
 ///
 /// The residual lives at the *sparsification point*: after the intra-node
 /// dense ReduceScatter, GPU `j` of node `i` owns the node-local dense sum
@@ -307,13 +346,12 @@ fn hitopk_ef_impl<C: Compressor + ?Sized>(
         "hitopk_all_reduce_ef: residual must match the shard"
     );
 
-    // Error compensation, selection, residual update — all on the shard.
+    // Error feedback on the shard: accumulate into the residual, select
+    // from it, clear what goes on the wire.
     let k = shard_k(d, n, rho).min(shard.len());
     let span = obs::span_begin(&mut reg, "hitopk/top-k compression");
-    let shard_buf = shard.slice_mut(x);
-    ef.compensate(shard_buf);
-    let selection: SparseGrad = compressor.compress(shard_buf, k);
-    ef.absorb(shard_buf, &selection);
+    let selection: SparseGrad = ef.select(shard.slice(x), k, compressor);
+    ef.release(&selection);
     obs::span_end(&mut reg, span, shard.len() as f64);
 
     let span = obs::span_begin(&mut reg, "hitopk/inter all-gather");
@@ -321,14 +359,8 @@ fn hitopk_ef_impl<C: Compressor + ?Sized>(
     let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
     let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
 
-    let shard_buf = shard.slice_mut(x);
-    ops::fill(shard_buf, 0.0);
-    for (vals, idxs) in value_blocks.into_iter().zip(index_blocks) {
-        ops::scatter_add(shard_buf, &idxs, &vals);
-        scratch.put_f32(vals);
-        scratch.put_u32(idxs);
-    }
-    let shard_nonzeros = shard_buf.iter().filter(|v| **v != 0.0).count();
+    let blocks = value_blocks.into_iter().zip(index_blocks);
+    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
     obs::span_end(&mut reg, span, (2 * m * k) as f64);
 
     let span = obs::span_begin(&mut reg, "hitopk/intra all-gather");
@@ -725,6 +757,42 @@ mod tests {
                 "rank {r}: steady-state hitopk allocated communication buffers"
             );
         }
+    }
+
+    #[test]
+    fn scatter_gathered_counts_what_a_full_pass_would() {
+        // Overlapping, unsorted and empty blocks; a coordinate that cancels
+        // to zero (3), one that receives an explicit zero (5), and a stale
+        // nonzero that the fill must clear (9).
+        let blocks = vec![
+            (vec![1.0, 2.0, 0.0, 4.0], vec![7u32, 3, 5, 0]),
+            (vec![], vec![]),
+            (vec![-2.0, 0.5, 1.5], vec![3u32, 7, 11]),
+        ];
+        let mut scratch = CommScratch::new();
+        let mut buf = vec![0.0f32; 12];
+        buf[9] = 42.0;
+        let nonzeros = scatter_gathered(&mut buf, blocks.clone(), &mut scratch);
+
+        let mut want = vec![0.0f32; 12];
+        for (vals, idxs) in &blocks {
+            ops::scatter_add(&mut want, idxs, vals);
+        }
+        assert_eq!(buf, want);
+        assert_eq!(nonzeros, want.iter().filter(|v| **v != 0.0).count());
+        assert_eq!(nonzeros, 3, "coordinates 0, 7 and 11");
+        // Every block went back to the pool and nothing was taken from it.
+        assert_eq!(scratch.pooled(), 2 * blocks.len());
+        assert_eq!(
+            scratch.f32_stats().takes + scratch.u32_stats().takes,
+            0,
+            "the count must not add pool traffic"
+        );
+
+        // No contribution at all still clears the shard.
+        let none: Vec<(Vec<f32>, Vec<u32>)> = Vec::new();
+        assert_eq!(scatter_gathered(&mut buf, none, &mut scratch), 0);
+        assert!(buf.iter().all(|v| *v == 0.0));
     }
 
     #[test]

@@ -24,11 +24,10 @@
 //! same permutation — the property the CI determinism gate pins.
 
 use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
-use cloudtrain_tensor::ops;
 use cloudtrain_tensor::partition::shard_for;
 
 use crate::group::Peer;
-use crate::hierarchical::{group_wire_bytes, shard_k, HiTopKReport};
+use crate::hierarchical::{group_wire_bytes, scatter_gathered, shard_k, HiTopKReport};
 use crate::ring::{
     all_gather_f32_scratch, all_gather_u32_scratch, ring_all_gather, ring_all_gather_scratch,
     ring_all_reduce, ring_reduce_scatter, ring_reduce_scatter_scratch,
@@ -275,23 +274,15 @@ pub fn hitopk_all_reduce_ef_reordered<C: Compressor + ?Sized>(
     );
 
     let k = shard_k(d, n, rho).min(shard.len());
-    let shard_buf = shard.slice_mut(x);
-    ef.compensate(shard_buf);
-    let selection: SparseGrad = compressor.compress(shard_buf, k);
-    ef.absorb(shard_buf, &selection);
+    let selection: SparseGrad = ef.select(shard.slice(x), k, compressor);
+    ef.release(&selection);
 
     let value_blocks = all_gather_f32_scratch(peer, &selection.values, &inter, scratch);
     let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
     let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
 
-    let shard_buf = shard.slice_mut(x);
-    ops::fill(shard_buf, 0.0);
-    for (vals, idxs) in value_blocks.into_iter().zip(index_blocks) {
-        ops::scatter_add(shard_buf, &idxs, &vals);
-        scratch.put_f32(vals);
-        scratch.put_u32(idxs);
-    }
-    let shard_nonzeros = shard_buf.iter().filter(|v| **v != 0.0).count();
+    let blocks = value_blocks.into_iter().zip(index_blocks);
+    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
 
     ring_all_gather_scratch(peer, x, &intra, scratch);
 
@@ -323,6 +314,7 @@ mod tests {
     use crate::torus::torus_all_reduce;
     use cloudtrain_compress::exact::SortTopK;
     use cloudtrain_tensor::init;
+    use cloudtrain_tensor::ops;
     use cloudtrain_tensor::partition::shards;
 
     fn vec_for(rank: usize, d: usize) -> Vec<f32> {

@@ -38,7 +38,7 @@ use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 
 use crate::group::Peer;
 use crate::gtopk::{merge_sparse, trim_topk};
-use crate::hierarchical::{group_wire_bytes, shard_k, HiTopKReport};
+use crate::hierarchical::{group_wire_bytes, scatter_gathered, shard_k, HiTopKReport};
 use crate::scratch::CommScratch;
 use crate::torus::{grid_pos, inter_node_members, intra_node_members};
 
@@ -480,11 +480,11 @@ pub fn torus_all_reduce_resilient(
 /// through the policy and *graceful degradation* — if this rank's
 /// contribution misses its deadline, it transmits an empty sparse block.
 ///
-/// Correctness under degradation: `ef.absorb` with an empty selection
-/// zeroes nothing, so the member's entire compensated shard gradient lands
-/// in the residual and is re-injected next invocation. All ranks observe
-/// the same contributed blocks (the empty block physically travels through
-/// the AllGather), so replicas stay bitwise identical.
+/// Correctness under degradation: `ef.withhold` adds the member's entire
+/// shard gradient to the residual and clears nothing, so it is re-injected
+/// next invocation. All ranks observe the same contributed blocks (the
+/// empty block physically travels through the AllGather), so replicas stay
+/// bitwise identical.
 ///
 /// # Panics
 /// Panics if the group size is not `m * n` or the residual dimension does
@@ -515,28 +515,23 @@ pub fn hitopk_all_reduce_ef_resilient<C: Compressor + ?Sized>(
     );
 
     let k = shard_k(d, n, rho).min(shard.len());
-    let shard_buf = shard.slice_mut(x);
-    ef.compensate(shard_buf);
     // Deadline check at the sparsification point: a degraded member selects
-    // nothing, so absorb() keeps its whole compensated shard as residual.
+    // nothing and withholds its whole shard in the residual.
     let selection: SparseGrad = if rp.contribution_degraded(instance) {
+        ef.withhold(shard.slice(x));
         SparseGrad::empty(shard.len())
     } else {
-        compressor.compress(shard_buf, k)
+        let selection = ef.select(shard.slice(x), k, compressor);
+        ef.release(&selection);
+        selection
     };
-    ef.absorb(shard_buf, &selection);
 
     let value_blocks = all_gather_f32_resilient(rp, &selection.values, &inter, scratch);
     let index_blocks = all_gather_u32_resilient(rp, &selection.indices, &inter, scratch);
     let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
 
-    ops::fill(shard_buf, 0.0);
-    for (vals, idxs) in value_blocks.into_iter().zip(index_blocks) {
-        ops::scatter_add(shard_buf, &idxs, &vals);
-        scratch.put_f32(vals);
-        scratch.put_u32(idxs);
-    }
-    let shard_nonzeros = shard_buf.iter().filter(|v| **v != 0.0).count();
+    let blocks = value_blocks.into_iter().zip(index_blocks);
+    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
 
     ring_all_gather_resilient(rp, x, &intra, scratch);
 
@@ -547,9 +542,10 @@ pub fn hitopk_all_reduce_ef_resilient<C: Compressor + ?Sized>(
     }
 }
 
-/// Resilient gTop-k with error feedback: compensate → select (or degrade
-/// to an empty selection) → absorb → recursive-doubling exchange, all hops
-/// charged through the policy. Returns the bytes this rank sent.
+/// Resilient gTop-k with error feedback: accumulate into the residual and
+/// select from it (or degrade: withhold everything, select nothing) →
+/// recursive-doubling exchange, all hops charged through the policy.
+/// Returns the bytes this rank sent.
 ///
 /// A degraded rank contributes the empty set; merges against it are
 /// identities, every rank still runs all `log₂ P` rounds (no deadlock),
@@ -574,13 +570,14 @@ pub fn gtopk_all_reduce_ef_resilient<C: Compressor + ?Sized>(
     let instance = rp.begin_instance();
     let rank = rp.rank();
 
-    ef.compensate(x);
     let mut current = if rp.contribution_degraded(instance) {
+        ef.withhold(x);
         SparseGrad::empty(x.len())
     } else {
-        compressor.compress(x, k)
+        let selection = ef.select(x, k, compressor);
+        ef.release(&selection);
+        selection
     };
-    ef.absorb(x, &current);
     let mut sent = 0;
 
     let mut mask = 1;

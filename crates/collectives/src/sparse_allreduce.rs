@@ -41,12 +41,11 @@
 use cloudtrain_compress::quantize::Quantizer;
 use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
 use cloudtrain_obs::{self as obs, Registry};
-use cloudtrain_tensor::ops;
 use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 
 use crate::deadline::{DeadlineFaults, DeadlinePolicy, DeadlineReport};
 use crate::group::Peer;
-use crate::hierarchical::{pair_wire_bytes, shard_k};
+use crate::hierarchical::{pair_wire_bytes, scatter_gathered, shard_k};
 use crate::reorder::inter_members_ordered;
 use crate::resilience::{
     all_gather_f32_resilient, all_gather_u32_resilient, ring_all_gather_resilient,
@@ -221,14 +220,7 @@ fn aggregate_selection(
     let blocks = all_gather_pairs_scratch(peer, &merged_vals, &merged_idxs, inter, scratch);
     scratch.put_f32(merged_vals);
     scratch.put_u32(merged_idxs);
-    let shard_buf = shard.slice_mut(x);
-    ops::fill(shard_buf, 0.0);
-    for (vals, idxs) in blocks {
-        ops::scatter_add(shard_buf, &idxs, &vals);
-        scratch.put_f32(vals);
-        scratch.put_u32(idxs);
-    }
-    let shard_nonzeros = shard_buf.iter().filter(|v| **v != 0.0).count();
+    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
 
     AggregateStats {
         split_entries_sent,
@@ -280,15 +272,13 @@ fn ok_sparse_impl<C: Compressor + ?Sized>(
 
     let k = shard_k(d, n, rho).min(shard.len());
     let span = obs::span_begin(&mut reg, "oksparse/top-k compression");
-    let shard_buf = shard.slice_mut(x);
     let selection: SparseGrad = match ef.as_mut() {
         Some(ef) => {
-            ef.compensate(shard_buf);
-            let sel = compressor.compress(shard_buf, k);
-            ef.absorb(shard_buf, &sel);
+            let sel = ef.select(shard.slice(x), k, compressor);
+            ef.release(&sel);
             sel
         }
-        None => compressor.compress(shard_buf, k),
+        None => compressor.compress(shard.slice(x), k),
     };
     obs::span_end(&mut reg, span, shard.len() as f64);
 
@@ -535,7 +525,7 @@ fn quantized_pair_wire_bytes(entries: usize, levels: u8) -> usize {
 /// them bit-exactly), while `inter_bytes_sent` charges the packed wire
 /// format. The merged lists are sums of decoded values and travel as FP32.
 ///
-/// The residual is updated with [`ErrorFeedback::absorb_lossy`] against the
+/// The residual is released with [`ErrorFeedback::release_lossy`] against the
 /// decoded selection, so the per-coordinate quantization error stays in the
 /// residual and the mass-conservation ledger holds exactly — the lossy wire
 /// loses no gradient mass, it only defers it.
@@ -569,9 +559,7 @@ pub fn ok_sparse_all_reduce_ef_quantized<C: Compressor + ?Sized, Q: Quantizer + 
     );
 
     let k = shard_k(d, n, rho).min(shard.len());
-    let shard_buf = shard.slice_mut(x);
-    ef.compensate(shard_buf);
-    let exact = compressor.compress(shard_buf, k);
+    let exact = ef.select(shard.slice(x), k, compressor);
     let q = quantizer.quantize(&exact.values);
     let levels = q.levels;
     let selection = SparseGrad {
@@ -579,7 +567,7 @@ pub fn ok_sparse_all_reduce_ef_quantized<C: Compressor + ?Sized, Q: Quantizer + 
         indices: exact.indices,
         dim: exact.dim,
     };
-    ef.absorb_lossy(shard_buf, &selection);
+    ef.release_lossy(&selection);
 
     let stats = aggregate_selection(peer, x, shard, &selection, &inter, scratch);
     let me_ord = member_index(&inter, peer.rank());
@@ -663,14 +651,8 @@ fn aggregate_selection_resilient(
     let index_blocks = all_gather_u32_resilient(rp, &merged_idxs, inter, scratch);
     scratch.put_f32(merged_vals);
     scratch.put_u32(merged_idxs);
-    let shard_buf = shard.slice_mut(x);
-    ops::fill(shard_buf, 0.0);
-    for (vals, idxs) in value_blocks.into_iter().zip(index_blocks) {
-        ops::scatter_add(shard_buf, &idxs, &vals);
-        scratch.put_f32(vals);
-        scratch.put_u32(idxs);
-    }
-    let shard_nonzeros = shard_buf.iter().filter(|v| **v != 0.0).count();
+    let blocks = value_blocks.into_iter().zip(index_blocks);
+    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
 
     AggregateStats {
         split_entries_sent,
@@ -716,17 +698,17 @@ pub fn ok_sparse_all_reduce_ef_resilient<C: Compressor + ?Sized>(
     );
 
     let k = shard_k(d, n, rho).min(shard.len());
-    let shard_buf = shard.slice_mut(x);
-    ef.compensate(shard_buf);
     // Degradation at the sparsification point, exactly as in the hitopk
-    // twin: a degraded member selects nothing and absorb() keeps its whole
-    // compensated shard as residual.
+    // twin: a degraded member selects nothing and withholds its whole shard
+    // in the residual.
     let selection: SparseGrad = if rp.contribution_degraded(instance) {
+        ef.withhold(shard.slice(x));
         SparseGrad::empty(shard.len())
     } else {
-        compressor.compress(shard_buf, k)
+        let selection = ef.select(shard.slice(x), k, compressor);
+        ef.release(&selection);
+        selection
     };
-    ef.absorb(shard_buf, &selection);
 
     let stats = aggregate_selection_resilient(rp, x, shard, &selection, &inter, scratch);
     let inter_bytes_sent = ok_sparse_wire_bytes(&stats, inter.len());
@@ -780,21 +762,21 @@ pub fn ok_sparse_all_reduce_ef_deadline<C: Compressor + ?Sized>(
     );
 
     let k = shard_k(d, n, rho).min(shard.len());
-    let shard_buf = shard.slice_mut(x);
-    ef.compensate(shard_buf);
     // Same budget question as the hitopk deadline twin: would this member's
     // compressed block (k values + k indices) have landed inside the
-    // budget? A miss selects nothing.
+    // budget? A miss selects nothing and withholds the shard.
     let mut report = DeadlineReport { hops: 1, missed: 0 };
     let lateness = faults.contribution_lateness(instance, peer.rank());
     let wire = pair_wire_bytes(k);
     let selection: SparseGrad = if policy.hop_missed(wire, lateness) {
         report.missed = 1;
+        ef.withhold(shard.slice(x));
         SparseGrad::empty(shard.len())
     } else {
-        compressor.compress(shard_buf, k)
+        let selection = ef.select(shard.slice(x), k, compressor);
+        ef.release(&selection);
+        selection
     };
-    ef.absorb(shard_buf, &selection);
 
     let stats = aggregate_selection(peer, x, shard, &selection, &inter, scratch);
     let inter_bytes_sent = ok_sparse_wire_bytes(&stats, inter.len());
@@ -822,6 +804,7 @@ mod tests {
     use cloudtrain_compress::quantize::Qsgd;
     use cloudtrain_compress::MsTopK;
     use cloudtrain_tensor::init;
+    use cloudtrain_tensor::ops;
 
     fn vec_for(rank: usize, d: usize) -> Vec<f32> {
         let mut rng = init::rng_from_seed(14_000 + rank as u64);

@@ -7,15 +7,30 @@
 //! before compressing. The paper inherits this mechanism from its TopK-SGD
 //! baseline; without it sparsified training at ρ = 0.001 does not converge.
 //!
-//! Usage per iteration:
-//! 1. [`ErrorFeedback::compensate`] — `g += residual` (in place),
-//! 2. compress the compensated gradient,
-//! 3. [`ErrorFeedback::absorb`] — store `g - transmitted` as the new
-//!    residual.
+//! Usage per iteration — the residual is the accumulator, so the gradient
+//! is read once and the residual written once:
+//! 1. [`ErrorFeedback::select`] — `residual += g` and the compressor's
+//!    selection from the sum, in one call
+//!    ([`Compressor::compress_accumulated`]; MSTopK folds the addition into
+//!    its first streaming pass);
+//! 2. transmit the selection;
+//! 3. [`ErrorFeedback::release`] — clear what was sent from the residual
+//!    ([`ErrorFeedback::release_lossy`] when the wire perturbed the values).
+//!
+//! A contribution that is not transmitted at all (a missed deadline, a
+//! degraded member) is [`ErrorFeedback::withhold`]: `residual += g`, nothing
+//! selected, nothing released.
+//!
+//! The staged form — [`ErrorFeedback::compensate`] (`g += residual`),
+//! compress `g`, [`ErrorFeedback::absorb`] (`residual = g − sent`) — leaves
+//! the same selection and residual bit for bit at one more read and write of
+//! the tensor. It remains for callers that hand the compensated dense
+//! gradient on (the trainer's NaiveAG and gTop-k arms) and as the reference
+//! the tests hold the fused path to.
 
 use cloudtrain_tensor::ops;
 
-use crate::SparseGrad;
+use crate::{Compressor, SparseGrad};
 
 /// Per-worker residual memory for error-compensated compression.
 #[derive(Debug, Clone)]
@@ -36,7 +51,71 @@ impl ErrorFeedback {
         self.residual.len()
     }
 
-    /// Adds the stored residual into `grad` (step 1 above).
+    /// Accumulates `grad` into the residual and selects `k` coordinates of
+    /// the sum with `compressor` (step 1 above). The selected coordinates
+    /// stay in the residual until [`Self::release`] (or
+    /// [`Self::release_lossy`]) clears them, so every `select` is followed
+    /// by exactly one release of what was actually sent.
+    ///
+    /// # Panics
+    /// Panics if `grad.len() != self.dim()`.
+    pub fn select<C: Compressor + ?Sized>(
+        &mut self,
+        grad: &[f32],
+        k: usize,
+        compressor: &mut C,
+    ) -> SparseGrad {
+        assert_eq!(grad.len(), self.dim(), "select: dimension mismatch");
+        compressor.compress_accumulated(&mut self.residual, grad, k)
+    }
+
+    /// Clears the transmitted coordinates from the residual (step 3 above).
+    ///
+    /// # Panics
+    /// Panics if the selection's dimension differs or an index is out of
+    /// range.
+    pub fn release(&mut self, sent: &SparseGrad) {
+        assert_eq!(
+            sent.dim,
+            self.dim(),
+            "release: selection dimension mismatch"
+        );
+        ops::zero_at(&mut self.residual, &sent.indices);
+    }
+
+    /// [`Self::release`] for a **lossy** transmission: subtracts the values
+    /// as transmitted, so the per-coordinate transmission error (e.g. of a
+    /// quantized wire format) stays in the residual and the
+    /// mass-conservation ledger (`Σ accumulated = Σ aggregated + Σ residual`)
+    /// holds exactly. With an exact selection this equals `release`.
+    ///
+    /// # Panics
+    /// Panics if the selection's dimension differs or an index is out of
+    /// range.
+    pub fn release_lossy(&mut self, sent: &SparseGrad) {
+        assert_eq!(
+            sent.dim,
+            self.dim(),
+            "release_lossy: selection dimension mismatch"
+        );
+        for (v, i) in sent.values.iter().zip(&sent.indices) {
+            self.residual[*i as usize] -= v;
+        }
+    }
+
+    /// Keeps a whole contribution back: `residual += grad`, nothing
+    /// selected. What a member that misses its deadline or degrades does in
+    /// place of [`Self::select`]; the mass is re-offered next iteration.
+    ///
+    /// # Panics
+    /// Panics if `grad.len() != self.dim()`.
+    pub fn withhold(&mut self, grad: &[f32]) {
+        assert_eq!(grad.len(), self.dim(), "withhold: dimension mismatch");
+        ops::add_assign(&mut self.residual, grad);
+    }
+
+    /// Adds the stored residual into `grad` (first step of the staged
+    /// form).
     ///
     /// # Panics
     /// Panics if `grad.len() != self.dim()`.
@@ -46,20 +125,15 @@ impl ErrorFeedback {
     }
 
     /// Records the new residual: the compensated gradient minus what was
-    /// actually transmitted (step 3 above).
+    /// actually transmitted (last step of the staged form).
     ///
     /// # Panics
     /// Panics if `grad.len() != self.dim()` or the selection's dimension
     /// differs.
     pub fn absorb(&mut self, grad: &[f32], transmitted: &SparseGrad) {
         assert_eq!(grad.len(), self.dim(), "absorb: dimension mismatch");
-        assert_eq!(
-            transmitted.dim,
-            self.dim(),
-            "absorb: selection dimension mismatch"
-        );
         self.residual.copy_from_slice(grad);
-        ops::zero_at(&mut self.residual, &transmitted.indices);
+        self.release(transmitted);
     }
 
     /// Records the residual for a **lossy** transmission:
@@ -77,15 +151,8 @@ impl ErrorFeedback {
     /// differs, or a selection index is out of range.
     pub fn absorb_lossy(&mut self, grad: &[f32], transmitted: &SparseGrad) {
         assert_eq!(grad.len(), self.dim(), "absorb_lossy: dimension mismatch");
-        assert_eq!(
-            transmitted.dim,
-            self.dim(),
-            "absorb_lossy: selection dimension mismatch"
-        );
         self.residual.copy_from_slice(grad);
-        for (v, i) in transmitted.values.iter().zip(&transmitted.indices) {
-            self.residual[*i as usize] -= v;
-        }
+        self.release_lossy(transmitted);
     }
 
     /// Current residual L2 norm (a convergence diagnostic: bounded residual
@@ -223,6 +290,70 @@ mod tests {
         let ef = ErrorFeedback::new(3);
         let mut g = vec![0.0; 4];
         ef.compensate(&mut g);
+    }
+
+    /// The fused entry against the staged reference, round after round on
+    /// carried state: selection and residual must agree bit for bit through
+    /// plain rounds, a withheld contribution and a lossy transmission — for
+    /// MSTopK's fused override above its sampling floor, for MSTopK below
+    /// it, and for a generic compressor through the trait default.
+    #[test]
+    fn fused_rounds_match_the_staged_reference_bitwise() {
+        use crate::exact::SortTopK;
+        use crate::mstopk::SAMPLE_FLOOR;
+        use crate::MsTopK;
+
+        fn bits(x: &[f32]) -> Vec<u32> {
+            x.iter().map(|v| v.to_bits()).collect()
+        }
+        fn rounds<C: Compressor>(d: usize, k: usize, mut fused_op: C, mut staged_op: C) {
+            let mut fused = ErrorFeedback::new(d);
+            let mut staged = ErrorFeedback::new(d);
+            for round in 0..9u32 {
+                // Heavy-tailed and different every round.
+                let grad: Vec<f32> = (0..d as u32)
+                    .map(|i| {
+                        let h = (i ^ round.wrapping_mul(0x9E37_79B9)).wrapping_mul(2654435761);
+                        let u = ((h >> 8) + 1) as f32 / (1u32 << 24) as f32;
+                        let sign = if h & 1 == 0 { 1.0 } else { -1.0 };
+                        sign * (-u.ln()).powi(3)
+                    })
+                    .collect();
+                let mut g = grad.clone();
+                staged.compensate(&mut g);
+                if round == 3 {
+                    // A missed deadline: nothing selected, everything kept.
+                    fused.withhold(&grad);
+                    staged.absorb(&g, &SparseGrad::empty(d));
+                } else {
+                    let sent = fused.select(&grad, k, &mut fused_op);
+                    let want = staged_op.compress(&g, k);
+                    assert_eq!(sent.indices, want.indices, "round {round}");
+                    assert_eq!(bits(&sent.values), bits(&want.values), "round {round}");
+                    if round == 5 {
+                        // A lossy wire: what arrives is not what was selected.
+                        let mut lossy = sent;
+                        lossy.values.iter_mut().for_each(|v| *v *= 0.75);
+                        fused.release_lossy(&lossy);
+                        staged.absorb_lossy(&g, &lossy);
+                    } else {
+                        fused.release(&sent);
+                        staged.absorb(&g, &want);
+                    }
+                }
+                assert_eq!(
+                    bits(fused.residual()),
+                    bits(staged.residual()),
+                    "residuals diverged in round {round}"
+                );
+            }
+            assert!(fused.residual_norm() > 0.0);
+        }
+
+        let big = 4 * SAMPLE_FLOOR + 17;
+        rounds(big, big / 100, MsTopK::new(30, 9), MsTopK::new(30, 9));
+        rounds(10_007, 100, MsTopK::new(30, 9), MsTopK::new(30, 9));
+        rounds(10_007, 100, SortTopK, SortTopK);
     }
 
     /// The error-feedback cycle rides entirely on the tensor lane kernels

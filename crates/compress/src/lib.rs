@@ -57,6 +57,22 @@ pub trait Compressor {
     /// duplicate-free, in-bounds indices.
     fn compress(&mut self, x: &[f32], k: usize) -> SparseGrad;
 
+    /// Accumulates `grad` into `acc` (`acc[i] = grad[i] + acc[i]`) and
+    /// selects `k` coordinates of the sum — the error-feedback entry, where
+    /// `acc` is the residual ([`ErrorFeedback::select`]).
+    ///
+    /// The default stages the two steps. An operator whose first streaming
+    /// pass can carry the addition overrides it ([`MsTopK`] does); the
+    /// selection and the contents of `acc` afterwards must be those of the
+    /// staged form, bit for bit.
+    ///
+    /// # Panics
+    /// Panics if the slices have different lengths.
+    fn compress_accumulated(&mut self, acc: &mut [f32], grad: &[f32], k: usize) -> SparseGrad {
+        cloudtrain_tensor::ops::add_assign(acc, grad);
+        self.compress(acc, k)
+    }
+
     /// Short human-readable operator name (used in benchmark tables).
     fn name(&self) -> &'static str;
 }

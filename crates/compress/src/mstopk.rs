@@ -22,22 +22,50 @@
 //! # Single-pass histogram search
 //!
 //! The paper's formulation ([`MsTopKNaive`] here) executes `N` streaming
-//! `count_ge` passes — `N + 2` full scans of the gradient. [`MsTopK`]
-//! answers the same probes from a magnitude histogram built over one
-//! compacted pass:
+//! `count_ge` passes — `N + 2` full scans of the gradient. [`MsTopK`] makes
+//! **one** and answers every probe from what that pass leaves behind; with
+//! error feedback the same pass also performs `residual += gradient`
+//! ([`Compressor::compress_accumulated`]), so the sparsification point reads
+//! the gradient once and writes the residual once.
 //!
-//! * While every probe under-selects, the probed ratios descend `1/2,
-//!   1/4, ...`; the first probe that *over*-selects pins the bracket's
-//!   lower wall, and no later threshold drops below it. The first few
-//!   probes are therefore answered by direct counting passes (exactly
-//!   the naive loop's own passes), after which one branch-free pass
-//!   compacts the magnitudes at or above the wall — typically a few
-//!   multiples of `k` out of millions — into a dense buffer plus a
-//!   membership bitmap; everything after touches only that buffer. (No
-//!   probed threshold can drop below `mean|x|` either — `t = mean +
-//!   ratio * (max - mean)` with `ratio >= 0` — so when no wall is pinned
-//!   within the gallop budget the compaction falls back to the mean as
-//!   its cutoff, still dropping ~70% of a gradient-like tensor.)
+//! * **Sample-seeded cutoff.** Before the pass, a fixed strided sample of
+//!   magnitudes (`SAMPLE_LINES` runs of `SAMPLE_RUN` consecutive elements;
+//!   with error feedback `|gradient + residual|` at those positions) is
+//!   drawn and its `≈ 3k/d` upper quantile taken as a *compaction cutoff*:
+//!   about `3k` elements are expected at or above it. The sample only
+//!   decides how much the pass keeps, never what is selected.
+//! * **The pass.** Block by [`ops::REDUCE_BLOCK`]-wide block: add (with
+//!   error feedback), fold `Σ|x|` and `max|x|` with the tensor crate's own
+//!   block kernels in block order — so `mean|x|` and `max|x|` are bitwise
+//!   those of `ops::mean_abs` / `ops::max_abs` in every lane × thread tier —
+//!   and, while the block is cache-resident, compact the magnitudes at or
+//!   above the cutoff into a dense *survivor* buffer plus a membership
+//!   bitmap.
+//! * **Probes from the survivors.** A probe at or above the cutoff is
+//!   counted exactly on the survivors (everything it can count survived).
+//!   A probe *below* the cutoff needs no count: all `S > k` survivors
+//!   already exceed it, so it over-selects, which is all the bracket update
+//!   needs to know — except for `k2`/`thres2`, which record the *tightest*
+//!   over-selecting probe. Over-selecting probes arrive with non-decreasing
+//!   thresholds, hence non-increasing counts, so the last of them alone
+//!   decides `k2`/`thres2`; only if that last one sits below the cutoff is
+//!   its count taken, by one extra `count_ge` (rare: the search converges
+//!   on the `k`-th magnitude, far above a cutoff that keeps `3k`).
+//! * **Two fallbacks, chosen from what the pass observed.** If the sample
+//!   misses (`S <= k`, e.g. a NaN or unlucky cutoff), if `k` is too dense
+//!   for the sample to place a useful cutoff, or if the input is shorter
+//!   than a few sample sizes (where the sample is most of a pass), the
+//!   search runs the *gallop + wall compaction* instead: while every probe
+//!   under-selects, the probed ratios descend `1/2, 1/4, ...`; the first few
+//!   probes are answered by direct counting passes (exactly the naive
+//!   loop's own) until one over-selects and pins the bracket's lower wall,
+//!   and one pass compacts the magnitudes at or above the wall — or above
+//!   the mean, which no probed threshold can undercut (`t = mean + ratio *
+//!   (max - mean)` with `ratio >= 0`), if no wall is pinned within the
+//!   gallop budget. Either way the search continues on a survivor buffer.
+//!
+//! On the survivors, the search is a histogram:
+//!
 //! * The binary search only ever probes thresholds `t = mean + (j/2^i) *
 //!   (max - mean)`. For `i <= 23` every probed ratio `j/2^i` is a dyadic
 //!   rational that is exactly representable in `f32`, and the iterative
@@ -49,10 +77,17 @@
 //! * Bucket `j` counts elements with `t_j <= |x| < t_{j+1}` (elements are
 //!   placed by a guess-then-fix step against the exact boundary array, so
 //!   float rounding in the guess cannot misplace them). Suffix sums then
-//!   answer `count_ge(t_j)` exactly for every boundary.
+//!   answer `count_ge(t_j)` exactly for every boundary at or above the
+//!   cutoff.
 //! * After the histogram's levels are spent the search interval *is* one
 //!   bucket. Any remaining probes are answered by scanning just that
 //!   bucket's elements gathered from the live buffer.
+//!
+//! Streaming passes over a `d`-element tensor at the error-feedback
+//! sparsification point, before → after: compensate (2 reads, 1 write),
+//! mean, max, ~2 gallop counts, compaction, absorb's copy (1 read, 1 write)
+//! — 8 reads, 2 writes — against 2 reads (gradient, residual) and 1 write
+//! (residual) in one pass, plus `O(k)` survivor work.
 //!
 //! The result — selection, statistics, and RNG consumption — is bitwise
 //! identical to the naive search; `MsTopKNaive` is retained precisely so
@@ -86,6 +121,33 @@ const MAX_HIST_LEVELS: usize = 12;
 /// at a few extra vectorizable scans.
 const GALLOP_DIRECT: usize = 2;
 const GALLOP_MAX: usize = 4;
+
+/// Shape of the strided sample that seeds the compaction cutoff:
+/// [`SAMPLE_LINES`] evenly spaced runs of [`SAMPLE_RUN`] consecutive
+/// elements — one 64-byte cache line each, so the 65,536 samples cost 4,096
+/// line fetches per operand instead of 65,536 (~0.5 ms with the ranking).
+/// At the `3k/d` quantile of a ρ = 0.01 selection the cutoff rank is ~2,000
+/// samples, whose binomial spread puts the survivor count within a few
+/// percent of `3k`.
+const SAMPLE_LINES: usize = 4096;
+const SAMPLE_RUN: usize = 16;
+const SAMPLE_LEN: usize = SAMPLE_LINES * SAMPLE_RUN;
+
+/// The cutoff aims to keep this many times `k` elements: enough margin that
+/// a sample estimate essentially never keeps `k` or fewer (which would void
+/// the seed), small enough that the survivor buffer stays a few percent of
+/// the tensor at trained sparsities.
+const SAMPLE_KEEP: usize = 3;
+
+/// Lowest cutoff rank taken from the sample. Below ~16 samples the order
+/// statistic is too noisy to trust (relative spread `1/sqrt(rank)`), so a
+/// very sparse `k` keeps `16·d/SAMPLE_LEN` elements instead of `3k`.
+const SAMPLE_MIN_RANK: usize = 16;
+
+/// Inputs shorter than this take the gallop path: drawing and ranking the
+/// sample costs about as much as one streaming pass over `SAMPLE_LEN`
+/// elements, which only pays off against a tensor several times that size.
+pub(crate) const SAMPLE_FLOOR: usize = 4 * SAMPLE_LEN;
 
 /// Chunk width for the skip-scan in [`finish_selection`]: each chunk is
 /// first screened with a vectorizable count, and index materialisation only
@@ -159,6 +221,19 @@ impl MsTopK {
 impl Compressor for MsTopK {
     fn compress(&mut self, x: &[f32], k: usize) -> SparseGrad {
         self.select_with_stats(x, k).0
+    }
+
+    /// The addition rides the selection's one streaming pass (see the
+    /// module docs); selection, `acc` and RNG consumption are bitwise those
+    /// of `add_assign` followed by [`Self::compress`].
+    fn compress_accumulated(&mut self, acc: &mut [f32], grad: &[f32], k: usize) -> SparseGrad {
+        assert_eq!(
+            acc.len(),
+            grad.len(),
+            "compress_accumulated: length mismatch"
+        );
+        let source = Source::Accumulate { acc, grad };
+        mstopk_impl(source, k, self.samplings, &mut self.rng, None).0
     }
 
     fn name(&self) -> &'static str {
@@ -422,8 +497,9 @@ fn search_counting(
     }
 }
 
-/// The survivors of one [`compact_magnitudes`] pass: the magnitudes
-/// `>= cutoff` in original order plus a membership bitmap.
+/// The magnitudes `>= cutoff` of a tensor, in original order, plus a
+/// membership bitmap: what one compaction pass leaves for the search and
+/// the selection to work on.
 struct Survivors {
     /// Compacted magnitudes, in input order.
     mags: Vec<f32>,
@@ -436,73 +512,126 @@ struct Survivors {
     cutoff: f32,
 }
 
-/// One pass over `x`: compacts the magnitudes `>= cutoff` into a dense
-/// buffer, preserving input order, and records membership in a bitmap.
-///
-/// Each 64-element chunk is processed in two branch-free phases: the
-/// membership word is packed with a store-free compare loop (which the
-/// compiler can vectorise), then only the survivors named by the word's
-/// set bits are copied out — the per-word extraction loop runs once per
-/// survivor, not once per element, and the word store amortises to one
-/// per 64 elements. The magnitude buffer is created zero-filled (a
-/// lazily-mapped allocation), so untouched capacity costs nothing — with
-/// a wall cutoff only a few pages of it are ever written.
+impl Survivors {
+    /// The count a probe at `thres` observes for `count_ge(x, thres)` of
+    /// the compacted tensor `x` of `d` elements. At or above the cutoff it
+    /// is `exact()`, a count over the survivors: everything it can see
+    /// survived. Below the cutoff — only possible under a sampled cutoff,
+    /// which is used only when more than `k` elements survived — every
+    /// survivor exceeds `thres`, so the probe over-selects, and `d`, the
+    /// one count that can never under-state an over-selection, stands in
+    /// (see the module docs for why the exact value is not needed).
+    fn probe_count(&self, thres: f32, d: usize, exact: impl FnOnce() -> usize) -> usize {
+        if thres >= self.cutoff {
+            exact()
+        } else {
+            d
+        }
+    }
+}
+
+/// Builds a [`Survivors`] set from blocks that cover the tensor in order.
+struct Compactor {
+    out: Survivors,
+    /// Survivors written so far; `out.mags` is sized for the whole tensor
+    /// until [`Self::finish`] truncates it.
+    n: usize,
+}
+
+impl Compactor {
+    /// For a `d`-element tensor compacted at `cutoff`. The magnitude buffer
+    /// is created zero-filled (a lazily-mapped allocation), so untouched
+    /// capacity costs nothing — with a wall or sampled cutoff only a few
+    /// pages of it are ever written.
+    fn new(d: usize, cutoff: f32) -> Self {
+        debug_assert!(d <= u32::MAX as usize, "indices are u32 repo-wide");
+        Self {
+            out: Survivors {
+                mags: vec![0.0f32; d],
+                bitmap: vec![0u64; d.div_ceil(64)],
+                cutoff,
+            },
+            n: 0,
+        }
+    }
+
+    /// Compacts the magnitudes `>= cutoff` of `block` — elements
+    /// `start..start + block.len()` of the tensor, `start` a multiple of 64
+    /// — preserving input order, and records membership in the bitmap.
+    ///
+    /// Each 64-element chunk is processed in two branch-free phases: the
+    /// membership word is packed from a vectorisable compare loop, then
+    /// only the survivors named by the word's set bits are copied out — the
+    /// per-word extraction loop runs once per survivor, not once per
+    /// element, and the word store amortises to one per 64 elements.
+    fn push_block(&mut self, start: usize, block: &[f32]) {
+        debug_assert_eq!(start % 64, 0, "blocks must start on a bitmap word");
+        let Survivors {
+            mags,
+            bitmap,
+            cutoff,
+        } = &mut self.out;
+        let cutoff = *cutoff;
+        let mut n = self.n;
+        let mut words = block.chunks_exact(64);
+        let mut wi = start / 64;
+        for chunk in &mut words {
+            // One 0/1 byte per element (a plain compare loop the compiler
+            // vectorises), then each group of eight bytes is squeezed into
+            // eight bits by one multiply: the constant's set bits, 7 apart,
+            // carry byte `i`'s low bit to bit `56 + i` with no two partial
+            // products meeting (`8i - 7j` is one-to-one on 0..8 x 0..8), so
+            // the top byte of the product is the group's mask. ~2.5x faster
+            // in cache than OR-ing eight shifted compares per group.
+            let mut member = [0u8; 64];
+            for (m, v) in member.iter_mut().zip(chunk) {
+                *m = u8::from(v.abs() >= cutoff);
+            }
+            let mut w = 0u64;
+            for (g, oct) in member.chunks_exact(8).enumerate() {
+                let &[b0, b1, b2, b3, b4, b5, b6, b7] = oct else {
+                    unreachable!("chunks_exact(8) yields exactly 8 elements")
+                };
+                let bytes = u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]);
+                w |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g);
+            }
+            bitmap[wi] = w;
+            wi += 1;
+            while w != 0 {
+                let b = w.trailing_zeros() as usize;
+                w &= w - 1;
+                mags[n] = chunk[b].abs();
+                n += 1;
+            }
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = 0u64;
+            for (b, v) in tail.iter().enumerate() {
+                w |= u64::from(v.abs() >= cutoff) << b;
+            }
+            bitmap[wi] = w;
+            while w != 0 {
+                let b = w.trailing_zeros() as usize;
+                w &= w - 1;
+                mags[n] = tail[b].abs();
+                n += 1;
+            }
+        }
+        self.n = n;
+    }
+
+    fn finish(mut self) -> Survivors {
+        self.out.mags.truncate(self.n);
+        self.out
+    }
+}
+
+/// One pass over `x`: its [`Survivors`] at `cutoff`.
 fn compact_magnitudes(x: &[f32], cutoff: f32) -> Survivors {
-    let d = x.len();
-    debug_assert!(d <= u32::MAX as usize, "indices are u32 repo-wide");
-    let mut mags = vec![0.0f32; d];
-    let mut bitmap = vec![0u64; d.div_ceil(64)];
-    let mut n = 0usize;
-    let mut words = x.chunks_exact(64);
-    let mut wi = 0usize;
-    for chunk in &mut words {
-        // Constant-shift byte groups: the compiler turns each group of
-        // eight compares into one SIMD compare + mask extraction, where a
-        // variable-shift fold stays scalar (~3.5x slower measured).
-        let mut w = 0u64;
-        for (g, oct) in chunk.chunks_exact(8).enumerate() {
-            let &[o0, o1, o2, o3, o4, o5, o6, o7] = oct else {
-                unreachable!("chunks_exact(8) yields exactly 8 elements")
-            };
-            let byte = u8::from(o0.abs() >= cutoff)
-                | u8::from(o1.abs() >= cutoff) << 1
-                | u8::from(o2.abs() >= cutoff) << 2
-                | u8::from(o3.abs() >= cutoff) << 3
-                | u8::from(o4.abs() >= cutoff) << 4
-                | u8::from(o5.abs() >= cutoff) << 5
-                | u8::from(o6.abs() >= cutoff) << 6
-                | u8::from(o7.abs() >= cutoff) << 7;
-            w |= (byte as u64) << (8 * g);
-        }
-        bitmap[wi] = w;
-        wi += 1;
-        while w != 0 {
-            let b = w.trailing_zeros() as usize;
-            w &= w - 1;
-            mags[n] = chunk[b].abs();
-            n += 1;
-        }
-    }
-    let tail = words.remainder();
-    if !tail.is_empty() {
-        let mut w = 0u64;
-        for (b, v) in tail.iter().enumerate() {
-            w |= u64::from(v.abs() >= cutoff) << b;
-        }
-        bitmap[wi] = w;
-        while w != 0 {
-            let b = w.trailing_zeros() as usize;
-            w &= w - 1;
-            mags[n] = tail[b].abs();
-            n += 1;
-        }
-    }
-    mags.truncate(n);
-    Survivors {
-        mags,
-        bitmap,
-        cutoff,
-    }
+    let mut c = Compactor::new(x.len(), cutoff);
+    c.push_block(0, x);
+    c.finish()
 }
 
 /// Gathers the magnitudes `>= lo` from a survivor buffer, preserving order.
@@ -525,32 +654,23 @@ fn gather_ge(mags: &[f32], lo: f32) -> Vec<f32> {
     out
 }
 
-/// The histogram search: identical probe sequence to [`search_counting`],
-/// answered in two phases. Requires `u > a_mean`. Returns the compacted
-/// survivor buffer so the selection scan can reuse it.
-///
-/// * **Gallop** — the first probes are answered by direct counting until
-///   one over-selects and pins the bracket's lower wall, or [`GALLOP_MAX`]
-///   probes pass. The first [`GALLOP_DIRECT`] of them count the raw
-///   tensor (exactly the naive passes); the tensor is then compacted at
-///   the wall — or at the mean, with counting continuing on the survivor
-///   buffer, if no wall is pinned yet.
-/// * **Histogram** — every remaining probe ratio lies inside the bracket
-///   `[l, r]`, so elements below `thres(l)` can never change a count
-///   again. A histogram over just the elements at or above the wall
-///   answers the next `levels` probes, and a gather of the final bucket
-///   answers any probes beyond the histogram depth.
-fn search_histogram(
+/// The fallback's first phase (see the module docs): direct counting
+/// probes, exactly the naive loop's first passes, until one over-selects
+/// and pins the bracket's lower wall or [`GALLOP_DIRECT`] have run; then
+/// one pass compacting the tensor at the wall — or at the mean if no wall
+/// is pinned yet. Requires `u > a_mean`. Returns the survivors and the
+/// number of probes consumed.
+fn gallop_compact(
     x: &[f32],
     k: usize,
     samplings: usize,
     a_mean: f32,
     u: f32,
     bracket: &mut Bracket,
-) -> Survivors {
-    // Phase 1a: while every probe under-selects, the probed ratios descend
-    // 1/2, 1/4, ... — count them straight off the tensor, exactly as the
-    // naive loop would.
+) -> (Survivors, usize) {
+    // While every probe under-selects, the probed ratios descend 1/2, 1/4,
+    // ... — count them straight off the tensor, exactly as the naive loop
+    // would.
     let mut consumed = 0usize;
     while consumed < samplings && consumed < GALLOP_DIRECT && bracket.l == 0.0 {
         let ratio = bracket.midpoint();
@@ -565,20 +685,45 @@ fn search_histogram(
     // below `a_mean + 0`). Either way the buffer covers every magnitude
     // any remaining probe or the selection scan can touch.
     let s = compact_magnitudes(x, a_mean + bracket.l * (u - a_mean));
+    (s, consumed)
+}
 
-    // Phase 1b: if the wall is still unset, keep galloping on the (much
-    // smaller) survivor buffer. Dropped sub-mean elements can never reach
-    // a probed threshold, so the counts stay exact.
+/// Answers probes `consumed..samplings` — the identical probe sequence to
+/// [`search_counting`] — from a survivor buffer. Requires `u > a_mean` and,
+/// if the buffer's cutoff can exceed a probed threshold (a sampled cutoff),
+/// more than `k` survivors; see [`Survivors::probe_count`].
+///
+/// * **Gallop** — while no probe has over-selected, up to [`GALLOP_MAX`]
+///   probes in total are counted directly on the buffer, so the histogram
+///   starts from a pinned wall rather than the whole `[mean, max]` range.
+///   Elements the compaction dropped can never reach a threshold counted
+///   here, so the counts stay exact.
+/// * **Histogram** — every remaining probe ratio lies inside the bracket
+///   `[l, r]`, so elements below `thres(l)` can never change a count
+///   again. A histogram over just the elements at or above the wall
+///   answers the next `levels` probes, and a gather of the final bucket
+///   answers any probes beyond the histogram depth.
+#[allow(clippy::too_many_arguments)]
+fn search_survivors(
+    s: &Survivors,
+    d: usize,
+    k: usize,
+    samplings: usize,
+    mut consumed: usize,
+    a_mean: f32,
+    u: f32,
+    bracket: &mut Bracket,
+) {
     while consumed < samplings && consumed < GALLOP_MAX && bracket.l == 0.0 {
         let ratio = bracket.midpoint();
         let thres = a_mean + ratio * (u - a_mean);
-        let nnz = ops::count_ge(&s.mags, thres);
+        let nnz = s.probe_count(thres, d, || ops::count_ge(&s.mags, thres));
         bracket.observe(nnz, thres, ratio, k);
         consumed += 1;
     }
     let left = samplings - consumed;
     if left == 0 {
-        return s;
+        return;
     }
 
     // Phase 2: histogram over the elements at or above the lower wall.
@@ -652,9 +797,11 @@ fn search_histogram(
         }
     }
 
-    // suffix[j] = exact count_ge(x, bounds[j]) — every dropped element is
-    // below `bounds[0]` and hence below every boundary, so the live
-    // elements alone determine the counts.
+    // suffix[j] = exact count_ge(x, bounds[j]) for every boundary at or
+    // above the compaction cutoff — every dropped element is below the
+    // cutoff and hence below those boundaries, so the live elements alone
+    // determine the counts. (Boundaries below a sampled cutoff see partial
+    // counts, which `Survivors::probe_count` never consults.)
     let mut suffix = vec![0usize; buckets + 1];
     for j in (0..buckets).rev() {
         suffix[j] = suffix[j + 1] + counts[j] as usize;
@@ -670,7 +817,7 @@ fn search_histogram(
         debug_assert_eq!(ratio, ratio_of(mj));
         let thres = a_mean + ratio * (u - a_mean);
         debug_assert_eq!(thres, bounds[mj]);
-        let nnz = suffix[mj];
+        let nnz = s.probe_count(thres, d, || suffix[mj]);
         let under = nnz <= k;
         bracket.observe(nnz, thres, ratio, k);
         if under {
@@ -711,31 +858,37 @@ fn search_histogram(
         for _ in levels..left {
             let ratio = bracket.midpoint();
             let thres = a_mean + ratio * (u - a_mean);
-            let nnz = tail + cell_m.iter().filter(|&&m| m >= thres).count();
+            let nnz = s.probe_count(thres, d, || {
+                tail + cell_m.iter().filter(|&&m| m >= thres).count()
+            });
             bracket.observe(nnz, thres, ratio, k);
         }
     }
-    s
 }
 
 /// Algorithm 1 with an explicit RNG (deterministic given the RNG state),
-/// histogram-accelerated: ~3 streaming passes regardless of `samplings`.
-/// Bitwise identical to [`mstopk_naive_with_rng`] on every input.
+/// histogram-accelerated: one streaming pass regardless of `samplings`
+/// (a few on the fallback path; see the module docs). Bitwise identical to
+/// [`mstopk_naive_with_rng`] on every input.
 pub fn mstopk_with_rng(
     x: &[f32],
     k: usize,
     samplings: usize,
     rng: &mut StdRng,
 ) -> (SparseGrad, MsTopKStats) {
-    mstopk_impl(x, k, samplings, rng, None)
+    mstopk_impl(Source::Plain(x), k, samplings, rng, None)
 }
 
 /// [`mstopk_with_rng`] with per-stage spans and counters recorded into
 /// `reg`.
 ///
-/// Spans are charged in logical work units (elements scanned):
-/// `mstopk/mean-max passes` (2·d), `mstopk/histogram search` (the
-/// compaction pass plus the survivor buffer it leaves behind), and
+/// Spans are charged in logical work units (elements streamed):
+/// `mstopk/mean-max passes` — the sample plus one `d`-element pass when the
+/// sampled cutoff seeds the search, else one `d` per staged pass (mean,
+/// max, and the accumulation under error feedback);
+/// `mstopk/histogram search` — the survivor buffer, plus `d` per
+/// full-tensor pass the search had to make (gallop counts and the wall
+/// compaction on the fallback path, the `k2` repair count); and
 /// `mstopk/selection` (the final materialisation scan). Counters:
 /// `mstopk/invocations`, `mstopk/passes`, `mstopk/selected`,
 /// `mstopk/survivors`. Instrumentation reads only values the untraced path
@@ -748,41 +901,172 @@ pub fn mstopk_with_rng_traced(
     rng: &mut StdRng,
     reg: &mut Registry,
 ) -> (SparseGrad, MsTopKStats) {
-    mstopk_impl(x, k, samplings, rng, Some(reg))
+    mstopk_impl(Source::Plain(x), k, samplings, rng, Some(reg))
+}
+
+/// What the operator selects from.
+enum Source<'a> {
+    /// The tensor as given.
+    Plain(&'a [f32]),
+    /// `acc` after `acc[i] = grad[i] + acc[i]` — the error-feedback entry
+    /// ([`Compressor::compress_accumulated`]).
+    Accumulate { acc: &'a mut [f32], grad: &'a [f32] },
+}
+
+impl<'a> Source<'a> {
+    fn len(&self) -> usize {
+        match self {
+            Source::Plain(x) => x.len(),
+            Source::Accumulate { acc, .. } => acc.len(),
+        }
+    }
+
+    /// The compaction cutoff a strided sample of the (accumulated)
+    /// magnitudes suggests for selecting `k`: the value about
+    /// `SAMPLE_KEEP·k` elements are expected to reach. `None` when sampling
+    /// cannot pay off — the input is below [`SAMPLE_FLOOR`] — or the sample
+    /// itself says the cutoff is useless: it does not clear the sample's
+    /// mean (`k` too dense, a mostly-zero tensor, NaNs), where compacting at
+    /// the mean, which no probe can undercut, keeps less.
+    fn sampled_cutoff(&self, k: usize) -> Option<f32> {
+        let d = self.len();
+        if d < SAMPLE_FLOOR {
+            return None;
+        }
+        // Rank of the cutoff among the samples, counted from the largest.
+        let keep = SAMPLE_KEEP as u64 * k as u64 * SAMPLE_LEN as u64;
+        let rank = (keep.div_ceil(d as u64) as usize).max(SAMPLE_MIN_RANK);
+        if rank > SAMPLE_LEN {
+            return None;
+        }
+        let stride = d / SAMPLE_LINES;
+        let mut sample = Vec::with_capacity(SAMPLE_LEN);
+        for line in 0..SAMPLE_LINES {
+            let run = line * stride..line * stride + SAMPLE_RUN;
+            match self {
+                Source::Plain(x) => sample.extend(x[run].iter().map(|v| v.abs())),
+                Source::Accumulate { acc, grad } => sample.extend(
+                    acc[run.clone()]
+                        .iter()
+                        .zip(&grad[run])
+                        .map(|(a, g)| (a + g).abs()),
+                ),
+            }
+        }
+        let mean = ops::mean_abs(&sample);
+        let (_, cutoff, _) = sample.select_nth_unstable_by(rank - 1, |a, b| b.total_cmp(a));
+        (*cutoff > mean).then_some(*cutoff)
+    }
+
+    /// The tensor to select from, accumulated (if at all) as a pass of its
+    /// own.
+    fn accumulated(self) -> &'a [f32] {
+        match self {
+            Source::Plain(x) => x,
+            Source::Accumulate { acc, grad } => {
+                ops::add_assign(acc, grad);
+                acc
+            }
+        }
+    }
+
+    /// The tensor to select from with its `(mean_abs, max_abs)`, all from
+    /// one blocked pass that also hands `visit` every block, accumulated,
+    /// while it is cache-resident.
+    fn accumulated_with_stats(self, visit: impl FnMut(usize, &[f32])) -> (&'a [f32], f32, f32) {
+        match self {
+            Source::Plain(x) => {
+                let (a_mean, u) = ops::abs_stats_blocked(x, visit);
+                (x, a_mean, u)
+            }
+            Source::Accumulate { acc, grad } => {
+                let (a_mean, u) = ops::add_assign_abs_stats_blocked(acc, grad, visit);
+                (acc, a_mean, u)
+            }
+        }
+    }
+}
+
+/// Records one stage's span, charged `units` of logical work. The clock is
+/// logical, so opening the span after the work it covers changes nothing.
+fn charge(reg: &mut Option<&mut Registry>, name: &str, units: usize) {
+    let span = obs::span_begin(reg, name);
+    obs::span_end(reg, span, units as f64);
 }
 
 fn mstopk_impl(
-    x: &[f32],
+    source: Source<'_>,
     k: usize,
     samplings: usize,
     rng: &mut StdRng,
     mut reg: Option<&mut Registry>,
 ) -> (SparseGrad, MsTopKStats) {
-    let d = x.len();
+    let d = source.len();
     let k = k.min(d);
     if let Some(reg) = reg.as_mut() {
         reg.counter_add("mstopk/invocations", 1);
         reg.counter_add("mstopk/passes", samplings as u64);
         reg.counter_add("mstopk/selected", k as u64);
     }
-    if let Some(out) = trivial_selection(x, d, k) {
-        return out;
-    }
 
-    // Line 1: the mean pass (block-ordered, matches the naive path).
-    let span = obs::span_begin(&mut reg, "mstopk/mean-max passes");
-    let a_mean = ops::mean_abs(x);
+    // Lines 1–3: `mean|x|` and `max|x|` of the (accumulated) tensor — the
+    // statistics the naive path computes, bit for bit. When a search
+    // follows and a sampled cutoff is on offer, one pass does all of it
+    // and compacts the survivors on the way.
+    let searches = 0 < k && k < d && samplings > 0;
+    let cutoff = if searches {
+        source.sampled_cutoff(k)
+    } else {
+        None
+    };
+    let (x, a_mean, u, seed, scanned) = match cutoff {
+        Some(cutoff) => {
+            let mut compactor = Compactor::new(d, cutoff);
+            let (x, a_mean, u) =
+                source.accumulated_with_stats(|start, block| compactor.push_block(start, block));
+            (x, a_mean, u, Some(compactor.finish()), SAMPLE_LEN + d)
+        }
+        None => {
+            let adds = usize::from(matches!(source, Source::Accumulate { .. }));
+            let x = source.accumulated();
+            if let Some(out) = trivial_selection(x, d, k) {
+                return out;
+            }
+            // The max only feeds the search.
+            let a_mean = ops::mean_abs(x);
+            let u = if samplings > 0 { ops::max_abs(x) } else { 0.0 };
+            let passes = adds + 1 + usize::from(samplings > 0);
+            (x, a_mean, u, None, passes * d)
+        }
+    };
+    charge(&mut reg, "mstopk/mean-max passes", scanned);
 
     let mut bracket = Bracket::new(d);
     let mut survivors = None;
     if samplings > 0 {
-        // Lines 2–3: the max pass, exactly the statistic the naive path
-        // computes.
-        let u = ops::max_abs(x);
-        obs::span_end(&mut reg, span, (2 * d) as f64);
-        let span = obs::span_begin(&mut reg, "mstopk/histogram search");
+        let mut scanned = 0usize;
         if u > a_mean {
-            survivors = Some(search_histogram(x, k, samplings, a_mean, u, &mut bracket));
+            // A sampled seed stands only if it kept more than `k`: that is
+            // what lets a probe below its cutoff go uncounted. Otherwise
+            // the sample missed and the gallop finds a wall to compact at.
+            let (s, consumed) = match seed.filter(|s| s.mags.len() > k) {
+                Some(s) => (s, 0),
+                None => {
+                    let (s, consumed) = gallop_compact(x, k, samplings, a_mean, u, &mut bracket);
+                    scanned += (consumed + 1) * d;
+                    (s, consumed)
+                }
+            };
+            search_survivors(&s, d, k, samplings, consumed, a_mean, u, &mut bracket);
+            if bracket.l > 0.0 && bracket.thres2 < s.cutoff {
+                // The last over-selecting probe sat below the sampled
+                // cutoff, so `k2` still holds the stand-in count: take the
+                // real one.
+                bracket.k2 = ops::count_ge(x, bracket.thres2);
+                scanned += d;
+            }
+            scanned += s.mags.len();
+            survivors = Some(s);
         } else if u == a_mean {
             // Degenerate grid: every probe threshold collapses to
             // `a_mean` (`ratio * 0.0 == 0.0`), so the naive loop
@@ -790,31 +1074,31 @@ fn mstopk_impl(
             // first updates the bracket.
             let nnz = ops::count_ge(x, a_mean);
             bracket.observe(nnz, a_mean, bracket.midpoint(), k);
+            scanned += d;
         } else {
             // `mean_abs` rounding pathologically exceeded `max_abs` (or
             // NaN poisoned a statistic): the histogram grid would be
             // inverted. Fall back to the literal search (still
             // identical, just not accelerated).
             search_counting(x, k, samplings, a_mean, u, &mut bracket);
+            scanned += samplings * d;
         }
-        let survivor_len = survivors.as_ref().map_or(0, |s| s.mags.len());
         if let Some(reg) = reg.as_mut() {
+            let survivor_len = survivors.as_ref().map_or(0, |s| s.mags.len());
             reg.counter_add("mstopk/survivors", survivor_len as u64);
         }
-        obs::span_end(&mut reg, span, (d + survivor_len) as f64);
-    } else {
-        obs::span_end(&mut reg, span, d as f64); // only the mean pass ran
+        charge(&mut reg, "mstopk/histogram search", scanned);
     }
 
     // The survivor buffer can stand in for a selection rescan only if it
-    // covers everything `>= thres2`. A set `thres2` is a probed threshold
-    // at or above the compaction cutoff; unset it is 0.0, which qualifies
-    // only in the all-magnitudes-survive case `cutoff == 0`.
+    // covers everything `>= thres2`. A set `thres2` is a probed threshold,
+    // at or above a wall cutoff always and a sampled one nearly always;
+    // unset it is 0.0, which qualifies only in the all-magnitudes-survive
+    // case `cutoff == 0`.
     let accel = survivors.as_ref().filter(|s| bracket.thres2 >= s.cutoff);
-    let span = obs::span_begin(&mut reg, "mstopk/selection");
     let scan_len = accel.map_or(d, |s| s.mags.len());
     let out = finish_selection(x, d, k, &bracket, samplings, rng, accel);
-    obs::span_end(&mut reg, span, scan_len as f64);
+    charge(&mut reg, "mstopk/selection", scan_len);
     out
 }
 
@@ -999,28 +1283,90 @@ mod tests {
 
     #[test]
     fn traced_selection_is_bitwise_identical_and_records_stages() {
+        // Below the sampling floor: the gallop path, one `d` per pass.
         let x = grad(31, 20_000);
         let k = 200;
         let plain = MsTopK::new(30, 7).select_with_stats(&x, k);
         let mut reg = Registry::new();
         let traced = MsTopK::new(30, 7).select_with_stats_traced(&x, k, &mut reg);
         assert_eq!(plain, traced, "tracing perturbed the selection");
-        // Three stages per invocation, charged in elements scanned.
+        // Three stages per invocation, charged in elements streamed.
         assert_eq!(reg.spans().len(), 3);
         assert_eq!(
             reg.span_total("mstopk/mean-max passes"),
             (2 * x.len()) as f64
         );
-        assert!(reg.span_total("mstopk/histogram search") >= x.len() as f64);
-        assert!(reg.span_total("mstopk/selection") > 0.0);
+        // At least the wall compaction, at most the two gallop counts too.
+        let survivors = reg.counter("mstopk/survivors") as usize;
+        let search = reg.span_total("mstopk/histogram search") as usize;
+        assert!((x.len()..=3 * x.len()).contains(&(search - survivors)));
+        assert_eq!((search - survivors) % x.len(), 0);
         assert_eq!(reg.counter("mstopk/invocations"), 1);
         assert_eq!(reg.counter("mstopk/passes"), 30);
         assert_eq!(reg.counter("mstopk/selected"), k as u64);
         // The accelerated selection scans only the survivor buffer.
+        assert_eq!(reg.span_total("mstopk/selection"), survivors as f64);
+
+        // Above it: the sample, one pass, and the survivors it left.
+        let x = family("heavy-tailed", BIG);
+        let k = BIG / 100;
+        let plain = MsTopK::new(30, 7).select_with_stats(&x, k);
+        let mut reg = Registry::new();
+        let traced = MsTopK::new(30, 7).select_with_stats_traced(&x, k, &mut reg);
+        assert_eq!(plain, traced, "tracing perturbed the selection");
+        assert_eq!(reg.spans().len(), 3);
         assert_eq!(
-            reg.span_total("mstopk/selection"),
-            reg.counter("mstopk/survivors") as f64
+            reg.span_total("mstopk/mean-max passes"),
+            (SAMPLE_LEN + BIG) as f64
         );
+        let survivors = reg.counter("mstopk/survivors") as usize;
+        assert!(survivors > k && survivors < 2 * SAMPLE_KEEP * k);
+        assert_eq!(reg.span_total("mstopk/histogram search"), survivors as f64);
+        assert_eq!(reg.span_total("mstopk/selection"), survivors as f64);
+    }
+
+    /// The acceptance pin: at the error-feedback sparsification point the
+    /// operator streams the shard once. Counted on the traced variant's
+    /// `mstopk/*` work units so the pass count cannot creep back.
+    #[test]
+    fn accumulated_selection_streams_the_tensor_once() {
+        let grad = family("heavy-tailed", BIG);
+        let residual = family("layered", BIG);
+        let k = BIG / 100;
+        let mut reg = Registry::new();
+        let mut acc = residual.clone();
+        let source = Source::Accumulate {
+            acc: &mut acc,
+            grad: &grad,
+        };
+        let mut rng = StdRng::seed_from_u64(5);
+        let fused = mstopk_impl(source, k, 30, &mut rng, Some(&mut reg));
+
+        let units: f64 = [
+            "mstopk/mean-max passes",
+            "mstopk/histogram search",
+            "mstopk/selection",
+        ]
+        .iter()
+        .map(|name| reg.span_total(name))
+        .sum();
+        let passes = units / BIG as f64;
+        assert!(
+            (1.0..1.25).contains(&passes),
+            "{passes} streaming passes at the sparsification point"
+        );
+        assert_eq!(
+            reg.span_total("mstopk/mean-max passes"),
+            (SAMPLE_LEN + BIG) as f64,
+            "accumulate, mean and max must share the one pass"
+        );
+
+        // And it is the staged computation, bit for bit.
+        let mut staged_acc = residual;
+        ops::add_assign(&mut staged_acc, &grad);
+        let staged = MsTopKNaive::new(30, 5).select_with_stats(&staged_acc, k);
+        assert_same(&fused, &staged, "fused accumulate");
+        assert_eq!(bits(&acc), bits(&staged_acc));
     }
 
     #[test]
@@ -1037,6 +1383,229 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Smallest size the issue asks the sampled path to be held at.
+    const BIG: usize = 4 * SAMPLE_FLOOR + 17;
+
+    /// SplitMix64 finaliser: a cheap per-index hash for the big inputs.
+    fn mix(i: u64) -> u64 {
+        let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Named input families for the differential tests.
+    fn family(name: &str, d: usize) -> Vec<f32> {
+        let stride = d / SAMPLE_LINES;
+        (0..d)
+            .map(|i| {
+                let h = mix(i as u64);
+                let sign = if h & 1 == 0 { 1.0f32 } else { -1.0 };
+                // (0, 1], 24 bits.
+                let u = ((h >> 40) + 1) as f32 / (1u64 << 24) as f32;
+                let heavy = (-u.ln()).powi(3);
+                sign * match name {
+                    "heavy-tailed" => heavy,
+                    "uniform-ties" => ((h >> 8) % 1000) as f32 * 1e-3,
+                    // Six of them, none where the strided sample looks.
+                    "outliers" if i % (800 * stride) == 3 * stride + 100 => 1e6,
+                    "outliers" => u * 1e-3,
+                    "constant" => 2.5,
+                    "layered" if i < d / 2 => -u.ln(),
+                    "layered" => -u.ln() * 1e-3,
+                    "nan-7th" if i % 7 == 0 => f32::NAN,
+                    "nan-7th" => heavy,
+                    other => panic!("unknown family {other}"),
+                }
+            })
+            .collect()
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Selection and all five statistics, compared by bit pattern.
+    fn assert_same(a: &(SparseGrad, MsTopKStats), b: &(SparseGrad, MsTopKStats), what: &str) {
+        let stats =
+            |t: &MsTopKStats| (t.k1, t.k2, t.thres1.to_bits(), t.thres2.to_bits(), t.passes);
+        assert_eq!(stats(&a.1), stats(&b.1), "stats diverged: {what}");
+        assert_eq!(a.0.dim, b.0.dim, "dim diverged: {what}");
+        assert_eq!(a.0.indices, b.0.indices, "indices diverged: {what}");
+        assert_eq!(
+            bits(&a.0.values),
+            bits(&b.0.values),
+            "values diverged: {what}"
+        );
+    }
+
+    /// `MsTopKNaive::new(n, seed).select_with_stats(x, k)` and the RNG
+    /// state it leaves, for every `n` of the ascending `ns`, from one run
+    /// of the probe loop: an `n`-probe search is a prefix of every longer
+    /// one, so the brackets are snapshots of the longest. Same steps as
+    /// [`mstopk_naive_with_rng`], which the first caller checks.
+    fn naive_at(
+        x: &[f32],
+        k: usize,
+        ns: &[usize],
+        seed: u64,
+    ) -> Vec<((SparseGrad, MsTopKStats), StdRng)> {
+        let d = x.len();
+        assert!(trivial_selection(x, d, k).is_none());
+        let a_mean = ops::mean_abs(x);
+        let u = ops::max_abs(x);
+        let mut bracket = Bracket::new(d);
+        let mut probed = 0;
+        ns.iter()
+            .map(|&n| {
+                search_counting(x, k, n - probed, a_mean, u, &mut bracket);
+                probed = n;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let out = finish_selection(x, d, k, &bracket, n, &mut rng, None);
+                (out, rng)
+            })
+            .collect()
+    }
+
+    /// The path `histogram_matches_naive_*` cannot reach: above the
+    /// sampling floor, selection, statistics and RNG state must still be
+    /// those of the naive search — whether the sampled cutoff seeds the
+    /// search (sparse `k`), is declined (dense `k`, constant input) or the
+    /// statistics are poisoned (NaN).
+    fn sampled_path_matches_naive(name: &str) {
+        const NS: [usize; 6] = [1, 3, 5, 17, 30, 39];
+        let x = family(name, BIG);
+        for k in [1usize, 100, BIG / 100, BIG / 10, BIG * 47 / 100] {
+            let reference = naive_at(&x, k, &NS, 77);
+            if k == 100 {
+                // The snapshots are the naive operator's own results.
+                let mut naive = MsTopKNaive::new(NS[2], 77);
+                let direct = naive.select_with_stats(&x, k);
+                assert_same(&direct, &reference[2].0, "naive_at");
+                assert_eq!(naive.rng, reference[2].1);
+            }
+            for (samplings, (want, want_rng)) in NS.into_iter().zip(&reference) {
+                let what = format!("{name} k={k} n={samplings}");
+                let mut fast = MsTopK::new(samplings, 77);
+                let got = fast.select_with_stats(&x, k);
+                assert_same(&got, want, &what);
+                assert_eq!(&fast.rng, want_rng, "rng state diverged: {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_path_matches_naive_on_heavy_tailed_input() {
+        sampled_path_matches_naive("heavy-tailed");
+    }
+
+    #[test]
+    fn sampled_path_matches_naive_on_uniform_input_with_ties() {
+        sampled_path_matches_naive("uniform-ties");
+    }
+
+    #[test]
+    fn sampled_path_matches_naive_on_a_few_huge_outliers() {
+        sampled_path_matches_naive("outliers");
+    }
+
+    #[test]
+    fn sampled_path_matches_naive_on_constant_magnitudes() {
+        sampled_path_matches_naive("constant");
+    }
+
+    #[test]
+    fn sampled_path_matches_naive_on_two_scale_input() {
+        sampled_path_matches_naive("layered");
+    }
+
+    #[test]
+    fn sampled_path_matches_naive_on_nan_every_seventh() {
+        sampled_path_matches_naive("nan-7th");
+    }
+
+    /// Runs the traced operator and the naive one, asserts they agree, and
+    /// returns the statistics with the registry for path assertions.
+    fn traced_vs_naive(x: &[f32], k: usize, samplings: usize) -> (MsTopKStats, Registry) {
+        let mut reg = Registry::new();
+        let a = MsTopK::new(samplings, 3).select_with_stats_traced(x, k, &mut reg);
+        let b = MsTopKNaive::new(samplings, 3).select_with_stats(x, k);
+        assert_same(&a, &b, "forced fallback");
+        (a.1, reg)
+    }
+
+    #[test]
+    fn a_sample_that_keeps_too_few_falls_back_to_the_gallop() {
+        // Large magnitudes exactly where the sample looks, small ones
+        // everywhere else: the sampled cutoff sits among the large values,
+        // of which the tensor holds fewer than `k`.
+        let stride = BIG / SAMPLE_LINES;
+        let x: Vec<f32> = (0..BIG)
+            .map(|i| {
+                let u = (mix(i as u64) >> 40) as f32 / (1u64 << 24) as f32;
+                let sampled = i / stride < SAMPLE_LINES && i % stride < SAMPLE_RUN;
+                if sampled {
+                    1.0 + u
+                } else {
+                    0.5 * u
+                }
+            })
+            .collect();
+        let k = BIG / 100;
+        let (stats, reg) = traced_vs_naive(&x, k, 30);
+        assert_eq!(
+            reg.span_total("mstopk/mean-max passes"),
+            (SAMPLE_LEN + BIG) as f64,
+            "the sample must have been taken"
+        );
+        // ... and voided: the search went back to the tensor for at least
+        // the wall compaction.
+        let survivors = reg.counter("mstopk/survivors") as f64;
+        assert!(reg.span_total("mstopk/histogram search") >= BIG as f64 + survivors);
+        assert!(stats.k1 <= k && k < stats.k2);
+    }
+
+    #[test]
+    fn a_last_overselecting_probe_below_the_cutoff_gets_its_count() {
+        // Uniform magnitudes, one probe: mean + (max - mean) / 2 = 0.75
+        // over-selects a quarter of the tensor from far below the cutoff
+        // that keeps 3 %, and it is the last (only) over-selecting probe.
+        let x = family("uniform-ties", BIG);
+        let k = BIG / 100;
+        let (stats, reg) = traced_vs_naive(&x, k, 1);
+        assert_eq!(stats.k1, 0);
+        assert!(
+            stats.k2 > BIG / 5,
+            "k2 = {} is not the real count",
+            stats.k2
+        );
+        assert!(stats.thres2 > 0.0);
+        // One repair count on top of the survivors; no selection shortcut.
+        let survivors = reg.counter("mstopk/survivors") as f64;
+        assert_eq!(
+            reg.span_total("mstopk/histogram search"),
+            BIG as f64 + survivors
+        );
+        assert_eq!(reg.span_total("mstopk/selection"), BIG as f64);
+    }
+
+    #[test]
+    fn a_search_that_never_overselects_leaves_the_bracket_unset() {
+        // Six outliers a million times the bulk: five halvings of the
+        // range never come down to where more than `k` elements live.
+        let x = family("outliers", BIG);
+        let (stats, reg) = traced_vs_naive(&x, 100, 5);
+        assert_eq!((stats.k2, stats.thres2), (BIG, 0.0));
+        assert_eq!(stats.k1, 6);
+        // Seeded (no gallop back to the tensor), but the band is the whole
+        // tensor, so the selection rescans it.
+        assert_eq!(
+            reg.span_total("mstopk/histogram search"),
+            reg.counter("mstopk/survivors") as f64
+        );
+        assert_eq!(reg.span_total("mstopk/selection"), BIG as f64);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!    names are normalised first: twin suffixes are stripped
 //!    (`ring_reduce_scatter_scratch` and `ring_reduce_scatter_resilient`
 //!    are the same hop) and declared aliases rewritten
-//!    (`inter_members_ordered` ≡ `inter_node_members`, `absorb_lossy` ≡
-//!    `absorb`).
+//!    (`inter_members_ordered` ≡ `inter_node_members`, `release_lossy` ≡
+//!    `release`, error feedback's `select` ≡ `compress`).
 //! 3. **Delegation inlining** — a body whose significant skeleton is a
 //!    single resolvable same-crate call (`hitopk_all_reduce_fused` →
 //!    `..._fused_scratch` → `hitopk_fused_impl`) is replaced by its
@@ -61,9 +61,10 @@ pub const SUFFIXES: &[&str] = &[
 /// resolve outside the twin crate: the compressor / quantizer / error
 /// feedback surface a collective's data flow is built from.
 const VOCAB: &[&str] = &[
-    "compensate",
-    "absorb",
-    "absorb_lossy",
+    "select",
+    "release",
+    "release_lossy",
+    "withhold",
     "compress",
     "quantize",
     "decode",
@@ -106,9 +107,13 @@ const ALIASES: &[(&str, &str)] = &[
     // A reordered twin visits the same inter-node group through a
     // permutation; membership is equivalent.
     ("inter_members_ordered", "inter_node_members"),
-    // The lossy absorb keeps the quantization error in the residual; same
-    // ledger role as the exact absorb.
-    ("absorb_lossy", "absorb"),
+    // Error feedback's `select` *is* the base's compress call, made through
+    // the residual (`Compressor::compress_accumulated`): a twin that drops
+    // it has dropped the selection.
+    ("select", "compress"),
+    // The lossy release keeps the quantization error in the residual; same
+    // ledger role as the exact release.
+    ("release_lossy", "release"),
 ];
 
 /// Per-suffix sanctioned rewrites, over *normalised* callee names.
@@ -133,20 +138,23 @@ const REWRITES: &[Rewrite] = &[
         removes: &[],
     },
     Rewrite {
-        // Error feedback wraps the sparsification point.
+        // Error feedback wraps the sparsification point: what was selected
+        // is released from the residual.
         suffix: "ef",
-        adds: &["compensate", "absorb", "shard_k", "empty"],
+        adds: &["release", "shard_k", "empty"],
         removes: &[],
     },
     Rewrite {
         // Retry-ladder twins add fault bookkeeping and may degrade a
-        // contribution to an empty selection; the fused pairs gather is
-        // replaced by the resilient per-type gathers.
+        // contribution to an empty selection, withholding it in the
+        // residual; the fused pairs gather is replaced by the resilient
+        // per-type gathers.
         suffix: "resilient",
         adds: &[
             "begin_instance",
             "contribution_degraded",
             "empty",
+            "withhold",
             "all_gather_f32",
             "all_gather_u32",
             "report",
@@ -155,13 +163,14 @@ const REWRITES: &[Rewrite] = &[
     },
     Rewrite {
         // Deadline twins charge each hop against a lateness budget and
-        // may miss a contribution.
+        // may miss a contribution, withholding it in the residual.
         suffix: "deadline",
         adds: &[
             "hop_lateness",
             "hop_missed",
             "contribution_lateness",
             "empty",
+            "withhold",
             "pair_wire_bytes",
         ],
         removes: &[],
@@ -175,16 +184,12 @@ const REWRITES: &[Rewrite] = &[
     Rewrite {
         // Fused twins stage both gather payloads through the fused pairs
         // gather instead of separate f32/u32 gathers. The shared fused
-        // impl also hosts the optional error-feedback compensate/absorb
+        // impl also hosts the optional error-feedback select/release
         // cycle behind an `Option` parameter (plain-fused callers pass
-        // `None`), so those two names are sanctioned for the family.
+        // `None`), so the release is sanctioned for the family (the
+        // select is the base's compress).
         suffix: "fused",
-        adds: &[
-            "all_gather_pairs",
-            "group_wire_bytes",
-            "compensate",
-            "absorb",
-        ],
+        adds: &["all_gather_pairs", "group_wire_bytes", "release"],
         removes: &["all_gather_f32", "all_gather_u32"],
     },
     Rewrite {

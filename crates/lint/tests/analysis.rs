@@ -153,6 +153,55 @@ fn mutation_dropping_a_base_hop_flags_every_undrifted_twin() {
     }
 }
 
+/// The error-feedback entry points are policed like any hop. `select` is
+/// the base's compress made through the residual, so an EF base that drops
+/// it has dropped the selection; `release` is what the `ef` rewrite adds,
+/// so an EF base that drops it leaves every twin that still releases with
+/// an extra call.
+#[test]
+fn mutation_dropping_an_error_feedback_call_flags_the_ef_family() {
+    let config = Config::default();
+    let pristine = collect_workspace(&workspace_root(), &config).expect("walk");
+    let mutated = |from: &str, to: &str| {
+        let mut inputs = pristine.clone();
+        let file = inputs
+            .iter_mut()
+            .find(|i| i.rel_path == "crates/collectives/src/hierarchical.rs")
+            .expect("hierarchical.rs present");
+        assert_eq!(file.src.matches(from).count(), 1, "mutation anchor moved");
+        file.src = file.src.replacen(from, to, 1);
+        run_files(&inputs, &config)
+    };
+
+    let report = mutated(
+        "ef.select(shard.slice(x), k, compressor);",
+        "SparseGrad::empty(shard.len());",
+    );
+    assert!(
+        rule_hits(&report, "twin_drift").iter().any(|f| {
+            f.message.contains("`hitopk_all_reduce_ef`")
+                && f.message.contains("missing base calls [compress]")
+        }),
+        "{:?}",
+        report.findings
+    );
+
+    let report = mutated("ef.release(&selection);", "");
+    let drift = rule_hits(&report, "twin_drift");
+    for twin in [
+        "hitopk_all_reduce_ef_reordered",
+        "hitopk_all_reduce_ef_deadline",
+        "hitopk_all_reduce_ef_resilient",
+    ] {
+        assert!(
+            drift
+                .iter()
+                .any(|f| f.message.contains(twin) && f.message.contains("[release]")),
+            "twin `{twin}` still releases and must be flagged; got {drift:?}"
+        );
+    }
+}
+
 // ----------------------------------------------------- coverage_conformance
 
 fn coverage_fixture(with_rogue: bool) -> Vec<FileInput> {

@@ -48,6 +48,17 @@
 #                            # twice (table + JSONL byte-compared), then
 #                            # the snapshot binary run twice the same way,
 #                            # and snapshots BENCH_conformance.json
+#   scripts/ci.sh bench      # the standing differential test of the fused
+#                            # library paths against the staged public
+#                            # functions: the benchmark package's unit
+#                            # tests, then `benchmark/run.sh --smoke
+#                            # --traced`, both for their bitwise
+#                            # recomposition checks only (the traced run
+#                            # fails unless HiTopKComm and the training
+#                            # step recomposed from the layers' public
+#                            # functions equal the library calls bit for
+#                            # bit) — smoke sizes, so no timing is read;
+#                            # speed claims go through scripts/bench_ab.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -126,6 +137,20 @@ if [[ "${1:-}" == "lint" ]]; then
     run_lint_gate
     timing_summary
     echo "==> cloudtrain lint: green"
+    exit 0
+fi
+
+if [[ "${1:-}" == "bench" ]]; then
+    stage "benchmark: unit tests"
+    cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
+    stage "benchmark: smoke traced run, every correctness check must pass"
+    # run.sh exits non-zero if any workload fails a check; the numbers it
+    # prints are smoke-sized and stamped "not for claims".
+    benchmark/run.sh --smoke --traced
+
+    timing_summary
+    echo "==> bench: green"
     exit 0
 fi
 
