@@ -123,29 +123,45 @@ fn bench_lane_tiers(c: &mut Criterion) {
     group.finish();
 }
 
+/// Forward + backward of one training batch through each of the eight
+/// convolution shapes of `resnet_lite(8, _)` on 16×16 inputs — the layer
+/// calls that are most of a training step's CPU time.
 fn bench_conv(c: &mut Criterion) {
     use cloudtrain::dnn::conv::Conv2d;
     use cloudtrain::dnn::layer::Layer;
-    use cloudtrain::tensor::Tensor;
-    let mut group = c.benchmark_group("conv2d");
+    let mut group = c.benchmark_group("conv2d_fwd_bwd");
     group.sample_size(20);
-    let mut rng = init::rng_from_seed(8);
-    let mut x = init::uniform_tensor(4 * 8 * 16 * 16, -1.0, 1.0, &mut rng);
-    x.reshape(vec![4, 8, 16, 16]).unwrap();
-    group.bench_function("direct_8x16_16x16", |b| {
-        let mut conv = Conv2d::new(8, 16, 3, 1, &mut init::rng_from_seed(9));
-        b.iter(|| {
-            let y: Tensor = conv.forward(x.clone(), true);
-            black_box(y.as_slice()[0])
-        })
-    });
-    group.bench_function("im2col_8x16_16x16", |b| {
-        let mut conv = Conv2d::new(8, 16, 3, 1, &mut init::rng_from_seed(9)).fast();
-        b.iter(|| {
-            let y: Tensor = conv.forward(x.clone(), true);
-            black_box(y.as_slice()[0])
-        })
-    });
+    let batch = 8usize;
+    // (in_c, out_c, k, stride, input h = w)
+    for (in_c, out_c, k, stride, h) in [
+        (3usize, 8usize, 3usize, 1usize, 16usize),
+        (8, 8, 3, 1, 16),
+        (8, 16, 3, 2, 16),
+        (16, 16, 3, 1, 8),
+        (16, 32, 3, 2, 8),
+        (32, 32, 3, 1, 4),
+        (8, 16, 1, 2, 16),
+        (16, 32, 1, 2, 8),
+    ] {
+        let mut rng = init::rng_from_seed(8);
+        let oh = h.div_ceil(stride);
+        let mut x = init::uniform_tensor(batch * in_c * h * h, -1.0, 1.0, &mut rng);
+        x.reshape(vec![batch, in_c, h, h]).unwrap();
+        let mut dy = init::uniform_tensor(batch * out_c * oh * oh, -1.0, 1.0, &mut rng);
+        dy.reshape(vec![batch, out_c, oh, oh]).unwrap();
+        let mut conv = Conv2d::new(in_c, out_c, k, stride, &mut init::rng_from_seed(9));
+        // Multiply-accumulates: one forward GEMM, two backward GEMMs.
+        let macs = 3 * batch * out_c * in_c * k * k * oh * oh;
+        group.throughput(Throughput::Elements(macs as u64));
+        let id = format!("{in_c}to{out_c}_k{k}s{stride}_{h}x{h}");
+        group.bench_function(&id, |b| {
+            b.iter(|| {
+                let y = conv.forward(x.clone(), true);
+                let dx = conv.backward(dy.clone());
+                black_box((y.as_slice()[0], dx.as_slice()[0]))
+            })
+        });
+    }
     group.finish();
 }
 

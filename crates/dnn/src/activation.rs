@@ -9,7 +9,10 @@ use crate::layer::{Layer, Param};
 /// Rectified linear unit, `y = max(x, 0)`.
 #[derive(Debug, Default)]
 pub struct Relu {
+    /// Pass mask of the last training forward (a reused buffer).
     mask: Vec<bool>,
+    /// `mask` belongs to a training forward whose backward is still due.
+    recorded: bool,
 }
 
 impl Relu {
@@ -20,20 +23,35 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, mut x: Tensor, _train: bool) -> Tensor {
-        self.mask.clear();
-        self.mask.reserve(x.len());
-        for v in x.as_mut_slice() {
+    fn forward(&mut self, mut x: Tensor, train: bool) -> Tensor {
+        // Clamps one activation; whether it passed.
+        fn clamp(v: &mut f32) -> bool {
             let pass = *v > 0.0;
-            self.mask.push(pass);
             if !pass {
                 *v = 0.0;
+            }
+            pass
+        }
+        self.recorded = train;
+        if train {
+            self.mask.resize(x.len(), false);
+            for (v, pass) in x.as_mut_slice().iter_mut().zip(&mut self.mask) {
+                *pass = clamp(v);
+            }
+        } else {
+            // Evaluation has no backward: record nothing.
+            for v in x.as_mut_slice() {
+                clamp(v);
             }
         }
         x
     }
 
     fn backward(&mut self, mut dy: Tensor) -> Tensor {
+        assert!(
+            std::mem::take(&mut self.recorded),
+            "Relu: backward before forward"
+        );
         assert_eq!(dy.len(), self.mask.len(), "Relu: backward shape mismatch");
         for (g, &pass) in dy.as_mut_slice().iter_mut().zip(&self.mask) {
             if !pass {
@@ -69,6 +87,15 @@ mod tests {
         let _ = r.forward(Tensor::from_vec_1d(vec![-1.0, 0.5, 2.0]), true);
         let dx = r.backward(Tensor::from_vec_1d(vec![10.0, 10.0, 10.0]));
         assert_eq!(dx.as_slice(), &[0.0, 10.0, 10.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn backward_after_an_evaluation_forward_panics() {
+        let mut r = Relu::new();
+        let _ = r.forward(Tensor::from_vec_1d(vec![1.0]), true);
+        let _ = r.forward(Tensor::from_vec_1d(vec![1.0]), false);
+        r.backward(Tensor::from_vec_1d(vec![1.0]));
     }
 
     #[test]

@@ -1,61 +1,91 @@
 //! 2-D convolution and pooling over `[batch, channels, h, w]` tensors.
 //!
-//! Two interchangeable convolution paths: direct loops (the verifiable
-//! reference, checked by finite differences) and an im2col + matmul
-//! lowering ([`Conv2d::fast`]) with better cache behaviour on wide layers
-//! — equivalence between the two is asserted by tests.
+//! [`Conv2d`] has one implementation: the im2col lowering. Each image is
+//! unrolled into a `[c·k·k, oh·ow]` column matrix, after which the forward
+//! pass, the weight gradient and the input gradient are the register-tiled
+//! GEMMs of [`crate::math`] — `W · cols`, `dY · colsᵀ` and `Wᵀ · dY`
+//! followed by [`col2im_acc`]. All lowering buffers are **owned by the
+//! layer and reused across steps** (DESIGN.md §6.4): the column buffer is
+//! keyed by `(images, h, w)` and re-zeroed only when that geometry changes
+//! (padding positions are never written, so they stay zero), and an
+//! evaluation forward lowers one image at a time and retains nothing. The
+//! direct six-deep loops survive as the `#[cfg(test)]` reference the
+//! lowering is checked against, together with finite differences.
 
 use cloudtrain_tensor::{init, Tensor};
 use rand::rngs::StdRng;
 
 use crate::layer::{Layer, Param};
-use crate::math::{matmul, matmul_at_acc};
+use crate::math::{matmul, matmul_at_acc, matmul_bt_acc};
+
+/// The output columns `lo..hi` of one row whose tap `k_off` lands inside
+/// `0..len` of the input: `o·stride + k_off - pad ∈ 0..len`.
+fn valid_span(
+    k_off: usize,
+    pad: usize,
+    stride: usize,
+    len: usize,
+    out_len: usize,
+) -> (usize, usize) {
+    let lo = pad.saturating_sub(k_off).div_ceil(stride);
+    let hi = (len + pad).saturating_sub(k_off).div_ceil(stride);
+    (lo.min(out_len), hi.min(out_len))
+}
 
 /// Unrolls one image `[c, h, w]` into columns `[c*k*k, oh*ow]` for a
 /// k×k same-padded convolution with the given stride — the classic
 /// im2col lowering that turns convolution into one big matmul.
-pub fn im2col(
+///
+/// Writes the in-image positions only: `cols` must hold zeros at the
+/// padding positions, which a buffer that was zeroed once and only ever
+/// filled at this geometry does.
+///
+/// # Panics
+/// Panics if `cols` is not `c*k*k × oh*ow` long or `x` is shorter than
+/// `c*h*w`.
+pub fn im2col_into(
     x: &[f32],
+    cols: &mut [f32],
     c: usize,
     h: usize,
     w: usize,
     k: usize,
     stride: usize,
-) -> (Vec<f32>, usize, usize) {
+) {
     let pad = k / 2;
     let oh = h.div_ceil(stride);
     let ow = w.div_ceil(stride);
-    let rows = c * k * k;
     let cols_n = oh * ow;
-    let mut cols = vec![0.0; rows * cols_n];
+    assert_eq!(cols.len(), c * k * k * cols_n, "im2col_into: cols length");
     for ic in 0..c {
         let plane = &x[ic * h * w..(ic + 1) * h * w];
         for ky in 0..k {
+            let (oy_lo, oy_hi) = valid_span(ky, pad, stride, h, oh);
             for kx in 0..k {
+                let (ox_lo, ox_hi) = valid_span(kx, pad, stride, w, ow);
                 let row = (ic * k + ky) * k + kx;
                 let dst = &mut cols[row * cols_n..(row + 1) * cols_n];
-                for oy in 0..oh {
-                    let iy = oy * stride + ky;
-                    if iy < pad || iy - pad >= h {
-                        continue;
-                    }
-                    let iy = iy - pad;
-                    for ox in 0..ow {
-                        let ix = ox * stride + kx;
-                        if ix < pad || ix - pad >= w {
-                            continue;
+                for oy in oy_lo..oy_hi {
+                    let src = &plane[(oy * stride + ky - pad) * w..][..w];
+                    let dst = &mut dst[oy * ow + ox_lo..oy * ow + ox_hi];
+                    if stride == 1 {
+                        // A contiguous run of the input row: one memcpy.
+                        dst.copy_from_slice(&src[ox_lo + kx - pad..][..dst.len()]);
+                    } else {
+                        for (d, ox) in dst.iter_mut().zip(ox_lo..) {
+                            *d = src[ox * stride + kx - pad];
                         }
-                        dst[oy * ow + ox] = plane[iy * w + (ix - pad)];
                     }
                 }
             }
         }
     }
-    (cols, oh, ow)
 }
 
 /// Scatters column gradients back into an image gradient (the adjoint of
-/// [`im2col`]): `dx[c, h, w] += fold(dcols)`.
+/// [`im2col_into`]): `dx[c, h, w] += fold(dcols)`. Column rows are applied
+/// in ascending `(channel, ky, kx)` order, which fixes the order in which
+/// every `dx` element receives its (at most `k·k`) contributions.
 pub fn col2im_acc(
     dcols: &[f32],
     dx: &mut [f32],
@@ -72,24 +102,57 @@ pub fn col2im_acc(
     for ic in 0..c {
         let plane = &mut dx[ic * h * w..(ic + 1) * h * w];
         for ky in 0..k {
+            let (oy_lo, oy_hi) = valid_span(ky, pad, stride, h, oh);
             for kx in 0..k {
+                let (ox_lo, ox_hi) = valid_span(kx, pad, stride, w, ow);
                 let row = (ic * k + ky) * k + kx;
                 let src = &dcols[row * cols_n..(row + 1) * cols_n];
-                for oy in 0..oh {
-                    let iy = oy * stride + ky;
-                    if iy < pad || iy - pad >= h {
-                        continue;
-                    }
-                    let iy = iy - pad;
-                    for ox in 0..ow {
-                        let ix = ox * stride + kx;
-                        if ix < pad || ix - pad >= w {
-                            continue;
+                for oy in oy_lo..oy_hi {
+                    let dst = &mut plane[(oy * stride + ky - pad) * w..][..w];
+                    let src = &src[oy * ow + ox_lo..oy * ow + ox_hi];
+                    if stride == 1 {
+                        let dst = &mut dst[ox_lo + kx - pad..][..src.len()];
+                        for (d, s) in dst.iter_mut().zip(src) {
+                            *d += s;
                         }
-                        plane[iy * w + (ix - pad)] += src[oy * ow + ox];
+                    } else {
+                        for (s, ox) in src.iter().zip(ox_lo..) {
+                            dst[ox * stride + kx - pad] += s;
+                        }
                     }
                 }
             }
+        }
+    }
+}
+
+/// The lowering buffers of one [`Conv2d`], reused across steps: after the
+/// first training step at a geometry, forward + backward allocate none of
+/// them again.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Column matrices, `[images, c·k·k, oh·ow]` contiguous: the whole
+    /// batch in training (backward reads them), one image in evaluation.
+    cols: Vec<f32>,
+    /// `(images, h, w)` that `cols` is sized and zeroed for.
+    geom: Option<(usize, usize, usize)>,
+    /// One image's column gradient `Wᵀ · dY`, `[c·k·k, oh·ow]`.
+    dcols: Vec<f32>,
+    /// One image's output gradient transposed, `[oh·ow, out_c]` — what
+    /// lets the weight gradient lane over output channels.
+    dy_t: Vec<f32>,
+}
+
+impl Scratch {
+    /// Sizes `cols` for `images` matrices of `per_image` elements. The
+    /// buffer is re-zeroed only when the geometry changes: at a fixed
+    /// geometry im2col overwrites exactly the same in-image positions every
+    /// call and never touches the padding positions.
+    fn key_cols(&mut self, images: usize, h: usize, w: usize, per_image: usize) {
+        if self.geom != Some((images, h, w)) {
+            self.cols.clear();
+            self.cols.resize(images * per_image, 0.0);
+            self.geom = Some((images, h, w));
         }
     }
 }
@@ -103,10 +166,10 @@ pub struct Conv2d {
     out_c: usize,
     k: usize,
     stride: usize,
-    /// Lower to im2col + matmul instead of direct loops.
-    fast: bool,
-    cached_x: Option<Tensor>,
-    cached_cols: Vec<Vec<f32>>,
+    scratch: Scratch,
+    /// `[b, c, h, w]` of the last training forward, until backward consumes
+    /// it. The lowered backward reads the columns, never the input values.
+    in_shape: Option<[usize; 4]>,
 }
 
 impl Conv2d {
@@ -127,17 +190,9 @@ impl Conv2d {
             out_c,
             k,
             stride,
-            fast: false,
-            cached_x: None,
-            cached_cols: Vec::new(),
+            scratch: Scratch::default(),
+            in_shape: None,
         }
-    }
-
-    /// Switches to the im2col + matmul lowering (identical results, better
-    /// cache behaviour on wider layers).
-    pub fn fast(mut self) -> Self {
-        self.fast = true;
-        self
     }
 
     fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
@@ -146,162 +201,64 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
         let (b, c, h, w) = unpack4(&x);
         assert_eq!(c, self.in_c, "Conv2d: channel mismatch");
         let (oh, ow) = self.out_hw(h, w);
-        if self.fast {
-            // im2col lowering: y[bi] = W @ cols(x[bi]) + bias.
-            let mut y = Tensor::zeros(vec![b, self.out_c, oh, ow]);
-            self.cached_cols.clear();
-            let ck2 = self.in_c * self.k * self.k;
-            for bi in 0..b {
-                let (cols, coh, cow) = im2col(
-                    &x.as_slice()[bi * c * h * w..(bi + 1) * c * h * w],
-                    c,
-                    h,
-                    w,
-                    self.k,
-                    self.stride,
-                );
-                debug_assert_eq!((coh, cow), (oh, ow));
-                let out = &mut y.as_mut_slice()
-                    [bi * self.out_c * oh * ow..(bi + 1) * self.out_c * oh * ow];
-                matmul(&self.w.value, &cols, out, self.out_c, ck2, oh * ow);
-                for (oc, plane) in out.chunks_mut(oh * ow).enumerate() {
-                    let bias = self.b.value[oc];
-                    plane.iter_mut().for_each(|v| *v += bias);
-                }
-                self.cached_cols.push(cols);
-            }
-            self.cached_x = Some(x);
-            return y;
-        }
-        let pad = self.k / 2;
+        let (ck2, n) = (c * self.k * self.k, oh * ow);
+        // y[bi] = W @ cols(x[bi]) + bias. Training keeps every image's
+        // columns for backward; evaluation reuses one image's worth.
+        self.scratch
+            .key_cols(if train { b } else { 1 }, h, w, ck2 * n);
         let mut y = Tensor::zeros(vec![b, self.out_c, oh, ow]);
-        let xs = x.as_slice();
-        let ys = y.as_mut_slice();
         for bi in 0..b {
-            for oc in 0..self.out_c {
-                let bias = self.b.value[oc];
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let cy = oy * self.stride;
-                        let cx = ox * self.stride;
-                        let mut acc = bias;
-                        for ic in 0..self.in_c {
-                            let x_plane = &xs[(bi * c + ic) * h * w..];
-                            let w_plane =
-                                &self.w.value[((oc * self.in_c + ic) * self.k) * self.k..];
-                            for ky in 0..self.k {
-                                let iy = cy + ky;
-                                if iy < pad || iy - pad >= h {
-                                    continue;
-                                }
-                                let iy = iy - pad;
-                                for kx in 0..self.k {
-                                    let ix = cx + kx;
-                                    if ix < pad || ix - pad >= w {
-                                        continue;
-                                    }
-                                    let ix = ix - pad;
-                                    acc += x_plane[iy * w + ix] * w_plane[ky * self.k + kx];
-                                }
-                            }
-                        }
-                        ys[((bi * self.out_c + oc) * oh + oy) * ow + ox] = acc;
-                    }
-                }
+            let image = &x.as_slice()[bi * c * h * w..(bi + 1) * c * h * w];
+            let slot = if train { bi } else { 0 };
+            let cols = &mut self.scratch.cols[slot * ck2 * n..(slot + 1) * ck2 * n];
+            im2col_into(image, cols, c, h, w, self.k, self.stride);
+            let out = &mut y.as_mut_slice()[bi * self.out_c * n..(bi + 1) * self.out_c * n];
+            matmul(&self.w.value, cols, out, self.out_c, ck2, n);
+            for (oc, &bias) in self.b.value.iter().enumerate() {
+                out[oc * n..(oc + 1) * n]
+                    .iter_mut()
+                    .for_each(|v| *v += bias);
             }
         }
-        self.cached_x = Some(x);
+        self.in_shape = train.then_some([b, c, h, w]);
         y
     }
 
     fn backward(&mut self, dy: Tensor) -> Tensor {
-        let x = self
-            .cached_x
+        let [b, c, h, w] = self
+            .in_shape
             .take()
             .expect("Conv2d: backward before forward");
-        let (b, c, h, w) = unpack4(&x);
         let (oh, ow) = self.out_hw(h, w);
-        if self.fast {
-            let ck2 = self.in_c * self.k * self.k;
-            let mut dx = Tensor::zeros(vec![b, c, h, w]);
-            for bi in 0..b {
-                let dy_b =
-                    &dy.as_slice()[bi * self.out_c * oh * ow..(bi + 1) * self.out_c * oh * ow];
-                let cols = &self.cached_cols[bi];
-                // dW += dY @ colsᵀ  (out_c × ck2). matmul_at_acc computes
-                // aᵀ·b for a: m×k — use a = dY viewed as (out_c rows) via
-                // transpose trick: dW[oc, r] = Σ_cols dy[oc, col] cols[r, col].
-                for oc in 0..self.out_c {
-                    let dy_row = &dy_b[oc * oh * ow..(oc + 1) * oh * ow];
-                    self.b.grad[oc] += dy_row.iter().sum::<f32>();
-                    let wg = &mut self.w.grad[oc * ck2..(oc + 1) * ck2];
-                    for r in 0..ck2 {
-                        let col_row = &cols[r * oh * ow..(r + 1) * oh * ow];
-                        wg[r] += dy_row.iter().zip(col_row).map(|(a, b)| a * b).sum::<f32>();
-                    }
-                }
-                // dcols = Wᵀ @ dY  (ck2 × oh*ow), then fold back to dx.
-                let mut dcols = vec![0.0; ck2 * oh * ow];
-                matmul_at_acc(&self.w.value, dy_b, &mut dcols, self.out_c, ck2, oh * ow);
-                col2im_acc(
-                    &dcols,
-                    &mut dx.as_mut_slice()[bi * c * h * w..(bi + 1) * c * h * w],
-                    c,
-                    h,
-                    w,
-                    self.k,
-                    self.stride,
-                );
-            }
-            self.cached_cols.clear();
-            return dx;
-        }
-        let pad = self.k / 2;
+        let (ck2, n) = (c * self.k * self.k, oh * ow);
+        assert_eq!(dy.len(), b * self.out_c * n, "Conv2d: backward shape");
+        let Scratch {
+            cols, dcols, dy_t, ..
+        } = &mut self.scratch;
+        dy_t.resize(n * self.out_c, 0.0);
         let mut dx = Tensor::zeros(vec![b, c, h, w]);
-        let xs = x.as_slice();
-        let dys = dy.as_slice();
-        let dxs = dx.as_mut_slice();
         for bi in 0..b {
+            let dy_b = &dy.as_slice()[bi * self.out_c * n..(bi + 1) * self.out_c * n];
+            let cols = &cols[bi * ck2 * n..(bi + 1) * ck2 * n];
             for oc in 0..self.out_c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = dys[((bi * self.out_c + oc) * oh + oy) * ow + ox];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        self.b.grad[oc] += g;
-                        let cy = oy * self.stride;
-                        let cx = ox * self.stride;
-                        for ic in 0..self.in_c {
-                            let x_plane = &xs[(bi * c + ic) * h * w..];
-                            let dx_plane = &mut dxs[(bi * c + ic) * h * w..];
-                            let w_base = (oc * self.in_c + ic) * self.k * self.k;
-                            for ky in 0..self.k {
-                                let iy = cy + ky;
-                                if iy < pad || iy - pad >= h {
-                                    continue;
-                                }
-                                let iy = iy - pad;
-                                for kx in 0..self.k {
-                                    let ix = cx + kx;
-                                    if ix < pad || ix - pad >= w {
-                                        continue;
-                                    }
-                                    let ix = ix - pad;
-                                    self.w.grad[w_base + ky * self.k + kx] +=
-                                        g * x_plane[iy * w + ix];
-                                    dx_plane[iy * w + ix] +=
-                                        g * self.w.value[w_base + ky * self.k + kx];
-                                }
-                            }
-                        }
-                    }
+                let dy_row = &dy_b[oc * n..(oc + 1) * n];
+                self.b.grad[oc] += dy_row.iter().sum::<f32>();
+                for (col, &g) in dy_row.iter().enumerate() {
+                    dy_t[col * self.out_c + oc] = g;
                 }
             }
+            // dW[oc, r] += Σ_col dY[oc, col] · cols[r, col].
+            matmul_bt_acc(dy_t, cols, &mut self.w.grad, self.out_c, n, ck2);
+            // dcols = Wᵀ @ dY  (ck2 × oh*ow), then fold back to dx.
+            dcols.clear();
+            dcols.resize(ck2 * n, 0.0);
+            matmul_at_acc(&self.w.value, dy_b, dcols, self.out_c, ck2, n);
+            let dx_b = &mut dx.as_mut_slice()[bi * c * h * w..(bi + 1) * c * h * w];
+            col2im_acc(dcols, dx_b, c, h, w, self.k, self.stride);
         }
         dx
     }
@@ -439,10 +396,125 @@ fn unpack4(x: &Tensor) -> (usize, usize, usize, usize) {
     (s[0], s[1], s[2], s[3])
 }
 
+/// The direct six-deep convolution loops: the independent reference the
+/// lowered [`Conv2d`] is compared against (and finite-differenced through).
+#[cfg(test)]
+mod direct {
+    use super::{unpack4, Conv2d};
+    use cloudtrain_tensor::Tensor;
+
+    /// `y = conv(x)`, accumulating each output from its bias upwards.
+    pub fn forward(conv: &Conv2d, x: &Tensor) -> Tensor {
+        let (b, c, h, w) = unpack4(x);
+        let (oh, ow) = conv.out_hw(h, w);
+        let (k, pad) = (conv.k, conv.k / 2);
+        let mut y = Tensor::zeros(vec![b, conv.out_c, oh, ow]);
+        let xs = x.as_slice();
+        let ys = y.as_mut_slice();
+        for bi in 0..b {
+            for oc in 0..conv.out_c {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = conv.b.value[oc];
+                        for ic in 0..c {
+                            let x_plane = &xs[(bi * c + ic) * h * w..];
+                            let w_plane = &conv.w.value[(oc * c + ic) * k * k..];
+                            for ky in 0..k {
+                                let iy = oy * conv.stride + ky;
+                                if iy < pad || iy - pad >= h {
+                                    continue;
+                                }
+                                for kx in 0..k {
+                                    let ix = ox * conv.stride + kx;
+                                    if ix < pad || ix - pad >= w {
+                                        continue;
+                                    }
+                                    acc +=
+                                        x_plane[(iy - pad) * w + ix - pad] * w_plane[ky * k + kx];
+                                }
+                            }
+                        }
+                        ys[((bi * conv.out_c + oc) * oh + oy) * ow + ox] = acc;
+                    }
+                }
+            }
+        }
+        y
+    }
+
+    /// Accumulates `dW` and `db` into `conv`'s gradients and returns `dx`.
+    pub fn backward(conv: &mut Conv2d, x: &Tensor, dy: &Tensor) -> Tensor {
+        let (b, c, h, w) = unpack4(x);
+        let (oh, ow) = conv.out_hw(h, w);
+        let (k, pad) = (conv.k, conv.k / 2);
+        let mut dx = Tensor::zeros(vec![b, c, h, w]);
+        let xs = x.as_slice();
+        let dys = dy.as_slice();
+        let dxs = dx.as_mut_slice();
+        for bi in 0..b {
+            for oc in 0..conv.out_c {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let g = dys[((bi * conv.out_c + oc) * oh + oy) * ow + ox];
+                        if g == 0.0 {
+                            continue;
+                        }
+                        conv.b.grad[oc] += g;
+                        for ic in 0..c {
+                            let plane = (bi * c + ic) * h * w;
+                            let w_base = (oc * c + ic) * k * k;
+                            for ky in 0..k {
+                                let iy = oy * conv.stride + ky;
+                                if iy < pad || iy - pad >= h {
+                                    continue;
+                                }
+                                for kx in 0..k {
+                                    let ix = ox * conv.stride + kx;
+                                    if ix < pad || ix - pad >= w {
+                                        continue;
+                                    }
+                                    let at = plane + (iy - pad) * w + ix - pad;
+                                    conv.w.grad[w_base + ky * k + kx] += g * xs[at];
+                                    dxs[at] += g * conv.w.value[w_base + ky * k + kx];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        dx
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cloudtrain_tensor::init::rng_from_seed;
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn random_input(shape: [usize; 4], rng: &mut StdRng) -> Tensor {
+        let mut x = init::uniform_tensor(shape.iter().product(), -1.0, 1.0, rng);
+        x.reshape(shape.to_vec()).unwrap();
+        x
+    }
+
+    /// A fresh layer (empty scratch) with `conv`'s parameters.
+    fn fresh_twin(conv: &Conv2d) -> Conv2d {
+        let mut twin = Conv2d::new(
+            conv.in_c,
+            conv.out_c,
+            conv.k,
+            conv.stride,
+            &mut rng_from_seed(0),
+        );
+        twin.w.value.copy_from_slice(&conv.w.value);
+        twin.b.value.copy_from_slice(&conv.b.value);
+        twin
+    }
 
     #[test]
     fn conv_identity_kernel_preserves_input() {
@@ -468,28 +540,24 @@ mod tests {
     fn conv_gradcheck() {
         let mut rng = rng_from_seed(2);
         let mut conv = Conv2d::new(2, 2, 3, 1, &mut rng);
-        let x = {
-            let mut rng = rng_from_seed(3);
-            init::uniform_tensor(2 * 2 * 4 * 4, -1.0, 1.0, &mut rng)
-        };
-        let mut x = x;
-        x.reshape(vec![2, 2, 4, 4]).unwrap();
+        let x = random_input([2, 2, 4, 4], &mut rng_from_seed(3));
         let y = conv.forward(x.clone(), true);
         let dy = y.clone(); // L = sum(y^2)/2
         let dx = conv.backward(dy);
 
+        // Finite differences through the direct loops: the analytic
+        // gradient of the lowered path against an independent forward.
         let eps = 1e-2;
-        let loss = |c: &mut Conv2d, x: &Tensor| -> f32 {
-            let y = c.forward(x.clone(), true);
-            c.cached_x = None;
+        let loss = |c: &Conv2d, x: &Tensor| -> f32 {
+            let y = direct::forward(c, x);
             y.as_slice().iter().map(|v| v * v).sum::<f32>() / 2.0
         };
         for idx in [0usize, 7, 17, 35] {
             let analytic = conv.w.grad[idx];
             conv.w.value[idx] += eps;
-            let lp = loss(&mut conv, &x);
+            let lp = loss(&conv, &x);
             conv.w.value[idx] -= 2.0 * eps;
-            let lm = loss(&mut conv, &x);
+            let lm = loss(&conv, &x);
             conv.w.value[idx] += eps;
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
@@ -500,9 +568,9 @@ mod tests {
         // One input coordinate.
         let mut xp = x.clone();
         xp.as_mut_slice()[10] += eps;
-        let lp = loss(&mut conv, &xp);
+        let lp = loss(&conv, &xp);
         xp.as_mut_slice()[10] -= 2.0 * eps;
-        let lm = loss(&mut conv, &xp);
+        let lm = loss(&conv, &xp);
         let numeric = (lp - lm) / (2.0 * eps);
         assert!(
             (dx.as_slice()[10] - numeric).abs() < 0.05 * numeric.abs().max(1.0),
@@ -514,32 +582,28 @@ mod tests {
     #[test]
     fn im2col_path_matches_direct_forward_and_backward() {
         let mut rng = rng_from_seed(11);
-        for stride in [1usize, 2] {
-            let mut direct = Conv2d::new(3, 4, 3, stride, &mut rng);
-            // Clone parameters into a fast twin.
-            let mut fast = Conv2d::new(3, 4, 3, stride, &mut rng_from_seed(0)).fast();
-            fast.w.value.copy_from_slice(&direct.w.value);
-            fast.b.value.copy_from_slice(&direct.b.value);
+        for (k, stride) in [(3usize, 1usize), (3, 2), (1, 2)] {
+            let mut lowered = Conv2d::new(3, 4, k, stride, &mut rng);
+            let mut reference = fresh_twin(&lowered);
 
-            let mut x = init::uniform_tensor(2 * 3 * 6 * 6, -1.0, 1.0, &mut rng);
-            x.reshape(vec![2, 3, 6, 6]).unwrap();
-            let y1 = direct.forward(x.clone(), true);
-            let y2 = fast.forward(x.clone(), true);
+            let x = random_input([2, 3, 6, 6], &mut rng);
+            let y1 = direct::forward(&reference, &x);
+            let y2 = lowered.forward(x.clone(), true);
             assert_eq!(y1.shape(), y2.shape());
             for (a, b) in y1.as_slice().iter().zip(y2.as_slice()) {
                 assert!((a - b).abs() < 1e-4, "forward diverged: {a} vs {b}");
             }
 
             let dy = y1.clone();
-            let dx1 = direct.backward(dy.clone());
-            let dx2 = fast.backward(dy);
+            let dx1 = direct::backward(&mut reference, &x, &dy);
+            let dx2 = lowered.backward(dy);
             for (a, b) in dx1.as_slice().iter().zip(dx2.as_slice()) {
                 assert!((a - b).abs() < 1e-3, "dx diverged: {a} vs {b}");
             }
-            for (a, b) in direct.w.grad.iter().zip(&fast.w.grad) {
+            for (a, b) in reference.w.grad.iter().zip(&lowered.w.grad) {
                 assert!((a - b).abs() < 1e-3, "dW diverged: {a} vs {b}");
             }
-            for (a, b) in direct.b.grad.iter().zip(&fast.b.grad) {
+            for (a, b) in reference.b.grad.iter().zip(&lowered.b.grad) {
                 assert!((a - b).abs() < 1e-3, "db diverged: {a} vs {b}");
             }
         }
@@ -549,15 +613,92 @@ mod tests {
     fn im2col_col2im_are_adjoint() {
         // <im2col(x), y> == <x, col2im(y)> — the defining adjoint identity.
         let mut rng = rng_from_seed(12);
-        let (c, h, w, k, stride) = (2usize, 5usize, 4usize, 3usize, 1usize);
-        let x = init::uniform_tensor(c * h * w, -1.0, 1.0, &mut rng).into_vec();
-        let (cols, oh, ow) = im2col(&x, c, h, w, k, stride);
-        let y = init::uniform_tensor(c * k * k * oh * ow, -1.0, 1.0, &mut rng).into_vec();
-        let lhs: f32 = cols.iter().zip(&y).map(|(a, b)| a * b).sum();
-        let mut folded = vec![0.0; c * h * w];
-        col2im_acc(&y, &mut folded, c, h, w, k, stride);
-        let rhs: f32 = x.iter().zip(&folded).map(|(a, b)| a * b).sum();
-        assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+        for (c, h, w, k, stride) in [(2usize, 5usize, 4usize, 3usize, 1usize), (2, 7, 5, 3, 2)] {
+            let (oh, ow) = (h.div_ceil(stride), w.div_ceil(stride));
+            let x = init::uniform_tensor(c * h * w, -1.0, 1.0, &mut rng).into_vec();
+            let mut cols = vec![0.0; c * k * k * oh * ow];
+            im2col_into(&x, &mut cols, c, h, w, k, stride);
+            let y = init::uniform_tensor(cols.len(), -1.0, 1.0, &mut rng).into_vec();
+            let lhs: f32 = cols.iter().zip(&y).map(|(a, b)| a * b).sum();
+            let mut folded = vec![0.0; c * h * w];
+            col2im_acc(&y, &mut folded, c, h, w, k, stride);
+            let rhs: f32 = x.iter().zip(&folded).map(|(a, b)| a * b).sum();
+            assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+        }
+    }
+
+    /// One layer driven through changing batch sizes, modes and geometries
+    /// must equal a fresh layer bit for bit at every step: no stale padding
+    /// zeros, no stale geometry, nothing left over from evaluation.
+    #[test]
+    fn reused_scratch_matches_a_fresh_layer_at_every_step() {
+        for stride in [1usize, 2] {
+            let mut rng = rng_from_seed(20 + stride as u64);
+            let mut conv = Conv2d::new(3, 8, 3, stride, &mut rng);
+            // (train, batch, h, w): train → eval at a larger batch → train
+            // again → another geometry → odd sizes (ragged stride-2 edge).
+            let steps = [
+                (true, 8usize, 8usize, 8usize),
+                (false, 64, 8, 8),
+                (true, 8, 8, 8),
+                (true, 8, 6, 10),
+                (true, 8, 7, 5),
+                (false, 3, 7, 5),
+                (true, 2, 7, 5),
+            ];
+            for (train, b, h, w) in steps {
+                let x = random_input([b, 3, h, w], &mut rng);
+                let mut fresh = fresh_twin(&conv);
+                let y = conv.forward(x.clone(), train);
+                let y_fresh = fresh.forward(x, train);
+                assert_eq!(bits(y.as_slice()), bits(y_fresh.as_slice()));
+                let per_image = 27 * h.div_ceil(stride) * w.div_ceil(stride);
+                if !train {
+                    // Evaluation retains one image of columns, whatever b.
+                    assert_eq!(conv.scratch.cols.len(), per_image);
+                    continue;
+                }
+                assert_eq!(conv.scratch.cols.len(), b * per_image);
+                let dy = random_input([b, 8, h.div_ceil(stride), w.div_ceil(stride)], &mut rng);
+                let dx = conv.backward(dy.clone());
+                let dx_fresh = fresh.backward(dy);
+                assert_eq!(bits(dx.as_slice()), bits(dx_fresh.as_slice()));
+                assert_eq!(bits(&conv.w.grad), bits(&fresh.w.grad));
+                assert_eq!(bits(&conv.b.grad), bits(&fresh.b.grad));
+                conv.w.zero_grad();
+                conv.b.zero_grad();
+            }
+        }
+    }
+
+    #[test]
+    fn steady_state_allocates_no_scratch() {
+        let mut rng = rng_from_seed(30);
+        let mut conv = Conv2d::new(3, 8, 3, 1, &mut rng);
+        let mut step = |conv: &mut Conv2d, train: bool, b: usize| {
+            let y = conv.forward(random_input([b, 3, 8, 8], &mut rng), train);
+            if train {
+                conv.backward(y);
+            }
+            let s = &conv.scratch;
+            [&s.cols, &s.dcols, &s.dy_t].map(|v| (v.as_ptr(), v.capacity()))
+        };
+        let first = step(&mut conv, true, 8);
+        assert_eq!(step(&mut conv, true, 8), first);
+        // A 64-sample validation forward neither grows nor moves anything:
+        // the retained column storage stays one training batch.
+        assert_eq!(step(&mut conv, false, 64), first);
+        assert_eq!(step(&mut conv, true, 8), first);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn backward_after_an_evaluation_forward_panics() {
+        let mut rng = rng_from_seed(31);
+        let mut conv = Conv2d::new(1, 1, 3, 1, &mut rng);
+        let _ = conv.forward(Tensor::zeros(vec![1, 1, 4, 4]), true);
+        let y = conv.forward(Tensor::zeros(vec![1, 1, 4, 4]), false);
+        conv.backward(y);
     }
 
     #[test]

@@ -32,8 +32,9 @@ pub struct ResidualBlock {
     conv2: Conv2d,
     bn2: BatchNorm2d,
     shortcut: Option<(Conv2d, BatchNorm2d)>,
-    out_mask: Vec<bool>,
-    cached_x: Option<Tensor>,
+    relu_out: Relu,
+    /// A training forward is waiting for its backward.
+    forwarded: bool,
 }
 
 impl std::fmt::Debug for ResidualBlock {
@@ -51,19 +52,19 @@ impl ResidualBlock {
     pub fn new(in_c: usize, out_c: usize, stride: usize, rng: &mut StdRng) -> Self {
         let shortcut = (in_c != out_c || stride != 1).then(|| {
             (
-                Conv2d::new(in_c, out_c, 1, stride, rng).fast(),
+                Conv2d::new(in_c, out_c, 1, stride, rng),
                 BatchNorm2d::new(out_c),
             )
         });
         Self {
-            conv1: Conv2d::new(in_c, out_c, 3, stride, rng).fast(),
+            conv1: Conv2d::new(in_c, out_c, 3, stride, rng),
             bn1: BatchNorm2d::new(out_c),
             relu1: Relu::new(),
-            conv2: Conv2d::new(out_c, out_c, 3, 1, rng).fast(),
+            conv2: Conv2d::new(out_c, out_c, 3, 1, rng),
             bn2: BatchNorm2d::new(out_c),
             shortcut,
-            out_mask: Vec::new(),
-            cached_x: None,
+            relu_out: Relu::new(),
+            forwarded: false,
         }
     }
 }
@@ -78,38 +79,22 @@ impl Layer for ResidualBlock {
 
         let skip = match &mut self.shortcut {
             Some((conv, bn)) => {
-                let s = conv.forward(x.clone(), train);
+                let s = conv.forward(x, train);
                 bn.forward(s, train)
             }
-            None => x.clone(),
+            None => x,
         };
         y.add_assign(&skip).expect("ResidualBlock: shape mismatch");
-
-        // Final ReLU (mask recorded for backward).
-        self.out_mask.clear();
-        self.out_mask.reserve(y.len());
-        for v in y.as_mut_slice() {
-            let pass = *v > 0.0;
-            self.out_mask.push(pass);
-            if !pass {
-                *v = 0.0;
-            }
-        }
-        self.cached_x = Some(x);
-        y
+        self.forwarded = train;
+        self.relu_out.forward(y, train)
     }
 
-    fn backward(&mut self, mut dy: Tensor) -> Tensor {
-        let _ = self
-            .cached_x
-            .take()
-            .expect("ResidualBlock: backward before forward");
-        // Through the final ReLU.
-        for (g, &pass) in dy.as_mut_slice().iter_mut().zip(&self.out_mask) {
-            if !pass {
-                *g = 0.0;
-            }
-        }
+    fn backward(&mut self, dy: Tensor) -> Tensor {
+        assert!(
+            std::mem::take(&mut self.forwarded),
+            "ResidualBlock: backward before forward"
+        );
+        let dy = self.relu_out.backward(dy);
         // Main path.
         let g = self.bn2.backward(dy.clone());
         let g = self.conv2.backward(g);
@@ -196,7 +181,7 @@ pub fn resnet_lite(width: usize, classes: usize, rng: &mut StdRng) -> Sequential
     let w = width;
     Sequential::new(
         vec![
-            Box::new(Conv2d::new(3, w, 3, 1, rng).fast()),
+            Box::new(Conv2d::new(3, w, 3, 1, rng)),
             Box::new(BatchNorm2d::new(w)),
             Box::new(Relu::new()),
             Box::new(ResidualBlock::new(w, w, 1, rng)),
@@ -221,10 +206,10 @@ pub fn vgg_lite(width: usize, res: usize, classes: usize, rng: &mut StdRng) -> S
     let flat = 2 * w * (res / 4) * (res / 4);
     Sequential::new(
         vec![
-            Box::new(Conv2d::new(3, w, 3, 1, rng).fast()),
+            Box::new(Conv2d::new(3, w, 3, 1, rng)),
             Box::new(Relu::new()),
             Box::new(MaxPool2::new()),
-            Box::new(Conv2d::new(w, 2 * w, 3, 1, rng).fast()),
+            Box::new(Conv2d::new(w, 2 * w, 3, 1, rng)),
             Box::new(Relu::new()),
             Box::new(MaxPool2::new()),
             Box::new(Flatten::new()),
@@ -524,7 +509,6 @@ mod tests {
         let eps = 1e-2;
         let loss = |b: &mut ResidualBlock, x: &Tensor| {
             let y = b.forward(x.clone(), true);
-            b.cached_x = None;
             y.as_slice().iter().map(|v| v * v).sum::<f32>() / 2.0
         };
         for idx in [0usize, 9, 21, 31] {

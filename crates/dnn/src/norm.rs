@@ -18,10 +18,14 @@ pub struct BatchNorm2d {
     running_var: Vec<f32>,
     momentum: f32,
     channels: usize,
-    // Backward cache.
-    xhat: Vec<f32>,
+    // Per-call statistics and the backward cache: buffers reused across
+    // calls; `xhat` is written by training forwards only.
+    means: Vec<f32>,
     inv_std: Vec<f32>,
-    in_shape: Vec<usize>,
+    xhat: Vec<f32>,
+    /// `[b, c, h, w]` of the last training forward, until backward
+    /// consumes it.
+    in_shape: Option<[usize; 4]>,
 }
 
 impl BatchNorm2d {
@@ -34,24 +38,28 @@ impl BatchNorm2d {
             running_var: vec![1.0; channels],
             momentum: 0.1,
             channels,
-            xhat: Vec::new(),
+            means: Vec::new(),
             inv_std: Vec::new(),
-            in_shape: Vec::new(),
+            xhat: Vec::new(),
+            in_shape: None,
         }
     }
 }
 
 impl Layer for BatchNorm2d {
     fn forward(&mut self, mut x: Tensor, train: bool) -> Tensor {
-        let s = x.shape().to_vec();
-        assert_eq!(s.len(), 4, "BatchNorm2d: expected [b,c,h,w]");
-        let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
+        let &[b, c, h, w] = x.shape() else {
+            panic!("BatchNorm2d: expected [b,c,h,w]");
+        };
         assert_eq!(c, self.channels, "BatchNorm2d: channel mismatch");
         let plane = h * w;
         let count = (b * plane) as f32;
 
-        self.inv_std = vec![0.0; c];
-        let mut means = vec![0.0f32; c];
+        self.inv_std.clear();
+        self.inv_std.resize(c, 0.0);
+        self.means.clear();
+        self.means.resize(c, 0.0);
+        let means = &mut self.means;
         if train {
             for (ch, mean) in means.iter_mut().enumerate() {
                 let mut sum = 0.0;
@@ -84,32 +92,33 @@ impl Layer for BatchNorm2d {
             }
         }
 
-        self.xhat = vec![0.0; x.len()];
+        // Evaluation has no backward, so it keeps no `xhat`.
+        self.xhat.resize(if train { x.len() } else { 0 }, 0.0);
         for bi in 0..b {
             for (ch, &mean) in means.iter().enumerate() {
                 let base = (bi * c + ch) * plane;
                 let (g, bta) = (self.gamma.value[ch], self.beta.value[ch]);
                 for i in base..base + plane {
                     let xh = (x.as_slice()[i] - mean) * self.inv_std[ch];
-                    self.xhat[i] = xh;
+                    if train {
+                        self.xhat[i] = xh;
+                    }
                     x.as_mut_slice()[i] = g * xh + bta;
                 }
             }
         }
-        self.in_shape = s;
+        self.in_shape = train.then_some([b, c, h, w]);
         x
     }
 
     fn backward(&mut self, dy: Tensor) -> Tensor {
-        let (b, c, h, w) = (
-            self.in_shape[0],
-            self.in_shape[1],
-            self.in_shape[2],
-            self.in_shape[3],
-        );
+        let [b, c, h, w] = self
+            .in_shape
+            .take()
+            .expect("BatchNorm2d: backward before forward");
         let plane = h * w;
         let count = (b * plane) as f32;
-        let mut dx = Tensor::zeros(self.in_shape.clone());
+        let mut dx = Tensor::zeros(vec![b, c, h, w]);
 
         for ch in 0..c {
             // Accumulate the channel sums needed by the batch-norm backward
@@ -284,6 +293,36 @@ mod tests {
             y.as_slice().iter().all(|v| v.abs() < 0.2),
             "{:?}",
             y.as_slice()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn batchnorm_backward_after_an_evaluation_forward_panics() {
+        let mut bn = BatchNorm2d::new(1);
+        let _ = bn.forward(Tensor::zeros(vec![1, 1, 2, 2]), true);
+        let y = bn.forward(Tensor::zeros(vec![1, 1, 2, 2]), false);
+        bn.backward(y);
+    }
+
+    #[test]
+    fn batchnorm_reuses_its_buffers_and_keeps_no_xhat_in_evaluation() {
+        let mut bn = BatchNorm2d::new(2);
+        let mut rng = init::rng_from_seed(6);
+        let mut batch = |b: usize| {
+            let mut x = init::normal_tensor(b * 2 * 3 * 3, 1.0, 2.0, &mut rng);
+            x.reshape(vec![b, 2, 3, 3]).unwrap();
+            x
+        };
+        let _ = bn.forward(batch(4), true);
+        let held = (bn.xhat.as_ptr(), bn.inv_std.as_ptr(), bn.means.as_ptr());
+        let _ = bn.forward(batch(16), false);
+        assert!(bn.xhat.is_empty());
+        let _ = bn.forward(batch(4), true);
+        assert_eq!(bn.xhat.len(), 4 * 2 * 3 * 3);
+        assert_eq!(
+            (bn.xhat.as_ptr(), bn.inv_std.as_ptr(), bn.means.as_ptr()),
+            held
         );
     }
 

@@ -1,11 +1,14 @@
-//! Property-based tests for the DNN framework.
+//! Property-based tests for the DNN framework, and the golden
+//! fingerprints of its reference models.
 
-use cloudtrain_dnn::data::{SyntheticImages, SyntheticSeq};
+use cloudtrain_dnn::conv::Conv2d;
+use cloudtrain_dnn::data::{Batch, SyntheticImages, SyntheticSeq};
 use cloudtrain_dnn::loss::{softmax_cross_entropy, top_k_accuracy};
 use cloudtrain_dnn::math::{matmul, matmul_bt, softmax_rows, transpose};
 use cloudtrain_dnn::model::{Input, Model};
-use cloudtrain_dnn::models::mlp;
-use cloudtrain_tensor::init;
+use cloudtrain_dnn::models::{mlp, resnet_lite, vgg_lite, TransformerModel};
+use cloudtrain_dnn::Layer;
+use cloudtrain_tensor::{init, ops};
 use proptest::prelude::*;
 
 proptest! {
@@ -136,6 +139,48 @@ proptest! {
         prop_assert!(ta.contains(&ya));
     }
 
+    /// A `Conv2d` that has already been driven at other batch sizes, modes
+    /// and geometries answers like a fresh layer with the same parameters,
+    /// bit for bit: its reused lowering scratch carries nothing over.
+    #[test]
+    fn conv_scratch_reuse_is_invisible(
+        stride in 1usize..3,
+        k_half in 0usize..2,
+        h in 1usize..9,
+        w in 1usize..9,
+        warm_h in 1usize..9,
+        warm_w in 1usize..9,
+        seed in 0u64..1000,
+    ) {
+        let k = 2 * k_half + 1;
+        let mut rng = init::rng_from_seed(seed);
+        let mut image = |b: usize, c: usize, h: usize, w: usize| {
+            let mut x = init::uniform_tensor(b * c * h * w, -1.0, 1.0, &mut rng);
+            x.reshape(vec![b, c, h, w]).unwrap();
+            x
+        };
+        let mut used = Conv2d::new(2, 3, k, stride, &mut init::rng_from_seed(seed));
+        let mut fresh = Conv2d::new(2, 3, k, stride, &mut init::rng_from_seed(seed));
+        // Warm the scratch at another geometry, then in evaluation mode.
+        let y = used.forward(image(3, 2, warm_h, warm_w), true);
+        let _ = used.backward(y);
+        let _ = used.forward(image(5, 2, h, w), false);
+        used.visit_params_mut(&mut |p| p.zero_grad());
+
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let x = image(2, 2, h, w);
+        let (y_used, y_fresh) = (used.forward(x.clone(), true), fresh.forward(x, true));
+        prop_assert_eq!(bits(y_used.as_slice()), bits(y_fresh.as_slice()));
+        let (dx_used, dx_fresh) = (used.backward(y_used), fresh.backward(y_fresh));
+        prop_assert_eq!(bits(dx_used.as_slice()), bits(dx_fresh.as_slice()));
+        let grads = |c: &Conv2d| {
+            let mut g = Vec::new();
+            c.visit_params(&mut |p| g.extend(bits(&p.grad)));
+            g
+        };
+        prop_assert_eq!(grads(&used), grads(&fresh));
+    }
+
     /// One gradient step on a fixed batch reduces the loss for any seed
     /// (the descent direction property, end to end through the MLP).
     #[test]
@@ -161,4 +206,80 @@ proptest! {
         let (l1, _) = softmax_cross_entropy(&y, &labels);
         prop_assert!(l1 <= l0 + 1e-6, "loss rose: {l0} -> {l1}");
     }
+}
+
+// --- Golden fingerprints ----------------------------------------------------
+//
+// The constants were captured on the commit *before* the `dnn::math` kernels
+// were register-tiled and `Conv2d` moved to layer-owned scratch. Every sum in
+// those kernels keeps its per-element order (DESIGN.md §6.4), so losses and
+// gradients are bit for bit what they were; a later kernel edit that reorders
+// a reduction fails here, in tier-1, rather than in an end-to-end fingerprint
+// three crates up.
+
+const GOLDEN_BATCH: usize = 8;
+
+fn fnv1a(hash: &mut u64, bits: u32) {
+    for byte in bits.to_le_bytes() {
+        *hash ^= u64::from(byte);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// FNV-1a over the loss bits and the flat gradient of each of three
+/// plain-SGD training steps, every step on its own batch.
+fn three_step_fingerprint(model: &mut dyn Model, batch_at: &dyn Fn(u64) -> Batch) -> u64 {
+    let d = model.param_count();
+    let (mut params, mut grads) = (vec![0.0f32; d], vec![0.0f32; d]);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for step in 0..3 {
+        let batch = batch_at(step);
+        let logits = model.forward(&batch.input, true);
+        let (loss, dlogits) = softmax_cross_entropy(&logits, &batch.labels);
+        fnv1a(&mut hash, loss.to_bits());
+        model.backward(dlogits);
+        model.read_grads(&mut grads);
+        model.zero_grads();
+        for g in &grads {
+            fnv1a(&mut hash, g.to_bits());
+        }
+        model.read_params(&mut params);
+        ops::axpy(-0.05, &grads, &mut params);
+        model.write_params(&params);
+    }
+    hash
+}
+
+fn golden_images() -> impl Fn(u64) -> Batch {
+    let data = SyntheticImages::new(10, 3, 16, 0.6, 7);
+    move |step| data.batch(step * GOLDEN_BATCH as u64, GOLDEN_BATCH)
+}
+
+#[test]
+fn resnet_lite_three_steps_match_golden() {
+    let mut model = resnet_lite(8, 10, &mut init::rng_from_seed(7));
+    assert_eq!(
+        three_step_fingerprint(&mut model, &golden_images()),
+        0x44db_8599_9b3a_292d
+    );
+}
+
+#[test]
+fn vgg_lite_three_steps_match_golden() {
+    let mut model = vgg_lite(8, 16, 10, &mut init::rng_from_seed(7));
+    assert_eq!(
+        three_step_fingerprint(&mut model, &golden_images()),
+        0x9e12_88a0_2e99_c7ec
+    );
+}
+
+#[test]
+fn transformer_three_steps_match_golden() {
+    let mut model = TransformerModel::new(64, 16, 16, 2, 10, &mut init::rng_from_seed(7));
+    let data = SyntheticSeq::new(10, 64, 16, 7);
+    let batch_at = move |step: u64| data.batch(step * GOLDEN_BATCH as u64, GOLDEN_BATCH);
+    assert_eq!(
+        three_step_fingerprint(&mut model, &batch_at),
+        0x1fa1_be12_c540_851d
+    );
 }

@@ -617,6 +617,10 @@ impl DistTrainer {
             }
         }
 
+        // The validation batch is a pure function of the config (the same
+        // on every rank and in every epoch): synthesise it once.
+        let val = adapt_input(cfg, data.val_batch(cfg));
+
         let mut step = seg.start_step;
         let mut epoch = seg.start_epoch;
         for (phase_idx, &(strategy, phase_epochs)) in phases.iter().enumerate() {
@@ -857,7 +861,6 @@ impl DistTrainer {
                 }
 
                 // Validation (same batch on every rank — no communication).
-                let val = adapt_input(cfg, data.val_batch(cfg));
                 let logits = model.forward(&val.input, false);
                 let top1 = top_k_accuracy(&logits, &val.labels, 1);
                 let top5 = top_k_accuracy(&logits, &val.labels, 5.min(cfg.classes));
