@@ -13,10 +13,11 @@
 //! split:
 //!
 //! * the cache *mechanics* are real — a deterministic synthetic NFS serves
-//!   JPEG-like blobs, [`disk::DiskCache`] writes real files,
-//!   [`decode::decode`] does real byte-level work, [`memcache::MemoryCache`]
-//!   is a real bounded KV store, and [`pipeline::Prefetcher`] overlaps
-//!   loading with compute on a real background thread;
+//!   JPEG-like blobs, [`disk::DiskCache`] appends them to real segment
+//!   files and reads them back, [`decode::decode`] does real byte-level
+//!   work, [`memcache::MemoryCache`] is a real bounded KV store, and
+//!   [`pipeline::Prefetcher`] overlaps loading with compute on a real
+//!   background thread;
 //! * the *timing* of each tier is virtual — every access returns the
 //!   simulated seconds it would cost on the paper's hardware
 //!   ([`timing::StorageSpec`], Table 1-class CFS/SSD/DRAM numbers), so

@@ -107,7 +107,8 @@ pub struct CachedLoader {
 
 impl CachedLoader {
     /// Builds a loader over `nfs` with the given config; `disk` must be
-    /// provided when `cfg.use_disk` is set.
+    /// provided when `cfg.use_disk` is set, and is neither read nor written
+    /// when it is not.
     ///
     /// # Panics
     /// Panics if `cfg.use_disk` is set but no disk cache is supplied.
@@ -116,6 +117,7 @@ impl CachedLoader {
             !cfg.use_disk || disk.is_some(),
             "CachedLoader: use_disk requires a DiskCache"
         );
+        let disk = disk.filter(|_| cfg.use_disk);
         let mem = cfg.use_memory.then(|| MemoryCache::new(cfg.mem_capacity));
         Self {
             nfs,
@@ -155,11 +157,9 @@ impl CachedLoader {
             None => {
                 let (blob, t_nfs) = self.nfs.fetch(id);
                 let mut t = t_nfs;
-                if self.cfg.use_disk {
-                    if let Some(d) = self.disk.as_mut() {
-                        if let Ok(t_w) = d.put(id, &blob) {
-                            t += t_w;
-                        }
+                if let Some(d) = self.disk.as_mut() {
+                    if let Ok(t_w) = d.put(id, &blob) {
+                        t += t_w;
                     }
                 }
                 (blob, t, ServedBy::Nfs)
@@ -275,6 +275,28 @@ mod tests {
             assert_eq!(by, ServedBy::Nfs);
         }
         assert_eq!(l.stats().from_nfs, 3);
+    }
+
+    #[test]
+    fn naive_mode_ignores_a_populated_disk_cache() {
+        let dir = tmpdir("naive-populated");
+        let mut warm = CachedLoader::new(
+            SyntheticNfs::new(96 * 96 * 3, 1),
+            Some(DiskCache::open(&dir).unwrap()),
+            LoaderConfig::default(),
+        );
+        warm.load(5);
+        let cfg = LoaderConfig {
+            use_disk: false,
+            use_memory: false,
+            ..LoaderConfig::default()
+        };
+        let disk = DiskCache::open(&dir).unwrap();
+        let mut l = CachedLoader::new(SyntheticNfs::new(96 * 96 * 3, 1), Some(disk), cfg);
+        for _ in 0..3 {
+            let (_, by, _) = l.load(5);
+            assert_eq!(by, ServedBy::Nfs);
+        }
     }
 
     #[test]
