@@ -165,5 +165,118 @@ fn bench_conv(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernels, bench_lane_tiers, bench_conv);
+/// The non-GEMM layers of the reference models at the models' own shapes
+/// (batch 8): forward + backward of one training call — the per-layer table
+/// of DESIGN.md §6.4.
+fn bench_elementwise_layers(c: &mut Criterion) {
+    use cloudtrain::dnn::activation::Relu;
+    use cloudtrain::dnn::conv::Conv2d;
+    use cloudtrain::dnn::layer::Layer;
+    use cloudtrain::dnn::norm::{BatchNorm2d, LayerNorm};
+    use cloudtrain::tensor::Tensor;
+
+    let mut group = c.benchmark_group("dnn_layers_fwd_bwd");
+    let mut rng = init::rng_from_seed(10);
+    let mut activation = |shape: Vec<usize>| {
+        let mut x = init::normal_tensor(shape.iter().product(), 0.0, 1.0, &mut rng);
+        x.reshape(shape).unwrap();
+        x
+    };
+    let mut bench = |id: &str, layer: &mut dyn Layer, x: Tensor, dy: Tensor| {
+        group.throughput(Throughput::Elements(dy.len() as u64));
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                let y = layer.forward(x.clone(), true);
+                let dx = layer.backward(dy.clone());
+                black_box((y.as_slice()[0], dx.as_slice()[0]))
+            })
+        });
+    };
+
+    // ResNet-lite(8) on 16×16 inputs: 8, 16 and 32 channels at 16×16, 8×8
+    // and 4×4 — 16,384, 8,192 and 4,096 activations a call.
+    for (ch, hw) in [(8usize, 16usize), (16, 8), (32, 4)] {
+        let shape = vec![8, ch, hw, hw];
+        let id = format!("{ch}x{hw}x{hw}");
+        let (x, dy) = (activation(shape.clone()), activation(shape.clone()));
+        bench(&format!("relu/{id}"), &mut Relu::new(), x, dy);
+        let (x, dy) = (activation(shape.clone()), activation(shape));
+        bench(
+            &format!("batchnorm2d/{id}"),
+            &mut BatchNorm2d::new(ch),
+            x,
+            dy,
+        );
+    }
+    // The Transformer's token rows: 8 sequences of 16 tokens, dim 16; and
+    // the FFN's ReLU on the 4× expansion.
+    let (x, dy) = (activation(vec![128, 16]), activation(vec![128, 16]));
+    bench("layernorm/128x16", &mut LayerNorm::new(16), x, dy);
+    let (x, dy) = (activation(vec![128, 64]), activation(vec![128, 64]));
+    bench("relu/128x64", &mut Relu::new(), x, dy);
+
+    // The conv-backward prologue — bias-gradient row sums plus the `dy`
+    // transposition — at the models' output shapes: with one input channel
+    // and a 1×1 kernel the three GEMMs are rank-1, so the prologue is what
+    // is left of the call.
+    for (out_c, hw) in [(8usize, 16usize), (16, 8), (32, 4)] {
+        let mut conv = Conv2d::new(1, out_c, 1, 1, &mut init::rng_from_seed(9));
+        let (x, dy) = (
+            activation(vec![8, 1, hw, hw]),
+            activation(vec![8, out_c, hw, hw]),
+        );
+        bench(
+            &format!("conv_prologue/{out_c}x{hw}x{hw}"),
+            &mut conv,
+            x,
+            dy,
+        );
+    }
+    group.finish();
+
+    // Where those layers add up: one training step (forward, loss, backward)
+    // of the two benchmark models at batch 8, and the 64-sample validation
+    // forward the trainer runs every epoch.
+    use cloudtrain::dnn::data::{SyntheticImages, SyntheticSeq};
+    use cloudtrain::dnn::loss::softmax_cross_entropy;
+    use cloudtrain::dnn::model::Model;
+    use cloudtrain::dnn::models::{resnet_lite, TransformerModel};
+    let mut group = c.benchmark_group("dnn_models");
+    let images = SyntheticImages::new(10, 3, 16, 0.6, 7);
+    let seqs = SyntheticSeq::new(10, 64, 16, 7);
+    let mut resnet = resnet_lite(8, 10, &mut init::rng_from_seed(7));
+    let mut tfm = TransformerModel::new(64, 16, 16, 2, 10, &mut init::rng_from_seed(7));
+    let models: [(&str, &mut dyn Model, _, _); 2] = [
+        (
+            "resnet_lite8",
+            &mut resnet,
+            images.batch(0, 8),
+            images.batch(8, 64),
+        ),
+        ("transformer", &mut tfm, seqs.batch(0, 8), seqs.batch(8, 64)),
+    ];
+    for (name, model, train, validation) in models {
+        group.bench_function(&format!("{name}/train_step_b8"), |b| {
+            b.iter(|| {
+                let logits = model.forward(&train.input, true);
+                let (loss, dlogits) = softmax_cross_entropy(&logits, &train.labels);
+                model.backward(dlogits);
+                model.zero_grads();
+                black_box(loss)
+            })
+        });
+        group.bench_function(&format!("{name}/validation_forward_b64"), |b| {
+            b.iter(|| black_box(model.forward(&validation.input, false).as_slice()[0]))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_kernels,
+    bench_lane_tiers,
+    bench_conv,
+    bench_elementwise_layers
+);
 criterion_main!(benches);

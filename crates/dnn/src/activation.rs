@@ -23,25 +23,23 @@ impl Relu {
 }
 
 impl Layer for Relu {
+    // Both passes are selects, not branches: on activations that are
+    // positive about half the time a data-dependent branch mispredicts on
+    // every other element, and it keeps the loop from being vectorised
+    // (DESIGN.md §6.4). A NaN and `-0.0` both fail `> 0.0` and come out
+    // `+0.0`.
     fn forward(&mut self, mut x: Tensor, train: bool) -> Tensor {
-        // Clamps one activation; whether it passed.
-        fn clamp(v: &mut f32) -> bool {
-            let pass = *v > 0.0;
-            if !pass {
-                *v = 0.0;
-            }
-            pass
-        }
         self.recorded = train;
         if train {
             self.mask.resize(x.len(), false);
             for (v, pass) in x.as_mut_slice().iter_mut().zip(&mut self.mask) {
-                *pass = clamp(v);
+                *pass = *v > 0.0;
+                *v = if *pass { *v } else { 0.0 };
             }
         } else {
             // Evaluation has no backward: record nothing.
             for v in x.as_mut_slice() {
-                clamp(v);
+                *v = if *v > 0.0 { *v } else { 0.0 };
             }
         }
         x
@@ -54,9 +52,7 @@ impl Layer for Relu {
         );
         assert_eq!(dy.len(), self.mask.len(), "Relu: backward shape mismatch");
         for (g, &pass) in dy.as_mut_slice().iter_mut().zip(&self.mask) {
-            if !pass {
-                *g = 0.0;
-            }
+            *g = if pass { *g } else { 0.0 };
         }
         dy
     }
@@ -69,9 +65,88 @@ impl Layer for Relu {
     }
 }
 
+/// The branching loops the selects replaced, kept verbatim as the bitwise
+/// oracle.
+#[cfg(test)]
+mod reference {
+    /// Clamps `x` in place; the pass mask when `train`.
+    pub fn relu_forward(x: &mut [f32], train: bool) -> Vec<bool> {
+        // Clamps one activation; whether it passed.
+        fn clamp(v: &mut f32) -> bool {
+            let pass = *v > 0.0;
+            if !pass {
+                *v = 0.0;
+            }
+            pass
+        }
+        let mut mask = Vec::new();
+        if train {
+            mask.resize(x.len(), false);
+            for (v, pass) in x.iter_mut().zip(&mut mask) {
+                *pass = clamp(v);
+            }
+        } else {
+            for v in x {
+                clamp(v);
+            }
+        }
+        mask
+    }
+
+    pub fn relu_backward(dy: &mut [f32], mask: &[bool]) {
+        for (g, &pass) in dy.iter_mut().zip(mask) {
+            if !pass {
+                *g = 0.0;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{bits_any_nan as bits, poison, tricky};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The selects equal the branches bit for bit — NaN, `±inf`, `±0.0`
+        /// and subnormals included — in both modes, and the recorded mask
+        /// is the same.
+        #[test]
+        fn relu_matches_reference_bitwise(len in 0usize..300, seed in 0u64..1_000_000) {
+            let mut x = tricky(len, seed);
+            poison(&mut x, seed, len / 5);
+            let mut dy = tricky(len, seed + 1);
+            poison(&mut dy, seed + 1, len / 7);
+            for train in [true, false] {
+                let mut relu = Relu::new();
+                let mut y_ref = x.clone();
+                let mask_ref = reference::relu_forward(&mut y_ref, train);
+                let y = relu.forward(Tensor::from_vec_1d(x.clone()), train);
+                prop_assert_eq!(bits(y.as_slice()), bits(&y_ref));
+                if train {
+                    prop_assert_eq!(&relu.mask, &mask_ref);
+                    let mut dx_ref = dy.clone();
+                    reference::relu_backward(&mut dx_ref, &mask_ref);
+                    let dx = relu.backward(Tensor::from_vec_1d(dy.clone()));
+                    prop_assert_eq!(bits(dx.as_slice()), bits(&dx_ref));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nan_and_negative_zero_clamp_to_positive_zero() {
+        let mut r = Relu::new();
+        let x = vec![f32::NAN, -0.0, 0.0, f32::NEG_INFINITY, f32::INFINITY];
+        let y = r.forward(Tensor::from_vec_1d(x), true);
+        let inf = f32::INFINITY.to_bits();
+        assert_eq!(bits(y.as_slice()), [0, 0, 0, 0, inf]);
+        let dx = r.backward(Tensor::from_vec_1d(vec![f32::NAN; 5]));
+        assert_eq!(bits(dx.as_slice()), [0, 0, 0, 0, 0x7fc0_0000]);
+    }
 
     #[test]
     fn forward_clamps_negatives() {

@@ -5,11 +5,37 @@
 //! backward tractable while exercising the same compute/communication
 //! profile as the paper's Transformer (large dense projection matrices).
 
-use cloudtrain_tensor::{init, Tensor};
+use cloudtrain_tensor::{init, ops, Tensor};
 use rand::rngs::StdRng;
 
 use crate::layer::{Layer, Param};
-use crate::math::{matmul, matmul_at_acc, matmul_bt, softmax_rows, transpose};
+use crate::math::{matmul, matmul_at_acc, matmul_bt, softmax_rows, transpose_into};
+
+/// The working set of one [`SelfAttention`]: owned by the layer, sized on
+/// first use and reused across steps (DESIGN.md §6.4), so from the second
+/// training step on neither pass allocates any of it.
+#[derive(Debug, Default)]
+struct Scratch {
+    // What a forward computes and a training backward reads, all batches
+    // concatenated: the projections, the softmax probabilities
+    // (`[batch][s][s]`) and the attended values.
+    q: Vec<f32>,
+    k: Vec<f32>,
+    v: Vec<f32>,
+    attn: Vec<f32>,
+    o: Vec<f32>,
+    // Backward only: the gradients of `o`, `q`, `k`, `v` and one projection's
+    // share of `dx` (`[rows, dim]` each) ...
+    d_o: Vec<f32>,
+    dq: Vec<f32>,
+    dk: Vec<f32>,
+    dv: Vec<f32>,
+    tmp: Vec<f32>,
+    // ... and one sequence's `[s, s]` score gradients.
+    da: Vec<f32>,
+    ds: Vec<f32>,
+    ds_t: Vec<f32>,
+}
 
 /// Self-attention with Q/K/V/O projections (`y = Attn(x) W_o^T`).
 #[derive(Debug)]
@@ -20,14 +46,10 @@ pub struct SelfAttention {
     wo: Param,
     dim: usize,
     seq: usize,
-    // Backward caches (per forward call, all batches concatenated).
-    x: Vec<f32>,
-    q: Vec<f32>,
-    k: Vec<f32>,
-    v: Vec<f32>,
-    attn: Vec<f32>, // softmax probabilities, [batch][s][s]
-    o: Vec<f32>,
-    batches: usize,
+    scratch: Scratch,
+    /// The input of the last training forward, until backward consumes it
+    /// (and with it the forward half of `scratch`).
+    x: Option<Tensor>,
 }
 
 impl SelfAttention {
@@ -46,35 +68,33 @@ impl SelfAttention {
             wo: mk("wo", rng),
             dim,
             seq,
-            x: Vec::new(),
-            q: Vec::new(),
-            k: Vec::new(),
-            v: Vec::new(),
-            attn: Vec::new(),
-            o: Vec::new(),
-            batches: 0,
+            scratch: Scratch::default(),
+            x: None,
         }
     }
 }
 
 impl Layer for SelfAttention {
-    fn forward(&mut self, x: Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
         let (d, s) = (self.dim, self.seq);
         let rows = x.len() / d;
         assert_eq!(rows % s, 0, "SelfAttention: rows not a multiple of seq");
         let batches = rows / s;
         let xs = x.as_slice();
 
-        let mut q = vec![0.0; rows * d];
-        let mut k = vec![0.0; rows * d];
-        let mut v = vec![0.0; rows * d];
-        matmul_bt(xs, &self.wq.value, &mut q, rows, d, d);
-        matmul_bt(xs, &self.wk.value, &mut k, rows, d, d);
-        matmul_bt(xs, &self.wv.value, &mut v, rows, d, d);
+        // Every buffer is overwritten in full, so stale contents are fine.
+        let Scratch {
+            q, k, v, attn, o, ..
+        } = &mut self.scratch;
+        for buf in [&mut *q, &mut *k, &mut *v, &mut *o] {
+            buf.resize(rows * d, 0.0);
+        }
+        attn.resize(batches * s * s, 0.0);
+        matmul_bt(xs, &self.wq.value, q, rows, d, d);
+        matmul_bt(xs, &self.wk.value, k, rows, d, d);
+        matmul_bt(xs, &self.wv.value, v, rows, d, d);
 
         let scale = 1.0 / (d as f32).sqrt();
-        let mut attn = vec![0.0; batches * s * s];
-        let mut o = vec![0.0; rows * d];
         for b in 0..batches {
             let qb = &q[b * s * d..(b + 1) * s * d];
             let kb = &k[b * s * d..(b + 1) * s * d];
@@ -87,47 +107,65 @@ impl Layer for SelfAttention {
         }
 
         let mut y = Tensor::zeros(vec![rows, d]);
-        matmul_bt(&o, &self.wo.value, y.as_mut_slice(), rows, d, d);
-
-        self.x = xs.to_vec();
-        self.q = q;
-        self.k = k;
-        self.v = v;
-        self.attn = attn;
-        self.o = o;
-        self.batches = batches;
+        matmul_bt(o, &self.wo.value, y.as_mut_slice(), rows, d, d);
+        // Evaluation has no backward: record nothing.
+        self.x = train.then_some(x);
         y
     }
 
-    fn backward(&mut self, dy: Tensor) -> Tensor {
+    fn backward(&mut self, mut dy: Tensor) -> Tensor {
+        let x = self
+            .x
+            .take()
+            .expect("SelfAttention: backward before forward");
         let (d, s) = (self.dim, self.seq);
-        let batches = self.batches;
-        let rows = batches * s;
+        let rows = x.len() / d;
+        assert_eq!(dy.len(), rows * d, "SelfAttention: backward shape");
+        let xs = x.as_slice();
         let dys = dy.as_slice();
         let scale = 1.0 / (d as f32).sqrt();
 
-        // dO = dY @ Wo; dWo += dY^T @ O.
-        let mut do_ = vec![0.0; rows * d];
-        matmul(dys, &self.wo.value, &mut do_, rows, d, d);
-        matmul_at_acc(dys, &self.o, &mut self.wo.grad, rows, d, d);
+        let Scratch {
+            q,
+            k,
+            v,
+            attn,
+            o,
+            d_o,
+            dq,
+            dk,
+            dv,
+            tmp,
+            da,
+            ds,
+            ds_t,
+        } = &mut self.scratch;
+        // All overwritten in full, except the accumulator `dv`.
+        for buf in [&mut *d_o, &mut *dq, &mut *dk, &mut *tmp] {
+            buf.resize(rows * d, 0.0);
+        }
+        dv.clear();
+        dv.resize(rows * d, 0.0);
+        for buf in [&mut *da, &mut *ds, &mut *ds_t] {
+            buf.resize(s * s, 0.0);
+        }
 
-        let mut dq = vec![0.0; rows * d];
-        let mut dk = vec![0.0; rows * d];
-        let mut dv = vec![0.0; rows * d];
-        for b in 0..batches {
-            let ab = &self.attn[b * s * s..(b + 1) * s * s];
-            let vb = &self.v[b * s * d..(b + 1) * s * d];
-            let qb = &self.q[b * s * d..(b + 1) * s * d];
-            let kb = &self.k[b * s * d..(b + 1) * s * d];
-            let dob = &do_[b * s * d..(b + 1) * s * d];
+        // dO = dY @ Wo; dWo += dY^T @ O.
+        matmul(dys, &self.wo.value, d_o, rows, d, d);
+        matmul_at_acc(dys, o, &mut self.wo.grad, rows, d, d);
+
+        for b in 0..rows / s {
+            let ab = &attn[b * s * s..(b + 1) * s * s];
+            let vb = &v[b * s * d..(b + 1) * s * d];
+            let qb = &q[b * s * d..(b + 1) * s * d];
+            let kb = &k[b * s * d..(b + 1) * s * d];
+            let dob = &d_o[b * s * d..(b + 1) * s * d];
 
             // dA = dO @ V^T; dV = A^T @ dO.
-            let mut da = vec![0.0; s * s];
-            matmul_bt(dob, vb, &mut da, s, d, s);
+            matmul_bt(dob, vb, da, s, d, s);
             matmul_at_acc(ab, dob, &mut dv[b * s * d..(b + 1) * s * d], s, s, d);
 
             // Softmax backward row-wise: dS = A ∘ (dA - rowsum(dA ∘ A)).
-            let mut ds = vec![0.0; s * s];
             for r in 0..s {
                 let a_row = &ab[r * s..(r + 1) * s];
                 let da_row = &da[r * s..(r + 1) * s];
@@ -138,25 +176,27 @@ impl Layer for SelfAttention {
             }
 
             // dQ = dS @ K; dK = dS^T @ Q.
-            matmul(&ds, kb, &mut dq[b * s * d..(b + 1) * s * d], s, s, d);
-            let dst = transpose(&ds, s, s);
-            matmul(&dst, qb, &mut dk[b * s * d..(b + 1) * s * d], s, s, d);
+            matmul(ds, kb, &mut dq[b * s * d..(b + 1) * s * d], s, s, d);
+            transpose_into(ds, ds_t, s, s);
+            matmul(ds_t, qb, &mut dk[b * s * d..(b + 1) * s * d], s, s, d);
         }
 
         // Projection gradients and input gradient.
-        matmul_at_acc(&dq, &self.x, &mut self.wq.grad, rows, d, d);
-        matmul_at_acc(&dk, &self.x, &mut self.wk.grad, rows, d, d);
-        matmul_at_acc(&dv, &self.x, &mut self.wv.grad, rows, d, d);
+        matmul_at_acc(dq, xs, &mut self.wq.grad, rows, d, d);
+        matmul_at_acc(dk, xs, &mut self.wk.grad, rows, d, d);
+        matmul_at_acc(dv, xs, &mut self.wv.grad, rows, d, d);
 
-        let mut dx = Tensor::zeros(vec![rows, d]);
-        let mut tmp = vec![0.0; rows * d];
-        matmul(&dq, &self.wq.value, &mut tmp, rows, d, d);
-        cloudtrain_tensor::ops::add_assign(dx.as_mut_slice(), &tmp);
-        matmul(&dk, &self.wk.value, &mut tmp, rows, d, d);
-        cloudtrain_tensor::ops::add_assign(dx.as_mut_slice(), &tmp);
-        matmul(&dv, &self.wv.value, &mut tmp, rows, d, d);
-        cloudtrain_tensor::ops::add_assign(dx.as_mut_slice(), &tmp);
-        dx
+        // `dy` has been read for the last time: `dx` takes its place.
+        if dy.shape() != [rows, d] {
+            dy.reshape(vec![rows, d]).expect("length checked above");
+        }
+        let dx = dy.as_mut_slice();
+        dx.fill(0.0);
+        for (grad, w) in [(&*dq, &self.wq), (&*dk, &self.wk), (&*dv, &self.wv)] {
+            matmul(grad, &w.value, tmp, rows, d, d);
+            ops::add_assign(dx, tmp);
+        }
+        dy
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
@@ -181,6 +221,7 @@ impl Layer for SelfAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::bits;
     use cloudtrain_tensor::init::rng_from_seed;
 
     #[test]
@@ -266,6 +307,109 @@ mod tests {
         }
     }
 
+    fn random_rows(rows: usize, d: usize, rng: &mut StdRng) -> Tensor {
+        let mut x = init::uniform_tensor(rows * d, -1.0, 1.0, rng);
+        x.reshape(vec![rows, d]).unwrap();
+        x
+    }
+
+    /// A fresh layer (empty scratch) with `attn`'s parameters.
+    fn fresh_twin(attn: &SelfAttention) -> SelfAttention {
+        let mut twin = SelfAttention::new(attn.dim, attn.seq, &mut rng_from_seed(0));
+        for (dst, src) in [
+            (&mut twin.wq, &attn.wq),
+            (&mut twin.wk, &attn.wk),
+            (&mut twin.wv, &attn.wv),
+            (&mut twin.wo, &attn.wo),
+        ] {
+            dst.value.copy_from_slice(&src.value);
+        }
+        twin
+    }
+
+    fn grads(attn: &SelfAttention) -> Vec<Vec<u32>> {
+        let mut all = Vec::new();
+        attn.visit_params(&mut |p| all.push(bits(&p.grad)));
+        all
+    }
+
+    /// One layer driven train b = 8 → eval b = 64 → train → a smaller
+    /// batch equals a fresh layer bit for bit at every step: the reused
+    /// scratch (the accumulator `dv` included) carries nothing over.
+    #[test]
+    fn reused_scratch_matches_a_fresh_layer_at_every_step() {
+        let mut rng = rng_from_seed(10);
+        let (d, s) = (16, 16);
+        let mut attn = SelfAttention::new(d, s, &mut rng);
+        for (train, b) in [(true, 8usize), (false, 64), (true, 8), (true, 3)] {
+            let mut fresh = fresh_twin(&attn);
+            let x = random_rows(b * s, d, &mut rng);
+            let y = attn.forward(x.clone(), train);
+            let y_fresh = fresh.forward(x, train);
+            assert_eq!(bits(y.as_slice()), bits(y_fresh.as_slice()));
+            if !train {
+                assert!(attn.x.is_none());
+                continue;
+            }
+            let dy = random_rows(b * s, d, &mut rng);
+            let dx = attn.backward(dy.clone());
+            let dx_fresh = fresh.backward(dy);
+            assert_eq!(dx.shape(), dx_fresh.shape());
+            assert_eq!(bits(dx.as_slice()), bits(dx_fresh.as_slice()));
+            assert_eq!(grads(&attn), grads(&fresh));
+            attn.visit_params_mut(&mut |p| p.zero_grad());
+        }
+    }
+
+    #[test]
+    fn steady_state_allocates_no_scratch() {
+        let mut rng = rng_from_seed(11);
+        let (d, s) = (16, 16);
+        let mut attn = SelfAttention::new(d, s, &mut rng);
+        let mut step = |attn: &mut SelfAttention, b: usize| {
+            let y = attn.forward(random_rows(b * s, d, &mut rng), true);
+            // `dx` is written over the consumed `dy`.
+            let at = y.as_slice().as_ptr();
+            assert_eq!(attn.backward(y).as_slice().as_ptr(), at);
+            let t = &attn.scratch;
+            [
+                &t.q, &t.k, &t.v, &t.attn, &t.o, &t.d_o, &t.dq, &t.dk, &t.dv, &t.tmp, &t.da, &t.ds,
+                &t.ds_t,
+            ]
+            .map(|v| (v.as_ptr(), v.capacity()))
+        };
+        let first = step(&mut attn, 8);
+        assert_eq!(step(&mut attn, 8), first);
+        // A smaller batch fits in what is there.
+        assert_eq!(step(&mut attn, 3), first);
+        assert_eq!(step(&mut attn, 8), first);
+        // The forward half is the working set of an evaluation forward too:
+        // a 64-sample validation batch grows it once, and never again.
+        let validation = Tensor::zeros(vec![64 * s, d]);
+        let _ = attn.forward(validation.clone(), false);
+        let grown = step(&mut attn, 8);
+        let _ = attn.forward(validation, false);
+        assert_eq!(step(&mut attn, 8), grown);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn backward_without_forward_panics() {
+        let mut attn = SelfAttention::new(2, 2, &mut rng_from_seed(12));
+        attn.backward(Tensor::zeros(vec![2, 2]));
+    }
+
+    /// An evaluation forward overwrites `q`, `k`, `v` and the probabilities,
+    /// so the training forward before it can no longer be differentiated.
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn backward_after_an_evaluation_forward_panics() {
+        let mut attn = SelfAttention::new(2, 2, &mut rng_from_seed(13));
+        let _ = attn.forward(Tensor::zeros(vec![2, 2]), true);
+        let y = attn.forward(Tensor::zeros(vec![4, 2]), false);
+        attn.backward(y);
+    }
+
     #[test]
     fn attention_probabilities_sum_to_one() {
         let mut rng = rng_from_seed(3);
@@ -273,7 +417,7 @@ mod tests {
         let mut x = init::uniform_tensor(3 * 4, -1.0, 1.0, &mut rng);
         x.reshape(vec![3, 4]).unwrap();
         let _ = attn.forward(x, true);
-        for row in attn.attn.chunks(3) {
+        for row in attn.scratch.attn.chunks(3) {
             let s: f32 = row.iter().sum();
             assert!((s - 1.0).abs() < 1e-5);
         }

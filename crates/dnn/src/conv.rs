@@ -16,7 +16,7 @@ use cloudtrain_tensor::{init, Tensor};
 use rand::rngs::StdRng;
 
 use crate::layer::{Layer, Param};
-use crate::math::{matmul, matmul_at_acc, matmul_bt_acc};
+use crate::math::{matmul, matmul_at_acc, matmul_bt_acc, rows, DOT_INIT, NR};
 
 /// The output columns `lo..hi` of one row whose tap `k_off` lands inside
 /// `0..len` of the input: `o·stride + k_off - pad ∈ 0..len`.
@@ -123,6 +123,44 @@ pub fn col2im_acc(
                 }
             }
         }
+    }
+}
+
+/// The prologue of one image's backward: transposes its output gradient
+/// `dy_b` (`[out_c, n]`) into `dy_t` (`[n, out_c]`) and adds every row's
+/// sum to the bias gradient `db`, [`NR`] output channels at a time (the
+/// `out_c mod 8` tail one at a time).
+fn transpose_and_sum_rows(dy_b: &[f32], dy_t: &mut [f32], db: &mut [f32], out_c: usize, n: usize) {
+    /// Channels `oc..oc + L`: one contiguous `L`-wide store per column of
+    /// `dy_t`, and `L` serial row sums side by side — each `Iterator::sum`'s
+    /// chain, from `-0.0`, added to `db` once complete.
+    #[inline(always)]
+    fn block<const L: usize>(
+        dy_b: &[f32],
+        dy_t: &mut [f32],
+        db: &mut [f32],
+        [out_c, n]: [usize; 2],
+        oc: usize,
+    ) {
+        let dy_rows = rows::<L>(dy_b, oc, n);
+        let mut sums = [DOT_INIT; L];
+        for col in 0..n {
+            let lanes = dy_rows.map(|row| row[col]);
+            for (sum, g) in sums.iter_mut().zip(lanes) {
+                *sum += g;
+            }
+            dy_t[col * out_c + oc..][..L].copy_from_slice(&lanes);
+        }
+        for (g, sum) in db[oc..oc + L].iter_mut().zip(sums) {
+            *g += sum;
+        }
+    }
+    let tiled = out_c - out_c % NR;
+    for oc in (0..tiled).step_by(NR) {
+        block::<NR>(dy_b, dy_t, db, [out_c, n], oc);
+    }
+    for oc in tiled..out_c {
+        block::<1>(dy_b, dy_t, db, [out_c, n], oc);
     }
 }
 
@@ -244,13 +282,7 @@ impl Layer for Conv2d {
         for bi in 0..b {
             let dy_b = &dy.as_slice()[bi * self.out_c * n..(bi + 1) * self.out_c * n];
             let cols = &cols[bi * ck2 * n..(bi + 1) * ck2 * n];
-            for oc in 0..self.out_c {
-                let dy_row = &dy_b[oc * n..(oc + 1) * n];
-                self.b.grad[oc] += dy_row.iter().sum::<f32>();
-                for (col, &g) in dy_row.iter().enumerate() {
-                    dy_t[col * self.out_c + oc] = g;
-                }
-            }
+            transpose_and_sum_rows(dy_b, dy_t, &mut self.b.grad, self.out_c, n);
             // dW[oc, r] += Σ_col dY[oc, col] · cols[r, col].
             matmul_bt_acc(dy_t, cols, &mut self.w.grad, self.out_c, n, ck2);
             // dcols = Wᵀ @ dY  (ck2 × oh*ow), then fold back to dx.
@@ -396,6 +428,27 @@ fn unpack4(x: &Tensor) -> (usize, usize, usize, usize) {
     (s[0], s[1], s[2], s[3])
 }
 
+/// The per-channel loop [`transpose_and_sum_rows`] replaced, kept verbatim
+/// as its bitwise oracle.
+#[cfg(test)]
+mod reference {
+    pub fn transpose_and_sum_rows(
+        dy_b: &[f32],
+        dy_t: &mut [f32],
+        db: &mut [f32],
+        out_c: usize,
+        n: usize,
+    ) {
+        for oc in 0..out_c {
+            let dy_row = &dy_b[oc * n..(oc + 1) * n];
+            db[oc] += dy_row.iter().sum::<f32>();
+            for (col, &g) in dy_row.iter().enumerate() {
+                dy_t[col * out_c + oc] = g;
+            }
+        }
+    }
+}
+
 /// The direct six-deep convolution loops: the independent reference the
 /// lowered [`Conv2d`] is compared against (and finite-differenced through).
 #[cfg(test)]
@@ -490,10 +543,34 @@ mod direct {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{bits, bits_any_nan, poison, tricky};
     use cloudtrain_tensor::init::rng_from_seed;
+    use proptest::prelude::*;
 
-    fn bits(x: &[f32]) -> Vec<u32> {
-        x.iter().map(|v| v.to_bits()).collect()
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The laned backward prologue against the per-channel loop: the
+        /// transposed gradient and a bias gradient that starts non-zero,
+        /// bit for bit, whole lane blocks and `out_c mod 8` tails alike.
+        #[test]
+        fn backward_prologue_matches_reference_bitwise(
+            out_c in 0usize..7,
+            n in 0usize..5,
+            poisoned in 0usize..4,
+            seed in 0u64..1_000_000,
+        ) {
+            let (out_c, n) = ([1, 3, 7, 8, 9, 16, 33][out_c], [0, 1, 4, 64, 256][n]);
+            let mut dy_b = tricky(out_c * n, seed);
+            poison(&mut dy_b, seed, poisoned);
+            let db = tricky(out_c, seed + 1);
+            let (mut db_laned, mut db_ref) = (db.clone(), db);
+            let (mut dy_t, mut dy_t_ref) = (vec![f32::NAN; n * out_c], vec![f32::NAN; n * out_c]);
+            transpose_and_sum_rows(&dy_b, &mut dy_t, &mut db_laned, out_c, n);
+            reference::transpose_and_sum_rows(&dy_b, &mut dy_t_ref, &mut db_ref, out_c, n);
+            prop_assert_eq!(bits_any_nan(&dy_t), bits_any_nan(&dy_t_ref));
+            prop_assert_eq!(bits_any_nan(&db_laned), bits_any_nan(&db_ref));
+        }
     }
 
     fn random_input(shape: [usize; 4], rng: &mut StdRng) -> Tensor {

@@ -63,53 +63,52 @@ impl SyntheticImages {
         self.classes
     }
 
-    /// Generates the sample with global index `idx` (deterministic).
-    pub fn sample(&self, idx: u64) -> (Vec<f32>, u32) {
+    /// Writes the sample with global index `idx` into `out` and returns its
+    /// label: the noise is drawn straight into `out` and the class prototype
+    /// added there (`noise + proto` is `proto + noise` bit for bit) — no
+    /// temporary per sample.
+    fn sample_into(&self, idx: u64, out: &mut [f32]) -> u32 {
         let label = (idx % self.classes as u64) as u32;
         let mut rng = StdRng::seed_from_u64(self.seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut x = self.prototypes[label as usize].clone();
-        let mut noise = vec![0.0; x.len()];
-        init::fill_normal(&mut noise, 0.0, self.noise, &mut rng);
-        for (v, n) in x.iter_mut().zip(&noise) {
-            *v += n;
+        init::fill_normal(out, 0.0, self.noise, &mut rng);
+        for (v, p) in out.iter_mut().zip(&self.prototypes[label as usize]) {
+            *v += p;
         }
+        label
+    }
+
+    /// Generates the sample with global index `idx` (deterministic).
+    pub fn sample(&self, idx: u64) -> (Vec<f32>, u32) {
+        let mut x = vec![0.0; self.dim()];
+        let label = self.sample_into(idx, &mut x);
         (x, label)
+    }
+
+    /// The batch of the `n` samples `ids`, each generated in its slot of
+    /// the batch buffer.
+    fn collect(&self, n: usize, ids: impl Iterator<Item = u64>) -> Batch {
+        let dim = self.dim();
+        let mut data = vec![0.0; n * dim];
+        let labels = ids
+            .enumerate()
+            .map(|(i, id)| self.sample_into(id, &mut data[i * dim..(i + 1) * dim]))
+            .collect();
+        let tensor = Tensor::from_vec(data, vec![n, self.channels, self.res, self.res])
+            .expect("batch shape");
+        Batch {
+            input: Input::Dense(tensor),
+            labels,
+        }
     }
 
     /// Builds the batch of samples `[start, start + batch)`.
     pub fn batch(&self, start: u64, batch: usize) -> Batch {
-        let dim = self.dim();
-        let mut data = Vec::with_capacity(batch * dim);
-        let mut labels = Vec::with_capacity(batch);
-        for i in 0..batch {
-            let (x, y) = self.sample(start + i as u64);
-            data.extend_from_slice(&x);
-            labels.push(y);
-        }
-        let tensor = Tensor::from_vec(data, vec![batch, self.channels, self.res, self.res])
-            .expect("batch shape");
-        Batch {
-            input: Input::Dense(tensor),
-            labels,
-        }
+        self.collect(batch, (start..).take(batch))
     }
 
     /// Builds a batch from explicit sample indices (for sharded sampling).
     pub fn batch_from_ids(&self, ids: &[u64]) -> Batch {
-        let dim = self.dim();
-        let mut data = Vec::with_capacity(ids.len() * dim);
-        let mut labels = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let (x, y) = self.sample(id);
-            data.extend_from_slice(&x);
-            labels.push(y);
-        }
-        let tensor = Tensor::from_vec(data, vec![ids.len(), self.channels, self.res, self.res])
-            .expect("batch shape");
-        Batch {
-            input: Input::Dense(tensor),
-            labels,
-        }
+        self.collect(ids.len(), ids.iter().copied())
     }
 }
 
@@ -196,6 +195,51 @@ impl SyntheticSeq {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `SyntheticImages::sample` as it was before samples were generated in
+    /// place: prototype clone, noise vector, add.
+    fn reference_sample(g: &SyntheticImages, idx: u64) -> (Vec<f32>, u32) {
+        let label = (idx % g.classes as u64) as u32;
+        let mut rng = StdRng::seed_from_u64(g.seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut x = g.prototypes[label as usize].clone();
+        let mut noise = vec![0.0; x.len()];
+        init::fill_normal(&mut noise, 0.0, g.noise, &mut rng);
+        for (v, n) in x.iter_mut().zip(&noise) {
+            *v += n;
+        }
+        (x, label)
+    }
+
+    #[test]
+    fn in_place_samples_match_the_reference_bitwise() {
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        // Odd and even sample lengths: Box–Muller fills two values a draw.
+        for (channels, res, seed) in [(3usize, 16usize, 7u64), (1, 3, 8), (3, 8, 9)] {
+            let g = SyntheticImages::new(10, channels, res, 0.6, seed);
+            let ids = [0u64, 7, 13, 13, 1 << 40, u64::MAX];
+            let mut expect = Vec::new();
+            for &id in &ids {
+                let (x_ref, label_ref) = reference_sample(&g, id);
+                let (x, label) = g.sample(id);
+                assert_eq!((bits(&x), label), (bits(&x_ref), label_ref));
+                expect.extend(x_ref);
+            }
+            let batch = g.batch_from_ids(&ids);
+            let Input::Dense(t) = &batch.input else {
+                panic!()
+            };
+            assert_eq!(bits(t.as_slice()), bits(&expect));
+            assert_eq!(batch.labels, ids.map(|id| (id % 10) as u32));
+
+            let contiguous = g.batch(21, 5);
+            let Input::Dense(t) = &contiguous.input else {
+                panic!()
+            };
+            let expect: Vec<f32> = (21..26).flat_map(|id| reference_sample(&g, id).0).collect();
+            assert_eq!(bits(t.as_slice()), bits(&expect));
+            assert_eq!(contiguous.labels, vec![1, 2, 3, 4, 5]);
+        }
+    }
 
     #[test]
     fn images_are_deterministic_and_class_structured() {

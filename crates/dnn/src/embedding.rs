@@ -19,8 +19,10 @@ pub struct Embedding {
     vocab: usize,
     dim: usize,
     max_len: usize,
+    /// Ids of the last training lookup (a reused buffer) ...
     cached_ids: Vec<u32>,
-    cached_len: usize,
+    /// ... and its sequence length, until backward consumes it.
+    cached_len: Option<usize>,
 }
 
 impl Embedding {
@@ -38,7 +40,7 @@ impl Embedding {
             dim,
             max_len,
             cached_ids: Vec::new(),
-            cached_len: 0,
+            cached_len: None,
         }
     }
 
@@ -47,12 +49,13 @@ impl Embedding {
         self.dim
     }
 
-    /// Looks up `ids` (batch-major, `seq_len` tokens per row).
+    /// Looks up `ids` (batch-major, `seq_len` tokens per row). Only a
+    /// `train` lookup records what [`Embedding::backward`] needs.
     ///
     /// # Panics
     /// Panics if a token id is out of vocabulary or the sequence exceeds
     /// `max_len`.
-    pub fn forward(&mut self, ids: &[u32], seq_len: usize) -> Tensor {
+    pub fn forward(&mut self, ids: &[u32], seq_len: usize, train: bool) -> Tensor {
         assert!(seq_len <= self.max_len, "Embedding: sequence too long");
         assert_eq!(ids.len() % seq_len, 0, "Embedding: ragged batch");
         let rows = ids.len();
@@ -70,13 +73,23 @@ impl Embedding {
                 *d = t + p;
             }
         }
-        self.cached_ids = ids.to_vec();
-        self.cached_len = seq_len;
+        self.cached_ids.clear();
+        if train {
+            self.cached_ids.extend_from_slice(ids);
+        }
+        self.cached_len = train.then_some(seq_len);
         out
     }
 
-    /// Accumulates gradients for the looked-up rows.
+    /// Accumulates gradients for the rows of the last training lookup.
+    ///
+    /// # Panics
+    /// Panics unless a training [`Embedding::forward`] came last.
     pub fn backward(&mut self, dy: &Tensor) {
+        let seq_len = self
+            .cached_len
+            .take()
+            .expect("Embedding: backward before forward");
         assert_eq!(dy.len(), self.cached_ids.len() * self.dim);
         for (r, &id) in self.cached_ids.iter().enumerate() {
             let g = &dy.as_slice()[r * self.dim..(r + 1) * self.dim];
@@ -84,7 +97,7 @@ impl Embedding {
             for (t, v) in tok.iter_mut().zip(g) {
                 *t += v;
             }
-            let pos_idx = r % self.cached_len;
+            let pos_idx = r % seq_len;
             let pos = &mut self.positions.grad[pos_idx * self.dim..(pos_idx + 1) * self.dim];
             for (p, v) in pos.iter_mut().zip(g) {
                 *p += v;
@@ -102,7 +115,7 @@ mod tests {
     fn lookup_adds_token_and_position() {
         let mut rng = rng_from_seed(1);
         let mut e = Embedding::new(10, 4, 8, &mut rng);
-        let out = e.forward(&[3, 7], 2);
+        let out = e.forward(&[3, 7], 2, true);
         for i in 0..4 {
             assert_eq!(
                 out.as_slice()[i],
@@ -119,7 +132,7 @@ mod tests {
     fn backward_scatters_to_used_rows_only() {
         let mut rng = rng_from_seed(2);
         let mut e = Embedding::new(10, 2, 4, &mut rng);
-        let _ = e.forward(&[5, 5], 2);
+        let _ = e.forward(&[5, 5], 2, true);
         let dy = Tensor::from_vec_1d(vec![1.0, 2.0, 3.0, 4.0]);
         e.backward(&dy);
         // Token 5 used twice: grads accumulate.
@@ -131,10 +144,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn backward_after_an_evaluation_lookup_panics() {
+        let mut rng = rng_from_seed(4);
+        let mut e = Embedding::new(4, 2, 4, &mut rng);
+        let _ = e.forward(&[1, 2], 2, true);
+        let _ = e.forward(&[3, 3, 3, 3], 2, false);
+        e.backward(&Tensor::zeros(vec![2, 2]));
+    }
+
+    #[test]
     #[should_panic(expected = "out of vocab")]
     fn oov_token_panics() {
         let mut rng = rng_from_seed(3);
         let mut e = Embedding::new(4, 2, 4, &mut rng);
-        e.forward(&[4], 1);
+        e.forward(&[4], 1, true);
     }
 }

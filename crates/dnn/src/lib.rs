@@ -39,6 +39,8 @@ pub mod math;
 pub mod model;
 pub mod models;
 pub mod norm;
+#[cfg(test)]
+mod testutil;
 
 pub use layer::{Layer, Param};
 pub use model::{Input, Model, ParamRange};

@@ -14,6 +14,7 @@ pub struct Linear {
     b: Param,
     in_dim: usize,
     out_dim: usize,
+    /// The input of the last training forward, until backward consumes it.
     cached_x: Option<Tensor>,
 }
 
@@ -43,7 +44,7 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
         let batch = x.len() / self.in_dim;
         assert_eq!(x.len(), batch * self.in_dim, "Linear: ragged input");
         let mut y = Tensor::zeros(vec![batch, self.out_dim]);
@@ -60,7 +61,8 @@ impl Layer for Linear {
                 *v += b;
             }
         }
-        self.cached_x = Some(x);
+        // Evaluation has no backward: record nothing.
+        self.cached_x = train.then_some(x);
         y
     }
 
@@ -193,5 +195,17 @@ mod tests {
     fn backward_without_forward_panics() {
         let mut l = layer(2, 2);
         l.backward(Tensor::zeros_1d(4));
+    }
+
+    /// An evaluation forward between a training forward and its backward
+    /// used to replace the cached input silently, so the backward returned
+    /// the gradient of the validation batch.
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn backward_after_an_evaluation_forward_panics() {
+        let mut l = layer(2, 2);
+        let _ = l.forward(Tensor::zeros(vec![1, 2]), true);
+        let y = l.forward(Tensor::zeros(vec![3, 2]), false);
+        l.backward(y);
     }
 }

@@ -24,8 +24,10 @@
 /// Every channel count and every `c·k·k` of the reference models but the
 /// stem's 27 is a multiple of 4, so edge tiles are rare.
 const MR: usize = 4;
-/// Output columns (lanes) per register tile: two SSE2 registers.
-const NR: usize = 8;
+/// Output columns (lanes) per register tile: two SSE2 registers. Also the
+/// number of channels (or rows) the normalisation layers and the conv bias
+/// gradient sum side by side.
+pub(crate) const NR: usize = 8;
 /// Tile edge of the dot-product form ([`matmul_bt`]), whose operands are
 /// both reduction-contiguous, so no output dimension is contiguous to
 /// lane over: `BT × BT` = 16 independent *scalar* chains (4 registers of
@@ -35,11 +37,11 @@ const BT: usize = 4;
 /// What `Iterator::sum::<f32>()` starts from. The dot forms were written
 /// as `zip().map().sum()`, so their first product is added to `-0.0`
 /// (the additive identity that keeps a `-0.0` product `-0.0`).
-const DOT_INIT: f32 = -0.0;
+pub(crate) const DOT_INIT: f32 = -0.0;
 
 /// Loads the first `N` elements of a slice (one bounds check).
 #[inline(always)]
-fn load<const N: usize>(s: &[f32]) -> [f32; N] {
+pub(crate) fn load<const N: usize>(s: &[f32]) -> [f32; N] {
     let mut out = [0.0; N];
     out.copy_from_slice(&s[..N]);
     out
@@ -68,8 +70,32 @@ fn tile<const R: usize>(
 
 /// `R` consecutive length-`k` rows of a row-major matrix, from row `i`.
 #[inline(always)]
-fn rows<const R: usize>(x: &[f32], i: usize, k: usize) -> [&[f32]; R] {
-    std::array::from_fn(|r| &x[(i + r) * k..][..k])
+pub(crate) fn rows<const R: usize>(x: &[f32], i: usize, k: usize) -> [&[f32]; R] {
+    // A plain loop, not `array::from_fn`: it always unrolls, so every row
+    // is visibly `k` long and indexing below `k` needs no bounds check.
+    let mut out = [&x[..0]; R];
+    for (r, row) in out.iter_mut().enumerate() {
+        *row = &x[(i + r) * k..][..k];
+    }
+    out
+}
+
+/// `L` serial sums side by side, one per row: lane `l` is what
+/// `rows[l].iter().map(|&v| term(l, v)).sum::<f32>()` computes — `-0.0`
+/// plus the terms in ascending index — so only the number of dependent-add
+/// chains in flight changes. The rows must be equally long.
+#[inline(always)]
+pub(crate) fn row_sums<const L: usize>(
+    rows: [&[f32]; L],
+    term: impl Fn(usize, f32) -> f32,
+) -> [f32; L] {
+    let mut acc = [DOT_INIT; L];
+    for i in 0..rows.first().map_or(0, |row| row.len()) {
+        for (l, (a, row)) in acc.iter_mut().zip(rows).enumerate() {
+            *a += term(l, row[i]);
+        }
+    }
+    acc
 }
 
 /// `c = a @ b` where `a` is `m×k`, `b` is `k×n`, `c` is `m×n` (overwritten).
@@ -279,14 +305,23 @@ pub fn softmax_rows(x: &mut [f32], m: usize, n: usize) {
 
 /// Transposes an `m×n` matrix into a new `n×m` buffer.
 pub fn transpose(x: &[f32], m: usize, n: usize) -> Vec<f32> {
-    assert_eq!(x.len(), m * n, "transpose: wrong length");
     let mut out = vec![0.0; n * m];
+    transpose_into(x, &mut out, m, n);
+    out
+}
+
+/// Transposes an `m×n` matrix into the `n×m` buffer `out` (overwritten).
+///
+/// # Panics
+/// Panics if either buffer is not `m * n` long.
+pub fn transpose_into(x: &[f32], out: &mut [f32], m: usize, n: usize) {
+    assert_eq!(x.len(), m * n, "transpose: wrong length");
+    assert_eq!(out.len(), m * n, "transpose: wrong output length");
     for i in 0..m {
         for j in 0..n {
             out[j * m + i] = x[i * n + j];
         }
     }
-    out
 }
 
 /// The serial loops the tiled kernels replaced, kept verbatim as the
@@ -346,33 +381,8 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{bits, tricky};
     use proptest::prelude::*;
-
-    /// Deterministic test data mixing the values that expose a changed
-    /// start value or summation order: `+0.0`, `-0.0`, subnormals of
-    /// either sign, and ordinary magnitudes spread over many binades.
-    fn tricky(len: usize, seed: u64) -> Vec<f32> {
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        (0..len)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                let r = (state >> 16) as u32;
-                let sign = r & 0x8000_0000;
-                match r % 8 {
-                    0 => 0.0,
-                    1 => -0.0,
-                    2 => f32::from_bits(sign | (r & 0x007f_ffff)),
-                    _ => f32::from_bits(sign | (((r >> 8) % 24 + 115) << 23) | (r & 0x007f_ffff)),
-                }
-            })
-            .collect()
-    }
-
-    fn bits(x: &[f32]) -> Vec<u32> {
-        x.iter().map(|v| v.to_bits()).collect()
-    }
 
     /// All four kernels against their references at one shape.
     fn assert_kernels_match_reference(m: usize, k: usize, n: usize, seed: u64) {

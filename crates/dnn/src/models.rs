@@ -326,7 +326,8 @@ pub struct TransformerModel {
     head: Linear,
     seq: usize,
     dim: usize,
-    cached_batch: usize,
+    /// Batch size of the last training forward, until backward consumes it.
+    cached_batch: Option<usize>,
 }
 
 impl std::fmt::Debug for TransformerModel {
@@ -357,7 +358,7 @@ impl TransformerModel {
             head: Linear::new(dim, classes, rng),
             seq,
             dim,
-            cached_batch: 0,
+            cached_batch: None,
         }
     }
 
@@ -387,7 +388,7 @@ impl Model for TransformerModel {
         };
         assert_eq!(*seq_len, self.seq, "TransformerModel: seq length mismatch");
         let batch = ids.len() / self.seq;
-        let mut h = self.embed.forward(ids, self.seq);
+        let mut h = self.embed.forward(ids, self.seq, train);
         for b in &mut self.blocks {
             h = b.forward(h, train);
         }
@@ -404,12 +405,15 @@ impl Model for TransformerModel {
             }
             dst.iter_mut().for_each(|v| *v /= self.seq as f32);
         }
-        self.cached_batch = batch;
+        self.cached_batch = train.then_some(batch);
         self.head.forward(pooled, train)
     }
 
     fn backward(&mut self, dlogits: Tensor) {
-        let batch = self.cached_batch;
+        let batch = self
+            .cached_batch
+            .take()
+            .expect("TransformerModel: backward before forward");
         let dpooled = self.head.backward(dlogits);
         // Un-pool: broadcast /seq to every position.
         let mut dh = Tensor::zeros(vec![batch * self.seq, self.dim]);
@@ -557,6 +561,57 @@ mod tests {
         let mut g = vec![0.0; d];
         m.read_grads(&mut g);
         assert!(g.iter().any(|v| *v != 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn transformer_backward_after_an_evaluation_forward_panics() {
+        let mut m = TransformerModel::new(16, 8, 4, 1, 5, &mut rng_from_seed(7));
+        let tokens = |ids: Vec<u32>| Input::Tokens { ids, seq_len: 4 };
+        let y = m.forward(&tokens(vec![1, 2, 3, 4]), true);
+        let (_, grad) = softmax_cross_entropy(&y, &[0]);
+        let _ = m.forward(&tokens(vec![5; 12]), false);
+        m.backward(grad);
+    }
+
+    /// A validation forward between two training steps — at another batch
+    /// size, through every reused buffer — changes no bit of either step.
+    #[test]
+    fn evaluation_between_steps_changes_no_training_bit() {
+        use crate::data::{Batch, SyntheticImages, SyntheticSeq};
+        fn run(
+            model: &mut dyn Model,
+            batch_at: &dyn Fn(u64, usize) -> Batch,
+            eval: bool,
+        ) -> Vec<u32> {
+            let mut grads = vec![0.0; model.param_count()];
+            let mut trace = Vec::new();
+            for step in 0..2 {
+                let batch = batch_at(step * 8, 8);
+                let y = model.forward(&batch.input, true);
+                let (loss, dy) = softmax_cross_entropy(&y, &batch.labels);
+                model.backward(dy);
+                model.read_grads(&mut grads);
+                model.zero_grads();
+                trace.push(loss.to_bits());
+                trace.extend(grads.iter().map(|g| g.to_bits()));
+                if eval {
+                    let _ = model.forward(&batch_at(1000, 64).input, false);
+                }
+            }
+            trace
+        }
+        let images = SyntheticImages::new(10, 3, 8, 0.6, 7);
+        let seqs = SyntheticSeq::new(10, 64, 16, 7);
+        let [plain, evaluated] = [false, true].map(|eval| {
+            let mut resnet = resnet_lite(8, 10, &mut rng_from_seed(8));
+            let mut tfm = TransformerModel::new(64, 16, 16, 2, 10, &mut rng_from_seed(8));
+            (
+                run(&mut resnet, &|at, b| images.batch(at, b), eval),
+                run(&mut tfm, &|at, b| seqs.batch(at, b), eval),
+            )
+        });
+        assert_eq!(plain, evaluated);
     }
 
     #[test]
