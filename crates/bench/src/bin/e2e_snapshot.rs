@@ -9,13 +9,9 @@
 //! * **fused compress–reduce** — MSTopK HiTopKComm with and without the
 //!   fused ReduceScatter+top-k hop.
 //!
-//! The lane tier (scalar vs `simd` dispatch) is a compile-time axis: the
-//! binary records which tier it was built with, and
-//! `scripts/bench_snapshot.sh` builds it both ways, passing the scalar
-//! build's snapshot in as the baseline for the cross-tier speedup. The
-//! headline number — cost-model-bucketed dense steps/sec over the
-//! scalar per-layer baseline — must stay ≥ 1.5×; `scripts/ci.sh`
-//! enforces the ceiling.
+//! The headline number — `fusion_speedup`, cost-model-bucketed dense
+//! steps/sec over the per-layer dense row of the same run — must stay
+//! ≥ 1.5×; `scripts/ci.sh` enforces the ceiling.
 //!
 //! Wall-clock numbers are not byte-stable, so (like `obs_snapshot`) the
 //! deterministic fingerprint of every configuration — final accuracy
@@ -23,19 +19,19 @@
 //! between `E2E-BEGIN`/`E2E-END` markers for CI to slice out and `cmp`
 //! across two invocations.
 //!
-//! Usage: `e2e_snapshot [out.json] [baseline.json]`.
+//! Usage: `e2e_snapshot [out.json]`.
 
 use cloudtrain::engine::autotune::{autotune_layers, AutotuneConfig, CommModel};
 use cloudtrain::engine::trainer::{workload_layer_ranges, Workload};
 use cloudtrain::prelude::*;
 use cloudtrain_bench::{fmt_secs, header};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Instant;
 
 /// Measurement reps per configuration (plus one warmup run).
 const REPS: usize = 3;
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct ConfigRecord {
     name: String,
     strategy: String,
@@ -47,48 +43,31 @@ struct ConfigRecord {
     buckets: u64,
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct Snapshot {
     benchmark: String,
-    lane_tier: String,
     reps: usize,
     global_steps: usize,
     configs: Vec<ConfigRecord>,
-    /// Same-build ratio: dense cost-model buckets over dense per-layer.
+    /// Headline: dense cost-model buckets over dense per-layer — the
+    /// α-pathology the raw-speed pass exists to kill.
     fusion_speedup: f64,
-    /// Same-build ratio: fused over unfused MSTopK. Informational — the
-    /// fused hop's contract is bitwise identity at fewer passes, and on a
-    /// single-core host the saved passes are hidden behind thread sync,
-    /// so this ratio hovers near 1 and is not gated.
+    /// Fused over unfused MSTopK. Informational — the fused hop's
+    /// contract is bitwise identity at fewer passes, and on a single-core
+    /// host the saved passes are hidden behind thread sync, so this ratio
+    /// hovers near 1 and is not gated.
     fused_speedup: f64,
     /// The fused-compress-reduce flag the per-layer autotuner picked for
     /// this exact topology/workload from the α–β cost model (no wall
     /// clock): `true` means it predicts fusing the ReduceScatter+top-k
     /// hop is at least as fast as staging it.
-    #[serde(default)]
     autotune_fused: bool,
     /// Gated ratio: autotuned MSTopK steps/sec over the best hand-picked
     /// MSTopK row. The cost model is deterministic, so the only reason
     /// this dips below 1.0 is single-core wall-clock jitter; `scripts/
     /// ci.sh` holds it ≥ 0.9 so the tuner can never silently route onto
     /// the slower fused/staged path (the ISSUE-8 regression).
-    #[serde(default)]
     autotune_efficiency: f64,
-    /// Headline: dense cost-model steps/sec of this build over the
-    /// baseline snapshot's per-layer dense row — the α-pathology the
-    /// raw-speed pass exists to kill, across both compile tiers. Falls
-    /// back to the same-build [`Self::fusion_speedup`] when no baseline
-    /// snapshot is supplied.
-    speedup_vs_baseline: f64,
-    baseline_lane_tier: String,
-}
-
-fn lane_tier() -> &'static str {
-    if cfg!(feature = "simd") {
-        "simd"
-    } else {
-        "scalar"
-    }
 }
 
 fn base_cfg(strategy: Strategy) -> DistConfig {
@@ -195,12 +174,8 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_e2e.json".to_string());
-    let baseline_path = std::env::args().nth(2);
 
-    header(&format!(
-        "End-to-end steps/sec matrix (lane tier: {})",
-        lane_tier()
-    ));
+    header("End-to-end steps/sec matrix");
     println!(
         "{:>16} {:>14} {:>14} {:>8} {:>12} {:>10} {:>8}",
         "config", "strategy", "fusion", "fused", "best run", "steps/s", "top1"
@@ -266,7 +241,6 @@ fn main() {
 
     let mut snapshot = Snapshot {
         benchmark: "e2e_steps_per_sec".to_string(),
-        lane_tier: lane_tier().to_string(),
         reps: REPS,
         global_steps,
         configs,
@@ -274,8 +248,6 @@ fn main() {
         fused_speedup: 0.0,
         autotune_fused: autotune_fused_flag(),
         autotune_efficiency: 0.0,
-        speedup_vs_baseline: 0.0,
-        baseline_lane_tier: "none".to_string(),
     };
     let (dense_opt, dense_base, sparse_opt, sparse_base, sparse_tuned) = {
         let get = |name: &str| {
@@ -294,31 +266,8 @@ fn main() {
     snapshot.fused_speedup = sparse_opt / sparse_base;
     snapshot.autotune_efficiency = sparse_tuned / sparse_opt.max(sparse_base);
 
-    // Cross-build baseline: the scalar/unfused/per-layer rows of a prior
-    // snapshot (written by the non-simd build of this binary).
-    let baseline = baseline_path.and_then(|p| {
-        let text = std::fs::read_to_string(&p)
-            .map_err(|e| eprintln!("baseline {p}: {e}"))
-            .ok()?;
-        serde_json::from_str::<Snapshot>(&text)
-            .map_err(|e| eprintln!("baseline {p}: {e}"))
-            .ok()
-    });
-    match &baseline {
-        Some(base) => {
-            snapshot.speedup_vs_baseline =
-                dense_opt / steps_per_sec(base, "dense_perlayer").unwrap_or(f64::INFINITY);
-            snapshot.baseline_lane_tier = base.lane_tier.clone();
-        }
-        None => {
-            snapshot.speedup_vs_baseline = snapshot.fusion_speedup;
-            snapshot.baseline_lane_tier = snapshot.lane_tier.clone();
-        }
-    }
-
     // Deterministic fingerprint section for the CI double-run `cmp`.
     println!("E2E-BEGIN");
-    println!("lane_tier={}", snapshot.lane_tier);
     println!("global_steps={global_steps}");
     for line in &fingerprints {
         println!("{line}");
@@ -345,7 +294,7 @@ fn main() {
     println!("E2E-END");
 
     println!(
-        "\nfusion buckets speedup (cost-model vs per-layer): {:.2}x",
+        "\nfusion buckets speedup (cost-model vs per-layer): {:.2}x (ceiling: 1.5x)",
         snapshot.fusion_speedup
     );
     println!(
@@ -355,10 +304,6 @@ fn main() {
     println!(
         "autotuned vs best hand-picked mstopk (fused={}):  {:.2}x (floor: 0.9x)",
         snapshot.autotune_fused, snapshot.autotune_efficiency
-    );
-    println!(
-        "headline speedup vs {} baseline:              {:.2}x (ceiling: 1.5x)",
-        snapshot.baseline_lane_tier, snapshot.speedup_vs_baseline
     );
 
     match serde_json::to_string(&snapshot) {

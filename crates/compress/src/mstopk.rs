@@ -37,10 +37,9 @@
 //! * **The pass.** Block by [`ops::REDUCE_BLOCK`]-wide block: add (with
 //!   error feedback), fold `Σ|x|` and `max|x|` with the tensor crate's own
 //!   block kernels in block order — so `mean|x|` and `max|x|` are bitwise
-//!   those of `ops::mean_abs` / `ops::max_abs` in every lane × thread tier —
-//!   and, while the block is cache-resident, compact the magnitudes at or
-//!   above the cutoff into a dense *survivor* buffer plus a membership
-//!   bitmap.
+//!   those of `ops::mean_abs` / `ops::max_abs` — and, while the block is
+//!   cache-resident, compact the magnitudes at or above the cutoff into a
+//!   dense *survivor* buffer plus a membership bitmap.
 //! * **Probes from the survivors.** A probe at or above the cutoff is
 //!   counted exactly on the survivors (everything it can count survived).
 //!   A probe *below* the cutoff needs no count: all `S > k` survivors

@@ -8,11 +8,10 @@
 //! its products one at a time in ascending reduction index, so the result
 //! is bit for bit the serial triple loop's (kept under `#[cfg(test)]` as
 //! `reference`, the oracle the tests compare `to_bits` against) — only
-//! the number of dependent-add chains in flight changes. The lane-array
-//! style is `cloudtrain_tensor::ops::simd`'s: `[f32; NR]` blocks in safe
-//! Rust that LLVM lowers onto vector registers, no intrinsics, no
-//! `unsafe`. DESIGN.md §6.4 has the order-preservation argument per
-//! kernel.
+//! the number of dependent-add chains in flight changes. The tiles are
+//! `[f32; NR]` blocks in safe Rust that LLVM lowers onto vector registers,
+//! no intrinsics, no `unsafe`. DESIGN.md §6.4 has the order-preservation
+//! argument per kernel.
 
 /// Output rows per register tile.
 ///

@@ -48,7 +48,9 @@ pub const RULE_DOCS: &[(&str, &str)] = &[
         "Flags ambient nondeterminism in library code: std::env reads, \
          thread spawns, rand::thread_rng and friends. All entropy must come \
          from seeded RNGs threaded through init::rng_from_seed. Fix: plumb \
-         seeds/config explicitly; bench binaries are exempt by path.",
+         seeds/config explicitly; a spawn whose results cannot depend on \
+         scheduling carries lint:allow(ambient, reason = \"..\") stating \
+         why; bench binaries are exempt by path.",
     ),
     (
         "forbid_unsafe",

@@ -1,12 +1,11 @@
 //! Structural regions over the token stream.
 //!
-//! The rules need three kinds of context a flat token stream does not
+//! The rules need two kinds of context a flat token stream does not
 //! give: whether a token sits in test code (`#[cfg(test)]` items or
-//! `#[test]` functions), whether it sits under a `cfg(feature = ...)`
-//! gate (the deterministic parallel tier is allowed to spawn threads),
-//! and which named functions enclose it (the checked-decode rule only
-//! applies inside `decode*`/`from_bytes` bodies). All three are computed
-//! in one pass with brace matching — no full parse.
+//! `#[test]` functions), and which named functions enclose it (the
+//! checked-decode rule only applies inside `decode*`/`from_bytes`
+//! bodies). Both are computed in one pass with brace matching — no full
+//! parse.
 
 use crate::lexer::{is_ident, is_punct, Tok, Token};
 
@@ -31,8 +30,6 @@ pub struct FnSpan {
 pub struct Regions {
     /// Spans of `#[cfg(test)]` items and `#[test]` functions.
     pub test: Vec<Span>,
-    /// Spans of items under a `cfg(feature = ...)` gate.
-    pub feature_gated: Vec<Span>,
     /// Every named `fn` body, in source order.
     pub fns: Vec<FnSpan>,
     /// 1-based line ranges `[first, last]` of every outer `#[...]`
@@ -46,11 +43,6 @@ impl Regions {
     /// Whether token index `i` falls in test code.
     pub fn in_test(&self, i: usize) -> bool {
         self.test.iter().any(|&(a, b)| a <= i && i <= b)
-    }
-
-    /// Whether token index `i` falls under a feature gate.
-    pub fn in_feature_gated(&self, i: usize) -> bool {
-        self.feature_gated.iter().any(|&(a, b)| a <= i && i <= b)
     }
 
     /// Names of the functions whose bodies contain token index `i`,
@@ -80,42 +72,12 @@ fn match_pairs(tokens: &[Token], open: char, close: char) -> Vec<usize> {
     out
 }
 
-/// Kinds of attribute relevant to region building.
-enum AttrKind {
-    Test,
-    FeatureGate,
-    Other,
-}
-
-/// Classifies the attribute tokens between `[` and its matching `]`.
-fn classify_attr(tokens: &[Token]) -> AttrKind {
-    let mut has_cfg = false;
-    let mut has_test = false;
-    let mut has_feature = false;
-    let mut has_not = false;
-    for t in tokens {
-        if let Tok::Ident(s) = &t.tok {
-            match s.as_str() {
-                "cfg" | "cfg_attr" => has_cfg = true,
-                "test" => has_test = true,
-                "feature" => has_feature = true,
-                "not" => has_not = true,
-                _ => {}
-            }
-        }
-    }
-    if has_cfg && has_test {
-        AttrKind::Test
-    } else if has_cfg && has_feature && !has_not {
-        // `cfg(not(feature = ...))` is the *absence* of the gated tier —
-        // it does not earn the tier's exemptions.
-        AttrKind::FeatureGate
-    } else if has_test && tokens.len() == 1 {
-        // Bare `#[test]`.
-        AttrKind::Test
-    } else {
-        AttrKind::Other
-    }
+/// Whether the attribute tokens between `[` and its matching `]` mark test
+/// code: `cfg(test)` / `cfg_attr(test, ..)` or a bare `#[test]`.
+fn is_test_attr(tokens: &[Token]) -> bool {
+    let has = |name: &str| tokens.iter().any(|t| is_ident(t, name));
+    let has_cfg = has("cfg") || has("cfg_attr");
+    has("test") && (has_cfg || tokens.len() == 1)
 }
 
 /// Builds the region table for a token stream.
@@ -144,7 +106,7 @@ pub fn analyze(tokens: &[Token]) -> Regions {
             i += 1;
             continue;
         }
-        let kind = classify_attr(&tokens[open + 1..close]);
+        let is_test = is_test_attr(&tokens[open + 1..close]);
         // Find where the attributed item ends: skip any further outer
         // attributes, then scan to the item's body `{...}` or to `;`.
         let mut j = close + 1;
@@ -179,13 +141,8 @@ pub fn analyze(tokens: &[Token]) -> Regions {
             .attr_lines
             .push((tokens[i].line, tokens[close].line));
         if let Some(end) = end {
-            if end != usize::MAX {
-                let span = (i, end);
-                match kind {
-                    AttrKind::Test => regions.test.push(span),
-                    AttrKind::FeatureGate => regions.feature_gated.push(span),
-                    AttrKind::Other => {}
-                }
+            if is_test && end != usize::MAX {
+                regions.test.push((i, end));
             }
         }
         i = close + 1;
@@ -284,20 +241,6 @@ mod tests {
         let free = tokens.iter().position(|t| is_ident(t, "free")).unwrap();
         assert!(r.in_test(probe));
         assert!(!r.in_test(free));
-    }
-
-    #[test]
-    fn feature_gate_covers_the_item() {
-        let src =
-            "#[cfg(feature = \"parallel\")]\nfn par() { spawn_here(); }\nfn serial() { stay(); }";
-        let (tokens, r) = regions_of(src);
-        let spawn = tokens
-            .iter()
-            .position(|t| is_ident(t, "spawn_here"))
-            .unwrap();
-        let stay = tokens.iter().position(|t| is_ident(t, "stay")).unwrap();
-        assert!(r.in_feature_gated(spawn));
-        assert!(!r.in_feature_gated(stay));
     }
 
     #[test]

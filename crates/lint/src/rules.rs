@@ -12,7 +12,7 @@
 //! | `panic_free`    | library code of the core planes from panics         |
 //! | `checked_decode`| decode paths from length-arithmetic overflow        |
 //! | `feature_gate`  | `cfg(feature)` against undeclared feature names     |
-//! | `ambient`       | against unseeded RNG and ungated thread spawns      |
+//! | `ambient`       | against unseeded RNG and undocumented thread spawns |
 //! | `forbid_unsafe` | leaf crates keep `#![forbid(unsafe_code)]`          |
 
 use crate::lexer::{is_ident, is_punct, Tok, Token};
@@ -446,9 +446,10 @@ fn feature_gate(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// RNG constructors that seed from the environment instead of the caller.
 const UNSEEDED_RNG: &[&str] = &["thread_rng", "from_entropy", "from_os_rng", "OsRng"];
 
-/// Rule 6: ambient nondeterminism. Unseeded RNG construction anywhere,
-/// and `spawn` outside the feature-gated parallel tier, are flagged —
-/// both make two same-seed runs diverge.
+/// Rule 6: ambient nondeterminism. Unseeded RNG construction and thread
+/// `spawn`s are flagged — both can make two same-seed runs diverge. A spawn
+/// whose results cannot depend on scheduling says why in an inline
+/// suppression.
 fn ambient(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     if ctx
         .config
@@ -480,14 +481,13 @@ fn ambient(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 && i > 0
                 && (is_punct(&toks[i - 1], '.') || is_punct(&toks[i - 1], ':'))
                 && matches!(toks.get(i + 1), Some(n) if is_punct(n, '('))
-                && !ctx.regions.in_feature_gated(i)
             {
                 out.push(
                     ctx.finding(
                         "ambient",
                         t.line,
-                        "thread spawn outside the feature-gated parallel tier; gate it behind \
-                     `cfg(feature = ..)` or document the determinism argument with a suppression"
+                        "thread spawn: scheduling can leak into results; state the determinism \
+                     argument in a `lint:allow(ambient, reason = \"..\")` at the spawn site"
                             .to_string(),
                     ),
                 );

@@ -1,4 +1,4 @@
-//! Positive fixture: unseeded RNG and an ungated thread spawn.
+//! Positive fixture: unseeded RNG and an undocumented thread spawn.
 
 pub fn entropy() -> u64 {
     let rng = rand::thread_rng();

@@ -1,5 +1,5 @@
 //! Positive fixture: deadline-jitter faults drawn from ambient entropy
-//! and a probe helper on an ungated thread — either one makes two
+//! and a probe helper on an undocumented thread — either one makes two
 //! same-seed gauntlet runs diverge, which the twice-run `cmp` gate would
 //! only catch after the fact.
 

@@ -7,683 +7,77 @@
 //! the coalesced streaming passes that make MSTopK GPU-friendly in the
 //! paper (§3.1).
 //!
-//! # Execution tiers
+//! # Canonical reduction schedule
 //!
-//! Two independent tier axes compose, and every combination is **bitwise
-//! identical** for every input:
-//!
-//! * **Lane tier** — [`scalar`] (per-element reference loops) vs [`simd`]
-//!   (explicit fixed-width `[f32; LANES]` lane-array kernels the
-//!   autovectorizer maps onto vector registers; safe, `forbid_unsafe`-clean).
-//!   Both modules are always compiled; the `simd` cargo feature selects
-//!   which one the dispatching kernels run.
-//! * **Thread tier** — [`serial`] (always compiled; the default dispatch
-//!   target) vs `parallel` (scoped-thread implementations behind the
-//!   `parallel` feature, alias `rayon`).
-//!
-//! Determinism contract: every floating-point reduction — in *all* tiers —
-//! follows one canonical schedule. Across blocks, fixed-width blocks of
+//! Every kernel exists once, and the blocked floating-point reductions
+//! ([`mean_abs`], [`max_abs`] and the fused `*_abs_stats_blocked` passes)
+//! follow one fixed schedule, so a result never depends on how a caller
+//! fuses or stages the pass. Across blocks, fixed-width blocks of
 //! [`REDUCE_BLOCK`] elements are folded with per-block partials combined in
-//! block-index order. Within a block, partials accumulate into [`LANES`]
-//! independent lanes striped across the block and are combined in lane
-//! order (the *lane-striped schedule*), with the sub-lane tail folded last.
-//! The [`scalar`] and [`simd`] modules implement this same schedule —
-//! per-element vs lane-array form — so the feature choice never changes a
-//! result, and the thread tier computes the same block partials on worker
-//! threads and folds them in the same order. Mutating kernels partition
-//! their output disjointly (element ranges for `axpy` / `add_assign`, index
-//! ranges for `scatter_add`, preserving per-position accumulation order),
-//! which makes them trivially deterministic. The property tests assert
-//! bitwise identity across all tier combinations.
+//! block-index order. Within a block, element `i` accumulates into lane
+//! `i % LANES` in index order, the [`LANES`] lane partials are combined in
+//! lane order, and the sub-lane tail is folded last. The loops are plain
+//! `chunks_exact(LANES)` loops over a `[f32; LANES]` accumulator, which LLVM
+//! already lowers onto vector registers (DESIGN.md §6.3 has the
+//! measurement). Mutating kernels are position-wise (`axpy`, `add_assign`)
+//! or apply their contributions in `idx` order (`scatter_add`). The
+//! `#[cfg(test)]` `reference` module restates the schedule by index
+//! arithmetic and the tests hold every kernel to it bit for bit.
 
-/// Width of the fixed reduction blocks shared by the serial and parallel
-/// tiers. Floating-point partials are combined in block-index order, so the
-/// tier choice (and the thread count) never changes a result.
+/// Width of the fixed reduction blocks. Floating-point partials are
+/// combined in block-index order, so fusing or staging a pass never changes
+/// a result.
 pub const REDUCE_BLOCK: usize = 1 << 16;
 
-/// Lane width of the canonical in-block reduction schedule and of the
-/// [`simd`] tier's `[f32; LANES]` kernels. [`REDUCE_BLOCK`] is a multiple
-/// of `LANES`, so full blocks have no sub-lane tail.
+/// Lane width of the canonical in-block reduction schedule.
+/// [`REDUCE_BLOCK`] is a multiple of `LANES`, so full blocks have no
+/// sub-lane tail.
 pub const LANES: usize = 8;
 
-/// Per-element reference forms of the lane kernels (the *scalar* lane tier).
-///
-/// Every reduction implements the canonical lane-striped schedule (see the
-/// module docs) in plain per-element loops, so the results are bitwise
-/// identical to the [`simd`] twin for every input — the property tests
-/// assert so. This module is always compiled: differential tests and the
-/// micro-benches compare the two tiers regardless of the feature set.
-pub mod scalar {
-    use super::{LANES, REDUCE_BLOCK};
-
-    /// Sum of absolute values under the canonical lane-striped schedule.
-    pub fn sum_abs(x: &[f32]) -> f32 {
-        let mut acc = [0.0f32; LANES];
-        let mut chunks = x.chunks_exact(LANES);
-        for c in &mut chunks {
-            for (a, v) in acc.iter_mut().zip(c) {
-                *a += v.abs();
-            }
-        }
-        let mut total = 0.0f32;
-        for a in acc {
-            total += a;
-        }
-        for v in chunks.remainder() {
-            total += v.abs();
-        }
-        total
-    }
-
-    /// Maximum absolute value; 0 for an empty slice.
-    ///
-    /// The lane accumulators start at `0.0` and only ever take a magnitude
-    /// that compared greater, so they never hold NaN; under that invariant
-    /// the compare-and-keep below is bitwise `f32::max` (a NaN magnitude
-    /// fails the compare and is skipped, exactly as `max` ignores it) while
-    /// lowering to a plain compare + blend instead of `max`'s NaN-ordering
-    /// sequence — ~2x faster on the baseline SSE2 target.
-    pub fn max_abs(x: &[f32]) -> f32 {
-        let mut acc = [0.0f32; LANES];
-        let mut chunks = x.chunks_exact(LANES);
-        for c in &mut chunks {
-            for (a, v) in acc.iter_mut().zip(c) {
-                let m = v.abs();
-                *a = if m > *a { m } else { *a };
-            }
-        }
-        let mut m = 0.0f32;
-        for a in acc {
-            m = m.max(a);
-        }
-        for v in chunks.remainder() {
-            m = m.max(v.abs());
-        }
-        m
-    }
-
-    /// Elements with `|v| >= thres` (exact — an integer reduction).
-    ///
-    /// The lane counters are `u32` — twice as many per vector register as
-    /// `usize` ones — and are flushed into the `usize` total every
-    /// [`REDUCE_BLOCK`] elements, long before one could wrap.
-    pub fn count_ge(x: &[f32], thres: f32) -> usize {
-        let mut total = 0usize;
-        for part in x.chunks(REDUCE_BLOCK) {
-            let mut acc = [0u32; LANES];
-            let mut chunks = part.chunks_exact(LANES);
-            for c in &mut chunks {
-                for (a, v) in acc.iter_mut().zip(c) {
-                    *a += u32::from(v.abs() >= thres);
-                }
-            }
-            total += acc.iter().map(|&a| a as usize).sum::<usize>()
-                + chunks
-                    .remainder()
-                    .iter()
-                    .map(|v| usize::from(v.abs() >= thres))
-                    .sum::<usize>();
-        }
-        total
-    }
-
-    /// `y[i] += x[i]` for all `i`.
-    ///
-    /// # Panics
-    /// Panics if the slices have different lengths.
-    pub fn add_assign(y: &mut [f32], x: &[f32]) {
-        assert_eq!(y.len(), x.len(), "add_assign: length mismatch");
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += xi;
+/// `Σ|v|` of one block under the canonical lane-striped schedule.
+fn block_sum_abs(b: &[f32]) -> f32 {
+    let mut acc = [0.0f32; LANES];
+    let mut chunks = b.chunks_exact(LANES);
+    for c in &mut chunks {
+        for (a, v) in acc.iter_mut().zip(c) {
+            *a += v.abs();
         }
     }
-
-    /// `y[i] -= x[i]` for all `i`.
-    ///
-    /// # Panics
-    /// Panics if the slices have different lengths.
-    pub fn sub_assign(y: &mut [f32], x: &[f32]) {
-        assert_eq!(y.len(), x.len(), "sub_assign: length mismatch");
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi -= xi;
-        }
+    let mut total = 0.0f32;
+    for a in acc {
+        total += a;
     }
-
-    /// `y[i] = a * x[i] + y[i]` (BLAS `axpy`).
-    ///
-    /// # Panics
-    /// Panics if the slices have different lengths.
-    pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
-        assert_eq!(y.len(), x.len(), "axpy: length mismatch");
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += a * xi;
-        }
+    for v in chunks.remainder() {
+        total += v.abs();
     }
-
-    /// `x[i] *= a` for all `i`.
-    pub fn scale(x: &mut [f32], a: f32) {
-        for xi in x.iter_mut() {
-            *xi *= a;
-        }
-    }
-
-    /// Scatter-add: `y[idx[i]] += vals[i]`, applied in `idx` order.
-    ///
-    /// # Panics
-    /// Panics if `idx` and `vals` have different lengths or an index is out
-    /// of bounds.
-    pub fn scatter_add(y: &mut [f32], idx: &[u32], vals: &[f32]) {
-        assert_eq!(idx.len(), vals.len(), "scatter_add: length mismatch");
-        for (&i, &v) in idx.iter().zip(vals) {
-            y[i as usize] += v;
-        }
-    }
-
-    /// Zeros the elements of `x` at the given indices.
-    ///
-    /// # Panics
-    /// Panics if an index is out of bounds.
-    pub fn zero_at(x: &mut [f32], idx: &[u32]) {
-        for &i in idx {
-            x[i as usize] = 0.0;
-        }
-    }
+    total
 }
 
-/// Fixed-width lane-array kernels (the *simd* lane tier).
+/// `max|v|` of one block; 0 for an empty one.
 ///
-/// Each kernel loads `[f32; LANES]` value blocks and applies whole-array
-/// arithmetic — the shape LLVM reliably lowers onto vector registers
-/// without any `unsafe` or intrinsics. Reductions keep [`LANES`]
-/// independent accumulator lanes and combine them in lane order: the
-/// canonical lane-striped schedule, identical to [`scalar`], so results are
-/// bitwise equal to the scalar tier for every input.
-pub mod simd {
-    use super::{LANES, REDUCE_BLOCK};
-
-    /// Loads one lane array from a slice of at least `LANES` elements.
-    #[inline]
-    fn load(c: &[f32]) -> [f32; LANES] {
-        std::array::from_fn(|j| c[j])
-    }
-
-    /// Element-wise absolute value of one lane array.
-    #[inline]
-    fn abs_lanes(v: [f32; LANES]) -> [f32; LANES] {
-        let mut out = v;
-        for o in out.iter_mut() {
-            *o = o.abs();
-        }
-        out
-    }
-
-    /// Element-wise sum of two lane arrays.
-    #[inline]
-    fn add_lanes(a: [f32; LANES], b: [f32; LANES]) -> [f32; LANES] {
-        let mut out = a;
-        for (o, v) in out.iter_mut().zip(b) {
-            *o += v;
-        }
-        out
-    }
-
-    /// Element-wise maximum of a NaN-free accumulator `a` and new values
-    /// `b`: compare-and-keep, bitwise `f32::max` while `a` holds no NaN
-    /// (see [`super::scalar::max_abs`]).
-    #[inline]
-    fn max_lanes(a: [f32; LANES], b: [f32; LANES]) -> [f32; LANES] {
-        let mut out = a;
-        for (o, v) in out.iter_mut().zip(b) {
-            *o = if v > *o { v } else { *o };
-        }
-        out
-    }
-
-    /// Sum of absolute values under the canonical lane-striped schedule.
-    pub fn sum_abs(x: &[f32]) -> f32 {
-        let mut acc = [0.0f32; LANES];
-        let mut chunks = x.chunks_exact(LANES);
-        for c in &mut chunks {
-            acc = add_lanes(acc, abs_lanes(load(c)));
-        }
-        let mut total = 0.0f32;
-        for a in acc {
-            total += a;
-        }
-        for v in chunks.remainder() {
-            total += v.abs();
-        }
-        total
-    }
-
-    /// Maximum absolute value; 0 for an empty slice.
-    pub fn max_abs(x: &[f32]) -> f32 {
-        let mut acc = [0.0f32; LANES];
-        let mut chunks = x.chunks_exact(LANES);
-        for c in &mut chunks {
-            acc = max_lanes(acc, abs_lanes(load(c)));
-        }
-        let mut m = 0.0f32;
-        for a in acc {
-            m = m.max(a);
-        }
-        for v in chunks.remainder() {
-            m = m.max(v.abs());
-        }
-        m
-    }
-
-    /// Elements with `|v| >= thres` (exact — an integer reduction), with
-    /// `u32` lane counters flushed every [`REDUCE_BLOCK`] elements (see
-    /// [`super::scalar::count_ge`]).
-    pub fn count_ge(x: &[f32], thres: f32) -> usize {
-        let mut total = 0usize;
-        for part in x.chunks(REDUCE_BLOCK) {
-            let mut acc = [0u32; LANES];
-            let mut chunks = part.chunks_exact(LANES);
-            for c in &mut chunks {
-                let lane = abs_lanes(load(c));
-                for (a, v) in acc.iter_mut().zip(lane) {
-                    *a += u32::from(v >= thres);
-                }
-            }
-            total += acc.iter().map(|&a| a as usize).sum::<usize>()
-                + chunks
-                    .remainder()
-                    .iter()
-                    .map(|v| usize::from(v.abs() >= thres))
-                    .sum::<usize>();
-        }
-        total
-    }
-
-    /// `y[i] += x[i]` for all `i`.
-    ///
-    /// # Panics
-    /// Panics if the slices have different lengths.
-    pub fn add_assign(y: &mut [f32], x: &[f32]) {
-        assert_eq!(y.len(), x.len(), "add_assign: length mismatch");
-        let mut yc = y.chunks_exact_mut(LANES);
-        let mut xc = x.chunks_exact(LANES);
-        for (yl, xl) in (&mut yc).zip(&mut xc) {
-            let out = add_lanes(load(yl), load(xl));
-            yl.copy_from_slice(&out);
-        }
-        for (yi, xi) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-            *yi += xi;
+/// The lane accumulators start at `0.0` and only ever take a magnitude
+/// that compared greater, so they never hold NaN; under that invariant the
+/// compare-and-keep below is bitwise `f32::max` (a NaN magnitude fails the
+/// compare and is skipped, exactly as `max` ignores it) while lowering to a
+/// plain compare + blend instead of `max`'s NaN-ordering sequence — ~2x
+/// faster on the baseline SSE2 target.
+fn block_max_abs(b: &[f32]) -> f32 {
+    let mut acc = [0.0f32; LANES];
+    let mut chunks = b.chunks_exact(LANES);
+    for c in &mut chunks {
+        for (a, v) in acc.iter_mut().zip(c) {
+            let m = v.abs();
+            *a = if m > *a { m } else { *a };
         }
     }
-
-    /// `y[i] -= x[i]` for all `i`.
-    ///
-    /// # Panics
-    /// Panics if the slices have different lengths.
-    pub fn sub_assign(y: &mut [f32], x: &[f32]) {
-        assert_eq!(y.len(), x.len(), "sub_assign: length mismatch");
-        let mut yc = y.chunks_exact_mut(LANES);
-        let mut xc = x.chunks_exact(LANES);
-        for (yl, xl) in (&mut yc).zip(&mut xc) {
-            let mut out = load(yl);
-            for (o, v) in out.iter_mut().zip(load(xl)) {
-                *o -= v;
-            }
-            yl.copy_from_slice(&out);
-        }
-        for (yi, xi) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-            *yi -= xi;
-        }
+    let mut m = 0.0f32;
+    for a in acc {
+        m = m.max(a);
     }
-
-    /// `y[i] = a * x[i] + y[i]` (BLAS `axpy`).
-    ///
-    /// # Panics
-    /// Panics if the slices have different lengths.
-    pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
-        assert_eq!(y.len(), x.len(), "axpy: length mismatch");
-        let mut yc = y.chunks_exact_mut(LANES);
-        let mut xc = x.chunks_exact(LANES);
-        for (yl, xl) in (&mut yc).zip(&mut xc) {
-            let mut out = load(yl);
-            for (o, v) in out.iter_mut().zip(load(xl)) {
-                *o += a * v;
-            }
-            yl.copy_from_slice(&out);
-        }
-        for (yi, xi) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-            *yi += a * xi;
-        }
+    for v in chunks.remainder() {
+        m = m.max(v.abs());
     }
-
-    /// `x[i] *= a` for all `i`.
-    pub fn scale(x: &mut [f32], a: f32) {
-        let mut xc = x.chunks_exact_mut(LANES);
-        for xl in &mut xc {
-            let mut out = load(xl);
-            for o in out.iter_mut() {
-                *o *= a;
-            }
-            xl.copy_from_slice(&out);
-        }
-        for xi in xc.into_remainder() {
-            *xi *= a;
-        }
-    }
-
-    /// Scatter-add: `y[idx[i]] += vals[i]`, applied in `idx` order.
-    ///
-    /// The index/value streams are walked in lane-wide chunks (gathered
-    /// into `[f32; LANES]` registers) but contributions land in the exact
-    /// global `idx` order, so duplicate indices accumulate identically to
-    /// the scalar tier.
-    ///
-    /// # Panics
-    /// Panics if `idx` and `vals` have different lengths or an index is out
-    /// of bounds.
-    pub fn scatter_add(y: &mut [f32], idx: &[u32], vals: &[f32]) {
-        assert_eq!(idx.len(), vals.len(), "scatter_add: length mismatch");
-        let mut ic = idx.chunks_exact(LANES);
-        let mut vc = vals.chunks_exact(LANES);
-        for (il, vl) in (&mut ic).zip(&mut vc) {
-            let lane = load(vl);
-            for (j, &i) in il.iter().enumerate() {
-                y[i as usize] += lane[j];
-            }
-        }
-        for (&i, &v) in ic.remainder().iter().zip(vc.remainder()) {
-            y[i as usize] += v;
-        }
-    }
-
-    /// Zeros the elements of `x` at the given indices.
-    ///
-    /// # Panics
-    /// Panics if an index is out of bounds.
-    pub fn zero_at(x: &mut [f32], idx: &[u32]) {
-        let mut ic = idx.chunks_exact(LANES);
-        for il in &mut ic {
-            for &i in il {
-                x[i as usize] = 0.0;
-            }
-        }
-        for &i in ic.remainder() {
-            x[i as usize] = 0.0;
-        }
-    }
-}
-
-/// Per-block inner kernels shared verbatim by both thread tiers; each
-/// dispatches to the lane tier selected by the `simd` feature. Both lane
-/// tiers implement the canonical lane-striped schedule, so the feature
-/// never changes a result.
-mod block {
-    #[cfg(feature = "simd")]
-    use super::simd as lane;
-
-    #[cfg(not(feature = "simd"))]
-    use super::scalar as lane;
-
-    /// Sum of absolute values of one block.
-    pub(super) fn sum_abs(b: &[f32]) -> f32 {
-        lane::sum_abs(b)
-    }
-
-    /// Maximum absolute value of one block.
-    pub(super) fn max_abs(b: &[f32]) -> f32 {
-        lane::max_abs(b)
-    }
-
-    /// Elements of one block with `|v| >= thres`.
-    pub(super) fn count_ge(b: &[f32], thres: f32) -> usize {
-        lane::count_ge(b, thres)
-    }
-
-    /// `y[i] += a * x[i]` over one block pair.
-    pub(super) fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
-        lane::axpy(a, x, y);
-    }
-
-    /// `y[i] += x[i]` over one block pair.
-    pub(super) fn add_assign(y: &mut [f32], x: &[f32]) {
-        lane::add_assign(y, x);
-    }
-
-    /// Scatter-add over the full index stream.
-    pub(super) fn scatter_add(y: &mut [f32], idx: &[u32], vals: &[f32]) {
-        lane::scatter_add(y, idx, vals);
-    }
-
-    /// `x[i] *= a` over one block.
-    pub(super) fn scale(x: &mut [f32], a: f32) {
-        lane::scale(x, a);
-    }
-
-    /// `y[i] -= x[i]` over one block pair.
-    pub(super) fn sub_assign(y: &mut [f32], x: &[f32]) {
-        lane::sub_assign(y, x);
-    }
-
-    /// Zeros the indexed elements.
-    pub(super) fn zero_at(x: &mut [f32], idx: &[u32]) {
-        lane::zero_at(x, idx);
-    }
-}
-
-/// Sequential reference tier of the hot kernels.
-///
-/// Reductions fold [`REDUCE_BLOCK`]-wide blocks in block-index order — the
-/// exact combine schedule of the `parallel` tier — so the two are bitwise
-/// interchangeable.
-pub mod serial {
-    use super::{block, REDUCE_BLOCK};
-
-    /// Counts elements whose absolute value is `>= thres`.
-    pub fn count_ge(x: &[f32], thres: f32) -> usize {
-        x.chunks(REDUCE_BLOCK)
-            .map(|b| block::count_ge(b, thres))
-            .sum()
-    }
-
-    /// Arithmetic mean of absolute values; 0 for an empty slice.
-    ///
-    /// Per-block partials follow the canonical lane-striped schedule and
-    /// are combined in block-index order (see the module docs), so all tier
-    /// combinations agree bitwise.
-    pub fn mean_abs(x: &[f32]) -> f32 {
-        if x.is_empty() {
-            return 0.0;
-        }
-        let mut total = 0.0f32;
-        for b in x.chunks(REDUCE_BLOCK) {
-            total += block::sum_abs(b);
-        }
-        total / x.len() as f32
-    }
-
-    /// Maximum absolute value; 0 for an empty slice.
-    pub fn max_abs(x: &[f32]) -> f32 {
-        x.chunks(REDUCE_BLOCK)
-            .map(block::max_abs)
-            .fold(0.0f32, f32::max)
-    }
-
-    /// `y[i] = a * x[i] + y[i]` (BLAS `axpy`).
-    ///
-    /// # Panics
-    /// Panics if the slices have different lengths.
-    pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
-        assert_eq!(y.len(), x.len(), "axpy: length mismatch");
-        block::axpy(a, x, y);
-    }
-
-    /// `y[i] += x[i]` for all `i`.
-    ///
-    /// # Panics
-    /// Panics if the slices have different lengths.
-    pub fn add_assign(y: &mut [f32], x: &[f32]) {
-        assert_eq!(y.len(), x.len(), "add_assign: length mismatch");
-        block::add_assign(y, x);
-    }
-
-    /// Scatter-add: `y[idx[i]] += vals[i]`, applied in `idx` order.
-    ///
-    /// # Panics
-    /// Panics if `idx` and `vals` have different lengths or an index is out
-    /// of bounds.
-    pub fn scatter_add(y: &mut [f32], idx: &[u32], vals: &[f32]) {
-        block::scatter_add(y, idx, vals);
-    }
-}
-
-/// Deterministic scoped-thread tier of the hot kernels (feature
-/// `parallel`, alias `rayon`).
-///
-/// Reductions map the same [`REDUCE_BLOCK`]-wide blocks as [`serial`] on
-/// worker threads and fold the partials in block-index order; mutating
-/// kernels partition their output into disjoint ranges. Results are
-/// bitwise identical to the serial tier for every input, thread count, and
-/// schedule — the property tests assert so.
-///
-/// Inputs below [`parallel::PAR_THRESHOLD`] run the serial code directly:
-/// thread spawns cost more than the kernels save there, and the identical
-/// combine order makes the switch invisible.
-#[cfg(feature = "parallel")]
-pub mod parallel {
-    use super::{block, serial, REDUCE_BLOCK};
-
-    /// Minimum element count before a kernel spawns worker threads.
-    pub const PAR_THRESHOLD: usize = 1 << 17;
-
-    /// Worker threads for a `len`-element kernel: the machine's available
-    /// parallelism, capped by the number of blocks.
-    fn threads_for(len: usize) -> usize {
-        let hw = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        hw.clamp(1, len.div_ceil(REDUCE_BLOCK).max(1))
-    }
-
-    /// Maps every block and folds the partials in block-index order —
-    /// the serial tier's exact combine schedule.
-    fn reduce_blocks<T, M, F>(x: &[f32], identity: T, map: M, fold: F) -> T
-    where
-        T: Send,
-        M: Fn(&[f32]) -> T + Sync,
-        F: FnMut(T, T) -> T,
-    {
-        let threads = threads_for(x.len());
-        if threads <= 1 || x.len() < PAR_THRESHOLD {
-            return x.chunks(REDUCE_BLOCK).map(&map).fold(identity, fold);
-        }
-        let blocks: Vec<&[f32]> = x.chunks(REDUCE_BLOCK).collect();
-        let per_thread = blocks.len().div_ceil(threads);
-        let map = &map;
-        let partials: Vec<Vec<T>> = std::thread::scope(|s| {
-            let handles: Vec<_> = blocks
-                .chunks(per_thread)
-                .map(|range| s.spawn(move || range.iter().map(|b| map(b)).collect()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("parallel reduce worker panicked"))
-                .collect()
-        });
-        partials.into_iter().flatten().fold(identity, fold)
-    }
-
-    /// Applies `f` to disjoint `(y, x)` range pairs on worker threads.
-    fn zip_ranges_mut<F>(y: &mut [f32], x: &[f32], f: F)
-    where
-        F: Fn(&mut [f32], &[f32]) + Sync,
-    {
-        let threads = threads_for(y.len());
-        if threads <= 1 || y.len() < PAR_THRESHOLD {
-            f(y, x);
-            return;
-        }
-        let per_thread = y.len().div_ceil(threads);
-        let f = &f;
-        std::thread::scope(|s| {
-            for (yc, xc) in y.chunks_mut(per_thread).zip(x.chunks(per_thread)) {
-                s.spawn(move || f(yc, xc));
-            }
-        });
-    }
-
-    /// Counts elements whose absolute value is `>= thres`.
-    pub fn count_ge(x: &[f32], thres: f32) -> usize {
-        reduce_blocks(x, 0usize, |b| block::count_ge(b, thres), |a, b| a + b)
-    }
-
-    /// Arithmetic mean of absolute values; 0 for an empty slice.
-    pub fn mean_abs(x: &[f32]) -> f32 {
-        if x.is_empty() {
-            return 0.0;
-        }
-        reduce_blocks(x, 0.0f32, block::sum_abs, |a, b| a + b) / x.len() as f32
-    }
-
-    /// Maximum absolute value; 0 for an empty slice.
-    pub fn max_abs(x: &[f32]) -> f32 {
-        reduce_blocks(x, 0.0f32, block::max_abs, f32::max)
-    }
-
-    /// `y[i] = a * x[i] + y[i]` (BLAS `axpy`).
-    ///
-    /// # Panics
-    /// Panics if the slices have different lengths.
-    pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
-        assert_eq!(y.len(), x.len(), "axpy: length mismatch");
-        zip_ranges_mut(y, x, |yc, xc| block::axpy(a, xc, yc));
-    }
-
-    /// `y[i] += x[i]` for all `i`.
-    ///
-    /// # Panics
-    /// Panics if the slices have different lengths.
-    pub fn add_assign(y: &mut [f32], x: &[f32]) {
-        assert_eq!(y.len(), x.len(), "add_assign: length mismatch");
-        zip_ranges_mut(y, x, block::add_assign);
-    }
-
-    /// Scatter-add: `y[idx[i]] += vals[i]`.
-    ///
-    /// Each worker owns a disjoint output range and applies, in `idx`
-    /// order, exactly the contributions that land in its range — the same
-    /// per-position accumulation order as the serial tier.
-    ///
-    /// # Panics
-    /// Panics if `idx` and `vals` have different lengths or an index is
-    /// out of bounds.
-    pub fn scatter_add(y: &mut [f32], idx: &[u32], vals: &[f32]) {
-        assert_eq!(idx.len(), vals.len(), "scatter_add: length mismatch");
-        let threads = threads_for(y.len());
-        if threads <= 1 || y.len() < PAR_THRESHOLD || idx.len() < threads {
-            serial::scatter_add(y, idx, vals);
-            return;
-        }
-        // The bounds check the serial loop performs implicitly, hoisted so
-        // out-of-range indices panic instead of being silently dropped by
-        // the range partition below.
-        let d = y.len();
-        assert!(
-            idx.iter().all(|&i| (i as usize) < d),
-            "scatter_add: index out of bounds"
-        );
-        let per_thread = d.div_ceil(threads);
-        std::thread::scope(|s| {
-            for (part, yc) in y.chunks_mut(per_thread).enumerate() {
-                let lo = part * per_thread;
-                s.spawn(move || {
-                    for (&i, &v) in idx.iter().zip(vals) {
-                        let i = i as usize;
-                        if i >= lo && i < lo + yc.len() {
-                            yc[i - lo] += v;
-                        }
-                    }
-                });
-            }
-        });
-    }
+    m
 }
 
 /// `y[i] += x[i]` for all `i`.
@@ -691,13 +85,9 @@ pub mod parallel {
 /// # Panics
 /// Panics if the slices have different lengths.
 pub fn add_assign(y: &mut [f32], x: &[f32]) {
-    #[cfg(feature = "parallel")]
-    {
-        parallel::add_assign(y, x)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        serial::add_assign(y, x)
+    assert_eq!(y.len(), x.len(), "add_assign: length mismatch");
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += xi;
     }
 }
 
@@ -707,7 +97,9 @@ pub fn add_assign(y: &mut [f32], x: &[f32]) {
 /// Panics if the slices have different lengths.
 pub fn sub_assign(y: &mut [f32], x: &[f32]) {
     assert_eq!(y.len(), x.len(), "sub_assign: length mismatch");
-    block::sub_assign(y, x);
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi -= xi;
+    }
 }
 
 /// `y[i] = a * x[i] + y[i]` (BLAS `axpy`).
@@ -715,19 +107,17 @@ pub fn sub_assign(y: &mut [f32], x: &[f32]) {
 /// # Panics
 /// Panics if the slices have different lengths.
 pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
-    #[cfg(feature = "parallel")]
-    {
-        parallel::axpy(a, x, y)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        serial::axpy(a, x, y)
+    assert_eq!(y.len(), x.len(), "axpy: length mismatch");
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += a * xi;
     }
 }
 
 /// `x[i] *= a` for all `i`.
 pub fn scale(x: &mut [f32], a: f32) {
-    block::scale(x, a);
+    for xi in x.iter_mut() {
+        *xi *= a;
+    }
 }
 
 /// Fills `x` with `v`.
@@ -772,26 +162,21 @@ pub fn sum(x: &[f32]) -> f32 {
 /// Arithmetic mean of the absolute values (the `mean(abs(x))` pass of
 /// MSTopK, Algorithm 1 line 2). Returns 0 for an empty slice.
 pub fn mean_abs(x: &[f32]) -> f32 {
-    #[cfg(feature = "parallel")]
-    {
-        parallel::mean_abs(x)
+    if x.is_empty() {
+        return 0.0;
     }
-    #[cfg(not(feature = "parallel"))]
-    {
-        serial::mean_abs(x)
+    let mut total = 0.0f32;
+    for b in x.chunks(REDUCE_BLOCK) {
+        total += block_sum_abs(b);
     }
+    total / x.len() as f32
 }
 
 /// Maximum absolute value (Algorithm 1 line 3). Returns 0 for an empty slice.
 pub fn max_abs(x: &[f32]) -> f32 {
-    #[cfg(feature = "parallel")]
-    {
-        parallel::max_abs(x)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        serial::max_abs(x)
-    }
+    x.chunks(REDUCE_BLOCK)
+        .map(block_max_abs)
+        .fold(0.0f32, f32::max)
 }
 
 /// Block-ordered fold of `Σ|·|` and `max|·|`: the partials [`mean_abs`] and
@@ -808,8 +193,8 @@ impl AbsFold {
     };
 
     fn push(&mut self, b: &[f32]) {
-        self.total += block::sum_abs(b);
-        self.max = self.max.max(block::max_abs(b));
+        self.total += block_sum_abs(b);
+        self.max = self.max.max(block_max_abs(b));
     }
 
     /// `(mean_abs, max_abs)` of the `len` elements pushed.
@@ -828,8 +213,7 @@ impl AbsFold {
 ///
 /// The partials come from the per-block kernels of the standalone
 /// reductions and are folded in block-index order, so both statistics are
-/// bitwise those of [`mean_abs`] and [`max_abs`] in every lane × thread
-/// tier.
+/// bitwise those of [`mean_abs`] and [`max_abs`].
 pub fn abs_stats_blocked(x: &[f32], mut visit: impl FnMut(usize, &[f32])) -> (f32, f32) {
     let mut fold = AbsFold::EMPTY;
     for (b, xb) in x.chunks(REDUCE_BLOCK).enumerate() {
@@ -861,7 +245,7 @@ pub fn add_assign_abs_stats_blocked(
         .zip(x.chunks(REDUCE_BLOCK))
         .enumerate()
     {
-        block::add_assign(yb, xb);
+        add_assign(yb, xb);
         fold.push(yb);
         visit(b * REDUCE_BLOCK, yb);
     }
@@ -872,16 +256,28 @@ pub fn add_assign_abs_stats_blocked(
 /// `count_nonzero(a >= thres)` with `a = abs(x)`).
 ///
 /// Branch-free streaming pass — this is the kernel MSTopK repeats `N` times
-/// instead of performing a data-dependent selection.
+/// instead of performing a data-dependent selection. The lane counters are
+/// `u32` — twice as many per vector register as `usize` ones — and are
+/// flushed into the `usize` total every [`REDUCE_BLOCK`] elements, long
+/// before one could wrap.
 pub fn count_ge(x: &[f32], thres: f32) -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        parallel::count_ge(x, thres)
+    let mut total = 0usize;
+    for part in x.chunks(REDUCE_BLOCK) {
+        let mut acc = [0u32; LANES];
+        let mut chunks = part.chunks_exact(LANES);
+        for c in &mut chunks {
+            for (a, v) in acc.iter_mut().zip(c) {
+                *a += u32::from(v.abs() >= thres);
+            }
+        }
+        total += acc.iter().map(|&a| a as usize).sum::<usize>()
+            + chunks
+                .remainder()
+                .iter()
+                .map(|v| usize::from(v.abs() >= thres))
+                .sum::<usize>();
     }
-    #[cfg(not(feature = "parallel"))]
-    {
-        serial::count_ge(x, thres)
-    }
+    total
 }
 
 /// Collects the indices of elements with `|x[i]| >= thres`, preserving order.
@@ -914,7 +310,7 @@ pub fn gather(x: &[f32], idx: &[u32]) -> Vec<f32> {
     idx.iter().map(|&i| x[i as usize]).collect()
 }
 
-/// Scatter-add: `y[idx[i]] += vals[i]`.
+/// Scatter-add: `y[idx[i]] += vals[i]`, applied in `idx` order.
 ///
 /// Used to accumulate sparse gradient contributions after an AllGather of
 /// (values, indices) pairs (Algorithm 2 line 18).
@@ -923,20 +319,21 @@ pub fn gather(x: &[f32], idx: &[u32]) -> Vec<f32> {
 /// Panics if `idx` and `vals` have different lengths or an index is out of
 /// bounds.
 pub fn scatter_add(y: &mut [f32], idx: &[u32], vals: &[f32]) {
-    #[cfg(feature = "parallel")]
-    {
-        parallel::scatter_add(y, idx, vals)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        serial::scatter_add(y, idx, vals)
+    assert_eq!(idx.len(), vals.len(), "scatter_add: length mismatch");
+    for (&i, &v) in idx.iter().zip(vals) {
+        y[i as usize] += v;
     }
 }
 
 /// Zeros the elements of `x` at the given indices (used by error-feedback to
 /// clear the transmitted coordinates from the residual).
+///
+/// # Panics
+/// Panics if an index is out of bounds.
 pub fn zero_at(x: &mut [f32], idx: &[u32]) {
-    block::zero_at(x, idx);
+    for &i in idx {
+        x[i as usize] = 0.0;
+    }
 }
 
 /// Returns `max(|a[i] - b[i]|)`, the L∞ distance; 0 for empty slices.
@@ -954,6 +351,58 @@ pub fn linf_distance(a: &[f32], b: &[f32]) -> f32 {
 /// tolerance.
 pub fn approx_eq(a: &[f32], b: &[f32], tol: f32) -> bool {
     a.len() == b.len() && linf_distance(a, b) <= tol
+}
+
+/// The canonical schedule restated by index arithmetic — no chunking, no
+/// iterator adaptors, nothing shared with the kernels above — as the oracle
+/// the tests compare `to_bits` against.
+#[cfg(test)]
+mod reference {
+    use super::{LANES, REDUCE_BLOCK};
+
+    /// Folds one block: element `i` into lane `i % LANES` in index order,
+    /// lanes combined in lane order, the sub-lane tail last.
+    fn fold_block(b: &[f32], mut acc: impl FnMut(f32, f32) -> f32) -> f32 {
+        let full = b.len() / LANES * LANES;
+        let mut lanes = [0.0f32; LANES];
+        for (i, v) in b[..full].iter().enumerate() {
+            lanes[i % LANES] = acc(lanes[i % LANES], v.abs());
+        }
+        let mut out = 0.0f32;
+        for lane in lanes {
+            out = acc(out, lane);
+        }
+        for v in &b[full..] {
+            out = acc(out, v.abs());
+        }
+        out
+    }
+
+    /// Folds the block partials in block-index order.
+    fn fold_blocks(x: &[f32], acc: impl Fn(f32, f32) -> f32) -> f32 {
+        let mut out = 0.0f32;
+        for b in 0..x.len().div_ceil(REDUCE_BLOCK) {
+            let end = x.len().min((b + 1) * REDUCE_BLOCK);
+            out = acc(out, fold_block(&x[b * REDUCE_BLOCK..end], &acc));
+        }
+        out
+    }
+
+    pub fn mean_abs(x: &[f32]) -> f32 {
+        if x.is_empty() {
+            return 0.0;
+        }
+        fold_blocks(x, |a, b| a + b) / x.len() as f32
+    }
+
+    /// The `f32::max` form of the schedule.
+    pub fn max_abs(x: &[f32]) -> f32 {
+        fold_blocks(x, f32::max)
+    }
+
+    pub fn count_ge(x: &[f32], thres: f32) -> usize {
+        x.iter().filter(|v| v.abs() >= thres).count()
+    }
 }
 
 #[cfg(test)]
@@ -1050,65 +499,86 @@ mod tests {
         assert!((mean_abs(&x) as f64 - linear_mean).abs() < 1e-3);
     }
 
-    /// The dispatching kernels must compute exactly the canonical schedule:
-    /// lane-striped in-block partials combined in block-index order. This
-    /// runs under every feature combination, pinning all tiers to the same
-    /// bits.
+    /// The kernels must compute exactly the canonical schedule — lane-striped
+    /// in-block partials combined in block-index order — on empty, sub-lane,
+    /// ragged and multi-block inputs alike.
     #[test]
     fn dispatch_matches_canonical_schedule() {
-        let d = 2 * REDUCE_BLOCK + 19;
-        let x: Vec<f32> = (0..d)
-            .map(|i| (((i * 2654435761) % 2001) as f32 - 1000.0) * 1e-3)
-            .collect();
-        let mut total = 0.0f32;
-        for b in x.chunks(REDUCE_BLOCK) {
-            total += scalar::sum_abs(b);
+        for d in [
+            0,
+            1,
+            LANES - 1,
+            LANES,
+            3 * LANES + 5,
+            REDUCE_BLOCK - 1,
+            REDUCE_BLOCK,
+            REDUCE_BLOCK + LANES + 3,
+            3 * REDUCE_BLOCK + 19,
+        ] {
+            let x: Vec<f32> = (0..d)
+                .map(|i| (((i * 2654435761) % 2001) as f32 - 1000.0) * 1e-3)
+                .collect();
+            assert_eq!(
+                mean_abs(&x).to_bits(),
+                reference::mean_abs(&x).to_bits(),
+                "mean_abs, d = {d}"
+            );
+            assert_eq!(
+                max_abs(&x).to_bits(),
+                reference::max_abs(&x).to_bits(),
+                "max_abs, d = {d}"
+            );
+            assert_eq!(
+                count_ge(&x, 0.5),
+                reference::count_ge(&x, 0.5),
+                "count_ge, d = {d}"
+            );
         }
-        assert_eq!(mean_abs(&x).to_bits(), (total / d as f32).to_bits());
-        assert_eq!(max_abs(&x).to_bits(), scalar::max_abs(&x).to_bits());
-        assert_eq!(count_ge(&x, 0.5), scalar::count_ge(&x, 0.5));
     }
 
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_tier_matches_serial_bitwise() {
-        let d = parallel::PAR_THRESHOLD + 3 * REDUCE_BLOCK + 11;
-        let x: Vec<f32> = (0..d)
-            .map(|i| (((i * 2654435761) % 1000) as f32 - 500.0) * 1e-3)
-            .collect();
-        assert_eq!(parallel::count_ge(&x, 0.25), serial::count_ge(&x, 0.25));
-        assert_eq!(parallel::mean_abs(&x), serial::mean_abs(&x));
-        assert_eq!(parallel::max_abs(&x), serial::max_abs(&x));
-
-        let mut ya = vec![1.0f32; d];
-        let mut yb = ya.clone();
-        parallel::axpy(0.5, &x, &mut ya);
-        serial::axpy(0.5, &x, &mut yb);
-        assert_eq!(ya, yb);
-        parallel::add_assign(&mut ya, &x);
-        serial::add_assign(&mut yb, &x);
-        assert_eq!(ya, yb);
-
-        // Duplicate indices: accumulation order per position must match.
-        let idx: Vec<u32> = (0..4096u32).map(|i| (i * 37) % (d as u32)).collect();
-        let vals: Vec<f32> = idx.iter().map(|&i| (i as f32).sin()).collect();
-        let mut sa = vec![0.0f32; d];
-        let mut sb = sa.clone();
-        parallel::scatter_add(&mut sa, &idx, &vals);
-        serial::scatter_add(&mut sb, &idx, &vals);
-        assert_eq!(sa, sb);
-    }
-
-    #[cfg(feature = "parallel")]
     #[test]
     #[should_panic(expected = "index out of bounds")]
-    fn parallel_scatter_add_rejects_out_of_bounds() {
-        let mut y = vec![0.0f32; parallel::PAR_THRESHOLD + 1];
-        let idx: Vec<u32> = (0..64)
-            .map(|i| if i == 63 { y.len() as u32 } else { i })
-            .collect();
-        let vals = vec![1.0; idx.len()];
-        parallel::scatter_add(&mut y, &idx, &vals);
+    fn scatter_add_rejects_an_out_of_bounds_index() {
+        let mut y = [0.0f32; 4];
+        scatter_add(&mut y, &[0, 4], &[1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "scatter_add: length mismatch")]
+    fn scatter_add_rejects_unpaired_values() {
+        let mut y = [0.0f32; 4];
+        scatter_add(&mut y, &[0, 1], &[1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn zero_at_rejects_an_out_of_bounds_index() {
+        let mut x = [1.0f32; 4];
+        zero_at(&mut x, &[4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "add_assign: length mismatch")]
+    fn add_assign_rejects_a_length_mismatch() {
+        add_assign(&mut [0.0; 3], &[0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sub_assign: length mismatch")]
+    fn sub_assign_rejects_a_length_mismatch() {
+        sub_assign(&mut [0.0; 3], &[0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "axpy: length mismatch")]
+    fn axpy_rejects_a_length_mismatch() {
+        axpy(1.0, &[0.0; 4], &mut [0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "add_assign_abs_stats_blocked: length mismatch")]
+    fn fused_accumulate_rejects_a_length_mismatch() {
+        add_assign_abs_stats_blocked(&mut [0.0; 3], &[0.0; 4], |_, _| {});
     }
 
     /// The one-pass kernels must reproduce the standalone reductions bit
@@ -1145,15 +615,22 @@ mod tests {
         }
     }
 
-    /// Differential property tests: the simd lane tier must be bitwise
-    /// identical to the scalar reference on every kernel family, for
-    /// arbitrary lengths (exercising full lane chunks and ragged tails).
+    /// Property tests: every kernel family must be bitwise identical to the
+    /// index-arithmetic `reference`, for arbitrary lengths (exercising full
+    /// lane chunks and ragged tails).
+    // The expected values are spelled as indexed loops on purpose: they must
+    // not share an iterator shape with the kernels they check.
+    #[allow(clippy::needless_range_loop)]
     mod lane_tier_properties {
-        use super::super::{scalar, simd, LANES};
+        use super::super::*;
         use proptest::prelude::*;
 
         fn grad_vec() -> impl Strategy<Value = Vec<f32>> {
             prop::collection::vec(-1e3f32..1e3, 0..(8 * LANES + 7))
+        }
+
+        fn bit_vec(x: &[f32]) -> Vec<u32> {
+            x.iter().map(|v| v.to_bits()).collect()
         }
 
         proptest! {
@@ -1162,21 +639,20 @@ mod tests {
             #[test]
             fn reductions_bitwise_identical(x in grad_vec(), thres in 0.0f32..100.0) {
                 prop_assert_eq!(
-                    simd::sum_abs(&x).to_bits(),
-                    scalar::sum_abs(&x).to_bits(),
-                    "sum_abs diverged on {:?}", x
+                    mean_abs(&x).to_bits(),
+                    reference::mean_abs(&x).to_bits(),
+                    "mean_abs diverged on {:?}", x
                 );
                 prop_assert_eq!(
-                    simd::max_abs(&x).to_bits(),
-                    scalar::max_abs(&x).to_bits(),
+                    max_abs(&x).to_bits(),
+                    reference::max_abs(&x).to_bits(),
                     "max_abs diverged on {:?}", x
                 );
-                prop_assert_eq!(simd::count_ge(&x, thres), scalar::count_ge(&x, thres));
+                prop_assert_eq!(count_ge(&x, thres), reference::count_ge(&x, thres));
             }
 
             /// `max_abs` accumulates by compare-and-keep instead of
-            /// `f32::max`; the two must agree bit for bit — across both
-            /// lane tiers and against the `f32::max` form — on the values
+            /// `f32::max`; the two must agree bit for bit on the values
             /// where they could part ways: NaN, signed zeros, infinities
             /// and subnormals, wherever they fall in a lane.
             #[test]
@@ -1197,43 +673,35 @@ mod tests {
                         _ => f32::from_bits(b),                   // anything
                     })
                     .collect();
-                // The pre-change form: `f32::max` in the same lane-striped
-                // schedule.
-                let mut acc = [0.0f32; LANES];
-                let mut chunks = x.chunks_exact(LANES);
-                for c in &mut chunks {
-                    for (a, v) in acc.iter_mut().zip(c) {
-                        *a = a.max(v.abs());
-                    }
-                }
-                let mut old = 0.0f32;
-                for a in acc {
-                    old = old.max(a);
-                }
-                for v in chunks.remainder() {
-                    old = old.max(v.abs());
-                }
-                prop_assert_eq!(scalar::max_abs(&x).to_bits(), old.to_bits(), "scalar on {:?}", x);
-                prop_assert_eq!(simd::max_abs(&x).to_bits(), old.to_bits(), "simd on {:?}", x);
+                let old = reference::max_abs(&x);
+                prop_assert_eq!(max_abs(&x).to_bits(), old.to_bits(), "on {:?}", x);
                 prop_assert!(!old.is_nan());
             }
 
             #[test]
             fn elementwise_bitwise_identical(x in grad_vec(), a in -8.0f32..8.0) {
-                let mut ys: Vec<f32> = x.iter().map(|v| v * 0.5 + 1.0).collect();
-                let mut yv = ys.clone();
-                scalar::add_assign(&mut ys, &x);
-                simd::add_assign(&mut yv, &x);
-                prop_assert_eq!(&ys, &yv);
-                scalar::axpy(a, &x, &mut ys);
-                simd::axpy(a, &x, &mut yv);
-                prop_assert_eq!(&ys, &yv);
-                scalar::sub_assign(&mut ys, &x);
-                simd::sub_assign(&mut yv, &x);
-                prop_assert_eq!(&ys, &yv);
-                scalar::scale(&mut ys, a);
-                simd::scale(&mut yv, a);
-                prop_assert_eq!(&ys, &yv);
+                let mut y: Vec<f32> = x.iter().map(|v| v * 0.5 + 1.0).collect();
+                let mut want = y.clone();
+                add_assign(&mut y, &x);
+                for i in 0..x.len() {
+                    want[i] += x[i];
+                }
+                prop_assert_eq!(bit_vec(&y), bit_vec(&want));
+                axpy(a, &x, &mut y);
+                for i in 0..x.len() {
+                    want[i] += a * x[i];
+                }
+                prop_assert_eq!(bit_vec(&y), bit_vec(&want));
+                sub_assign(&mut y, &x);
+                for i in 0..x.len() {
+                    want[i] -= x[i];
+                }
+                prop_assert_eq!(bit_vec(&y), bit_vec(&want));
+                scale(&mut y, a);
+                for w in want.iter_mut() {
+                    *w *= a;
+                }
+                prop_assert_eq!(bit_vec(&y), bit_vec(&want));
             }
 
             #[test]
@@ -1242,19 +710,25 @@ mod tests {
                 d in 1usize..200,
                 salt in 0u32..1000,
             ) {
-                // Duplicate-heavy index stream: per-position accumulation
-                // order must match across tiers.
+                // Duplicate-heavy index stream: every position must
+                // accumulate its contributions in `idx` order.
                 let idx: Vec<u32> = (0..vals.len() as u32)
                     .map(|i| (i.wrapping_mul(2654435761).wrapping_add(salt)) % d as u32)
                     .collect();
-                let mut ys = vec![0.125f32; d];
-                let mut yv = ys.clone();
-                scalar::scatter_add(&mut ys, &idx, &vals);
-                simd::scatter_add(&mut yv, &idx, &vals);
-                prop_assert_eq!(&ys, &yv);
-                scalar::zero_at(&mut ys, &idx);
-                simd::zero_at(&mut yv, &idx);
-                prop_assert_eq!(&ys, &yv);
+                let mut y = vec![0.125f32; d];
+                let mut want = y.clone();
+                scatter_add(&mut y, &idx, &vals);
+                for i in 0..idx.len() {
+                    want[idx[i] as usize] += vals[i];
+                }
+                prop_assert_eq!(bit_vec(&y), bit_vec(&want));
+                zero_at(&mut y, &idx);
+                for p in 0..d {
+                    if idx.contains(&(p as u32)) {
+                        want[p] = 0.0;
+                    }
+                }
+                prop_assert_eq!(bit_vec(&y), bit_vec(&want));
             }
         }
     }
