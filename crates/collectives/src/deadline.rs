@@ -35,8 +35,9 @@ use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 
 use crate::group::Peer;
 use crate::hierarchical::{group_wire_bytes, scatter_gathered, shard_k, HiTopKReport};
+use crate::resilience::{hash3, unit};
 use crate::ring::{
-    all_gather_f32_scratch, all_gather_u32_scratch, ring_all_gather_scratch,
+    all_gather_f32_scratch, all_gather_u32_scratch, member_index, ring_all_gather_scratch,
     ring_reduce_scatter_scratch,
 };
 use crate::scratch::CommScratch;
@@ -174,7 +175,9 @@ pub struct DeadlineReport {
 /// Deadline-bounded ring ReduceScatter: the schedule of
 /// [`crate::ring::ring_reduce_scatter_scratch`] with every received chunk
 /// checked against the budget — a late chunk is discarded and the partial
-/// sum proceeds without the upstream contributions.
+/// sum proceeds without the upstream contributions. Hops stay whole-chunk
+/// (the plain variant pieces them): lateness is drawn, and the budget
+/// charged, per hop.
 #[allow(clippy::too_many_arguments)]
 fn ring_reduce_scatter_deadline(
     peer: &Peer,
@@ -328,37 +331,9 @@ pub fn hitopk_all_reduce_ef_deadline<C: Compressor + ?Sized>(
     )
 }
 
-/// Position of `rank` within `members` (panics for non-members, mirroring
-/// the plain ring collectives).
-fn member_index(members: &[usize], rank: usize) -> usize {
-    members
-        .iter()
-        .position(|&m| m == rank)
-        // lint:allow(panic_free, reason = "a rank outside its own member list is a schedule construction bug, mirroring the plain ring collectives")
-        .unwrap_or_else(|| panic!("rank {rank} is not in members {members:?}"))
-}
-
 /// Domain-separation salts for the two lateness streams.
 const LATENESS_SALT: u64 = 0x1A7E_1A7E_1A7E_1A7E;
 const CONTRIB_SALT: u64 = 0xC0DE_C0DE_C0DE_C0DE;
-
-/// SplitMix64-style hash over three words (the construction every seeded
-/// decision stream in this workspace shares — deterministic, no global
-/// RNG).
-fn hash3(a: u64, b: u64, c: u64) -> u64 {
-    let mut x = a
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(b.rotate_left(17))
-        .wrapping_add(c.rotate_left(41));
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Maps a hash to a uniform draw in `[0, 1)`.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
 
 #[cfg(test)]
 mod tests {

@@ -31,22 +31,9 @@ use crate::hierarchical::{group_wire_bytes, scatter_gathered, shard_k, HiTopKRep
 use crate::resilience::{
     all_gather_f32_resilient, all_gather_u32_resilient, ring_all_gather_resilient, ResilientPeer,
 };
-use crate::ring::{all_gather_pairs_scratch, ring_all_gather_scratch};
+use crate::ring::{all_gather_pairs_scratch, member_index, ring_all_gather_scratch};
 use crate::scratch::CommScratch;
 use crate::torus::{grid_pos, inter_node_members, intra_node_members};
-
-/// Position of `rank` within `members`.
-///
-/// # Panics
-/// Panics if `rank` is not a member — collectives must only be called by
-/// participants.
-fn member_index(members: &[usize], rank: usize) -> usize {
-    members
-        .iter()
-        .position(|&m| m == rank)
-        // lint:allow(panic_free, reason = "a rank outside its own member list is a schedule construction bug, documented in the Panics section above")
-        .unwrap_or_else(|| panic!("rank {rank} is not in members {members:?}"))
-}
 
 /// Fused ring ReduceScatter: like
 /// [`crate::ring::ring_reduce_scatter_scratch`], but `x` is **read-only**
@@ -57,6 +44,11 @@ fn member_index(members: &[usize], rank: usize) -> usize {
 ///
 /// The caller owns the returned buffer and should `put_f32` it back once
 /// consumed so the arena's take/put flow stays balanced.
+///
+/// Hops stay whole-chunk here, unlike the in-place variant's pieced hops:
+/// the reduction state *is* the travelling buffer, which the caller gets
+/// back shard-sized, and the resilient twin below charges its fault ladder
+/// per message.
 pub fn ring_reduce_scatter_fused(
     peer: &Peer,
     x: &[f32],

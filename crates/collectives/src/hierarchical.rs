@@ -759,6 +759,92 @@ mod tests {
         }
     }
 
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// [`hitopk_all_reduce_ef_scratch`] recomposed over the whole-chunk
+    /// reference ring loops.
+    #[allow(clippy::too_many_arguments)]
+    fn hitopk_ef_over_whole_chunk_hops(
+        peer: &Peer,
+        x: &mut [f32],
+        m: usize,
+        n: usize,
+        rho: f64,
+        c: &mut MsTopK,
+        feedback: &mut cloudtrain_compress::ErrorFeedback,
+        scratch: &mut CommScratch,
+    ) -> HiTopKReport {
+        use crate::ring::reference;
+        let pos = grid_pos(peer.rank(), m, n);
+        let intra = intra_node_members(pos.node, n);
+        let inter = inter_node_members(pos.gpu, m, n);
+        let shard = reference::reduce_scatter(peer, x, &intra);
+        let k = shard_k(x.len(), n, rho).min(shard.len());
+        let selection = feedback.select(shard.slice(x), k, c);
+        feedback.release(&selection);
+        let value_blocks = all_gather_f32_scratch(peer, &selection.values, &inter, scratch);
+        let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
+        let blocks = value_blocks.into_iter().zip(index_blocks);
+        let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
+        reference::all_gather(peer, x, &intra);
+        HiTopKReport {
+            k_per_shard: k,
+            shard_nonzeros,
+            inter_bytes_sent: group_wire_bytes(&selection, inter.len()),
+        }
+    }
+
+    #[test]
+    fn ef_over_pieced_hops_equals_whole_chunk_hops_across_rounds() {
+        // Shards of two full pieces and a tail, one element apart, so the
+        // residual carried from round to round has crossed piece
+        // boundaries on both the ReduceScatter and the AllGather.
+        let (m, n, rho) = (2usize, 2usize, 0.01f64);
+        let d = 2 * (2 * ops::REDUCE_BLOCK + 1000) + 1;
+        let run = |pieced: bool| {
+            run_on_group(m * n, move |peer| {
+                let shard_len = shards(d, n)[peer.rank() % n].len();
+                let mut ef = cloudtrain_compress::ErrorFeedback::new(shard_len);
+                let mut c = MsTopK::new(25, peer.rank() as u64);
+                let mut scratch = CommScratch::new();
+                let mut rounds = Vec::new();
+                for round in 0..3 {
+                    let mut x = vec_for(100 * round + peer.rank(), d);
+                    let call = if pieced {
+                        hitopk_all_reduce_ef_scratch
+                    } else {
+                        hitopk_ef_over_whole_chunk_hops
+                    };
+                    let rep = call(peer, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
+                    rounds.push((bits(&x), bits(ef.residual()), rep));
+                }
+                rounds
+            })
+        };
+        // Not `assert_eq!`: a failure would print 400k-element vectors.
+        assert!(run(true) == run(false), "pieced hops changed a bit");
+    }
+
+    #[test]
+    fn arena_holds_pieces_not_shards() {
+        let (m, n, d, rho) = (2usize, 2usize, 1_000_000usize, 0.01f64);
+        run_on_group(m * n, |peer| {
+            let mut ef = cloudtrain_compress::ErrorFeedback::new(d / n);
+            let mut c = MsTopK::new(25, peer.rank() as u64);
+            let mut scratch = CommScratch::new();
+            let mut x = vec_for(peer.rank(), d);
+            hitopk_all_reduce_ef_scratch(peer, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
+            let warm = scratch.misses();
+            let mut y = vec_for(100 + peer.rank(), d);
+            hitopk_all_reduce_ef_scratch(peer, &mut y, m, n, rho, &mut c, &mut ef, &mut scratch);
+            assert_eq!(scratch.misses(), warm, "second round allocated");
+            // A 2 MB shard crossed the ring four times; none of it stays.
+            assert!(scratch.pooled_bytes() < 4 << 20, "{scratch:?}");
+        });
+    }
+
     #[test]
     fn scatter_gathered_counts_what_a_full_pass_would() {
         // Overlapping, unsorted and empty blocks; a coordinate that cancels

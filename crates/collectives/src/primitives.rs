@@ -9,14 +9,7 @@
 use cloudtrain_tensor::ops;
 
 use crate::group::Peer;
-
-fn member_index(members: &[usize], rank: usize) -> usize {
-    members
-        .iter()
-        .position(|&m| m == rank)
-        // lint:allow(panic_free, reason = "a rank outside its own member list is a schedule construction bug; every collective would deadlock anyway")
-        .unwrap_or_else(|| panic!("rank {rank} is not in members {members:?}"))
-}
+use crate::ring::member_index;
 
 /// Binomial-tree broadcast from `members[0]`: on return every member's `x`
 /// equals the root's.

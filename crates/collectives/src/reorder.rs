@@ -28,6 +28,7 @@ use cloudtrain_tensor::partition::shard_for;
 
 use crate::group::Peer;
 use crate::hierarchical::{group_wire_bytes, scatter_gathered, shard_k, HiTopKReport};
+use crate::resilience::hash3;
 use crate::ring::{
     all_gather_f32_scratch, all_gather_u32_scratch, ring_all_gather, ring_all_gather_scratch,
     ring_all_reduce, ring_reduce_scatter, ring_reduce_scatter_scratch,
@@ -291,19 +292,6 @@ pub fn hitopk_all_reduce_ef_reordered<C: Compressor + ?Sized>(
         shard_nonzeros,
         inter_bytes_sent,
     }
-}
-
-/// SplitMix64-style hash over three words (the construction every seeded
-/// decision stream in this workspace shares — deterministic, no global
-/// RNG).
-fn hash3(a: u64, b: u64, c: u64) -> u64 {
-    let mut x = a
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(b.rotate_left(17))
-        .wrapping_add(c.rotate_left(41));
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

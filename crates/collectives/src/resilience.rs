@@ -39,6 +39,7 @@ use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 use crate::group::Peer;
 use crate::gtopk::{merge_sparse, trim_topk};
 use crate::hierarchical::{group_wire_bytes, scatter_gathered, shard_k, HiTopKReport};
+use crate::ring::member_index;
 use crate::scratch::CommScratch;
 use crate::torus::{grid_pos, inter_node_members, intra_node_members};
 
@@ -310,20 +311,14 @@ impl<'a> ResilientPeer<'a> {
     }
 }
 
-/// Position of `rank` within `members` (panics for non-members, mirroring
-/// the plain ring collectives).
-fn member_index(members: &[usize], rank: usize) -> usize {
-    members
-        .iter()
-        .position(|&m| m == rank)
-        // lint:allow(panic_free, reason = "a rank outside its own member list is a schedule construction bug, mirroring the plain ring collectives")
-        .unwrap_or_else(|| panic!("rank {rank} is not in members {members:?}"))
-}
-
 /// Resilient ring ReduceScatter — the data flow of
 /// [`crate::ring::ring_reduce_scatter_scratch`] with every hop charged
 /// through the policy. Results are bitwise identical to the plain variant
 /// (drops are virtual; every byte is delivered).
+///
+/// Unlike the plain variant this keeps whole-chunk hops on purpose: the
+/// fault ladder is seeded per message, so piecing a hop would draw a
+/// different fault sequence and move every pinned gauntlet result.
 pub fn ring_reduce_scatter_resilient(
     rp: &mut ResilientPeer,
     x: &mut [f32],
@@ -351,7 +346,8 @@ pub fn ring_reduce_scatter_resilient(
     chunks[me]
 }
 
-/// Resilient ring AllGather (see [`ring_reduce_scatter_resilient`]).
+/// Resilient ring AllGather (see [`ring_reduce_scatter_resilient`], whole
+/// chunks per hop included).
 pub fn ring_all_gather_resilient(
     rp: &mut ResilientPeer,
     x: &mut [f32],
@@ -607,9 +603,10 @@ pub fn gtopk_all_reduce_ef_resilient<C: Compressor + ?Sized>(
 const HOP_SALT: u64 = 0x40B5_40B5_40B5_40B5;
 const DEGRADE_SALT: u64 = 0xDE6A_DE6A_DE6A_DE6A;
 
-/// SplitMix64-style hash over three words (the same construction the
-/// simnet fault plan uses — deterministic, no global RNG).
-fn hash3(a: u64, b: u64, c: u64) -> u64 {
+/// SplitMix64-style hash over three words (the construction every seeded
+/// decision stream in this workspace shares — deterministic, no global
+/// RNG).
+pub(crate) fn hash3(a: u64, b: u64, c: u64) -> u64 {
     let mut x = a
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(b.rotate_left(17))
@@ -620,7 +617,7 @@ fn hash3(a: u64, b: u64, c: u64) -> u64 {
 }
 
 /// Maps a hash to a uniform draw in `[0, 1)`.
-fn unit(h: u64) -> f64 {
+pub(crate) fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 

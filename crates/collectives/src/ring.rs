@@ -9,6 +9,12 @@
 //! Chunking follows `cloudtrain_tensor::partition`: member `r` (by position
 //! in `members`) ends a ReduceScatter owning shard `r`, matching Eq. (4) of
 //! the paper where GPU `j` owns the `j`-th `d/n` segment.
+//!
+//! The dense ReduceScatter and AllGather move a hop's chunk as a lockstep
+//! pipeline of [`ops::REDUCE_BLOCK`]-element pieces (DESIGN.md §6.6): the
+//! receiver folds each piece in while it is still in cache, and no
+//! shard-sized wire buffer ever exists. Piecing changes neither the member
+//! schedule nor the order in which any element is reduced.
 
 use cloudtrain_tensor::ops;
 use cloudtrain_tensor::partition::{shard_for, shards, Shard};
@@ -16,12 +22,16 @@ use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 use crate::group::Peer;
 use crate::scratch::CommScratch;
 
+/// Elements per hop piece: one [`ops::REDUCE_BLOCK`] (256 KB of `f32`), so
+/// a piece is still cache-resident when the receiver folds it in.
+const HOP_PIECE: usize = ops::REDUCE_BLOCK;
+
 /// Position of `rank` within `members`.
 ///
 /// # Panics
 /// Panics if `rank` is not a member — collectives must only be called by
 /// participants.
-fn member_index(members: &[usize], rank: usize) -> usize {
+pub(crate) fn member_index(members: &[usize], rank: usize) -> usize {
     members
         .iter()
         .position(|&m| m == rank)
@@ -39,39 +49,23 @@ pub fn ring_reduce_scatter(peer: &Peer, x: &mut [f32], members: &[usize]) -> Sha
     ring_reduce_scatter_scratch(peer, x, members, &mut CommScratch::new())
 }
 
-/// [`ring_reduce_scatter`] drawing its per-hop send buffers from `scratch`.
+/// [`ring_reduce_scatter`] drawing its send buffers from `scratch`.
 ///
-/// Each hop takes one pooled buffer (the outgoing copy) and recycles the
-/// buffer it received, so the pool's flow is balanced and steady-state
-/// iterations allocate nothing.
+/// A hop's chunk crosses the channel as pieces of [`ops::REDUCE_BLOCK`]
+/// elements in lockstep: copy and send piece `i`, receive piece `i`, fold
+/// it in. Each piece takes one pooled buffer and recycles the one it
+/// received, so the pool's flow is balanced, steady-state iterations
+/// allocate nothing, and the arena never holds more than piece-sized
+/// buffers.
 pub fn ring_reduce_scatter_scratch(
     peer: &Peer,
     x: &mut [f32],
     members: &[usize],
     scratch: &mut CommScratch,
 ) -> Shard {
-    let p = members.len();
-    let me = member_index(members, peer.rank());
-    let d = x.len();
-    if p == 1 {
-        return shard_for(d, 1, 0);
-    }
-    let chunks = shards(d, p);
-    let right = members[(me + 1) % p];
-    let left = members[(me + p - 1) % p];
-
     // Step s: send chunk (me - s - 1) mod p, receive and accumulate chunk
     // (me - s - 2) mod p. After p-1 steps this member fully owns chunk `me`.
-    for s in 0..p - 1 {
-        let send_idx = (me + p - s - 1) % p;
-        let recv_idx = (me + 2 * p - s - 2) % p;
-        let send_chunk = scratch.copy_f32(chunks[send_idx].slice(x));
-        peer.send_f32(right, send_chunk);
-        let recv = peer.recv_f32(left);
-        ops::add_assign(chunks[recv_idx].slice_mut(x), &recv);
-        scratch.put_f32(recv);
-    }
-    chunks[me]
+    ring_pass_pieced(peer, x, members, scratch, HOP_PIECE, 0, ops::add_assign)
 }
 
 /// Ring AllGather over `members`: each member contributes its own shard of
@@ -83,33 +77,71 @@ pub fn ring_all_gather(peer: &Peer, x: &mut [f32], members: &[usize]) {
     ring_all_gather_scratch(peer, x, members, &mut CommScratch::new());
 }
 
-/// [`ring_all_gather`] drawing its per-hop send buffers from `scratch`
-/// (take one, recycle one — see [`ring_reduce_scatter_scratch`]).
+/// [`ring_all_gather`] drawing its send buffers from `scratch` (pieced
+/// hops, take one, recycle one — see [`ring_reduce_scatter_scratch`]).
 pub fn ring_all_gather_scratch(
     peer: &Peer,
     x: &mut [f32],
     members: &[usize],
     scratch: &mut CommScratch,
 ) {
+    // Step s: forward chunk (me - s) mod p, receive chunk (me - s - 1) mod p.
+    ring_pass_pieced(
+        peer,
+        x,
+        members,
+        scratch,
+        HOP_PIECE,
+        1,
+        <[f32]>::copy_from_slice,
+    );
+}
+
+/// One pass around the ring, `piece` elements per message: step `s` sends
+/// chunk `(me + lead - s - 1) mod p` to the right and `fold`s the chunk
+/// before it, arriving from the left, into its slot of `x`. Returns this
+/// member's own shard.
+///
+/// Pieces partition a chunk, so whatever `piece` is, each element is folded
+/// exactly once per step, in the step order of whole-chunk hops. Sends never
+/// block (the channels are unbounded) and a piece is only sent once the
+/// previous one has arrived, so no member runs more than `p - 1` pieces
+/// ahead of another and at most that many buffers are in flight per link.
+fn ring_pass_pieced(
+    peer: &Peer,
+    x: &mut [f32],
+    members: &[usize],
+    scratch: &mut CommScratch,
+    piece: usize,
+    lead: usize,
+    fold: impl Fn(&mut [f32], &[f32]),
+) -> Shard {
     let p = members.len();
     let me = member_index(members, peer.rank());
+    let d = x.len();
     if p == 1 {
-        return;
+        return shard_for(d, 1, 0);
     }
-    let chunks = shards(x.len(), p);
+    let chunks = shards(d, p);
     let right = members[(me + 1) % p];
     let left = members[(me + p - 1) % p];
+    // Counted on the longest chunk, ceil(d / p), so every member exchanges
+    // the same number of pieces per step; a chunk one element shorter may
+    // end with an empty piece.
+    let pieces = d.div_ceil(p).div_ceil(piece);
 
-    // Step s: forward chunk (me - s) mod p, receive chunk (me - s - 1) mod p.
     for s in 0..p - 1 {
-        let send_idx = (me + p - s) % p;
-        let recv_idx = (me + 2 * p - s - 1) % p;
-        let send_chunk = scratch.copy_f32(chunks[send_idx].slice(x));
-        peer.send_f32(right, send_chunk);
-        let recv = peer.recv_f32(left);
-        chunks[recv_idx].slice_mut(x).copy_from_slice(&recv);
-        scratch.put_f32(recv);
+        let send_idx = (me + lead + p - s - 1) % p;
+        let recv_idx = (send_idx + p - 1) % p;
+        for i in 0..pieces {
+            let send_chunk = scratch.copy_f32(chunks[send_idx].piece(i, piece).slice(x));
+            peer.send_f32(right, send_chunk);
+            let recv = peer.recv_f32(left);
+            fold(chunks[recv_idx].piece(i, piece).slice_mut(x), &recv);
+            scratch.put_f32(recv);
+        }
     }
+    chunks[me]
 }
 
 /// Ring AllReduce = ReduceScatter + AllGather. On return every member's `x`
@@ -202,25 +234,35 @@ pub fn all_gather_pairs_scratch(
         indices.len(),
         "all_gather_pairs: values and indices must pair up"
     );
-    let mut mine = scratch.take_u32(0);
-    mine.push(values.len() as u32);
-    mine.extend(indices.iter().copied());
-    mine.extend(values.iter().map(|v| v.to_bits()));
+    let mine = frame_pair(values, indices, scratch);
     let framed = all_gather_u32_scratch(peer, &mine, members, scratch);
     scratch.put_u32(mine);
     framed
         .into_iter()
-        .map(|block| {
-            let mut words = block.iter().copied();
-            let len = words.next().unwrap_or(0) as usize;
-            let mut idxs = scratch.take_u32(0);
-            idxs.extend(words.by_ref().take(len));
-            let mut vals = scratch.take_f32(0);
-            vals.extend(words.by_ref().take(len).map(f32::from_bits));
-            scratch.put_u32(block);
-            (vals, idxs)
-        })
+        .map(|block| unframe_pair(block, scratch))
         .collect()
+}
+
+/// Packs a `(values, indices)` pair into one `u32` frame:
+/// `[len, indices…, value-bits…]`. The inverse of [`unframe_pair`].
+pub(crate) fn frame_pair(values: &[f32], indices: &[u32], scratch: &mut CommScratch) -> Vec<u32> {
+    let mut frame = scratch.take_u32(0);
+    frame.push(values.len() as u32);
+    frame.extend(indices.iter().copied());
+    frame.extend(values.iter().map(|v| v.to_bits()));
+    frame
+}
+
+/// Unpacks a frame built by [`frame_pair`], recycling the frame buffer.
+pub(crate) fn unframe_pair(block: Vec<u32>, scratch: &mut CommScratch) -> (Vec<f32>, Vec<u32>) {
+    let mut words = block.iter().copied();
+    let len = words.next().unwrap_or(0) as usize;
+    let mut idxs = scratch.take_u32(0);
+    idxs.extend(words.by_ref().take(len));
+    let mut vals = scratch.take_f32(0);
+    vals.extend(words.by_ref().take(len).map(f32::from_bits));
+    scratch.put_u32(block);
+    (vals, idxs)
 }
 
 /// AllGather of index payloads (see [`all_gather_f32`]).
@@ -259,11 +301,57 @@ pub fn all_gather_u32_scratch(
     blocks.into_iter().map(Option::unwrap).collect()
 }
 
+/// The whole-chunk hop loops the pieced primitives replaced: one message
+/// per hop, however long the chunk. Kept as the oracle the pieced loops
+/// must equal bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    pub(crate) fn reduce_scatter(peer: &Peer, x: &mut [f32], members: &[usize]) -> Shard {
+        let p = members.len();
+        let me = member_index(members, peer.rank());
+        if p == 1 {
+            return shard_for(x.len(), 1, 0);
+        }
+        let chunks = shards(x.len(), p);
+        let right = members[(me + 1) % p];
+        let left = members[(me + p - 1) % p];
+        for s in 0..p - 1 {
+            let send_chunk = chunks[(me + p - s - 1) % p].slice(x).to_vec();
+            peer.send_f32(right, send_chunk);
+            let recv = peer.recv_f32(left);
+            ops::add_assign(chunks[(me + 2 * p - s - 2) % p].slice_mut(x), &recv);
+        }
+        chunks[me]
+    }
+
+    pub(crate) fn all_gather(peer: &Peer, x: &mut [f32], members: &[usize]) {
+        let p = members.len();
+        let me = member_index(members, peer.rank());
+        if p == 1 {
+            return;
+        }
+        let chunks = shards(x.len(), p);
+        let right = members[(me + 1) % p];
+        let left = members[(me + p - 1) % p];
+        for s in 0..p - 1 {
+            let send_chunk = chunks[(me + p - s) % p].slice(x).to_vec();
+            peer.send_f32(right, send_chunk);
+            let recv = peer.recv_f32(left);
+            chunks[(me + 2 * p - s - 1) % p]
+                .slice_mut(x)
+                .copy_from_slice(&recv);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::group::run_on_group;
     use cloudtrain_tensor::init;
+    use proptest::prelude::*;
 
     /// Per-rank deterministic test vector.
     fn vec_for(rank: usize, d: usize) -> Vec<f32> {
@@ -475,6 +563,133 @@ mod tests {
         });
         for (warm, total) in &miss_growth {
             assert_eq!(total, warm, "recycled gathers must not re-allocate");
+        }
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The two public primitives' passes, at a chosen piece size.
+    fn reduce_scatter_pieced(
+        peer: &Peer,
+        x: &mut [f32],
+        members: &[usize],
+        scratch: &mut CommScratch,
+        piece: usize,
+    ) -> Shard {
+        ring_pass_pieced(peer, x, members, scratch, piece, 0, ops::add_assign)
+    }
+
+    fn all_gather_pieced(
+        peer: &Peer,
+        x: &mut [f32],
+        members: &[usize],
+        scratch: &mut CommScratch,
+        piece: usize,
+    ) {
+        ring_pass_pieced(
+            peer,
+            x,
+            members,
+            scratch,
+            piece,
+            1,
+            <[f32]>::copy_from_slice,
+        );
+    }
+
+    /// Runs ReduceScatter, the AllGather that completes it into an
+    /// AllReduce, and an AllGather of untouched per-rank vectors through
+    /// both the pieced loops and the whole-chunk reference on every rank,
+    /// and requires every element of every rank's vector — unowned partial
+    /// sums included — to agree `to_bits` for `to_bits`.
+    fn assert_pieced_equals_reference(p: usize, d: usize, piece: usize) {
+        let members: Vec<usize> = (0..p).collect();
+        run_on_group(p, |peer| {
+            let mut scratch = CommScratch::new();
+            let what = format!("p={p} d={d} piece={piece} rank {}", peer.rank());
+
+            let (mut got, mut want) = (vec_for(peer.rank(), d), vec_for(peer.rank(), d));
+            let shard = reduce_scatter_pieced(peer, &mut got, &members, &mut scratch, piece);
+            assert_eq!(shard, reference::reduce_scatter(peer, &mut want, &members));
+            assert_eq!(bits(&got), bits(&want), "reduce-scatter, {what}");
+
+            all_gather_pieced(peer, &mut got, &members, &mut scratch, piece);
+            reference::all_gather(peer, &mut want, &members);
+            assert_eq!(bits(&got), bits(&want), "all-reduce, {what}");
+
+            let (mut got, mut want) = (vec_for(7 + peer.rank(), d), vec_for(7 + peer.rank(), d));
+            all_gather_pieced(peer, &mut got, &members, &mut scratch, piece);
+            reference::all_gather(peer, &mut want, &members);
+            assert_eq!(bits(&got), bits(&want), "all-gather, {what}");
+
+            // Take one, recycle one: whatever the piece count, one buffer
+            // per rank circulates.
+            assert!(scratch.pooled() <= 1, "{what}: {scratch:?}");
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn pieced_hops_match_whole_chunk_hops_bitwise(
+            p in 1usize..6,
+            d in 0usize..258,
+            piece in 1usize..20,
+        ) {
+            assert_pieced_equals_reference(p, d, piece);
+        }
+    }
+
+    #[test]
+    fn chunks_with_different_piece_counts_stay_in_lockstep() {
+        // d = p·piece + 1: chunk 0 is one element — one whole piece — longer
+        // than the rest. On three or more members a rank can send and
+        // receive short chunks in a hop where its neighbour handles the
+        // long one; all of them must still exchange the same piece count.
+        for (p, piece) in [(2usize, 4usize), (3, 4), (5, 3), (4, 1)] {
+            assert_pieced_equals_reference(p, p * piece + 1, piece);
+        }
+    }
+
+    #[test]
+    fn degenerate_shapes_survive_piecing() {
+        // Fewer elements than members (empty chunks), nothing at all, a
+        // ring of one, and a piece longer than the whole vector.
+        for (p, d, piece) in [
+            (4usize, 3usize, 2usize),
+            (5, 1, 1),
+            (3, 0, 4),
+            (1, 9, 2),
+            (3, 10, 64),
+        ] {
+            assert_pieced_equals_reference(p, d, piece);
+        }
+    }
+
+    #[test]
+    fn public_primitives_piece_at_the_reduce_block() {
+        // Long enough that each chunk spans two full pieces and a tail at
+        // the shipped piece size.
+        let (p, d) = (2usize, 2 * (2 * HOP_PIECE + 5) + 1);
+        let members: Vec<usize> = (0..p).collect();
+        let pooled = run_on_group(p, |peer| {
+            let mut scratch = CommScratch::new();
+            let (mut got, mut want) = (vec_for(peer.rank(), d), vec_for(peer.rank(), d));
+            ring_all_reduce_scratch(peer, &mut got, &members, &mut scratch);
+            reference::reduce_scatter(peer, &mut want, &members);
+            reference::all_gather(peer, &mut want, &members);
+            assert_eq!(bits(&got), bits(&want), "rank {}", peer.rank());
+            scratch.pooled_bytes()
+        });
+        for bytes in pooled {
+            assert_eq!(
+                bytes,
+                4 * HOP_PIECE,
+                "arena must hold one piece, not a shard"
+            );
         }
     }
 

@@ -1,15 +1,15 @@
 //! `CommScratch` — a reusable buffer arena for the collective hot path.
 //!
-//! Every ring hop of the collectives in this crate needs a fresh owned
+//! Every ring message of the collectives in this crate needs a fresh owned
 //! buffer: [`crate::group::Peer::send_f32`] transfers ownership of the
-//! payload, so a hop must copy the outgoing chunk into a `Vec` it can give
+//! payload, so a hop must copy what it sends into a `Vec` it can give
 //! away. The seed implementation allocated that `Vec` on every hop
 //! (`slice.to_vec()` / `block.clone()`), which at 25M-parameter scale means
 //! thousands of heap round-trips per training iteration.
 //!
 //! The arena replaces those allocations with a take/put pool:
 //!
-//! * a hop **takes** a pooled buffer, copies the outgoing chunk into it and
+//! * a hop **takes** a pooled buffer, copies the outgoing data into it and
 //!   sends it away;
 //! * when the matching inbound buffer has been consumed (accumulated or
 //!   copied out), the hop **puts** it back into the pool.
@@ -18,9 +18,13 @@
 //! (ring traffic is balanced by construction), the pool reaches a fixed
 //! point after the first iteration: buffers *migrate* between the workers'
 //! pools via the channels, but each pool's take/put flow nets to zero, so
-//! steady-state training performs **zero** per-hop allocations. The
-//! [`ScratchStats`] counters make that claim testable: `misses` stops
-//! growing after warmup.
+//! steady-state training performs **zero** allocations. The
+//! [`ScratchStats`] counters make that claim testable: `misses` — takes
+//! that allocated, a pooled buffer that had to grow included — stops
+//! growing after warmup. The dense ring primitives send a chunk as
+//! cache-sized pieces ([`crate::ring::ring_reduce_scatter_scratch`]), so
+//! what the fixed point holds is piece-sized buffers and sparse gather
+//! blocks, never a shard; [`CommScratch::pooled_bytes`] is the number.
 //!
 //! Callers of the variable-payload gathers ([`crate::ring::all_gather_f32_scratch`])
 //! own the returned blocks and must `put` them back once consumed —
@@ -34,7 +38,8 @@ use std::fmt;
 pub struct ScratchStats {
     /// Buffers handed out by `take`/`copy` calls.
     pub takes: usize,
-    /// Takes that found the pool empty and had to heap-allocate.
+    /// Takes that had to heap-allocate: the pool was empty, or no pooled
+    /// buffer was roomy enough and one had to grow.
     pub misses: usize,
 }
 
@@ -56,11 +61,40 @@ pub struct CommScratch {
     u32_stats: ScratchStats,
 }
 
+/// Smallest capacity the arena allocates, in elements: one 64-byte cache
+/// line of `f32`/`u32`.
+const MIN_CAPACITY: usize = 16;
+
+/// Takes a pooled buffer, emptied and with room for `needed` elements. Best
+/// fit: the smallest pooled buffer that is roomy enough — piece-sized hop
+/// buffers and larger gather blocks share one pool, and each goes back to
+/// the job it was cut for — else the roomiest, grown. Only an empty pool or
+/// a growing buffer allocates (a miss), and allocations round up to a
+/// power-of-two size class, so buffers cut for ring chunks that differ by
+/// one element, or for payloads whose length follows the data, are
+/// interchangeable and the pool still reaches its fixed point after warmup.
+fn take<T>(pool: &mut Vec<Vec<T>>, stats: &mut ScratchStats, needed: usize) -> Vec<T> {
+    stats.takes += 1;
+    let fits = |i: &usize| pool[*i].capacity() >= needed;
+    let pick = (0..pool.len())
+        .filter(fits)
+        .min_by_key(|&i| pool[i].capacity())
+        .or_else(|| (0..pool.len()).max_by_key(|&i| pool[i].capacity()));
+    let mut buf = pick.map(|i| pool.swap_remove(i)).unwrap_or_default();
+    buf.clear();
+    if pick.is_none() || buf.capacity() < needed {
+        stats.misses += 1;
+        buf.reserve_exact(needed.next_power_of_two().max(MIN_CAPACITY));
+    }
+    buf
+}
+
 impl fmt::Debug for CommScratch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CommScratch")
             .field("f32_pooled", &self.f32_pool.len())
             .field("u32_pooled", &self.u32_pool.len())
+            .field("pooled_bytes", &self.pooled_bytes())
             .field("f32_stats", &self.f32_stats)
             .field("u32_stats", &self.u32_stats)
             .finish()
@@ -79,19 +113,14 @@ impl CommScratch {
     /// copy's ownership goes to the channel). No zero-fill — the buffer is
     /// cleared and overwritten in one pass.
     pub fn copy_f32(&mut self, src: &[f32]) -> Vec<f32> {
-        let mut buf = self.take_f32(0);
+        let mut buf = take(&mut self.f32_pool, &mut self.f32_stats, src.len());
         buf.extend_from_slice(src);
         buf
     }
 
     /// Takes a zero-padded buffer of exactly `len` elements.
     pub fn take_f32(&mut self, len: usize) -> Vec<f32> {
-        self.f32_stats.takes += 1;
-        let mut buf = self.f32_pool.pop().unwrap_or_else(|| {
-            self.f32_stats.misses += 1;
-            Vec::new()
-        });
-        buf.clear();
+        let mut buf = take(&mut self.f32_pool, &mut self.f32_stats, len);
         buf.resize(len, 0.0);
         buf
     }
@@ -103,19 +132,14 @@ impl CommScratch {
 
     /// Takes a buffer holding a copy of `src` (see [`Self::copy_f32`]).
     pub fn copy_u32(&mut self, src: &[u32]) -> Vec<u32> {
-        let mut buf = self.take_u32(0);
+        let mut buf = take(&mut self.u32_pool, &mut self.u32_stats, src.len());
         buf.extend_from_slice(src);
         buf
     }
 
     /// Takes a zero-padded buffer of exactly `len` elements.
     pub fn take_u32(&mut self, len: usize) -> Vec<u32> {
-        self.u32_stats.takes += 1;
-        let mut buf = self.u32_pool.pop().unwrap_or_else(|| {
-            self.u32_stats.misses += 1;
-            Vec::new()
-        });
-        buf.clear();
+        let mut buf = take(&mut self.u32_pool, &mut self.u32_stats, len);
         buf.resize(len, 0);
         buf
     }
@@ -144,6 +168,14 @@ impl CommScratch {
     /// Buffers currently parked in the arena (both pools).
     pub fn pooled(&self) -> usize {
         self.f32_pool.len() + self.u32_pool.len()
+    }
+
+    /// Bytes of capacity parked in the arena (both pools) — what the pool
+    /// costs in resident memory between collectives.
+    pub fn pooled_bytes(&self) -> usize {
+        let f32s: usize = self.f32_pool.iter().map(Vec::capacity).sum();
+        let u32s: usize = self.u32_pool.iter().map(Vec::capacity).sum();
+        4 * (f32s + u32s)
     }
 
     /// Publishes both pools' counters into an observability registry, so a
@@ -192,6 +224,42 @@ mod tests {
                 misses: 1
             }
         );
+    }
+
+    #[test]
+    fn a_take_that_outgrows_its_buffer_counts_as_a_miss() {
+        let mut s = CommScratch::new();
+        s.put_f32(Vec::with_capacity(20));
+        let a = s.take_f32(20);
+        assert_eq!(s.f32_stats().misses, 0);
+        s.put_f32(a);
+        let b = s.copy_f32(&[1.0; 21]);
+        assert_eq!(s.f32_stats().misses, 1, "growing 20 -> 21 allocates");
+        // Grown to its size class, so the next length up is a hit.
+        s.put_f32(b);
+        let c = s.take_f32(32);
+        assert_eq!(s.f32_stats().misses, 1);
+        assert_eq!(c.capacity(), 32);
+    }
+
+    #[test]
+    fn takes_are_best_fit() {
+        let mut s = CommScratch::new();
+        s.put_u32(Vec::with_capacity(64));
+        s.put_u32(Vec::with_capacity(256));
+        s.put_u32(Vec::with_capacity(16));
+        assert_eq!(s.pooled_bytes(), 4 * (64 + 256 + 16));
+        // Smallest that fits, so small requests leave the big buffers be...
+        assert_eq!(s.take_u32(40).capacity(), 64);
+        assert_eq!(s.take_u32(0).capacity(), 16);
+        assert_eq!(s.take_u32(100).capacity(), 256);
+        assert_eq!(s.misses(), 0);
+        // ...and when nothing fits, the roomiest one grows.
+        s.put_u32(Vec::with_capacity(16));
+        s.put_u32(Vec::with_capacity(64));
+        assert_eq!(s.take_u32(100).capacity(), 128);
+        assert_eq!(s.misses(), 1);
+        assert_eq!(s.pooled_bytes(), 4 * 16);
     }
 
     #[test]

@@ -51,7 +51,10 @@ use crate::resilience::{
     all_gather_f32_resilient, all_gather_u32_resilient, ring_all_gather_resilient,
     ring_reduce_scatter_resilient, ResilientPeer,
 };
-use crate::ring::{all_gather_pairs_scratch, ring_all_gather_scratch, ring_reduce_scatter_scratch};
+use crate::ring::{
+    all_gather_pairs_scratch, frame_pair, member_index, ring_all_gather_scratch,
+    ring_reduce_scatter_scratch, unframe_pair,
+};
 use crate::scratch::CommScratch;
 use crate::torus::{grid_pos, inter_node_members, intra_node_members};
 
@@ -85,42 +88,10 @@ struct AggregateStats {
     shard_nonzeros: usize,
 }
 
-/// Position of `rank` within `members` (panics for non-members, mirroring
-/// the plain ring collectives).
-fn member_index(members: &[usize], rank: usize) -> usize {
-    members
-        .iter()
-        .position(|&m| m == rank)
-        // lint:allow(panic_free, reason = "a rank outside its own member list is a schedule construction bug, mirroring the plain ring collectives")
-        .unwrap_or_else(|| panic!("rank {rank} is not in members {members:?}"))
-}
-
 /// Owner ordinal of shard-relative index `idx` under the balanced
 /// contiguous partition `ranges`.
 fn owner_of(ranges: &[Shard], idx: usize) -> usize {
     ranges.partition_point(|r| r.end <= idx)
-}
-
-/// Packs a `(values, indices)` pair into one `u32` frame:
-/// `[len, indices…, value-bits…]`. The inverse of [`unframe_pair`].
-fn frame_pair(values: &[f32], indices: &[u32], scratch: &mut CommScratch) -> Vec<u32> {
-    let mut frame = scratch.take_u32(0);
-    frame.push(values.len() as u32);
-    frame.extend(indices.iter().copied());
-    frame.extend(values.iter().map(|v| v.to_bits()));
-    frame
-}
-
-/// Unpacks a frame built by [`frame_pair`], recycling the frame buffer.
-fn unframe_pair(block: Vec<u32>, scratch: &mut CommScratch) -> (Vec<f32>, Vec<u32>) {
-    let mut words = block.iter().copied();
-    let len = words.next().unwrap_or(0) as usize;
-    let mut idxs = scratch.take_u32(0);
-    idxs.extend(words.by_ref().take(len));
-    let mut vals = scratch.take_f32(0);
-    vals.extend(words.by_ref().take(len).map(f32::from_bits));
-    scratch.put_u32(block);
-    (vals, idxs)
 }
 
 /// Splits `selection` by owner range into `q` scratch-backed partition

@@ -31,6 +31,16 @@ impl Shard {
         self.start == self.end
     }
 
+    /// The `i`-th `len`-element piece of the shard: the last piece may be
+    /// short, and pieces past the end are empty.
+    pub fn piece(&self, i: usize, len: usize) -> Shard {
+        let start = self.end.min(self.start + i * len);
+        Shard {
+            start,
+            end: self.end.min(start + len),
+        }
+    }
+
     /// Borrows the shard's elements from a flat slice.
     pub fn slice<'a>(&self, x: &'a [f32]) -> &'a [f32] {
         &x[self.start..self.end]
@@ -111,6 +121,17 @@ mod tests {
         assert_eq!(s.slice(&x), &[4.0, 5.0, 6.0]);
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn pieces_tile_the_shard_and_run_empty_past_the_end() {
+        let s = Shard { start: 4, end: 11 };
+        let pieces: Vec<Shard> = (0..4).map(|i| s.piece(i, 3)).collect();
+        let want = [(4, 7), (7, 10), (10, 11), (11, 11)];
+        for (got, (start, end)) in pieces.iter().zip(want) {
+            assert_eq!(*got, Shard { start, end });
+        }
+        assert_eq!(s.piece(0, 100), s);
     }
 
     #[test]
