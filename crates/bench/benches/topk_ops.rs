@@ -8,8 +8,8 @@ use cloudtrain::compress::dgc::Dgc;
 use cloudtrain::compress::exact::{QuickTopK, SortTopK};
 use cloudtrain::compress::quantize::{Qsgd, Quantizer, ScaledSign, TernGrad};
 use cloudtrain::compress::randomk::RandomK;
-use cloudtrain::compress::{Compressor, MsTopK, MsTopKNaive};
-use cloudtrain::tensor::init;
+use cloudtrain::compress::{Compressor, ErrorFeedback, MsTopK, MsTopKNaive};
+use cloudtrain::tensor::{init, ops};
 
 fn bench_topk(c: &mut Criterion) {
     let mut group = c.benchmark_group("topk_ops");
@@ -72,6 +72,52 @@ fn bench_mstopk_search(c: &mut Criterion) {
     group.finish();
 }
 
+/// MSTopK at the error-feedback sparsification point of `agg_sparse_25m`:
+/// one rank's shard of a 25,557,032-element gradient over two GPUs, at
+/// rho = 0.01. `select_release` is `ErrorFeedback::select` (the
+/// accumulating sweep) then `release`; `fold_compress_release` is what
+/// `hitopk_all_reduce_ef_scratch` runs once its last ReduceScatter hop has
+/// folded the node sum into the residual — `compress` on the residual, then
+/// `release` — with the fold done here as a plain `add_assign`. Two
+/// gradients alternate and the residual carries over, as across rounds.
+fn bench_mstopk_ef(c: &mut Criterion) {
+    const SHARD: usize = 12_778_516;
+    const K: usize = 127_785;
+    let mut group = c.benchmark_group("mstopk_ef");
+    group.sample_size(5);
+    group.throughput(Throughput::Elements(SHARD as u64));
+    let mut rng = init::rng_from_seed(11);
+    let grads = [
+        init::gradient_like_tensor(SHARD, &mut rng).into_vec(),
+        init::gradient_like_tensor(SHARD, &mut rng).into_vec(),
+    ];
+
+    group.bench_function("select_release", |b| {
+        let mut op = MsTopK::new(30, 3);
+        let mut ef = ErrorFeedback::new(SHARD);
+        let mut round = 0;
+        b.iter(|| {
+            round += 1;
+            let sent = ef.select(&grads[round % 2], K, &mut op);
+            ef.release(&sent);
+            black_box(sent)
+        })
+    });
+    group.bench_function("fold_compress_release", |b| {
+        let mut op = MsTopK::new(30, 3);
+        let mut ef = ErrorFeedback::new(SHARD);
+        let mut round = 0;
+        b.iter(|| {
+            round += 1;
+            ops::add_assign(ef.residual_mut(), &grads[round % 2]);
+            let sent = op.compress(ef.residual(), K);
+            ef.release(&sent);
+            black_box(sent)
+        })
+    });
+    group.finish();
+}
+
 fn bench_quantizers(c: &mut Criterion) {
     let mut group = c.benchmark_group("quantizers");
     let mut rng = init::rng_from_seed(2);
@@ -98,5 +144,11 @@ fn bench_quantizers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_topk, bench_mstopk_search, bench_quantizers);
+criterion_group!(
+    benches,
+    bench_topk,
+    bench_mstopk_search,
+    bench_mstopk_ef,
+    bench_quantizers
+);
 criterion_main!(benches);

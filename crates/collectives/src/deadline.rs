@@ -317,6 +317,7 @@ pub fn hitopk_all_reduce_ef_deadline<C: Compressor + ?Sized>(
     let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
 
     let blocks = value_blocks.into_iter().zip(index_blocks);
+    ops::fill(shard.slice_mut(x), 0.0);
     let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
 
     ring_all_gather_scratch(peer, x, &intra, scratch);

@@ -272,6 +272,7 @@ fn hitopk_fused_impl<C: Compressor + ?Sized>(
         all_gather_pairs_scratch(peer, &selection.values, &selection.indices, &inter, scratch);
     let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
 
+    ops::fill(shard.slice_mut(x), 0.0);
     let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
     obs::span_end(&mut reg, span, (2 * m * k) as f64);
 
@@ -349,6 +350,7 @@ pub fn hitopk_all_reduce_ef_fused_resilient<C: Compressor + ?Sized>(
     let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
 
     let blocks = value_blocks.into_iter().zip(index_blocks);
+    ops::fill(shard.slice_mut(x), 0.0);
     let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
 
     ring_all_gather_resilient(rp, x, &intra, scratch);

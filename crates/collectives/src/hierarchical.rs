@@ -25,7 +25,7 @@ use cloudtrain_tensor::partition::shard_for;
 use crate::group::Peer;
 use crate::ring::{
     all_gather_f32, all_gather_f32_scratch, all_gather_u32, all_gather_u32_scratch,
-    ring_all_gather_scratch, ring_reduce_scatter_scratch,
+    ring_all_gather_scratch, ring_reduce_scatter_ef, ring_reduce_scatter_scratch, HOP_PIECE,
 };
 use crate::scratch::CommScratch;
 use crate::torus::{grid_pos, inter_node_members, intra_node_members};
@@ -73,15 +73,17 @@ pub fn pair_wire_bytes(entries: usize) -> usize {
 }
 
 /// The accumulate that ends the inter-node step of every hitopk- and
-/// O(k)-family variant: zeroes `shard_buf`, scatter-adds the gathered
-/// `(values, indices)` blocks in member order, returns the blocks to the
-/// pool, and reports [`HiTopKReport::shard_nonzeros`].
+/// O(k)-family variant: scatter-adds the gathered `(values, indices)`
+/// blocks in member order into `shard_buf`, which must be all zeros (the
+/// error-feedback ReduceScatter leaves it so; other callers `fill` it),
+/// returns the blocks to the pool, and reports
+/// [`HiTopKReport::shard_nonzeros`].
 ///
 /// The count visits the gathered indices — sorted and deduplicated, a few
 /// percent of the shard at trained densities — instead of streaming the
-/// shard: after the fill an untouched coordinate is exactly `0.0`, so only
-/// a touched one can pass `!= 0.0`. The indices are collected in the first
-/// block's own buffer before it goes back to the pool, so the pool's
+/// shard: on a zeroed shard an untouched coordinate is exactly `0.0`, so
+/// only a touched one can pass `!= 0.0`. The indices are collected in the
+/// first block's own buffer before it goes back to the pool, so the pool's
 /// take/put traffic is what it was. (The sort is the stable one on purpose:
 /// selections arrive index-sorted, and it merges presorted runs in
 /// `O(n log m)`.)
@@ -90,7 +92,7 @@ pub(crate) fn scatter_gathered(
     blocks: impl IntoIterator<Item = (Vec<f32>, Vec<u32>)>,
     scratch: &mut CommScratch,
 ) -> usize {
-    ops::fill(shard_buf, 0.0);
+    debug_assert!(shard_buf.iter().all(|v| *v == 0.0), "shard not zeroed");
     let mut touched: Option<Vec<u32>> = None;
     for (vals, idxs) in blocks {
         ops::scatter_add(shard_buf, &idxs, &vals);
@@ -236,6 +238,7 @@ fn hitopk_impl<C: Compressor + ?Sized>(
     let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
 
     let blocks = value_blocks.into_iter().zip(index_blocks);
+    ops::fill(shard.slice_mut(x), 0.0);
     let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
     obs::span_end(&mut reg, span, (2 * m * k) as f64);
 
@@ -287,6 +290,14 @@ pub fn hitopk_all_reduce_ef<C: Compressor + ?Sized>(
 
 /// [`hitopk_all_reduce_ef`] drawing every communication buffer from
 /// `scratch` (see [`hitopk_all_reduce_scratch`]).
+///
+/// The error feedback rides the ReduceScatter: its last hop folds each
+/// arriving piece of the node-local sum straight into the residual and
+/// zeroes the shard behind it, so the sum is never written to `x` and read
+/// back, and the selection runs on the accumulated residual. Output,
+/// residual and report are bitwise those of reducing, then
+/// [`ErrorFeedback::select`](cloudtrain_compress::ErrorFeedback::select) on
+/// the shard.
 #[allow(clippy::too_many_arguments)]
 pub fn hitopk_all_reduce_ef_scratch<C: Compressor + ?Sized>(
     peer: &Peer,
@@ -298,7 +309,7 @@ pub fn hitopk_all_reduce_ef_scratch<C: Compressor + ?Sized>(
     ef: &mut cloudtrain_compress::ErrorFeedback,
     scratch: &mut CommScratch,
 ) -> HiTopKReport {
-    hitopk_ef_impl(peer, x, m, n, rho, compressor, ef, scratch, None)
+    hitopk_ef_impl(peer, x, m, n, rho, compressor, ef, scratch, None, HOP_PIECE)
 }
 
 /// [`hitopk_all_reduce_ef_scratch`] with per-stage spans and counters
@@ -316,7 +327,18 @@ pub fn hitopk_all_reduce_ef_traced<C: Compressor + ?Sized>(
     scratch: &mut CommScratch,
     reg: &mut Registry,
 ) -> HiTopKReport {
-    hitopk_ef_impl(peer, x, m, n, rho, compressor, ef, scratch, Some(reg))
+    hitopk_ef_impl(
+        peer,
+        x,
+        m,
+        n,
+        rho,
+        compressor,
+        ef,
+        scratch,
+        Some(reg),
+        HOP_PIECE,
+    )
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -330,27 +352,29 @@ fn hitopk_ef_impl<C: Compressor + ?Sized>(
     ef: &mut cloudtrain_compress::ErrorFeedback,
     scratch: &mut CommScratch,
     mut reg: Option<&mut Registry>,
+    piece: usize,
 ) -> HiTopKReport {
     assert_eq!(peer.size(), m * n, "hitopk_all_reduce_ef: group is not m*n");
     let d = x.len();
     let pos = grid_pos(peer.rank(), m, n);
     let intra = intra_node_members(pos.node, n);
     let inter = inter_node_members(pos.gpu, m, n);
-
-    let span = obs::span_begin(&mut reg, "hitopk/intra reduce-scatter");
-    let shard = ring_reduce_scatter_scratch(peer, x, &intra, scratch);
-    obs::span_end(&mut reg, span, d as f64);
     assert_eq!(
         ef.dim(),
-        shard.len(),
+        shard_for(d, n, pos.gpu).len(),
         "hitopk_all_reduce_ef: residual must match the shard"
     );
 
-    // Error feedback on the shard: accumulate into the residual, select
-    // from it, clear what goes on the wire.
+    // Error feedback on the shard: the ReduceScatter accumulates it into
+    // the residual and leaves the shard zeroed for the gather below.
+    let span = obs::span_begin(&mut reg, "hitopk/intra reduce-scatter");
+    let shard = ring_reduce_scatter_ef(peer, x, &intra, ef.residual_mut(), scratch, piece);
+    obs::span_end(&mut reg, span, d as f64);
+
+    // Select from the accumulated residual, clear what goes on the wire.
     let k = shard_k(d, n, rho).min(shard.len());
     let span = obs::span_begin(&mut reg, "hitopk/top-k compression");
-    let selection: SparseGrad = ef.select(shard.slice(x), k, compressor);
+    let selection: SparseGrad = compressor.compress(ef.residual(), k);
     ef.release(&selection);
     obs::span_end(&mut reg, span, shard.len() as f64);
 
@@ -787,6 +811,7 @@ mod tests {
         let value_blocks = all_gather_f32_scratch(peer, &selection.values, &inter, scratch);
         let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
         let blocks = value_blocks.into_iter().zip(index_blocks);
+        ops::fill(shard.slice_mut(x), 0.0);
         let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
         reference::all_gather(peer, x, &intra);
         HiTopKReport {
@@ -848,8 +873,7 @@ mod tests {
     #[test]
     fn scatter_gathered_counts_what_a_full_pass_would() {
         // Overlapping, unsorted and empty blocks; a coordinate that cancels
-        // to zero (3), one that receives an explicit zero (5), and a stale
-        // nonzero that the fill must clear (9).
+        // to zero (3) and one that receives an explicit zero (5).
         let blocks = vec![
             (vec![1.0, 2.0, 0.0, 4.0], vec![7u32, 3, 5, 0]),
             (vec![], vec![]),
@@ -857,7 +881,6 @@ mod tests {
         ];
         let mut scratch = CommScratch::new();
         let mut buf = vec![0.0f32; 12];
-        buf[9] = 42.0;
         let nonzeros = scatter_gathered(&mut buf, blocks.clone(), &mut scratch);
 
         let mut want = vec![0.0f32; 12];
@@ -875,10 +898,116 @@ mod tests {
             "the count must not add pool traffic"
         );
 
-        // No contribution at all still clears the shard.
+        // No contribution at all leaves a zeroed shard zero.
         let none: Vec<(Vec<f32>, Vec<u32>)> = Vec::new();
+        ops::fill(&mut buf, 0.0);
         assert_eq!(scatter_gathered(&mut buf, none, &mut scratch), 0);
         assert!(buf.iter().all(|v| *v == 0.0));
+    }
+
+    /// The error-feedback sparsification point as it ran before the last
+    /// ReduceScatter hop folded into the residual: the node sum is written
+    /// to the shard, accumulated into the residual and selected from there,
+    /// and the shard zeroed for the gather. The oracle the folded hop must
+    /// equal bit for bit.
+    mod reference {
+        use super::*;
+
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn hitopk_ef(
+            peer: &Peer,
+            x: &mut [f32],
+            m: usize,
+            n: usize,
+            rho: f64,
+            c: &mut MsTopK,
+            feedback: &mut cloudtrain_compress::ErrorFeedback,
+            scratch: &mut CommScratch,
+        ) -> HiTopKReport {
+            let pos = grid_pos(peer.rank(), m, n);
+            let intra = intra_node_members(pos.node, n);
+            let inter = inter_node_members(pos.gpu, m, n);
+            let shard = ring_reduce_scatter_scratch(peer, x, &intra, scratch);
+            let k = shard_k(x.len(), n, rho).min(shard.len());
+            let selection = feedback.select(shard.slice(x), k, c);
+            feedback.release(&selection);
+            let value_blocks = all_gather_f32_scratch(peer, &selection.values, &inter, scratch);
+            let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
+            let blocks = value_blocks.into_iter().zip(index_blocks);
+            ops::fill(shard.slice_mut(x), 0.0);
+            let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
+            ring_all_gather_scratch(peer, x, &intra, scratch);
+            HiTopKReport {
+                k_per_shard: k,
+                shard_nonzeros,
+                inter_bytes_sent: group_wire_bytes(&selection, inter.len()),
+            }
+        }
+    }
+
+    /// Runs the folded hop at `piece` elements per message and the
+    /// reference side by side on every rank of an `m × n` grid for three
+    /// rounds, so the residual and the selection RNG carry over, and
+    /// requires output, residual and report to agree bit for bit each
+    /// round — and the folded side's arena to stop allocating after the
+    /// first.
+    fn assert_folded_hop_equals_reference(m: usize, n: usize, d: usize, piece: usize) {
+        let rho = 0.1;
+        run_on_group(m * n, |peer| {
+            let what = format!("m={m} n={n} d={d} piece={piece} rank {}", peer.rank());
+            let shard_len = shards(d, n)[peer.rank() % n].len();
+            let seed = peer.rank() as u64;
+            let mut got = (
+                MsTopK::new(30, seed),
+                cloudtrain_compress::ErrorFeedback::new(shard_len),
+                CommScratch::new(),
+            );
+            let mut want = (
+                MsTopK::new(30, seed),
+                cloudtrain_compress::ErrorFeedback::new(shard_len),
+                CommScratch::new(),
+            );
+            let mut warm = 0;
+            for round in 0..3 {
+                let mut x = vec_for(100 * round + peer.rank(), d);
+                let mut y = x.clone();
+                let (c, feedback, scratch) = &mut got;
+                let rep =
+                    hitopk_ef_impl(peer, &mut x, m, n, rho, c, feedback, scratch, None, piece);
+                let (c, feedback, scratch) = &mut want;
+                let want_rep = reference::hitopk_ef(peer, &mut y, m, n, rho, c, feedback, scratch);
+                assert_eq!(rep, want_rep, "report, round {round}, {what}");
+                assert_eq!(bits(&x), bits(&y), "output, round {round}, {what}");
+                assert_eq!(
+                    bits(got.1.residual()),
+                    bits(want.1.residual()),
+                    "residual, round {round}, {what}"
+                );
+                if round == 0 {
+                    warm = got.2.misses();
+                }
+            }
+            assert_eq!(got.2.misses(), warm, "steady state allocated, {what}");
+        });
+    }
+
+    #[test]
+    fn folded_last_hop_equals_reduce_then_select_across_rounds() {
+        for m in [1usize, 2] {
+            for n in [1usize, 2, 3, 4] {
+                // Fewer elements than GPUs (empty shards); shards one
+                // element apart; shards of several 3-element pieces and a
+                // tail, also one apart; and the shipped piece size.
+                for (d, piece) in [
+                    (n - 1, 3),
+                    (5 * n + 1, HOP_PIECE),
+                    (29 * n + n / 2, 3),
+                    (29 * n + n / 2, HOP_PIECE),
+                ] {
+                    assert_folded_hop_equals_reference(m, n, d, piece);
+                }
+            }
+        }
     }
 
     #[test]

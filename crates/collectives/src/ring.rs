@@ -24,7 +24,7 @@ use crate::scratch::CommScratch;
 
 /// Elements per hop piece: one [`ops::REDUCE_BLOCK`] (256 KB of `f32`), so
 /// a piece is still cache-resident when the receiver folds it in.
-const HOP_PIECE: usize = ops::REDUCE_BLOCK;
+pub(crate) const HOP_PIECE: usize = ops::REDUCE_BLOCK;
 
 /// Position of `rank` within `members`.
 ///
@@ -65,7 +65,50 @@ pub fn ring_reduce_scatter_scratch(
 ) -> Shard {
     // Step s: send chunk (me - s - 1) mod p, receive and accumulate chunk
     // (me - s - 2) mod p. After p-1 steps this member fully owns chunk `me`.
-    ring_pass_pieced(peer, x, members, scratch, HOP_PIECE, 0, ops::add_assign)
+    ring_pass_pieced(
+        peer,
+        x,
+        members,
+        scratch,
+        HOP_PIECE,
+        0,
+        ops::add_assign,
+        None,
+    )
+}
+
+/// [`ring_reduce_scatter_scratch`] whose last hop lands in an error-feedback
+/// residual: each arriving piece of this member's own chunk is folded as
+/// `residual[j] += x[j] + piece[j]` with `x[j]` zeroed behind it, so the
+/// reduced shard is never written to `x`. `residual` (this member's chunk
+/// long) ends bitwise as `add_assign(residual, shard)` after the plain
+/// ReduceScatter would leave it, and the shard comes back all zeros. On a
+/// ring of one the fold is local: `residual += x`, `x` zeroed.
+pub(crate) fn ring_reduce_scatter_ef(
+    peer: &Peer,
+    x: &mut [f32],
+    members: &[usize],
+    residual: &mut [f32],
+    scratch: &mut CommScratch,
+    piece: usize,
+) -> Shard {
+    if members.len() == 1 {
+        ops::add_assign(residual, x);
+        ops::fill(x, 0.0);
+        return shard_for(x.len(), 1, 0);
+    }
+    ring_pass_pieced(
+        peer,
+        x,
+        members,
+        scratch,
+        piece,
+        0,
+        ops::add_assign,
+        Some(&mut |at, mine: &mut [f32], arrived: &[f32]| {
+            ops::add_sum_drain(&mut residual[at..at + mine.len()], mine, arrived)
+        }),
+    )
 }
 
 /// Ring AllGather over `members`: each member contributes its own shard of
@@ -94,19 +137,27 @@ pub fn ring_all_gather_scratch(
         HOP_PIECE,
         1,
         <[f32]>::copy_from_slice,
+        None,
     );
 }
 
+/// A fold for the last step of [`ring_pass_pieced`], told the piece's offset
+/// within its chunk.
+type LastFold<'a> = &'a mut dyn FnMut(usize, &mut [f32], &[f32]);
+
 /// One pass around the ring, `piece` elements per message: step `s` sends
 /// chunk `(me + lead - s - 1) mod p` to the right and `fold`s the chunk
-/// before it, arriving from the left, into its slot of `x`. Returns this
-/// member's own shard.
+/// before it, arriving from the left, into its slot of `x`. Given a `last`
+/// fold, the last step folds with `last(at, slot, piece)` instead, `at`
+/// being the piece's offset within its chunk. Returns this member's own
+/// shard.
 ///
 /// Pieces partition a chunk, so whatever `piece` is, each element is folded
 /// exactly once per step, in the step order of whole-chunk hops. Sends never
 /// block (the channels are unbounded) and a piece is only sent once the
 /// previous one has arrived, so no member runs more than `p - 1` pieces
 /// ahead of another and at most that many buffers are in flight per link.
+#[allow(clippy::too_many_arguments)]
 fn ring_pass_pieced(
     peer: &Peer,
     x: &mut [f32],
@@ -115,6 +166,7 @@ fn ring_pass_pieced(
     piece: usize,
     lead: usize,
     fold: impl Fn(&mut [f32], &[f32]),
+    mut last: Option<LastFold<'_>>,
 ) -> Shard {
     let p = members.len();
     let me = member_index(members, peer.rank());
@@ -137,7 +189,14 @@ fn ring_pass_pieced(
             let send_chunk = scratch.copy_f32(chunks[send_idx].piece(i, piece).slice(x));
             peer.send_f32(right, send_chunk);
             let recv = peer.recv_f32(left);
-            fold(chunks[recv_idx].piece(i, piece).slice_mut(x), &recv);
+            let slot = chunks[recv_idx].piece(i, piece);
+            match last.as_mut() {
+                Some(last) if s + 2 == p => {
+                    let at = slot.start - chunks[recv_idx].start;
+                    last(at, slot.slice_mut(x), &recv);
+                }
+                _ => fold(slot.slice_mut(x), &recv),
+            }
             scratch.put_f32(recv);
         }
     }
@@ -578,7 +637,7 @@ mod tests {
         scratch: &mut CommScratch,
         piece: usize,
     ) -> Shard {
-        ring_pass_pieced(peer, x, members, scratch, piece, 0, ops::add_assign)
+        ring_pass_pieced(peer, x, members, scratch, piece, 0, ops::add_assign, None)
     }
 
     fn all_gather_pieced(
@@ -596,6 +655,7 @@ mod tests {
             piece,
             1,
             <[f32]>::copy_from_slice,
+            None,
         );
     }
 

@@ -41,6 +41,7 @@
 use cloudtrain_compress::quantize::Quantizer;
 use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
 use cloudtrain_obs::{self as obs, Registry};
+use cloudtrain_tensor::ops;
 use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 
 use crate::deadline::{DeadlineFaults, DeadlinePolicy, DeadlineReport};
@@ -191,6 +192,7 @@ fn aggregate_selection(
     let blocks = all_gather_pairs_scratch(peer, &merged_vals, &merged_idxs, inter, scratch);
     scratch.put_f32(merged_vals);
     scratch.put_u32(merged_idxs);
+    ops::fill(shard.slice_mut(x), 0.0);
     let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
 
     AggregateStats {
@@ -623,6 +625,7 @@ fn aggregate_selection_resilient(
     scratch.put_f32(merged_vals);
     scratch.put_u32(merged_idxs);
     let blocks = value_blocks.into_iter().zip(index_blocks);
+    ops::fill(shard.slice_mut(x), 0.0);
     let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
 
     AggregateStats {

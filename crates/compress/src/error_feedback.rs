@@ -17,6 +17,14 @@
 //! 3. [`ErrorFeedback::release`] — clear what was sent from the residual
 //!    ([`ErrorFeedback::release_lossy`] when the wire perturbed the values).
 //!
+//! Where the gradient is produced piece by piece, step 1 can fold each piece
+//! into the residual as it arrives instead: write through
+//! [`ErrorFeedback::residual_mut`] (`residual[i] = residual[i] + g[i]`),
+//! then `compress` [`ErrorFeedback::residual`] — the same selection and
+//! residual, and `g` is never materialised. HiTopKComm's last ReduceScatter
+//! hop does this (`hitopk_all_reduce_ef_scratch`), so the node-local sum is
+//! never written out and read back.
+//!
 //! A contribution that is not transmitted at all (a missed deadline, a
 //! degraded member) is [`ErrorFeedback::withhold`]: `residual += g`, nothing
 //! selected, nothing released.
@@ -164,6 +172,17 @@ impl ErrorFeedback {
     /// Read-only view of the residual.
     pub fn residual(&self) -> &[f32] {
         &self.residual
+    }
+
+    /// The residual as an accumulator, for a caller that folds the gradient
+    /// in itself while it produces it (HiTopKComm's last ReduceScatter hop
+    /// adds each arriving piece of the node sum straight into it). Selecting
+    /// with `compress` on [`Self::residual`] afterwards is
+    /// [`Self::select`]'s accumulate-then-select, bit for bit, when the fold
+    /// computed `residual[i] = residual[i] + grad[i]`; [`Self::release`]
+    /// follows as usual.
+    pub fn residual_mut(&mut self) -> &mut [f32] {
+        &mut self.residual
     }
 
     /// Restores a previously captured residual (the inverse of

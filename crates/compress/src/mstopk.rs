@@ -34,12 +34,14 @@
 //!   drawn and its `≈ 3k/d` upper quantile taken as a *compaction cutoff*:
 //!   about `3k` elements are expected at or above it. The sample only
 //!   decides how much the pass keeps, never what is selected.
-//! * **The pass.** Block by [`ops::REDUCE_BLOCK`]-wide block: add (with
-//!   error feedback), fold `Σ|x|` and `max|x|` with the tensor crate's own
-//!   block kernels in block order — so `mean|x|` and `max|x|` are bitwise
-//!   those of `ops::mean_abs` / `ops::max_abs` — and, while the block is
-//!   cache-resident, compact the magnitudes at or above the cutoff into a
-//!   dense *survivor* buffer plus a membership bitmap.
+//! * **The pass.** One sweep of the tensor crate's
+//!   ([`ops::abs_stats_compact`], or [`ops::add_assign_abs_stats_compact`]
+//!   with error feedback), reading each [`ops::REDUCE_BLOCK`] once, 64
+//!   elements at a time: add (with error feedback), feed the canonical lane
+//!   partials of `Σ|x|` and `max|x|` — so `mean|x|` and `max|x|` are
+//!   bitwise those of `ops::mean_abs` / `ops::max_abs` — and, while the
+//!   elements are in registers, copy the magnitudes at or above the cutoff
+//!   into a dense *survivor* buffer, each beside its source index.
 //! * **Probes from the survivors.** A probe at or above the cutoff is
 //!   counted exactly on the survivors (everything it can count survived).
 //!   A probe *below* the cutoff needs no count: all `S > k` survivors
@@ -86,7 +88,9 @@
 //! sparsification point, before → after: compensate (2 reads, 1 write),
 //! mean, max, ~2 gallop counts, compaction, absorb's copy (1 read, 1 write)
 //! — 8 reads, 2 writes — against 2 reads (gradient, residual) and 1 write
-//! (residual) in one pass, plus `O(k)` survivor work.
+//! (residual) in one pass, plus `O(k)` survivor work. Where the producer of
+//! the gradient folds it into the residual itself (HiTopKComm's last
+//! ReduceScatter hop), the operator `compress`es the residual: 1 read.
 //!
 //! The result — selection, statistics, and RNG consumption — is bitwise
 //! identical to the naive search; `MsTopKNaive` is retained precisely so
@@ -388,44 +392,33 @@ fn finish_selection(
     let mut i1: Vec<u32> = Vec::new();
     let mut i2: Vec<u32> = Vec::new();
     if let Some(s) = accel {
-        // Candidates are the survivor ordinals with `m >= thres2` — a
-        // superset of both index sets, a few per million at trained
-        // sparsities. Each candidate's source index is recovered from the
-        // membership bitmap by skipping whole words with popcounts; the
-        // `p`-th survivor is the `(p - cum)`-th set bit of its word.
-        let cand: Vec<u32> = s
-            .mags
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m >= bracket.thres2)
-            .map(|(p, _)| p as u32)
-            .collect();
-        let mut wi = 0usize;
-        let mut cum = 0usize; // survivors in words before `wi`
-        let mut pc = s.bitmap.first().map_or(0, |w| w.count_ones() as usize);
-        for &p in &cand {
-            let p = p as usize;
-            while cum + pc <= p {
-                cum += pc;
-                wi += 1;
-                pc = s.bitmap[wi].count_ones() as usize;
-            }
-            let mut w = s.bitmap[wi];
-            for _ in 0..(p - cum) {
-                w &= w - 1;
-            }
-            let idx = (wi * 64) as u32 + w.trailing_zeros();
-            // `band_hi` is `thres1` (or +inf when unset), so within the
-            // candidate set the original two-way split reduces to this:
-            // an infinite magnitude (which `m < band_hi` would exclude)
-            // forces `a_mean = +inf`, which disables the accel path.
-            let m = s.mags[p];
-            if take_top && m >= bracket.thres1 {
-                i1.push(idx);
-            } else {
-                i2.push(idx);
-            }
+        // Candidates are the survivors with `m >= thres2`, each carrying
+        // its source index. `band_hi` is `thres1` (or +inf when unset), so
+        // within the candidate set the original two-way split reduces to
+        // this: an infinite magnitude (which `m < band_hi` would exclude)
+        // forces `a_mean = +inf`, which disables the accel path. Every
+        // survivor is written to both runs and advances the one it belongs
+        // to: which one is data-dependent with no pattern, so a branch on
+        // it would mispredict on most candidates. Counting passes first
+        // size the runs (plus the one spare slot each needs); the top run
+        // lies inside the candidates, as `thres1 >= thres2` (a probe that
+        // under-selects sits above one that over-selects, and an unset
+        // `thres2` is 0).
+        let top = |m: f32| take_top & (m >= bracket.thres1);
+        let band = |m: f32| !top(m) & (m >= bracket.thres2);
+        let n1 = s.mags.iter().filter(|&&m| top(m)).count();
+        let n2 = ops::count_ge(&s.mags, bracket.thres2) - n1;
+        i1 = vec![0u32; n1 + 1];
+        i2 = vec![0u32; n2 + 1];
+        let (mut n1, mut n2) = (0usize, 0usize);
+        for (&m, &i) in s.mags.iter().zip(&s.idx) {
+            i1[n1] = i;
+            i2[n2] = i;
+            n1 += usize::from(top(m));
+            n2 += usize::from(band(m));
         }
+        i1.truncate(n1);
+        i2.truncate(n2);
     } else {
         for (c, chunk) in x.chunks(SCAN_CHUNK).enumerate() {
             if ops::count_ge(chunk, bracket.thres2) == 0 {
@@ -454,19 +447,21 @@ fn finish_selection(
     // so probes see fewer elements than exist) — `take` caps the run at
     // what the band actually holds, returning a short selection instead of
     // slicing out of bounds when a diverged tensor reaches the operator.
+    //
+    // Both sets come out in index order, so the selection is their merge.
     let need = k - bracket.k1;
     let take = need.min(i2.len());
-    let mut indices = i1;
-    if take > 0 {
+    let indices = if take > 0 {
         let slack = i2.len() - take;
         let start = if slack == 0 {
             0
         } else {
             rng.random_range(0..=slack)
         };
-        indices.extend_from_slice(&i2[start..start + take]);
-    }
-    indices.sort_unstable();
+        merge_ascending(&i1, &i2[start..start + take])
+    } else {
+        i1
+    };
     let values = ops::gather(x, &indices);
 
     let stats = MsTopKStats {
@@ -477,6 +472,21 @@ fn finish_selection(
         passes: samplings,
     };
     (SparseGrad::new(values, indices, d), stats)
+}
+
+/// The union of two ascending, disjoint index runs, in ascending order.
+fn merge_ascending(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let from_a = a[i] < b[j];
+        out.push(if from_a { a[i] } else { b[j] });
+        i += usize::from(from_a);
+        j += usize::from(!from_a);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// The paper-literal search: one `count_ge` pass per iteration.
@@ -496,22 +506,36 @@ fn search_counting(
     }
 }
 
-/// The magnitudes `>= cutoff` of a tensor, in original order, plus a
-/// membership bitmap: what one compaction pass leaves for the search and
-/// the selection to work on.
+/// The magnitudes `>= cutoff` of a tensor, in original order, each with its
+/// source index: what one compaction pass leaves for the search and the
+/// selection to work on.
 struct Survivors {
     /// Compacted magnitudes, in input order.
     mags: Vec<f32>,
-    /// Bit `i` (word `i / 64`, bit `i % 64`) is set iff `|x[i]|` survived.
-    /// Walking the set bits in order enumerates `mags` alongside each
-    /// entry's source index.
-    bitmap: Vec<u64>,
+    /// `idx[p]` is the source index of `mags[p]`.
+    idx: Vec<u32>,
     /// The cutoff the buffer was compacted at: `mags` covers every
     /// magnitude `>= cutoff` and nothing below it.
     cutoff: f32,
 }
 
 impl Survivors {
+    /// Runs `pass` — one of the tensor crate's fused compaction sweeps, at
+    /// `cutoff`, over a `d`-element tensor — into empty survivor lists,
+    /// keeping what it returns. The lists reserve room for the whole tensor
+    /// without initialising it, so only what survives is ever written: the
+    /// rest of the reservation is address space, not memory.
+    fn compact<T>(
+        d: usize,
+        cutoff: f32,
+        pass: impl FnOnce(&mut Vec<f32>, &mut Vec<u32>) -> T,
+    ) -> (Self, T) {
+        let mut mags = Vec::with_capacity(d);
+        let mut idx = Vec::with_capacity(d);
+        let out = pass(&mut mags, &mut idx);
+        (Self { mags, idx, cutoff }, out)
+    }
+
     /// The count a probe at `thres` observes for `count_ge(x, thres)` of
     /// the compacted tensor `x` of `d` elements. At or above the cutoff it
     /// is `exact()`, a count over the survivors: everything it can see
@@ -527,130 +551,6 @@ impl Survivors {
             d
         }
     }
-}
-
-/// Builds a [`Survivors`] set from blocks that cover the tensor in order.
-struct Compactor {
-    out: Survivors,
-    /// Survivors written so far; `out.mags` is sized for the whole tensor
-    /// until [`Self::finish`] truncates it.
-    n: usize,
-}
-
-impl Compactor {
-    /// For a `d`-element tensor compacted at `cutoff`. The magnitude buffer
-    /// is created zero-filled (a lazily-mapped allocation), so untouched
-    /// capacity costs nothing — with a wall or sampled cutoff only a few
-    /// pages of it are ever written.
-    fn new(d: usize, cutoff: f32) -> Self {
-        debug_assert!(d <= u32::MAX as usize, "indices are u32 repo-wide");
-        Self {
-            out: Survivors {
-                mags: vec![0.0f32; d],
-                bitmap: vec![0u64; d.div_ceil(64)],
-                cutoff,
-            },
-            n: 0,
-        }
-    }
-
-    /// Compacts the magnitudes `>= cutoff` of `block` — elements
-    /// `start..start + block.len()` of the tensor, `start` a multiple of 64
-    /// — preserving input order, and records membership in the bitmap.
-    ///
-    /// Each 64-element chunk is processed in two branch-free phases: the
-    /// membership word is packed from a vectorisable compare loop, then
-    /// only the survivors named by the word's set bits are copied out — the
-    /// per-word extraction loop runs once per survivor, not once per
-    /// element, and the word store amortises to one per 64 elements.
-    fn push_block(&mut self, start: usize, block: &[f32]) {
-        debug_assert_eq!(start % 64, 0, "blocks must start on a bitmap word");
-        let Survivors {
-            mags,
-            bitmap,
-            cutoff,
-        } = &mut self.out;
-        let cutoff = *cutoff;
-        let mut n = self.n;
-        let mut words = block.chunks_exact(64);
-        let mut wi = start / 64;
-        for chunk in &mut words {
-            // One 0/1 byte per element (a plain compare loop the compiler
-            // vectorises), then each group of eight bytes is squeezed into
-            // eight bits by one multiply: the constant's set bits, 7 apart,
-            // carry byte `i`'s low bit to bit `56 + i` with no two partial
-            // products meeting (`8i - 7j` is one-to-one on 0..8 x 0..8), so
-            // the top byte of the product is the group's mask. ~2.5x faster
-            // in cache than OR-ing eight shifted compares per group.
-            let mut member = [0u8; 64];
-            for (m, v) in member.iter_mut().zip(chunk) {
-                *m = u8::from(v.abs() >= cutoff);
-            }
-            let mut w = 0u64;
-            for (g, oct) in member.chunks_exact(8).enumerate() {
-                let &[b0, b1, b2, b3, b4, b5, b6, b7] = oct else {
-                    unreachable!("chunks_exact(8) yields exactly 8 elements")
-                };
-                let bytes = u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]);
-                w |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g);
-            }
-            bitmap[wi] = w;
-            wi += 1;
-            while w != 0 {
-                let b = w.trailing_zeros() as usize;
-                w &= w - 1;
-                mags[n] = chunk[b].abs();
-                n += 1;
-            }
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let mut w = 0u64;
-            for (b, v) in tail.iter().enumerate() {
-                w |= u64::from(v.abs() >= cutoff) << b;
-            }
-            bitmap[wi] = w;
-            while w != 0 {
-                let b = w.trailing_zeros() as usize;
-                w &= w - 1;
-                mags[n] = tail[b].abs();
-                n += 1;
-            }
-        }
-        self.n = n;
-    }
-
-    fn finish(mut self) -> Survivors {
-        self.out.mags.truncate(self.n);
-        self.out
-    }
-}
-
-/// One pass over `x`: its [`Survivors`] at `cutoff`.
-fn compact_magnitudes(x: &[f32], cutoff: f32) -> Survivors {
-    let mut c = Compactor::new(x.len(), cutoff);
-    c.push_block(0, x);
-    c.finish()
-}
-
-/// Gathers the magnitudes `>= lo` from a survivor buffer, preserving order.
-/// Each chunk is screened with a vectorizable membership count so the
-/// scalar gather loop only runs on chunks that contain a hit.
-fn gather_ge(mags: &[f32], lo: f32) -> Vec<f32> {
-    let mut out: Vec<f32> = Vec::new();
-    for chunk in mags.chunks(SCAN_CHUNK) {
-        let hits: usize = chunk.iter().map(|&m| usize::from(m >= lo)).sum();
-        if hits == 0 {
-            continue;
-        }
-        out.reserve(hits);
-        for &m in chunk {
-            if m >= lo {
-                out.push(m);
-            }
-        }
-    }
-    out
 }
 
 /// The fallback's first phase (see the module docs): direct counting
@@ -683,7 +583,10 @@ fn gallop_compact(
     // at or above it), else at the mean (no probed threshold can go
     // below `a_mean + 0`). Either way the buffer covers every magnitude
     // any remaining probe or the selection scan can touch.
-    let s = compact_magnitudes(x, a_mean + bracket.l * (u - a_mean));
+    let cutoff = a_mean + bracket.l * (u - a_mean);
+    let (s, ()) = Survivors::compact(x.len(), cutoff, |mags, idx| {
+        ops::compact_ge(x, cutoff, mags, idx)
+    });
     (s, consumed)
 }
 
@@ -699,9 +602,9 @@ fn gallop_compact(
 ///   here, so the counts stay exact.
 /// * **Histogram** — every remaining probe ratio lies inside the bracket
 ///   `[l, r]`, so elements below `thres(l)` can never change a count
-///   again. A histogram over just the elements at or above the wall
-///   answers the next `levels` probes, and a gather of the final bucket
-///   answers any probes beyond the histogram depth.
+///   again. A histogram of the elements at or above the wall (the others
+///   are passed over) answers the next `levels` probes, and a gather of the
+///   final bucket answers any probes beyond the histogram depth.
 #[allow(clippy::too_many_arguments)]
 fn search_survivors(
     s: &Survivors,
@@ -730,16 +633,10 @@ fn search_survivors(
     // `2^GALLOP_MAX`, so the sub-grid ratios below stay exact.
     let (rl, rr) = (bracket.l, bracket.r);
     let lo_val = a_mean + rl * (u - a_mean);
-    let gathered;
-    let survivors: &[f32] = if lo_val <= s.cutoff {
-        &s.mags // buffer already compacted at the wall: all of it is live
-    } else {
-        gathered = gather_ge(&s.mags, lo_val);
-        &gathered
-    };
+    let survivors = &s.mags;
 
     // Depth: no deeper than the probe count, the exactness cap, or a bucket
-    // count comparable to the live element count (finer buys nothing).
+    // count comparable to the survivor count (finer buys nothing).
     let d_levels = usize::BITS as usize - survivors.len().leading_zeros() as usize;
     let levels = left.min(MAX_HIST_LEVELS).min(d_levels.max(1));
     let buckets = 1usize << levels;
@@ -756,12 +653,13 @@ fn search_survivors(
         .map(|j| a_mean + ratio_of(j) * (u - a_mean))
         .collect();
 
-    // Histogram of the live magnitudes over the boundary grid. A float
+    // Histogram of the live magnitudes — those at or above `lo_val`, the
+    // wall threshold and `bounds[0]` — over the boundary grid. A float
     // guess lands near the right bucket; the fix-up loops settle it against
-    // the exact boundaries so rounding can never misplace an element.
-    // Every live magnitude is `>= bounds[0]` (the wall threshold), so
-    // `m - bounds[0]` is non-negative and the guess cast is direct.
-    // Bucket `j` holds
+    // the exact boundaries so rounding can never misplace an element. A
+    // magnitude below the wall (possible when the wall rose above the
+    // compaction cutoff) gets a negative guess, clamped to 0, and is passed
+    // over. Bucket `j` holds
     // `bounds[j] <= m < bounds[j+1]`; the last bucket also absorbs
     // `m >= bounds[buckets]` (rounding can leave that boundary slightly
     // below the true top). u32 counts suffice: the repo-wide index type
@@ -770,7 +668,7 @@ fn search_survivors(
     // clamp) vectorises when split from the data-dependent fix-up, which
     // stays scalar but only has the table work left to do. The `as i32`
     // cast truncates toward zero exactly like the scalar cast would; the
-    // guesses are in `[0, buckets]` (plus rounding), so the clamp makes
+    // live guesses are in `[0, buckets]` (plus rounding), so the clamp makes
     // them valid u16 bucket ids. (A degenerate grid — all boundaries
     // rounding to one value — makes the scale infinite and the guesses
     // NaN, which the cast maps to 0 and the fix-up walk resolves; the
@@ -782,9 +680,12 @@ fn search_survivors(
     for chunk in survivors.chunks(SCAN_CHUNK) {
         for (kk, &m) in keys.iter_mut().zip(chunk) {
             // lint:allow(panic_free, reason = "bounds always has buckets+1 >= 2 boundary entries by construction of the histogram grid")
-            *kk = (((m - bounds[0]) * guess_scale) as i32).min(buckets as i32 - 1) as u16;
+            *kk = (((m - bounds[0]) * guess_scale) as i32).clamp(0, buckets as i32 - 1) as u16;
         }
         for (&kk, &m) in keys.iter().zip(chunk) {
+            if m < lo_val {
+                continue;
+            }
             let mut j = kk as usize;
             while m < bounds[j] {
                 j -= 1;
@@ -969,18 +870,23 @@ impl<'a> Source<'a> {
         }
     }
 
-    /// The tensor to select from with its `(mean_abs, max_abs)`, all from
-    /// one blocked pass that also hands `visit` every block, accumulated,
-    /// while it is cache-resident.
-    fn accumulated_with_stats(self, visit: impl FnMut(usize, &[f32])) -> (&'a [f32], f32, f32) {
+    /// The tensor to select from, its `(mean_abs, max_abs)` and its
+    /// [`Survivors`] at `cutoff`, all from one sweep that accumulates (if
+    /// at all) on the way.
+    fn compacted(self, cutoff: f32) -> (&'a [f32], f32, f32, Survivors) {
+        let d = self.len();
         match self {
             Source::Plain(x) => {
-                let (a_mean, u) = ops::abs_stats_blocked(x, visit);
-                (x, a_mean, u)
+                let (s, (a_mean, u)) = Survivors::compact(d, cutoff, |mags, idx| {
+                    ops::abs_stats_compact(x, cutoff, mags, idx)
+                });
+                (x, a_mean, u, s)
             }
             Source::Accumulate { acc, grad } => {
-                let (a_mean, u) = ops::add_assign_abs_stats_blocked(acc, grad, visit);
-                (acc, a_mean, u)
+                let (s, (a_mean, u)) = Survivors::compact(d, cutoff, |mags, idx| {
+                    ops::add_assign_abs_stats_compact(acc, grad, cutoff, mags, idx)
+                });
+                (acc, a_mean, u, s)
             }
         }
     }
@@ -1020,10 +926,8 @@ fn mstopk_impl(
     };
     let (x, a_mean, u, seed, scanned) = match cutoff {
         Some(cutoff) => {
-            let mut compactor = Compactor::new(d, cutoff);
-            let (x, a_mean, u) =
-                source.accumulated_with_stats(|start, block| compactor.push_block(start, block));
-            (x, a_mean, u, Some(compactor.finish()), SAMPLE_LEN + d)
+            let (x, a_mean, u, s) = source.compacted(cutoff);
+            (x, a_mean, u, Some(s), SAMPLE_LEN + d)
         }
         None => {
             let adds = usize::from(matches!(source, Source::Accumulate { .. }));
@@ -1605,6 +1509,52 @@ mod tests {
             reg.counter("mstopk/survivors") as f64
         );
         assert_eq!(reg.span_total("mstopk/selection"), BIG as f64);
+    }
+
+    /// Degenerate shapes at the sampling floor, where the operator switches
+    /// between the gallop and the sampled pass: just below, at and just
+    /// above it, with `k` at both ends of its range and the search off,
+    /// minimal and full. Plain and accumulated entries alike must be the
+    /// naive operator's selection, statistics, accumulator and RNG state.
+    #[test]
+    fn sample_floor_shapes_match_naive_plain_and_accumulated() {
+        for d in [SAMPLE_FLOOR - 1, SAMPLE_FLOOR, SAMPLE_FLOOR + 1] {
+            let x = family("heavy-tailed", d);
+            let residual = family("layered", d);
+            let mut summed = residual.clone();
+            ops::add_assign(&mut summed, &x);
+            for k in [0, 1, d - 1, d] {
+                for samplings in [0usize, 1, 30] {
+                    let what = format!("d={d} k={k} n={samplings}");
+                    let mut naive = MsTopKNaive::new(samplings, 13);
+                    let want = naive.select_with_stats(&x, k);
+                    let mut fast = MsTopK::new(samplings, 13);
+                    let got = fast.select_with_stats(&x, k);
+                    assert_same(&got, &want, &what);
+                    assert_eq!(fast.rng, naive.rng, "rng state diverged: {what}");
+
+                    let mut naive = MsTopKNaive::new(samplings, 13);
+                    let want = naive.select_with_stats(&summed, k);
+                    let mut acc = residual.clone();
+                    let mut rng = StdRng::seed_from_u64(13);
+                    let source = Source::Accumulate {
+                        acc: &mut acc,
+                        grad: &x,
+                    };
+                    let got = mstopk_impl(source, k, samplings, &mut rng, None);
+                    assert_same(&got, &want, &format!("accumulated {what}"));
+                    assert_eq!(rng, naive.rng, "rng state diverged: accumulated {what}");
+                    assert_eq!(bits(&acc), bits(&summed), "accumulator: {what}");
+
+                    // And through the public entry.
+                    let mut acc = residual.clone();
+                    let mut fast = MsTopK::new(samplings, 13);
+                    let sel = fast.compress_accumulated(&mut acc, &x, k);
+                    assert_eq!(sel, want.0, "compress_accumulated: {what}");
+                    assert_eq!(bits(&acc), bits(&summed), "accumulator: {what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -153,11 +153,11 @@ fn mutation_dropping_a_base_hop_flags_every_undrifted_twin() {
     }
 }
 
-/// The error-feedback entry points are policed like any hop. `select` is
-/// the base's compress made through the residual, so an EF base that drops
-/// it has dropped the selection; `release` is what the `ef` rewrite adds,
-/// so an EF base that drops it leaves every twin that still releases with
-/// an extra call.
+/// The error-feedback entry points are policed like any hop. The EF base
+/// selects with the base's own `compress`, on the residual its
+/// ReduceScatter accumulated, so an EF base that drops it has dropped the
+/// selection; `release` is what the `ef` rewrite adds, so an EF base that
+/// drops it leaves every twin that still releases with an extra call.
 #[test]
 fn mutation_dropping_an_error_feedback_call_flags_the_ef_family() {
     let config = Config::default();
@@ -174,7 +174,7 @@ fn mutation_dropping_an_error_feedback_call_flags_the_ef_family() {
     };
 
     let report = mutated(
-        "ef.select(shard.slice(x), k, compressor);",
+        "compressor.compress(ef.residual(), k);",
         "SparseGrad::empty(shard.len());",
     );
     assert!(

@@ -10,9 +10,10 @@
 //! # Canonical reduction schedule
 //!
 //! Every kernel exists once, and the blocked floating-point reductions
-//! ([`mean_abs`], [`max_abs`] and the fused `*_abs_stats_blocked` passes)
-//! follow one fixed schedule, so a result never depends on how a caller
-//! fuses or stages the pass. Across blocks, fixed-width blocks of
+//! ([`mean_abs`], [`max_abs`] and the fused statistics-and-compaction
+//! sweeps [`abs_stats_compact`] / [`add_assign_abs_stats_compact`]) follow
+//! one fixed schedule, so a result never depends on how a caller fuses or
+//! stages the pass. Across blocks, fixed-width blocks of
 //! [`REDUCE_BLOCK`] elements are folded with per-block partials combined in
 //! block-index order. Within a block, element `i` accumulates into lane
 //! `i % LANES` in index order, the [`LANES`] lane partials are combined in
@@ -88,6 +89,25 @@ pub fn add_assign(y: &mut [f32], x: &[f32]) {
     assert_eq!(y.len(), x.len(), "add_assign: length mismatch");
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += xi;
+    }
+}
+
+/// `acc[i] += x[i] + y[i]`, then `x[i] = 0.0`, for all `i`: the sum lands in
+/// `acc` without being stored anywhere else, and `x` comes back zeroed. The
+/// additions are those of `add_assign(x, y)` followed by
+/// `add_assign(acc, x)`, in that order, so `acc` ends bitwise as that staged
+/// form leaves it.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+pub fn add_sum_drain(acc: &mut [f32], x: &mut [f32], y: &[f32]) {
+    assert!(
+        acc.len() == x.len() && x.len() == y.len(),
+        "add_sum_drain: length mismatch"
+    );
+    for ((a, xi), yi) in acc.iter_mut().zip(x).zip(y) {
+        *a += *xi + yi;
+        *xi = 0.0;
     }
 }
 
@@ -179,77 +199,235 @@ pub fn max_abs(x: &[f32]) -> f32 {
         .fold(0.0f32, f32::max)
 }
 
-/// Block-ordered fold of `Σ|·|` and `max|·|`: the partials [`mean_abs`] and
-/// [`max_abs`] combine, gathered together by the one-pass kernels below.
-struct AbsFold {
-    total: f32,
-    max: f32,
+/// Elements per membership word of the fused sweep: one `u64` of survivor
+/// bits, eight lane rows of the canonical schedule.
+const WORD: usize = 64;
+
+/// What a fused sweep reads: a tensor as given, or one it accumulates into
+/// word by word as it goes.
+trait SweepSource {
+    fn len(&self) -> usize;
+    /// Elements `range` of the tensor swept — accumulated first, if this
+    /// source accumulates.
+    fn word(&mut self, range: std::ops::Range<usize>) -> &[f32];
 }
 
-impl AbsFold {
-    const EMPTY: Self = Self {
-        total: 0.0,
-        max: 0.0,
-    };
-
-    fn push(&mut self, b: &[f32]) {
-        self.total += block_sum_abs(b);
-        self.max = self.max.max(block_max_abs(b));
+impl SweepSource for &[f32] {
+    fn len(&self) -> usize {
+        <[f32]>::len(self)
     }
 
-    /// `(mean_abs, max_abs)` of the `len` elements pushed.
-    fn finish(self, len: usize) -> (f32, f32) {
-        if len == 0 {
-            (0.0, 0.0)
-        } else {
-            (self.total / len as f32, self.max)
-        }
+    fn word(&mut self, range: std::ops::Range<usize>) -> &[f32] {
+        &self[range]
     }
 }
 
-/// `(mean_abs(x), max_abs(x))` in one blocked pass that also hands every
-/// [`REDUCE_BLOCK`]-wide block to `visit(start, block)` while it is still
-/// cache-resident (`start` is the block's offset in `x`).
+/// `y[i] += x[i]`, applied one word ahead of the sweep.
+struct Accumulating<'a> {
+    y: &'a mut [f32],
+    x: &'a [f32],
+}
+
+impl SweepSource for Accumulating<'_> {
+    fn len(&self) -> usize {
+        self.y.len()
+    }
+
+    fn word(&mut self, range: std::ops::Range<usize>) -> &[f32] {
+        let y = &mut self.y[range.clone()];
+        add_assign(y, &self.x[range]);
+        y
+    }
+}
+
+/// Survivors a sweep holds back before appending them to the caller's
+/// vectors: the four-slot copy below writes past the last survivor, which
+/// only a buffer of its own can allow, and appending a few hundred at a time
+/// keeps the vectors' growth checks off the per-word path.
+const STAGE: usize = 4 * WORD;
+
+/// Copies out the elements of `word` whose `member` byte is set — their
+/// magnitudes to `mags`, their indices (`base` + offset) to `idx`, from
+/// position `kept` on, which must leave at least a word of room — and
+/// returns the new count.
 ///
-/// The partials come from the per-block kernels of the standalone
-/// reductions and are folded in block-index order, so both statistics are
-/// bitwise those of [`mean_abs`] and [`max_abs`].
-pub fn abs_stats_blocked(x: &[f32], mut visit: impl FnMut(usize, &[f32])) -> (f32, f32) {
-    let mut fold = AbsFold::EMPTY;
-    for (b, xb) in x.chunks(REDUCE_BLOCK).enumerate() {
-        fold.push(xb);
-        visit(b * REDUCE_BLOCK, xb);
+/// The bytes are squeezed into one `u64` eight at a time by a multiply: the
+/// constant's set bits, 7 apart, carry byte `i`'s low bit to bit `56 + i`
+/// with no two partial products meeting (`8i - 7j` is one-to-one on
+/// 0..8 x 0..8), so the top byte of the product is the octet's mask. The
+/// first four survivors are then copied without a data-dependent branch: a
+/// slot is written at `kept` whether or not a survivor is left, and `kept`
+/// only advances past a real one, so a spare write lands where the next
+/// survivor will. At a few percent density nearly every word has at most
+/// four, so the copy loop after them is almost never entered and its exit
+/// never mispredicted.
+fn keep_members(
+    word: &[f32],
+    base: usize,
+    member: &[u8; WORD],
+    mags: &mut [f32; STAGE],
+    idx: &mut [u32; STAGE],
+    mut kept: usize,
+) -> usize {
+    let mut bits = 0u64;
+    for (o, oct) in member.chunks_exact(8).enumerate() {
+        let &[b0, b1, b2, b3, b4, b5, b6, b7] = oct else {
+            unreachable!("chunks_exact(8) yields exactly 8 elements")
+        };
+        let bytes = u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]);
+        bits |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * o);
     }
-    fold.finish(x.len())
+    for _ in 0..4 {
+        // With no bit left this is word[0]: `word` is never empty.
+        let b = bits.trailing_zeros() as usize % WORD;
+        mags[kept] = word[b].abs();
+        idx[kept] = (base + b) as u32;
+        kept += usize::from(bits != 0);
+        bits &= bits.wrapping_sub(1);
+    }
+    while bits != 0 {
+        let b = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        mags[kept] = word[b].abs();
+        idx[kept] = (base + b) as u32;
+        kept += 1;
+    }
+    kept
 }
 
-/// [`add_assign`] fused with [`abs_stats_blocked`]: block by block,
-/// `y[i] += x[i]`, then the statistics and `visit` on the updated block —
-/// one read of `x`, one read and one write of `y` for all three.
+/// The fused sweep behind [`abs_stats_compact`],
+/// [`add_assign_abs_stats_compact`] and [`compact_ge`]: each
+/// [`REDUCE_BLOCK`] is read once, [`WORD`] elements at a time, and each
+/// word feeds the block's canonical lane partials of `Σ|v|` and `max|v|`
+/// (when `STATS`; otherwise the result is `(0, 0)`) and is compacted while
+/// it is in registers and L1.
+fn sweep<const STATS: bool>(
+    mut src: impl SweepSource,
+    cutoff: f32,
+    mags: &mut Vec<f32>,
+    idx: &mut Vec<u32>,
+) -> (f32, f32) {
+    let d = src.len();
+    debug_assert!(d <= u32::MAX as usize, "indices are u32 repo-wide");
+    let mut total = 0.0f32;
+    let mut top = 0.0f32;
+    let mut staged_mags = [0.0f32; STAGE];
+    let mut staged_idx = [0u32; STAGE];
+    let mut staged = 0usize;
+    for start in (0..d).step_by(REDUCE_BLOCK) {
+        let end = d.min(start + REDUCE_BLOCK);
+        let mut sum = [0.0f32; LANES];
+        let mut max = [0.0f32; LANES];
+        // The block's sub-lane tail; only its last word can have one.
+        let mut tail = [0.0f32; LANES];
+        let mut tail_len = 0;
+        for base in (start..end).step_by(WORD) {
+            let word = src.word(base..end.min(base + WORD));
+            let mut member = [0u8; WORD];
+            let mut rows = word.chunks_exact(LANES);
+            for (row, m) in (&mut rows).zip(member.chunks_exact_mut(LANES)) {
+                for (((s, hi), m), v) in sum.iter_mut().zip(&mut max).zip(m).zip(row) {
+                    let a = v.abs();
+                    if STATS {
+                        *s += a;
+                        // Compare-and-keep is `f32::max` here: the lanes
+                        // never hold NaN, and a NaN magnitude fails both
+                        // compares.
+                        *hi = if a > *hi { a } else { *hi };
+                    }
+                    *m = u8::from(a >= cutoff);
+                }
+            }
+            let rest = rows.remainder();
+            if !rest.is_empty() {
+                let full = word.len() - rest.len();
+                for (m, v) in member[full..].iter_mut().zip(rest) {
+                    *m = u8::from(v.abs() >= cutoff);
+                }
+                tail[..rest.len()].copy_from_slice(rest);
+                tail_len = rest.len();
+            }
+            staged = keep_members(
+                word,
+                base,
+                &member,
+                &mut staged_mags,
+                &mut staged_idx,
+                staged,
+            );
+            if staged > STAGE - WORD {
+                mags.extend_from_slice(&staged_mags[..staged]);
+                idx.extend_from_slice(&staged_idx[..staged]);
+                staged = 0;
+            }
+        }
+        // Lanes combined in lane order, then the sub-lane tail: exactly
+        // `block_sum_abs` / `block_max_abs`.
+        let mut block_sum = 0.0f32;
+        for s in sum {
+            block_sum += s;
+        }
+        let mut block_max = 0.0f32;
+        for hi in max {
+            block_max = block_max.max(hi);
+        }
+        for v in &tail[..tail_len] {
+            block_sum += v.abs();
+            block_max = block_max.max(v.abs());
+        }
+        total += block_sum;
+        top = top.max(block_max);
+    }
+    mags.extend_from_slice(&staged_mags[..staged]);
+    idx.extend_from_slice(&staged_idx[..staged]);
+    let mean = if d == 0 { 0.0 } else { total / d as f32 };
+    (mean, top)
+}
+
+/// `(mean_abs(x), max_abs(x))` from one sweep that also appends every
+/// element with `|x[i]| >= cutoff`, in index order, to the survivor lists:
+/// its magnitude to `mags`, its index to `idx`.
+///
+/// The statistics follow the canonical schedule, so they are bitwise those
+/// of [`mean_abs`] and [`max_abs`]; a NaN magnitude stays out of the max and
+/// fails the cutoff compare, exactly as it does there and in [`count_ge`].
+/// Only what is appended is written, so lists reserved for the whole input
+/// (`Vec::with_capacity`, never initialised) cost only what survives.
+pub fn abs_stats_compact(
+    x: &[f32],
+    cutoff: f32,
+    mags: &mut Vec<f32>,
+    idx: &mut Vec<u32>,
+) -> (f32, f32) {
+    sweep::<true>(x, cutoff, mags, idx)
+}
+
+/// [`abs_stats_compact`]'s survivors alone, for a caller that already has
+/// the statistics: appends `|x[i]|` to `mags` and `i` to `idx` for every
+/// `|x[i]| >= cutoff`, in index order.
+pub fn compact_ge(x: &[f32], cutoff: f32, mags: &mut Vec<f32>, idx: &mut Vec<u32>) {
+    sweep::<false>(x, cutoff, mags, idx);
+}
+
+/// [`add_assign`] fused into [`abs_stats_compact`]: `y[i] += x[i]`, and the
+/// statistics and survivors of the updated `y` — one read of `x`, one read
+/// and one write of `y` for all three.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
-pub fn add_assign_abs_stats_blocked(
+pub fn add_assign_abs_stats_compact(
     y: &mut [f32],
     x: &[f32],
-    mut visit: impl FnMut(usize, &[f32]),
+    cutoff: f32,
+    mags: &mut Vec<f32>,
+    idx: &mut Vec<u32>,
 ) -> (f32, f32) {
     assert_eq!(
         y.len(),
         x.len(),
-        "add_assign_abs_stats_blocked: length mismatch"
+        "add_assign_abs_stats_compact: length mismatch"
     );
-    let mut fold = AbsFold::EMPTY;
-    for (b, (yb, xb)) in y
-        .chunks_mut(REDUCE_BLOCK)
-        .zip(x.chunks(REDUCE_BLOCK))
-        .enumerate()
-    {
-        add_assign(yb, xb);
-        fold.push(yb);
-        visit(b * REDUCE_BLOCK, yb);
-    }
-    fold.finish(y.len())
+    sweep::<true>(Accumulating { y, x }, cutoff, mags, idx)
 }
 
 /// Counts elements whose absolute value is `>= thres` (Algorithm 1 line 10's
@@ -402,6 +580,21 @@ mod reference {
 
     pub fn count_ge(x: &[f32], thres: f32) -> usize {
         x.iter().filter(|v| v.abs() >= thres).count()
+    }
+
+    /// What a compaction at `cutoff` keeps, by definition: `|x[i]|` and
+    /// `i` for every `i` with `|x[i]| >= cutoff`, in index order.
+    #[allow(clippy::needless_range_loop)]
+    pub fn survivors(x: &[f32], cutoff: f32) -> (Vec<f32>, Vec<u32>) {
+        let mut mags = Vec::new();
+        let mut idx = Vec::new();
+        for i in 0..x.len() {
+            if x[i].abs() >= cutoff {
+                mags.push(x[i].abs());
+                idx.push(i as u32);
+            }
+        }
+        (mags, idx)
     }
 }
 
@@ -576,43 +769,220 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "add_assign_abs_stats_blocked: length mismatch")]
+    #[should_panic(expected = "add_assign_abs_stats_compact: length mismatch")]
     fn fused_accumulate_rejects_a_length_mismatch() {
-        add_assign_abs_stats_blocked(&mut [0.0; 3], &[0.0; 4], |_, _| {});
+        add_assign_abs_stats_compact(&mut [0.0; 3], &[0.0; 4], 0.0, &mut vec![], &mut vec![]);
     }
 
-    /// The one-pass kernels must reproduce the standalone reductions bit
-    /// for bit (they share the block partials and the fold order), visit
-    /// every block once in order, and accumulate exactly like `add_assign`.
+    /// The one-pass sweeps must reproduce the standalone reductions bit for
+    /// bit (they follow the same lane schedule and block fold) and
+    /// accumulate exactly like `add_assign`.
     #[test]
     fn blocked_abs_stats_match_the_standalone_kernels_bitwise() {
         for d in [0usize, 5, REDUCE_BLOCK, 2 * REDUCE_BLOCK + 19] {
             let x: Vec<f32> = (0..d)
                 .map(|i| (((i * 2654435761) % 2001) as f32 - 1000.0) * 1e-3)
                 .collect();
-            let mut seen = Vec::new();
-            let (mean, max) = abs_stats_blocked(&x, |start, b| seen.push((start, b.len())));
+            let (mean, max) = abs_stats_compact(&x, 0.5, &mut Vec::new(), &mut Vec::new());
             assert_eq!(mean.to_bits(), mean_abs(&x).to_bits());
             assert_eq!(max.to_bits(), max_abs(&x).to_bits());
-            let want: Vec<(usize, usize)> = x
-                .chunks(REDUCE_BLOCK)
-                .enumerate()
-                .map(|(b, c)| (b * REDUCE_BLOCK, c.len()))
-                .collect();
-            assert_eq!(seen, want);
 
             let base: Vec<f32> = (0..d).map(|i| ((i % 89) as f32 - 44.0) * 0.125).collect();
             let mut staged = base.clone();
             add_assign(&mut staged, &x);
             let mut fused = base;
-            let mut visited = Vec::with_capacity(d);
+            let (mut mags, mut idx) = (Vec::new(), Vec::new());
             let (mean, max) =
-                add_assign_abs_stats_blocked(&mut fused, &x, |_, b| visited.extend_from_slice(b));
+                add_assign_abs_stats_compact(&mut fused, &x, 0.5, &mut mags, &mut idx);
             assert_eq!(fused, staged);
-            assert_eq!(visited, staged, "visit must see the updated blocks");
             assert_eq!(mean.to_bits(), mean_abs(&staged).to_bits());
             assert_eq!(max.to_bits(), max_abs(&staged).to_bits());
+            assert_eq!((mags, idx), reference::survivors(&staged, 0.5));
         }
+    }
+
+    /// The survivors are appended: what the lists held before stays, and
+    /// runs longer than the sweep's staging buffer (everything survives a
+    /// zero cutoff) arrive whole and in order.
+    #[test]
+    fn fused_sweep_appends_to_the_survivor_lists() {
+        let x: Vec<f32> = (0..5000).map(|i| ((i * 37) % 101) as f32 - 50.0).collect();
+        for cutoff in [0.0f32, 25.0, 49.5, 51.0] {
+            let (mut want_mags, mut want_idx) = (vec![-1.0f32], vec![7u32]);
+            let (more_mags, more_idx) = reference::survivors(&x, cutoff);
+            want_mags.extend(more_mags);
+            want_idx.extend(more_idx);
+            let (mut mags, mut idx) = (vec![-1.0f32], vec![7u32]);
+            abs_stats_compact(&x, cutoff, &mut mags, &mut idx);
+            assert_eq!(mags, want_mags, "cutoff {cutoff}");
+            assert_eq!(idx, want_idx, "cutoff {cutoff}");
+        }
+    }
+
+    /// The fused sweep against the standalone reductions and the
+    /// definition of its survivors, on the lengths where the lane, word and
+    /// block structure can go wrong (empty, sub-lane, one lane either side,
+    /// one word either side, one block either side, two blocks and a
+    /// ragged tail) and on values where compare-and-keep, `f32::max` and
+    /// the cutoff compare could part ways: NaN of either sign, ±∞, −0.0 and
+    /// subnormals, wherever they fall. Cutoffs include 0 (everything but
+    /// NaN survives), a subnormal, ∞ and NaN (nothing survives).
+    mod fused_sweep_properties {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        const LENS: [usize; 11] = [
+            0,
+            1,
+            7,
+            8,
+            9,
+            63,
+            64,
+            65,
+            REDUCE_BLOCK - 1,
+            REDUCE_BLOCK + 1,
+            2 * REDUCE_BLOCK + 13,
+        ];
+
+        fn mix(mut z: u64) -> u64 {
+            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Mostly ordinary magnitudes around 1, one in `rare` special.
+        fn value(h: u64, rare: u64) -> f32 {
+            let b = (h >> 32) as u32;
+            if !h.is_multiple_of(rare) {
+                return (b >> 8) as f32 / (1u32 << 23) as f32 - 1.0;
+            }
+            match (h / rare) % 9 {
+                0 => f32::NAN,
+                1 => -f32::NAN,
+                2 => f32::INFINITY,
+                3 => f32::NEG_INFINITY,
+                4 => -0.0,
+                5 => f32::from_bits(b >> 9), // subnormal or +0
+                6 => -f32::from_bits(b >> 9),
+                7 => f32::MAX,
+                _ => f32::from_bits(b), // anything
+            }
+        }
+
+        fn bit_vec(x: &[f32]) -> Vec<u32> {
+            x.iter().map(|v| v.to_bits()).collect()
+        }
+
+        fn check(x: &[f32], cutoff: f32) {
+            let n = x.len();
+            let (want_mags, want_idx) = reference::survivors(x, cutoff);
+            let (mut mags, mut idx) = (Vec::new(), Vec::new());
+            let (mean, max) = abs_stats_compact(x, cutoff, &mut mags, &mut idx);
+            let what = format!("d = {n}, cutoff = {cutoff:e}");
+            assert_eq!(mean.to_bits(), mean_abs(x).to_bits(), "mean, {what}");
+            assert_eq!(mean.to_bits(), reference::mean_abs(x).to_bits(), "{what}");
+            assert_eq!(max.to_bits(), max_abs(x).to_bits(), "max, {what}");
+            assert_eq!(max.to_bits(), reference::max_abs(x).to_bits(), "{what}");
+            assert!(!max.is_nan(), "a NaN magnitude reached the max, {what}");
+            assert_eq!(idx, want_idx, "survivor indices, {what}");
+            assert_eq!(
+                bit_vec(&mags),
+                bit_vec(&want_mags),
+                "survivor magnitudes, {what}"
+            );
+            let (mut mags, mut idx) = (Vec::new(), Vec::new());
+            compact_ge(x, cutoff, &mut mags, &mut idx);
+            assert_eq!(idx, want_idx, "compact_ge indices, {what}");
+            assert_eq!(bit_vec(&mags), bit_vec(&want_mags), "compact_ge, {what}");
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn fused_sweep_matches_the_standalone_kernels_and_the_definition(
+                len_pick in 0usize..LENS.len(),
+                salt in any::<u64>(),
+                rare in 2u64..40,
+                cut_pick in 0u32..7,
+            ) {
+                let n = LENS[len_pick];
+                let x: Vec<f32> = (0..n as u64).map(|i| value(mix(salt ^ i), rare)).collect();
+                let cutoff = match cut_pick {
+                    0 => 0.0,
+                    1 => f32::from_bits(7), // subnormal
+                    2 => 0.5,
+                    3 => 0.999,
+                    4 => f32::INFINITY,
+                    5 => f32::NAN,
+                    _ => x.first().map_or(0.25, |v| v.abs()),
+                };
+                check(&x, cutoff);
+
+                // Accumulating: `y += x` exactly as `add_assign` does it,
+                // and the statistics and survivors of the sum.
+                let base: Vec<f32> = (0..n as u64).map(|i| value(mix(!salt ^ i), rare)).collect();
+                let mut staged = base.clone();
+                add_assign(&mut staged, &x);
+                let mut fused = base;
+                let (mut mags, mut idx) = (Vec::new(), Vec::new());
+                let (mean, max) =
+                    add_assign_abs_stats_compact(&mut fused, &x, cutoff, &mut mags, &mut idx);
+                prop_assert_eq!(bit_vec(&fused), bit_vec(&staged));
+                prop_assert_eq!(mean.to_bits(), mean_abs(&staged).to_bits());
+                prop_assert_eq!(max.to_bits(), max_abs(&staged).to_bits());
+                let (want_mags, want_idx) = reference::survivors(&staged, cutoff);
+                prop_assert_eq!(idx, want_idx);
+                prop_assert_eq!(bit_vec(&mags), bit_vec(&want_mags));
+            }
+        }
+
+        /// Every length at each cutoff, whatever the draws above hit, with
+        /// specials dense and sparse (dense, a NaN or ∞ soon saturates the
+        /// sum, which would hide a reordered fold).
+        #[test]
+        fn every_named_length_at_every_cutoff() {
+            for n in LENS {
+                for rare in [5, 100_000] {
+                    let x: Vec<f32> = (0..n as u64).map(|i| value(mix(i), rare)).collect();
+                    for cutoff in [0.0, f32::from_bits(7), 0.5, f32::INFINITY, f32::NAN] {
+                        check(&x, cutoff);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn add_sum_drain_is_the_staged_sum_and_zeroes_its_addend() {
+        let specials = [0.0f32, -0.0, 1.5, -2.25, f32::INFINITY, 1e-40, f32::NAN];
+        let mut acc = Vec::new();
+        let mut x = Vec::new();
+        let mut y = Vec::new();
+        for a in specials {
+            for b in specials {
+                for c in specials {
+                    acc.push(a);
+                    x.push(b);
+                    y.push(c);
+                }
+            }
+        }
+        let (mut want_acc, mut want_x) = (acc.clone(), x.clone());
+        add_assign(&mut want_x, &y);
+        add_assign(&mut want_acc, &want_x);
+        add_sum_drain(&mut acc, &mut x, &y);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&acc), bits(&want_acc));
+        assert!(x.iter().all(|v| v.to_bits() == 0), "x must come back +0.0");
+    }
+
+    #[test]
+    #[should_panic(expected = "add_sum_drain: length mismatch")]
+    fn add_sum_drain_rejects_a_length_mismatch() {
+        add_sum_drain(&mut [0.0; 3], &mut [0.0; 3], &[0.0; 4]);
     }
 
     /// Property tests: every kernel family must be bitwise identical to the
