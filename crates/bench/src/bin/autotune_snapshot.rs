@@ -35,13 +35,11 @@ struct CellRecord {
     workload: String,
     nodes: usize,
     gpus_per_node: usize,
-    counts: [usize; 4],
-    forced_totals_ms: [f64; 4],
+    counts: [usize; SCHEMES.len()],
+    forced_totals_ms: [f64; SCHEMES.len()],
     autotuned_total_ms: f64,
     global_choice: String,
-    fused_compress_reduce: bool,
     sparse_min_params: Option<usize>,
-    fused_max_shard_params: Option<usize>,
     oksparse_min_overlap: Option<f64>,
     wfbp_total_ms: f64,
 }
@@ -115,8 +113,8 @@ fn main() {
 
     let mut cells = Vec::new();
     println!(
-        "{:<12} {:>5} {:>5} {:>7} {:>7} {:>7} {:>7} {:>14} {:>7}",
-        "workload", "m", "n", "dense", "staged", "fused", "ok", "choice", "fuse?"
+        "{:<12} {:>5} {:>5} {:>7} {:>7} {:>7} {:>14}",
+        "workload", "m", "n", "dense", "staged", "ok", "choice"
     );
     for (name, workload) in workloads {
         let ranges = workload_layer_ranges(workload);
@@ -128,33 +126,24 @@ fn main() {
             let counts = report.counts();
             let wfbp = report.iteration_time(&wfbp_model_for(&ranges, &spec));
             println!(
-                "{:<12} {:>5} {:>5} {:>7} {:>7} {:>7} {:>7} {:>14} {:>7}",
+                "{:<12} {:>5} {:>5} {:>7} {:>7} {:>7} {:>14}",
                 name,
                 m,
                 n,
                 counts[0],
                 counts[1],
                 counts[2],
-                counts[3],
-                report.global_choice().label(),
-                report.fused_compress_reduce()
+                report.global_choice().label()
             );
             cells.push(CellRecord {
                 workload: name.to_string(),
                 nodes: m,
                 gpus_per_node: n,
                 counts,
-                forced_totals_ms: [
-                    report.forced_totals[0] * 1e3,
-                    report.forced_totals[1] * 1e3,
-                    report.forced_totals[2] * 1e3,
-                    report.forced_totals[3] * 1e3,
-                ],
+                forced_totals_ms: report.forced_totals.map(|t| t * 1e3),
                 autotuned_total_ms: report.autotuned_total * 1e3,
                 global_choice: report.global_choice().label().to_string(),
-                fused_compress_reduce: report.fused_compress_reduce(),
                 sparse_min_params: report.crossovers.sparse_min_params,
-                fused_max_shard_params: report.crossovers.fused_max_shard_params,
                 oksparse_min_overlap: report.crossovers.oksparse_min_overlap,
                 wfbp_total_ms: wfbp.total * 1e3,
             });
@@ -221,13 +210,8 @@ fn main() {
     println!("AUTOTUNE-BEGIN");
     for c in &cells {
         println!(
-            "{} m={} n={} counts={:?} choice={} fused={}",
-            c.workload,
-            c.nodes,
-            c.gpus_per_node,
-            c.counts,
-            c.global_choice,
-            c.fused_compress_reduce
+            "{} m={} n={} counts={:?} choice={}",
+            c.workload, c.nodes, c.gpus_per_node, c.counts, c.global_choice
         );
     }
     for t in &traffic {

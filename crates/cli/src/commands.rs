@@ -67,7 +67,7 @@ pub fn print_help() {
          \x20            --nodes N --cloud <c> --bytes N --seed N\n\
          \x20            --scramble on|off\n\
          \x20 autotune   per-layer aggregation autotuner: price dense-torus\n\
-         \x20            vs HiTopKComm (staged/fused) vs the O(k) sparse\n\
+         \x20            vs HiTopKComm vs the O(k) sparse\n\
          \x20            allreduce per layer on the probed alpha/beta\n\
          \x20            topology, with the crossover report\n\
          \x20            --workload mlp|resnet|vgg|transformer --nodes N\n\
@@ -836,18 +836,13 @@ fn cmd_autotune(args: &Args) -> Result<(), ParseError> {
         t.exposed_comm * 1e3
     );
     println!(
-        "recommendation: strategy {} for a single global knob, fused_compress_reduce={}",
-        report.global_choice().label(),
-        report.fused_compress_reduce()
+        "recommendation: strategy {} for a single global knob",
+        report.global_choice().label()
     );
     let c = &report.crossovers;
     match c.sparse_min_params {
         Some(p) => println!("crossover: sparse beats dense from ~{p} params/layer"),
         None => println!("crossover: dense wins at every scanned layer size"),
-    }
-    match c.fused_max_shard_params {
-        Some(p) => println!("crossover: fused beats staged up to ~{p} params/shard"),
-        None => println!("crossover: staged wins at every scanned shard size"),
     }
     match c.oksparse_min_overlap {
         Some(omega) => println!(

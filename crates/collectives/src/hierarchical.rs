@@ -52,8 +52,8 @@ pub fn shard_k(d: usize, n: usize, rho: f64) -> usize {
 /// Wire bytes a member pays to broadcast `selection` to the other
 /// `group_len - 1` members of a sparse AllGather group.
 ///
-/// Every hitopk-family variant (staged, fused, reordered, resilient,
-/// deadline) and the flat NaiveAG account their `inter_bytes_sent` through
+/// Every hitopk-family variant (plain, reordered, resilient, deadline) and
+/// the flat NaiveAG account their `inter_bytes_sent` through
 /// this one expression, so identical traffic always reports identical
 /// bytes — the conformance differential test pins it.
 pub fn group_wire_bytes(selection: &SparseGrad, group_len: usize) -> usize {

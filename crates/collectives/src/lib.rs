@@ -19,11 +19,9 @@
 //!   ReduceScatter, inter-row AllReduce on the shard, intra-row AllGather.
 //! * [`hierarchical`] — **HiTopKComm** (§3.2, Algorithm 2): the paper's
 //!   hierarchical sparse aggregation, plus the flat `NaiveAG` sparse
-//!   baseline.
-//! * [`fusion`] — fused compress–reduce variants of HiTopKComm: the
-//!   intra-node reduction rides one shard-sized ring buffer and the top-k
-//!   selection consumes it directly, skipping the dense materialization;
-//!   bitwise identical to the unfused pipeline.
+//!   baseline. The error-feedback path folds the last intra-node
+//!   ReduceScatter hop straight into the residual, so the dense node sum
+//!   is never materialized between reduction and selection.
 //! * [`gtopk`] — gTop-k recursive-doubling sparse AllReduce (Shi et al.
 //!   2019, cited in §6).
 //! * [`quantized`] — AllReduce of QSGD/TernGrad/sign-quantized gradients.
@@ -62,7 +60,6 @@
 #![warn(missing_docs)]
 
 pub mod deadline;
-pub mod fusion;
 pub mod group;
 pub mod gtopk;
 pub mod hierarchical;

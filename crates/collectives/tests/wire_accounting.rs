@@ -1,14 +1,13 @@
 //! Differential wire-byte accounting across the HiTopKComm variant family.
 //!
-//! Every hitopk twin — staged, fused, traced, reordered, resilient, and
+//! Every hitopk twin — staged, traced, reordered, resilient, and
 //! deadline-bounded — moves exactly the same inter-node traffic when the
-//! faults are clean and the node order is the identity. Since PR 8 they all
-//! charge that traffic through one shared helper
+//! faults are clean and the node order is the identity. They all charge
+//! that traffic through one shared helper
 //! (`group_wire_bytes(selection, g) == pair_wire_bytes(k) * (g - 1)`), so
 //! a divergence here means a variant grew its own byte math again.
 
 use cloudtrain_collectives::deadline::hitopk_all_reduce_ef_deadline;
-use cloudtrain_collectives::fusion::hitopk_all_reduce_ef_fused_scratch;
 use cloudtrain_collectives::group::run_on_group;
 use cloudtrain_collectives::hierarchical::{
     hitopk_all_reduce_ef_scratch, hitopk_all_reduce_ef_traced, pair_wire_bytes, HiTopKReport,
@@ -63,9 +62,6 @@ fn all_hitopk_variants_report_identical_wire_bytes_for_identical_traffic() {
     let staged = reports_of(&|peer, x, c, ef, scratch| {
         hitopk_all_reduce_ef_scratch(peer, x, M, N, RHO, c, ef, scratch)
     });
-    let fused = reports_of(&|peer, x, c, ef, scratch| {
-        hitopk_all_reduce_ef_fused_scratch(peer, x, M, N, RHO, c, ef, scratch)
-    });
     let traced = reports_of(&|peer, x, c, ef, scratch| {
         let mut reg = Registry::new();
         hitopk_all_reduce_ef_traced(peer, x, M, N, RHO, c, ef, scratch, &mut reg)
@@ -88,7 +84,6 @@ fn all_hitopk_variants_report_identical_wire_bytes_for_identical_traffic() {
     });
 
     for (name, variant) in [
-        ("fused", &fused),
         ("traced", &traced),
         ("reordered", &reordered),
         ("resilient", &resilient),

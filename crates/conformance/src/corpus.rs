@@ -80,10 +80,8 @@ pub struct MetaCase {
     pub seed: u64,
 }
 
-/// Collectives the oracle engine knows how to drive. The `*_fused`
-/// variants route through the fused compress–reduce hop and are held to
-/// *bitwise* equality with their unfused twins; the `*_bucketed` variants
-/// launch the dense collective once per fusion span.
+/// Collectives the oracle engine knows how to drive. The `*_bucketed`
+/// variants launch the dense collective once per fusion span.
 pub const ORACLE_COLLECTIVES: &[&str] = &[
     "ring",
     "tree",
@@ -97,11 +95,8 @@ pub const ORACLE_COLLECTIVES: &[&str] = &[
     "torus_reordered",
     "ring_deadline",
     "hitopk",
-    "hitopk_fused",
     "hitopk_ef",
-    "hitopk_ef_fused",
     "hitopk_ef_res",
-    "hitopk_ef_fused_res",
     "hitopk_ef_reordered",
     "hitopk_ef_deadline",
     "gtopk",
@@ -305,11 +300,8 @@ fn parse_oracle(name: &str, kv: &Kv) -> Result<OracleCase, String> {
     let sparse = matches!(
         c.collective.as_str(),
         "hitopk"
-            | "hitopk_fused"
             | "hitopk_ef"
-            | "hitopk_ef_fused"
             | "hitopk_ef_res"
-            | "hitopk_ef_fused_res"
             | "hitopk_ef_reordered"
             | "hitopk_ef_deadline"
             | "gtopk"
@@ -443,7 +435,7 @@ meta perm comp=dgc d=4096 k=64 seed=9
     fn format_roundtrips() {
         for line in [
             "oracle hitopk m=2 n=4 d=128 rho=0.05 comp=mstopk seed=7",
-            "oracle hitopk_ef_fused_res m=2 n=2 d=64 rho=0.1 comp=dgc seed=5 drops=0.1 degrade=0.2",
+            "oracle hitopk_ef_res m=2 n=2 d=64 rho=0.1 comp=dgc seed=5 drops=0.1 degrade=0.2",
             "oracle tree_bucketed m=2 n=3 d=96 rho=0.05 comp=- seed=4",
             "oracle ring_res m=2 n=3 d=64 rho=0.05 comp=- seed=3 drops=0.2",
             "oracle ring_deadline m=2 n=3 d=64 rho=0.05 comp=- seed=3 degrade=0.3",
@@ -472,10 +464,6 @@ meta perm comp=dgc d=4096 k=64 seed=9
                 "sparse without comp",
             ),
             (
-                "oracle hitopk_fused m=2 n=2 d=16 seed=1 comp=-",
-                "fused sparse without comp",
-            ),
-            (
                 "oracle ring m=2 n=2 d=16 seed=1 comp=mstopk",
                 "dense with comp",
             ),
@@ -484,8 +472,12 @@ meta perm comp=dgc d=4096 k=64 seed=9
                 "bucketed dense with comp",
             ),
             (
-                "oracle hitopk_fused m=2 n=2 d=16 rho=0.1 comp=dgc seed=1 drops=0.5",
-                "drops on non-resilient fused",
+                "oracle hitopk_fused m=2 n=2 d=16 rho=0.1 comp=dgc seed=1",
+                "retired fused collective",
+            ),
+            (
+                "oracle hitopk_ef_fused_res m=2 n=2 d=16 rho=0.1 comp=dgc seed=1 drops=0.5",
+                "retired fused resilient collective",
             ),
             (
                 "oracle ring m=2 n=2 d=16 seed=1 drops=0.5",

@@ -25,9 +25,6 @@ use std::collections::BTreeSet;
 use cloudtrain_collectives::deadline::{
     hitopk_all_reduce_ef_deadline, ring_all_reduce_deadline, DeadlineFaults, DeadlinePolicy,
 };
-use cloudtrain_collectives::fusion::{
-    hitopk_all_reduce_ef_fused, hitopk_all_reduce_ef_fused_resilient, hitopk_all_reduce_fused,
-};
 use cloudtrain_collectives::group::run_on_group;
 use cloudtrain_collectives::gtopk::gtopk_all_reduce;
 use cloudtrain_collectives::hierarchical::{
@@ -177,13 +174,10 @@ pub fn run(index: usize, case: &OracleCase) -> CaseResult {
         "ring_reordered" | "torus_reordered" => run_dense_reordered(case, &mut ck),
         "ring_deadline" => run_ring_deadline(case, &mut ck),
         "hitopk" => run_hitopk(case, &mut ck),
-        "hitopk_fused" => run_hitopk_fused(case, &mut ck),
         "hitopk_ef" => run_hitopk_ef(case, &mut ck),
         "hitopk_ef_reordered" => run_hitopk_ef_reordered(case, &mut ck),
         "hitopk_ef_deadline" => run_hitopk_ef_deadline(case, &mut ck),
-        "hitopk_ef_fused" => run_hitopk_ef_fused(case, &mut ck),
         "hitopk_ef_res" => run_hitopk_ef_res(case, &mut ck),
-        "hitopk_ef_fused_res" => run_hitopk_ef_fused_res(case, &mut ck),
         "gtopk" => run_gtopk(case, &mut ck),
         "gtopk_ef_res" => run_gtopk_ef_res(case, &mut ck),
         "naiveag" => run_naiveag(case, &mut ck),
@@ -565,53 +559,6 @@ fn run_hitopk(c: &OracleCase, ck: &mut Checks) {
     ck.check("report-bounds", true, || unreachable!());
 }
 
-/// The fused compress–reduce hop's contract is *bitwise* identity with the
-/// staged pipeline it replaces — same compressor replicas, same residual
-/// start, identical bytes out. Every `*_fused` runner therefore carries the
-/// unfused twin's whole check family plus a `fused-unfused-bitwise` check
-/// against the staged collective under identical seeds (and, for the
-/// resilient variant, an identical fault schedule).
-fn run_hitopk_fused(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
-    let comp_name = c.comp.clone();
-    let run = |fused: bool| {
-        run_on_group(p, |peer| {
-            let mut x = grad_for(seed, peer.rank(), d);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let rep = if fused {
-                hitopk_all_reduce_fused(peer, &mut x, m, n, rho, comp.as_mut())
-            } else {
-                hitopk_all_reduce(peer, &mut x, m, n, rho, comp.as_mut())
-            };
-            (x, rep)
-        })
-    };
-    let a = run(true);
-    let b = run(true);
-    ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
-        "second fused run differs from the first".to_string()
-    });
-    let xs: Vec<Vec<f32>> = a.iter().map(|(x, _)| x.clone()).collect();
-    ck.check("replica-identity", all_ranks_eq(&xs), || {
-        "ranks hold different results".to_string()
-    });
-    let reference = hitopk_oracle(c);
-    ck.check(
-        "oracle-equivalence",
-        ops::approx_eq(&xs[0], &reference, SPARSE_TOL),
-        || format!("linf={} tol={SPARSE_TOL}", linf(&xs[0], &reference)),
-    );
-    let unfused = run(false);
-    ck.check(
-        "fused-unfused-bitwise",
-        a.iter()
-            .zip(&unfused)
-            .all(|((x, rep), (ux, urep))| bits_eq(x, ux) && rep == urep),
-        || "fused hop differs from the staged pipeline bitwise".to_string(),
-    );
-}
-
 /// Telescoped mass-conservation ledger shared by the EF variants: over all
 /// iterations, per shard `j`, `Σ_t Σ_i compensated_{i,j}(t)` must equal
 /// `Σ_t aggregated_j(t) + Σ_i residual_{i,j}(T)` elementwise. Compensated
@@ -844,51 +791,6 @@ fn run_hitopk_ef_deadline(c: &OracleCase, ck: &mut Checks) {
     }
 }
 
-fn run_hitopk_ef_fused(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
-    let comp_name = c.comp.clone();
-    let run = |fused: bool| {
-        run_on_group(p, |peer| {
-            let shard_len = shards(d, n)[peer.rank() % n].len();
-            let mut ef = ErrorFeedback::new(shard_len);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let mut acc = vec![0.0f32; d];
-            for t in 0..EF_ITERS {
-                let mut x = grad_iter(seed, t, peer.rank(), d);
-                if fused {
-                    hitopk_all_reduce_ef_fused(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
-                } else {
-                    hitopk_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
-                }
-                ops::add_assign(&mut acc, &x);
-            }
-            (acc, ef.residual().to_vec())
-        })
-    };
-    let a = run(true);
-    let b = run(true);
-    ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
-        "second fused run differs from the first".to_string()
-    });
-    let accs: Vec<Vec<f32>> = a.iter().map(|(x, _)| x.clone()).collect();
-    ck.check("replica-identity", all_ranks_eq(&accs), || {
-        "ranks hold different accumulated results".to_string()
-    });
-    let residuals: Vec<Vec<f32>> = a.iter().map(|(_, r)| r.clone()).collect();
-    check_ledger(ck, seed, m, n, d, EF_ITERS, &accs[0], &residuals);
-    // Residual carry-over is part of the contract: both accumulated output
-    // and final residuals must match the staged pipeline bitwise.
-    let unfused = run(false);
-    ck.check(
-        "fused-unfused-bitwise",
-        a.iter()
-            .zip(&unfused)
-            .all(|((acc, r), (uacc, ur))| bits_eq(acc, uacc) && bits_eq(r, ur)),
-        || "fused EF hop differs from the staged pipeline bitwise".to_string(),
-    );
-}
-
 fn run_hitopk_ef_res(c: &OracleCase, ck: &mut Checks) {
     let p = c.m * c.n;
     let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
@@ -948,94 +850,6 @@ fn run_hitopk_ef_res(c: &OracleCase, ck: &mut Checks) {
                     .zip(&clean)
                     .all(|(r, (_, cr))| bits_eq(r, cr)),
             || "faulted EF run differs from clean bitwise".to_string(),
-        );
-    }
-}
-
-fn run_hitopk_ef_fused_res(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
-    let (drops, degrade) = (c.drops, c.degrade);
-    let comp_name = c.comp.clone();
-    let faulted = |fused: bool| {
-        run_on_group(p, |peer| {
-            let shard_len = shards(d, n)[peer.rank() % n].len();
-            let mut ef = ErrorFeedback::new(shard_len);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let faults = CommFaults::new(seed)
-                .with_drops(drops)
-                .with_degrade(degrade);
-            let mut rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
-            let mut scratch = CommScratch::new();
-            let mut x = grad_for(seed, peer.rank(), d);
-            if fused {
-                hitopk_all_reduce_ef_fused_resilient(
-                    &mut rp,
-                    &mut x,
-                    m,
-                    n,
-                    rho,
-                    comp.as_mut(),
-                    &mut ef,
-                    &mut scratch,
-                );
-            } else {
-                hitopk_all_reduce_ef_resilient(
-                    &mut rp,
-                    &mut x,
-                    m,
-                    n,
-                    rho,
-                    comp.as_mut(),
-                    &mut ef,
-                    &mut scratch,
-                );
-            }
-            (x, ef.residual().to_vec())
-        })
-    };
-    let a = faulted(true);
-    let b = faulted(true);
-    ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
-        "second faulted fused run differs".to_string()
-    });
-    let xs: Vec<Vec<f32>> = a.iter().map(|(x, _)| x.clone()).collect();
-    ck.check("replica-identity", all_ranks_eq(&xs), || {
-        "ranks hold different results".to_string()
-    });
-    let residuals: Vec<Vec<f32>> = a.iter().map(|(_, r)| r.clone()).collect();
-    check_ledger(ck, seed, m, n, d, 1, &xs[0], &residuals);
-    // The staged resilient collective consumes the identical fault
-    // schedule (faults key on the instance and hop, not on call order), so
-    // even under drops and degradation the fused hop must reproduce it
-    // bitwise — output and residuals both.
-    let unfused = faulted(false);
-    ck.check(
-        "fused-unfused-bitwise",
-        a.iter()
-            .zip(&unfused)
-            .all(|((x, r), (ux, ur))| bits_eq(x, ux) && bits_eq(r, ur)),
-        || "fused resilient hop differs from the staged pipeline bitwise".to_string(),
-    );
-    if degrade == 0.0 {
-        // Pure drop faults: retries must reproduce the clean fused
-        // collective bitwise (same compressor replicas, same residuals).
-        let clean = run_on_group(p, |peer| {
-            let shard_len = shards(d, n)[peer.rank() % n].len();
-            let mut ef = ErrorFeedback::new(shard_len);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let mut x = grad_for(seed, peer.rank(), d);
-            hitopk_all_reduce_ef_fused(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
-            (x, ef.residual().to_vec())
-        });
-        ck.check(
-            "retry-exactness",
-            bits_eq(&xs[0], &clean[0].0)
-                && residuals
-                    .iter()
-                    .zip(&clean)
-                    .all(|(r, (_, cr))| bits_eq(r, cr)),
-            || "faulted fused EF run differs from clean bitwise".to_string(),
         );
     }
 }

@@ -112,11 +112,8 @@ pub fn expected_pairings() -> Vec<(&'static str, &'static str)> {
     }
     for coll in [
         "hitopk",
-        "hitopk_fused",
         "hitopk_ef",
-        "hitopk_ef_fused",
         "hitopk_ef_res",
-        "hitopk_ef_fused_res",
         "hitopk_ef_reordered",
         "hitopk_ef_deadline",
         "gtopk",

@@ -4,21 +4,13 @@
 //! from "how big are the buckets" to "which collective family moves each
 //! bucket".
 //!
-//! Four schemes compete per layer (DESIGN.md §13):
+//! Three schemes compete per layer (DESIGN.md §13):
 //!
 //! * **Dense 2D-torus** — no compression cost, but the full FP32 payload
 //!   crosses the inter-node NIC. Wins on tiny layers where the top-k
 //!   selection's kernel passes cost more than the bytes they save.
-//! * **HiTopKComm, staged** — top-k per shard, then two inter-node
-//!   AllGathers (values, indices): `2(m−1)` messages of `8k̃` bytes total.
-//! * **HiTopKComm, fused** — the same bytes in one framed pair pipeline:
-//!   `m−1` messages, half the per-message α, paid for with a streaming
-//!   bookkeeping charge over the shard the fused ReduceScatter consumes.
-//!   The staged-vs-fused crossover is therefore *predicted*, not assumed:
-//!   α-dominated layers fuse, overhead-dominated shards stay staged, and
-//!   [`DistConfig`](crate::trainer::DistConfig)`::fused_compress_reduce`
-//!   can be set from [`AutotuneReport::fused_compress_reduce`] instead of
-//!   guessed.
+//! * **HiTopKComm** — top-k per shard, then two inter-node AllGathers
+//!   (values, indices): `2(m−1)` messages of `8k̃` bytes total.
 //! * **O(k) sparse allreduce** — balanced index partitioning plus
 //!   split-and-merge (Li & Hoefler 2022,
 //!   `cloudtrain_collectives::sparse_allreduce`). Its merge phase moves
@@ -50,17 +42,14 @@ pub enum CommScheme {
     DenseTorus,
     /// HiTopKComm with staged inter-node gathers (values, then indices).
     HiTopKStaged,
-    /// HiTopKComm with the fused compress–reduce pair pipeline.
-    HiTopKFused,
     /// O(k) sparse allreduce (split-and-merge index partitioning).
     OkSparse,
 }
 
 /// All schemes, in the tie-break order the planner scans them.
-pub const SCHEMES: [CommScheme; 4] = [
+pub const SCHEMES: [CommScheme; 3] = [
     CommScheme::DenseTorus,
     CommScheme::HiTopKStaged,
-    CommScheme::HiTopKFused,
     CommScheme::OkSparse,
 ];
 
@@ -70,7 +59,6 @@ impl CommScheme {
         match self {
             CommScheme::DenseTorus => "dense-torus",
             CommScheme::HiTopKStaged => "hitopk-staged",
-            CommScheme::HiTopKFused => "hitopk-fused",
             CommScheme::OkSparse => "oksparse",
         }
     }
@@ -101,30 +89,21 @@ impl Default for AutotuneConfig {
 }
 
 /// The probed machine the tuner prices against: an α–β cluster plus GPU
-/// kernel rates and the fused path's streaming-bookkeeping charge.
+/// kernel rates.
 #[derive(Debug, Clone, Copy)]
 pub struct CommModel {
     /// Two-level cluster (probed or preset α/β per link class).
     pub cluster: ClusterSpec,
     /// GPU kernel cost rates for the top-k selection passes.
     pub gpu: GpuRates,
-    /// Seconds of fused-pipeline bookkeeping per shard byte streamed:
-    /// the fused ReduceScatter's ring-buffer consumption is not free, and
-    /// this charge is what gives staged-vs-fused a crossover instead of
-    /// letting the halved message count win unconditionally.
-    pub fuse_overhead_per_byte: f64,
 }
 
 impl CommModel {
-    /// A model over the given cluster with default GPU rates and a fused
-    /// bookkeeping charge calibrated so the crossover lands between the
-    /// paper's small attention tensors (fuse) and its fattest conv/embed
-    /// shards (stay staged).
+    /// A model over the given cluster with default GPU rates.
     pub fn new(cluster: ClusterSpec) -> Self {
         Self {
             cluster,
             gpu: GpuRates::default(),
-            fuse_overhead_per_byte: 2e-12,
         }
     }
 
@@ -170,9 +149,8 @@ impl CommModel {
             // FP32 elements.
             CommScheme::DenseTorus => 2.0 * (m - 1.0) * (4.0 * d as f64 / (n * m)),
             // 8 bytes per selected (index, value) pair, replicated to the
-            // other m−1 node-group members — identical bytes either way;
-            // fusing changes the message count, not the payload.
-            CommScheme::HiTopKStaged | CommScheme::HiTopKFused => 8.0 * k * (m - 1.0),
+            // other m−1 node-group members.
+            CommScheme::HiTopKStaged => 8.0 * k * (m - 1.0),
             // Split phase ships the k̃(1−1/m) foreign entries once; the
             // merge AllGather replicates the owner range's merged list.
             CommScheme::OkSparse => {
@@ -200,15 +178,6 @@ impl CommModel {
         match scheme {
             CommScheme::DenseTorus => intra + 2.0 * (m - 1.0) * alpha + bytes * beta,
             CommScheme::HiTopKStaged => intra + topk() + 2.0 * (m - 1.0) * alpha + bytes * beta,
-            CommScheme::HiTopKFused => {
-                // One framed pair pipeline: m−1 messages (+4 frame bytes
-                // each), plus the streaming bookkeeping over the shard.
-                intra
-                    + topk()
-                    + (m - 1.0) * alpha
-                    + (bytes + 4.0 * (m - 1.0)) * beta
-                    + self.fuse_overhead_per_byte * 4.0 * shard as f64
-            }
             CommScheme::OkSparse => {
                 // Split to m−1 owners, then the merge AllGather's m−1
                 // pipeline hops: 2(m−1) messages total.
@@ -228,7 +197,7 @@ pub struct LayerPlan {
     /// Winning scheme.
     pub choice: CommScheme,
     /// Predicted seconds per scheme, in [`SCHEMES`] order.
-    pub predicted_seconds: [f64; 4],
+    pub predicted_seconds: [f64; SCHEMES.len()],
 }
 
 /// Model-predicted crossover points for the probed topology — the
@@ -238,9 +207,6 @@ pub struct Crossovers {
     /// Smallest layer size (params) where the best sparse scheme beats
     /// dense-torus, or `None` if dense wins everywhere scanned.
     pub sparse_min_params: Option<usize>,
-    /// Largest shard size (params) where fused HiTopKComm still beats
-    /// staged, or `None` if fused wins everywhere scanned.
-    pub fused_max_shard_params: Option<usize>,
     /// Smallest overlap ω (on a 1/64 grid) where O(k) inter bytes drop
     /// below HiTopKComm's for this node count, or `None` when `m < 3`
     /// (O(k)'s extra split never amortizes on 2 nodes).
@@ -254,7 +220,7 @@ pub struct AutotuneReport {
     pub layers: Vec<LayerPlan>,
     /// Summed predicted seconds per scheme had it been forced on every
     /// layer, in [`SCHEMES`] order.
-    pub forced_totals: [f64; 4],
+    pub forced_totals: [f64; SCHEMES.len()],
     /// Summed predicted seconds of the per-layer argmin schedule.
     pub autotuned_total: f64,
     /// Winning-region boundaries for this topology.
@@ -265,8 +231,8 @@ pub struct AutotuneReport {
 
 impl AutotuneReport {
     /// Per-layer verdict counts, in [`SCHEMES`] order.
-    pub fn counts(&self) -> [usize; 4] {
-        let mut counts = [0usize; 4];
+    pub fn counts(&self) -> [usize; SCHEMES.len()] {
+        let mut counts = [0usize; SCHEMES.len()];
         for p in &self.layers {
             for (slot, s) in SCHEMES.iter().enumerate() {
                 if p.choice == *s {
@@ -288,16 +254,6 @@ impl AutotuneReport {
             }
         }
         SCHEMES[best]
-    }
-
-    /// What `DistConfig::fused_compress_reduce` should be on this
-    /// topology: fused iff the fused HiTopKComm total beats the staged
-    /// one. This is the satellite contract — the flag is derived from the
-    /// crossover model, never guessed, so the slower path cannot be
-    /// silently selected.
-    pub fn fused_compress_reduce(&self) -> bool {
-        // lint:allow(panic_free, reason = "forced_totals is [f64; 4] indexed by the fixed SCHEMES slots (1 = staged, 2 = fused); literal indexing on a fixed-size array cannot panic")
-        self.forced_totals[2] <= self.forced_totals[1]
     }
 
     /// Prices the autotuned schedule through the [`WfbpModel`] recurrence
@@ -348,19 +304,13 @@ impl AutotuneReport {
 fn find_crossovers(model: &CommModel, cfg: &AutotuneConfig, max_params: usize) -> Crossovers {
     let n = model.cluster.gpus_per_node;
     let mut sparse_min_params = None;
-    let mut fused_max_shard_params = None;
     let mut d = 1usize;
     while d <= max_params.max(1) {
         let dense = model.layer_seconds(CommScheme::DenseTorus, d, cfg);
         let staged = model.layer_seconds(CommScheme::HiTopKStaged, d, cfg);
-        let fused = model.layer_seconds(CommScheme::HiTopKFused, d, cfg);
         let oksparse = model.layer_seconds(CommScheme::OkSparse, d, cfg);
-        let best_sparse = staged.min(fused).min(oksparse);
-        if sparse_min_params.is_none() && best_sparse < dense {
+        if sparse_min_params.is_none() && staged.min(oksparse) < dense {
             sparse_min_params = Some(d);
-        }
-        if fused <= staged {
-            fused_max_shard_params = Some(d.div_ceil(n));
         }
         d = d.saturating_mul(2);
     }
@@ -383,7 +333,6 @@ fn find_crossovers(model: &CommModel, cfg: &AutotuneConfig, max_params: usize) -
     });
     Crossovers {
         sparse_min_params,
-        fused_max_shard_params,
         oksparse_min_overlap,
     }
 }
@@ -397,12 +346,12 @@ pub fn autotune_layers(
     cfg: &AutotuneConfig,
 ) -> AutotuneReport {
     let mut layers = Vec::with_capacity(ranges.len());
-    let mut forced_totals = [0.0f64; 4];
+    let mut forced_totals = [0.0f64; SCHEMES.len()];
     let mut autotuned_total = 0.0;
     // Backward order: the model's last layer finishes (and aggregates)
     // first, matching WfbpModel's layer convention.
     for (i, r) in ranges.iter().rev().enumerate() {
-        let mut predicted = [0.0f64; 4];
+        let mut predicted = [0.0f64; SCHEMES.len()];
         for (slot, s) in SCHEMES.iter().enumerate() {
             predicted[slot] = model.layer_seconds(*s, r.len, cfg);
             forced_totals[slot] += predicted[slot];
@@ -557,42 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_crossover_moves_with_the_bookkeeping_charge() {
-        let cluster = clouds::tencent(4);
-        let free = CommModel {
-            fuse_overhead_per_byte: 0.0,
-            ..CommModel::new(cluster)
-        };
-        let costly = CommModel {
-            fuse_overhead_per_byte: 1e-9,
-            ..CommModel::new(cluster)
-        };
-        let cfg = AutotuneConfig::default();
-        let d = 50_000_000;
-        // Free bookkeeping: halved α always wins.
-        assert!(
-            free.layer_seconds(CommScheme::HiTopKFused, d, &cfg)
-                < free.layer_seconds(CommScheme::HiTopKStaged, d, &cfg)
-        );
-        // Heavy bookkeeping: the fat shard pays more than the α it saves.
-        assert!(
-            costly.layer_seconds(CommScheme::HiTopKFused, d, &cfg)
-                > costly.layer_seconds(CommScheme::HiTopKStaged, d, &cfg)
-        );
-        // Small layers fuse under either charge (α-dominated).
-        assert!(
-            costly.layer_seconds(CommScheme::HiTopKFused, 1000, &cfg)
-                < costly.layer_seconds(CommScheme::HiTopKStaged, 1000, &cfg)
-        );
-        let rep = autotune_layers(&ranges(&[1000, d]), &costly, &cfg);
-        let cross = rep
-            .crossovers
-            .fused_max_shard_params
-            .expect("fused wins somewhere");
-        assert!(cross < d / cluster.gpus_per_node);
-    }
-
-    #[test]
     fn report_is_deterministic_and_serde_roundtrips() {
         let r = ranges(&[500, 2000, 100, 40_000, 3_000_000]);
         let cfg = AutotuneConfig::default();
@@ -635,14 +548,23 @@ mod tests {
     }
 
     #[test]
-    fn fused_flag_matches_forced_totals() {
-        for nodes in [2usize, 4] {
+    fn global_choice_is_the_forced_totals_argmin() {
+        for nodes in [2usize, 4, 8] {
             let r = ranges(&[2000; 40]);
             let rep = autotune_layers(&r, &model(nodes), &AutotuneConfig::default());
-            assert_eq!(
-                rep.fused_compress_reduce(),
-                rep.forced_totals[2] <= rep.forced_totals[1]
-            );
+            let slot = SCHEMES
+                .iter()
+                .position(|s| *s == rep.global_choice())
+                .unwrap();
+            for (other, total) in rep.forced_totals.iter().enumerate() {
+                assert!(
+                    rep.forced_totals[slot] < *total
+                        || (rep.forced_totals[slot] == *total && slot <= other),
+                    "{nodes} nodes: {} is not the first argmin of {:?}",
+                    SCHEMES[slot].label(),
+                    rep.forced_totals
+                );
+            }
         }
     }
 }

@@ -8,9 +8,6 @@
 //! PTO), and determinism is end-to-end: replicas stay bitwise identical
 //! across workers, which the test suite asserts.
 
-use cloudtrain_collectives::fusion::{
-    hitopk_all_reduce_ef_fused_resilient, hitopk_all_reduce_ef_fused_traced,
-};
 use cloudtrain_collectives::group::run_on_group;
 use cloudtrain_collectives::gtopk::gtopk_all_reduce_scratch;
 use cloudtrain_collectives::hierarchical::{hitopk_all_reduce_ef_traced, sparse_all_reduce_naive};
@@ -187,17 +184,11 @@ pub struct DistConfig {
     /// aggregate the whole compensated tensor.
     #[serde(default)]
     pub fusion: FusionMode,
-    /// Route `MsTopKHiTopK` through the fused compress–reduce collective
-    /// (one ring-buffer hop feeds the sparsifier directly; bitwise
-    /// identical to the unfused pipeline on both the clean and faulted
-    /// planes).
-    #[serde(default)]
-    pub fused_compress_reduce: bool,
     /// Probe the modeled cloud fabric (pairwise α/β over the simulator,
     /// virtual clock only) and reorder the inter-node rings with the
     /// seeded cost-model optimizer ([`probed_node_order`]). Applies to the
-    /// clean `DenseTorus` and `MsTopKHiTopK` paths; resilient and fused
-    /// routes keep their natural order. On the uniform modeled fabric the
+    /// clean `DenseTorus` and `MsTopKHiTopK` paths; resilient routes keep
+    /// their natural order. On the uniform modeled fabric the
     /// optimizer returns the identity order, so training is bitwise
     /// identical either way.
     #[serde(default)]
@@ -225,7 +216,6 @@ impl DistConfig {
             seed: 42,
             faults: None,
             fusion: FusionMode::WholeTensor,
-            fused_compress_reduce: false,
             rank_reorder: false,
         }
     }
@@ -707,32 +697,8 @@ impl DistTrainer {
                                 // Graceful degradation: a member missing its
                                 // deadline ships an empty block; its shard
                                 // gradient survives in `ef_shard`.
-                                if cfg.fused_compress_reduce {
-                                    hitopk_all_reduce_ef_fused_resilient(
-                                        rp,
-                                        &mut grads,
-                                        m,
-                                        n,
-                                        rho,
-                                        &mut mstopk,
-                                        &mut ef_shard,
-                                        &mut scratch,
-                                    );
-                                } else {
-                                    hitopk_all_reduce_ef_resilient(
-                                        rp,
-                                        &mut grads,
-                                        m,
-                                        n,
-                                        rho,
-                                        &mut mstopk,
-                                        &mut ef_shard,
-                                        &mut scratch,
-                                    );
-                                }
-                            } else if cfg.fused_compress_reduce {
-                                hitopk_all_reduce_ef_fused_traced(
-                                    peer,
+                                hitopk_all_reduce_ef_resilient(
+                                    rp,
                                     &mut grads,
                                     m,
                                     n,
@@ -740,7 +706,6 @@ impl DistTrainer {
                                     &mut mstopk,
                                     &mut ef_shard,
                                     &mut scratch,
-                                    &mut reg,
                                 );
                             } else if let Some(order) = node_order.as_deref() {
                                 // Reordered inter ring (untraced: the stage
@@ -1326,54 +1291,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_compress_reduce_matches_unfused_bitwise() {
-        let base = quick(
-            Strategy::MsTopKHiTopK {
-                rho: 0.05,
-                samplings: 20,
-            },
-            Workload::Mlp,
-        );
-        let unfused = DistTrainer::new(base.clone()).run();
-        let mut cfg = base;
-        cfg.fused_compress_reduce = true;
-        let fused = DistTrainer::new(cfg).run();
-        assert_eq!(fused.epochs.len(), unfused.epochs.len());
-        for (a, b) in fused.epochs.iter().zip(&unfused.epochs) {
-            assert_eq!(a.train_loss, b.train_loss, "fused path changed training");
-            assert_eq!(a.val_top1, b.val_top1);
-            assert_eq!(a.residual_norm, b.residual_norm);
-        }
-    }
-
-    #[test]
-    fn fused_compress_reduce_under_faults_matches_unfused_bitwise() {
-        let mut base = quick(
-            Strategy::MsTopKHiTopK {
-                rho: 0.05,
-                samplings: 20,
-            },
-            Workload::Mlp,
-        );
-        base.faults = Some(hostile_faults());
-        let unfused = DistTrainer::new(base.clone()).run_all_ranks();
-        let mut cfg = base;
-        cfg.fused_compress_reduce = true;
-        let fused = DistTrainer::new(cfg).run_all_ranks();
-        // Same fault seed → same degradation decisions → same training
-        // trajectory, and replicas stay in lockstep.
-        for (fr, ur) in fused.iter().zip(&unfused) {
-            for (a, b) in fr.epochs.iter().zip(&ur.epochs) {
-                assert_eq!(a.val_top1, b.val_top1, "faulted fused path diverged");
-                assert_eq!(a.train_loss, b.train_loss);
-                assert_eq!(a.fault_degraded, b.fault_degraded);
-            }
-        }
-        let degraded: u64 = fused[1].epochs.iter().map(|e| e.fault_degraded).sum();
-        assert!(degraded > 0, "straggler never degraded on the fused path");
-    }
-
-    #[test]
     fn bucketed_tree_allreduce_is_bitwise_whole_tensor() {
         // The double binary tree reduces each element in a rank order fixed
         // by the member list alone, so bucketing cannot change bits.
@@ -1438,45 +1355,23 @@ mod tests {
     }
 
     #[test]
-    fn fused_observed_run_records_fused_spans() {
-        let mut cfg = quick(
-            Strategy::MsTopKHiTopK {
-                rho: 0.1,
-                samplings: 15,
-            },
-            Workload::Mlp,
-        );
-        cfg.fused_compress_reduce = true;
-        let (report, reg) = DistTrainer::new(cfg.clone()).run_observed();
-        assert!(report.final_top1() > 0.0);
-        let iters = (cfg.epochs * cfg.iters_per_epoch) as u64;
-        assert_eq!(reg.counter("hitopk/invocations"), iters);
-        assert_eq!(reg.counter("hitopk/fused_invocations"), iters);
-        assert!(reg
-            .spans()
-            .iter()
-            .any(|s| s.name == "hitopk/fused reduce-compress" && s.depth == 1));
-        // The dense-materialization span never opens on the fused path.
-        assert!(!reg
-            .spans()
-            .iter()
-            .any(|s| s.name == "hitopk/intra reduce-scatter"));
-    }
-
-    #[test]
     fn dist_config_without_fusion_fields_deserializes() {
         // Configs serialized before the fusion knobs existed must load
-        // with the whole-tensor default.
+        // with the whole-tensor default; so must configs that still carry
+        // the retired compress–reduce knob (fields are looked up by name,
+        // extra keys are ignored).
         let mut v = Serialize::to_value(&quick(Strategy::DenseTorus, Workload::Mlp));
         let serde::Value::Object(entries) = &mut v else {
             panic!("DistConfig must serialize to an object");
         };
-        entries
-            .retain(|(k, _)| k != "fusion" && k != "fused_compress_reduce" && k != "rank_reorder");
-        let cfg = DistConfig::from_value(&v).unwrap();
-        assert_eq!(cfg.fusion, FusionMode::WholeTensor);
-        assert!(!cfg.fused_compress_reduce);
-        assert!(!cfg.rank_reorder);
+        entries.retain(|(k, _)| k != "fusion" && k != "rank_reorder");
+        let mut retired = entries.clone();
+        retired.push(("fused_compress_reduce".into(), serde::Value::Bool(true)));
+        for v in [v, serde::Value::Object(retired)] {
+            let cfg = DistConfig::from_value(&v).unwrap();
+            assert_eq!(cfg.fusion, FusionMode::WholeTensor);
+            assert!(!cfg.rank_reorder);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Twin-family drift detection (`twin_drift`).
 //!
 //! Every hot collective ships as a family: a base path plus suffix twins
-//! (`_scratch`, `_ef`, `_resilient`, `_deadline`, `_reordered`, `_fused`,
+//! (`_scratch`, `_ef`, `_resilient`, `_deadline`, `_reordered`,
 //! `_quantized`, `_traced`) that must repeat the base's structural call
 //! skeleton modulo a *declared* per-suffix rewrite. A fix applied to the
 //! base but forgotten in one twin shows up here as an unexplained skeleton
@@ -25,8 +25,8 @@
 //!    (`inter_members_ordered` ≡ `inter_node_members`, `release_lossy` ≡
 //!    `release`, error feedback's `select` ≡ `compress`).
 //! 3. **Delegation inlining** — a body whose significant skeleton is a
-//!    single resolvable same-crate call (`hitopk_all_reduce_fused` →
-//!    `..._fused_scratch` → `hitopk_fused_impl`) is replaced by its
+//!    single resolvable same-crate call (`hitopk_all_reduce_ef` →
+//!    `..._ef_scratch` → `hitopk_ef_impl`) is replaced by its
 //!    target's skeleton, to a fixed depth.
 //! 4. **Base expansion** — a twin that calls its own base
 //!    (`ring_all_reduce_reordered` permutes then calls `ring_all_reduce`)
@@ -53,7 +53,6 @@ pub const SUFFIXES: &[&str] = &[
     "resilient",
     "deadline",
     "reordered",
-    "fused",
     "quantized",
 ];
 
@@ -147,8 +146,8 @@ const REWRITES: &[Rewrite] = &[
     Rewrite {
         // Retry-ladder twins add fault bookkeeping and may degrade a
         // contribution to an empty selection, withholding it in the
-        // residual; the fused pairs gather is replaced by the resilient
-        // per-type gathers.
+        // residual; the O(k) family's framed pairs gather is replaced by
+        // the resilient per-type gathers.
         suffix: "resilient",
         adds: &[
             "begin_instance",
@@ -180,17 +179,6 @@ const REWRITES: &[Rewrite] = &[
         suffix: "reordered",
         adds: &["assert_valid_order"],
         removes: &[],
-    },
-    Rewrite {
-        // Fused twins stage both gather payloads through the fused pairs
-        // gather instead of separate f32/u32 gathers. The shared fused
-        // impl also hosts the optional error-feedback select/release
-        // cycle behind an `Option` parameter (plain-fused callers pass
-        // `None`), so the release is sanctioned for the family (the
-        // select is the base's compress).
-        suffix: "fused",
-        adds: &["all_gather_pairs", "group_wire_bytes", "release"],
-        removes: &["all_gather_f32", "all_gather_u32"],
     },
     Rewrite {
         // Quantized twins add the value-quantization stage (quantize, then

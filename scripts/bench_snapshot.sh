@@ -3,8 +3,8 @@
 #
 #  * BENCH_topk.json — histogram vs naive MSTopK threshold search at
 #    d = 1M and d = 25M (best-of-3 release-mode wall time).
-#  * BENCH_e2e.json — end-to-end steps/sec matrix across the runtime
-#    optimization axes (fusion buckets, fused compress–reduce).
+#  * BENCH_e2e.json — end-to-end steps/sec matrix: dense fusion buckets
+#    (per-layer, whole-tensor, cost-model) plus one MSTopK row.
 #
 # Usage: scripts/bench_snapshot.sh [topk-path] [e2e-path]
 #        (defaults: BENCH_topk.json BENCH_e2e.json)

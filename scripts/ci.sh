@@ -20,11 +20,8 @@
 #                            # (byte-identical fingerprints), the first
 #                            # run kept as BENCH_e2e.json, and the
 #                            # >= 1.5x fusion_speedup ceiling enforced
-#                            # on it, plus the
-#                            # autotune routing floors (fused_speedup
-#                            # >= 0.85, autotune_efficiency >= 0.9); the
-#                            # autotuner snapshot: run twice with the full
-#                            # stdout byte-compared, snapshots
+#                            # on it; the autotuner snapshot: run twice
+#                            # with the full stdout byte-compared, snapshots
 #                            # BENCH_autotune.json, and asserts the real
 #                            # O(k) collective moves fewer inter-node
 #                            # bytes than HiTopKComm at every
@@ -47,8 +44,8 @@
 #                            # twice (table + JSONL byte-compared), then
 #                            # the snapshot binary run twice the same way,
 #                            # and snapshots BENCH_conformance.json
-#   scripts/ci.sh bench      # the standing differential test of the fused
-#                            # library paths against the staged public
+#   scripts/ci.sh bench      # the standing differential test of the
+#                            # library calls against the staged public
 #                            # functions: the benchmark package's unit
 #                            # tests, then `benchmark/run.sh --smoke
 #                            # --traced`, both for their bitwise
@@ -208,27 +205,13 @@ print("  {} trace lines, fnv1a {}".format(s["jsonl_lines"], s["jsonl_fnv1a"]))' 
     cmp "$e2e_a.fp" "$e2e_b.fp"
     grep -E 'speedup|E2E' "$e2e_a" | grep -v '^E2E-' || true
 
-    stage "e2e snapshot: enforce the 1.5x steps/sec ceiling + autotune routing floors"
+    stage "e2e snapshot: enforce the 1.5x steps/sec ceiling"
     if command -v python3 >/dev/null 2>&1; then
         python3 -c 'import json
 s = json.load(open("BENCH_e2e.json"))
 speedup = s["fusion_speedup"]
 assert speedup >= 1.5, f"fusion speedup {speedup:.2f}x below the 1.5x ceiling"
-print(f"  fusion speedup {speedup:.2f}x (ceiling 1.5x)")
-# Routing floors: the fused hop must never regress (the 0.67x bug this
-# gate exists for), and the autotuned row must keep pace with the best
-# hand-picked mstopk row. Both are same-semantics wall-clock ratios on a
-# single-core host; the fused ratio crosses two configs so it eats the
-# full 5-15% scheduler jitter (0.85 floor — the 0.67x bug sat far below
-# it), while the autotuned row is bitwise one of the hand-picked rows,
-# so 0.9 holds for it.
-fused = s["fused_speedup"]
-assert fused >= 0.85, f"fused compress-reduce speedup {fused:.2f}x below the 0.85x floor"
-eff = s["autotune_efficiency"]
-assert eff >= 0.9, f"autotuned mstopk at {eff:.2f}x of best hand-picked (floor 0.9x)"
-tuned = s["autotune_fused"]
-print(f"  fused compress-reduce speedup {fused:.2f}x (floor 0.85x)")
-print(f"  autotuned vs best hand-picked {eff:.2f}x (floor 0.9x, tuner fuses: {tuned})")'
+print(f"  fusion speedup {speedup:.2f}x (ceiling 1.5x)")'
     else
         echo "  (python3 unavailable; ceiling not enforced)"
     fi
