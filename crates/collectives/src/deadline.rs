@@ -15,8 +15,9 @@
 //!   so every member still ends with the *identical* (partial) vector.
 //! * **Sparse** ([`hitopk_all_reduce_ef_deadline`]): the miss is decided
 //!   at the sparsification point, per *(instance, member)* — a late member
-//!   contributes an **empty sparse block** and `ErrorFeedback::withhold`
-//!   keeps its entire compensated shard in the residual. Nothing is lost,
+//!   contributes an **empty sparse block** and its entire node-local shard
+//!   sum stays in the residual, where HiTopKComm's folded ReduceScatter
+//!   put it (`ErrorFeedback::withhold`). Nothing is lost,
 //!   only delayed: the conformance mass-conservation ledger holds, and all
 //!   ranks observe the same contributed blocks so replicas stay bitwise
 //!   identical.
@@ -29,19 +30,16 @@
 //! for any `mult ≥ 1`), making the deadline twins bitwise identical to
 //! their plain counterparts — the property the CI tail gate pins.
 
-use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
+use cloudtrain_compress::{Compressor, ErrorFeedback};
 use cloudtrain_tensor::ops;
 use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 
 use crate::group::Peer;
-use crate::hierarchical::{group_wire_bytes, scatter_gathered, shard_k, HiTopKReport};
+use crate::hierarchical::{hitopk_ef_impl, pair_wire_bytes, shard_k, HiTopKReport};
 use crate::resilience::{hash3, unit};
-use crate::ring::{
-    all_gather_f32_scratch, all_gather_u32_scratch, member_index, ring_all_gather_scratch,
-    ring_reduce_scatter_scratch,
-};
+use crate::ring::{member_index, ring_all_gather_scratch, HOP_PIECE};
 use crate::scratch::CommScratch;
-use crate::torus::{grid_pos, intra_node_members};
+use crate::torus::{grid_pos, inter_node_members};
 
 /// Seeded virtual-lateness model: how many seconds past the clean transfer
 /// time each hop (or sparse contribution) would have landed.
@@ -252,12 +250,13 @@ pub fn ring_all_reduce_deadline(
     report
 }
 
-/// Deadline-bounded HiTopKComm with error feedback: the data flow of
-/// [`crate::hierarchical::hitopk_all_reduce_ef_scratch`], with this rank's
-/// contribution checked against the budget at the sparsification point. A
-/// late member transmits an empty sparse block and `ef.withhold` keeps its
-/// whole compensated shard in the residual — the discarded mass is
-/// re-injected next invocation (the mass-conservation ledger holds).
+/// Deadline-bounded HiTopKComm with error feedback:
+/// [`crate::hierarchical::hitopk_all_reduce_ef_scratch`]'s one body, with
+/// this rank's contribution checked against the budget at the
+/// sparsification point. A late member transmits an empty sparse block and
+/// its whole node-local shard sum stays in the residual
+/// (`ErrorFeedback::withhold`) — the discarded mass is re-injected next
+/// invocation (the mass-conservation ledger holds).
 ///
 /// The miss decision is per *(instance, member)* — never per hop — so all
 /// ranks observe the same contributed blocks and replicas stay bitwise
@@ -281,54 +280,24 @@ pub fn hitopk_all_reduce_ef_deadline<C: Compressor + ?Sized>(
     policy: &DeadlinePolicy,
     scratch: &mut CommScratch,
 ) -> (HiTopKReport, DeadlineReport) {
-    assert_eq!(peer.size(), m * n, "hitopk_all_reduce_ef: group is not m*n");
     let d = x.len();
     let pos = grid_pos(peer.rank(), m, n);
-    let intra = intra_node_members(pos.node, n);
-    let inter = crate::torus::inter_node_members(pos.gpu, m, n);
-
-    let shard = ring_reduce_scatter_scratch(peer, x, &intra, scratch);
-    assert_eq!(
-        ef.dim(),
-        shard.len(),
-        "hitopk_all_reduce_ef: residual must match the shard"
-    );
-
-    let k = shard_k(d, n, rho).min(shard.len());
-    // Deadline check at the sparsification point: would this member's
-    // compressed block (k values + k indices) have landed inside the
-    // budget? A miss selects nothing and withholds the whole shard in the
-    // residual.
-    let mut report = DeadlineReport { hops: 1, missed: 0 };
+    // Would this member's compressed block (k values + k indices) have
+    // landed inside the budget? Decided before the collective starts, from
+    // the shard this rank will own.
+    let k = shard_k(d, n, rho).min(shard_for(d, n, pos.gpu).len());
     let lateness = faults.contribution_lateness(instance, peer.rank());
-    let wire = 8 * k;
-    let selection: SparseGrad = if policy.hop_missed(wire, lateness) {
-        report.missed = 1;
-        ef.withhold(shard.slice(x));
-        SparseGrad::empty(shard.len())
-    } else {
-        let selection = ef.select(shard.slice(x), k, compressor);
-        ef.release(&selection);
-        selection
-    };
-
-    let value_blocks = all_gather_f32_scratch(peer, &selection.values, &inter, scratch);
-    let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
-    let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
-
-    let blocks = value_blocks.into_iter().zip(index_blocks);
-    ops::fill(shard.slice_mut(x), 0.0);
-    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
-
-    ring_all_gather_scratch(peer, x, &intra, scratch);
-
+    let missed = policy.hop_missed(pair_wire_bytes(k), lateness);
+    let inter = inter_node_members(pos.gpu, m, n);
+    let report = hitopk_ef_impl(
+        peer, x, m, n, rho, compressor, ef, &inter, missed, scratch, None, HOP_PIECE,
+    );
     (
-        HiTopKReport {
-            k_per_shard: k,
-            shard_nonzeros,
-            inter_bytes_sent,
-        },
         report,
+        DeadlineReport {
+            hops: 1,
+            missed: u64::from(missed),
+        },
     )
 }
 

@@ -309,7 +309,10 @@ pub fn hitopk_all_reduce_ef_scratch<C: Compressor + ?Sized>(
     ef: &mut cloudtrain_compress::ErrorFeedback,
     scratch: &mut CommScratch,
 ) -> HiTopKReport {
-    hitopk_ef_impl(peer, x, m, n, rho, compressor, ef, scratch, None, HOP_PIECE)
+    let inter = inter_node_members(grid_pos(peer.rank(), m, n).gpu, m, n);
+    hitopk_ef_impl(
+        peer, x, m, n, rho, compressor, ef, &inter, false, scratch, None, HOP_PIECE,
+    )
 }
 
 /// [`hitopk_all_reduce_ef_scratch`] with per-stage spans and counters
@@ -327,6 +330,7 @@ pub fn hitopk_all_reduce_ef_traced<C: Compressor + ?Sized>(
     scratch: &mut CommScratch,
     reg: &mut Registry,
 ) -> HiTopKReport {
+    let inter = inter_node_members(grid_pos(peer.rank(), m, n).gpu, m, n);
     hitopk_ef_impl(
         peer,
         x,
@@ -335,14 +339,24 @@ pub fn hitopk_all_reduce_ef_traced<C: Compressor + ?Sized>(
         rho,
         compressor,
         ef,
+        &inter,
+        false,
         scratch,
         Some(reg),
         HOP_PIECE,
     )
 }
 
+/// The one body of every error-feedback HiTopKComm path but the resilient
+/// one (whose hops run over a `ResilientPeer`). `inter` is this rank's
+/// inter-node group in the order the sparse AllGather visits it — natural
+/// ([`inter_node_members`]) or a probed permutation
+/// ([`crate::reorder::inter_members_ordered`]). A member that `withhold`s
+/// its contribution selects nothing and sends an empty block: the
+/// ReduceScatter has already folded the node sum into the residual, which
+/// is `ErrorFeedback::withhold` on the reduced shard, bit for bit.
 #[allow(clippy::too_many_arguments)]
-fn hitopk_ef_impl<C: Compressor + ?Sized>(
+pub(crate) fn hitopk_ef_impl<C: Compressor + ?Sized>(
     peer: &Peer,
     x: &mut [f32],
     m: usize,
@@ -350,6 +364,8 @@ fn hitopk_ef_impl<C: Compressor + ?Sized>(
     rho: f64,
     compressor: &mut C,
     ef: &mut cloudtrain_compress::ErrorFeedback,
+    inter: &[usize],
+    withhold: bool,
     scratch: &mut CommScratch,
     mut reg: Option<&mut Registry>,
     piece: usize,
@@ -358,7 +374,6 @@ fn hitopk_ef_impl<C: Compressor + ?Sized>(
     let d = x.len();
     let pos = grid_pos(peer.rank(), m, n);
     let intra = intra_node_members(pos.node, n);
-    let inter = inter_node_members(pos.gpu, m, n);
     assert_eq!(
         ef.dim(),
         shard_for(d, n, pos.gpu).len(),
@@ -374,13 +389,18 @@ fn hitopk_ef_impl<C: Compressor + ?Sized>(
     // Select from the accumulated residual, clear what goes on the wire.
     let k = shard_k(d, n, rho).min(shard.len());
     let span = obs::span_begin(&mut reg, "hitopk/top-k compression");
-    let selection: SparseGrad = compressor.compress(ef.residual(), k);
-    ef.release(&selection);
+    let selection: SparseGrad = if withhold {
+        SparseGrad::empty(shard.len())
+    } else {
+        let selection = compressor.compress(ef.residual(), k);
+        ef.release(&selection);
+        selection
+    };
     obs::span_end(&mut reg, span, shard.len() as f64);
 
     let span = obs::span_begin(&mut reg, "hitopk/inter all-gather");
-    let value_blocks = all_gather_f32_scratch(peer, &selection.values, &inter, scratch);
-    let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
+    let value_blocks = all_gather_f32_scratch(peer, &selection.values, inter, scratch);
+    let index_blocks = all_gather_u32_scratch(peer, &selection.indices, inter, scratch);
     let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
 
     let blocks = value_blocks.into_iter().zip(index_blocks);
@@ -907,8 +927,9 @@ mod tests {
 
     /// The error-feedback sparsification point as it ran before the last
     /// ReduceScatter hop folded into the residual: the node sum is written
-    /// to the shard, accumulated into the residual and selected from there,
-    /// and the shard zeroed for the gather. The oracle the folded hop must
+    /// to the shard, accumulated into the residual and selected from there
+    /// (or, withheld, accumulated and nothing selected), and the shard
+    /// zeroed for the gather over `inter`. The oracle the folded hop must
     /// equal bit for bit.
     mod reference {
         use super::*;
@@ -922,17 +943,23 @@ mod tests {
             rho: f64,
             c: &mut MsTopK,
             feedback: &mut cloudtrain_compress::ErrorFeedback,
+            inter: &[usize],
+            withhold: bool,
             scratch: &mut CommScratch,
         ) -> HiTopKReport {
-            let pos = grid_pos(peer.rank(), m, n);
-            let intra = intra_node_members(pos.node, n);
-            let inter = inter_node_members(pos.gpu, m, n);
+            let intra = intra_node_members(grid_pos(peer.rank(), m, n).node, n);
             let shard = ring_reduce_scatter_scratch(peer, x, &intra, scratch);
             let k = shard_k(x.len(), n, rho).min(shard.len());
-            let selection = feedback.select(shard.slice(x), k, c);
-            feedback.release(&selection);
-            let value_blocks = all_gather_f32_scratch(peer, &selection.values, &inter, scratch);
-            let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
+            let selection = if withhold {
+                feedback.withhold(shard.slice(x));
+                SparseGrad::empty(shard.len())
+            } else {
+                let selection = feedback.select(shard.slice(x), k, c);
+                feedback.release(&selection);
+                selection
+            };
+            let value_blocks = all_gather_f32_scratch(peer, &selection.values, inter, scratch);
+            let index_blocks = all_gather_u32_scratch(peer, &selection.indices, inter, scratch);
             let blocks = value_blocks.into_iter().zip(index_blocks);
             ops::fill(shard.slice_mut(x), 0.0);
             let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
@@ -950,11 +977,28 @@ mod tests {
     /// rounds, so the residual and the selection RNG carry over, and
     /// requires output, residual and report to agree bit for bit each
     /// round — and the folded side's arena to stop allocating after the
-    /// first.
-    fn assert_folded_hop_equals_reference(m: usize, n: usize, d: usize, piece: usize) {
+    /// first. The inter-node group is visited in natural or `reversed` node
+    /// order, and in the second round the even ranks withhold their
+    /// contribution.
+    fn assert_folded_hop_equals_reference(
+        m: usize,
+        n: usize,
+        d: usize,
+        piece: usize,
+        reversed: bool,
+    ) {
         let rho = 0.1;
+        let order: Vec<usize> = if reversed {
+            (0..m).rev().collect()
+        } else {
+            (0..m).collect()
+        };
         run_on_group(m * n, |peer| {
-            let what = format!("m={m} n={n} d={d} piece={piece} rank {}", peer.rank());
+            let what = format!(
+                "m={m} n={n} d={d} piece={piece} order={order:?} rank {}",
+                peer.rank()
+            );
+            let inter = crate::reorder::inter_members_ordered(peer.rank() % n, &order, n);
             let shard_len = shards(d, n)[peer.rank() % n].len();
             let seed = peer.rank() as u64;
             let mut got = (
@@ -969,13 +1013,17 @@ mod tests {
             );
             let mut warm = 0;
             for round in 0..3 {
+                let withhold = round == 1 && peer.rank() % 2 == 0;
                 let mut x = vec_for(100 * round + peer.rank(), d);
                 let mut y = x.clone();
                 let (c, feedback, scratch) = &mut got;
-                let rep =
-                    hitopk_ef_impl(peer, &mut x, m, n, rho, c, feedback, scratch, None, piece);
+                let rep = hitopk_ef_impl(
+                    peer, &mut x, m, n, rho, c, feedback, &inter, withhold, scratch, None, piece,
+                );
                 let (c, feedback, scratch) = &mut want;
-                let want_rep = reference::hitopk_ef(peer, &mut y, m, n, rho, c, feedback, scratch);
+                let want_rep = reference::hitopk_ef(
+                    peer, &mut y, m, n, rho, c, feedback, &inter, withhold, scratch,
+                );
                 assert_eq!(rep, want_rep, "report, round {round}, {what}");
                 assert_eq!(bits(&x), bits(&y), "output, round {round}, {what}");
                 assert_eq!(
@@ -993,18 +1041,22 @@ mod tests {
 
     #[test]
     fn folded_last_hop_equals_reduce_then_select_across_rounds() {
-        for m in [1usize, 2] {
+        // Three nodes, so that reversing them reorders a three-term sum.
+        for m in [1usize, 2, 3] {
             for n in [1usize, 2, 3, 4] {
                 // Fewer elements than GPUs (empty shards); shards one
                 // element apart; shards of several 3-element pieces and a
-                // tail, also one apart; and the shipped piece size.
+                // tail, also one apart; and the shipped piece size — each
+                // with the inter-node group in natural and reversed order.
                 for (d, piece) in [
                     (n - 1, 3),
                     (5 * n + 1, HOP_PIECE),
                     (29 * n + n / 2, 3),
                     (29 * n + n / 2, HOP_PIECE),
                 ] {
-                    assert_folded_hop_equals_reference(m, n, d, piece);
+                    for reversed in [false, true] {
+                        assert_folded_hop_equals_reference(m, n, d, piece, reversed);
+                    }
                 }
             }
         }

@@ -38,19 +38,20 @@
 //!   accounting to dense collectives and graceful degradation (empty
 //!   sparse blocks, safe under error feedback) to HiTopKComm / gTop-k.
 //! * [`reorder`] — topology-probed rank reordering: a pairwise α–β cost
-//!   model, a seeded deterministic ring-order optimizer, and reordered
-//!   twins of the ring / torus / HiTopKComm collectives (bitwise identical
-//!   under the identity order).
+//!   model, a seeded deterministic ring-order optimizer, and the ring /
+//!   torus / HiTopKComm collectives run over a permuted member list
+//!   (bitwise identical under the identity order).
 //! * [`deadline`] — deadline-bounded collectives: per-hop budgets derived
 //!   from probed α/β; late dense chunks are discarded (partial
 //!   aggregates), late sparse contributions degrade to empty blocks under
 //!   error feedback (bitwise identical to the plain twins on clean runs).
+//!   The sparse one, like the reordered HiTopKComm, is a call into
+//!   [`hierarchical`]'s one error-feedback body.
 //! * [`sparse_allreduce`] — the **O(k) sparse allreduce** (Li & Hoefler,
 //!   PPoPP 2022): balanced index partitioning plus split-and-merge
 //!   reduction replaces HiTopKComm's `O(m·k̃)` inter-node AllGather with an
-//!   `O(k̃)` schedule, bitwise identical in value to the hitopk twins and
-//!   mirrored across the same scratch / traced / reordered / resilient /
-//!   deadline / quantized variant family.
+//!   `O(k̃)` schedule, bitwise identical in value to the hitopk paths;
+//!   plain, error-feedback and resilient entry points.
 //!
 //! All collectives run on a [`group::Group`] of mesh-connected peers created
 //! with [`group::Group::connect`]; each worker thread owns one

@@ -11,10 +11,11 @@
 //!    or built by hand,
 //! 2. a seeded local-search optimizer ([`optimize_ring_order`]) minimizing
 //!    the directed ring cost over node permutations,
-//! 3. reordered twins of the dense and sparse collectives
+//! 3. the dense and sparse collectives over a permuted member list
 //!    ([`ring_all_reduce_reordered`], [`torus_all_reduce_reordered`],
-//!    [`hitopk_all_reduce_ef_reordered`]) that run the *identical* schedule
-//!    over the permuted member lists — with the identity order they are
+//!    [`hitopk_all_reduce_ef_reordered`]): each runs its plain
+//!    collective's *identical* schedule — HiTopKComm's through its one
+//!    error-feedback body — so with the identity order they are
 //!    bitwise-identical to their natural twins.
 //!
 //! The optimizer is a pure function of `(cost, bytes, seed)`: greedy
@@ -23,17 +24,13 @@
 //! rotation-invariant), so two runs over the same probe always emit the
 //! same permutation — the property the CI determinism gate pins.
 
-use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
-use cloudtrain_tensor::ops;
+use cloudtrain_compress::{Compressor, ErrorFeedback};
 use cloudtrain_tensor::partition::shard_for;
 
 use crate::group::Peer;
-use crate::hierarchical::{group_wire_bytes, scatter_gathered, shard_k, HiTopKReport};
+use crate::hierarchical::{hitopk_ef_impl, HiTopKReport};
 use crate::resilience::hash3;
-use crate::ring::{
-    all_gather_f32_scratch, all_gather_u32_scratch, ring_all_gather, ring_all_gather_scratch,
-    ring_all_reduce, ring_reduce_scatter, ring_reduce_scatter_scratch,
-};
+use crate::ring::{ring_all_gather, ring_all_reduce, ring_reduce_scatter, HOP_PIECE};
 use crate::scratch::CommScratch;
 use crate::torus::{grid_pos, intra_node_members};
 
@@ -239,8 +236,8 @@ pub fn torus_all_reduce_reordered(
     ring_all_gather(peer, x, &intra);
 }
 
-/// HiTopKComm with error feedback over reordered inter-node rings: the
-/// data flow of [`crate::hierarchical::hitopk_all_reduce_ef_scratch`] with
+/// HiTopKComm with error feedback over reordered inter-node rings:
+/// [`crate::hierarchical::hitopk_all_reduce_ef_scratch`]'s one body with
 /// the sparse AllGather of step 3 visiting nodes in `node_order`. Identity
 /// order ⇒ bitwise identical to the natural twin; any order preserves
 /// replica agreement (every rank of a stream gathers the same blocks in
@@ -261,39 +258,11 @@ pub fn hitopk_all_reduce_ef_reordered<C: Compressor + ?Sized>(
     node_order: &[usize],
     scratch: &mut CommScratch,
 ) -> HiTopKReport {
-    assert_eq!(peer.size(), m * n, "hitopk_all_reduce_ef: group is not m*n");
     assert_valid_order(node_order, m);
-    let d = x.len();
-    let pos = grid_pos(peer.rank(), m, n);
-    let intra = intra_node_members(pos.node, n);
-    let inter = inter_members_ordered(pos.gpu, node_order, n);
-
-    let shard = ring_reduce_scatter_scratch(peer, x, &intra, scratch);
-    assert_eq!(
-        ef.dim(),
-        shard.len(),
-        "hitopk_all_reduce_ef: residual must match the shard"
-    );
-
-    let k = shard_k(d, n, rho).min(shard.len());
-    let selection: SparseGrad = ef.select(shard.slice(x), k, compressor);
-    ef.release(&selection);
-
-    let value_blocks = all_gather_f32_scratch(peer, &selection.values, &inter, scratch);
-    let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
-    let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
-
-    let blocks = value_blocks.into_iter().zip(index_blocks);
-    ops::fill(shard.slice_mut(x), 0.0);
-    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
-
-    ring_all_gather_scratch(peer, x, &intra, scratch);
-
-    HiTopKReport {
-        k_per_shard: k,
-        shard_nonzeros,
-        inter_bytes_sent,
-    }
+    let inter = inter_members_ordered(grid_pos(peer.rank(), m, n).gpu, node_order, n);
+    hitopk_ef_impl(
+        peer, x, m, n, rho, compressor, ef, &inter, false, scratch, None, HOP_PIECE,
+    )
 }
 
 #[cfg(test)]

@@ -14,8 +14,7 @@
 //!    ([`Compressor::compress_accumulated`]; MSTopK folds the addition into
 //!    its first streaming pass);
 //! 2. transmit the selection;
-//! 3. [`ErrorFeedback::release`] — clear what was sent from the residual
-//!    ([`ErrorFeedback::release_lossy`] when the wire perturbed the values).
+//! 3. [`ErrorFeedback::release`] — clear what was sent from the residual.
 //!
 //! Where the gradient is produced piece by piece, step 1 can fold each piece
 //! into the residual as it arrives instead: write through
@@ -61,9 +60,8 @@ impl ErrorFeedback {
 
     /// Accumulates `grad` into the residual and selects `k` coordinates of
     /// the sum with `compressor` (step 1 above). The selected coordinates
-    /// stay in the residual until [`Self::release`] (or
-    /// [`Self::release_lossy`]) clears them, so every `select` is followed
-    /// by exactly one release of what was actually sent.
+    /// stay in the residual until [`Self::release`] clears them, so every
+    /// `select` is followed by exactly one release of what was sent.
     ///
     /// # Panics
     /// Panics if `grad.len() != self.dim()`.
@@ -89,26 +87,6 @@ impl ErrorFeedback {
             "release: selection dimension mismatch"
         );
         ops::zero_at(&mut self.residual, &sent.indices);
-    }
-
-    /// [`Self::release`] for a **lossy** transmission: subtracts the values
-    /// as transmitted, so the per-coordinate transmission error (e.g. of a
-    /// quantized wire format) stays in the residual and the
-    /// mass-conservation ledger (`Σ accumulated = Σ aggregated + Σ residual`)
-    /// holds exactly. With an exact selection this equals `release`.
-    ///
-    /// # Panics
-    /// Panics if the selection's dimension differs or an index is out of
-    /// range.
-    pub fn release_lossy(&mut self, sent: &SparseGrad) {
-        assert_eq!(
-            sent.dim,
-            self.dim(),
-            "release_lossy: selection dimension mismatch"
-        );
-        for (v, i) in sent.values.iter().zip(&sent.indices) {
-            self.residual[*i as usize] -= v;
-        }
     }
 
     /// Keeps a whole contribution back: `residual += grad`, nothing
@@ -142,25 +120,6 @@ impl ErrorFeedback {
         assert_eq!(grad.len(), self.dim(), "absorb: dimension mismatch");
         self.residual.copy_from_slice(grad);
         self.release(transmitted);
-    }
-
-    /// Records the residual for a **lossy** transmission:
-    /// `grad - densify(transmitted)`.
-    ///
-    /// With an exact selection (`transmitted.values[j] == grad[indices[j]]`)
-    /// this equals [`Self::absorb`]. When the transmitted values were
-    /// quantized (or otherwise perturbed), the per-coordinate transmission
-    /// error stays in the residual instead of being silently dropped — so
-    /// the mass-conservation ledger (`Σ compensated = Σ aggregated +
-    /// Σ residual`) holds exactly even for lossy wire formats.
-    ///
-    /// # Panics
-    /// Panics if `grad.len() != self.dim()`, the selection's dimension
-    /// differs, or a selection index is out of range.
-    pub fn absorb_lossy(&mut self, grad: &[f32], transmitted: &SparseGrad) {
-        assert_eq!(grad.len(), self.dim(), "absorb_lossy: dimension mismatch");
-        self.residual.copy_from_slice(grad);
-        self.release_lossy(transmitted);
     }
 
     /// Current residual L2 norm (a convergence diagnostic: bounded residual
@@ -313,7 +272,7 @@ mod tests {
 
     /// The fused entry against the staged reference, round after round on
     /// carried state: selection and residual must agree bit for bit through
-    /// plain rounds, a withheld contribution and a lossy transmission — for
+    /// plain rounds and a withheld contribution — for
     /// MSTopK's fused override above its sampling floor, for MSTopK below
     /// it, and for a generic compressor through the trait default.
     #[test]
@@ -349,16 +308,8 @@ mod tests {
                     let want = staged_op.compress(&g, k);
                     assert_eq!(sent.indices, want.indices, "round {round}");
                     assert_eq!(bits(&sent.values), bits(&want.values), "round {round}");
-                    if round == 5 {
-                        // A lossy wire: what arrives is not what was selected.
-                        let mut lossy = sent;
-                        lossy.values.iter_mut().for_each(|v| *v *= 0.75);
-                        fused.release_lossy(&lossy);
-                        staged.absorb_lossy(&g, &lossy);
-                    } else {
-                        fused.release(&sent);
-                        staged.absorb(&g, &want);
-                    }
+                    fused.release(&sent);
+                    staged.absorb(&g, &want);
                 }
                 assert_eq!(
                     bits(fused.residual()),

@@ -1,9 +1,9 @@
 //! Twin-family drift detection (`twin_drift`).
 //!
 //! Every hot collective ships as a family: a base path plus suffix twins
-//! (`_scratch`, `_ef`, `_resilient`, `_deadline`, `_reordered`,
-//! `_quantized`, `_traced`) that must repeat the base's structural call
-//! skeleton modulo a *declared* per-suffix rewrite. A fix applied to the
+//! (`_scratch`, `_ef`, `_resilient`, `_deadline`, `_reordered`, `_traced`)
+//! that must repeat the base's structural call skeleton modulo a
+//! *declared* per-suffix rewrite. A fix applied to the
 //! base but forgotten in one twin shows up here as an unexplained skeleton
 //! difference, statically, instead of waiting for a differential test seed
 //! to hit it.
@@ -17,20 +17,21 @@
 //!    `{ef, resilient}`).
 //! 2. **Skeleton** — the set of *significant* callee names in the body:
 //!    names defined in the same crate or in the cross-crate vocabulary
-//!    (compressor/quantizer/error-feedback methods), excluding neutral
-//!    plumbing (`new`, `len`, scratch-pool traffic, obs calls). Callee
-//!    names are normalised first: twin suffixes are stripped
-//!    (`ring_reduce_scatter_scratch` and `ring_reduce_scatter_resilient`
-//!    are the same hop) and declared aliases rewritten
-//!    (`inter_members_ordered` ≡ `inter_node_members`, `release_lossy` ≡
-//!    `release`, error feedback's `select` ≡ `compress`).
+//!    (compressor/error-feedback methods), excluding neutral plumbing
+//!    (`new`, `len`, scratch-pool traffic, obs calls, grid positions and
+//!    member lists — which ranks a stage talks to is an argument, not a
+//!    stage). Callee names are normalised first: twin suffixes are
+//!    stripped (`ring_reduce_scatter_scratch` and
+//!    `ring_reduce_scatter_resilient` are the same hop) and declared
+//!    aliases rewritten (error feedback's `select` ≡ `compress`).
 //! 3. **Delegation inlining** — a body whose significant skeleton is a
 //!    single resolvable same-crate call (`hitopk_all_reduce_ef` →
 //!    `..._ef_scratch` → `hitopk_ef_impl`) is replaced by its
 //!    target's skeleton, to a fixed depth.
-//! 4. **Base expansion** — a twin that calls its own base
-//!    (`ring_all_reduce_reordered` permutes then calls `ring_all_reduce`)
-//!    absorbs the base's skeleton in place of that call.
+//! 4. **Base expansion** — a twin that calls its own base, or the body its
+//!    base delegates to (`ring_all_reduce_reordered` permutes then calls
+//!    `ring_all_reduce`; `hitopk_all_reduce_ef_reordered` calls
+//!    `hitopk_ef_impl`), absorbs the base's skeleton in place of that call.
 //! 5. **Diff** — skeleton-set difference against the base, minus the
 //!    union of the suffixes' sanctioned adds/removes. Anything left is a
 //!    `twin_drift` finding at the twin's declaration line.
@@ -53,25 +54,18 @@ pub const SUFFIXES: &[&str] = &[
     "resilient",
     "deadline",
     "reordered",
-    "quantized",
 ];
 
 /// Cross-crate callee names that count as structural even though they
-/// resolve outside the twin crate: the compressor / quantizer / error
-/// feedback surface a collective's data flow is built from.
-const VOCAB: &[&str] = &[
-    "select",
-    "release",
-    "release_lossy",
-    "withhold",
-    "compress",
-    "quantize",
-    "decode",
-];
+/// resolve outside the twin crate: the compressor / error feedback surface
+/// a collective's data flow is built from.
+const VOCAB: &[&str] = &["select", "release", "withhold", "compress"];
 
 /// Neutral plumbing names, never structural: constructors, accessors, the
 /// scratch-pool take/put traffic (allocation strategy is exactly what
-/// `_scratch` twins are allowed to change), and obs instrumentation.
+/// `_scratch` twins are allowed to change), obs instrumentation, and the
+/// grid position and member lists a body addresses its stages with (a
+/// reordered twin permutes them; a wrapper may compute them for its body).
 const NEUTRAL: &[&str] = &[
     "new",
     "default",
@@ -97,22 +91,20 @@ const NEUTRAL: &[&str] = &[
     "min",
     "max",
     "unit",
+    "grid_pos",
+    "intra_node_members",
+    "inter_node_members",
+    "inter_members_ordered",
 ];
 
 /// Callee-name aliases applied before comparison: the right-hand side is
 /// the canonical form. Declared, not inferred — each line is a reviewed
 /// equivalence.
 const ALIASES: &[(&str, &str)] = &[
-    // A reordered twin visits the same inter-node group through a
-    // permutation; membership is equivalent.
-    ("inter_members_ordered", "inter_node_members"),
     // Error feedback's `select` *is* the base's compress call, made through
     // the residual (`Compressor::compress_accumulated`): a twin that drops
     // it has dropped the selection.
     ("select", "compress"),
-    // The lossy release keeps the quantization error in the residual; same
-    // ledger role as the exact release.
-    ("release_lossy", "release"),
 ];
 
 /// Per-suffix sanctioned rewrites, over *normalised* callee names.
@@ -161,15 +153,13 @@ const REWRITES: &[Rewrite] = &[
         removes: &["all_gather_pairs"],
     },
     Rewrite {
-        // Deadline twins charge each hop against a lateness budget and
-        // may miss a contribution, withholding it in the residual.
+        // Deadline twins charge each hop (or a sparse contribution's
+        // block) against a lateness budget.
         suffix: "deadline",
         adds: &[
             "hop_lateness",
             "hop_missed",
             "contribution_lateness",
-            "empty",
-            "withhold",
             "pair_wire_bytes",
         ],
         removes: &[],
@@ -179,20 +169,6 @@ const REWRITES: &[Rewrite] = &[
         suffix: "reordered",
         adds: &["assert_valid_order"],
         removes: &[],
-    },
-    Rewrite {
-        // Quantized twins add the value-quantization stage (quantize, then
-        // an elementwise decode of the selection the simulation transmits)
-        // and charge the packed wire format explicitly.
-        suffix: "quantized",
-        adds: &[
-            "quantize",
-            "decode",
-            "member_index",
-            "quantized_pair_wire_bytes",
-            "pair_wire_bytes",
-        ],
-        removes: &["ok_sparse_wire_bytes"],
     },
 ];
 
@@ -240,8 +216,15 @@ fn significant(table: &SymbolTable, crate_name: &str, raw: &str, normalized: &st
 }
 
 /// The normalised significant skeleton of fn `idx`, with single-call
-/// delegation chains inlined to `depth`.
-fn skeleton(table: &SymbolTable, graph: &CallGraph, idx: usize, depth: usize) -> BTreeSet<String> {
+/// delegation chains inlined to `depth`; the normalised names of the fns
+/// the chain passes through are appended to `chain`.
+fn skeleton(
+    table: &SymbolTable,
+    graph: &CallGraph,
+    idx: usize,
+    depth: usize,
+    chain: &mut Vec<String>,
+) -> BTreeSet<String> {
     let sym = &table.fns[idx];
     let mut out = BTreeSet::new();
     let mut significant_raw: Vec<&str> = Vec::new();
@@ -259,7 +242,8 @@ fn skeleton(table: &SymbolTable, graph: &CallGraph, idx: usize, depth: usize) ->
         let raw = significant_raw[0];
         if let Some(target) = table.resolve(raw, &sym.crate_name) {
             if target != idx && table.fns[target].crate_name == sym.crate_name {
-                return skeleton(table, graph, target, depth - 1);
+                chain.push(normalize(raw));
+                return skeleton(table, graph, target, depth - 1, chain);
             }
         }
     }
@@ -282,11 +266,15 @@ pub fn check(
             };
             stats.families += 1;
             let base_name = table.fns[base_idx].name.clone();
-            let base_skel = skeleton(table, graph, base_idx, 4);
-            let mut twin_skel = skeleton(table, graph, idx, 4);
-            // Base expansion: a twin that calls its base inherits the
-            // base's whole skeleton through that call.
-            if twin_skel.remove(&normalize(&base_name)) {
+            let mut base_chain = vec![normalize(&base_name)];
+            let base_skel = skeleton(table, graph, base_idx, 4, &mut base_chain);
+            let mut twin_skel = skeleton(table, graph, idx, 4, &mut Vec::new());
+            // Base expansion: a twin that calls its base, or a body its
+            // base delegates to, inherits the base's whole skeleton through
+            // that call.
+            let calls = twin_skel.len();
+            twin_skel.retain(|callee| !base_chain.contains(callee));
+            if twin_skel.len() < calls {
                 twin_skel.extend(base_skel.iter().cloned());
             }
             let allowed_adds: BTreeSet<&str> = REWRITES

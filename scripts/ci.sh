@@ -17,7 +17,7 @@
 #                            # the same twice-run byte-identical bar, and
 #                            # snapshots BENCH_obs.json; then the e2e
 #                            # steps/sec snapshot: run twice
-#                            # (byte-identical fingerprints), the first
+#                            # (byte-identical fingerprints), the second
 #                            # run kept as BENCH_e2e.json, and the
 #                            # >= 1.5x fusion_speedup ceiling enforced
 #                            # on it; the autotuner snapshot: run twice
@@ -34,7 +34,7 @@
 #                            # gain >= 1.2x); then the elastic gauntlet
 #                            # (8 seeds x {evict, evict-join, rack-loss}
 #                            # x {replay, reshard}): run twice with the
-#                            # full stdout and the extracted JSONL block
+#                            # full stdout (JSONL block included)
 #                            # byte-compared, snapshots BENCH_elastic.json,
 #                            # and enforces checkpoint replay bitwise on
 #                            # every replay row plus < 5% moved / < 5%
@@ -95,6 +95,33 @@ timing_summary() {
     printf '  %-60s %5ds\n' "total" "$total"
 }
 
+# --- twice-run byte-compare -------------------------------------------------
+# Every mode works in one temporary directory, removed on exit.
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
+
+# twice NAME CMD...: runs CMD twice and requires the two runs to be
+# byte-identical. Stdout lands in $TMP/NAME.1 and $TMP/NAME.2; an argument
+# `{out}` becomes $TMP/NAME.1.out / $TMP/NAME.2.out (a report file the
+# command writes), and those are compared too. With BLOCK=TAG set, only the
+# stdout lines from TAG-BEGIN to TAG-END are compared.
+twice() {
+    local name=$1 i
+    shift
+    for i in 1 2; do
+        "${@//\{out\}/$TMP/$name.$i.out}" > "$TMP/$name.$i"
+        if [[ -n "${BLOCK:-}" ]]; then
+            sed -n "/^$BLOCK-BEGIN\$/,/^$BLOCK-END\$/p" "$TMP/$name.$i" > "$TMP/$name.$i.cmp"
+        else
+            cp "$TMP/$name.$i" "$TMP/$name.$i.cmp"
+        fi
+    done
+    cmp "$TMP/$name.1.cmp" "$TMP/$name.2.cmp"
+    if [[ -e "$TMP/$name.1.out" ]]; then
+        cmp "$TMP/$name.1.out" "$TMP/$name.2.out"
+    fi
+}
+
 run_lint_gate() {
     stage "cloudtrain lint: build"
     cargo build --release -q -p cloudtrain-cli
@@ -108,17 +135,11 @@ run_lint_gate() {
     fi
 
     stage "cloudtrain lint: run twice with --deny, require byte-identical reports"
-    lint_a=$(mktemp)
-    lint_b=$(mktemp)
-    trap 'rm -f "$lint_a" "$lint_b" "$lint_a.jsonl" "$lint_b.jsonl"' EXIT
-    ./target/release/cloudtrain lint --root . --out "$lint_a.jsonl" --deny > "$lint_a"
-    ./target/release/cloudtrain lint --root . --out "$lint_b.jsonl" --deny > "$lint_b"
-    cmp "$lint_a" "$lint_b"
-    cmp "$lint_a.jsonl" "$lint_b.jsonl"
-    cat "$lint_a"
+    twice lint ./target/release/cloudtrain lint --root . --out '{out}' --deny
+    cat "$TMP/lint.1"
     # Keep the canonical JSONL for the workflow's artifact upload.
     mkdir -p target
-    cp "$lint_a.jsonl" target/lint-report.jsonl
+    cp "$TMP/lint.1.out" target/lint-report.jsonl
 
     # One timing row per rule so the table localises analyzer cost (the
     # workspace passes dominate; --rule skips the others).
@@ -155,15 +176,10 @@ if [[ "${1:-}" == "gauntlet" ]]; then
     cargo build --release -q -p cloudtrain-bench --bin fault_gauntlet
 
     stage "fault gauntlet: run twice, require byte-identical output"
-    out_a=$(mktemp)
-    out_b=$(mktemp)
-    trap 'rm -f "$out_a" "$out_b"' EXIT
-    ./target/release/fault_gauntlet > "$out_a"
-    ./target/release/fault_gauntlet > "$out_b"
-    cmp "$out_a" "$out_b"
+    twice faults ./target/release/fault_gauntlet
 
     stage "fault gauntlet: snapshot BENCH_faults.json"
-    grep '^JSON fault_gauntlet ' "$out_a" | sed 's/^JSON fault_gauntlet //' \
+    grep '^JSON fault_gauntlet ' "$TMP/faults.1" | sed 's/^JSON fault_gauntlet //' \
         > BENCH_faults.json
     python3 -c 'import json,sys; rows=json.load(open("BENCH_faults.json")); \
 print(f"  {len(rows)} gauntlet rows")' 2>/dev/null \
@@ -173,18 +189,10 @@ print(f"  {len(rows)} gauntlet rows")' 2>/dev/null \
     cargo build --release -q -p cloudtrain-bench --bin obs_snapshot
 
     stage "obs snapshot: run twice, require byte-identical JSONL"
-    obs_a=$(mktemp)
-    obs_b=$(mktemp)
-    trap 'rm -f "$out_a" "$out_b" "$obs_a" "$obs_b"' EXIT
-    ./target/release/obs_snapshot > "$obs_a"
-    ./target/release/obs_snapshot > "$obs_b"
-    sed -n '/^OBS-BEGIN$/,/^OBS-END$/p' "$obs_a" > "$obs_a.jsonl"
-    sed -n '/^OBS-BEGIN$/,/^OBS-END$/p' "$obs_b" > "$obs_b.jsonl"
-    trap 'rm -f "$out_a" "$out_b" "$obs_a" "$obs_b" "$obs_a.jsonl" "$obs_b.jsonl"' EXIT
-    cmp "$obs_a.jsonl" "$obs_b.jsonl"
+    BLOCK=OBS twice obs ./target/release/obs_snapshot
 
     stage "obs snapshot: snapshot BENCH_obs.json"
-    grep '^JSON obs_snapshot ' "$obs_a" | sed 's/^JSON obs_snapshot //' \
+    grep '^JSON obs_snapshot ' "$TMP/obs.1" | sed 's/^JSON obs_snapshot //' \
         > BENCH_obs.json
     python3 -c 'import json; s=json.load(open("BENCH_obs.json")); \
 print("  {} trace lines, fnv1a {}".format(s["jsonl_lines"], s["jsonl_fnv1a"]))' 2>/dev/null \
@@ -194,16 +202,9 @@ print("  {} trace lines, fnv1a {}".format(s["jsonl_lines"], s["jsonl_fnv1a"]))' 
     cargo build --release -q -p cloudtrain-bench --bin e2e_snapshot
 
     stage "e2e snapshot: run twice, require byte-identical fingerprints -> BENCH_e2e.json"
-    e2e_a=$(mktemp)
-    e2e_b=$(mktemp)
-    trap 'rm -f "$out_a" "$out_b" "$obs_a" "$obs_b" "$obs_a.jsonl" "$obs_b.jsonl" \
-        "$e2e_a" "$e2e_b" "$e2e_b.json" "$e2e_a.fp" "$e2e_b.fp"' EXIT
-    ./target/release/e2e_snapshot BENCH_e2e.json > "$e2e_a"
-    ./target/release/e2e_snapshot "$e2e_b.json" > "$e2e_b"
-    sed -n '/^E2E-BEGIN$/,/^E2E-END$/p' "$e2e_a" > "$e2e_a.fp"
-    sed -n '/^E2E-BEGIN$/,/^E2E-END$/p' "$e2e_b" > "$e2e_b.fp"
-    cmp "$e2e_a.fp" "$e2e_b.fp"
-    grep -E 'speedup|E2E' "$e2e_a" | grep -v '^E2E-' || true
+    # Both runs write BENCH_e2e.json; the second one's wall times are kept.
+    BLOCK=E2E twice e2e ./target/release/e2e_snapshot BENCH_e2e.json
+    grep -E 'speedup|E2E' "$TMP/e2e.2" | grep -v '^E2E-' || true
 
     stage "e2e snapshot: enforce the 1.5x steps/sec ceiling"
     if command -v python3 >/dev/null 2>&1; then
@@ -220,17 +221,10 @@ print(f"  fusion speedup {speedup:.2f}x (ceiling 1.5x)")'
     cargo build --release -q -p cloudtrain-bench --bin autotune_snapshot
 
     stage "autotune snapshot: run twice, require byte-identical output"
-    at_a=$(mktemp)
-    at_b=$(mktemp)
-    trap 'rm -f "$out_a" "$out_b" "$obs_a" "$obs_b" "$obs_a.jsonl" "$obs_b.jsonl" \
-        "$e2e_a" "$e2e_b" "$e2e_b.json" "$e2e_a.fp" "$e2e_b.fp" \
-        "$at_a" "$at_b"' EXIT
-    ./target/release/autotune_snapshot > "$at_a"
-    ./target/release/autotune_snapshot > "$at_b"
-    cmp "$at_a" "$at_b"
+    twice autotune ./target/release/autotune_snapshot
 
     stage "autotune snapshot: snapshot BENCH_autotune.json"
-    grep '^JSON autotune_snapshot ' "$at_a" | sed 's/^JSON autotune_snapshot //' \
+    grep '^JSON autotune_snapshot ' "$TMP/autotune.1" | sed 's/^JSON autotune_snapshot //' \
         > BENCH_autotune.json
 
     stage "autotune snapshot: enforce O(k) traffic wins at predicted crossovers"
@@ -253,17 +247,10 @@ print(f"  {cells} autotune cells, {n} O(k)-vs-HiTopKComm crossover points valida
     cargo build --release -q -p cloudtrain-bench --bin tail_gauntlet
 
     stage "tail gauntlet: run twice, require byte-identical output"
-    tails_a=$(mktemp)
-    tails_b=$(mktemp)
-    trap 'rm -f "$out_a" "$out_b" "$obs_a" "$obs_b" "$obs_a.jsonl" "$obs_b.jsonl" \
-        "$e2e_a" "$e2e_b" "$e2e_b.json" "$e2e_a.fp" "$e2e_b.fp" \
-        "$at_a" "$at_b" "$tails_a" "$tails_b"' EXIT
-    ./target/release/tail_gauntlet > "$tails_a"
-    ./target/release/tail_gauntlet > "$tails_b"
-    cmp "$tails_a" "$tails_b"
+    twice tails ./target/release/tail_gauntlet
 
     stage "tail gauntlet: snapshot BENCH_tails.json"
-    grep '^JSON tail_gauntlet ' "$tails_a" | sed 's/^JSON tail_gauntlet //' \
+    grep '^JSON tail_gauntlet ' "$TMP/tails.1" | sed 's/^JSON tail_gauntlet //' \
         > BENCH_tails.json
 
     stage "tail gauntlet: enforce the pinned tail ceilings"
@@ -287,21 +274,11 @@ print(f"  reorder predicted gain {gain:.2f}x (ceiling 1.2x)")'
     cargo build --release -q -p cloudtrain-bench --bin elastic_gauntlet
 
     stage "elastic gauntlet: run twice, require byte-identical output"
-    el_a=$(mktemp)
-    el_b=$(mktemp)
-    trap 'rm -f "$out_a" "$out_b" "$obs_a" "$obs_b" "$obs_a.jsonl" "$obs_b.jsonl" \
-        "$e2e_a" "$e2e_b" "$e2e_b.json" "$e2e_a.fp" "$e2e_b.fp" \
-        "$at_a" "$at_b" "$tails_a" "$tails_b" \
-        "$el_a" "$el_b" "$el_a.jsonl" "$el_b.jsonl"' EXIT
-    ./target/release/elastic_gauntlet > "$el_a"
-    ./target/release/elastic_gauntlet > "$el_b"
-    cmp "$el_a" "$el_b"
-    sed -n '/^ELASTIC-JSONL-BEGIN$/,/^ELASTIC-JSONL-END$/p' "$el_a" > "$el_a.jsonl"
-    sed -n '/^ELASTIC-JSONL-BEGIN$/,/^ELASTIC-JSONL-END$/p' "$el_b" > "$el_b.jsonl"
-    cmp "$el_a.jsonl" "$el_b.jsonl"
+    # The whole stdout is compared, JSONL block included.
+    twice elastic ./target/release/elastic_gauntlet
 
     stage "elastic gauntlet: snapshot BENCH_elastic.json"
-    grep '^JSON elastic_gauntlet ' "$el_a" | sed 's/^JSON elastic_gauntlet //' \
+    grep '^JSON elastic_gauntlet ' "$TMP/elastic.1" | sed 's/^JSON elastic_gauntlet //' \
         > BENCH_elastic.json
 
     stage "elastic gauntlet: enforce replay-bitwise and the < 5% reshard bound"
@@ -332,28 +309,14 @@ if [[ "${1:-}" == "conformance" ]]; then
     cargo build --release -q -p cloudtrain-bench --bin conformance_snapshot
 
     stage "conformance: cloudtrain conformance --deny twice, require byte-identical reports"
-    conf_a=$(mktemp)
-    conf_b=$(mktemp)
-    trap 'rm -f "$conf_a" "$conf_b" "$conf_a.jsonl" "$conf_b.jsonl"' EXIT
-    ./target/release/cloudtrain conformance --deny --out "$conf_a.jsonl" > "$conf_a"
-    ./target/release/cloudtrain conformance --deny --out "$conf_b.jsonl" > "$conf_b"
-    cmp "$conf_a" "$conf_b"
-    cmp "$conf_a.jsonl" "$conf_b.jsonl"
-    cat "$conf_a"
+    twice conformance ./target/release/cloudtrain conformance --deny --out '{out}'
+    cat "$TMP/conformance.1"
 
     stage "conformance: snapshot twice, require byte-identical JSONL"
-    snap_a=$(mktemp)
-    snap_b=$(mktemp)
-    trap 'rm -f "$conf_a" "$conf_b" "$conf_a.jsonl" "$conf_b.jsonl" \
-        "$snap_a" "$snap_b" "$snap_a.jsonl" "$snap_b.jsonl"' EXIT
-    ./target/release/conformance_snapshot > "$snap_a"
-    ./target/release/conformance_snapshot > "$snap_b"
-    sed -n '/^CONFORMANCE-BEGIN$/,/^CONFORMANCE-END$/p' "$snap_a" > "$snap_a.jsonl"
-    sed -n '/^CONFORMANCE-BEGIN$/,/^CONFORMANCE-END$/p' "$snap_b" > "$snap_b.jsonl"
-    cmp "$snap_a.jsonl" "$snap_b.jsonl"
+    BLOCK=CONFORMANCE twice snapshot ./target/release/conformance_snapshot
 
     stage "conformance: snapshot BENCH_conformance.json"
-    grep '^JSON conformance_snapshot ' "$snap_a" | sed 's/^JSON conformance_snapshot //' \
+    grep '^JSON conformance_snapshot ' "$TMP/snapshot.1" | sed 's/^JSON conformance_snapshot //' \
         > BENCH_conformance.json
     python3 -c 'import json; s=json.load(open("BENCH_conformance.json")); \
 assert s["divergences"] == 0 and s["coverage_missing"] == 0, s; \
