@@ -10,7 +10,11 @@
 //! 2. top-k selection on the shard with `k̃ = ρ·d/n` (Eq. 5),
 //! 3. inter-node AllGather of `(values, indices)` among the `j`-th GPUs of
 //!    all nodes, followed by index-wise accumulation (Eq. 6),
-//! 4. intra-node AllGather reassembling the full vector.
+//! 4. intra-node AllGather reassembling the full vector. Each shard holds at
+//!    most `m·k̃` nonzeros, so the AllGather forwards the `m` gathered
+//!    blocks themselves and every GPU scatter-adds them into its zeroed
+//!    copy of the chunk — bitwise the owner's accumulation — instead of
+//!    copying the dense shard around the ring.
 //!
 //! Note the *semantic* difference from flat TopK-SGD: intra-node gradients
 //! are aggregated densely (no information loss) before sparsification —
@@ -24,8 +28,8 @@ use cloudtrain_tensor::partition::shard_for;
 
 use crate::group::Peer;
 use crate::ring::{
-    all_gather_f32, all_gather_f32_scratch, all_gather_u32, all_gather_u32_scratch,
-    ring_all_gather_scratch, ring_reduce_scatter_ef, ring_reduce_scatter_scratch, HOP_PIECE,
+    all_gather_f32, all_gather_f32_scratch, all_gather_u32, all_gather_u32_scratch, member_index,
+    ring_all_gather_blocks, ring_reduce_scatter_ef, ring_reduce_scatter_scratch, HOP_PIECE,
 };
 use crate::scratch::CommScratch;
 use crate::torus::{grid_pos, inter_node_members, intra_node_members};
@@ -74,48 +78,86 @@ pub fn pair_wire_bytes(entries: usize) -> usize {
 
 /// The accumulate that ends the inter-node step of every hitopk- and
 /// O(k)-family variant: scatter-adds the gathered `(values, indices)`
-/// blocks in member order into `shard_buf`, which must be all zeros (the
-/// error-feedback ReduceScatter leaves it so; other callers `fill` it),
-/// returns the blocks to the pool, and reports
-/// [`HiTopKReport::shard_nonzeros`].
+/// blocks in member order into `shard_buf`, which must be all `+0.0`, and
+/// reports [`HiTopKReport::shard_nonzeros`]. The blocks are left intact,
+/// for step (iv) to forward or the caller to recycle.
 ///
-/// The count visits the gathered indices — sorted and deduplicated, a few
-/// percent of the shard at trained densities — instead of streaming the
-/// shard: on a zeroed shard an untouched coordinate is exactly `0.0`, so
-/// only a touched one can pass `!= 0.0`. The indices are collected in the
-/// first block's own buffer before it goes back to the pool, so the pool's
-/// take/put traffic is what it was. (The sort is the stable one on purpose:
-/// selections arrive index-sorted, and it merges presorted runs in
-/// `O(n log m)`.)
+/// The count merges the blocks' index runs — each strictly ascending, the
+/// [`Compressor::compress`] contract — instead of streaming the shard: on a
+/// zeroed shard an untouched coordinate is exactly `0.0`, so only a touched
+/// one can pass `!= 0.0`, and the merge visits each touched coordinate
+/// once however many blocks name it.
 pub(crate) fn scatter_gathered(
     shard_buf: &mut [f32],
-    blocks: impl IntoIterator<Item = (Vec<f32>, Vec<u32>)>,
-    scratch: &mut CommScratch,
+    values: &[Vec<f32>],
+    indices: &[Vec<u32>],
 ) -> usize {
-    debug_assert!(shard_buf.iter().all(|v| *v == 0.0), "shard not zeroed");
-    let mut touched: Option<Vec<u32>> = None;
-    for (vals, idxs) in blocks {
-        ops::scatter_add(shard_buf, &idxs, &vals);
-        scratch.put_f32(vals);
-        match touched.as_mut() {
-            None => touched = Some(idxs),
-            Some(touched) => {
-                touched.extend_from_slice(&idxs);
-                scratch.put_u32(idxs);
+    debug_assert!(shard_buf.iter().all(|v| v.to_bits() == 0), "shard not +0.0");
+    for (vals, idxs) in values.iter().zip(indices) {
+        ops::scatter_add(shard_buf, idxs, vals);
+    }
+    merged_nonzeros(shard_buf, indices)
+}
+
+/// Distinct coordinates named by the strictly ascending index `runs` that
+/// hold a nonzero in `shard`, counted in one merge of the runs.
+fn merged_nonzeros(shard: &[f32], runs: &[Vec<u32>]) -> usize {
+    debug_assert!(
+        runs.iter().all(|run| run.is_sorted_by(|a, b| a < b)),
+        "gathered indices not strictly ascending"
+    );
+    let mut heads = vec![0; runs.len()];
+    let mut nonzeros = 0;
+    loop {
+        let next = runs
+            .iter()
+            .zip(&heads)
+            .filter_map(|(run, &h)| run.get(h))
+            .min();
+        let Some(&i) = next else {
+            return nonzeros;
+        };
+        for (run, head) in runs.iter().zip(&mut heads) {
+            if run.get(*head) == Some(&i) {
+                *head += 1;
             }
         }
+        nonzeros += usize::from(shard[i as usize] != 0.0);
     }
-    let Some(mut touched) = touched else {
-        return 0;
-    };
-    touched.sort();
-    touched.dedup();
-    let nonzeros = touched
-        .iter()
-        .filter(|&&i| shard_buf[i as usize] != 0.0)
-        .count();
-    scratch.put_u32(touched);
-    nonzeros
+}
+
+/// Returns gathered blocks to the pool.
+pub(crate) fn recycle_blocks(
+    values: Vec<Vec<f32>>,
+    indices: Vec<Vec<u32>>,
+    scratch: &mut CommScratch,
+) {
+    for (vals, idxs) in values.into_iter().zip(indices) {
+        scratch.put_f32(vals);
+        scratch.put_u32(idxs);
+    }
+}
+
+/// Step (iv) of every hitopk- and O(k)-family path but the resilient ones,
+/// whose whole-chunk dense hops stay on purpose: scatter-adds the `m`
+/// gathered blocks into this member's shard of `x` ([`scatter_gathered`]),
+/// then reassembles the full vector across the node `intra` by forwarding
+/// the blocks themselves ([`ring_all_gather_blocks`]), so `x` must be
+/// `+0.0` everywhere on entry. Returns [`HiTopKReport::shard_nonzeros`];
+/// the blocks that arrived last go back to `scratch`.
+pub(crate) fn scatter_and_all_gather(
+    peer: &Peer,
+    x: &mut [f32],
+    intra: &[usize],
+    values: Vec<Vec<f32>>,
+    indices: Vec<Vec<u32>>,
+    scratch: &mut CommScratch,
+) -> usize {
+    let shard = shard_for(x.len(), intra.len(), member_index(intra, peer.rank()));
+    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), &values, &indices);
+    let (values, indices) = ring_all_gather_blocks(peer, x, intra, values, indices);
+    recycle_blocks(values, indices, scratch);
+    shard_nonzeros
 }
 
 /// HiTopKComm (Algorithm 2): hierarchical sparse AllReduce over an
@@ -160,9 +202,9 @@ pub fn hitopk_all_reduce<C: Compressor + ?Sized>(
 /// [`hitopk_all_reduce`] drawing every communication buffer from `scratch`.
 ///
 /// All four communication steps run through the pooled collectives, and the
-/// gathered value/index blocks are recycled after the scatter-accumulate,
-/// so each steady-state invocation is allocation-free on the wire path
-/// (the compressor's selection is the only remaining allocation).
+/// gathered value/index blocks go back to the pool once step (iv) is done
+/// with them, so each steady-state invocation is allocation-free on the
+/// wire path (the compressor's selection is the only remaining allocation).
 pub fn hitopk_all_reduce_scratch<C: Compressor + ?Sized>(
     peer: &Peer,
     x: &mut [f32],
@@ -179,9 +221,9 @@ pub fn hitopk_all_reduce_scratch<C: Compressor + ?Sized>(
 /// into `reg`.
 ///
 /// The correctness plane has no clock, so spans are charged in *logical
-/// work units* (elements touched per stage: `d` for the dense intra-node
-/// steps, the shard length for selection, `2·m·k̃` for the inter-node
-/// gather-accumulate). The resulting breakdown has the same shape as the
+/// work units* (elements touched per stage: `d` for each intra-node step,
+/// the shard length for selection, `2·m·k̃` for the inter-node gather).
+/// The resulting breakdown has the same shape as the
 /// performance plane's Fig. 8 decomposition and is byte-stable across runs.
 /// Instrumentation does not perturb the aggregation: the traced variant is
 /// bitwise-identical to the plain one.
@@ -228,24 +270,20 @@ fn hitopk_impl<C: Compressor + ?Sized>(
     let selection: SparseGrad = compressor.compress(shard.slice(x), k);
     obs::span_end(&mut reg, span, shard.len() as f64);
 
-    // Step 3: inter-node AllGather of values and indices (stream `gpu`),
-    // then index-wise accumulation into a zeroed shard. The gathered
-    // blocks go back to the pool once consumed, balancing the takes the
-    // gathers made.
+    // Step 3: inter-node AllGather of values and indices (stream `gpu`).
     let span = obs::span_begin(&mut reg, "hitopk/inter all-gather");
     let value_blocks = all_gather_f32_scratch(peer, &selection.values, &inter, scratch);
     let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
     let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
-
-    let blocks = value_blocks.into_iter().zip(index_blocks);
-    ops::fill(shard.slice_mut(x), 0.0);
-    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
     obs::span_end(&mut reg, span, (2 * m * k) as f64);
 
-    // Step 4: intra-node AllGather reassembles the (sparse-aggregated)
-    // full vector.
+    // Step 4: index-wise accumulation into the zeroed shard, and the
+    // intra-node AllGather reassembling the (sparse-aggregated) full
+    // vector. The ReduceScatter left partial sums outside the shard.
     let span = obs::span_begin(&mut reg, "hitopk/intra all-gather");
-    ring_all_gather_scratch(peer, x, &intra, scratch);
+    ops::fill(x, 0.0);
+    let shard_nonzeros =
+        scatter_and_all_gather(peer, x, &intra, value_blocks, index_blocks, scratch);
     obs::span_end(&mut reg, span, d as f64);
 
     if let Some(reg) = reg.as_mut() {
@@ -294,8 +332,11 @@ pub fn hitopk_all_reduce_ef<C: Compressor + ?Sized>(
 /// The error feedback rides the ReduceScatter: its last hop folds each
 /// arriving piece of the node-local sum straight into the residual and
 /// zeroes the shard behind it, so the sum is never written to `x` and read
-/// back, and the selection runs on the accumulated residual. Output,
-/// residual and report are bitwise those of reducing, then
+/// back, and the selection runs on the accumulated residual. The
+/// ReduceScatter also zeroes every piece it sends, so `x` comes back all
+/// `+0.0` and step (iv) can scatter the forwarded blocks into it without a
+/// separate pass. Output, residual and report are bitwise those of
+/// reducing, then
 /// [`ErrorFeedback::select`](cloudtrain_compress::ErrorFeedback::select) on
 /// the shard.
 #[allow(clippy::too_many_arguments)]
@@ -381,7 +422,7 @@ pub(crate) fn hitopk_ef_impl<C: Compressor + ?Sized>(
     );
 
     // Error feedback on the shard: the ReduceScatter accumulates it into
-    // the residual and leaves the shard zeroed for the gather below.
+    // the residual and leaves all of `x` +0.0 for step (iv) below.
     let span = obs::span_begin(&mut reg, "hitopk/intra reduce-scatter");
     let shard = ring_reduce_scatter_ef(peer, x, &intra, ef.residual_mut(), scratch, piece);
     obs::span_end(&mut reg, span, d as f64);
@@ -402,13 +443,11 @@ pub(crate) fn hitopk_ef_impl<C: Compressor + ?Sized>(
     let value_blocks = all_gather_f32_scratch(peer, &selection.values, inter, scratch);
     let index_blocks = all_gather_u32_scratch(peer, &selection.indices, inter, scratch);
     let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
-
-    let blocks = value_blocks.into_iter().zip(index_blocks);
-    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
     obs::span_end(&mut reg, span, (2 * m * k) as f64);
 
     let span = obs::span_begin(&mut reg, "hitopk/intra all-gather");
-    ring_all_gather_scratch(peer, x, &intra, scratch);
+    let shard_nonzeros =
+        scatter_and_all_gather(peer, x, &intra, value_blocks, index_blocks, scratch);
     obs::span_end(&mut reg, span, d as f64);
 
     if let Some(reg) = reg.as_mut() {
@@ -454,6 +493,7 @@ pub fn sparse_all_reduce_naive<C: Compressor + ?Sized>(
 mod tests {
     use super::*;
     use crate::group::run_on_group;
+    use crate::ring::ring_all_gather_scratch;
     use cloudtrain_compress::exact::{topk_sort, SortTopK};
     use cloudtrain_compress::MsTopK;
     use cloudtrain_tensor::init;
@@ -830,9 +870,9 @@ mod tests {
         feedback.release(&selection);
         let value_blocks = all_gather_f32_scratch(peer, &selection.values, &inter, scratch);
         let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
-        let blocks = value_blocks.into_iter().zip(index_blocks);
         ops::fill(shard.slice_mut(x), 0.0);
-        let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
+        let shard_nonzeros = scatter_gathered(shard.slice_mut(x), &value_blocks, &index_blocks);
+        recycle_blocks(value_blocks, index_blocks, scratch);
         reference::all_gather(peer, x, &intra);
         HiTopKReport {
             k_per_shard: k,
@@ -892,37 +932,55 @@ mod tests {
 
     #[test]
     fn scatter_gathered_counts_what_a_full_pass_would() {
-        // Overlapping, unsorted and empty blocks; a coordinate that cancels
-        // to zero (3) and one that receives an explicit zero (5).
-        let blocks = vec![
-            (vec![1.0, 2.0, 0.0, 4.0], vec![7u32, 3, 5, 0]),
+        // Each block strictly ascending, as every compressor returns its
+        // selection. Across blocks: overlaps at 0, 3 and 7; a coordinate
+        // that cancels to exactly +0.0 (3: 2 - 2) and one that is sent
+        // -0.0 by two members (5: +0.0 + -0.0 + -0.0 stays +0.0 — from a
+        // +0.0 start no sum of additions reaches -0.0); and an empty block,
+        // as a withheld member sends.
+        let candidates = [
+            (vec![4.0f32, 2.0, -0.0, 1.0], vec![0u32, 3, 5, 7]),
             (vec![], vec![]),
-            (vec![-2.0, 0.5, 1.5], vec![3u32, 7, 11]),
+            (vec![-2.0, -0.0, 0.5, 1.5], vec![3, 5, 7, 11]),
+            (vec![-4.0, -1.0, -1.5], vec![0, 1, 7]),
         ];
-        let mut scratch = CommScratch::new();
-        let mut buf = vec![0.0f32; 12];
-        let nonzeros = scatter_gathered(&mut buf, blocks.clone(), &mut scratch);
+        for m in 1..=3 {
+            // Every run of m consecutive candidates, so each block leads
+            // once and the empty one sits first, between and last.
+            for first in 0..candidates.len() {
+                let (values, indices): (Vec<_>, Vec<_>) = (0..m)
+                    .map(|t| candidates[(first + t) % candidates.len()].clone())
+                    .unzip();
+                let mut buf = vec![0.0f32; 12];
+                let nonzeros = scatter_gathered(&mut buf, &values, &indices);
 
-        let mut want = vec![0.0f32; 12];
-        for (vals, idxs) in &blocks {
-            ops::scatter_add(&mut want, idxs, vals);
+                let mut want = vec![0.0f32; 12];
+                for (vals, idxs) in values.iter().zip(&indices) {
+                    ops::scatter_add(&mut want, idxs, vals);
+                }
+                let what = format!("m={m} first={first}");
+                assert_eq!(bits(&buf), bits(&want), "{what}");
+                assert_eq!(
+                    nonzeros,
+                    want.iter().filter(|v| **v != 0.0).count(),
+                    "{what}"
+                );
+            }
         }
-        assert_eq!(buf, want);
-        assert_eq!(nonzeros, want.iter().filter(|v| **v != 0.0).count());
-        assert_eq!(nonzeros, 3, "coordinates 0, 7 and 11");
-        // Every block went back to the pool and nothing was taken from it.
-        assert_eq!(scratch.pooled(), 2 * blocks.len());
-        assert_eq!(
-            scratch.f32_stats().takes + scratch.u32_stats().takes,
-            0,
-            "the count must not add pool traffic"
-        );
+
+        // The cancellations by name: blocks 0 and 2 touch 0, 3, 5, 7 and
+        // 11, and 3 and 5 come out +0.0.
+        let (values, indices): (Vec<_>, Vec<_>) = [candidates[0].clone(), candidates[2].clone()]
+            .into_iter()
+            .unzip();
+        let mut buf = vec![0.0f32; 12];
+        assert_eq!(scatter_gathered(&mut buf, &values, &indices), 3);
+        assert_eq!((buf[3].to_bits(), buf[5].to_bits()), (0, 0));
 
         // No contribution at all leaves a zeroed shard zero.
-        let none: Vec<(Vec<f32>, Vec<u32>)> = Vec::new();
-        ops::fill(&mut buf, 0.0);
-        assert_eq!(scatter_gathered(&mut buf, none, &mut scratch), 0);
-        assert!(buf.iter().all(|v| *v == 0.0));
+        let mut buf = vec![0.0f32; 12];
+        assert_eq!(scatter_gathered(&mut buf, &[], &[]), 0);
+        assert!(buf.iter().all(|v| v.to_bits() == 0));
     }
 
     /// The error-feedback sparsification point as it ran before the last
@@ -960,9 +1018,9 @@ mod tests {
             };
             let value_blocks = all_gather_f32_scratch(peer, &selection.values, inter, scratch);
             let index_blocks = all_gather_u32_scratch(peer, &selection.indices, inter, scratch);
-            let blocks = value_blocks.into_iter().zip(index_blocks);
             ops::fill(shard.slice_mut(x), 0.0);
-            let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
+            let shard_nonzeros = scatter_gathered(shard.slice_mut(x), &value_blocks, &index_blocks);
+            recycle_blocks(value_blocks, index_blocks, scratch);
             ring_all_gather_scratch(peer, x, &intra, scratch);
             HiTopKReport {
                 k_per_shard: k,
@@ -973,21 +1031,21 @@ mod tests {
     }
 
     /// Runs the folded hop at `piece` elements per message and the
-    /// reference side by side on every rank of an `m × n` grid for three
-    /// rounds, so the residual and the selection RNG carry over, and
-    /// requires output, residual and report to agree bit for bit each
-    /// round — and the folded side's arena to stop allocating after the
-    /// first. The inter-node group is visited in natural or `reversed` node
-    /// order, and in the second round the even ranks withhold their
+    /// reference side by side on every rank of an `m × n` grid at density
+    /// `rho` for three rounds, so the residual and the selection RNG carry
+    /// over, and requires output, residual and report to agree bit for bit
+    /// each round — and the folded side's arena to stop allocating after
+    /// the first. The inter-node group is visited in natural or `reversed`
+    /// node order, and in the second round the even ranks withhold their
     /// contribution.
     fn assert_folded_hop_equals_reference(
         m: usize,
         n: usize,
         d: usize,
+        rho: f64,
         piece: usize,
         reversed: bool,
     ) {
-        let rho = 0.1;
         let order: Vec<usize> = if reversed {
             (0..m).rev().collect()
         } else {
@@ -995,7 +1053,7 @@ mod tests {
         };
         run_on_group(m * n, |peer| {
             let what = format!(
-                "m={m} n={n} d={d} piece={piece} order={order:?} rank {}",
+                "m={m} n={n} d={d} rho={rho} piece={piece} order={order:?} rank {}",
                 peer.rank()
             );
             let inter = crate::reorder::inter_members_ordered(peer.rank() % n, &order, n);
@@ -1048,17 +1106,57 @@ mod tests {
                 // element apart; shards of several 3-element pieces and a
                 // tail, also one apart; and the shipped piece size — each
                 // with the inter-node group in natural and reversed order.
+                // At rho = 0.5 the forwarded blocks outweigh the dense
+                // shard (2·m·k̃ ≥ ⌊d/n⌋) on every shape; they must still
+                // meet the reference's dense AllGather bit for bit.
                 for (d, piece) in [
                     (n - 1, 3),
                     (5 * n + 1, HOP_PIECE),
                     (29 * n + n / 2, 3),
                     (29 * n + n / 2, HOP_PIECE),
                 ] {
-                    for reversed in [false, true] {
-                        assert_folded_hop_equals_reference(m, n, d, piece, reversed);
+                    for rho in [0.1, 0.5] {
+                        for reversed in [false, true] {
+                            assert_folded_hop_equals_reference(m, n, d, rho, piece, reversed);
+                        }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn plain_forwarded_step_iv_equals_the_dense_all_gather() {
+        // The plain ReduceScatter leaves partial sums outside the shard, so
+        // the forwarded step (iv) stands on the fill before it; compare it
+        // with the dense one, recomposed, bit for bit.
+        for (m, n, d) in [(2usize, 2usize, 300usize), (3, 4, 1001), (2, 3, 64)] {
+            let rho = 0.05;
+            run_on_group(m * n, |peer| {
+                let mut scratch = CommScratch::new();
+                let mut x = vec_for(peer.rank(), d);
+                let mut y = x.clone();
+                let rep =
+                    hitopk_all_reduce_scratch(peer, &mut x, m, n, rho, &mut SortTopK, &mut scratch);
+
+                let pos = grid_pos(peer.rank(), m, n);
+                let intra = intra_node_members(pos.node, n);
+                let inter = inter_node_members(pos.gpu, m, n);
+                let shard = ring_reduce_scatter_scratch(peer, &mut y, &intra, &mut scratch);
+                let k = shard_k(d, n, rho).min(shard.len());
+                let selection = SortTopK.compress(shard.slice(&y), k);
+                let values = all_gather_f32_scratch(peer, &selection.values, &inter, &mut scratch);
+                let indices =
+                    all_gather_u32_scratch(peer, &selection.indices, &inter, &mut scratch);
+                ops::fill(shard.slice_mut(&mut y), 0.0);
+                let shard_nonzeros = scatter_gathered(shard.slice_mut(&mut y), &values, &indices);
+                recycle_blocks(values, indices, &mut scratch);
+                ring_all_gather_scratch(peer, &mut y, &intra, &mut scratch);
+
+                let what = format!("m={m} n={n} d={d} rank {}", peer.rank());
+                assert_eq!(bits(&x), bits(&y), "{what}");
+                assert_eq!(rep.shard_nonzeros, shard_nonzeros, "{what}");
+            });
         }
     }
 

@@ -38,7 +38,9 @@ use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 
 use crate::group::Peer;
 use crate::gtopk::{merge_sparse, trim_topk};
-use crate::hierarchical::{group_wire_bytes, scatter_gathered, shard_k, HiTopKReport};
+use crate::hierarchical::{
+    group_wire_bytes, recycle_blocks, scatter_gathered, shard_k, HiTopKReport,
+};
 use crate::ring::member_index;
 use crate::scratch::CommScratch;
 use crate::torus::{grid_pos, inter_node_members, intra_node_members};
@@ -373,6 +375,32 @@ pub fn ring_all_gather_resilient(
     }
 }
 
+/// Step (iv) over a [`ResilientPeer`]
+/// ([`crate::hierarchical::scatter_and_all_gather`]'s twin): zeroes this
+/// member's shard of `x`, scatter-adds the `m` gathered blocks into it,
+/// recycles them, and reassembles the full vector across the node `intra`.
+/// Returns the shard's nonzero count.
+///
+/// The reassembly stays the whole-chunk dense [`ring_all_gather_resilient`]
+/// on purpose: the fault plan draws per message, so forwarding the blocks
+/// instead would change the messages there are to fault, and with them
+/// every draw after step (iv).
+pub(crate) fn scatter_and_all_gather_resilient(
+    rp: &mut ResilientPeer,
+    x: &mut [f32],
+    intra: &[usize],
+    values: Vec<Vec<f32>>,
+    indices: Vec<Vec<u32>>,
+    scratch: &mut CommScratch,
+) -> usize {
+    let shard = shard_for(x.len(), intra.len(), member_index(intra, rp.rank()));
+    ops::fill(shard.slice_mut(x), 0.0);
+    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), &values, &indices);
+    recycle_blocks(values, indices, scratch);
+    ring_all_gather_resilient(rp, x, intra, scratch);
+    shard_nonzeros
+}
+
 /// Resilient ring AllReduce = resilient ReduceScatter + AllGather. Exact:
 /// on return every member holds the dense sum, whatever the fault plan.
 pub fn ring_all_reduce_resilient(
@@ -482,6 +510,11 @@ pub fn torus_all_reduce_resilient(
 /// empty block physically travels through the AllGather), so replicas stay
 /// bitwise identical.
 ///
+/// Unlike the plain path, its ReduceScatter and step (iv) AllGather move
+/// whole dense chunks, on purpose: the fault plan draws per message, so
+/// piecing the hops or forwarding the gathered blocks would fault different
+/// messages.
+///
 /// # Panics
 /// Panics if the group size is not `m * n` or the residual dimension does
 /// not match this rank's shard.
@@ -526,11 +559,8 @@ pub fn hitopk_all_reduce_ef_resilient<C: Compressor + ?Sized>(
     let index_blocks = all_gather_u32_resilient(rp, &selection.indices, &inter, scratch);
     let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
 
-    let blocks = value_blocks.into_iter().zip(index_blocks);
-    ops::fill(shard.slice_mut(x), 0.0);
-    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
-
-    ring_all_gather_resilient(rp, x, &intra, scratch);
+    let shard_nonzeros =
+        scatter_and_all_gather_resilient(rp, x, &intra, value_blocks, index_blocks, scratch);
 
     HiTopKReport {
         k_per_shard: k,

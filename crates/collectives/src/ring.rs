@@ -82,8 +82,12 @@ pub fn ring_reduce_scatter_scratch(
 /// `residual[j] += x[j] + piece[j]` with `x[j]` zeroed behind it, so the
 /// reduced shard is never written to `x`. `residual` (this member's chunk
 /// long) ends bitwise as `add_assign(residual, shard)` after the plain
-/// ReduceScatter would leave it, and the shard comes back all zeros. On a
-/// ring of one the fold is local: `residual += x`, `x` zeroed.
+/// ReduceScatter would leave it. The pass also drains what it sends: each
+/// piece is zeroed right after its copy into the wire buffer, while it is
+/// still in cache, so all of `x` — the shard through the fold, every other
+/// chunk through the drain — comes back `+0.0`, ready for a sparse
+/// AllGather to scatter into. On a ring of one the fold is local:
+/// `residual += x`, `x` zeroed.
 pub(crate) fn ring_reduce_scatter_ef(
     peer: &Peer,
     x: &mut [f32],
@@ -109,6 +113,46 @@ pub(crate) fn ring_reduce_scatter_ef(
             ops::add_sum_drain(&mut residual[at..at + mine.len()], mine, arrived)
         }),
     )
+}
+
+/// Ring AllGather of sparse chunks over `members`: this member's chunk of
+/// `x` has been assembled from the `(values, indices)` blocks — indices
+/// relative to the chunk — and every other chunk of `x` must be `+0.0`.
+/// Step `s` hands the blocks of chunk `(me - s) mod p` to the right-hand
+/// neighbour by move and scatter-adds those of chunk `(me - s - 1) mod p`,
+/// arriving from the left, block by block in order into its slot. The slot
+/// thus sees the owner's own `+=` sequence from `+0.0`, so every chunk
+/// comes out bitwise as its owner assembled it, `-0.0` included.
+///
+/// Nothing is copied: the blocks themselves travel, `2·blocks` messages per
+/// hop. Returns the ones that arrived last — as many as the member brought,
+/// so recycling them keeps the pool's flow balanced. Every member must
+/// bring the same number of blocks.
+pub(crate) fn ring_all_gather_blocks(
+    peer: &Peer,
+    x: &mut [f32],
+    members: &[usize],
+    mut values: Vec<Vec<f32>>,
+    mut indices: Vec<Vec<u32>>,
+) -> (Vec<Vec<f32>>, Vec<Vec<u32>>) {
+    let p = members.len();
+    let me = member_index(members, peer.rank());
+    let chunks = shards(x.len(), p);
+    let right = members[(me + 1) % p];
+    let left = members[(me + p - 1) % p];
+    for s in 0..p.saturating_sub(1) {
+        for (vals, idxs) in values.iter_mut().zip(&mut indices) {
+            peer.send_f32(right, std::mem::take(vals));
+            peer.send_u32(right, std::mem::take(idxs));
+        }
+        let slot = chunks[(me + 2 * p - s - 1) % p].slice_mut(x);
+        for (vals, idxs) in values.iter_mut().zip(&mut indices) {
+            *vals = peer.recv_f32(left);
+            *idxs = peer.recv_u32(left);
+            ops::scatter_add(slot, idxs, vals);
+        }
+    }
+    (values, indices)
 }
 
 /// Ring AllGather over `members`: each member contributes its own shard of
@@ -149,8 +193,10 @@ type LastFold<'a> = &'a mut dyn FnMut(usize, &mut [f32], &[f32]);
 /// chunk `(me + lead - s - 1) mod p` to the right and `fold`s the chunk
 /// before it, arriving from the left, into its slot of `x`. Given a `last`
 /// fold, the last step folds with `last(at, slot, piece)` instead, `at`
-/// being the piece's offset within its chunk. Returns this member's own
-/// shard.
+/// being the piece's offset within its chunk, and each piece sent is zeroed
+/// in `x` right after its copy into the wire buffer: the one pass with a
+/// `last` fold is the EF ReduceScatter, which leaves `x` drained for a
+/// sparse AllGather to scatter into. Returns this member's own shard.
 ///
 /// Pieces partition a chunk, so whatever `piece` is, each element is folded
 /// exactly once per step, in the step order of whole-chunk hops. Sends never
@@ -181,12 +227,17 @@ fn ring_pass_pieced(
     // the same number of pieces per step; a chunk one element shorter may
     // end with an empty piece.
     let pieces = d.div_ceil(p).div_ceil(piece);
+    let drain = last.is_some();
 
     for s in 0..p - 1 {
         let send_idx = (me + lead + p - s - 1) % p;
         let recv_idx = (send_idx + p - 1) % p;
         for i in 0..pieces {
-            let send_chunk = scratch.copy_f32(chunks[send_idx].piece(i, piece).slice(x));
+            let sent = chunks[send_idx].piece(i, piece);
+            let send_chunk = scratch.copy_f32(sent.slice(x));
+            if drain {
+                ops::fill(sent.slice_mut(x), 0.0);
+            }
             peer.send_f32(right, send_chunk);
             let recv = peer.recv_f32(left);
             let slot = chunks[recv_idx].piece(i, piece);
@@ -750,6 +801,96 @@ mod tests {
                 4 * HOP_PIECE,
                 "arena must hold one piece, not a shard"
             );
+        }
+    }
+
+    #[test]
+    fn ef_reduce_scatter_drains_all_of_x() {
+        // Every chunk comes back +0.0 — the owned one through the fold into
+        // the residual, the others through the drain behind each send —
+        // and the residual ends as `residual + shard` of the whole-chunk
+        // ReduceScatter. A -0.0 input must come back as +0.0 too.
+        for p in 1usize..=4 {
+            for (d, piece) in [
+                (p - 1, 3),
+                (2 * p + 1, HOP_PIECE),
+                (7 * p + 1, 3),
+                (11 * p + p / 2, 3),
+            ] {
+                let members: Vec<usize> = (0..p).collect();
+                run_on_group(p, |peer| {
+                    let what = format!("p={p} d={d} piece={piece} rank {}", peer.rank());
+                    let mut scratch = CommScratch::new();
+                    let mut x = vec_for(peer.rank(), d);
+                    if let Some(first) = x.first_mut() {
+                        *first = -0.0;
+                    }
+                    let mut reduced = x.clone();
+                    let shard = reference::reduce_scatter(peer, &mut reduced, &members);
+                    let mut residual = vec_for(50 + peer.rank(), shard.len());
+                    let mut want = residual.clone();
+                    ops::add_assign(&mut want, shard.slice(&reduced));
+
+                    let got = ring_reduce_scatter_ef(
+                        peer,
+                        &mut x,
+                        &members,
+                        &mut residual,
+                        &mut scratch,
+                        piece,
+                    );
+                    assert_eq!(got, shard, "{what}");
+                    assert_eq!(bits(&residual), bits(&want), "residual, {what}");
+                    assert!(x.iter().all(|v| v.to_bits() == 0), "x not +0.0, {what}");
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn block_all_gather_scatters_every_chunk_as_its_owner_did() {
+        // Each member assembles its own chunk from the same three blocks —
+        // overlapping, one empty, one cancelling to +0.0 — and forwards
+        // them; every member must end with every chunk bitwise as its owner
+        // built it, handed back the blocks of the last chunk it received.
+        for (p, d) in [(1usize, 9usize), (2, 17), (3, 3), (4, 41)] {
+            let members: Vec<usize> = (0..p).collect();
+            let chunks = shards(d, p);
+            // Multiples of 6 cancel to +0.0 (or stay 0.0 + -0.0 = +0.0).
+            let blocks_of = |c: usize| -> (Vec<Vec<f32>>, Vec<Vec<u32>>) {
+                let len = chunks[c].len() as u32;
+                let every = |step: u32, sign: f32| -> (Vec<f32>, Vec<u32>) {
+                    let idxs: Vec<u32> = (0..len).filter(|i| i % step == 0).collect();
+                    let vals = idxs.iter().map(|&i| sign * (c as f32 + i as f32)).collect();
+                    (vals, idxs)
+                };
+                let (halves, thirds) = (every(2, 1.0), every(3, -1.0));
+                (
+                    vec![halves.0, Vec::new(), thirds.0],
+                    vec![halves.1, Vec::new(), thirds.1],
+                )
+            };
+            let mut want = vec![0.0f32; d];
+            for (c, chunk) in chunks.iter().enumerate() {
+                let (vals, idxs) = blocks_of(c);
+                for (v, i) in vals.iter().zip(&idxs) {
+                    ops::scatter_add(chunk.slice_mut(&mut want), i, v);
+                }
+            }
+            let results = run_on_group(p, |peer| {
+                let me = peer.rank();
+                let (vals, idxs) = blocks_of(me);
+                let mut x = vec![0.0f32; d];
+                for (v, i) in vals.iter().zip(&idxs) {
+                    ops::scatter_add(chunks[me].slice_mut(&mut x), i, v);
+                }
+                let last = ring_all_gather_blocks(peer, &mut x, &members, vals, idxs);
+                (bits(&x), last)
+            });
+            for (me, (x, last)) in results.into_iter().enumerate() {
+                assert_eq!(x, bits(&want), "p={p} d={d}");
+                assert!(last == blocks_of((me + 1) % p), "p={p} d={d} rank {me}");
+            }
         }
     }
 

@@ -46,14 +46,13 @@ use cloudtrain_tensor::ops;
 use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 
 use crate::group::Peer;
-use crate::hierarchical::{pair_wire_bytes, scatter_gathered, shard_k};
+use crate::hierarchical::{pair_wire_bytes, scatter_and_all_gather, shard_k};
 use crate::resilience::{
-    all_gather_f32_resilient, all_gather_u32_resilient, ring_all_gather_resilient,
-    ring_reduce_scatter_resilient, ResilientPeer,
+    all_gather_f32_resilient, all_gather_u32_resilient, ring_reduce_scatter_resilient,
+    scatter_and_all_gather_resilient, ResilientPeer,
 };
 use crate::ring::{
-    all_gather_pairs_scratch, frame_pair, member_index, ring_all_gather_scratch,
-    ring_reduce_scatter_scratch, unframe_pair,
+    all_gather_pairs_scratch, frame_pair, member_index, ring_reduce_scatter_scratch, unframe_pair,
 };
 use crate::scratch::CommScratch;
 use crate::torus::{grid_pos, inter_node_members, intra_node_members};
@@ -81,8 +80,6 @@ struct AggregateStats {
     split_entries_sent: usize,
     /// Entries in this member's merged list.
     merged_len: usize,
-    /// Nonzeros in the aggregated shard.
-    shard_nonzeros: usize,
 }
 
 /// Owner ordinal of shard-relative index `idx` under the balanced
@@ -160,21 +157,22 @@ fn merge_and_extract(
     (merged_vals, merged_idxs)
 }
 
-/// The split → merge → AllGather → scatter core of the plain and EF paths.
+/// The split → merge → AllGather core of the plain and EF paths.
 /// `selection` is this member's (possibly empty) shard-relative
-/// contribution; `inter` fixes both the member order of the reduction and
-/// the partition ownership.
+/// contribution over a `shard_len`-element shard; `inter` fixes both the
+/// member order of the reduction and the partition ownership. Returns the
+/// gathered merged lists as value and index blocks in member order — each
+/// strictly ascending, their ranges disjoint — for step (iv) to scatter.
 fn aggregate_selection(
     peer: &Peer,
-    x: &mut [f32],
-    shard: Shard,
+    shard_len: usize,
     selection: &SparseGrad,
     inter: &[usize],
     scratch: &mut CommScratch,
-) -> AggregateStats {
+) -> (AggregateStats, Vec<Vec<f32>>, Vec<Vec<u32>>) {
     let q = inter.len();
     let me_ord = member_index(inter, peer.rank());
-    let ranges = shards(shard.len(), q);
+    let ranges = shards(shard_len, q);
 
     // Split: send partition `t` to inter member `t` (non-blocking sends,
     // so every member can post all q-1 sends before its first receive —
@@ -195,20 +193,18 @@ fn aggregate_selection(
     );
     let merged_len = merged_vals.len();
 
-    // AllGather of the merged (already reduced) lists, then one scatter per
-    // block into the zeroed shard. Ranges are disjoint, so each coordinate
-    // is written exactly once.
+    // AllGather of the merged (already reduced) lists. Ranges are
+    // disjoint, so scattering them writes each coordinate exactly once.
     let blocks = all_gather_pairs_scratch(peer, &merged_vals, &merged_idxs, inter, scratch);
     scratch.put_f32(merged_vals);
     scratch.put_u32(merged_idxs);
-    ops::fill(shard.slice_mut(x), 0.0);
-    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
+    let (value_blocks, index_blocks) = blocks.into_iter().unzip();
 
-    AggregateStats {
+    let stats = AggregateStats {
         split_entries_sent,
         merged_len,
-        shard_nonzeros,
-    }
+    };
+    (stats, value_blocks, index_blocks)
 }
 
 /// Standard byte accounting for one O(k) invocation: split partitions out
@@ -252,25 +248,30 @@ fn ok_sparse_impl<C: Compressor + ?Sized>(
         None => compressor.compress(shard.slice(x), k),
     };
 
-    let stats = aggregate_selection(peer, x, shard, &selection, &inter, scratch);
+    let (stats, value_blocks, index_blocks) =
+        aggregate_selection(peer, shard.len(), &selection, &inter, scratch);
     let inter_bytes_sent = ok_sparse_wire_bytes(&stats, inter.len());
 
-    ring_all_gather_scratch(peer, x, &intra, scratch);
+    // The ReduceScatter left partial sums outside the shard.
+    ops::fill(x, 0.0);
+    let shard_nonzeros =
+        scatter_and_all_gather(peer, x, &intra, value_blocks, index_blocks, scratch);
 
     OkSparseReport {
         k_per_shard: k,
         merged_len: stats.merged_len,
-        shard_nonzeros: stats.shard_nonzeros,
+        shard_nonzeros,
         inter_bytes_sent,
     }
 }
 
 /// O(k) sparse allreduce over an `m × n` grid: HiTopKComm's hierarchy
-/// (dense intra-node ReduceScatter, per-shard top-k, dense intra-node
-/// AllGather) with the inter-node AllGather replaced by the split-and-merge
-/// schedule. On return every rank's `x` holds the identical aggregated
-/// vector — bitwise equal to [`crate::hierarchical::hitopk_all_reduce`]'s
-/// with the same compressor state.
+/// (dense intra-node ReduceScatter, per-shard top-k, intra-node AllGather
+/// of the gathered blocks) with the inter-node AllGather replaced by the
+/// split-and-merge schedule. On return every rank's `x` holds the
+/// identical aggregated vector — bitwise equal to
+/// [`crate::hierarchical::hitopk_all_reduce`]'s with the same compressor
+/// state.
 ///
 /// # Examples
 /// ```
@@ -340,21 +341,20 @@ pub fn ok_sparse_all_reduce_ef<C: Compressor + ?Sized>(
     )
 }
 
-/// The split → merge → AllGather → scatter core over a [`ResilientPeer`]:
-/// every hop charged through the fault plan and retry policy. The payloads
-/// always arrive (drops cost retries, not data), so with any plan the
-/// aggregation values match the plain core's bitwise.
+/// The split → merge → AllGather core over a [`ResilientPeer`]: every hop
+/// charged through the fault plan and retry policy. The payloads always
+/// arrive (drops cost retries, not data), so with any plan the gathered
+/// blocks match the plain core's bitwise.
 fn aggregate_selection_resilient(
     rp: &mut ResilientPeer,
-    x: &mut [f32],
-    shard: Shard,
+    shard_len: usize,
     selection: &SparseGrad,
     inter: &[usize],
     scratch: &mut CommScratch,
-) -> AggregateStats {
+) -> (AggregateStats, Vec<Vec<f32>>, Vec<Vec<u32>>) {
     let q = inter.len();
     let me_ord = member_index(inter, rp.rank());
-    let ranges = shards(shard.len(), q);
+    let ranges = shards(shard_len, q);
 
     let parts = split_by_owner(selection, &ranges, scratch);
     let split_entries_sent = selection.values.len() - parts.0[me_ord].len();
@@ -379,15 +379,12 @@ fn aggregate_selection_resilient(
     let index_blocks = all_gather_u32_resilient(rp, &merged_idxs, inter, scratch);
     scratch.put_f32(merged_vals);
     scratch.put_u32(merged_idxs);
-    let blocks = value_blocks.into_iter().zip(index_blocks);
-    ops::fill(shard.slice_mut(x), 0.0);
-    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), blocks, scratch);
 
-    AggregateStats {
+    let stats = AggregateStats {
         split_entries_sent,
         merged_len,
-        shard_nonzeros,
-    }
+    };
+    (stats, value_blocks, index_blocks)
 }
 
 /// Resilient O(k) sparse allreduce with error feedback: every hop walks the
@@ -395,7 +392,9 @@ fn aggregate_selection_resilient(
 /// the fault plan, decided identically on all ranks at the sparsification
 /// point) transmits an empty selection — its whole compensated shard stays
 /// in the residual and is re-injected next invocation. With a clean plan
-/// the result is bitwise identical to [`ok_sparse_all_reduce_ef`].
+/// the result is bitwise identical to [`ok_sparse_all_reduce_ef`]. Its
+/// intra-node hops stay whole dense chunks, step (iv) included, because the
+/// fault plan draws per message.
 ///
 /// # Panics
 /// Panics if the group size is not `m * n` or the residual dimension does
@@ -438,15 +437,17 @@ pub fn ok_sparse_all_reduce_ef_resilient<C: Compressor + ?Sized>(
         selection
     };
 
-    let stats = aggregate_selection_resilient(rp, x, shard, &selection, &inter, scratch);
+    let (stats, value_blocks, index_blocks) =
+        aggregate_selection_resilient(rp, shard.len(), &selection, &inter, scratch);
     let inter_bytes_sent = ok_sparse_wire_bytes(&stats, inter.len());
 
-    ring_all_gather_resilient(rp, x, &intra, scratch);
+    let shard_nonzeros =
+        scatter_and_all_gather_resilient(rp, x, &intra, value_blocks, index_blocks, scratch);
 
     OkSparseReport {
         k_per_shard: k,
         merged_len: stats.merged_len,
-        shard_nonzeros: stats.shard_nonzeros,
+        shard_nonzeros,
         inter_bytes_sent,
     }
 }

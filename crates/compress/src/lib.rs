@@ -54,7 +54,9 @@ pub trait Compressor {
     /// Selects `k` coordinates of `x`.
     ///
     /// Implementations must return exactly `min(k, x.len())` pairs with
-    /// duplicate-free, in-bounds indices.
+    /// in-bounds indices, strictly ascending and therefore unique: the
+    /// sparse collectives count an aggregated shard's nonzeros by merging
+    /// the gathered selections as sorted runs.
     fn compress(&mut self, x: &[f32], k: usize) -> SparseGrad;
 
     /// Accumulates `grad` into `acc` (`acc[i] = grad[i] + acc[i]`) and
@@ -101,6 +103,11 @@ mod trait_tests {
             idx.sort_unstable();
             idx.dedup();
             assert_eq!(idx.len(), k, "{} returned duplicate indices", op.name());
+            assert!(
+                s.indices.windows(2).all(|w| w[0] < w[1]),
+                "{} returned indices out of ascending order",
+                op.name()
+            );
             assert!(
                 idx.iter().all(|&i| (i as usize) < x.len()),
                 "{} returned out-of-bounds index",

@@ -11,7 +11,9 @@ use cloudtrain_tensor::ops;
 pub struct SparseGrad {
     /// Selected gradient values.
     pub values: Vec<f32>,
-    /// Original coordinates of `values` within the dense vector.
+    /// Original coordinates of `values` within the dense vector, strictly
+    /// ascending and unique in every selection a [`crate::Compressor`]
+    /// returns.
     pub indices: Vec<u32>,
     /// Dimension of the dense vector the selection was taken from.
     pub dim: usize,

@@ -139,7 +139,9 @@ const REWRITES: &[Rewrite] = &[
         // Retry-ladder twins add fault bookkeeping and may degrade a
         // contribution to an empty selection, withholding it in the
         // residual; the O(k) family's framed pairs gather is replaced by
-        // the resilient per-type gathers.
+        // the resilient per-type gathers; and step (iv) reassembles with
+        // the dense ring AllGather instead of forwarding the gathered
+        // blocks, because the fault plan draws per message.
         suffix: "resilient",
         adds: &[
             "begin_instance",
@@ -149,8 +151,9 @@ const REWRITES: &[Rewrite] = &[
             "all_gather_f32",
             "all_gather_u32",
             "report",
+            "ring_all_gather",
         ],
-        removes: &["all_gather_pairs"],
+        removes: &["all_gather_pairs", "ring_all_gather_blocks"],
     },
     Rewrite {
         // Deadline twins charge each hop (or a sparse contribution's
