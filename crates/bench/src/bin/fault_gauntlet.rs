@@ -89,9 +89,10 @@ fn run_sim(
 }
 
 /// Collectives-plane checks under the same seed: the resilient HiTopKComm
-/// and O(k) sparse twins complete, ranks agree bitwise, re-runs are
-/// identical, the two twins agree bitwise with each other, and the
-/// error-feedback ledger conserves mass.
+/// and O(k) sparse entry points (each its plain body over a
+/// `ResilientPeer`) complete, ranks agree bitwise, re-runs are identical,
+/// the two agree bitwise with each other, and the error-feedback ledger
+/// conserves mass.
 fn check_collectives(seed: u64) {
     use cloudtrain::collectives::resilience::{
         hitopk_all_reduce_ef_resilient, ResiliencePolicy, ResilientPeer,
@@ -164,8 +165,8 @@ fn check_collectives(seed: u64) {
             "seed {seed} rank {rank}: O(k) residual re-run diverged"
         );
     }
-    // The O(k) twin replays the same compressor selections over the same
-    // fault schedule, so its aggregate and residuals must match the
+    // The O(k) path replays the same compressor selections over the same
+    // degradation draws, so its aggregate and residuals must match the
     // HiTopKComm path bit for bit — the mass ledger below covers both.
     for (rank, (rh, ro)) in a.iter().zip(&o).enumerate() {
         assert_eq!(

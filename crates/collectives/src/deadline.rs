@@ -34,7 +34,7 @@ use cloudtrain_compress::{Compressor, ErrorFeedback};
 use cloudtrain_tensor::ops;
 use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 
-use crate::group::Peer;
+use crate::group::{Peer, Transport};
 use crate::hierarchical::{hitopk_ef_impl, pair_wire_bytes, shard_k, HiTopKReport};
 use crate::resilience::{hash3, unit};
 use crate::ring::{member_index, ring_all_gather_scratch, HOP_PIECE};

@@ -3,8 +3,13 @@
 //! [`Group::connect`] creates `p` [`Peer`] handles with a dedicated
 //! unbounded channel for every ordered pair, so `recv(from)` is
 //! deterministic: a message can only be received from the peer it names.
-//! Peers are moved into worker threads (one peer per thread) and all
-//! collectives are expressed as free functions over `&Peer`.
+//! Peers are moved into worker threads (one peer per thread).
+//!
+//! Every collective body is a free function over a [`Transport`], the
+//! point-to-point surface a schedule needs: a [`Peer`] is the clean one,
+//! [`crate::resilience::ResilientPeer`] the one that charges each message
+//! against a fault plan. A policy about *when* bytes land is a transport,
+//! so one body per algorithm serves both.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::{Arc, Barrier};
@@ -57,6 +62,28 @@ impl Group {
     }
 }
 
+/// What a collective body needs from its endpoint: who it is, and ordered,
+/// typed messages to and from every other member.
+///
+/// A schedule that is deadlock-free over one transport is deadlock-free
+/// over any that delivers each message exactly once, as both
+/// implementations here do. Methods take `&self`, so a body can hand the
+/// transport to helpers while it holds other borrows.
+pub trait Transport {
+    /// This endpoint's rank in `[0, size)`.
+    fn rank(&self) -> usize;
+    /// Number of members in the group.
+    fn size(&self) -> usize;
+    /// Sends a float payload to `to`.
+    fn send_f32(&self, to: usize, data: Vec<f32>);
+    /// Sends an index payload to `to`.
+    fn send_u32(&self, to: usize, data: Vec<u32>);
+    /// Receives the next float payload from `from` (blocks).
+    fn recv_f32(&self, from: usize) -> Vec<f32>;
+    /// Receives the next index payload from `from` (blocks).
+    fn recv_u32(&self, from: usize) -> Vec<u32>;
+}
+
 /// One worker's endpoint in a mesh-connected group.
 #[derive(Debug)]
 pub struct Peer {
@@ -78,56 +105,59 @@ impl Peer {
         self.size
     }
 
-    /// Sends a float payload to `to`.
-    ///
-    /// # Panics
-    /// Panics if `to` is out of range (sending to self is allowed but
-    /// usually a schedule bug — collectives never do it).
-    pub fn send_f32(&self, to: usize, data: Vec<f32>) {
+    /// Synchronises all peers of the group.
+    pub fn barrier(&self) {
+        self.barrier.wait();
+    }
+}
+
+/// Channel sends and receives. A closed channel means a peer already
+/// panicked, so the group unwinds loudly.
+///
+/// # Panics
+/// Panics if `to`/`from` is out of range (sending to self is allowed but
+/// usually a schedule bug — collectives never do it), or if the next
+/// message from `from` has the other payload type: peers must agree on the
+/// schedule, so a type mismatch is a bug.
+impl Transport for Peer {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn size(&self) -> usize {
+        self.size
+    }
+
+    fn send_f32(&self, to: usize, data: Vec<f32>) {
         self.txs[to]
             .send(Message::F32(data))
             // lint:allow(panic_free, reason = "a closed channel means a peer already panicked; unwinding the group loudly is the harness contract")
             .expect("peer channel closed");
     }
 
-    /// Sends an index payload to `to`.
-    pub fn send_u32(&self, to: usize, data: Vec<u32>) {
+    fn send_u32(&self, to: usize, data: Vec<u32>) {
         self.txs[to]
             .send(Message::U32(data))
             // lint:allow(panic_free, reason = "a closed channel means a peer already panicked; unwinding the group loudly is the harness contract")
             .expect("peer channel closed");
     }
 
-    /// Receives a float payload from `from` (blocks).
-    ///
-    /// # Panics
-    /// Panics if the next message from `from` is not an `F32` payload —
-    /// peers must agree on the schedule, so a type mismatch is a bug.
-    pub fn recv_f32(&self, from: usize) -> Vec<f32> {
+    fn recv_f32(&self, from: usize) -> Vec<f32> {
         // lint:allow(panic_free, reason = "a closed channel means a peer already panicked; unwinding the group loudly is the harness contract")
         match self.rxs[from].recv().expect("peer channel closed") {
             Message::F32(v) => v,
-            // lint:allow(panic_free, reason = "schedule type mismatch is a collective programming bug, documented in this method's Panics section")
+            // lint:allow(panic_free, reason = "schedule type mismatch is a collective programming bug, documented in this impl's Panics section")
             Message::U32(_) => panic!("peer {}: expected F32 from {}, got U32", self.rank, from),
         }
     }
 
-    /// Receives an index payload from `from` (blocks).
-    ///
-    /// # Panics
-    /// Panics on a payload type mismatch (see [`Peer::recv_f32`]).
-    pub fn recv_u32(&self, from: usize) -> Vec<u32> {
+    fn recv_u32(&self, from: usize) -> Vec<u32> {
         // lint:allow(panic_free, reason = "a closed channel means a peer already panicked; unwinding the group loudly is the harness contract")
         match self.rxs[from].recv().expect("peer channel closed") {
             Message::U32(v) => v,
-            // lint:allow(panic_free, reason = "schedule type mismatch is a collective programming bug, documented in this method's Panics section")
+            // lint:allow(panic_free, reason = "schedule type mismatch is a collective programming bug, documented in this impl's Panics section")
             Message::F32(_) => panic!("peer {}: expected U32 from {}, got F32", self.rank, from),
         }
-    }
-
-    /// Synchronises all peers of the group.
-    pub fn barrier(&self) {
-        self.barrier.wait();
     }
 }
 

@@ -11,7 +11,7 @@
 use cloudtrain_compress::{Compressor, SparseGrad};
 use cloudtrain_tensor::ops;
 
-use crate::group::Peer;
+use crate::group::{Peer, Transport};
 use crate::scratch::CommScratch;
 
 /// Merges two sparse gradients over the same dense space, summing values
@@ -115,13 +115,32 @@ pub fn gtopk_all_reduce_scratch<C: Compressor + ?Sized>(
     compressor: &mut C,
     scratch: &mut CommScratch,
 ) -> usize {
+    let selection = compressor.compress(x, k);
+    recursive_doubling(peer, x, selection, k, scratch)
+}
+
+/// gTop-k's exchange, over whichever transport the caller holds: `log₂ P`
+/// recursive-doubling rounds, each swapping the current sparse set with
+/// the partner, merge-summing and re-selecting the top `k`; the result is
+/// written densely into `x`. `selection` is this rank's (possibly empty)
+/// contribution. Returns the bytes this rank sent.
+///
+/// # Panics
+/// Panics unless the group size is a power of two.
+pub(crate) fn recursive_doubling<T: Transport + ?Sized>(
+    peer: &T,
+    x: &mut [f32],
+    selection: SparseGrad,
+    k: usize,
+    scratch: &mut CommScratch,
+) -> usize {
     let p = peer.size();
     assert!(
         p.is_power_of_two(),
         "gtopk_all_reduce: group size must be 2^m"
     );
     let rank = peer.rank();
-    let mut current = compressor.compress(x, k);
+    let mut current = selection;
     let mut sent = 0;
 
     let mut mask = 1;

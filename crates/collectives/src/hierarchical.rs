@@ -26,7 +26,7 @@ use cloudtrain_obs::{self as obs, Registry};
 use cloudtrain_tensor::ops;
 use cloudtrain_tensor::partition::shard_for;
 
-use crate::group::Peer;
+use crate::group::{Peer, Transport};
 use crate::ring::{
     all_gather_f32, all_gather_f32_scratch, all_gather_u32, all_gather_u32_scratch, member_index,
     ring_all_gather_blocks, ring_reduce_scatter_ef, ring_reduce_scatter_scratch, HOP_PIECE,
@@ -138,15 +138,14 @@ pub(crate) fn recycle_blocks(
     }
 }
 
-/// Step (iv) of every hitopk- and O(k)-family path but the resilient ones,
-/// whose whole-chunk dense hops stay on purpose: scatter-adds the `m`
+/// Step (iv) of every hitopk- and O(k)-family path: scatter-adds the `m`
 /// gathered blocks into this member's shard of `x` ([`scatter_gathered`]),
 /// then reassembles the full vector across the node `intra` by forwarding
 /// the blocks themselves ([`ring_all_gather_blocks`]), so `x` must be
 /// `+0.0` everywhere on entry. Returns [`HiTopKReport::shard_nonzeros`];
 /// the blocks that arrived last go back to `scratch`.
-pub(crate) fn scatter_and_all_gather(
-    peer: &Peer,
+pub(crate) fn scatter_and_all_gather<T: Transport + ?Sized>(
+    peer: &T,
     x: &mut [f32],
     intra: &[usize],
     values: Vec<Vec<f32>>,
@@ -388,17 +387,18 @@ pub fn hitopk_all_reduce_ef_traced<C: Compressor + ?Sized>(
     )
 }
 
-/// The one body of every error-feedback HiTopKComm path but the resilient
-/// one (whose hops run over a `ResilientPeer`). `inter` is this rank's
-/// inter-node group in the order the sparse AllGather visits it — natural
-/// ([`inter_node_members`]) or a probed permutation
-/// ([`crate::reorder::inter_members_ordered`]). A member that `withhold`s
-/// its contribution selects nothing and sends an empty block: the
+/// The one body of every error-feedback HiTopKComm path, over whichever
+/// transport the caller holds — a `Peer`, or a `ResilientPeer` for the
+/// resilient entry point. `inter` is this rank's inter-node group in the
+/// order the sparse AllGather visits it — natural ([`inter_node_members`])
+/// or a probed permutation ([`crate::reorder::inter_members_ordered`]). A
+/// member that `withhold`s its contribution (a missed deadline or a
+/// degraded fault draw) selects nothing and sends an empty block: the
 /// ReduceScatter has already folded the node sum into the residual, which
 /// is `ErrorFeedback::withhold` on the reduced shard, bit for bit.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn hitopk_ef_impl<C: Compressor + ?Sized>(
-    peer: &Peer,
+pub(crate) fn hitopk_ef_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
+    peer: &T,
     x: &mut [f32],
     m: usize,
     n: usize,

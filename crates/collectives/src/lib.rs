@@ -33,10 +33,12 @@
 //!   `*_scratch` collective variants: pooled send copies instead of
 //!   per-hop allocations, so steady-state training iterations are
 //!   allocation-free on the communication path.
-//! * [`resilience`] — fault decisions ([`resilience::CommFaults`]) and the
-//!   [`resilience::ResilientPeer`] wrapper applying timeout/retry/backoff
-//!   accounting to dense collectives and graceful degradation (empty
-//!   sparse blocks, safe under error feedback) to HiTopKComm / gTop-k.
+//! * [`resilience`] — fault decisions ([`resilience::CommFaults`]) and
+//!   [`resilience::ResilientPeer`], the [`group::Transport`] that charges
+//!   every message a timeout/retry/backoff ladder; the plain collectives
+//!   run over it unchanged, and its three sparse entry points add graceful
+//!   degradation (empty sparse blocks, safe under error feedback) to
+//!   HiTopKComm, O(k) and gTop-k.
 //! * [`reorder`] — topology-probed rank reordering: a pairwise α–β cost
 //!   model, a seeded deterministic ring-order optimizer, and the ring /
 //!   torus / HiTopKComm collectives run over a permuted member list
@@ -55,7 +57,9 @@
 //!
 //! All collectives run on a [`group::Group`] of mesh-connected peers created
 //! with [`group::Group::connect`]; each worker thread owns one
-//! [`group::Peer`].
+//! [`group::Peer`]. Collective bodies are generic over
+//! [`group::Transport`], so one body per algorithm serves the clean peer
+//! and the fault-charging [`ResilientPeer`] alike.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

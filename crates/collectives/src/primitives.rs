@@ -8,7 +8,7 @@
 
 use cloudtrain_tensor::ops;
 
-use crate::group::Peer;
+use crate::group::{Peer, Transport};
 use crate::ring::member_index;
 
 /// Binomial-tree broadcast from `members[0]`: on return every member's `x`

@@ -1,49 +1,54 @@
 //! Resilience policies for collectives on a faulty fabric.
 //!
 //! The correctness-plane twin of `cloudtrain-simnet`'s fault injection:
-//! [`CommFaults`] decides — as a pure function of a seed — which hops are
-//! dropped and which members' sparse contributions are degraded, and
-//! [`ResilientPeer`] wraps a [`Peer`] to apply a timeout/retry/backoff
-//! policy to every hop while counting what the policy paid. Because the
-//! underlying channels are reliable, "drops" and "timeouts" are *virtual*:
-//! every message physically arrives exactly once, the policy only charges
-//! the time a real network would have lost. That keeps the resilient
-//! collectives deadlock-free by construction while their accounting tells
-//! the BSP-penalty-vs-resilience story.
+//! [`CommFaults`] decides — as a pure function of a seed — which messages
+//! are dropped and which members' sparse contributions are degraded, and
+//! [`ResilientPeer`] wraps a [`Peer`] as a [`Transport`] that applies a
+//! timeout/retry/backoff policy to every message while counting what the
+//! policy paid. Because the underlying channels are reliable, "drops" and
+//! "timeouts" are *virtual*: every message physically arrives exactly once,
+//! the policy only charges the time a real network would have lost. A fault
+//! policy thus changes *when* bytes land, never *what* is summed, so there
+//! are no resilient collective bodies: every collective runs its one body
+//! over a `ResilientPeer` exactly as over a `Peer`, stays deadlock-free by
+//! construction, and its accounting tells the BSP-penalty-vs-resilience
+//! story. A hop, to the fault plan, is one message of whatever schedule the
+//! body runs — a piece of a pieced ring hop, one forwarded block, one framed
+//! pair.
 //!
 //! Two policies, keyed by traffic class:
 //!
-//! * **Dense collectives** (ring, torus) must deliver every byte, so a hop
-//!   that keeps dropping is retried up to [`ResiliencePolicy::max_retries`]
-//!   times and then *escalated* — the final attempt always lands. The sum
-//!   is exact; the cost is the full retry ladder in the tail.
-//! * **Sparse collectives** (HiTopKComm, gTop-k) may *degrade*: a member
-//!   whose contribution misses its deadline transmits an **empty sparse
-//!   block** instead. Error feedback makes this safe — the member's
-//!   residual absorbs the entire compensated gradient (an empty selection
+//! * **Dense collectives** (ring, torus) must deliver every byte, so a
+//!   message that keeps dropping is retried up to
+//!   [`ResiliencePolicy::max_retries`] times and then *escalated* — the
+//!   final attempt always lands. The sum is exact; the cost is the full
+//!   retry ladder in the tail.
+//! * **Sparse collectives** (HiTopKComm, O(k), gTop-k) may *degrade*: a
+//!   member whose contribution misses its deadline transmits an **empty
+//!   sparse block** instead. Error feedback makes this safe — the member's
+//!   residual absorbs the entire reduced gradient (an empty selection
 //!   zeroes nothing), so the skipped mass is re-queued next step and no
-//!   information is lost, only delayed.
+//!   information is lost, only delayed. The three `*_resilient` entry
+//!   points draw this decision and hand it to the one body as `withhold`.
 //!
 //! Replica consistency: degradation is decided per *(collective instance,
-//! contributing member)* — never per hop — so every rank observes the same
-//! set of contributed blocks and replicas stay bitwise identical. Hop-drop
-//! outcomes are derived from per-ordered-pair hop counters kept
+//! contributing member)* — never per message — so every rank observes the
+//! same set of contributed blocks and replicas stay bitwise identical.
+//! Drop outcomes are derived from per-ordered-pair message counters kept
 //! symmetrically by sender and receiver (channels are FIFO, so the
 //! counters agree), with the sender charging drops/retries/escalations and
 //! the receiver charging the virtual wait — nothing is double-counted.
 
-use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
-use cloudtrain_tensor::ops;
-use cloudtrain_tensor::partition::{shard_for, shards, Shard};
+use std::cell::Cell;
 
-use crate::group::Peer;
-use crate::gtopk::{merge_sparse, trim_topk};
-use crate::hierarchical::{
-    group_wire_bytes, recycle_blocks, scatter_gathered, shard_k, HiTopKReport,
-};
-use crate::ring::member_index;
+use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
+
+use crate::group::{Peer, Transport};
+use crate::gtopk::recursive_doubling;
+use crate::hierarchical::{hitopk_ef_impl, HiTopKReport};
+use crate::ring::HOP_PIECE;
 use crate::scratch::CommScratch;
-use crate::torus::{grid_pos, inter_node_members, intra_node_members};
+use crate::torus::{grid_pos, inter_node_members};
 
 /// Seeded fault decisions for the correctness-plane collectives.
 ///
@@ -162,13 +167,16 @@ impl Default for ResiliencePolicy {
 /// What the resilience policy paid over a [`ResilientPeer`]'s lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResilienceReport {
-    /// Hops sent through the peer.
+    /// Messages sent through the peer: each is one hop to the fault plan,
+    /// so the count follows the schedule the collective body runs (a
+    /// pieced ring hop is one message per piece, a block forward one per
+    /// block).
     pub hops: u64,
     /// Virtually dropped attempts (observed at the send side).
     pub drops: u64,
     /// Re-transmissions performed.
     pub retries: u64,
-    /// Hops that exhausted the retry budget and were force-delivered.
+    /// Messages that exhausted the retry budget and were force-delivered.
     pub escalations: u64,
     /// Sparse contributions this rank degraded to empty blocks.
     pub degraded_members: u64,
@@ -176,23 +184,24 @@ pub struct ResilienceReport {
     pub virtual_delay: f64,
 }
 
-/// A [`Peer`] wrapped with fault decisions and resilience accounting.
+/// A [`Peer`] wrapped with fault decisions and resilience accounting: the
+/// [`Transport`] every collective body runs over when the fabric is faulty.
 ///
 /// All sends physically deliver exactly once (drops are virtual), so any
 /// schedule that is deadlock-free over a plain `Peer` stays deadlock-free
-/// over a `ResilientPeer`.
+/// over a `ResilientPeer`, and computes the same bits.
 #[derive(Debug)]
 pub struct ResilientPeer<'a> {
     peer: &'a Peer,
     faults: CommFaults,
     policy: ResiliencePolicy,
     /// Per-destination count of messages sent (ordered-pair hop counter).
-    sent: Vec<u64>,
+    sent: Vec<Cell<u64>>,
     /// Per-source count of messages received (the mirror counter).
-    received: Vec<u64>,
-    /// Collective instances started via [`ResilientPeer::begin_instance`].
+    received: Vec<Cell<u64>>,
+    /// Sparse contributions numbered via [`ResilientPeer::begin_instance`].
     instance: u64,
-    report: ResilienceReport,
+    report: Cell<ResilienceReport>,
 }
 
 impl<'a> ResilientPeer<'a> {
@@ -203,26 +212,20 @@ impl<'a> ResilientPeer<'a> {
             peer,
             faults,
             policy,
-            sent: vec![0; p],
-            received: vec![0; p],
+            sent: vec![Cell::new(0); p],
+            received: vec![Cell::new(0); p],
             instance: 0,
-            report: ResilienceReport::default(),
+            report: Cell::new(ResilienceReport::default()),
         }
     }
 
-    /// This peer's rank.
-    pub fn rank(&self) -> usize {
-        self.peer.rank()
-    }
-
-    /// Group size.
-    pub fn size(&self) -> usize {
-        self.peer.size()
-    }
-
-    /// Starts a new collective instance and returns its id. Every rank
+    /// Starts a new sparse contribution and returns its id. Every rank
     /// executes the same collective sequence, so local instance counters
     /// agree across the group without communication.
+    ///
+    /// Only the sparse entry points draw a per-instance decision, so only
+    /// they number instances: dense collectives run over the peer without
+    /// one, and interleaving them leaves the sparse numbering unchanged.
     pub fn begin_instance(&mut self) -> u64 {
         let id = self.instance;
         self.instance += 1;
@@ -232,50 +235,47 @@ impl<'a> ResilientPeer<'a> {
     /// Whether this rank's sparse contribution to instance `instance`
     /// misses its deadline (and must be sent as an empty block).
     pub fn contribution_degraded(&mut self, instance: u64) -> bool {
-        let degraded = self.faults.member_degraded(instance, self.rank());
+        let degraded = self.faults.member_degraded(instance, self.peer.rank());
         if degraded {
-            self.report.degraded_members += 1;
+            self.report.get_mut().degraded_members += 1;
         }
         degraded
     }
 
     /// Cumulative resilience accounting.
     pub fn report(&self) -> ResilienceReport {
-        self.report
+        self.report.get()
     }
 
-    /// Walks the drop ladder of one outgoing hop, charging drops, retries
-    /// and escalations. Returns nothing: the payload always goes out.
-    fn charge_send(&mut self, to: usize) {
-        let hop = self.sent[to];
-        self.sent[to] += 1;
-        self.report.hops += 1;
-        if self.faults.drop_prob == 0.0 {
-            return;
-        }
-        let me = self.rank();
+    /// Walks the drop ladder of one outgoing message, charging drops,
+    /// retries and escalations. Returns nothing: the payload always goes
+    /// out.
+    fn charge_send(&self, to: usize) {
+        let hop = self.sent[to].get();
+        self.sent[to].set(hop + 1);
+        let mut report = self.report.get();
+        report.hops += 1;
+        let me = self.peer.rank();
         let mut attempt = 0u32;
         while self.faults.hop_dropped(me, to, hop, attempt) {
-            self.report.drops += 1;
+            report.drops += 1;
             if attempt == self.policy.max_retries {
-                self.report.escalations += 1;
+                report.escalations += 1;
                 break;
             }
-            self.report.retries += 1;
+            report.retries += 1;
             attempt += 1;
         }
+        self.report.set(report);
     }
 
     /// Replays the sender's drop ladder from the receiver's side (the
     /// counters agree because channels are FIFO) and charges the virtual
     /// wait the timeouts cost this rank.
-    fn charge_recv(&mut self, from: usize) {
-        let hop = self.received[from];
-        self.received[from] += 1;
-        if self.faults.drop_prob == 0.0 {
-            return;
-        }
-        let me = self.rank();
+    fn charge_recv(&self, from: usize) {
+        let hop = self.received[from].get();
+        self.received[from].set(hop + 1);
+        let me = self.peer.rank();
         let mut wait = 0.0;
         let mut attempt = 0u32;
         while self.faults.hop_dropped(from, me, hop, attempt) {
@@ -285,235 +285,53 @@ impl<'a> ResilientPeer<'a> {
             }
             attempt += 1;
         }
-        self.report.virtual_delay += wait;
+        let mut report = self.report.get();
+        report.virtual_delay += wait;
+        self.report.set(report);
+    }
+}
+
+impl Transport for ResilientPeer<'_> {
+    fn rank(&self) -> usize {
+        self.peer.rank()
     }
 
-    /// Sends a float payload, charging the hop's fault outcome.
-    pub fn send_f32(&mut self, to: usize, data: Vec<f32>) {
+    fn size(&self) -> usize {
+        self.peer.size()
+    }
+
+    fn send_f32(&self, to: usize, data: Vec<f32>) {
         self.charge_send(to);
         self.peer.send_f32(to, data);
     }
 
-    /// Sends an index payload, charging the hop's fault outcome.
-    pub fn send_u32(&mut self, to: usize, data: Vec<u32>) {
+    fn send_u32(&self, to: usize, data: Vec<u32>) {
         self.charge_send(to);
         self.peer.send_u32(to, data);
     }
 
-    /// Receives a float payload, charging the virtual wait (blocks).
-    pub fn recv_f32(&mut self, from: usize) -> Vec<f32> {
+    fn recv_f32(&self, from: usize) -> Vec<f32> {
         self.charge_recv(from);
         self.peer.recv_f32(from)
     }
 
-    /// Receives an index payload, charging the virtual wait (blocks).
-    pub fn recv_u32(&mut self, from: usize) -> Vec<u32> {
+    fn recv_u32(&self, from: usize) -> Vec<u32> {
         self.charge_recv(from);
         self.peer.recv_u32(from)
     }
 }
 
-/// Resilient ring ReduceScatter — the data flow of
-/// [`crate::ring::ring_reduce_scatter_scratch`] with every hop charged
-/// through the policy. Results are bitwise identical to the plain variant
-/// (drops are virtual; every byte is delivered).
+/// HiTopKComm with error feedback over a [`ResilientPeer`]:
+/// [`crate::hierarchical::hitopk_all_reduce_ef_scratch`]'s one body with
+/// every message walking the drop ladder, and *graceful degradation* — if
+/// this rank's contribution misses its deadline, it transmits an empty
+/// sparse block.
 ///
-/// Unlike the plain variant this keeps whole-chunk hops on purpose: the
-/// fault ladder is seeded per message, so piecing a hop would draw a
-/// different fault sequence and move every pinned gauntlet result.
-pub fn ring_reduce_scatter_resilient(
-    rp: &mut ResilientPeer,
-    x: &mut [f32],
-    members: &[usize],
-    scratch: &mut CommScratch,
-) -> Shard {
-    let p = members.len();
-    let me = member_index(members, rp.rank());
-    let d = x.len();
-    if p == 1 {
-        return shard_for(d, 1, 0);
-    }
-    let chunks = shards(d, p);
-    let right = members[(me + 1) % p];
-    let left = members[(me + p - 1) % p];
-    for s in 0..p - 1 {
-        let send_idx = (me + p - s - 1) % p;
-        let recv_idx = (me + 2 * p - s - 2) % p;
-        let send_chunk = scratch.copy_f32(chunks[send_idx].slice(x));
-        rp.send_f32(right, send_chunk);
-        let recv = rp.recv_f32(left);
-        ops::add_assign(chunks[recv_idx].slice_mut(x), &recv);
-        scratch.put_f32(recv);
-    }
-    chunks[me]
-}
-
-/// Resilient ring AllGather (see [`ring_reduce_scatter_resilient`], whole
-/// chunks per hop included).
-pub fn ring_all_gather_resilient(
-    rp: &mut ResilientPeer,
-    x: &mut [f32],
-    members: &[usize],
-    scratch: &mut CommScratch,
-) {
-    let p = members.len();
-    let me = member_index(members, rp.rank());
-    if p == 1 {
-        return;
-    }
-    let chunks = shards(x.len(), p);
-    let right = members[(me + 1) % p];
-    let left = members[(me + p - 1) % p];
-    for s in 0..p - 1 {
-        let send_idx = (me + p - s) % p;
-        let recv_idx = (me + 2 * p - s - 1) % p;
-        let send_chunk = scratch.copy_f32(chunks[send_idx].slice(x));
-        rp.send_f32(right, send_chunk);
-        let recv = rp.recv_f32(left);
-        chunks[recv_idx].slice_mut(x).copy_from_slice(&recv);
-        scratch.put_f32(recv);
-    }
-}
-
-/// Step (iv) over a [`ResilientPeer`]
-/// ([`crate::hierarchical::scatter_and_all_gather`]'s twin): zeroes this
-/// member's shard of `x`, scatter-adds the `m` gathered blocks into it,
-/// recycles them, and reassembles the full vector across the node `intra`.
-/// Returns the shard's nonzero count.
-///
-/// The reassembly stays the whole-chunk dense [`ring_all_gather_resilient`]
-/// on purpose: the fault plan draws per message, so forwarding the blocks
-/// instead would change the messages there are to fault, and with them
-/// every draw after step (iv).
-pub(crate) fn scatter_and_all_gather_resilient(
-    rp: &mut ResilientPeer,
-    x: &mut [f32],
-    intra: &[usize],
-    values: Vec<Vec<f32>>,
-    indices: Vec<Vec<u32>>,
-    scratch: &mut CommScratch,
-) -> usize {
-    let shard = shard_for(x.len(), intra.len(), member_index(intra, rp.rank()));
-    ops::fill(shard.slice_mut(x), 0.0);
-    let shard_nonzeros = scatter_gathered(shard.slice_mut(x), &values, &indices);
-    recycle_blocks(values, indices, scratch);
-    ring_all_gather_resilient(rp, x, intra, scratch);
-    shard_nonzeros
-}
-
-/// Resilient ring AllReduce = resilient ReduceScatter + AllGather. Exact:
-/// on return every member holds the dense sum, whatever the fault plan.
-pub fn ring_all_reduce_resilient(
-    rp: &mut ResilientPeer,
-    x: &mut [f32],
-    members: &[usize],
-    scratch: &mut CommScratch,
-) {
-    ring_reduce_scatter_resilient(rp, x, members, scratch);
-    ring_all_gather_resilient(rp, x, members, scratch);
-}
-
-/// Resilient AllGather of variable float payloads (ownership contract as
-/// in [`crate::ring::all_gather_f32_scratch`]: the caller recycles blocks).
-pub fn all_gather_f32_resilient(
-    rp: &mut ResilientPeer,
-    mine: &[f32],
-    members: &[usize],
-    scratch: &mut CommScratch,
-) -> Vec<Vec<f32>> {
-    let p = members.len();
-    let me = member_index(members, rp.rank());
-    let mut blocks: Vec<Option<Vec<f32>>> = vec![None; p];
-    blocks[me] = Some(scratch.copy_f32(mine));
-    if p == 1 {
-        // lint:allow(panic_free, reason = "single-member ring: the only block was filled on the previous line")
-        return blocks.into_iter().map(Option::unwrap).collect();
-    }
-    let right = members[(me + 1) % p];
-    let left = members[(me + p - 1) % p];
-    for s in 0..p - 1 {
-        let send_idx = (me + p - s) % p;
-        let recv_idx = (me + 2 * p - s - 1) % p;
-        // lint:allow(panic_free, reason = "the ring schedule fills block s before step s sends it; a hole is an unconditional schedule bug")
-        let src = blocks[send_idx].as_deref().expect("ring schedule hole");
-        let payload = scratch.copy_f32(src);
-        rp.send_f32(right, payload);
-        blocks[recv_idx] = Some(rp.recv_f32(left));
-    }
-    // lint:allow(panic_free, reason = "after p-1 ring steps every block has been received; a hole is an unconditional schedule bug")
-    blocks.into_iter().map(Option::unwrap).collect()
-}
-
-/// Resilient AllGather of variable index payloads (see
-/// [`all_gather_f32_resilient`]).
-pub fn all_gather_u32_resilient(
-    rp: &mut ResilientPeer,
-    mine: &[u32],
-    members: &[usize],
-    scratch: &mut CommScratch,
-) -> Vec<Vec<u32>> {
-    let p = members.len();
-    let me = member_index(members, rp.rank());
-    let mut blocks: Vec<Option<Vec<u32>>> = vec![None; p];
-    blocks[me] = Some(scratch.copy_u32(mine));
-    if p == 1 {
-        // lint:allow(panic_free, reason = "single-member ring: the only block was filled on the previous line")
-        return blocks.into_iter().map(Option::unwrap).collect();
-    }
-    let right = members[(me + 1) % p];
-    let left = members[(me + p - 1) % p];
-    for s in 0..p - 1 {
-        let send_idx = (me + p - s) % p;
-        let recv_idx = (me + 2 * p - s - 1) % p;
-        // lint:allow(panic_free, reason = "the ring schedule fills block s before step s sends it; a hole is an unconditional schedule bug")
-        let src = blocks[send_idx].as_deref().expect("ring schedule hole");
-        let payload = scratch.copy_u32(src);
-        rp.send_u32(right, payload);
-        blocks[recv_idx] = Some(rp.recv_u32(left));
-    }
-    // lint:allow(panic_free, reason = "after p-1 ring steps every block has been received; a hole is an unconditional schedule bug")
-    blocks.into_iter().map(Option::unwrap).collect()
-}
-
-/// Resilient 2D-Torus AllReduce: the dense baseline under the retry
-/// policy. The sum is exact on every rank — dense traffic never degrades —
-/// but the report shows what the BSP barrier paid for that guarantee.
-///
-/// # Panics
-/// Panics if the group size is not `m * n`.
-pub fn torus_all_reduce_resilient(
-    rp: &mut ResilientPeer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    scratch: &mut CommScratch,
-) {
-    assert_eq!(rp.size(), m * n, "torus_all_reduce: group is not m*n");
-    rp.begin_instance();
-    let pos = grid_pos(rp.rank(), m, n);
-    let intra = intra_node_members(pos.node, n);
-    let inter = inter_node_members(pos.gpu, m, n);
-    let shard = ring_reduce_scatter_resilient(rp, x, &intra, scratch);
-    debug_assert_eq!(shard, shard_for(x.len(), n, pos.gpu));
-    ring_all_reduce_resilient(rp, shard.slice_mut(x), &inter, scratch);
-    ring_all_gather_resilient(rp, x, &intra, scratch);
-}
-
-/// Resilient HiTopKComm with error feedback: the data flow of
-/// [`crate::hierarchical::hitopk_all_reduce_ef_scratch`] with hops charged
-/// through the policy and *graceful degradation* — if this rank's
-/// contribution misses its deadline, it transmits an empty sparse block.
-///
-/// Correctness under degradation: `ef.withhold` adds the member's entire
-/// shard gradient to the residual and clears nothing, so it is re-injected
-/// next invocation. All ranks observe the same contributed blocks (the
-/// empty block physically travels through the AllGather), so replicas stay
-/// bitwise identical.
-///
-/// Unlike the plain path, its ReduceScatter and step (iv) AllGather move
-/// whole dense chunks, on purpose: the fault plan draws per message, so
-/// piecing the hops or forwarding the gathered blocks would fault different
-/// messages.
+/// Correctness under degradation: the folded ReduceScatter has already put
+/// the member's whole reduced shard in the residual and nothing is
+/// released, so it is re-injected next invocation. All ranks observe the
+/// same contributed blocks (the empty block physically travels through the
+/// AllGather), so replicas stay bitwise identical.
 ///
 /// # Panics
 /// Panics if the group size is not `m * n` or the residual dimension does
@@ -529,50 +347,18 @@ pub fn hitopk_all_reduce_ef_resilient<C: Compressor + ?Sized>(
     ef: &mut ErrorFeedback,
     scratch: &mut CommScratch,
 ) -> HiTopKReport {
-    assert_eq!(rp.size(), m * n, "hitopk_all_reduce_ef: group is not m*n");
-    let d = x.len();
     let instance = rp.begin_instance();
-    let pos = grid_pos(rp.rank(), m, n);
-    let intra = intra_node_members(pos.node, n);
-    let inter = inter_node_members(pos.gpu, m, n);
-
-    let shard = ring_reduce_scatter_resilient(rp, x, &intra, scratch);
-    assert_eq!(
-        ef.dim(),
-        shard.len(),
-        "hitopk_all_reduce_ef: residual must match the shard"
-    );
-
-    let k = shard_k(d, n, rho).min(shard.len());
-    // Deadline check at the sparsification point: a degraded member selects
-    // nothing and withholds its whole shard in the residual.
-    let selection: SparseGrad = if rp.contribution_degraded(instance) {
-        ef.withhold(shard.slice(x));
-        SparseGrad::empty(shard.len())
-    } else {
-        let selection = ef.select(shard.slice(x), k, compressor);
-        ef.release(&selection);
-        selection
-    };
-
-    let value_blocks = all_gather_f32_resilient(rp, &selection.values, &inter, scratch);
-    let index_blocks = all_gather_u32_resilient(rp, &selection.indices, &inter, scratch);
-    let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
-
-    let shard_nonzeros =
-        scatter_and_all_gather_resilient(rp, x, &intra, value_blocks, index_blocks, scratch);
-
-    HiTopKReport {
-        k_per_shard: k,
-        shard_nonzeros,
-        inter_bytes_sent,
-    }
+    let withhold = rp.contribution_degraded(instance);
+    let inter = inter_node_members(grid_pos(rp.rank(), m, n).gpu, m, n);
+    hitopk_ef_impl(
+        &*rp, x, m, n, rho, compressor, ef, &inter, withhold, scratch, None, HOP_PIECE,
+    )
 }
 
-/// Resilient gTop-k with error feedback: accumulate into the residual and
-/// select from it (or degrade: withhold everything, select nothing) →
-/// recursive-doubling exchange, all hops charged through the policy.
-/// Returns the bytes this rank sent.
+/// gTop-k with error feedback over a [`ResilientPeer`]: accumulate into
+/// the residual and select from it (or degrade: withhold everything, select
+/// nothing), then gTop-k's recursive-doubling exchange with every message
+/// walking the drop ladder. Returns the bytes this rank sent.
 ///
 /// A degraded rank contributes the empty set; merges against it are
 /// identities, every rank still runs all `log₂ P` rounds (no deadlock),
@@ -588,16 +374,9 @@ pub fn gtopk_all_reduce_ef_resilient<C: Compressor + ?Sized>(
     ef: &mut ErrorFeedback,
     scratch: &mut CommScratch,
 ) -> usize {
-    let p = rp.size();
-    assert!(
-        p.is_power_of_two(),
-        "gtopk_all_reduce: group size must be 2^m"
-    );
     assert_eq!(ef.dim(), x.len(), "gtopk ef: residual must match x");
     let instance = rp.begin_instance();
-    let rank = rp.rank();
-
-    let mut current = if rp.contribution_degraded(instance) {
+    let selection = if rp.contribution_degraded(instance) {
         ef.withhold(x);
         SparseGrad::empty(x.len())
     } else {
@@ -605,29 +384,7 @@ pub fn gtopk_all_reduce_ef_resilient<C: Compressor + ?Sized>(
         ef.release(&selection);
         selection
     };
-    let mut sent = 0;
-
-    let mut mask = 1;
-    while mask < p {
-        let partner = rank ^ mask;
-        rp.send_f32(partner, scratch.copy_f32(&current.values));
-        rp.send_u32(partner, scratch.copy_u32(&current.indices));
-        sent += current.wire_bytes();
-        let vals = rp.recv_f32(partner);
-        let idxs = rp.recv_u32(partner);
-        let theirs = SparseGrad::new(vals, idxs, current.dim);
-        current = trim_topk(&merge_sparse(&current, &theirs), k);
-        let SparseGrad {
-            values, indices, ..
-        } = theirs;
-        scratch.put_f32(values);
-        scratch.put_u32(indices);
-        mask <<= 1;
-    }
-
-    ops::fill(x, 0.0);
-    current.add_into(x);
-    sent
+    recursive_doubling(&*rp, x, selection, k, scratch)
 }
 
 /// Domain-separation salts for the two decision streams.
@@ -656,10 +413,13 @@ pub(crate) fn unit(h: u64) -> f64 {
 mod tests {
     use super::*;
     use crate::group::run_on_group;
-    use crate::hierarchical::hitopk_all_reduce_ef_scratch;
+    use crate::ring::ring_all_reduce_scratch;
+    use crate::sparse_allreduce::{ok_sparse_all_reduce_ef_resilient, ok_sparse_impl};
     use crate::torus::torus_all_reduce;
     use cloudtrain_compress::exact::SortTopK;
+    use cloudtrain_compress::MsTopK;
     use cloudtrain_tensor::init;
+    use cloudtrain_tensor::partition::{shard_for, shards};
 
     fn vec_for(rank: usize, d: usize) -> Vec<f32> {
         let mut rng = init::rng_from_seed(8000 + rank as u64);
@@ -682,10 +442,9 @@ mod tests {
             x
         });
         let resilient = run_on_group(m * n, |peer| {
-            let mut rp = ResilientPeer::new(peer, CommFaults::new(5), ResiliencePolicy::default());
-            let mut scratch = CommScratch::new();
+            let rp = ResilientPeer::new(peer, CommFaults::new(5), ResiliencePolicy::default());
             let mut x = vec_for(peer.rank(), d);
-            torus_all_reduce_resilient(&mut rp, &mut x, m, n, &mut scratch);
+            torus_all_reduce(&rp, &mut x, m, n);
             assert_eq!(rp.report().drops, 0);
             assert_eq!(rp.report().virtual_delay, 0.0);
             x
@@ -703,10 +462,9 @@ mod tests {
         });
         let reports = run_on_group(m * n, |peer| {
             let faults = CommFaults::new(77).with_drops(0.3);
-            let mut rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
-            let mut scratch = CommScratch::new();
+            let rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
             let mut x = vec_for(peer.rank(), d);
-            torus_all_reduce_resilient(&mut rp, &mut x, m, n, &mut scratch);
+            torus_all_reduce(&rp, &mut x, m, n);
             (x, rp.report())
         });
         let total_drops: u64 = reports.iter().map(|(_, r)| r.drops).sum();
@@ -722,91 +480,215 @@ mod tests {
 
     #[test]
     fn send_and_recv_sides_agree_on_fault_outcomes() {
-        // Global reconciliation: a hop's drops charged at the sender
-        // correspond to waits charged at the receiver, so across the whole
-        // group (total drops > 0) <=> (total virtual delay > 0), and with a
-        // symmetric all-to-all schedule each rank's numbers mirror its
-        // partner's.
-        let p = 4usize;
-        let reports = run_on_group(p, |peer| {
-            let faults = CommFaults::new(13).with_drops(0.5);
-            let mut rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
-            let members: Vec<usize> = (0..p).collect();
-            let mut scratch = CommScratch::new();
-            for round in 0..5 {
-                let mut x = vec_for(round * 10 + rp.rank(), 24);
-                ring_all_reduce_resilient(&mut rp, &mut x, &members, &mut scratch);
-            }
-            rp.report()
-        });
-        let drops: u64 = reports.iter().map(|r| r.drops).sum();
+        // Global reconciliation: every drop charged at a sender is one
+        // timeout + backoff wait charged at its receiver, whatever shape
+        // the message has — a dense ring piece, a forwarded step-(iv)
+        // block, a framed O(k) pair, a gTop-k set, or the empty block a
+        // degraded member sends — so across the group the total delay is
+        // bracketed by the drop count.
+        let (m, n, d, rho) = (2usize, 2usize, 24usize, 0.25f64);
+        let p = m * n;
         let policy = ResiliencePolicy::default();
-        // Every drop causes exactly one timeout+backoff wait at its
-        // receiver; reconstruct the total delay from the drop count bounds.
-        let min_delay = drops as f64 * policy.hop_timeout;
-        let max_delay =
-            drops as f64 * (policy.hop_timeout + policy.backoff * policy.max_retries as f64);
-        let delay: f64 = reports.iter().map(|r| r.virtual_delay).sum();
-        assert!(
-            delay >= min_delay - 1e-9 && delay <= max_delay + 1e-9,
-            "delay {delay} outside [{min_delay}, {max_delay}] for {drops} drops"
-        );
+        for path in ["ring", "hitopk", "oksparse", "gtopk"] {
+            let reports = run_on_group(p, |peer| {
+                let faults = CommFaults::new(13).with_drops(0.5).with_degrade(0.3);
+                let mut rp = ResilientPeer::new(peer, faults, policy);
+                let members: Vec<usize> = (0..p).collect();
+                let shard_len = shard_for(d, n, peer.rank() % n).len();
+                let mut ef = ErrorFeedback::new(if path == "gtopk" { d } else { shard_len });
+                let mut c = SortTopK;
+                let mut scratch = CommScratch::new();
+                for round in 0..5 {
+                    let mut x = vec_for(round * 10 + peer.rank(), d);
+                    match path {
+                        "ring" => ring_all_reduce_scratch(&rp, &mut x, &members, &mut scratch),
+                        "hitopk" => {
+                            hitopk_all_reduce_ef_resilient(
+                                &mut rp,
+                                &mut x,
+                                m,
+                                n,
+                                rho,
+                                &mut c,
+                                &mut ef,
+                                &mut scratch,
+                            );
+                        }
+                        "oksparse" => {
+                            ok_sparse_all_reduce_ef_resilient(
+                                &mut rp,
+                                &mut x,
+                                m,
+                                n,
+                                rho,
+                                &mut c,
+                                &mut ef,
+                                &mut scratch,
+                            );
+                        }
+                        _ => {
+                            gtopk_all_reduce_ef_resilient(
+                                &mut rp,
+                                &mut x,
+                                6,
+                                &mut c,
+                                &mut ef,
+                                &mut scratch,
+                            );
+                        }
+                    }
+                }
+                rp.report()
+            });
+            for (r, rep) in reports.iter().enumerate() {
+                assert_eq!(rep.drops, rep.retries + rep.escalations, "{path} rank {r}");
+            }
+            let drops: u64 = reports.iter().map(|r| r.drops).sum();
+            assert!(drops > 0, "{path}: p=0.5 must drop something");
+            if path != "ring" {
+                let degraded: u64 = reports.iter().map(|r| r.degraded_members).sum();
+                assert!(degraded > 0, "{path}: some member must send an empty block");
+            }
+            let min_delay = drops as f64 * policy.hop_timeout;
+            let max_delay =
+                drops as f64 * (policy.hop_timeout + policy.backoff * policy.max_retries as f64);
+            let delay: f64 = reports.iter().map(|r| r.virtual_delay).sum();
+            assert!(
+                delay >= min_delay - 1e-9 && delay <= max_delay + 1e-9,
+                "{path}: delay {delay} outside [{min_delay}, {max_delay}] for {drops} drops"
+            );
+        }
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Per round: output bits, residual bits and the report (debug form);
+    /// then the contributions the rank degraded.
+    type Run = (Vec<(Vec<u32>, Vec<u32>, String)>, u64);
+
+    /// Runs `rounds` rounds of one collective `path` on every rank of an
+    /// `m × n` group — over a `ResilientPeer` under `faults` when
+    /// `resilient`, otherwise over the plain `Peer` with the plan's
+    /// degradation draws passed to the body as `withhold`.
+    fn run_path(
+        path: &str,
+        (m, n, d): (usize, usize, usize),
+        faults: &CommFaults,
+        resilient: bool,
+    ) -> Vec<Run> {
+        let (rho, rounds) = (0.1f64, 3usize);
+        let k = ((d as f64 * rho).round() as usize).max(1);
+        let sparse = path != "ring" && path != "torus";
+        run_on_group(m * n, |peer| {
+            let mut rp = resilient
+                .then(|| ResilientPeer::new(peer, faults.clone(), ResiliencePolicy::default()));
+            let inter = inter_node_members(grid_pos(peer.rank(), m, n).gpu, m, n);
+            let members: Vec<usize> = (0..m * n).collect();
+            let residual_len = match path {
+                "gtopk" => d,
+                _ => shard_for(d, n, peer.rank() % n).len(),
+            };
+            let mut ef = ErrorFeedback::new(residual_len);
+            let mut c = MsTopK::new(30, 7 + peer.rank() as u64);
+            let mut scratch = CommScratch::new();
+            let mut replayed = 0;
+            let mut out = Vec::new();
+            for round in 0..rounds {
+                let mut x = vec_for(100 * round + peer.rank(), d);
+                let withhold = sparse && faults.member_degraded(round as u64, peer.rank());
+                replayed += u64::from(withhold);
+                let (x, ef, c, scratch) = (&mut x, &mut ef, &mut c, &mut scratch);
+                let report = match (path, rp.as_mut()) {
+                    ("hitopk", Some(rp)) => {
+                        let r = hitopk_all_reduce_ef_resilient(rp, x, m, n, rho, c, ef, scratch);
+                        format!("{r:?}")
+                    }
+                    ("hitopk", None) => {
+                        let r = hitopk_ef_impl(
+                            peer, x, m, n, rho, c, ef, &inter, withhold, scratch, None, HOP_PIECE,
+                        );
+                        format!("{r:?}")
+                    }
+                    ("oksparse", Some(rp)) => {
+                        let r = ok_sparse_all_reduce_ef_resilient(rp, x, m, n, rho, c, ef, scratch);
+                        format!("{r:?}")
+                    }
+                    ("oksparse", None) => {
+                        let r = ok_sparse_impl(peer, x, m, n, rho, c, Some(ef), withhold, scratch);
+                        format!("{r:?}")
+                    }
+                    ("gtopk", Some(rp)) => {
+                        gtopk_all_reduce_ef_resilient(rp, x, k, c, ef, scratch).to_string()
+                    }
+                    ("gtopk", None) => {
+                        let selection = if withhold {
+                            ef.withhold(x);
+                            SparseGrad::empty(d)
+                        } else {
+                            let selection = ef.select(x, k, c);
+                            ef.release(&selection);
+                            selection
+                        };
+                        recursive_doubling(peer, x, selection, k, scratch).to_string()
+                    }
+                    ("ring", Some(rp)) => {
+                        ring_all_reduce_scratch(&*rp, x, &members, scratch);
+                        String::new()
+                    }
+                    ("ring", None) => {
+                        ring_all_reduce_scratch(peer, x, &members, scratch);
+                        String::new()
+                    }
+                    (_, Some(rp)) => {
+                        torus_all_reduce(&*rp, x, m, n);
+                        String::new()
+                    }
+                    (_, None) => {
+                        torus_all_reduce(peer, x, m, n);
+                        String::new()
+                    }
+                };
+                out.push((bits(x), bits(ef.residual()), report));
+            }
+            let degraded = rp.map_or(replayed, |rp| rp.report().degraded_members);
+            (out, degraded)
+        })
     }
 
     #[test]
     fn hitopk_resilient_clean_matches_plain_ef() {
-        let (m, n, d, rho) = (2usize, 2usize, 64usize, 0.1f64);
-        let run_plain = || {
-            run_on_group(m * n, |peer| {
-                let shard_len = shards(d, n)[peer.rank() % n].len();
-                let mut ef = ErrorFeedback::new(shard_len);
-                let mut c = SortTopK;
-                let mut scratch = CommScratch::new();
-                let mut out = Vec::new();
-                for round in 0..3 {
-                    let mut x = vec_for(100 * round + peer.rank(), d);
-                    hitopk_all_reduce_ef_scratch(
-                        peer,
-                        &mut x,
-                        m,
-                        n,
-                        rho,
-                        &mut c,
-                        &mut ef,
-                        &mut scratch,
+        // Faults are virtual: every resilient path over a `ResilientPeer`
+        // computes what the same body computes over a plain `Peer` when
+        // the plan's degradation draws are replayed as `withhold` —
+        // outputs, residuals and reports bit for bit, round after round,
+        // under a clean plan and a hostile one. Shapes: a chunk longer than
+        // one hop piece, a single node, fewer elements than GPUs per node,
+        // and regular grids.
+        let shapes = [
+            (2usize, 2usize, 2 * HOP_PIECE + 7),
+            (1, 4, 50),
+            (2, 4, 3),
+            (2, 4, 240),
+            (4, 2, 1000),
+        ];
+        for shape in shapes {
+            for faults in [CommFaults::new(9), hostile(21)] {
+                for path in ["hitopk", "oksparse", "gtopk", "ring", "torus"] {
+                    let plain = run_path(path, shape, &faults, false);
+                    let resilient = run_path(path, shape, &faults, true);
+                    let what = format!("{path} {shape:?} clean={}", faults.is_clean());
+                    assert!(
+                        plain == resilient,
+                        "{what}: the resilient run left the plain body"
                     );
-                    out.push(x);
+                    let degraded: u64 = resilient.iter().map(|(_, g)| g).sum();
+                    let sparse = path != "ring" && path != "torus";
+                    assert_eq!(degraded > 0, sparse && !faults.is_clean(), "{what}");
                 }
-                (out, ef.residual_norm())
-            })
-        };
-        let run_resilient = || {
-            run_on_group(m * n, |peer| {
-                let mut rp =
-                    ResilientPeer::new(peer, CommFaults::new(9), ResiliencePolicy::default());
-                let shard_len = shards(d, n)[peer.rank() % n].len();
-                let mut ef = ErrorFeedback::new(shard_len);
-                let mut c = SortTopK;
-                let mut scratch = CommScratch::new();
-                let mut out = Vec::new();
-                for round in 0..3 {
-                    let mut x = vec_for(100 * round + peer.rank(), d);
-                    hitopk_all_reduce_ef_resilient(
-                        &mut rp,
-                        &mut x,
-                        m,
-                        n,
-                        rho,
-                        &mut c,
-                        &mut ef,
-                        &mut scratch,
-                    );
-                    out.push(x);
-                }
-                (out, ef.residual_norm())
-            })
-        };
-        assert_eq!(run_plain(), run_resilient());
+            }
+        }
     }
 
     #[test]

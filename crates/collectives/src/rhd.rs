@@ -9,7 +9,7 @@
 
 use cloudtrain_tensor::ops;
 
-use crate::group::Peer;
+use crate::group::{Peer, Transport};
 
 /// Recursive halving-doubling AllReduce over the whole group: on return
 /// every rank's `x` holds the element-wise sum.

@@ -1,10 +1,11 @@
 //! Ring collectives over an arbitrary member subset.
 //!
-//! Every function takes a `members` slice — the global ranks participating,
-//! in a fixed order shared by all callers — and the calling peer must be one
-//! of them. Sub-communicators are therefore just rank lists: the 2D-torus
-//! and hierarchical algorithms pass "the GPUs of my node" or "the j-th GPU
-//! of every node".
+//! Every function runs over a [`Transport`] — a clean `Peer` or a
+//! `ResilientPeer` charging each message against a fault plan — and takes a
+//! `members` slice: the global ranks participating, in a fixed order shared
+//! by all callers, the calling peer among them. Sub-communicators are
+//! therefore just rank lists: the 2D-torus and hierarchical algorithms pass
+//! "the GPUs of my node" or "the j-th GPU of every node".
 //!
 //! Chunking follows `cloudtrain_tensor::partition`: member `r` (by position
 //! in `members`) ends a ReduceScatter owning shard `r`, matching Eq. (4) of
@@ -14,12 +15,13 @@
 //! pipeline of [`ops::REDUCE_BLOCK`]-element pieces (DESIGN.md §6.6): the
 //! receiver folds each piece in while it is still in cache, and no
 //! shard-sized wire buffer ever exists. Piecing changes neither the member
-//! schedule nor the order in which any element is reduced.
+//! schedule nor the order in which any element is reduced. Over a
+//! `ResilientPeer` each piece is one message, so it is one fault draw.
 
 use cloudtrain_tensor::ops;
 use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 
-use crate::group::Peer;
+use crate::group::Transport;
 use crate::scratch::CommScratch;
 
 /// Elements per hop piece: one [`ops::REDUCE_BLOCK`] (256 KB of `f32`), so
@@ -45,7 +47,11 @@ pub(crate) fn member_index(members: &[usize], rank: usize) -> usize {
 ///
 /// Cost: `P-1` steps, each transferring `d/P` elements — Eq. (7) with
 /// per-byte volume `(P-1) d/P`.
-pub fn ring_reduce_scatter(peer: &Peer, x: &mut [f32], members: &[usize]) -> Shard {
+pub fn ring_reduce_scatter<T: Transport + ?Sized>(
+    peer: &T,
+    x: &mut [f32],
+    members: &[usize],
+) -> Shard {
     ring_reduce_scatter_scratch(peer, x, members, &mut CommScratch::new())
 }
 
@@ -57,8 +63,8 @@ pub fn ring_reduce_scatter(peer: &Peer, x: &mut [f32], members: &[usize]) -> Sha
 /// received, so the pool's flow is balanced, steady-state iterations
 /// allocate nothing, and the arena never holds more than piece-sized
 /// buffers.
-pub fn ring_reduce_scatter_scratch(
-    peer: &Peer,
+pub fn ring_reduce_scatter_scratch<T: Transport + ?Sized>(
+    peer: &T,
     x: &mut [f32],
     members: &[usize],
     scratch: &mut CommScratch,
@@ -88,8 +94,8 @@ pub fn ring_reduce_scatter_scratch(
 /// chunk through the drain — comes back `+0.0`, ready for a sparse
 /// AllGather to scatter into. On a ring of one the fold is local:
 /// `residual += x`, `x` zeroed.
-pub(crate) fn ring_reduce_scatter_ef(
-    peer: &Peer,
+pub(crate) fn ring_reduce_scatter_ef<T: Transport + ?Sized>(
+    peer: &T,
     x: &mut [f32],
     members: &[usize],
     residual: &mut [f32],
@@ -128,8 +134,8 @@ pub(crate) fn ring_reduce_scatter_ef(
 /// hop. Returns the ones that arrived last — as many as the member brought,
 /// so recycling them keeps the pool's flow balanced. Every member must
 /// bring the same number of blocks.
-pub(crate) fn ring_all_gather_blocks(
-    peer: &Peer,
+pub(crate) fn ring_all_gather_blocks<T: Transport + ?Sized>(
+    peer: &T,
     x: &mut [f32],
     members: &[usize],
     mut values: Vec<Vec<f32>>,
@@ -160,14 +166,14 @@ pub(crate) fn ring_all_gather_blocks(
 /// holds all shards.
 ///
 /// Cost: `P-1` steps of `d/P` elements each.
-pub fn ring_all_gather(peer: &Peer, x: &mut [f32], members: &[usize]) {
+pub fn ring_all_gather<T: Transport + ?Sized>(peer: &T, x: &mut [f32], members: &[usize]) {
     ring_all_gather_scratch(peer, x, members, &mut CommScratch::new());
 }
 
 /// [`ring_all_gather`] drawing its send buffers from `scratch` (pieced
 /// hops, take one, recycle one — see [`ring_reduce_scatter_scratch`]).
-pub fn ring_all_gather_scratch(
-    peer: &Peer,
+pub fn ring_all_gather_scratch<T: Transport + ?Sized>(
+    peer: &T,
     x: &mut [f32],
     members: &[usize],
     scratch: &mut CommScratch,
@@ -204,8 +210,8 @@ type LastFold<'a> = &'a mut dyn FnMut(usize, &mut [f32], &[f32]);
 /// previous one has arrived, so no member runs more than `p - 1` pieces
 /// ahead of another and at most that many buffers are in flight per link.
 #[allow(clippy::too_many_arguments)]
-fn ring_pass_pieced(
-    peer: &Peer,
+fn ring_pass_pieced<T: Transport + ?Sized>(
+    peer: &T,
     x: &mut [f32],
     members: &[usize],
     scratch: &mut CommScratch,
@@ -256,13 +262,13 @@ fn ring_pass_pieced(
 
 /// Ring AllReduce = ReduceScatter + AllGather. On return every member's `x`
 /// holds the element-wise sum over all members.
-pub fn ring_all_reduce(peer: &Peer, x: &mut [f32], members: &[usize]) {
+pub fn ring_all_reduce<T: Transport + ?Sized>(peer: &T, x: &mut [f32], members: &[usize]) {
     ring_all_reduce_scratch(peer, x, members, &mut CommScratch::new());
 }
 
 /// [`ring_all_reduce`] drawing all per-hop buffers from `scratch`.
-pub fn ring_all_reduce_scratch(
-    peer: &Peer,
+pub fn ring_all_reduce_scratch<T: Transport + ?Sized>(
+    peer: &T,
     x: &mut [f32],
     members: &[usize],
     scratch: &mut CommScratch,
@@ -278,7 +284,11 @@ pub fn ring_all_reduce_scratch(
 /// 12–13), where each member contributes exactly `k` values and `k` indices.
 /// Implemented as a ring pipeline: `P-1` steps forwarding the youngest
 /// block.
-pub fn all_gather_f32(peer: &Peer, mine: &[f32], members: &[usize]) -> Vec<Vec<f32>> {
+pub fn all_gather_f32<T: Transport + ?Sized>(
+    peer: &T,
+    mine: &[f32],
+    members: &[usize],
+) -> Vec<Vec<f32>> {
     all_gather_f32_scratch(peer, mine, members, &mut CommScratch::new())
 }
 
@@ -287,8 +297,8 @@ pub fn all_gather_f32(peer: &Peer, mine: &[f32], members: &[usize]) -> Vec<Vec<f
 /// Ownership contract: the returned blocks belong to the caller; to keep
 /// the pool balanced across iterations the caller should `put_f32` each
 /// block back once consumed (the hierarchical collectives do).
-pub fn all_gather_f32_scratch(
-    peer: &Peer,
+pub fn all_gather_f32_scratch<T: Transport + ?Sized>(
+    peer: &T,
     mine: &[f32],
     members: &[usize],
     scratch: &mut CommScratch,
@@ -332,8 +342,8 @@ pub fn all_gather_f32_scratch(
 ///
 /// Ownership contract as in [`all_gather_f32_scratch`]: the caller recycles
 /// each returned pair (`put_f32` + `put_u32`) once consumed.
-pub fn all_gather_pairs_scratch(
-    peer: &Peer,
+pub fn all_gather_pairs_scratch<T: Transport + ?Sized>(
+    peer: &T,
     values: &[f32],
     indices: &[u32],
     members: &[usize],
@@ -376,14 +386,18 @@ pub(crate) fn unframe_pair(block: Vec<u32>, scratch: &mut CommScratch) -> (Vec<f
 }
 
 /// AllGather of index payloads (see [`all_gather_f32`]).
-pub fn all_gather_u32(peer: &Peer, mine: &[u32], members: &[usize]) -> Vec<Vec<u32>> {
+pub fn all_gather_u32<T: Transport + ?Sized>(
+    peer: &T,
+    mine: &[u32],
+    members: &[usize],
+) -> Vec<Vec<u32>> {
     all_gather_u32_scratch(peer, mine, members, &mut CommScratch::new())
 }
 
 /// [`all_gather_u32`] drawing its block copies from `scratch` (ownership
 /// contract as in [`all_gather_f32_scratch`]).
-pub fn all_gather_u32_scratch(
-    peer: &Peer,
+pub fn all_gather_u32_scratch<T: Transport + ?Sized>(
+    peer: &T,
     mine: &[u32],
     members: &[usize],
     scratch: &mut CommScratch,
@@ -417,6 +431,7 @@ pub fn all_gather_u32_scratch(
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
+    use crate::group::Peer;
 
     pub(crate) fn reduce_scatter(peer: &Peer, x: &mut [f32], members: &[usize]) -> Shard {
         let p = members.len();
@@ -459,7 +474,7 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::run_on_group;
+    use crate::group::{run_on_group, Peer};
     use cloudtrain_tensor::init;
     use proptest::prelude::*;
 

@@ -1,7 +1,7 @@
 //! `CommScratch` — a reusable buffer arena for the collective hot path.
 //!
 //! Every ring message of the collectives in this crate needs a fresh owned
-//! buffer: [`crate::group::Peer::send_f32`] transfers ownership of the
+//! buffer: [`crate::group::Transport::send_f32`] transfers ownership of the
 //! payload, so a hop must copy what it sends into a `Vec` it can give
 //! away. The seed implementation allocated that `Vec` on every hop
 //! (`slice.to_vec()` / `block.clone()`), which at 25M-parameter scale means

@@ -38,19 +38,16 @@
 //!
 //! Three entry points: [`ok_sparse_all_reduce`], [`ok_sparse_all_reduce_ef`]
 //! (error feedback at the sparsification point) and
-//! [`ok_sparse_all_reduce_ef_resilient`] (every hop over a
+//! [`ok_sparse_all_reduce_ef_resilient`] (the same body over a
 //! [`ResilientPeer`]; bitwise equal to the EF path under a clean plan).
 
 use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
 use cloudtrain_tensor::ops;
 use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 
-use crate::group::Peer;
+use crate::group::{Peer, Transport};
 use crate::hierarchical::{pair_wire_bytes, scatter_and_all_gather, shard_k};
-use crate::resilience::{
-    all_gather_f32_resilient, all_gather_u32_resilient, ring_reduce_scatter_resilient,
-    scatter_and_all_gather_resilient, ResilientPeer,
-};
+use crate::resilience::ResilientPeer;
 use crate::ring::{
     all_gather_pairs_scratch, frame_pair, member_index, ring_reduce_scatter_scratch, unframe_pair,
 };
@@ -157,14 +154,15 @@ fn merge_and_extract(
     (merged_vals, merged_idxs)
 }
 
-/// The split → merge → AllGather core of the plain and EF paths.
-/// `selection` is this member's (possibly empty) shard-relative
-/// contribution over a `shard_len`-element shard; `inter` fixes both the
-/// member order of the reduction and the partition ownership. Returns the
-/// gathered merged lists as value and index blocks in member order — each
-/// strictly ascending, their ranges disjoint — for step (iv) to scatter.
-fn aggregate_selection(
-    peer: &Peer,
+/// The split → merge → AllGather core of every O(k) path, over whichever
+/// transport the caller holds. `selection` is this member's (possibly
+/// empty) shard-relative contribution over a `shard_len`-element shard;
+/// `inter` fixes both the member order of the reduction and the partition
+/// ownership. Returns the gathered merged lists as value and index blocks
+/// in member order — each strictly ascending, their ranges disjoint — for
+/// step (iv) to scatter.
+fn aggregate_selection<T: Transport + ?Sized>(
+    peer: &T,
     shard_len: usize,
     selection: &SparseGrad,
     inter: &[usize],
@@ -213,15 +211,20 @@ fn ok_sparse_wire_bytes(stats: &AggregateStats, q: usize) -> usize {
     pair_wire_bytes(stats.split_entries_sent) + pair_wire_bytes(stats.merged_len) * (q - 1)
 }
 
+/// The one body of every O(k) path, over whichever transport the caller
+/// holds. With error feedback, a member that `withhold`s its contribution
+/// (a degraded fault draw) keeps its whole reduced shard in the residual
+/// and sends an empty selection; without it, `withhold` is ignored.
 #[allow(clippy::too_many_arguments)]
-fn ok_sparse_impl<C: Compressor + ?Sized>(
-    peer: &Peer,
+pub(crate) fn ok_sparse_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
+    peer: &T,
     x: &mut [f32],
     m: usize,
     n: usize,
     rho: f64,
     compressor: &mut C,
     ef: Option<&mut ErrorFeedback>,
+    withhold: bool,
     scratch: &mut CommScratch,
 ) -> OkSparseReport {
     assert_eq!(peer.size(), m * n, "ok_sparse_all_reduce: group is not m*n");
@@ -241,9 +244,14 @@ fn ok_sparse_impl<C: Compressor + ?Sized>(
                 shard.len(),
                 "ok_sparse_all_reduce_ef: residual must match the shard"
             );
-            let sel = ef.select(shard.slice(x), k, compressor);
-            ef.release(&sel);
-            sel
+            if withhold {
+                ef.withhold(shard.slice(x));
+                SparseGrad::empty(shard.len())
+            } else {
+                let sel = ef.select(shard.slice(x), k, compressor);
+                ef.release(&sel);
+                sel
+            }
         }
         None => compressor.compress(shard.slice(x), k),
     };
@@ -308,6 +316,7 @@ pub fn ok_sparse_all_reduce<C: Compressor + ?Sized>(
         rho,
         compressor,
         None,
+        false,
         &mut CommScratch::new(),
     )
 }
@@ -337,64 +346,19 @@ pub fn ok_sparse_all_reduce_ef<C: Compressor + ?Sized>(
         rho,
         compressor,
         Some(ef),
+        false,
         &mut CommScratch::new(),
     )
 }
 
-/// The split → merge → AllGather core over a [`ResilientPeer`]: every hop
-/// charged through the fault plan and retry policy. The payloads always
-/// arrive (drops cost retries, not data), so with any plan the gathered
-/// blocks match the plain core's bitwise.
-fn aggregate_selection_resilient(
-    rp: &mut ResilientPeer,
-    shard_len: usize,
-    selection: &SparseGrad,
-    inter: &[usize],
-    scratch: &mut CommScratch,
-) -> (AggregateStats, Vec<Vec<f32>>, Vec<Vec<u32>>) {
-    let q = inter.len();
-    let me_ord = member_index(inter, rp.rank());
-    let ranges = shards(shard_len, q);
-
-    let parts = split_by_owner(selection, &ranges, scratch);
-    let split_entries_sent = selection.values.len() - parts.0[me_ord].len();
-    for t in (0..q).filter(|&t| t != me_ord) {
-        let frame = frame_pair(&parts.0[t], &parts.1[t], scratch);
-        rp.send_u32(inter[t], frame);
-    }
-
-    let (merged_vals, merged_idxs) = merge_and_extract(
-        parts,
-        me_ord,
-        ranges[me_ord],
-        |t| rp.recv_u32(inter[t]),
-        scratch,
-    );
-    let merged_len = merged_vals.len();
-
-    // The resilient gathers are the crate's paired-variant-free ones; the
-    // gathered *values* match the pairs gather's bitwise, only the message
-    // framing differs.
-    let value_blocks = all_gather_f32_resilient(rp, &merged_vals, inter, scratch);
-    let index_blocks = all_gather_u32_resilient(rp, &merged_idxs, inter, scratch);
-    scratch.put_f32(merged_vals);
-    scratch.put_u32(merged_idxs);
-
-    let stats = AggregateStats {
-        split_entries_sent,
-        merged_len,
-    };
-    (stats, value_blocks, index_blocks)
-}
-
-/// Resilient O(k) sparse allreduce with error feedback: every hop walks the
-/// drop ladder, and a member whose contribution misses its deadline (per
-/// the fault plan, decided identically on all ranks at the sparsification
-/// point) transmits an empty selection — its whole compensated shard stays
-/// in the residual and is re-injected next invocation. With a clean plan
-/// the result is bitwise identical to [`ok_sparse_all_reduce_ef`]. Its
-/// intra-node hops stay whole dense chunks, step (iv) included, because the
-/// fault plan draws per message.
+/// O(k) sparse allreduce with error feedback over a [`ResilientPeer`]:
+/// [`ok_sparse_all_reduce_ef`]'s body with every message walking the drop
+/// ladder, and a member whose contribution misses its deadline (per the
+/// fault plan, decided identically on all ranks) transmits an empty
+/// selection — its whole reduced shard stays in the residual and is
+/// re-injected next invocation. Drops are virtual, so output, residual and
+/// report are those of the body over a plain `Peer` given the same
+/// degradation draws.
 ///
 /// # Panics
 /// Panics if the group size is not `m * n` or the residual dimension does
@@ -410,46 +374,9 @@ pub fn ok_sparse_all_reduce_ef_resilient<C: Compressor + ?Sized>(
     ef: &mut ErrorFeedback,
     scratch: &mut CommScratch,
 ) -> OkSparseReport {
-    assert_eq!(rp.size(), m * n, "ok_sparse_all_reduce: group is not m*n");
-    let d = x.len();
     let instance = rp.begin_instance();
-    let pos = grid_pos(rp.rank(), m, n);
-    let intra = intra_node_members(pos.node, n);
-    let inter = inter_node_members(pos.gpu, m, n);
-
-    let shard = ring_reduce_scatter_resilient(rp, x, &intra, scratch);
-    assert_eq!(
-        ef.dim(),
-        shard.len(),
-        "ok_sparse_all_reduce_ef: residual must match the shard"
-    );
-
-    let k = shard_k(d, n, rho).min(shard.len());
-    // Degradation at the sparsification point, exactly as in the hitopk
-    // twin: a degraded member selects nothing and withholds its whole shard
-    // in the residual.
-    let selection: SparseGrad = if rp.contribution_degraded(instance) {
-        ef.withhold(shard.slice(x));
-        SparseGrad::empty(shard.len())
-    } else {
-        let selection = ef.select(shard.slice(x), k, compressor);
-        ef.release(&selection);
-        selection
-    };
-
-    let (stats, value_blocks, index_blocks) =
-        aggregate_selection_resilient(rp, shard.len(), &selection, &inter, scratch);
-    let inter_bytes_sent = ok_sparse_wire_bytes(&stats, inter.len());
-
-    let shard_nonzeros =
-        scatter_and_all_gather_resilient(rp, x, &intra, value_blocks, index_blocks, scratch);
-
-    OkSparseReport {
-        k_per_shard: k,
-        merged_len: stats.merged_len,
-        shard_nonzeros,
-        inter_bytes_sent,
-    }
+    let withhold = rp.contribution_degraded(instance);
+    ok_sparse_impl(&*rp, x, m, n, rho, compressor, Some(ef), withhold, scratch)
 }
 
 #[cfg(test)]
@@ -713,7 +640,8 @@ mod tests {
             let mut out = Vec::new();
             for round in 0..3 {
                 let mut x = vec_for(50 * round + peer.rank(), d);
-                let rep = ok_sparse_impl(peer, &mut x, m, n, rho, &mut c, None, &mut scratch);
+                let rep =
+                    ok_sparse_impl(peer, &mut x, m, n, rho, &mut c, None, false, &mut scratch);
                 out.push((x, rep));
             }
             out
@@ -728,11 +656,11 @@ mod tests {
             let mut scratch = CommScratch::new();
             let mut c = SortTopK;
             let mut x = vec_for(peer.rank(), d);
-            ok_sparse_impl(peer, &mut x, m, n, rho, &mut c, None, &mut scratch);
+            ok_sparse_impl(peer, &mut x, m, n, rho, &mut c, None, false, &mut scratch);
             let warm = scratch.misses();
             for round in 1..4 {
                 let mut y = vec_for(50 * round + peer.rank(), d);
-                ok_sparse_impl(peer, &mut y, m, n, rho, &mut c, None, &mut scratch);
+                ok_sparse_impl(peer, &mut y, m, n, rho, &mut c, None, false, &mut scratch);
             }
             (warm, scratch.misses())
         });

@@ -15,7 +15,7 @@
 
 use cloudtrain_tensor::partition::shard_for;
 
-use crate::group::Peer;
+use crate::group::Transport;
 use crate::ring::{ring_all_gather, ring_all_reduce, ring_reduce_scatter};
 
 /// Grid coordinates of a rank.
@@ -53,9 +53,13 @@ pub fn inter_node_members(j: usize, m: usize, n: usize) -> Vec<usize> {
 /// 2D-Torus AllReduce over the full `m × n` group: on return every rank's
 /// `x` holds the element-wise sum over all `m * n` ranks.
 ///
+/// Over a `ResilientPeer` this is the dense baseline under the retry
+/// ladder: dense traffic never degrades, so the sum is exact whatever the
+/// fault plan, and the peer's report shows what the BSP barrier paid.
+///
 /// # Panics
 /// Panics if the group size is not `m * n`.
-pub fn torus_all_reduce(peer: &Peer, x: &mut [f32], m: usize, n: usize) {
+pub fn torus_all_reduce<T: Transport + ?Sized>(peer: &T, x: &mut [f32], m: usize, n: usize) {
     assert_eq!(peer.size(), m * n, "torus_all_reduce: group is not m*n");
     let pos = grid_pos(peer.rank(), m, n);
     let intra = intra_node_members(pos.node, n);

@@ -12,7 +12,7 @@
 
 use cloudtrain_tensor::ops;
 
-use crate::group::Peer;
+use crate::group::{Peer, Transport};
 
 /// Binomial-tree reduce of `x` to the member at position 0 of `order`,
 /// followed by a binomial broadcast back to all members. `pos` is the

@@ -8,9 +8,10 @@
 //! * **dense-sum** — dense paths match the sequential left-fold sum within
 //!   [`DENSE_TOL`] (the two sides add in different orders, so equality is
 //!   up to FP32 re-association, never structural);
-//! * **retry-exactness** — resilient variants under drop faults (no
-//!   degradation) are *bitwise* equal to their clean counterparts: the
-//!   retry ladder must deliver identical bytes;
+//! * **retry-exactness** — resilient runs (the collective over a
+//!   `ResilientPeer`) under drop faults (no degradation) are *bitwise*
+//!   equal to their clean counterparts: the retry ladder must deliver
+//!   identical bytes;
 //! * **oracle-equivalence** — sparse paths match a reference that replays
 //!   the algorithm's data flow sequentially with identically-seeded
 //!   compressor replicas, within [`SPARSE_TOL`];
@@ -35,11 +36,10 @@ use cloudtrain_collectives::reorder::{
     hitopk_all_reduce_ef_reordered, ring_all_reduce_reordered, torus_all_reduce_reordered,
 };
 use cloudtrain_collectives::resilience::{
-    gtopk_all_reduce_ef_resilient, hitopk_all_reduce_ef_resilient, ring_all_reduce_resilient,
-    torus_all_reduce_resilient,
+    gtopk_all_reduce_ef_resilient, hitopk_all_reduce_ef_resilient,
 };
 use cloudtrain_collectives::rhd::rhd_all_reduce;
-use cloudtrain_collectives::ring::ring_all_reduce;
+use cloudtrain_collectives::ring::{ring_all_reduce, ring_all_reduce_scratch};
 use cloudtrain_collectives::sparse_allreduce::{
     ok_sparse_all_reduce, ok_sparse_all_reduce_ef, ok_sparse_all_reduce_ef_resilient,
 };
@@ -323,13 +323,13 @@ fn run_dense_resilient(c: &OracleCase, ck: &mut Checks) {
     let faulted = || {
         run_on_group(p, |peer| {
             let faults = CommFaults::new(seed).with_drops(drops);
-            let mut rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
             let mut scratch = CommScratch::new();
             let mut x = grad_for(seed, peer.rank(), d);
             let members: Vec<usize> = (0..p).collect();
             match name.as_str() {
-                "ring_res" => ring_all_reduce_resilient(&mut rp, &mut x, &members, &mut scratch),
-                _ => torus_all_reduce_resilient(&mut rp, &mut x, m, n, &mut scratch),
+                "ring_res" => ring_all_reduce_scratch(&rp, &mut x, &members, &mut scratch),
+                _ => torus_all_reduce(&rp, &mut x, m, n),
             }
             x
         })

@@ -8,14 +8,13 @@
 //! PTO), and determinism is end-to-end: replicas stay bitwise identical
 //! across workers, which the test suite asserts.
 
-use cloudtrain_collectives::group::run_on_group;
+use cloudtrain_collectives::group::{run_on_group, Transport};
 use cloudtrain_collectives::gtopk::gtopk_all_reduce_scratch;
 use cloudtrain_collectives::hierarchical::{hitopk_all_reduce_ef_traced, sparse_all_reduce_naive};
 use cloudtrain_collectives::quantized::quantized_all_reduce;
 use cloudtrain_collectives::reorder::{hitopk_all_reduce_ef_reordered, torus_all_reduce_reordered};
 use cloudtrain_collectives::resilience::{
-    gtopk_all_reduce_ef_resilient, hitopk_all_reduce_ef_resilient, torus_all_reduce_resilient,
-    ResilienceReport,
+    gtopk_all_reduce_ef_resilient, hitopk_all_reduce_ef_resilient, ResilienceReport,
 };
 use cloudtrain_collectives::ring::all_gather_f32;
 use cloudtrain_collectives::torus::torus_all_reduce;
@@ -176,8 +175,9 @@ pub struct DistConfig {
     /// Master seed (model init, data, compressor randomness).
     pub seed: u64,
     /// Communication fault schedule; `None` trains on the clean plane.
-    /// When set, `DenseTorus`, `MsTopKHiTopK` and `GTopK` route through the
-    /// resilient collectives (other strategies keep the clean path).
+    /// When set, `DenseTorus` runs over a `ResilientPeer` and
+    /// `MsTopKHiTopK` and `GTopK` through the resilient sparse entry points
+    /// (other strategies keep the clean path).
     pub faults: Option<FaultConfig>,
     /// How per-layer gradients are grouped into collectives on the dense
     /// aggregation paths (see [`FusionMode`]). Sparse strategies always
@@ -645,7 +645,13 @@ impl DistTrainer {
                         fp16_wire(&mut grads);
                     }
 
-                    // Aggregate.
+                    // Aggregate. Dense bodies run over one transport: the
+                    // fault-charging peer when a plan is set, else the
+                    // plain one.
+                    let transport: &dyn Transport = match &resilient {
+                        Some(rp) => rp,
+                        None => peer,
+                    };
                     match strategy {
                         Strategy::DenseTreeAr => {
                             let members: Vec<usize> = (0..peer.size()).collect();
@@ -670,15 +676,14 @@ impl DistTrainer {
                             let whole = [cloudtrain_dnn::model::ParamRange { offset: 0, len: d }];
                             for s in spans.as_deref().unwrap_or(&whole) {
                                 let g = &mut grads[s.offset..s.offset + s.len];
-                                if let Some(rp) = resilient.as_mut() {
-                                    // Retry ladder: dense traffic always
-                                    // arrives, so the sum stays exact under
-                                    // any drop rate.
-                                    torus_all_reduce_resilient(rp, g, m, n, &mut scratch);
-                                } else if let Some(order) = node_order.as_deref() {
-                                    torus_all_reduce_reordered(peer, g, m, n, order);
-                                } else {
-                                    torus_all_reduce(peer, g, m, n);
+                                match (&resilient, node_order.as_deref()) {
+                                    (None, Some(order)) => {
+                                        torus_all_reduce_reordered(peer, g, m, n, order);
+                                    }
+                                    // Under a fault plan, the retry ladder:
+                                    // dense traffic always arrives, so the
+                                    // sum stays exact under any drop rate.
+                                    _ => torus_all_reduce(transport, g, m, n),
                                 }
                             }
                         }

@@ -246,10 +246,16 @@ pub fn check(
         }
     }
     // Bucketed execution drives the same collective through the fusion
-    // bucket scheduler; the tag is claimed by the base entry.
-    for base in ["tree", "torus"] {
+    // bucket scheduler, and a resilient dense run is the same collective
+    // over a fault-charging transport; the base entry claims both tags.
+    for (base, variant) in [
+        ("tree", "bucketed"),
+        ("torus", "bucketed"),
+        ("ring", "res"),
+        ("torus", "res"),
+    ] {
         if claimed.contains(base) {
-            claimed.insert(format!("{base}_bucketed"));
+            claimed.insert(format!("{base}_{variant}"));
         }
     }
 

@@ -64,7 +64,9 @@ pub const RULE_DOCS: &[(&str, &str)] = &[
          _deadline/_reordered/_traced) and its base \
          collective. The twin's call skeleton must equal the base's modulo \
          the suffix's declared rewrite set (see crates/lint/src/twins.rs \
-         REWRITES). A finding means a hop or stage exists in one variant \
+         REWRITES); a _resilient twin runs the base's body over a \
+         fault-charging transport, so its set is only the degradation \
+         draw. A finding means a hop or stage exists in one variant \
          but not the other - usually a fix applied to the base and \
          forgotten in a twin. Fix: port the change to the twin; if the \
          divergence is intentional, extend the suffix's reviewed rewrite \

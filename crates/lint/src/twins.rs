@@ -8,6 +8,12 @@
 //! difference, statically, instead of waiting for a differential test seed
 //! to hit it.
 //!
+//! Most twins are by now thin entries into their base's one body. A
+//! `_resilient` entry runs the body over a fault-charging `ResilientPeer`
+//! transport, so its rewrite set is only the degradation draw it hands the
+//! body; the deadline ring ReduceScatter is the last twin with hops of its
+//! own.
+//!
 //! The comparison model:
 //! 1. **Discovery** — for every non-test fn in a twin crate whose name
 //!    ends in known suffixes, strip suffixes right-to-left until the
@@ -22,7 +28,7 @@
 //!    member lists — which ranks a stage talks to is an argument, not a
 //!    stage). Callee names are normalised first: twin suffixes are
 //!    stripped (`ring_reduce_scatter_scratch` and
-//!    `ring_reduce_scatter_resilient` are the same hop) and declared
+//!    `ring_reduce_scatter_deadline` are the same hop) and declared
 //!    aliases rewritten (error feedback's `select` ≡ `compress`).
 //! 3. **Delegation inlining** — a body whose significant skeleton is a
 //!    single resolvable same-crate call (`hitopk_all_reduce_ef` →
@@ -136,24 +142,13 @@ const REWRITES: &[Rewrite] = &[
         removes: &[],
     },
     Rewrite {
-        // Retry-ladder twins add fault bookkeeping and may degrade a
-        // contribution to an empty selection, withholding it in the
-        // residual; the O(k) family's framed pairs gather is replaced by
-        // the resilient per-type gathers; and step (iv) reassembles with
-        // the dense ring AllGather instead of forwarding the gathered
-        // blocks, because the fault plan draws per message.
+        // A resilient entry point is its base's body over a fault-charging
+        // transport: it numbers the sparse contribution and draws its
+        // degradation, and gTop-k's withholds a degraded contribution in
+        // the residual before the exchange.
         suffix: "resilient",
-        adds: &[
-            "begin_instance",
-            "contribution_degraded",
-            "empty",
-            "withhold",
-            "all_gather_f32",
-            "all_gather_u32",
-            "report",
-            "ring_all_gather",
-        ],
-        removes: &["all_gather_pairs", "ring_all_gather_blocks"],
+        adds: &["begin_instance", "contribution_degraded", "withhold"],
+        removes: &[],
     },
     Rewrite {
         // Deadline twins charge each hop (or a sparse contribution's
