@@ -6,7 +6,6 @@ use std::hint::black_box;
 
 use cloudtrain::collectives::group::run_on_group;
 use cloudtrain::collectives::hierarchical::hitopk_all_reduce;
-use cloudtrain::collectives::rhd::rhd_all_reduce;
 use cloudtrain::collectives::ring::ring_all_reduce;
 use cloudtrain::collectives::torus::torus_all_reduce;
 use cloudtrain::collectives::tree::tree_all_reduce;
@@ -44,15 +43,6 @@ fn bench_collectives(c: &mut Criterion) {
                 run_on_group(WORLD, |peer| {
                     let mut x = data_for(peer.rank(), d);
                     tree_all_reduce(peer, &mut x, &members);
-                    black_box(x[0])
-                })
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("rhd_all_reduce", d), &d, |b, &d| {
-            b.iter(|| {
-                run_on_group(WORLD, |peer| {
-                    let mut x = data_for(peer.rank(), d);
-                    rhd_all_reduce(peer, &mut x);
                     black_box(x[0])
                 })
             })

@@ -56,8 +56,8 @@ pub fn shard_k(d: usize, n: usize, rho: f64) -> usize {
 /// Wire bytes a member pays to broadcast `selection` to the other
 /// `group_len - 1` members of a sparse AllGather group.
 ///
-/// Every hitopk-family variant (plain, reordered, resilient, deadline) and
-/// the flat NaiveAG account their `inter_bytes_sent` through
+/// Every hitopk-family variant (plain, reordered, resilient) and the flat
+/// NaiveAG account their `inter_bytes_sent` through
 /// this one expression, so identical traffic always reports identical
 /// bytes — the conformance differential test pins it.
 pub fn group_wire_bytes(selection: &SparseGrad, group_len: usize) -> usize {
@@ -195,52 +195,14 @@ pub fn hitopk_all_reduce<C: Compressor + ?Sized>(
     rho: f64,
     compressor: &mut C,
 ) -> HiTopKReport {
-    hitopk_all_reduce_scratch(peer, x, m, n, rho, compressor, &mut CommScratch::new())
+    hitopk_impl(peer, x, m, n, rho, compressor, &mut CommScratch::new())
 }
 
-/// [`hitopk_all_reduce`] drawing every communication buffer from `scratch`.
-///
-/// All four communication steps run through the pooled collectives, and the
-/// gathered value/index blocks go back to the pool once step (iv) is done
-/// with them, so each steady-state invocation is allocation-free on the
-/// wire path (the compressor's selection is the only remaining allocation).
-pub fn hitopk_all_reduce_scratch<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    scratch: &mut CommScratch,
-) -> HiTopKReport {
-    hitopk_impl(peer, x, m, n, rho, compressor, scratch, None)
-}
-
-/// [`hitopk_all_reduce_scratch`] with per-stage spans and counters recorded
-/// into `reg`.
-///
-/// The correctness plane has no clock, so spans are charged in *logical
-/// work units* (elements touched per stage: `d` for each intra-node step,
-/// the shard length for selection, `2·m·k̃` for the inter-node gather).
-/// The resulting breakdown has the same shape as the
-/// performance plane's Fig. 8 decomposition and is byte-stable across runs.
-/// Instrumentation does not perturb the aggregation: the traced variant is
-/// bitwise-identical to the plain one.
-#[allow(clippy::too_many_arguments)]
-pub fn hitopk_all_reduce_traced<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    scratch: &mut CommScratch,
-    reg: &mut Registry,
-) -> HiTopKReport {
-    hitopk_impl(peer, x, m, n, rho, compressor, scratch, Some(reg))
-}
-
-#[allow(clippy::too_many_arguments)]
+/// [`hitopk_all_reduce`]'s body, drawing every communication buffer from
+/// `scratch`. All four steps run through the pooled collectives and the
+/// gathered blocks go back to the pool after step (iv), so a reused
+/// `scratch` makes each steady-state invocation allocation-free on the
+/// wire path.
 fn hitopk_impl<C: Compressor + ?Sized>(
     peer: &Peer,
     x: &mut [f32],
@@ -249,7 +211,6 @@ fn hitopk_impl<C: Compressor + ?Sized>(
     rho: f64,
     compressor: &mut C,
     scratch: &mut CommScratch,
-    mut reg: Option<&mut Registry>,
 ) -> HiTopKReport {
     assert_eq!(peer.size(), m * n, "hitopk_all_reduce: group is not m*n");
     let d = x.len();
@@ -258,39 +219,24 @@ fn hitopk_impl<C: Compressor + ?Sized>(
     let inter = inter_node_members(pos.gpu, m, n);
 
     // Step 1: intra-node dense ReduceScatter (fast links).
-    let span = obs::span_begin(&mut reg, "hitopk/intra reduce-scatter");
     let shard = ring_reduce_scatter_scratch(peer, x, &intra, scratch);
-    obs::span_end(&mut reg, span, d as f64);
     debug_assert_eq!(shard, shard_for(d, n, pos.gpu));
 
     // Step 2: top-k on the node-local dense sum of my shard.
     let k = shard_k(d, n, rho).min(shard.len());
-    let span = obs::span_begin(&mut reg, "hitopk/top-k compression");
     let selection: SparseGrad = compressor.compress(shard.slice(x), k);
-    obs::span_end(&mut reg, span, shard.len() as f64);
 
     // Step 3: inter-node AllGather of values and indices (stream `gpu`).
-    let span = obs::span_begin(&mut reg, "hitopk/inter all-gather");
     let value_blocks = all_gather_f32_scratch(peer, &selection.values, &inter, scratch);
     let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
     let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
-    obs::span_end(&mut reg, span, (2 * m * k) as f64);
 
     // Step 4: index-wise accumulation into the zeroed shard, and the
     // intra-node AllGather reassembling the (sparse-aggregated) full
     // vector. The ReduceScatter left partial sums outside the shard.
-    let span = obs::span_begin(&mut reg, "hitopk/intra all-gather");
     ops::fill(x, 0.0);
     let shard_nonzeros =
         scatter_and_all_gather(peer, x, &intra, value_blocks, index_blocks, scratch);
-    obs::span_end(&mut reg, span, d as f64);
-
-    if let Some(reg) = reg.as_mut() {
-        reg.counter_add("hitopk/invocations", 1);
-        reg.counter_add("hitopk/inter_bytes_sent", inter_bytes_sent as u64);
-        reg.counter_add("hitopk/shard_nonzeros", shard_nonzeros as u64);
-        reg.gauge_set("hitopk/k_per_shard", k as f64);
-    }
 
     HiTopKReport {
         k_per_shard: k,
@@ -326,7 +272,8 @@ pub fn hitopk_all_reduce_ef<C: Compressor + ?Sized>(
 }
 
 /// [`hitopk_all_reduce_ef`] drawing every communication buffer from
-/// `scratch` (see [`hitopk_all_reduce_scratch`]).
+/// `scratch`: a reused arena makes each steady-state invocation
+/// allocation-free on the wire path.
 ///
 /// The error feedback rides the ReduceScatter: its last hop folds each
 /// arriving piece of the node-local sum straight into the residual and
@@ -356,8 +303,15 @@ pub fn hitopk_all_reduce_ef_scratch<C: Compressor + ?Sized>(
 }
 
 /// [`hitopk_all_reduce_ef_scratch`] with per-stage spans and counters
-/// recorded into `reg` (see [`hitopk_all_reduce_traced`] for the span
-/// names and the logical work-unit clock).
+/// recorded into `reg`.
+///
+/// The correctness plane has no clock, so spans are charged in *logical
+/// work units* (elements touched per stage: `d` for each intra-node step,
+/// the shard length for selection, `2·m·k̃` for the inter-node gather).
+/// The resulting breakdown has the same shape as the performance plane's
+/// Fig. 8 decomposition and is byte-stable across runs. Instrumentation
+/// does not perturb the aggregation: the traced entry point is bitwise
+/// identical to the untraced one.
 #[allow(clippy::too_many_arguments)]
 pub fn hitopk_all_reduce_ef_traced<C: Compressor + ?Sized>(
     peer: &Peer,
@@ -677,21 +631,27 @@ mod tests {
 
     #[test]
     fn scratch_variant_is_bitwise_identical_to_plain() {
+        // A fresh arena per call against one arena reused across rounds:
+        // recycled buffers must not change a bit.
         let (m, n, d, rho) = (2usize, 4usize, 300usize, 0.05f64);
-        let plain = run_on_group(m * n, |peer| {
-            let mut x = vec_for(peer.rank(), d);
-            let mut c = MsTopK::new(25, peer.rank() as u64);
-            let rep = hitopk_all_reduce(peer, &mut x, m, n, rho, &mut c);
-            (x, rep)
-        });
-        let scratched = run_on_group(m * n, |peer| {
-            let mut scratch = CommScratch::new();
-            let mut x = vec_for(peer.rank(), d);
-            let mut c = MsTopK::new(25, peer.rank() as u64);
-            let rep = hitopk_all_reduce_scratch(peer, &mut x, m, n, rho, &mut c, &mut scratch);
-            (x, rep)
-        });
-        assert_eq!(plain, scratched);
+        let run = |reuse: bool| {
+            run_on_group(m * n, move |peer| {
+                let mut scratch = CommScratch::new();
+                let mut c = MsTopK::new(25, peer.rank() as u64);
+                let mut out = Vec::new();
+                for round in 0..3 {
+                    let mut x = vec_for(100 * round + peer.rank(), d);
+                    let rep = if reuse {
+                        hitopk_impl(peer, &mut x, m, n, rho, &mut c, &mut scratch)
+                    } else {
+                        hitopk_all_reduce(peer, &mut x, m, n, rho, &mut c)
+                    };
+                    out.push((x, rep));
+                }
+                out
+            })
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]
@@ -726,48 +686,6 @@ mod tests {
             })
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn traced_variant_is_bitwise_identical_and_records_stages() {
-        let (m, n, d, rho) = (2usize, 4usize, 300usize, 0.05f64);
-        let plain = run_on_group(m * n, |peer| {
-            let mut scratch = CommScratch::new();
-            let mut x = vec_for(peer.rank(), d);
-            let mut c = MsTopK::new(25, peer.rank() as u64);
-            let rep = hitopk_all_reduce_scratch(peer, &mut x, m, n, rho, &mut c, &mut scratch);
-            (x, rep)
-        });
-        let traced = run_on_group(m * n, |peer| {
-            let mut scratch = CommScratch::new();
-            let mut reg = Registry::new();
-            let mut x = vec_for(peer.rank(), d);
-            let mut c = MsTopK::new(25, peer.rank() as u64);
-            let rep =
-                hitopk_all_reduce_traced(peer, &mut x, m, n, rho, &mut c, &mut scratch, &mut reg);
-            scratch.publish_obs(&mut reg);
-            ((x, rep), reg)
-        });
-        let k = shard_k(d, n, rho);
-        for ((p, (t, reg)), peer_rank) in plain.iter().zip(&traced).zip(0..) {
-            assert_eq!(p, t, "rank {peer_rank}: tracing perturbed the result");
-            // Four stages, charged in logical work units, zero-gap.
-            assert_eq!(reg.spans().len(), 4);
-            assert_eq!(reg.span_total("hitopk/intra reduce-scatter"), d as f64);
-            assert_eq!(reg.span_total("hitopk/top-k compression") as usize, d / n);
-            assert_eq!(
-                reg.span_total("hitopk/inter all-gather"),
-                (2 * m * k) as f64
-            );
-            assert_eq!(reg.span_total("hitopk/intra all-gather"), d as f64);
-            assert_eq!(reg.counter("hitopk/invocations"), 1);
-            assert_eq!(
-                reg.counter("hitopk/inter_bytes_sent") as usize,
-                t.1.inter_bytes_sent
-            );
-            assert_eq!(reg.gauge("hitopk/k_per_shard"), Some(k as f64));
-            assert!(reg.counter("scratch/f32_takes") > 0);
-        }
     }
 
     #[test]
@@ -820,17 +738,80 @@ mod tests {
     }
 
     #[test]
+    fn traced_variant_is_bitwise_identical_and_records_stages() {
+        let (m, n, d, rho) = (2usize, 4usize, 300usize, 0.05f64);
+        let run = |trace: bool| {
+            run_on_group(m * n, move |peer| {
+                let shard_len = shards(d, n)[peer.rank() % n].len();
+                let mut ef = cloudtrain_compress::ErrorFeedback::new(shard_len);
+                let mut c = MsTopK::new(25, peer.rank() as u64);
+                let mut scratch = CommScratch::new();
+                let mut reg = Registry::new();
+                let mut x = vec_for(peer.rank(), d);
+                let rep = if trace {
+                    hitopk_all_reduce_ef_traced(
+                        peer,
+                        &mut x,
+                        m,
+                        n,
+                        rho,
+                        &mut c,
+                        &mut ef,
+                        &mut scratch,
+                        &mut reg,
+                    )
+                } else {
+                    hitopk_all_reduce_ef_scratch(
+                        peer,
+                        &mut x,
+                        m,
+                        n,
+                        rho,
+                        &mut c,
+                        &mut ef,
+                        &mut scratch,
+                    )
+                };
+                scratch.publish_obs(&mut reg);
+                ((x, rep, ef.residual_norm()), reg)
+            })
+        };
+        let plain = run(false);
+        let traced = run(true);
+        let k = shard_k(d, n, rho);
+        for (((p, _), (t, reg)), peer_rank) in plain.iter().zip(&traced).zip(0..) {
+            assert_eq!(p, t, "rank {peer_rank}: tracing perturbed the result");
+            // Four stages, charged in logical work units, zero-gap.
+            assert_eq!(reg.spans().len(), 4);
+            assert_eq!(reg.span_total("hitopk/intra reduce-scatter"), d as f64);
+            assert_eq!(reg.span_total("hitopk/top-k compression") as usize, d / n);
+            assert_eq!(
+                reg.span_total("hitopk/inter all-gather"),
+                (2 * m * k) as f64
+            );
+            assert_eq!(reg.span_total("hitopk/intra all-gather"), d as f64);
+            assert_eq!(reg.counter("hitopk/invocations"), 1);
+            assert_eq!(
+                reg.counter("hitopk/inter_bytes_sent") as usize,
+                t.1.inter_bytes_sent
+            );
+            assert_eq!(reg.gauge("hitopk/k_per_shard"), Some(k as f64));
+            assert!(reg.counter("scratch/f32_takes") > 0);
+        }
+    }
+
+    #[test]
     fn hitopk_reaches_zero_miss_steady_state() {
         let (m, n, d, rho) = (2usize, 4usize, 240usize, 0.05f64);
         let miss_growth = run_on_group(m * n, |peer| {
             let mut scratch = CommScratch::new();
             let mut c = SortTopK;
             let mut x = vec_for(peer.rank(), d);
-            hitopk_all_reduce_scratch(peer, &mut x, m, n, rho, &mut c, &mut scratch);
+            hitopk_impl(peer, &mut x, m, n, rho, &mut c, &mut scratch);
             let warm = scratch.misses();
             for round in 1..4 {
                 let mut y = vec_for(50 * round + peer.rank(), d);
-                hitopk_all_reduce_scratch(peer, &mut y, m, n, rho, &mut c, &mut scratch);
+                hitopk_impl(peer, &mut y, m, n, rho, &mut c, &mut scratch);
             }
             (warm, scratch.misses())
         });
@@ -1136,8 +1117,7 @@ mod tests {
                 let mut scratch = CommScratch::new();
                 let mut x = vec_for(peer.rank(), d);
                 let mut y = x.clone();
-                let rep =
-                    hitopk_all_reduce_scratch(peer, &mut x, m, n, rho, &mut SortTopK, &mut scratch);
+                let rep = hitopk_impl(peer, &mut x, m, n, rho, &mut SortTopK, &mut scratch);
 
                 let pos = grid_pos(peer.rank(), m, n);
                 let intra = intra_node_members(pos.node, n);

@@ -25,8 +25,6 @@
 //! * [`gtopk`] — gTop-k recursive-doubling sparse AllReduce (Shi et al.
 //!   2019, cited in §6).
 //! * [`quantized`] — AllReduce of QSGD/TernGrad/sign-quantized gradients.
-//! * [`rhd`] — recursive halving-doubling AllReduce (the classic
-//!   latency-optimal MPI algorithm).
 //! * [`primitives`] — rooted Broadcast/Reduce (parameter seeding, metric
 //!   collection).
 //! * [`scratch`] — the [`CommScratch`] buffer arena backing the
@@ -37,18 +35,16 @@
 //!   [`resilience::ResilientPeer`], the [`group::Transport`] that charges
 //!   every message a timeout/retry/backoff ladder; the plain collectives
 //!   run over it unchanged, and its three sparse entry points add graceful
-//!   degradation (empty sparse blocks, safe under error feedback) to
-//!   HiTopKComm, O(k) and gTop-k.
+//!   degradation (a contribution that misses its deadline is an empty
+//!   sparse block, safe under error feedback) to HiTopKComm, O(k) and
+//!   gTop-k. The lateness-vs-budget tail model itself lives in
+//!   `cloudtrain-simnet` (`SimResilience::deadline_bounded`).
 //! * [`reorder`] — topology-probed rank reordering: a pairwise α–β cost
-//!   model, a seeded deterministic ring-order optimizer, and the ring /
-//!   torus / HiTopKComm collectives run over a permuted member list
-//!   (bitwise identical under the identity order).
-//! * [`deadline`] — deadline-bounded collectives: per-hop budgets derived
-//!   from probed α/β; late dense chunks are discarded (partial
-//!   aggregates), late sparse contributions degrade to empty blocks under
-//!   error feedback (bitwise identical to the plain twins on clean runs).
-//!   The sparse one, like the reordered HiTopKComm, is a call into
-//!   [`hierarchical`]'s one error-feedback body.
+//!   model, a seeded deterministic ring-order optimizer, and the torus /
+//!   HiTopKComm collectives run over a permuted node order (bitwise
+//!   identical under the identity order). A flat ring needs no twin for
+//!   this: [`ring::ring_all_reduce`] takes its member list in visiting
+//!   order.
 //! * [`sparse_allreduce`] — the **O(k) sparse allreduce** (Li & Hoefler,
 //!   PPoPP 2022): balanced index partitioning plus split-and-merge
 //!   reduction replaces HiTopKComm's `O(m·k̃)` inter-node AllGather with an
@@ -64,7 +60,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod deadline;
 pub mod group;
 pub mod gtopk;
 pub mod hierarchical;
@@ -72,14 +67,12 @@ pub mod primitives;
 pub mod quantized;
 pub mod reorder;
 pub mod resilience;
-pub mod rhd;
 pub mod ring;
 pub mod scratch;
 pub mod sparse_allreduce;
 pub mod torus;
 pub mod tree;
 
-pub use deadline::{DeadlineFaults, DeadlinePolicy, DeadlineReport};
 pub use group::{Group, Peer};
 pub use reorder::{optimize_ring_order, PairCost};
 pub use resilience::{CommFaults, ResiliencePolicy, ResilienceReport, ResilientPeer};

@@ -11,12 +11,13 @@
 //!    or built by hand,
 //! 2. a seeded local-search optimizer ([`optimize_ring_order`]) minimizing
 //!    the directed ring cost over node permutations,
-//! 3. the dense and sparse collectives over a permuted member list
-//!    ([`ring_all_reduce_reordered`], [`torus_all_reduce_reordered`],
-//!    [`hitopk_all_reduce_ef_reordered`]): each runs its plain
-//!    collective's *identical* schedule — HiTopKComm's through its one
-//!    error-feedback body — so with the identity order they are
-//!    bitwise-identical to their natural twins.
+//! 3. the hierarchical collectives over a permuted node order
+//!    ([`torus_all_reduce_reordered`], [`hitopk_all_reduce_ef_reordered`]):
+//!    each runs its plain collective's *identical* schedule — HiTopKComm's
+//!    through its one error-feedback body — so with the identity order
+//!    they are bitwise-identical to their natural twins. A flat ring needs
+//!    no twin: [`ring_all_reduce`] already visits its member list in the
+//!    order given.
 //!
 //! The optimizer is a pure function of `(cost, bytes, seed)`: greedy
 //! position swaps to a local optimum from a handful of seeded restarts,
@@ -197,18 +198,6 @@ pub fn inter_members_ordered(j: usize, node_order: &[usize], n: usize) -> Vec<us
     node_order.iter().map(|&i| i * n + j).collect()
 }
 
-/// Ring AllReduce over `members` visited in `order` (a permutation of
-/// member *positions*). With the identity order this is exactly
-/// [`ring_all_reduce`] — bitwise identical.
-///
-/// # Panics
-/// Panics unless `order` is a permutation of `0..members.len()`.
-pub fn ring_all_reduce_reordered(peer: &Peer, x: &mut [f32], members: &[usize], order: &[usize]) {
-    assert_valid_order(order, members.len());
-    let reordered: Vec<usize> = order.iter().map(|&i| members[i]).collect();
-    ring_all_reduce(peer, x, &reordered);
-}
-
 /// 2D-Torus AllReduce with the inter-node rings visiting nodes in
 /// `node_order`. The schedule is [`crate::torus::torus_all_reduce`]'s —
 /// only the phase-2 ring order changes — so the identity order is bitwise
@@ -348,32 +337,15 @@ mod tests {
     }
 
     #[test]
-    fn reordered_ring_identity_is_bitwise_identical() {
-        let (p, d) = (4usize, 53usize);
-        let members: Vec<usize> = (0..p).collect();
-        let identity: Vec<usize> = (0..p).collect();
-        let plain = run_on_group(p, |peer| {
-            let mut x = vec_for(peer.rank(), d);
-            ring_all_reduce(peer, &mut x, &members);
-            x
-        });
-        let reordered = run_on_group(p, |peer| {
-            let mut x = vec_for(peer.rank(), d);
-            ring_all_reduce_reordered(peer, &mut x, &members, &identity);
-            x
-        });
-        assert_eq!(plain, reordered);
-    }
-
-    #[test]
     fn reordered_ring_still_sums_under_a_permutation() {
+        // The ring visits its member list in the order given, so a
+        // permuted list is the reordered ring.
         let (p, d) = (4usize, 37usize);
-        let members: Vec<usize> = (0..p).collect();
-        let order = vec![2usize, 0, 3, 1];
+        let permuted = vec![2usize, 0, 3, 1];
         let expect = expected_sum(p, d);
         let results = run_on_group(p, |peer| {
             let mut x = vec_for(peer.rank(), d);
-            ring_all_reduce_reordered(peer, &mut x, &members, &order);
+            ring_all_reduce(peer, &mut x, &permuted);
             x
         });
         for (r, x) in results.iter().enumerate() {

@@ -64,11 +64,10 @@ pub struct CommFaults {
     /// Per-instance probability that a member's sparse contribution misses
     /// its deadline and degrades to an empty block.
     pub degrade_prob: f64,
-    /// Ranks living on straggler nodes: their contributions miss deadlines
-    /// with [`CommFaults::straggler_degrade_prob`] instead.
-    pub stragglers: Vec<usize>,
-    /// Elevated degradation probability of straggler ranks.
-    pub straggler_degrade_prob: f64,
+    /// `(rank, prob)` pairs for ranks living on straggler nodes: each
+    /// one's contributions miss deadlines with its own `prob` instead of
+    /// [`CommFaults::degrade_prob`].
+    pub stragglers: Vec<(usize, f64)>,
 }
 
 impl CommFaults {
@@ -79,7 +78,6 @@ impl CommFaults {
             drop_prob: 0.0,
             degrade_prob: 0.0,
             stragglers: Vec::new(),
-            straggler_degrade_prob: 0.0,
         }
     }
 
@@ -102,11 +100,11 @@ impl CommFaults {
     /// Marks `rank` as living on a straggler node, degrading with
     /// probability `prob` (typically well above the baseline, but below 1
     /// so the rank's gradient mass still escapes via error feedback).
+    /// Marking the same rank again replaces its probability.
     #[must_use]
     pub fn straggle(mut self, rank: usize, prob: f64) -> Self {
         assert!((0.0..=1.0).contains(&prob), "straggler prob out of [0,1]");
-        self.stragglers.push(rank);
-        self.straggler_degrade_prob = prob;
+        self.stragglers.push((rank, prob));
         self
     }
 
@@ -132,13 +130,13 @@ impl CommFaults {
     }
 
     /// Whether `member`'s contribution to collective instance `instance`
-    /// misses its deadline (straggler ranks use the elevated probability).
+    /// misses its deadline (a straggler rank uses its own probability).
     pub fn member_degraded(&self, instance: u64, member: usize) -> bool {
-        let prob = if self.stragglers.contains(&member) {
-            self.straggler_degrade_prob
-        } else {
-            self.degrade_prob
-        };
+        let prob = self
+            .stragglers
+            .iter()
+            .rfind(|(rank, _)| *rank == member)
+            .map_or(self.degrade_prob, |&(_, prob)| prob);
         prob > 0.0 && unit(hash3(self.seed ^ DEGRADE_SALT, instance, member as u64)) < prob
     }
 }
@@ -431,6 +429,21 @@ mod tests {
             .with_drops(0.05)
             .with_degrade(0.2)
             .straggle(1, 0.6)
+    }
+
+    #[test]
+    fn each_straggler_degrades_at_its_own_probability() {
+        let faults = CommFaults::new(21).straggle(1, 0.9).straggle(2, 0.1);
+        let mut degraded = [0usize; 4];
+        for instance in 0..2_000 {
+            for (member, count) in degraded.iter_mut().enumerate() {
+                *count += usize::from(faults.member_degraded(instance, member));
+            }
+        }
+        // Expected 1,800 and 200; the non-stragglers never degrade.
+        assert!(degraded[1] > 1_600, "{degraded:?}");
+        assert!(degraded[2] < 300, "{degraded:?}");
+        assert_eq!((degraded[0], degraded[3]), (0, 0), "{degraded:?}");
     }
 
     #[test]

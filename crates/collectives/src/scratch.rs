@@ -28,7 +28,7 @@
 //!
 //! Callers of the variable-payload gathers ([`crate::ring::all_gather_f32_scratch`])
 //! own the returned blocks and must `put` them back once consumed —
-//! [`crate::hierarchical::hitopk_all_reduce_scratch`] does so after its
+//! [`crate::hierarchical::hitopk_all_reduce_ef_scratch`] does so after its
 //! scatter-accumulate — otherwise the pool re-allocates every iteration.
 
 use std::fmt;

@@ -1,16 +1,15 @@
-//! Differential tests: the torus (2D-Torus, §2.2) and recursive
-//! halving-doubling AllReduce implementations are checked **against the
-//! ring AllReduce** on the same per-rank payloads — two independent
-//! implementations agreeing (and both agreeing with the sequential sum)
-//! is much stronger evidence than either matching a hand-derived value.
+//! Differential tests: the torus AllReduce (2D-Torus, §2.2) is checked
+//! **against the ring AllReduce** on the same per-rank payloads — two
+//! independent implementations agreeing (and both agreeing with the
+//! sequential sum) is much stronger evidence than either matching a
+//! hand-derived value.
 //!
 //! Topology edge cases the proptest sweeps rarely pin down get named
 //! tests: non-power-of-two worlds, single-node (`m = 1`) and
-//! single-GPU-per-node (`n = 1`) degenerate torus grids, the trivial
-//! 1-rank world, and the rhd power-of-two precondition.
+//! single-GPU-per-node (`n = 1`) degenerate torus grids, and the trivial
+//! 1-rank world.
 
 use cloudtrain_collectives::group::run_on_group;
-use cloudtrain_collectives::rhd::rhd_all_reduce;
 use cloudtrain_collectives::ring::ring_all_reduce;
 use cloudtrain_collectives::torus::torus_all_reduce;
 use cloudtrain_tensor::{init, ops};
@@ -84,19 +83,6 @@ fn run_torus(m: usize, n: usize, d: usize, seed: u64) {
     assert_matches_ring(&results, &data, &format!("torus {m}x{n} d={d}"));
 }
 
-fn run_rhd(p: usize, d: usize, seed: u64) {
-    let data = per_rank_data(p, d, seed);
-    let results = {
-        let data = data.clone();
-        run_on_group(p, move |peer| {
-            let mut x = data[peer.rank()].clone();
-            rhd_all_reduce(peer, &mut x);
-            x
-        })
-    };
-    assert_matches_ring(&results, &data, &format!("rhd p={p} d={d}"));
-}
-
 // ---- torus vs ring: named topology edge cases --------------------------
 
 #[test]
@@ -129,27 +115,6 @@ fn torus_matches_ring_when_vector_shorter_than_world() {
     run_torus(3, 4, 5, 0xD1FF_0005);
 }
 
-// ---- rhd vs ring: power-of-two worlds and the precondition -------------
-
-#[test]
-fn rhd_matches_ring_on_power_of_two_worlds() {
-    for p in [1usize, 2, 4, 8, 16] {
-        run_rhd(p, 333, 0xD1FF_0010 ^ p as u64);
-    }
-}
-
-#[test]
-fn rhd_matches_ring_when_vector_shorter_than_world() {
-    // d < p: halving produces empty exchange windows on some rounds.
-    run_rhd(8, 3, 0xD1FF_0011);
-}
-
-#[test]
-#[should_panic]
-fn rhd_rejects_non_power_of_two_world() {
-    run_rhd(3, 64, 0xD1FF_0012);
-}
-
 // ---- randomized differential sweep -------------------------------------
 
 proptest! {
@@ -164,15 +129,5 @@ proptest! {
         seed in 0u64..1000,
     ) {
         run_torus(m, n, d, seed);
-    }
-
-    /// rhd ≡ ring for arbitrary power-of-two worlds and payload lengths.
-    #[test]
-    fn rhd_vs_ring_differential(
-        logp in 0u32..4,
-        d in 1usize..300,
-        seed in 0u64..1000,
-    ) {
-        run_rhd(1 << logp, d, seed);
     }
 }

@@ -1,22 +1,19 @@
 //! Differential wire-byte accounting across the HiTopKComm variant family.
 //!
-//! Every hitopk twin — staged, traced, reordered, resilient, and
-//! deadline-bounded — moves exactly the same inter-node traffic when the
-//! faults are clean and the node order is the identity. They all charge
+//! Every hitopk twin — staged, traced, reordered and resilient — moves
+//! exactly the same inter-node traffic when the faults are clean and the
+//! node order is the identity. They all charge
 //! that traffic through one shared helper
 //! (`group_wire_bytes(selection, g) == pair_wire_bytes(k) * (g - 1)`), so
 //! a divergence here means a variant grew its own byte math again.
 
-use cloudtrain_collectives::deadline::hitopk_all_reduce_ef_deadline;
 use cloudtrain_collectives::group::run_on_group;
 use cloudtrain_collectives::hierarchical::{
     hitopk_all_reduce_ef_scratch, hitopk_all_reduce_ef_traced, pair_wire_bytes, HiTopKReport,
 };
 use cloudtrain_collectives::reorder::hitopk_all_reduce_ef_reordered;
 use cloudtrain_collectives::resilience::hitopk_all_reduce_ef_resilient;
-use cloudtrain_collectives::{
-    CommFaults, CommScratch, DeadlineFaults, DeadlinePolicy, ResiliencePolicy, ResilientPeer,
-};
+use cloudtrain_collectives::{CommFaults, CommScratch, ResiliencePolicy, ResilientPeer};
 use cloudtrain_compress::exact::SortTopK;
 use cloudtrain_compress::ErrorFeedback;
 use cloudtrain_obs::Registry;
@@ -74,20 +71,11 @@ fn all_hitopk_variants_report_identical_wire_bytes_for_identical_traffic() {
         let mut rp = ResilientPeer::new(peer, CommFaults::new(7), ResiliencePolicy::default());
         hitopk_all_reduce_ef_resilient(&mut rp, x, M, N, RHO, c, ef, scratch)
     });
-    let deadline = reports_of(&|peer, x, c, ef, scratch| {
-        let faults = DeadlineFaults::new(7);
-        let policy = DeadlinePolicy::from_link(5e-5, 4e-10, 1 << 20, 1.5);
-        let (rep, drep) =
-            hitopk_all_reduce_ef_deadline(peer, x, M, N, RHO, c, ef, 0, &faults, &policy, scratch);
-        assert_eq!(drep.missed, 0, "clean deadline run must not miss");
-        rep
-    });
 
     for (name, variant) in [
         ("traced", &traced),
         ("reordered", &reordered),
         ("resilient", &resilient),
-        ("deadline", &deadline),
     ] {
         assert_eq!(
             variant, &staged,

@@ -10,7 +10,7 @@
 //!
 //! Parsing is *checked*: unknown collectives/properties/compressors, missing
 //! keys, malformed numbers, and shape constraints the collectives would
-//! panic on (RHD and gTop-k need power-of-two worlds, torus needs
+//! panic on (gTop-k needs a power-of-two world, torus needs
 //! `size == m·n` by construction) are reported as `Err` with the line
 //! number, never as a panic inside the harness.
 
@@ -86,19 +86,15 @@ pub const ORACLE_COLLECTIVES: &[&str] = &[
     "ring",
     "tree",
     "torus",
-    "rhd",
     "tree_bucketed",
     "torus_bucketed",
     "ring_res",
     "torus_res",
-    "ring_reordered",
     "torus_reordered",
-    "ring_deadline",
     "hitopk",
     "hitopk_ef",
     "hitopk_ef_res",
     "hitopk_ef_reordered",
-    "hitopk_ef_deadline",
     "gtopk",
     "gtopk_ef_res",
     "naiveag",
@@ -290,7 +286,7 @@ fn parse_oracle(name: &str, kv: &Kv) -> Result<OracleCase, String> {
         }
     }
     let p = c.m * c.n;
-    let needs_pow2 = matches!(c.collective.as_str(), "rhd" | "gtopk" | "gtopk_ef_res");
+    let needs_pow2 = matches!(c.collective.as_str(), "gtopk" | "gtopk_ef_res");
     if needs_pow2 && !p.is_power_of_two() {
         return Err(format!(
             "{} needs a power-of-two world, got {p}",
@@ -303,7 +299,6 @@ fn parse_oracle(name: &str, kv: &Kv) -> Result<OracleCase, String> {
             | "hitopk_ef"
             | "hitopk_ef_res"
             | "hitopk_ef_reordered"
-            | "hitopk_ef_deadline"
             | "gtopk"
             | "gtopk_ef_res"
             | "naiveag"
@@ -324,18 +319,9 @@ fn parse_oracle(name: &str, kv: &Kv) -> Result<OracleCase, String> {
             c.collective
         ));
     }
-    let resilient = c.collective.ends_with("_res");
-    let deadline = c.collective.ends_with("_deadline");
-    if deadline && c.drops > 0.0 {
+    if !c.collective.ends_with("_res") && (c.drops > 0.0 || c.degrade > 0.0) {
         return Err(format!(
-            "`{}` takes degrade= (lateness jitter), not drops= — a deadline \
-             never retransmits",
-            c.collective
-        ));
-    }
-    if !resilient && !deadline && (c.drops > 0.0 || c.degrade > 0.0) {
-        return Err(format!(
-            "`{}` is not a resilient variant; drops=/degrade= only apply to *_res and *_deadline",
+            "`{}` is not a resilient variant; drops=/degrade= only apply to *_res",
             c.collective
         ));
     }
@@ -438,8 +424,6 @@ meta perm comp=dgc d=4096 k=64 seed=9
             "oracle hitopk_ef_res m=2 n=2 d=64 rho=0.1 comp=dgc seed=5 drops=0.1 degrade=0.2",
             "oracle tree_bucketed m=2 n=3 d=96 rho=0.05 comp=- seed=4",
             "oracle ring_res m=2 n=3 d=64 rho=0.05 comp=- seed=3 drops=0.2",
-            "oracle ring_deadline m=2 n=3 d=64 rho=0.05 comp=- seed=3 degrade=0.3",
-            "oracle hitopk_ef_deadline m=2 n=2 d=64 rho=0.1 comp=dgc seed=5 degrade=0.4",
             "oracle torus_reordered m=2 n=3 d=96 rho=0.05 comp=- seed=6",
             "oracle oksparse m=3 n=2 d=300 rho=0.1 comp=mstopk seed=8",
             "oracle oksparse_ef m=2 n=4 d=512 rho=0.05 comp=dgc seed=9",
@@ -458,7 +442,7 @@ meta perm comp=dgc d=4096 k=64 seed=9
     #[test]
     fn rejects_bad_lines() {
         for (line, why) in [
-            ("oracle rhd m=3 n=1 d=16 seed=1", "non-pow2 rhd"),
+            ("oracle rhd m=2 n=2 d=16 seed=1", "retired rhd collective"),
             (
                 "oracle hitopk m=2 n=2 d=16 seed=1 comp=-",
                 "sparse without comp",
@@ -484,11 +468,19 @@ meta perm comp=dgc d=4096 k=64 seed=9
                 "drops on non-resilient",
             ),
             (
-                "oracle ring_deadline m=2 n=2 d=16 seed=1 drops=0.5",
-                "drops on deadline variant",
+                "oracle ring_deadline m=2 n=2 d=16 seed=1 degrade=0.5",
+                "retired deadline collective",
             ),
             (
-                "oracle ring_reordered m=2 n=2 d=16 seed=1 degrade=0.5",
+                "oracle hitopk_ef_deadline m=2 n=2 d=16 rho=0.1 comp=dgc seed=1 degrade=0.5",
+                "retired sparse deadline collective",
+            ),
+            (
+                "oracle ring_reordered m=2 n=2 d=16 seed=1",
+                "retired reordered ring",
+            ),
+            (
+                "oracle torus_reordered m=2 n=2 d=16 seed=1 degrade=0.5",
                 "degrade on reordered variant",
             ),
             (

@@ -86,7 +86,6 @@ pub fn expand_fuzz(count: usize, seed: u64) -> Vec<Case> {
         "ring",
         "tree",
         "torus",
-        "rhd",
         "hitopk",
         "hitopk_ef",
         "gtopk",
@@ -97,9 +96,9 @@ pub fn expand_fuzz(count: usize, seed: u64) -> Vec<Case> {
     let comps = ["sorttopk", "quicktopk", "mstopk", "dgc", "randomk"];
     for i in 0..count {
         let name = collectives[pick(&mut rng, collectives.len())];
-        // RHD and gTop-k need a power-of-two world; others take any grid.
+        // gTop-k needs a power-of-two world; others take any grid.
         let (m, n) = match name {
-            "rhd" | "gtopk" => {
+            "gtopk" => {
                 let m = 1usize << pick(&mut rng, 3);
                 let n = 1usize << pick(&mut rng, 3);
                 (m, n)
@@ -118,7 +117,7 @@ pub fn expand_fuzz(count: usize, seed: u64) -> Vec<Case> {
             n,
             d,
             rho,
-            comp: if matches!(name, "ring" | "tree" | "torus" | "rhd") {
+            comp: if matches!(name, "ring" | "tree" | "torus") {
                 "-".to_string()
             } else {
                 comp.to_string()

@@ -19,26 +19,23 @@
 //!   telescoped identity `Σ_t Σ_i compensated_{i}(t) = Σ_t aggregated(t) +
 //!   Σ_i residual_i(T)` holds elementwise within [`LEDGER_TOL`], including
 //!   for degraded members (whose whole compensated shard must survive in
-//!   their residual).
+//!   their residual);
+//! * **degraded** — a resilient error-feedback run with a nonzero
+//!   degradation probability withholds at least one contribution, so its
+//!   ledger is checked across steps that really skipped mass.
 
 use std::collections::BTreeSet;
 
-use cloudtrain_collectives::deadline::{
-    hitopk_all_reduce_ef_deadline, ring_all_reduce_deadline, DeadlineFaults, DeadlinePolicy,
-};
 use cloudtrain_collectives::group::run_on_group;
 use cloudtrain_collectives::gtopk::gtopk_all_reduce;
 use cloudtrain_collectives::hierarchical::{
     hitopk_all_reduce, hitopk_all_reduce_ef, shard_k, sparse_all_reduce_naive,
 };
 use cloudtrain_collectives::quantized::quantized_all_reduce;
-use cloudtrain_collectives::reorder::{
-    hitopk_all_reduce_ef_reordered, ring_all_reduce_reordered, torus_all_reduce_reordered,
-};
+use cloudtrain_collectives::reorder::{hitopk_all_reduce_ef_reordered, torus_all_reduce_reordered};
 use cloudtrain_collectives::resilience::{
     gtopk_all_reduce_ef_resilient, hitopk_all_reduce_ef_resilient,
 };
-use cloudtrain_collectives::rhd::rhd_all_reduce;
 use cloudtrain_collectives::ring::{ring_all_reduce, ring_all_reduce_scratch};
 use cloudtrain_collectives::sparse_allreduce::{
     ok_sparse_all_reduce, ok_sparse_all_reduce_ef, ok_sparse_all_reduce_ef_resilient,
@@ -76,21 +73,6 @@ pub const EF_ITERS: usize = 2;
 
 /// QSGD positive levels used by the harness (8-bit codes).
 pub const QSGD_LEVELS: u8 = 127;
-
-/// Probed clean inter-node α the deadline runners size budgets from (a
-/// tencent-like fabric: 50 µs per-message latency).
-pub const DEADLINE_ALPHA: f64 = 5e-5;
-
-/// Probed clean inter-node per-byte transfer time (~25 Gbps effective).
-pub const DEADLINE_BETA: f64 = 4e-10;
-
-/// Deadline budget multiplier: 5% headroom above the probed clean hop, so
-/// corpus lateness jitter (the `degrade` knob) reliably produces misses
-/// while a clean plan never can (`mult ≥ 1` covers the clean time).
-pub const DEADLINE_MULT: f64 = 1.05;
-
-/// Seconds of lateness jitter per unit of the corpus `degrade` knob.
-const DEADLINE_JITTER_SCALE: f64 = 1e-3;
 
 /// MSTopK threshold-search iterations (the paper's N = 30).
 const MSTOPK_SAMPLINGS: usize = 30;
@@ -168,15 +150,13 @@ fn node_sums(seed: u64, m: usize, n: usize, d: usize) -> Vec<Vec<f32>> {
 pub fn run(index: usize, case: &OracleCase) -> CaseResult {
     let mut ck = Checks::new();
     match case.collective.as_str() {
-        "ring" | "tree" | "torus" | "rhd" => run_dense(case, &mut ck),
+        "ring" | "tree" | "torus" => run_dense(case, &mut ck),
         "tree_bucketed" | "torus_bucketed" => run_dense_bucketed(case, &mut ck),
         "ring_res" | "torus_res" => run_dense_resilient(case, &mut ck),
-        "ring_reordered" | "torus_reordered" => run_dense_reordered(case, &mut ck),
-        "ring_deadline" => run_ring_deadline(case, &mut ck),
+        "torus_reordered" => run_torus_reordered(case, &mut ck),
         "hitopk" => run_hitopk(case, &mut ck),
         "hitopk_ef" => run_hitopk_ef(case, &mut ck),
         "hitopk_ef_reordered" => run_hitopk_ef_reordered(case, &mut ck),
-        "hitopk_ef_deadline" => run_hitopk_ef_deadline(case, &mut ck),
         "hitopk_ef_res" => run_hitopk_ef_res(case, &mut ck),
         "gtopk" => run_gtopk(case, &mut ck),
         "gtopk_ef_res" => run_gtopk_ef_res(case, &mut ck),
@@ -220,8 +200,7 @@ fn run_dense(c: &OracleCase, ck: &mut Checks) {
             match name.as_str() {
                 "ring" => ring_all_reduce(peer, &mut x, &members),
                 "tree" => tree_all_reduce(peer, &mut x, &members),
-                "torus" => torus_all_reduce(peer, &mut x, m, n),
-                _ => rhd_all_reduce(peer, &mut x),
+                _ => torus_all_reduce(peer, &mut x, m, n),
             }
             x
         })
@@ -368,22 +347,15 @@ fn reversed_order(m: usize) -> Vec<usize> {
     std::iter::once(0).chain((1..m).rev()).collect()
 }
 
-fn run_dense_reordered(c: &OracleCase, ck: &mut Checks) {
+fn run_torus_reordered(c: &OracleCase, ck: &mut Checks) {
     let p = c.m * c.n;
     let (m, n, d, seed) = (c.m, c.n, c.d, c.seed);
-    let name = c.collective.clone();
-    // `ring_reordered` permutes member positions of the flat p-ring;
-    // `torus_reordered` permutes the m-node inter ring.
-    let order = reversed_order(if name == "ring_reordered" { p } else { m });
+    // The m-node inter ring is permuted; the intra rings are not.
+    let order = reversed_order(m);
     let run = |ord: &[usize]| {
         run_on_group(p, |peer| {
             let mut x = grad_for(seed, peer.rank(), d);
-            let members: Vec<usize> = (0..p).collect();
-            if name == "ring_reordered" {
-                ring_all_reduce_reordered(peer, &mut x, &members, ord);
-            } else {
-                torus_all_reduce_reordered(peer, &mut x, m, n, ord);
-            }
+            torus_all_reduce_reordered(peer, &mut x, m, n, ord);
             x
         })
     };
@@ -404,16 +376,11 @@ fn run_dense_reordered(c: &OracleCase, ck: &mut Checks) {
     // Under the identity order the reordered twin must reproduce the
     // natural collective bitwise — the contract that makes reordering safe
     // to route behind a config flag.
-    let identity: Vec<usize> = (0..order.len()).collect();
+    let identity: Vec<usize> = (0..m).collect();
     let id = run(&identity);
     let plain = run_on_group(p, |peer| {
         let mut x = grad_for(seed, peer.rank(), d);
-        let members: Vec<usize> = (0..p).collect();
-        if name == "ring_reordered" {
-            ring_all_reduce(peer, &mut x, &members);
-        } else {
-            torus_all_reduce(peer, &mut x, m, n);
-        }
+        torus_all_reduce(peer, &mut x, m, n);
         x
     });
     ck.check(
@@ -421,72 +388,6 @@ fn run_dense_reordered(c: &OracleCase, ck: &mut Checks) {
         id.iter().zip(&plain).all(|(x, y)| bits_eq(x, y)),
         || "identity-order reordered run differs from the natural twin bitwise".to_string(),
     );
-}
-
-fn run_ring_deadline(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (d, seed, degrade) = (c.d, c.seed, c.degrade);
-    let jitter = degrade * DEADLINE_JITTER_SCALE;
-    // Budget sized for the largest ReduceScatter chunk (f32 bytes), the
-    // same sizing rule the trainer and tail gauntlet use.
-    let policy = DeadlinePolicy::from_link(
-        DEADLINE_ALPHA,
-        DEADLINE_BETA,
-        d.div_ceil(p) * 4,
-        DEADLINE_MULT,
-    );
-    let run = || {
-        run_on_group(p, |peer| {
-            let faults = DeadlineFaults::new(seed).with_jitter(jitter);
-            let mut scratch = CommScratch::new();
-            let mut x = grad_for(seed, peer.rank(), d);
-            let members: Vec<usize> = (0..p).collect();
-            let rep =
-                ring_all_reduce_deadline(peer, &mut x, &members, 0, &faults, &policy, &mut scratch);
-            (x, rep)
-        })
-    };
-    let a = run();
-    let b = run();
-    ck.check("determinism", a == b, || {
-        "second deadline run differs from the first".to_string()
-    });
-    let xs: Vec<Vec<f32>> = a.iter().map(|(x, _)| x.clone()).collect();
-    // Misses only happen in the ReduceScatter phase and the AllGather is
-    // reliable, so even a partial aggregate is replica-identical.
-    ck.check("replica-identity", all_ranks_eq(&xs), || {
-        "ranks hold different results".to_string()
-    });
-    ck.check(
-        "hop-accounting",
-        a.iter().all(|(_, rep)| rep.hops == (p - 1) as u64),
-        || format!("some rank checked a hop count != {}", p - 1),
-    );
-    let missed: u64 = a.iter().map(|(_, rep)| rep.missed).sum();
-    let clean = run_on_group(p, |peer| {
-        let mut x = grad_for(seed, peer.rank(), d);
-        let members: Vec<usize> = (0..p).collect();
-        ring_all_reduce(peer, &mut x, &members);
-        x
-    });
-    if degrade == 0.0 {
-        // A clean plan never misses and must be bitwise identical to the
-        // plain ring — the anchor the CI tail gate pins.
-        ck.check(
-            "clean-bitwise",
-            missed == 0 && xs.iter().zip(&clean).all(|(x, y)| bits_eq(x, y)),
-            || format!("clean deadline run missed {missed} hop(s) or diverged from plain ring"),
-        );
-    } else {
-        // Lateness jitter against the 5% headroom: hops must actually miss
-        // and the discarded contributions must change the aggregate.
-        ck.check("deadline-misses", missed > 0, || {
-            format!("jitter={jitter} produced no misses against the {DEADLINE_MULT}x budget")
-        });
-        ck.check("partial-sum", !bits_eq(&xs[0], &clean[0]), || {
-            "missed hops did not change the aggregate".to_string()
-        });
-    }
 }
 
 /// Sequential reference for HiTopKComm (Algorithm 2): per shard `j`, each
@@ -705,97 +606,14 @@ fn run_hitopk_ef_reordered(c: &OracleCase, ck: &mut Checks) {
     );
 }
 
-fn run_hitopk_ef_deadline(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
-    let degrade = c.degrade;
-    let comp_name = c.comp.clone();
-    let jitter = degrade * DEADLINE_JITTER_SCALE;
-    // Budget sized for one compressed block: k values + k indices.
-    let policy = DeadlinePolicy::from_link(
-        DEADLINE_ALPHA,
-        DEADLINE_BETA,
-        8 * shard_k(d, n, rho),
-        DEADLINE_MULT,
-    );
-    let run = |bounded: bool| {
-        run_on_group(p, |peer| {
-            let shard_len = shards(d, n)[peer.rank() % n].len();
-            let mut ef = ErrorFeedback::new(shard_len);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let mut scratch = CommScratch::new();
-            let faults = DeadlineFaults::new(seed).with_jitter(jitter);
-            let mut acc = vec![0.0f32; d];
-            let mut missed = 0u64;
-            for t in 0..EF_ITERS {
-                let mut x = grad_iter(seed, t, peer.rank(), d);
-                if bounded {
-                    let (_, rep) = hitopk_all_reduce_ef_deadline(
-                        peer,
-                        &mut x,
-                        m,
-                        n,
-                        rho,
-                        comp.as_mut(),
-                        &mut ef,
-                        t as u64,
-                        &faults,
-                        &policy,
-                        &mut scratch,
-                    );
-                    missed += rep.missed;
-                } else {
-                    hitopk_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
-                }
-                ops::add_assign(&mut acc, &x);
-            }
-            (acc, ef.residual().to_vec(), missed)
-        })
-    };
-    let a = run(true);
-    let b = run(true);
-    ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
-        "second deadline run differs from the first".to_string()
-    });
-    let accs: Vec<Vec<f32>> = a.iter().map(|(x, _, _)| x.clone()).collect();
-    // The miss decision is per (instance, member), never per hop, so all
-    // ranks observe the same contributed blocks.
-    ck.check("replica-identity", all_ranks_eq(&accs), || {
-        "ranks hold different accumulated results".to_string()
-    });
-    // The ledger holds even with misses: a late member's compensated shard
-    // survives whole in its residual — nothing is lost, only delayed.
-    let residuals: Vec<Vec<f32>> = a.iter().map(|(_, r, _)| r.clone()).collect();
-    check_ledger(ck, seed, m, n, d, EF_ITERS, &accs[0], &residuals);
-    let missed: u64 = a.iter().map(|(_, _, mi)| *mi).sum();
-    if degrade == 0.0 {
-        // A clean plan never misses and must match the plain EF twin
-        // bitwise — output and residuals both.
-        let clean = run(false);
-        ck.check(
-            "clean-bitwise",
-            missed == 0
-                && a.iter()
-                    .zip(&clean)
-                    .all(|((acc, r, _), (uacc, ur, _))| bits_eq(acc, uacc) && bits_eq(r, ur)),
-            || {
-                format!(
-                    "clean deadline run missed {missed} contribution(s) or diverged from plain EF"
-                )
-            },
-        );
-    } else {
-        ck.check("deadline-misses", missed > 0, || {
-            format!("jitter={jitter} produced no misses against the {DEADLINE_MULT}x budget")
-        });
-    }
-}
-
 fn run_hitopk_ef_res(c: &OracleCase, ck: &mut Checks) {
     let p = c.m * c.n;
     let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
     let (drops, degrade) = (c.drops, c.degrade);
     let comp_name = c.comp.clone();
+    // Every iteration runs over the one `ResilientPeer`, which numbers the
+    // instances, so a member degraded in one step re-sends its withheld
+    // mass in a later one.
     let faulted = || {
         run_on_group(p, |peer| {
             let shard_len = shards(d, n)[peer.rank() % n].len();
@@ -806,18 +624,22 @@ fn run_hitopk_ef_res(c: &OracleCase, ck: &mut Checks) {
                 .with_degrade(degrade);
             let mut rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
             let mut scratch = CommScratch::new();
-            let mut x = grad_for(seed, peer.rank(), d);
-            hitopk_all_reduce_ef_resilient(
-                &mut rp,
-                &mut x,
-                m,
-                n,
-                rho,
-                comp.as_mut(),
-                &mut ef,
-                &mut scratch,
-            );
-            (x, ef.residual().to_vec())
+            let mut acc = vec![0.0f32; d];
+            for t in 0..EF_ITERS {
+                let mut x = grad_iter(seed, t, peer.rank(), d);
+                hitopk_all_reduce_ef_resilient(
+                    &mut rp,
+                    &mut x,
+                    m,
+                    n,
+                    rho,
+                    comp.as_mut(),
+                    &mut ef,
+                    &mut scratch,
+                );
+                ops::add_assign(&mut acc, &x);
+            }
+            (acc, ef.residual().to_vec(), rp.report().degraded_members)
         })
     };
     let a = faulted();
@@ -825,26 +647,38 @@ fn run_hitopk_ef_res(c: &OracleCase, ck: &mut Checks) {
     ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
         "second faulted run differs".to_string()
     });
-    let xs: Vec<Vec<f32>> = a.iter().map(|(x, _)| x.clone()).collect();
-    ck.check("replica-identity", all_ranks_eq(&xs), || {
-        "ranks hold different results".to_string()
+    let accs: Vec<Vec<f32>> = a.iter().map(|(x, _, _)| x.clone()).collect();
+    ck.check("replica-identity", all_ranks_eq(&accs), || {
+        "ranks hold different accumulated results".to_string()
     });
-    let residuals: Vec<Vec<f32>> = a.iter().map(|(_, r)| r.clone()).collect();
-    check_ledger(ck, seed, m, n, d, 1, &xs[0], &residuals);
-    if degrade == 0.0 {
+    // The ledger telescopes over every step: a degraded member's
+    // compensated shard survives whole in its residual — nothing is lost,
+    // only delayed.
+    let residuals: Vec<Vec<f32>> = a.iter().map(|(_, r, _)| r.clone()).collect();
+    check_ledger(ck, seed, m, n, d, EF_ITERS, &accs[0], &residuals);
+    if degrade > 0.0 {
+        let degraded: u64 = a.iter().map(|(_, _, dm)| *dm).sum();
+        ck.check("degraded", degraded > 0, || {
+            format!("degrade={degrade} withheld no contribution in {EF_ITERS} steps")
+        });
+    } else {
         // Pure drop faults: retries must reproduce the clean collective
         // bitwise (same compressor replicas, same residual start).
         let clean = run_on_group(p, |peer| {
             let shard_len = shards(d, n)[peer.rank() % n].len();
             let mut ef = ErrorFeedback::new(shard_len);
             let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let mut x = grad_for(seed, peer.rank(), d);
-            hitopk_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
-            (x, ef.residual().to_vec())
+            let mut acc = vec![0.0f32; d];
+            for t in 0..EF_ITERS {
+                let mut x = grad_iter(seed, t, peer.rank(), d);
+                hitopk_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
+                ops::add_assign(&mut acc, &x);
+            }
+            (acc, ef.residual().to_vec())
         });
         ck.check(
             "retry-exactness",
-            bits_eq(&xs[0], &clean[0].0)
+            bits_eq(&accs[0], &clean[0].0)
                 && residuals
                     .iter()
                     .zip(&clean)

@@ -96,14 +96,11 @@ pub fn expected_pairings() -> Vec<(&'static str, &'static str)> {
         "ring",
         "tree",
         "torus",
-        "rhd",
         "tree_bucketed",
         "torus_bucketed",
         "ring_res",
         "torus_res",
-        "ring_reordered",
         "torus_reordered",
-        "ring_deadline",
         "qsgd",
         "terngrad",
         "scaledsign",
@@ -115,7 +112,6 @@ pub fn expected_pairings() -> Vec<(&'static str, &'static str)> {
         "hitopk_ef",
         "hitopk_ef_res",
         "hitopk_ef_reordered",
-        "hitopk_ef_deadline",
         "gtopk",
         "gtopk_ef_res",
         "naiveag",

@@ -91,10 +91,9 @@ pub struct FaultConfig {
     /// Baseline per-(step, member) degradation probability for sparse
     /// contributions.
     pub degrade_prob: f64,
-    /// Ranks behaving as stragglers.
-    pub straggler_ranks: Vec<usize>,
-    /// Elevated degradation probability applied to straggler ranks.
-    pub straggler_degrade_prob: f64,
+    /// `(rank, prob)` pairs for ranks behaving as stragglers, each with
+    /// its own elevated degradation probability.
+    pub stragglers: Vec<(usize, f64)>,
 }
 
 impl FaultConfig {
@@ -104,8 +103,7 @@ impl FaultConfig {
             seed,
             drop_prob: 0.0,
             degrade_prob: 0.0,
-            straggler_ranks: Vec::new(),
-            straggler_degrade_prob: 0.0,
+            stragglers: Vec::new(),
         }
     }
 
@@ -123,8 +121,7 @@ impl FaultConfig {
 
     /// Marks `rank` as a straggler degrading with probability `prob`.
     pub fn straggle(mut self, rank: usize, prob: f64) -> Self {
-        self.straggler_ranks.push(rank);
-        self.straggler_degrade_prob = prob;
+        self.stragglers.push((rank, prob));
         self
     }
 
@@ -133,8 +130,8 @@ impl FaultConfig {
         let mut f = CommFaults::new(self.seed)
             .with_drops(self.drop_prob)
             .with_degrade(self.degrade_prob);
-        for &rank in &self.straggler_ranks {
-            f = f.straggle(rank, self.straggler_degrade_prob);
+        for &(rank, prob) in &self.stragglers {
+            f = f.straggle(rank, prob);
         }
         f
     }

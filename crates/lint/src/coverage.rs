@@ -8,7 +8,7 @@
 //!    twins folded into their base entry;
 //! 2. the **conformance matrix** — the dense/sparse tag arrays in
 //!    `expected_pairings()` crossed with the `COMPRESSORS` list
-//!    (the 69-pairing matrix `BENCH_conformance.json` snapshots);
+//!    (the 61-pairing matrix `BENCH_conformance.json` snapshots);
 //! 3. the **oracle dispatch** — the match arms of `oracle::run`.
 //!
 //! Findings: an exported collective whose derived tag is neither in the

@@ -61,7 +61,7 @@ pub const RULE_DOCS: &[(&str, &str)] = &[
     (
         "twin_drift",
         "Structural diff between a suffix twin (_scratch/_ef/_resilient/\
-         _deadline/_reordered/_traced) and its base \
+         _reordered/_traced) and its base \
          collective. The twin's call skeleton must equal the base's modulo \
          the suffix's declared rewrite set (see crates/lint/src/twins.rs \
          REWRITES); a _resilient twin runs the base's body over a \

@@ -1,18 +1,18 @@
 //! Twin-family drift detection (`twin_drift`).
 //!
 //! Every hot collective ships as a family: a base path plus suffix twins
-//! (`_scratch`, `_ef`, `_resilient`, `_deadline`, `_reordered`, `_traced`)
+//! (`_scratch`, `_ef`, `_resilient`, `_reordered`, `_traced`)
 //! that must repeat the base's structural call skeleton modulo a
 //! *declared* per-suffix rewrite. A fix applied to the
 //! base but forgotten in one twin shows up here as an unexplained skeleton
 //! difference, statically, instead of waiting for a differential test seed
 //! to hit it.
 //!
-//! Most twins are by now thin entries into their base's one body. A
-//! `_resilient` entry runs the body over a fault-charging `ResilientPeer`
-//! transport, so its rewrite set is only the degradation draw it hands the
-//! body; the deadline ring ReduceScatter is the last twin with hops of its
-//! own.
+//! Every twin is by now a thin entry into its base's one body; none sends
+//! hops of its own. A `_resilient` entry runs the body over a
+//! fault-charging `ResilientPeer` transport, so its rewrite set is only the
+//! degradation draw it hands the body (a missed deadline is that same
+//! draw).
 //!
 //! The comparison model:
 //! 1. **Discovery** — for every non-test fn in a twin crate whose name
@@ -27,16 +27,15 @@
 //!    (`new`, `len`, scratch-pool traffic, obs calls, grid positions and
 //!    member lists — which ranks a stage talks to is an argument, not a
 //!    stage). Callee names are normalised first: twin suffixes are
-//!    stripped (`ring_reduce_scatter_scratch` and
-//!    `ring_reduce_scatter_deadline` are the same hop) and declared
+//!    stripped (`ring_reduce_scatter_scratch` and `ring_reduce_scatter`
+//!    are the same hop) and declared
 //!    aliases rewritten (error feedback's `select` ≡ `compress`).
 //! 3. **Delegation inlining** — a body whose significant skeleton is a
 //!    single resolvable same-crate call (`hitopk_all_reduce_ef` →
 //!    `..._ef_scratch` → `hitopk_ef_impl`) is replaced by its
 //!    target's skeleton, to a fixed depth.
 //! 4. **Base expansion** — a twin that calls its own base, or the body its
-//!    base delegates to (`ring_all_reduce_reordered` permutes then calls
-//!    `ring_all_reduce`; `hitopk_all_reduce_ef_reordered` calls
+//!    base delegates to (`hitopk_all_reduce_ef_reordered` calls
 //!    `hitopk_ef_impl`), absorbs the base's skeleton in place of that call.
 //! 5. **Diff** — skeleton-set difference against the base, minus the
 //!    union of the suffixes' sanctioned adds/removes. Anything left is a
@@ -53,14 +52,7 @@ use crate::symbols::SymbolTable;
 use crate::Finding;
 
 /// The recognised twin suffixes, matched right-to-left at discovery.
-pub const SUFFIXES: &[&str] = &[
-    "traced",
-    "scratch",
-    "ef",
-    "resilient",
-    "deadline",
-    "reordered",
-];
+pub const SUFFIXES: &[&str] = &["traced", "scratch", "ef", "resilient", "reordered"];
 
 /// Cross-crate callee names that count as structural even though they
 /// resolve outside the twin crate: the compressor / error feedback surface
@@ -148,18 +140,6 @@ const REWRITES: &[Rewrite] = &[
         // the residual before the exchange.
         suffix: "resilient",
         adds: &["begin_instance", "contribution_degraded", "withhold"],
-        removes: &[],
-    },
-    Rewrite {
-        // Deadline twins charge each hop (or a sparse contribution's
-        // block) against a lateness budget.
-        suffix: "deadline",
-        adds: &[
-            "hop_lateness",
-            "hop_missed",
-            "contribution_lateness",
-            "pair_wire_bytes",
-        ],
         removes: &[],
     },
     Rewrite {

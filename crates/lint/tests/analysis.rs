@@ -124,46 +124,12 @@ pub fn reduce_pair_reordered(x: &mut [f32]) { assert_valid_order(); reduce_impl(
     assert!(hits[0].message.contains("hop_b"), "{}", hits[0].message);
 }
 
-/// The acceptance-criterion mutation: drop a send hop from the base ring
-/// ReduceScatter in the real tree and every twin that still carries the
-/// hop must light up, while the shipped tree (see tests/workspace.rs)
-/// stays clean.
-#[test]
-fn mutation_dropping_a_base_hop_flags_every_undrifted_twin() {
-    let config = Config::default();
-    let mut inputs = collect_workspace(&workspace_root(), &config).expect("walk");
-    let ring = inputs
-        .iter_mut()
-        .find(|i| i.rel_path == "crates/collectives/src/ring.rs")
-        .expect("ring.rs present");
-    let hop = "peer.send_f32(right, send_chunk);";
-    assert!(ring.src.contains(hop), "mutation anchor moved");
-    // First occurrence is the pieced ring pass every dense ReduceScatter
-    // and AllGather runs (the whole-chunk test references repeat the line
-    // further down).
-    ring.src = ring.src.replacen(hop, "let _ = (right, send_chunk);", 1);
-
-    let report = run_files(&inputs, &config);
-    let drift: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == "twin_drift" && f.message.contains("send_f32"))
-        .collect();
-    // The deadline ReduceScatter is the one ring twin that still sends its
-    // own hops.
-    let twin = "ring_reduce_scatter_deadline";
-    assert!(
-        drift.iter().any(|f| f.message.contains(twin)),
-        "undrifted twin `{twin}` must be flagged; got {drift:?}"
-    );
-}
-
 /// The error-feedback entry points are policed like any hop. The EF base
 /// selects with the base's own `compress`, on the residual its
 /// ReduceScatter accumulated, so an EF base that drops it has dropped the
 /// selection. `release` is what the `ef` rewrite adds; dropping it is left
-/// to the EF tests, because the reordered, deadline and resilient twins
-/// all run the base's body: the dropped call reaches them with it and
+/// to the EF tests, because the reordered and resilient twins both run the
+/// base's body: the dropped call reaches them with it and
 /// there is no drift to report.
 #[test]
 fn mutation_dropping_an_error_feedback_call_flags_the_ef_family() {
@@ -197,7 +163,6 @@ fn mutation_dropping_an_error_feedback_call_flags_the_ef_family() {
     let drift = rule_hits(&report, "twin_drift");
     for twin in [
         "hitopk_all_reduce_ef_reordered",
-        "hitopk_all_reduce_ef_deadline",
         "hitopk_all_reduce_ef_resilient",
     ] {
         assert!(
@@ -308,7 +273,7 @@ fn coverage_conformance_flags_a_tag_without_an_oracle_arm() {
 }
 
 /// Acceptance criterion: the matrix the analyzer re-derives from source
-/// matches the 69 pairings `BENCH_conformance.json` snapshots, and
+/// matches the 61 pairings `BENCH_conformance.json` snapshots, and
 /// deleting any one registration turns the lint red.
 #[test]
 fn real_tree_pairings_match_the_conformance_snapshot() {
@@ -316,7 +281,7 @@ fn real_tree_pairings_match_the_conformance_snapshot() {
     let config = Config::default();
     let inputs = collect_workspace(&root, &config).expect("walk");
     let report = run_files(&inputs, &config);
-    assert_eq!(report.pairings, 69, "re-derived matrix size drifted");
+    assert_eq!(report.pairings, 61, "re-derived matrix size drifted");
 
     let snapshot = std::fs::read_to_string(root.join("BENCH_conformance.json"))
         .expect("conformance snapshot present");
@@ -478,7 +443,7 @@ fn analyzer_self_metrics_reflect_the_real_tree() {
         report.call_edges
     );
     assert!(
-        report.twin_families > 20,
+        report.twin_families >= 16,
         "twin discovery broke: {}",
         report.twin_families
     );

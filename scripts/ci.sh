@@ -28,10 +28,11 @@
 #                            # model-predicted crossover point; then the tail
 #                            # gauntlet: run twice (byte-identical),
 #                            # snapshots BENCH_tails.json, and enforces
-#                            # the pinned tail ceilings (clean dense
-#                            # deadline twin bitwise, straggler dense p99
-#                            # improvement >= 1.3x, reorder predicted
-#                            # gain >= 1.2x); then the elastic gauntlet
+#                            # the pinned tail ceilings (simnet's clean
+#                            # dense deadline run bitwise, straggler
+#                            # dense p99 improvement >= 1.3x, reorder
+#                            # predicted gain >= 1.2x); then the elastic
+#                            # gauntlet
 #                            # (8 seeds x {evict, evict-join, rack-loss}
 #                            # x {replay, reshard}): run twice with the
 #                            # full stdout (JSONL block included)
