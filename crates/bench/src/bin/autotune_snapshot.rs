@@ -19,6 +19,7 @@
 use cloudtrain::collectives::group::run_on_group;
 use cloudtrain::collectives::hierarchical::hitopk_all_reduce_ef;
 use cloudtrain::collectives::sparse_allreduce::ok_sparse_all_reduce_ef;
+use cloudtrain::collectives::CommScratch;
 use cloudtrain::compress::exact::SortTopK;
 use cloudtrain::compress::ErrorFeedback;
 use cloudtrain::engine::autotune::{
@@ -90,7 +91,8 @@ fn measure_traffic(m: usize, n: usize, d: usize, rho: f64) -> (usize, usize, usi
         let mut x = heavy_hitter_vec(peer.rank(), d);
         let mut c = SortTopK;
         let mut ef = ErrorFeedback::new(shard_len);
-        let ok = ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef);
+        let mut scratch = CommScratch::new();
+        let ok = ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
         let mut y = heavy_hitter_vec(peer.rank(), d);
         let mut ef2 = ErrorFeedback::new(shard_len);
         let hi = hitopk_all_reduce_ef(peer, &mut y, m, n, rho, &mut c, &mut ef2);

@@ -94,10 +94,9 @@ fn run_sim(
 /// the two agree bitwise with each other, and the error-feedback ledger
 /// conserves mass.
 fn check_collectives(seed: u64) {
-    use cloudtrain::collectives::resilience::{
-        hitopk_all_reduce_ef_resilient, ResiliencePolicy, ResilientPeer,
-    };
-    use cloudtrain::collectives::sparse_allreduce::ok_sparse_all_reduce_ef_resilient;
+    use cloudtrain::collectives::hierarchical::hitopk_all_reduce_ef_scratch;
+    use cloudtrain::collectives::resilience::{ResiliencePolicy, ResilientPeer};
+    use cloudtrain::collectives::sparse_allreduce::ok_sparse_all_reduce_ef;
     use cloudtrain::collectives::{CommFaults, CommScratch};
     use cloudtrain::compress::exact::SortTopK;
     use cloudtrain::tensor::{init, ops};
@@ -109,7 +108,7 @@ fn check_collectives(seed: u64) {
         .straggle(5, 0.7);
     let run = |ok_path: bool| {
         cloudtrain::collectives::group::run_on_group(m * n, |peer| {
-            let mut rp = ResilientPeer::new(peer, faults.clone(), ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, faults.clone(), ResiliencePolicy::default());
             let shard_len = cloudtrain::tensor::partition::shard_for(d, n, peer.rank() % n).len();
             let mut ef = ErrorFeedback::new(shard_len);
             let mut c = SortTopK;
@@ -120,19 +119,10 @@ fn check_collectives(seed: u64) {
                     init::rng_from_seed(seed ^ ((peer.rank() as u64) << 8) ^ round as u64);
                 let mut x = init::gradient_like_tensor(d, &mut rng).into_vec();
                 if ok_path {
-                    ok_sparse_all_reduce_ef_resilient(
-                        &mut rp,
-                        &mut x,
-                        m,
-                        n,
-                        0.1,
-                        &mut c,
-                        &mut ef,
-                        &mut scratch,
-                    );
+                    ok_sparse_all_reduce_ef(&rp, &mut x, m, n, 0.1, &mut c, &mut ef, &mut scratch);
                 } else {
-                    hitopk_all_reduce_ef_resilient(
-                        &mut rp,
+                    hitopk_all_reduce_ef_scratch(
+                        &rp,
                         &mut x,
                         m,
                         n,

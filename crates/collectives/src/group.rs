@@ -8,8 +8,9 @@
 //! Every collective body is a free function over a [`Transport`], the
 //! point-to-point surface a schedule needs: a [`Peer`] is the clean one,
 //! [`crate::resilience::ResilientPeer`] the one that charges each message
-//! against a fault plan. A policy about *when* bytes land is a transport,
-//! so one body per algorithm serves both.
+//! against a fault plan. A policy about *when* bytes land — and whether a
+//! sparse contribution lands at all — is a transport, so one body per
+//! algorithm serves both.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::{Arc, Barrier};
@@ -82,6 +83,16 @@ pub trait Transport {
     fn recv_f32(&self, from: usize) -> Vec<f32>;
     /// Receives the next index payload from `from` (blocks).
     fn recv_u32(&self, from: usize) -> Vec<u32>;
+
+    /// Whether this endpoint withholds its next sparse contribution (a
+    /// missed deadline): the error-feedback bodies draw it exactly once per
+    /// call, before selecting, and a withheld member sends an empty block
+    /// while its residual keeps the whole reduced gradient. Every member
+    /// runs the same call sequence, so the draws number the same
+    /// contributions on every rank. A clean endpoint never withholds.
+    fn contribution_withheld(&self) -> bool {
+        false
+    }
 }
 
 /// One worker's endpoint in a mesh-connected group.
@@ -202,6 +213,61 @@ where
             .map(|h| h.join().expect("worker thread panicked"))
             .collect()
     })
+}
+
+/// A clean [`Peer`] that withholds exactly the sparse contributions
+/// `draw` names, by their 0-based call number: how a test plants a
+/// degradation on chosen (rank, round) pairs, or replays a fault plan's
+/// draws without its retry accounting.
+#[cfg(test)]
+pub(crate) struct Withholding<'a, F> {
+    peer: &'a Peer,
+    calls: std::cell::Cell<u64>,
+    draw: F,
+}
+
+#[cfg(test)]
+impl<'a, F: Fn(u64) -> bool> Withholding<'a, F> {
+    pub(crate) fn new(peer: &'a Peer, draw: F) -> Self {
+        Self {
+            peer,
+            calls: std::cell::Cell::new(0),
+            draw,
+        }
+    }
+}
+
+#[cfg(test)]
+impl<F: Fn(u64) -> bool> Transport for Withholding<'_, F> {
+    fn rank(&self) -> usize {
+        self.peer.rank
+    }
+
+    fn size(&self) -> usize {
+        self.peer.size
+    }
+
+    fn send_f32(&self, to: usize, data: Vec<f32>) {
+        self.peer.send_f32(to, data);
+    }
+
+    fn send_u32(&self, to: usize, data: Vec<u32>) {
+        self.peer.send_u32(to, data);
+    }
+
+    fn recv_f32(&self, from: usize) -> Vec<f32> {
+        self.peer.recv_f32(from)
+    }
+
+    fn recv_u32(&self, from: usize) -> Vec<u32> {
+        self.peer.recv_u32(from)
+    }
+
+    fn contribution_withheld(&self) -> bool {
+        let call = self.calls.get();
+        self.calls.set(call + 1);
+        (self.draw)(call)
+    }
 }
 
 #[cfg(test)]

@@ -6,12 +6,13 @@
 //! up in `log₂ P` recursive-doubling rounds, exchange their current sparse
 //! sets, merge-sum them, and re-select the top-k of the merge. Both pair
 //! members compute the same deterministic merge, so all ranks converge to
-//! an identical global selection.
+//! an identical global selection. The selection is error-compensated: what
+//! a worker does not send stays in its residual for the next step.
 
-use cloudtrain_compress::{Compressor, SparseGrad};
+use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
 use cloudtrain_tensor::ops;
 
-use crate::group::{Peer, Transport};
+use crate::group::Transport;
 use crate::scratch::CommScratch;
 
 /// Merges two sparse gradients over the same dense space, summing values
@@ -83,64 +84,51 @@ pub fn trim_topk(s: &SparseGrad, k: usize) -> SparseGrad {
     )
 }
 
-/// gTop-k AllReduce: on return every rank's `x` holds the same dense
-/// vector with (at most) `k` nonzeros — the global top-k approximation of
-/// the sum. Returns the bytes this rank sent.
+/// gTop-k AllReduce with error feedback, over whichever transport the
+/// caller holds: the gradient is accumulated into the residual, the top
+/// `k` of the residual selected and released from it, and `log₂ P`
+/// recursive-doubling rounds each swap the current sparse set with the
+/// partner, merge-sum it and re-select the top `k`. On return every rank's
+/// `x` holds the same dense vector with (at most) `k` nonzeros — the
+/// global top-k approximation of the sum. Returns the bytes this rank
+/// sent.
+///
+/// A member whose transport withholds the contribution
+/// ([`Transport::contribution_withheld`]) keeps its whole gradient in the
+/// residual and contributes the empty set: merges against it are
+/// identities, and every rank still runs all `log₂ P` rounds.
+///
+/// Each round takes two pooled buffers from `scratch` (the outgoing
+/// value/index copies) and recycles the partner's received pair once
+/// merged, so repeated invocations stop allocating on the wire path after
+/// warmup.
 ///
 /// # Panics
 /// Panics unless the group size is a power of two (the recursive-doubling
-/// schedule's requirement).
-pub fn gtopk_all_reduce<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    k: usize,
-    compressor: &mut C,
-) -> usize {
-    gtopk_all_reduce_scratch(peer, x, k, compressor, &mut CommScratch::new())
-}
-
-/// [`gtopk_all_reduce`] drawing its per-round wire copies from `scratch`.
-///
-/// Each recursive-doubling round takes two pooled buffers (the outgoing
-/// value/index copies, previously fresh `clone`s) and recycles the
-/// partner's received pair once merged, keeping the pool flow balanced so
-/// repeated invocations stop allocating on the wire path after warmup.
-///
-/// # Panics
-/// Panics unless the group size is a power of two.
-pub fn gtopk_all_reduce_scratch<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    k: usize,
-    compressor: &mut C,
-    scratch: &mut CommScratch,
-) -> usize {
-    let selection = compressor.compress(x, k);
-    recursive_doubling(peer, x, selection, k, scratch)
-}
-
-/// gTop-k's exchange, over whichever transport the caller holds: `log₂ P`
-/// recursive-doubling rounds, each swapping the current sparse set with
-/// the partner, merge-summing and re-selecting the top `k`; the result is
-/// written densely into `x`. `selection` is this rank's (possibly empty)
-/// contribution. Returns the bytes this rank sent.
-///
-/// # Panics
-/// Panics unless the group size is a power of two.
-pub(crate) fn recursive_doubling<T: Transport + ?Sized>(
+/// schedule's requirement), or if the residual dimension is not `x.len()`.
+pub fn gtopk_all_reduce_ef<T: Transport + ?Sized, C: Compressor + ?Sized>(
     peer: &T,
     x: &mut [f32],
-    selection: SparseGrad,
     k: usize,
+    compressor: &mut C,
+    ef: &mut ErrorFeedback,
     scratch: &mut CommScratch,
 ) -> usize {
     let p = peer.size();
     assert!(
         p.is_power_of_two(),
-        "gtopk_all_reduce: group size must be 2^m"
+        "gtopk_all_reduce_ef: group size must be 2^m"
     );
+    assert_eq!(ef.dim(), x.len(), "gtopk ef: residual must match x");
+    let mut current = if peer.contribution_withheld() {
+        ef.withhold(x);
+        SparseGrad::empty(x.len())
+    } else {
+        let selection = ef.select(x, k, compressor);
+        ef.release(&selection);
+        selection
+    };
     let rank = peer.rank();
-    let mut current = selection;
     let mut sent = 0;
 
     let mut mask = 1;
@@ -174,13 +162,19 @@ pub(crate) fn recursive_doubling<T: Transport + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::run_on_group;
+    use crate::group::{run_on_group, Peer};
     use cloudtrain_compress::exact::SortTopK;
     use cloudtrain_tensor::init;
 
     fn vec_for(rank: usize, d: usize) -> Vec<f32> {
         let mut rng = init::rng_from_seed(6000 + rank as u64);
         init::gradient_like_tensor(d, &mut rng).into_vec()
+    }
+
+    /// One gTop-k round over a fresh zero residual and arena.
+    fn gtopk(peer: &Peer, x: &mut [f32], k: usize) -> usize {
+        let mut ef = ErrorFeedback::new(x.len());
+        gtopk_all_reduce_ef(peer, x, k, &mut SortTopK, &mut ef, &mut CommScratch::new())
     }
 
     #[test]
@@ -209,8 +203,7 @@ mod tests {
             let k = 20;
             let results = run_on_group(p, |peer| {
                 let mut x = vec_for(peer.rank(), d);
-                let mut c = SortTopK;
-                let sent = gtopk_all_reduce(peer, &mut x, k, &mut c);
+                let sent = gtopk(peer, &mut x, k);
                 (x, sent)
             });
             for (x, sent) in &results {
@@ -230,8 +223,7 @@ mod tests {
         let results = run_on_group(p, |peer| {
             let mut x = vec![0.01f32; d];
             x[peer.rank() * 10] = 100.0 + peer.rank() as f32;
-            let mut c = SortTopK;
-            gtopk_all_reduce(peer, &mut x, k, &mut c);
+            gtopk(peer, &mut x, k);
             x
         });
         for r in 0..p {
@@ -248,21 +240,25 @@ mod tests {
 
     #[test]
     fn scratch_variant_is_bitwise_identical_to_plain() {
+        // A fresh arena per round against one reused across rounds, with
+        // the residual carried over either way.
         let (p, d, k) = (4usize, 300usize, 15usize);
-        let plain = run_on_group(p, |peer| {
-            let mut x = vec_for(peer.rank(), d);
-            let mut c = SortTopK;
-            let sent = gtopk_all_reduce(peer, &mut x, k, &mut c);
-            (x, sent)
-        });
-        let scratched = run_on_group(p, |peer| {
-            let mut scratch = CommScratch::new();
-            let mut x = vec_for(peer.rank(), d);
-            let mut c = SortTopK;
-            let sent = gtopk_all_reduce_scratch(peer, &mut x, k, &mut c, &mut scratch);
-            (x, sent)
-        });
-        assert_eq!(plain, scratched);
+        let run = |reuse: bool| {
+            run_on_group(p, move |peer| {
+                let mut scratch = CommScratch::new();
+                let mut ef = ErrorFeedback::new(d);
+                let mut out = Vec::new();
+                for round in 0..3 {
+                    let mut x = vec_for(20 * round + peer.rank(), d);
+                    let mut fresh = CommScratch::new();
+                    let arena = if reuse { &mut scratch } else { &mut fresh };
+                    let sent = gtopk_all_reduce_ef(peer, &mut x, k, &mut SortTopK, &mut ef, arena);
+                    out.push((x, sent, ef.residual().to_vec()));
+                }
+                out
+            })
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]
@@ -271,12 +267,13 @@ mod tests {
         let miss_growth = run_on_group(p, |peer| {
             let mut scratch = CommScratch::new();
             let mut c = SortTopK;
+            let mut ef = ErrorFeedback::new(d);
             let mut x = vec_for(peer.rank(), d);
-            gtopk_all_reduce_scratch(peer, &mut x, k, &mut c, &mut scratch);
+            gtopk_all_reduce_ef(peer, &mut x, k, &mut c, &mut ef, &mut scratch);
             let warm = scratch.misses();
             for round in 1..4 {
                 let mut y = vec_for(20 * round + peer.rank(), d);
-                gtopk_all_reduce_scratch(peer, &mut y, k, &mut c, &mut scratch);
+                gtopk_all_reduce_ef(peer, &mut y, k, &mut c, &mut ef, &mut scratch);
             }
             (warm, scratch.misses())
         });
@@ -293,8 +290,7 @@ mod tests {
         // join failure in the harness.
         run_on_group(3, |peer| {
             let mut x = vec![0.0f32; 8];
-            let mut c = SortTopK;
-            gtopk_all_reduce(peer, &mut x, 2, &mut c);
+            gtopk(peer, &mut x, 2);
         });
     }
 }

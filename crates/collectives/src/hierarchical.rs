@@ -21,7 +21,7 @@
 //! the paper credits MSTopK-SGD's small accuracy edge over TopK-SGD to
 //! exactly this (§5.5.1).
 
-use cloudtrain_compress::{Compressor, SparseGrad};
+use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
 use cloudtrain_obs::{self as obs, Registry};
 use cloudtrain_tensor::ops;
 use cloudtrain_tensor::partition::shard_for;
@@ -29,7 +29,7 @@ use cloudtrain_tensor::partition::shard_for;
 use crate::group::{Peer, Transport};
 use crate::ring::{
     all_gather_f32, all_gather_f32_scratch, all_gather_u32, all_gather_u32_scratch, member_index,
-    ring_all_gather_blocks, ring_reduce_scatter_ef, ring_reduce_scatter_scratch, HOP_PIECE,
+    ring_all_gather_blocks, ring_reduce_scatter_ef, HOP_PIECE,
 };
 use crate::scratch::CommScratch;
 use crate::torus::{grid_pos, inter_node_members, intra_node_members};
@@ -56,10 +56,10 @@ pub fn shard_k(d: usize, n: usize, rho: f64) -> usize {
 /// Wire bytes a member pays to broadcast `selection` to the other
 /// `group_len - 1` members of a sparse AllGather group.
 ///
-/// Every hitopk-family variant (plain, reordered, resilient) and the flat
-/// NaiveAG account their `inter_bytes_sent` through
-/// this one expression, so identical traffic always reports identical
-/// bytes — the conformance differential test pins it.
+/// HiTopKComm (over any transport) and the flat NaiveAG account their
+/// `inter_bytes_sent` through this one expression, so identical traffic
+/// always reports identical bytes — the conformance differential test pins
+/// it.
 pub fn group_wire_bytes(selection: &SparseGrad, group_len: usize) -> usize {
     selection.wire_bytes() * group_len.saturating_sub(1)
 }
@@ -165,7 +165,9 @@ pub(crate) fn scatter_and_all_gather<T: Transport + ?Sized>(
 ///
 /// The `compressor` performs step 2's selection; the paper uses
 /// [`cloudtrain_compress::MsTopK`], and tests use the exact operator for a
-/// deterministic reference.
+/// deterministic reference. This is the error-feedback body over a fresh
+/// zero residual, which selects from exactly the node-local shard sum; over
+/// a plain [`Peer`] nothing is ever withheld.
 ///
 /// # Examples
 /// ```
@@ -195,54 +197,9 @@ pub fn hitopk_all_reduce<C: Compressor + ?Sized>(
     rho: f64,
     compressor: &mut C,
 ) -> HiTopKReport {
-    hitopk_impl(peer, x, m, n, rho, compressor, &mut CommScratch::new())
-}
-
-/// [`hitopk_all_reduce`]'s body, drawing every communication buffer from
-/// `scratch`. All four steps run through the pooled collectives and the
-/// gathered blocks go back to the pool after step (iv), so a reused
-/// `scratch` makes each steady-state invocation allocation-free on the
-/// wire path.
-fn hitopk_impl<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    scratch: &mut CommScratch,
-) -> HiTopKReport {
-    assert_eq!(peer.size(), m * n, "hitopk_all_reduce: group is not m*n");
-    let d = x.len();
-    let pos = grid_pos(peer.rank(), m, n);
-    let intra = intra_node_members(pos.node, n);
-    let inter = inter_node_members(pos.gpu, m, n);
-
-    // Step 1: intra-node dense ReduceScatter (fast links).
-    let shard = ring_reduce_scatter_scratch(peer, x, &intra, scratch);
-    debug_assert_eq!(shard, shard_for(d, n, pos.gpu));
-
-    // Step 2: top-k on the node-local dense sum of my shard.
-    let k = shard_k(d, n, rho).min(shard.len());
-    let selection: SparseGrad = compressor.compress(shard.slice(x), k);
-
-    // Step 3: inter-node AllGather of values and indices (stream `gpu`).
-    let value_blocks = all_gather_f32_scratch(peer, &selection.values, &inter, scratch);
-    let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
-    let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
-
-    // Step 4: index-wise accumulation into the zeroed shard, and the
-    // intra-node AllGather reassembling the (sparse-aggregated) full
-    // vector. The ReduceScatter left partial sums outside the shard.
-    ops::fill(x, 0.0);
-    let shard_nonzeros =
-        scatter_and_all_gather(peer, x, &intra, value_blocks, index_blocks, scratch);
-
-    HiTopKReport {
-        k_per_shard: k,
-        shard_nonzeros,
-        inter_bytes_sent,
-    }
+    let shard = shard_for(x.len(), n, grid_pos(peer.rank(), m, n).gpu);
+    let mut ef = ErrorFeedback::new(shard.len());
+    hitopk_all_reduce_ef(peer, x, m, n, rho, compressor, &mut ef)
 }
 
 /// HiTopKComm with error feedback: like [`hitopk_all_reduce`], but the
@@ -256,17 +213,25 @@ fn hitopk_impl<C: Compressor + ?Sized>(
 /// the information HiTopKComm discards. (Intra-node aggregation is dense
 /// and loses nothing.)
 ///
+/// Over a transport that withholds the contribution
+/// ([`Transport::contribution_withheld`], e.g. a
+/// [`crate::resilience::ResilientPeer`] whose fault plan degrades this
+/// member), the member sends an empty block and its residual keeps the
+/// whole reduced shard, to be re-injected next invocation. Every rank
+/// still observes the same contributed blocks, so replicas stay bitwise
+/// identical.
+///
 /// # Panics
 /// Panics if the group size is not `m * n` or the residual dimension does
 /// not match this rank's shard.
-pub fn hitopk_all_reduce_ef<C: Compressor + ?Sized>(
-    peer: &Peer,
+pub fn hitopk_all_reduce_ef<T: Transport + ?Sized, C: Compressor + ?Sized>(
+    peer: &T,
     x: &mut [f32],
     m: usize,
     n: usize,
     rho: f64,
     compressor: &mut C,
-    ef: &mut cloudtrain_compress::ErrorFeedback,
+    ef: &mut ErrorFeedback,
 ) -> HiTopKReport {
     hitopk_all_reduce_ef_scratch(peer, x, m, n, rho, compressor, ef, &mut CommScratch::new())
 }
@@ -283,23 +248,19 @@ pub fn hitopk_all_reduce_ef<C: Compressor + ?Sized>(
 /// `+0.0` and step (iv) can scatter the forwarded blocks into it without a
 /// separate pass. Output, residual and report are bitwise those of
 /// reducing, then
-/// [`ErrorFeedback::select`](cloudtrain_compress::ErrorFeedback::select) on
-/// the shard.
+/// [`ErrorFeedback::select`] on the shard.
 #[allow(clippy::too_many_arguments)]
-pub fn hitopk_all_reduce_ef_scratch<C: Compressor + ?Sized>(
-    peer: &Peer,
+pub fn hitopk_all_reduce_ef_scratch<T: Transport + ?Sized, C: Compressor + ?Sized>(
+    peer: &T,
     x: &mut [f32],
     m: usize,
     n: usize,
     rho: f64,
     compressor: &mut C,
-    ef: &mut cloudtrain_compress::ErrorFeedback,
+    ef: &mut ErrorFeedback,
     scratch: &mut CommScratch,
 ) -> HiTopKReport {
-    let inter = inter_node_members(grid_pos(peer.rank(), m, n).gpu, m, n);
-    hitopk_ef_impl(
-        peer, x, m, n, rho, compressor, ef, &inter, false, scratch, None, HOP_PIECE,
-    )
+    hitopk_ef_impl(peer, x, m, n, rho, compressor, ef, scratch, None, HOP_PIECE)
 }
 
 /// [`hitopk_all_reduce_ef_scratch`] with per-stage spans and counters
@@ -313,18 +274,17 @@ pub fn hitopk_all_reduce_ef_scratch<C: Compressor + ?Sized>(
 /// does not perturb the aggregation: the traced entry point is bitwise
 /// identical to the untraced one.
 #[allow(clippy::too_many_arguments)]
-pub fn hitopk_all_reduce_ef_traced<C: Compressor + ?Sized>(
-    peer: &Peer,
+pub fn hitopk_all_reduce_ef_traced<T: Transport + ?Sized, C: Compressor + ?Sized>(
+    peer: &T,
     x: &mut [f32],
     m: usize,
     n: usize,
     rho: f64,
     compressor: &mut C,
-    ef: &mut cloudtrain_compress::ErrorFeedback,
+    ef: &mut ErrorFeedback,
     scratch: &mut CommScratch,
     reg: &mut Registry,
 ) -> HiTopKReport {
-    let inter = inter_node_members(grid_pos(peer.rank(), m, n).gpu, m, n);
     hitopk_ef_impl(
         peer,
         x,
@@ -333,34 +293,28 @@ pub fn hitopk_all_reduce_ef_traced<C: Compressor + ?Sized>(
         rho,
         compressor,
         ef,
-        &inter,
-        false,
         scratch,
         Some(reg),
         HOP_PIECE,
     )
 }
 
-/// The one body of every error-feedback HiTopKComm path, over whichever
-/// transport the caller holds — a `Peer`, or a `ResilientPeer` for the
-/// resilient entry point. `inter` is this rank's inter-node group in the
-/// order the sparse AllGather visits it — natural ([`inter_node_members`])
-/// or a probed permutation ([`crate::reorder::inter_members_ordered`]). A
-/// member that `withhold`s its contribution (a missed deadline or a
-/// degraded fault draw) selects nothing and sends an empty block: the
-/// ReduceScatter has already folded the node sum into the residual, which
-/// is `ErrorFeedback::withhold` on the reduced shard, bit for bit.
+/// The one body of every HiTopKComm path, over whichever transport the
+/// caller holds. The transport's
+/// [`contribution_withheld`](Transport::contribution_withheld) draw is
+/// taken once, before selecting: a member that withholds selects nothing
+/// and sends an empty block — the ReduceScatter has already folded the
+/// node sum into the residual, which is `ErrorFeedback::withhold` on the
+/// reduced shard, bit for bit.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn hitopk_ef_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
+fn hitopk_ef_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
     peer: &T,
     x: &mut [f32],
     m: usize,
     n: usize,
     rho: f64,
     compressor: &mut C,
-    ef: &mut cloudtrain_compress::ErrorFeedback,
-    inter: &[usize],
-    withhold: bool,
+    ef: &mut ErrorFeedback,
     scratch: &mut CommScratch,
     mut reg: Option<&mut Registry>,
     piece: usize,
@@ -369,6 +323,7 @@ pub(crate) fn hitopk_ef_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
     let d = x.len();
     let pos = grid_pos(peer.rank(), m, n);
     let intra = intra_node_members(pos.node, n);
+    let inter = inter_node_members(pos.gpu, m, n);
     assert_eq!(
         ef.dim(),
         shard_for(d, n, pos.gpu).len(),
@@ -384,7 +339,7 @@ pub(crate) fn hitopk_ef_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
     // Select from the accumulated residual, clear what goes on the wire.
     let k = shard_k(d, n, rho).min(shard.len());
     let span = obs::span_begin(&mut reg, "hitopk/top-k compression");
-    let selection: SparseGrad = if withhold {
+    let selection: SparseGrad = if peer.contribution_withheld() {
         SparseGrad::empty(shard.len())
     } else {
         let selection = compressor.compress(ef.residual(), k);
@@ -394,8 +349,8 @@ pub(crate) fn hitopk_ef_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
     obs::span_end(&mut reg, span, shard.len() as f64);
 
     let span = obs::span_begin(&mut reg, "hitopk/inter all-gather");
-    let value_blocks = all_gather_f32_scratch(peer, &selection.values, inter, scratch);
-    let index_blocks = all_gather_u32_scratch(peer, &selection.indices, inter, scratch);
+    let value_blocks = all_gather_f32_scratch(peer, &selection.values, &inter, scratch);
+    let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
     let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
     obs::span_end(&mut reg, span, (2 * m * k) as f64);
 
@@ -424,8 +379,8 @@ pub(crate) fn hitopk_ef_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
 /// `x` holds `Σ_p TopK(g_p, k)`.
 ///
 /// Returns the bytes this rank sent.
-pub fn sparse_all_reduce_naive<C: Compressor + ?Sized>(
-    peer: &Peer,
+pub fn sparse_all_reduce_naive<T: Transport + ?Sized, C: Compressor + ?Sized>(
+    peer: &T,
     x: &mut [f32],
     k: usize,
     compressor: &mut C,
@@ -446,8 +401,8 @@ pub fn sparse_all_reduce_naive<C: Compressor + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::run_on_group;
-    use crate::ring::ring_all_gather_scratch;
+    use crate::group::{run_on_group, Withholding};
+    use crate::ring::{ring_all_gather_scratch, ring_reduce_scatter_scratch};
     use cloudtrain_compress::exact::{topk_sort, SortTopK};
     use cloudtrain_compress::MsTopK;
     use cloudtrain_tensor::init;
@@ -631,18 +586,30 @@ mod tests {
 
     #[test]
     fn scratch_variant_is_bitwise_identical_to_plain() {
-        // A fresh arena per call against one arena reused across rounds:
+        // A fresh arena per call against one arena reused across rounds
+        // (each round over a fresh zero residual, as the plain path runs):
         // recycled buffers must not change a bit.
         let (m, n, d, rho) = (2usize, 4usize, 300usize, 0.05f64);
         let run = |reuse: bool| {
             run_on_group(m * n, move |peer| {
                 let mut scratch = CommScratch::new();
                 let mut c = MsTopK::new(25, peer.rank() as u64);
+                let shard_len = shards(d, n)[peer.rank() % n].len();
                 let mut out = Vec::new();
                 for round in 0..3 {
                     let mut x = vec_for(100 * round + peer.rank(), d);
                     let rep = if reuse {
-                        hitopk_impl(peer, &mut x, m, n, rho, &mut c, &mut scratch)
+                        let mut ef = ErrorFeedback::new(shard_len);
+                        hitopk_all_reduce_ef_scratch(
+                            peer,
+                            &mut x,
+                            m,
+                            n,
+                            rho,
+                            &mut c,
+                            &mut ef,
+                            &mut scratch,
+                        )
                     } else {
                         hitopk_all_reduce(peer, &mut x, m, n, rho, &mut c)
                     };
@@ -806,12 +773,22 @@ mod tests {
         let miss_growth = run_on_group(m * n, |peer| {
             let mut scratch = CommScratch::new();
             let mut c = SortTopK;
+            let mut ef = ErrorFeedback::new(shards(d, n)[peer.rank() % n].len());
             let mut x = vec_for(peer.rank(), d);
-            hitopk_impl(peer, &mut x, m, n, rho, &mut c, &mut scratch);
+            hitopk_all_reduce_ef_scratch(peer, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
             let warm = scratch.misses();
             for round in 1..4 {
                 let mut y = vec_for(50 * round + peer.rank(), d);
-                hitopk_impl(peer, &mut y, m, n, rho, &mut c, &mut scratch);
+                hitopk_all_reduce_ef_scratch(
+                    peer,
+                    &mut y,
+                    m,
+                    n,
+                    rho,
+                    &mut c,
+                    &mut ef,
+                    &mut scratch,
+                );
             }
             (warm, scratch.misses())
         });
@@ -968,7 +945,7 @@ mod tests {
     /// ReduceScatter hop folded into the residual: the node sum is written
     /// to the shard, accumulated into the residual and selected from there
     /// (or, withheld, accumulated and nothing selected), and the shard
-    /// zeroed for the gather over `inter`. The oracle the folded hop must
+    /// zeroed for the inter-node gather. The oracle the folded hop must
     /// equal bit for bit.
     mod reference {
         use super::*;
@@ -982,11 +959,12 @@ mod tests {
             rho: f64,
             c: &mut MsTopK,
             feedback: &mut cloudtrain_compress::ErrorFeedback,
-            inter: &[usize],
             withhold: bool,
             scratch: &mut CommScratch,
         ) -> HiTopKReport {
-            let intra = intra_node_members(grid_pos(peer.rank(), m, n).node, n);
+            let pos = grid_pos(peer.rank(), m, n);
+            let intra = intra_node_members(pos.node, n);
+            let inter = inter_node_members(pos.gpu, m, n);
             let shard = ring_reduce_scatter_scratch(peer, x, &intra, scratch);
             let k = shard_k(x.len(), n, rho).min(shard.len());
             let selection = if withhold {
@@ -997,8 +975,8 @@ mod tests {
                 feedback.release(&selection);
                 selection
             };
-            let value_blocks = all_gather_f32_scratch(peer, &selection.values, inter, scratch);
-            let index_blocks = all_gather_u32_scratch(peer, &selection.indices, inter, scratch);
+            let value_blocks = all_gather_f32_scratch(peer, &selection.values, &inter, scratch);
+            let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
             ops::fill(shard.slice_mut(x), 0.0);
             let shard_nonzeros = scatter_gathered(shard.slice_mut(x), &value_blocks, &index_blocks);
             recycle_blocks(value_blocks, index_blocks, scratch);
@@ -1016,28 +994,17 @@ mod tests {
     /// `rho` for three rounds, so the residual and the selection RNG carry
     /// over, and requires output, residual and report to agree bit for bit
     /// each round — and the folded side's arena to stop allocating after
-    /// the first. The inter-node group is visited in natural or `reversed`
-    /// node order, and in the second round the even ranks withhold their
-    /// contribution.
-    fn assert_folded_hop_equals_reference(
-        m: usize,
-        n: usize,
-        d: usize,
-        rho: f64,
-        piece: usize,
-        reversed: bool,
-    ) {
-        let order: Vec<usize> = if reversed {
-            (0..m).rev().collect()
-        } else {
-            (0..m).collect()
-        };
+    /// the first. In the second round the even ranks withhold their
+    /// contribution: the folded side draws that from its transport, the
+    /// reference is told.
+    fn assert_folded_hop_equals_reference(m: usize, n: usize, d: usize, rho: f64, piece: usize) {
+        let withheld = |round: u64, rank: usize| round == 1 && rank.is_multiple_of(2);
         run_on_group(m * n, |peer| {
             let what = format!(
-                "m={m} n={n} d={d} rho={rho} piece={piece} order={order:?} rank {}",
+                "m={m} n={n} d={d} rho={rho} piece={piece} rank {}",
                 peer.rank()
             );
-            let inter = crate::reorder::inter_members_ordered(peer.rank() % n, &order, n);
+            let transport = Withholding::new(peer, |call| withheld(call, peer.rank()));
             let shard_len = shards(d, n)[peer.rank() % n].len();
             let seed = peer.rank() as u64;
             let mut got = (
@@ -1052,17 +1019,16 @@ mod tests {
             );
             let mut warm = 0;
             for round in 0..3 {
-                let withhold = round == 1 && peer.rank() % 2 == 0;
                 let mut x = vec_for(100 * round + peer.rank(), d);
                 let mut y = x.clone();
                 let (c, feedback, scratch) = &mut got;
                 let rep = hitopk_ef_impl(
-                    peer, &mut x, m, n, rho, c, feedback, &inter, withhold, scratch, None, piece,
+                    &transport, &mut x, m, n, rho, c, feedback, scratch, None, piece,
                 );
                 let (c, feedback, scratch) = &mut want;
-                let want_rep = reference::hitopk_ef(
-                    peer, &mut y, m, n, rho, c, feedback, &inter, withhold, scratch,
-                );
+                let withhold = withheld(round as u64, peer.rank());
+                let want_rep =
+                    reference::hitopk_ef(peer, &mut y, m, n, rho, c, feedback, withhold, scratch);
                 assert_eq!(rep, want_rep, "report, round {round}, {what}");
                 assert_eq!(bits(&x), bits(&y), "output, round {round}, {what}");
                 assert_eq!(
@@ -1080,13 +1046,13 @@ mod tests {
 
     #[test]
     fn folded_last_hop_equals_reduce_then_select_across_rounds() {
-        // Three nodes, so that reversing them reorders a three-term sum.
+        // Three nodes, so the inter-node gather accumulates a three-term
+        // sum.
         for m in [1usize, 2, 3] {
             for n in [1usize, 2, 3, 4] {
                 // Fewer elements than GPUs (empty shards); shards one
                 // element apart; shards of several 3-element pieces and a
-                // tail, also one apart; and the shipped piece size — each
-                // with the inter-node group in natural and reversed order.
+                // tail, also one apart; and the shipped piece size.
                 // At rho = 0.5 the forwarded blocks outweigh the dense
                 // shard (2·m·k̃ ≥ ⌊d/n⌋) on every shape; they must still
                 // meet the reference's dense AllGather bit for bit.
@@ -1097,9 +1063,7 @@ mod tests {
                     (29 * n + n / 2, HOP_PIECE),
                 ] {
                     for rho in [0.1, 0.5] {
-                        for reversed in [false, true] {
-                            assert_folded_hop_equals_reference(m, n, d, rho, piece, reversed);
-                        }
+                        assert_folded_hop_equals_reference(m, n, d, rho, piece);
                     }
                 }
             }
@@ -1108,16 +1072,17 @@ mod tests {
 
     #[test]
     fn plain_forwarded_step_iv_equals_the_dense_all_gather() {
-        // The plain ReduceScatter leaves partial sums outside the shard, so
-        // the forwarded step (iv) stands on the fill before it; compare it
-        // with the dense one, recomposed, bit for bit.
+        // The plain path is the error-feedback body over a zero residual:
+        // its folded ReduceScatter and forwarded step (iv) must meet the
+        // plain ReduceScatter, selection and dense AllGather, recomposed,
+        // bit for bit.
         for (m, n, d) in [(2usize, 2usize, 300usize), (3, 4, 1001), (2, 3, 64)] {
             let rho = 0.05;
             run_on_group(m * n, |peer| {
                 let mut scratch = CommScratch::new();
                 let mut x = vec_for(peer.rank(), d);
                 let mut y = x.clone();
-                let rep = hitopk_impl(peer, &mut x, m, n, rho, &mut SortTopK, &mut scratch);
+                let rep = hitopk_all_reduce(peer, &mut x, m, n, rho, &mut SortTopK);
 
                 let pos = grid_pos(peer.rank(), m, n);
                 let intra = intra_node_members(pos.node, n);

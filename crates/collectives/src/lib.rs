@@ -22,8 +22,8 @@
 //!   baseline. The error-feedback path folds the last intra-node
 //!   ReduceScatter hop straight into the residual, so the dense node sum
 //!   is never materialized between reduction and selection.
-//! * [`gtopk`] — gTop-k recursive-doubling sparse AllReduce (Shi et al.
-//!   2019, cited in §6).
+//! * [`gtopk`] — gTop-k recursive-doubling sparse AllReduce with error
+//!   feedback (Shi et al. 2019, cited in §6).
 //! * [`quantized`] — AllReduce of QSGD/TernGrad/sign-quantized gradients.
 //! * [`primitives`] — rooted Broadcast/Reduce (parameter seeding, metric
 //!   collection).
@@ -33,29 +33,28 @@
 //!   allocation-free on the communication path.
 //! * [`resilience`] — fault decisions ([`resilience::CommFaults`]) and
 //!   [`resilience::ResilientPeer`], the [`group::Transport`] that charges
-//!   every message a timeout/retry/backoff ladder; the plain collectives
-//!   run over it unchanged, and its three sparse entry points add graceful
+//!   every message a timeout/retry/backoff ladder and draws graceful
 //!   degradation (a contribution that misses its deadline is an empty
-//!   sparse block, safe under error feedback) to HiTopKComm, O(k) and
-//!   gTop-k. The lateness-vs-budget tail model itself lives in
+//!   sparse block, safe under error feedback) for the error-feedback
+//!   bodies of HiTopKComm, O(k) and gTop-k. Every collective runs over it
+//!   unchanged. The lateness-vs-budget tail model itself lives in
 //!   `cloudtrain-simnet` (`SimResilience::deadline_bounded`).
-//! * [`reorder`] — topology-probed rank reordering: a pairwise α–β cost
-//!   model, a seeded deterministic ring-order optimizer, and the torus /
-//!   HiTopKComm collectives run over a permuted node order (bitwise
-//!   identical under the identity order). A flat ring needs no twin for
-//!   this: [`ring::ring_all_reduce`] takes its member list in visiting
-//!   order.
+//! * [`reorder`] — topology-aware ring ordering: a pairwise α–β cost model
+//!   and a seeded deterministic ring-order optimizer, which the
+//!   performance plane prices. A reordered ring is
+//!   [`ring::ring_all_reduce`] over a permuted member list.
 //! * [`sparse_allreduce`] — the **O(k) sparse allreduce** (Li & Hoefler,
 //!   PPoPP 2022): balanced index partitioning plus split-and-merge
 //!   reduction replaces HiTopKComm's `O(m·k̃)` inter-node AllGather with an
 //!   `O(k̃)` schedule, bitwise identical in value to the hitopk paths;
-//!   plain, error-feedback and resilient entry points.
+//!   plain and error-feedback entry points.
 //!
 //! All collectives run on a [`group::Group`] of mesh-connected peers created
 //! with [`group::Group::connect`]; each worker thread owns one
 //! [`group::Peer`]. Collective bodies are generic over
 //! [`group::Transport`], so one body per algorithm serves the clean peer
-//! and the fault-charging [`ResilientPeer`] alike.
+//! and the fault-charging [`ResilientPeer`] alike: the transport decides
+//! when bytes land and whether a sparse contribution is withheld.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

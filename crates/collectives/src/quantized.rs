@@ -8,7 +8,7 @@
 use cloudtrain_compress::quantize::{QuantizedGrad, Quantizer};
 use cloudtrain_tensor::ops;
 
-use crate::group::Peer;
+use crate::group::Transport;
 use crate::ring::{all_gather_f32, all_gather_u32};
 
 /// Packs i8 codes into u32 words (4 codes per word, little-endian).
@@ -43,8 +43,8 @@ pub fn unpack_codes(words: &[u32], len: usize) -> Vec<i8> {
 /// codes)` pairs are AllGathered, and each rank decodes and sums all of
 /// them. On return `x` holds the sum of the quantized gradients (identical
 /// on every rank). Returns the bytes this rank sent.
-pub fn quantized_all_reduce<Q: Quantizer + ?Sized>(
-    peer: &Peer,
+pub fn quantized_all_reduce<T: Transport + ?Sized, Q: Quantizer + ?Sized>(
+    peer: &T,
     x: &mut [f32],
     quantizer: &mut Q,
 ) -> usize {

@@ -10,14 +10,15 @@
 //!    performance plane's probe pass (`cloudtrain_simnet::probe_pairwise`)
 //!    or built by hand,
 //! 2. a seeded local-search optimizer ([`optimize_ring_order`]) minimizing
-//!    the directed ring cost over node permutations,
-//! 3. the hierarchical collectives over a permuted node order
-//!    ([`torus_all_reduce_reordered`], [`hitopk_all_reduce_ef_reordered`]):
-//!    each runs its plain collective's *identical* schedule — HiTopKComm's
-//!    through its one error-feedback body — so with the identity order
-//!    they are bitwise-identical to their natural twins. A flat ring needs
-//!    no twin: [`ring_all_reduce`] already visits its member list in the
-//!    order given.
+//!    the directed ring cost over node permutations.
+//!
+//! The performance plane prices a reordered schedule
+//! (`cloudtrain_simnet::collectives::sim_torus_all_reduce_reordered`, the
+//! `cloudtrain reorder` command and the tail gauntlet's scrambled fabric).
+//! The correctness plane needs no reordered collective: a flat ring
+//! ([`crate::ring::ring_all_reduce`]) visits its member list in the order
+//! given, and the modelled clusters the trainer runs on have one uniform
+//! inter-node link, on which the optimizer keeps the identity order.
 //!
 //! The optimizer is a pure function of `(cost, bytes, seed)`: greedy
 //! position swaps to a local optimum from a handful of seeded restarts,
@@ -25,15 +26,7 @@
 //! rotation-invariant), so two runs over the same probe always emit the
 //! same permutation — the property the CI determinism gate pins.
 
-use cloudtrain_compress::{Compressor, ErrorFeedback};
-use cloudtrain_tensor::partition::shard_for;
-
-use crate::group::Peer;
-use crate::hierarchical::{hitopk_ef_impl, HiTopKReport};
 use crate::resilience::hash3;
-use crate::ring::{ring_all_gather, ring_all_reduce, ring_reduce_scatter, HOP_PIECE};
-use crate::scratch::CommScratch;
-use crate::torus::{grid_pos, intra_node_members};
 
 /// Pairwise α–β cost model over the `m` nodes of a cluster (directed:
 /// `src → dst` and `dst → src` are independent links).
@@ -188,82 +181,14 @@ pub fn optimize_ring_order(cost: &PairCost, bytes: usize, seed: u64) -> Vec<usiz
     canonicalize(best)
 }
 
-/// Ranks of GPU `j` across the nodes *in `node_order`* — the reordered
-/// inter-node ring (communication stream `j`).
-///
-/// # Panics
-/// Panics unless `node_order` is a permutation.
-pub fn inter_members_ordered(j: usize, node_order: &[usize], n: usize) -> Vec<usize> {
-    assert_valid_order(node_order, node_order.len());
-    node_order.iter().map(|&i| i * n + j).collect()
-}
-
-/// 2D-Torus AllReduce with the inter-node rings visiting nodes in
-/// `node_order`. The schedule is [`crate::torus::torus_all_reduce`]'s —
-/// only the phase-2 ring order changes — so the identity order is bitwise
-/// identical to the natural twin.
-///
-/// # Panics
-/// Panics if the group size is not `m * n` or `node_order` is not a
-/// permutation of `0..m`.
-pub fn torus_all_reduce_reordered(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    node_order: &[usize],
-) {
-    assert_eq!(peer.size(), m * n, "torus_all_reduce: group is not m*n");
-    assert_valid_order(node_order, m);
-    let pos = grid_pos(peer.rank(), m, n);
-    let intra = intra_node_members(pos.node, n);
-    let inter = inter_members_ordered(pos.gpu, node_order, n);
-
-    let shard = ring_reduce_scatter(peer, x, &intra);
-    debug_assert_eq!(shard, shard_for(x.len(), n, pos.gpu));
-    ring_all_reduce(peer, shard.slice_mut(x), &inter);
-    ring_all_gather(peer, x, &intra);
-}
-
-/// HiTopKComm with error feedback over reordered inter-node rings:
-/// [`crate::hierarchical::hitopk_all_reduce_ef_scratch`]'s one body with
-/// the sparse AllGather of step 3 visiting nodes in `node_order`. Identity
-/// order ⇒ bitwise identical to the natural twin; any order preserves
-/// replica agreement (every rank of a stream gathers the same blocks in
-/// the same member order).
-///
-/// # Panics
-/// Panics if the group size is not `m * n`, the residual dimension does
-/// not match this rank's shard, or `node_order` is not a permutation.
-#[allow(clippy::too_many_arguments)]
-pub fn hitopk_all_reduce_ef_reordered<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    ef: &mut ErrorFeedback,
-    node_order: &[usize],
-    scratch: &mut CommScratch,
-) -> HiTopKReport {
-    assert_valid_order(node_order, m);
-    let inter = inter_members_ordered(grid_pos(peer.rank(), m, n).gpu, node_order, n);
-    hitopk_ef_impl(
-        peer, x, m, n, rho, compressor, ef, &inter, false, scratch, None, HOP_PIECE,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::run_on_group;
-    use crate::hierarchical::hitopk_all_reduce_ef_scratch;
-    use crate::torus::torus_all_reduce;
-    use cloudtrain_compress::exact::SortTopK;
+    use crate::group::{run_on_group, Peer};
+    use crate::ring::{ring_all_gather, ring_all_reduce, ring_reduce_scatter};
+    use crate::torus::{grid_pos, intra_node_members, torus_all_reduce};
     use cloudtrain_tensor::init;
     use cloudtrain_tensor::ops;
-    use cloudtrain_tensor::partition::shards;
 
     fn vec_for(rank: usize, d: usize) -> Vec<f32> {
         let mut rng = init::rng_from_seed(9000 + rank as u64);
@@ -354,6 +279,18 @@ mod tests {
         }
     }
 
+    /// 2D-Torus AllReduce with the inter-node rings visiting nodes in
+    /// `node_order`: the torus schedule recomposed from the ring
+    /// primitives, its phase-2 ring over a permuted member list.
+    fn torus_over(peer: &Peer, x: &mut [f32], m: usize, n: usize, node_order: &[usize]) {
+        let pos = grid_pos(peer.rank(), m, n);
+        let intra = intra_node_members(pos.node, n);
+        let inter: Vec<usize> = node_order.iter().map(|&i| i * n + pos.gpu).collect();
+        let shard = ring_reduce_scatter(peer, x, &intra);
+        ring_all_reduce(peer, shard.slice_mut(x), &inter);
+        ring_all_gather(peer, x, &intra);
+    }
+
     #[test]
     fn reordered_torus_identity_is_bitwise_identical() {
         let (m, n, d) = (4usize, 2usize, 100usize);
@@ -365,7 +302,7 @@ mod tests {
         });
         let reordered = run_on_group(m * n, |peer| {
             let mut x = vec_for(peer.rank(), d);
-            torus_all_reduce_reordered(peer, &mut x, m, n, &identity);
+            torus_over(peer, &mut x, m, n, &identity);
             x
         });
         assert_eq!(plain, reordered);
@@ -374,112 +311,16 @@ mod tests {
     #[test]
     fn reordered_torus_still_sums_under_a_permutation() {
         let (m, n, d) = (4usize, 2usize, 100usize);
-        let order = vec![1usize, 3, 0, 2];
+        let order = [1usize, 3, 0, 2];
         let expect = expected_sum(m * n, d);
         let results = run_on_group(m * n, |peer| {
             let mut x = vec_for(peer.rank(), d);
-            torus_all_reduce_reordered(peer, &mut x, m, n, &order);
+            torus_over(peer, &mut x, m, n, &order);
             x
         });
         for (r, x) in results.iter().enumerate() {
             assert!(ops::approx_eq(x, &expect, 1e-4), "rank {r} diverged");
             assert_eq!(*x, results[0], "rank {r} broke replica agreement");
         }
-    }
-
-    #[test]
-    fn reordered_hitopk_identity_is_bitwise_identical() {
-        let (m, n, d, rho) = (2usize, 2usize, 64usize, 0.1f64);
-        let identity: Vec<usize> = (0..m).collect();
-        let run = |reorder: bool| {
-            let identity = identity.clone();
-            run_on_group(m * n, move |peer| {
-                let shard_len = shards(d, n)[peer.rank() % n].len();
-                let mut ef = ErrorFeedback::new(shard_len);
-                let mut c = SortTopK;
-                let mut scratch = CommScratch::new();
-                let mut out = Vec::new();
-                for round in 0..3 {
-                    let mut x = vec_for(100 * round + peer.rank(), d);
-                    if reorder {
-                        hitopk_all_reduce_ef_reordered(
-                            peer,
-                            &mut x,
-                            m,
-                            n,
-                            rho,
-                            &mut c,
-                            &mut ef,
-                            &identity,
-                            &mut scratch,
-                        );
-                    } else {
-                        hitopk_all_reduce_ef_scratch(
-                            peer,
-                            &mut x,
-                            m,
-                            n,
-                            rho,
-                            &mut c,
-                            &mut ef,
-                            &mut scratch,
-                        );
-                    }
-                    out.push(x);
-                }
-                (out, ef.residual_norm())
-            })
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn reordered_hitopk_ranks_agree_under_a_permutation() {
-        let (m, n, d, rho) = (4usize, 2usize, 120usize, 0.1f64);
-        let order = vec![3usize, 1, 0, 2];
-        let results = run_on_group(m * n, move |peer| {
-            let shard_len = shards(d, n)[peer.rank() % n].len();
-            let mut ef = ErrorFeedback::new(shard_len);
-            let mut c = SortTopK;
-            let mut scratch = CommScratch::new();
-            let mut out = Vec::new();
-            for round in 0..3 {
-                let mut x = vec_for(100 * round + peer.rank(), d);
-                hitopk_all_reduce_ef_reordered(
-                    peer,
-                    &mut x,
-                    m,
-                    n,
-                    rho,
-                    &mut c,
-                    &mut ef,
-                    &order,
-                    &mut scratch,
-                );
-                out.push(x);
-            }
-            out
-        });
-        for (r, out) in results.iter().enumerate() {
-            assert_eq!(*out, results[0], "rank {r} diverged");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "worker thread panicked")]
-    fn reordered_torus_rejects_non_permutations() {
-        run_on_group(4, |peer| {
-            let mut x = vec![1.0f32; 8];
-            torus_all_reduce_reordered(peer, &mut x, 2, 2, &[0, 0]);
-            x
-        });
-    }
-
-    #[test]
-    fn inter_members_follow_the_node_order() {
-        assert_eq!(
-            inter_members_ordered(3, &[2, 0, 3, 1], 8),
-            vec![19, 3, 27, 11]
-        );
     }
 }

@@ -28,8 +28,10 @@
 //!   sparse block** instead. Error feedback makes this safe — the member's
 //!   residual absorbs the entire reduced gradient (an empty selection
 //!   zeroes nothing), so the skipped mass is re-queued next step and no
-//!   information is lost, only delayed. The three `*_resilient` entry
-//!   points draw this decision and hand it to the one body as `withhold`.
+//!   information is lost, only delayed. The peer draws this decision as
+//!   its [`Transport::contribution_withheld`]: each of the three sparse
+//!   error-feedback bodies takes it once per call, so the sparse entry
+//!   points run over a `ResilientPeer` unchanged too.
 //!
 //! Replica consistency: degradation is decided per *(collective instance,
 //! contributing member)* — never per message — so every rank observes the
@@ -41,14 +43,7 @@
 
 use std::cell::Cell;
 
-use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
-
 use crate::group::{Peer, Transport};
-use crate::gtopk::recursive_doubling;
-use crate::hierarchical::{hitopk_ef_impl, HiTopKReport};
-use crate::ring::HOP_PIECE;
-use crate::scratch::CommScratch;
-use crate::torus::{grid_pos, inter_node_members};
 
 /// Seeded fault decisions for the correctness-plane collectives.
 ///
@@ -197,8 +192,11 @@ pub struct ResilientPeer<'a> {
     sent: Vec<Cell<u64>>,
     /// Per-source count of messages received (the mirror counter).
     received: Vec<Cell<u64>>,
-    /// Sparse contributions numbered via [`ResilientPeer::begin_instance`].
-    instance: u64,
+    /// Sparse contributions drawn so far: the next one's instance id.
+    /// Every rank runs the same collective sequence, so the numbering
+    /// agrees across the group without communication; dense collectives
+    /// draw nothing and leave it unchanged.
+    instance: Cell<u64>,
     report: Cell<ResilienceReport>,
 }
 
@@ -212,32 +210,9 @@ impl<'a> ResilientPeer<'a> {
             policy,
             sent: vec![Cell::new(0); p],
             received: vec![Cell::new(0); p],
-            instance: 0,
+            instance: Cell::new(0),
             report: Cell::new(ResilienceReport::default()),
         }
-    }
-
-    /// Starts a new sparse contribution and returns its id. Every rank
-    /// executes the same collective sequence, so local instance counters
-    /// agree across the group without communication.
-    ///
-    /// Only the sparse entry points draw a per-instance decision, so only
-    /// they number instances: dense collectives run over the peer without
-    /// one, and interleaving them leaves the sparse numbering unchanged.
-    pub fn begin_instance(&mut self) -> u64 {
-        let id = self.instance;
-        self.instance += 1;
-        id
-    }
-
-    /// Whether this rank's sparse contribution to instance `instance`
-    /// misses its deadline (and must be sent as an empty block).
-    pub fn contribution_degraded(&mut self, instance: u64) -> bool {
-        let degraded = self.faults.member_degraded(instance, self.peer.rank());
-        if degraded {
-            self.report.get_mut().degraded_members += 1;
-        }
-        degraded
     }
 
     /// Cumulative resilience accounting.
@@ -317,72 +292,21 @@ impl Transport for ResilientPeer<'_> {
         self.charge_recv(from);
         self.peer.recv_u32(from)
     }
-}
 
-/// HiTopKComm with error feedback over a [`ResilientPeer`]:
-/// [`crate::hierarchical::hitopk_all_reduce_ef_scratch`]'s one body with
-/// every message walking the drop ladder, and *graceful degradation* — if
-/// this rank's contribution misses its deadline, it transmits an empty
-/// sparse block.
-///
-/// Correctness under degradation: the folded ReduceScatter has already put
-/// the member's whole reduced shard in the residual and nothing is
-/// released, so it is re-injected next invocation. All ranks observe the
-/// same contributed blocks (the empty block physically travels through the
-/// AllGather), so replicas stay bitwise identical.
-///
-/// # Panics
-/// Panics if the group size is not `m * n` or the residual dimension does
-/// not match this rank's shard.
-#[allow(clippy::too_many_arguments)]
-pub fn hitopk_all_reduce_ef_resilient<C: Compressor + ?Sized>(
-    rp: &mut ResilientPeer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    ef: &mut ErrorFeedback,
-    scratch: &mut CommScratch,
-) -> HiTopKReport {
-    let instance = rp.begin_instance();
-    let withhold = rp.contribution_degraded(instance);
-    let inter = inter_node_members(grid_pos(rp.rank(), m, n).gpu, m, n);
-    hitopk_ef_impl(
-        &*rp, x, m, n, rho, compressor, ef, &inter, withhold, scratch, None, HOP_PIECE,
-    )
-}
-
-/// gTop-k with error feedback over a [`ResilientPeer`]: accumulate into
-/// the residual and select from it (or degrade: withhold everything, select
-/// nothing), then gTop-k's recursive-doubling exchange with every message
-/// walking the drop ladder. Returns the bytes this rank sent.
-///
-/// A degraded rank contributes the empty set; merges against it are
-/// identities, every rank still runs all `log₂ P` rounds (no deadlock),
-/// and the rank's gradient mass survives in its residual.
-///
-/// # Panics
-/// Panics unless the group size is a power of two.
-pub fn gtopk_all_reduce_ef_resilient<C: Compressor + ?Sized>(
-    rp: &mut ResilientPeer,
-    x: &mut [f32],
-    k: usize,
-    compressor: &mut C,
-    ef: &mut ErrorFeedback,
-    scratch: &mut CommScratch,
-) -> usize {
-    assert_eq!(ef.dim(), x.len(), "gtopk ef: residual must match x");
-    let instance = rp.begin_instance();
-    let selection = if rp.contribution_degraded(instance) {
-        ef.withhold(x);
-        SparseGrad::empty(x.len())
-    } else {
-        let selection = ef.select(x, k, compressor);
-        ef.release(&selection);
-        selection
-    };
-    recursive_doubling(&*rp, x, selection, k, scratch)
+    /// Numbers the sparse contribution and draws whether this rank's
+    /// misses its deadline ([`CommFaults::member_degraded`]), counting the
+    /// degraded ones.
+    fn contribution_withheld(&self) -> bool {
+        let instance = self.instance.get();
+        self.instance.set(instance + 1);
+        let degraded = self.faults.member_degraded(instance, self.peer.rank());
+        if degraded {
+            let mut report = self.report.get();
+            report.degraded_members += 1;
+            self.report.set(report);
+        }
+        degraded
+    }
 }
 
 /// Domain-separation salts for the two decision streams.
@@ -410,12 +334,15 @@ pub(crate) fn unit(h: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::run_on_group;
-    use crate::ring::ring_all_reduce_scratch;
-    use crate::sparse_allreduce::{ok_sparse_all_reduce_ef_resilient, ok_sparse_impl};
+    use crate::group::{run_on_group, Withholding};
+    use crate::gtopk::gtopk_all_reduce_ef;
+    use crate::hierarchical::hitopk_all_reduce_ef_scratch;
+    use crate::ring::{ring_all_reduce_scratch, HOP_PIECE};
+    use crate::scratch::CommScratch;
+    use crate::sparse_allreduce::ok_sparse_all_reduce_ef;
     use crate::torus::torus_all_reduce;
     use cloudtrain_compress::exact::SortTopK;
-    use cloudtrain_compress::MsTopK;
+    use cloudtrain_compress::{ErrorFeedback, MsTopK};
     use cloudtrain_tensor::init;
     use cloudtrain_tensor::partition::{shard_for, shards};
 
@@ -505,7 +432,7 @@ mod tests {
         for path in ["ring", "hitopk", "oksparse", "gtopk"] {
             let reports = run_on_group(p, |peer| {
                 let faults = CommFaults::new(13).with_drops(0.5).with_degrade(0.3);
-                let mut rp = ResilientPeer::new(peer, faults, policy);
+                let rp = ResilientPeer::new(peer, faults, policy);
                 let members: Vec<usize> = (0..p).collect();
                 let shard_len = shard_for(d, n, peer.rank() % n).len();
                 let mut ef = ErrorFeedback::new(if path == "gtopk" { d } else { shard_len });
@@ -516,8 +443,8 @@ mod tests {
                     match path {
                         "ring" => ring_all_reduce_scratch(&rp, &mut x, &members, &mut scratch),
                         "hitopk" => {
-                            hitopk_all_reduce_ef_resilient(
-                                &mut rp,
+                            hitopk_all_reduce_ef_scratch(
+                                &rp,
                                 &mut x,
                                 m,
                                 n,
@@ -528,8 +455,8 @@ mod tests {
                             );
                         }
                         "oksparse" => {
-                            ok_sparse_all_reduce_ef_resilient(
-                                &mut rp,
+                            ok_sparse_all_reduce_ef(
+                                &rp,
                                 &mut x,
                                 m,
                                 n,
@@ -540,14 +467,7 @@ mod tests {
                             );
                         }
                         _ => {
-                            gtopk_all_reduce_ef_resilient(
-                                &mut rp,
-                                &mut x,
-                                6,
-                                &mut c,
-                                &mut ef,
-                                &mut scratch,
-                            );
+                            gtopk_all_reduce_ef(&rp, &mut x, 6, &mut c, &mut ef, &mut scratch);
                         }
                     }
                 }
@@ -583,8 +503,8 @@ mod tests {
 
     /// Runs `rounds` rounds of one collective `path` on every rank of an
     /// `m × n` group — over a `ResilientPeer` under `faults` when
-    /// `resilient`, otherwise over the plain `Peer` with the plan's
-    /// degradation draws passed to the body as `withhold`.
+    /// `resilient`, otherwise over a plain `Peer` that withholds exactly
+    /// the contributions the plan degrades.
     fn run_path(
         path: &str,
         (m, n, d): (usize, usize, usize),
@@ -595,9 +515,9 @@ mod tests {
         let k = ((d as f64 * rho).round() as usize).max(1);
         let sparse = path != "ring" && path != "torus";
         run_on_group(m * n, |peer| {
-            let mut rp = resilient
-                .then(|| ResilientPeer::new(peer, faults.clone(), ResiliencePolicy::default()));
-            let inter = inter_node_members(grid_pos(peer.rank(), m, n).gpu, m, n);
+            let rp = ResilientPeer::new(peer, faults.clone(), ResiliencePolicy::default());
+            let replay = Withholding::new(peer, |call| faults.member_degraded(call, peer.rank()));
+            let transport: &dyn Transport = if resilient { &rp } else { &replay };
             let members: Vec<usize> = (0..m * n).collect();
             let residual_len = match path {
                 "gtopk" => d,
@@ -610,71 +530,44 @@ mod tests {
             let mut out = Vec::new();
             for round in 0..rounds {
                 let mut x = vec_for(100 * round + peer.rank(), d);
-                let withhold = sparse && faults.member_degraded(round as u64, peer.rank());
-                replayed += u64::from(withhold);
+                replayed += u64::from(sparse && faults.member_degraded(round as u64, peer.rank()));
                 let (x, ef, c, scratch) = (&mut x, &mut ef, &mut c, &mut scratch);
-                let report = match (path, rp.as_mut()) {
-                    ("hitopk", Some(rp)) => {
-                        let r = hitopk_all_reduce_ef_resilient(rp, x, m, n, rho, c, ef, scratch);
+                let report = match path {
+                    "hitopk" => {
+                        let r =
+                            hitopk_all_reduce_ef_scratch(transport, x, m, n, rho, c, ef, scratch);
                         format!("{r:?}")
                     }
-                    ("hitopk", None) => {
-                        let r = hitopk_ef_impl(
-                            peer, x, m, n, rho, c, ef, &inter, withhold, scratch, None, HOP_PIECE,
-                        );
+                    "oksparse" => {
+                        let r = ok_sparse_all_reduce_ef(transport, x, m, n, rho, c, ef, scratch);
                         format!("{r:?}")
                     }
-                    ("oksparse", Some(rp)) => {
-                        let r = ok_sparse_all_reduce_ef_resilient(rp, x, m, n, rho, c, ef, scratch);
-                        format!("{r:?}")
-                    }
-                    ("oksparse", None) => {
-                        let r = ok_sparse_impl(peer, x, m, n, rho, c, Some(ef), withhold, scratch);
-                        format!("{r:?}")
-                    }
-                    ("gtopk", Some(rp)) => {
-                        gtopk_all_reduce_ef_resilient(rp, x, k, c, ef, scratch).to_string()
-                    }
-                    ("gtopk", None) => {
-                        let selection = if withhold {
-                            ef.withhold(x);
-                            SparseGrad::empty(d)
-                        } else {
-                            let selection = ef.select(x, k, c);
-                            ef.release(&selection);
-                            selection
-                        };
-                        recursive_doubling(peer, x, selection, k, scratch).to_string()
-                    }
-                    ("ring", Some(rp)) => {
-                        ring_all_reduce_scratch(&*rp, x, &members, scratch);
+                    "gtopk" => gtopk_all_reduce_ef(transport, x, k, c, ef, scratch).to_string(),
+                    "ring" => {
+                        ring_all_reduce_scratch(transport, x, &members, scratch);
                         String::new()
                     }
-                    ("ring", None) => {
-                        ring_all_reduce_scratch(peer, x, &members, scratch);
-                        String::new()
-                    }
-                    (_, Some(rp)) => {
-                        torus_all_reduce(&*rp, x, m, n);
-                        String::new()
-                    }
-                    (_, None) => {
-                        torus_all_reduce(peer, x, m, n);
+                    _ => {
+                        torus_all_reduce(transport, x, m, n);
                         String::new()
                     }
                 };
                 out.push((bits(x), bits(ef.residual()), report));
             }
-            let degraded = rp.map_or(replayed, |rp| rp.report().degraded_members);
+            let degraded = if resilient {
+                rp.report().degraded_members
+            } else {
+                replayed
+            };
             (out, degraded)
         })
     }
 
     #[test]
     fn hitopk_resilient_clean_matches_plain_ef() {
-        // Faults are virtual: every resilient path over a `ResilientPeer`
-        // computes what the same body computes over a plain `Peer` when
-        // the plan's degradation draws are replayed as `withhold` —
+        // Faults are virtual: every path over a `ResilientPeer` computes
+        // what the same body computes over a plain `Peer` that replays the
+        // plan's degradation draws as withheld contributions —
         // outputs, residuals and reports bit for bit, round after round,
         // under a clean plan and a hostile one. Shapes: a chunk longer than
         // one hop piece, a single node, fewer elements than GPUs per node,
@@ -708,7 +601,7 @@ mod tests {
     fn hitopk_degradation_keeps_ranks_bitwise_identical() {
         let (m, n, d, rho) = (2usize, 4usize, 120usize, 0.1f64);
         let results = run_on_group(m * n, |peer| {
-            let mut rp = ResilientPeer::new(peer, hostile(21), ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, hostile(21), ResiliencePolicy::default());
             let shard_len = shards(d, n)[peer.rank() % n].len();
             let mut ef = ErrorFeedback::new(shard_len);
             let mut c = SortTopK;
@@ -716,16 +609,7 @@ mod tests {
             let mut out = Vec::new();
             for round in 0..4 {
                 let mut x = vec_for(100 * round + peer.rank(), d);
-                hitopk_all_reduce_ef_resilient(
-                    &mut rp,
-                    &mut x,
-                    m,
-                    n,
-                    rho,
-                    &mut c,
-                    &mut ef,
-                    &mut scratch,
-                );
+                hitopk_all_reduce_ef_scratch(&rp, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
                 out.push(x);
             }
             (out, rp.report().degraded_members)
@@ -747,22 +631,13 @@ mod tests {
         let (m, n, d, rho) = (2usize, 2usize, 32usize, 0.25f64);
         let results = run_on_group(m * n, |peer| {
             let faults = CommFaults::new(3).straggle(1, 1.0);
-            let mut rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
             let shard_len = shards(d, n)[peer.rank() % n].len();
             let mut ef = ErrorFeedback::new(shard_len);
             let mut c = SortTopK;
             let mut scratch = CommScratch::new();
             let mut x = vec_for(peer.rank(), d);
-            hitopk_all_reduce_ef_resilient(
-                &mut rp,
-                &mut x,
-                m,
-                n,
-                rho,
-                &mut c,
-                &mut ef,
-                &mut scratch,
-            );
+            hitopk_all_reduce_ef_scratch(&rp, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
             (ef.residual_norm(), rp.report().degraded_members)
         });
         // Rank 1 degraded: nonzero residual holding the whole shard.
@@ -774,17 +649,50 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_dense_collectives_leave_the_sparse_numbering_unchanged() {
+        // Dense collectives draw no degradation: a sparse run with a torus
+        // AllReduce before every sparse call, over the one peer, withholds
+        // the same contributions and computes the same bits as the sparse
+        // run alone.
+        let (m, n, d, rho) = (2usize, 2usize, 64usize, 0.1f64);
+        let run = |interleave: bool| {
+            run_on_group(m * n, move |peer| {
+                let rp = ResilientPeer::new(peer, hostile(5), ResiliencePolicy::default());
+                let mut ef = ErrorFeedback::new(shard_for(d, n, peer.rank() % n).len());
+                let mut c = SortTopK;
+                let mut scratch = CommScratch::new();
+                let mut out = Vec::new();
+                for round in 0..6 {
+                    if interleave {
+                        let mut dense = vec_for(500 + peer.rank(), d);
+                        torus_all_reduce(&rp, &mut dense, m, n);
+                    }
+                    let mut x = vec_for(10 * round + peer.rank(), d);
+                    let (c, ef, scratch) = (&mut c, &mut ef, &mut scratch);
+                    hitopk_all_reduce_ef_scratch(&rp, &mut x, m, n, rho, c, ef, scratch);
+                    out.push(bits(&x));
+                }
+                (out, bits(ef.residual()), rp.report().degraded_members)
+            })
+        };
+        let alone = run(false);
+        let degraded: u64 = alone.iter().map(|(_, _, g)| g).sum();
+        assert!(degraded > 0, "the plan must degrade some contribution");
+        assert!(alone == run(true), "a dense collective moved the numbering");
+    }
+
+    #[test]
     fn gtopk_resilient_completes_and_ranks_agree_under_faults() {
         let (p, d, k) = (4usize, 200usize, 10usize);
         let results = run_on_group(p, |peer| {
-            let mut rp = ResilientPeer::new(peer, hostile(31), ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, hostile(31), ResiliencePolicy::default());
             let mut ef = ErrorFeedback::new(d);
             let mut c = SortTopK;
             let mut scratch = CommScratch::new();
             let mut out = Vec::new();
             for round in 0..4 {
                 let mut x = vec_for(20 * round + peer.rank(), d);
-                gtopk_all_reduce_ef_resilient(&mut rp, &mut x, k, &mut c, &mut ef, &mut scratch);
+                gtopk_all_reduce_ef(&rp, &mut x, k, &mut c, &mut ef, &mut scratch);
                 out.push(x);
             }
             (out, ef.residual_norm())
@@ -804,36 +712,18 @@ mod tests {
         // take/put flow still nets to zero.
         let (m, n, d, rho) = (2usize, 4usize, 240usize, 0.05f64);
         let miss_growth = run_on_group(m * n, |peer| {
-            let mut rp = ResilientPeer::new(peer, hostile(17), ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, hostile(17), ResiliencePolicy::default());
             let shard_len = shards(d, n)[peer.rank() % n].len();
             let mut ef = ErrorFeedback::new(shard_len);
             let mut c = SortTopK;
             let mut scratch = CommScratch::new();
             let mut x = vec_for(peer.rank(), d);
-            hitopk_all_reduce_ef_resilient(
-                &mut rp,
-                &mut x,
-                m,
-                n,
-                rho,
-                &mut c,
-                &mut ef,
-                &mut scratch,
-            );
+            hitopk_all_reduce_ef_scratch(&rp, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
             let warm = scratch.misses();
             scratch.reset_stats();
             for round in 1..5 {
                 let mut y = vec_for(50 * round + peer.rank(), d);
-                hitopk_all_reduce_ef_resilient(
-                    &mut rp,
-                    &mut y,
-                    m,
-                    n,
-                    rho,
-                    &mut c,
-                    &mut ef,
-                    &mut scratch,
-                );
+                hitopk_all_reduce_ef_scratch(&rp, &mut y, m, n, rho, &mut c, &mut ef, &mut scratch);
             }
             (warm, scratch.misses())
         });

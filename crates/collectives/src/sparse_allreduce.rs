@@ -36,10 +36,10 @@
 //! identical* to `hitopk_all_reduce*`'s. Only the wire schedule (and hence
 //! the byte accounting) differs.
 //!
-//! Three entry points: [`ok_sparse_all_reduce`], [`ok_sparse_all_reduce_ef`]
-//! (error feedback at the sparsification point) and
-//! [`ok_sparse_all_reduce_ef_resilient`] (the same body over a
-//! [`ResilientPeer`]; bitwise equal to the EF path under a clean plan).
+//! Two entry points: [`ok_sparse_all_reduce`] and [`ok_sparse_all_reduce_ef`]
+//! (error feedback at the sparsification point, over any transport — a
+//! [`crate::resilience::ResilientPeer`] included, bitwise equal to the
+//! plain peer under a clean plan).
 
 use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
 use cloudtrain_tensor::ops;
@@ -47,7 +47,6 @@ use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 
 use crate::group::{Peer, Transport};
 use crate::hierarchical::{pair_wire_bytes, scatter_and_all_gather, shard_k};
-use crate::resilience::ResilientPeer;
 use crate::ring::{
     all_gather_pairs_scratch, frame_pair, member_index, ring_reduce_scatter_scratch, unframe_pair,
 };
@@ -212,11 +211,13 @@ fn ok_sparse_wire_bytes(stats: &AggregateStats, q: usize) -> usize {
 }
 
 /// The one body of every O(k) path, over whichever transport the caller
-/// holds. With error feedback, a member that `withhold`s its contribution
-/// (a degraded fault draw) keeps its whole reduced shard in the residual
-/// and sends an empty selection; without it, `withhold` is ignored.
+/// holds. With error feedback, the transport's
+/// [`contribution_withheld`](Transport::contribution_withheld) draw is
+/// taken once, before selecting: a member that withholds keeps its whole
+/// reduced shard in the residual and sends an empty selection. Without
+/// error feedback nothing is drawn.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn ok_sparse_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
+fn ok_sparse_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
     peer: &T,
     x: &mut [f32],
     m: usize,
@@ -224,7 +225,6 @@ pub(crate) fn ok_sparse_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
     rho: f64,
     compressor: &mut C,
     ef: Option<&mut ErrorFeedback>,
-    withhold: bool,
     scratch: &mut CommScratch,
 ) -> OkSparseReport {
     assert_eq!(peer.size(), m * n, "ok_sparse_all_reduce: group is not m*n");
@@ -244,7 +244,7 @@ pub(crate) fn ok_sparse_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
                 shard.len(),
                 "ok_sparse_all_reduce_ef: residual must match the shard"
             );
-            if withhold {
+            if peer.contribution_withheld() {
                 ef.withhold(shard.slice(x));
                 SparseGrad::empty(shard.len())
             } else {
@@ -316,7 +316,6 @@ pub fn ok_sparse_all_reduce<C: Compressor + ?Sized>(
         rho,
         compressor,
         None,
-        false,
         &mut CommScratch::new(),
     )
 }
@@ -324,48 +323,21 @@ pub fn ok_sparse_all_reduce<C: Compressor + ?Sized>(
 /// O(k) sparse allreduce with error feedback at the sparsification point
 /// (the shard owner's residual, exactly as in
 /// [`crate::hierarchical::hitopk_all_reduce_ef`] — the two are bitwise
-/// interchangeable, so the mass-conservation ledger verifies either).
+/// interchangeable, so the mass-conservation ledger verifies either),
+/// drawing every communication buffer from `scratch`.
+///
+/// A member whose transport withholds its contribution
+/// ([`Transport::contribution_withheld`], e.g. a degraded draw of a
+/// [`crate::resilience::ResilientPeer`]'s fault plan, identical on all
+/// ranks) transmits an empty selection — its whole reduced shard stays in
+/// the residual and is re-injected next invocation.
 ///
 /// # Panics
 /// Panics if the group size is not `m * n` or the residual dimension does
 /// not match this rank's shard.
-pub fn ok_sparse_all_reduce_ef<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    ef: &mut ErrorFeedback,
-) -> OkSparseReport {
-    ok_sparse_impl(
-        peer,
-        x,
-        m,
-        n,
-        rho,
-        compressor,
-        Some(ef),
-        false,
-        &mut CommScratch::new(),
-    )
-}
-
-/// O(k) sparse allreduce with error feedback over a [`ResilientPeer`]:
-/// [`ok_sparse_all_reduce_ef`]'s body with every message walking the drop
-/// ladder, and a member whose contribution misses its deadline (per the
-/// fault plan, decided identically on all ranks) transmits an empty
-/// selection — its whole reduced shard stays in the residual and is
-/// re-injected next invocation. Drops are virtual, so output, residual and
-/// report are those of the body over a plain `Peer` given the same
-/// degradation draws.
-///
-/// # Panics
-/// Panics if the group size is not `m * n` or the residual dimension does
-/// not match this rank's shard.
-#[allow(clippy::too_many_arguments)] // mirrors hitopk_all_reduce_ef_resilient's signature
-pub fn ok_sparse_all_reduce_ef_resilient<C: Compressor + ?Sized>(
-    rp: &mut ResilientPeer,
+#[allow(clippy::too_many_arguments)]
+pub fn ok_sparse_all_reduce_ef<T: Transport + ?Sized, C: Compressor + ?Sized>(
+    peer: &T,
     x: &mut [f32],
     m: usize,
     n: usize,
@@ -374,9 +346,7 @@ pub fn ok_sparse_all_reduce_ef_resilient<C: Compressor + ?Sized>(
     ef: &mut ErrorFeedback,
     scratch: &mut CommScratch,
 ) -> OkSparseReport {
-    let instance = rp.begin_instance();
-    let withhold = rp.contribution_degraded(instance);
-    ok_sparse_impl(&*rp, x, m, n, rho, compressor, Some(ef), withhold, scratch)
+    ok_sparse_impl(peer, x, m, n, rho, compressor, Some(ef), scratch)
 }
 
 #[cfg(test)]
@@ -384,7 +354,7 @@ mod tests {
     use super::*;
     use crate::group::run_on_group;
     use crate::hierarchical::{group_wire_bytes, hitopk_all_reduce, hitopk_all_reduce_ef};
-    use crate::resilience::{CommFaults, ResiliencePolicy};
+    use crate::resilience::{CommFaults, ResiliencePolicy, ResilientPeer};
     use cloudtrain_compress::exact::SortTopK;
     use cloudtrain_compress::MsTopK;
     use cloudtrain_tensor::init;
@@ -451,10 +421,11 @@ mod tests {
             let run_oksparse = run_on_group(m * n, |peer| {
                 let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
                 let mut c = SortTopK;
+                let mut scratch = CommScratch::new();
                 let mut out = Vec::new();
                 for round in 0..3 {
                     let mut x = vec_for(100 * round + peer.rank(), d);
-                    ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef);
+                    ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
                     out.push(x);
                 }
                 (out, ef.residual().to_vec())
@@ -549,32 +520,24 @@ mod tests {
         let plain = run_on_group(m * n, |peer| {
             let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
             let mut c = SortTopK;
+            let mut scratch = CommScratch::new();
             let mut out = Vec::new();
             for round in 0..2 {
                 let mut x = vec_for(60 * round + peer.rank(), d);
-                ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef);
+                ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
                 out.push(x);
             }
             (out, ef.residual().to_vec())
         });
         let resilient = run_on_group(m * n, |peer| {
-            let mut rp = ResilientPeer::new(peer, CommFaults::new(7), ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, CommFaults::new(7), ResiliencePolicy::default());
             let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
             let mut c = SortTopK;
             let mut scratch = CommScratch::new();
             let mut out = Vec::new();
             for round in 0..2 {
                 let mut x = vec_for(60 * round + peer.rank(), d);
-                ok_sparse_all_reduce_ef_resilient(
-                    &mut rp,
-                    &mut x,
-                    m,
-                    n,
-                    rho,
-                    &mut c,
-                    &mut ef,
-                    &mut scratch,
-                );
+                ok_sparse_all_reduce_ef(&rp, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
                 out.push(x);
             }
             (out, ef.residual().to_vec())
@@ -587,23 +550,14 @@ mod tests {
         let (m, n, d, rho) = (2usize, 4usize, 240usize, 0.05f64);
         let faults = CommFaults::new(11).with_drops(0.2).straggle(5, 0.9);
         let results = run_on_group(m * n, move |peer| {
-            let mut rp = ResilientPeer::new(peer, faults.clone(), ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, faults.clone(), ResiliencePolicy::default());
             let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
             let mut c = SortTopK;
             let mut scratch = CommScratch::new();
             let mut x = Vec::new();
             for round in 0..3 {
                 x = vec_for(60 * round + peer.rank(), d);
-                ok_sparse_all_reduce_ef_resilient(
-                    &mut rp,
-                    &mut x,
-                    m,
-                    n,
-                    rho,
-                    &mut c,
-                    &mut ef,
-                    &mut scratch,
-                );
+                ok_sparse_all_reduce_ef(&rp, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
             }
             (x, ef.residual_norm(), rp.report())
         });
@@ -640,8 +594,7 @@ mod tests {
             let mut out = Vec::new();
             for round in 0..3 {
                 let mut x = vec_for(50 * round + peer.rank(), d);
-                let rep =
-                    ok_sparse_impl(peer, &mut x, m, n, rho, &mut c, None, false, &mut scratch);
+                let rep = ok_sparse_impl(peer, &mut x, m, n, rho, &mut c, None, &mut scratch);
                 out.push((x, rep));
             }
             out
@@ -656,11 +609,11 @@ mod tests {
             let mut scratch = CommScratch::new();
             let mut c = SortTopK;
             let mut x = vec_for(peer.rank(), d);
-            ok_sparse_impl(peer, &mut x, m, n, rho, &mut c, None, false, &mut scratch);
+            ok_sparse_impl(peer, &mut x, m, n, rho, &mut c, None, &mut scratch);
             let warm = scratch.misses();
             for round in 1..4 {
                 let mut y = vec_for(50 * round + peer.rank(), d);
-                ok_sparse_impl(peer, &mut y, m, n, rho, &mut c, None, false, &mut scratch);
+                ok_sparse_impl(peer, &mut y, m, n, rho, &mut c, None, &mut scratch);
             }
             (warm, scratch.misses())
         });

@@ -12,12 +12,17 @@
 
 use cloudtrain_tensor::ops;
 
-use crate::group::{Peer, Transport};
+use crate::group::Transport;
 
 /// Binomial-tree reduce of `x` to the member at position 0 of `order`,
 /// followed by a binomial broadcast back to all members. `pos` is the
 /// calling peer's position within `order`.
-fn binomial_reduce_broadcast(peer: &Peer, x: &mut [f32], order: &[usize], pos: usize) {
+fn binomial_reduce_broadcast<T: Transport + ?Sized>(
+    peer: &T,
+    x: &mut [f32],
+    order: &[usize],
+    pos: usize,
+) {
     let p = order.len();
     if p <= 1 || x.is_empty() {
         return;
@@ -65,7 +70,7 @@ fn binomial_reduce_broadcast(peer: &Peer, x: &mut [f32], order: &[usize], pos: u
 /// The first half of `x` is reduced/broadcast over the natural member order
 /// and the second half over the reversed order, mirroring NCCL's double
 /// tree. Cost per half: `2 log2(P)` steps of `d/2` elements.
-pub fn tree_all_reduce(peer: &Peer, x: &mut [f32], members: &[usize]) {
+pub fn tree_all_reduce<T: Transport + ?Sized>(peer: &T, x: &mut [f32], members: &[usize]) {
     let p = members.len();
     let pos = members
         .iter()

@@ -3,13 +3,14 @@
 //! sparse collectives keep their structural invariants.
 
 use cloudtrain_collectives::group::run_on_group;
-use cloudtrain_collectives::gtopk::{gtopk_all_reduce, merge_sparse, trim_topk};
+use cloudtrain_collectives::gtopk::{gtopk_all_reduce_ef, merge_sparse, trim_topk};
 use cloudtrain_collectives::hierarchical::{hitopk_all_reduce, shard_k};
 use cloudtrain_collectives::ring::ring_all_reduce;
 use cloudtrain_collectives::torus::torus_all_reduce;
 use cloudtrain_collectives::tree::tree_all_reduce;
+use cloudtrain_collectives::CommScratch;
 use cloudtrain_compress::exact::SortTopK;
-use cloudtrain_compress::SparseGrad;
+use cloudtrain_compress::{ErrorFeedback, SparseGrad};
 use cloudtrain_tensor::{init, ops};
 use proptest::prelude::*;
 
@@ -142,8 +143,9 @@ proptest! {
         let data = per_rank_data(p, d, seed);
         let results = run_on_group(p, move |peer| {
             let mut x = data[peer.rank()].clone();
-            let mut c = SortTopK;
-            gtopk_all_reduce(peer, &mut x, k, &mut c);
+            let mut ef = ErrorFeedback::new(d);
+            let mut scratch = CommScratch::new();
+            gtopk_all_reduce_ef(peer, &mut x, k, &mut SortTopK, &mut ef, &mut scratch);
             x
         });
         for x in &results {

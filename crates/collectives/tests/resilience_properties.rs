@@ -10,10 +10,9 @@
 //! assert that ledger balances element-wise.
 
 use cloudtrain_collectives::group::run_on_group;
-use cloudtrain_collectives::resilience::{
-    gtopk_all_reduce_ef_resilient, hitopk_all_reduce_ef_resilient, CommFaults, ResiliencePolicy,
-    ResilientPeer,
-};
+use cloudtrain_collectives::gtopk::gtopk_all_reduce_ef;
+use cloudtrain_collectives::hierarchical::hitopk_all_reduce_ef_scratch;
+use cloudtrain_collectives::resilience::{CommFaults, ResiliencePolicy, ResilientPeer};
 use cloudtrain_collectives::CommScratch;
 use cloudtrain_compress::exact::SortTopK;
 use cloudtrain_compress::ErrorFeedback;
@@ -53,7 +52,7 @@ proptest! {
             .straggle(straggler % p, straggler_prob);
 
         let results = run_on_group(p, |peer| {
-            let mut rp = ResilientPeer::new(peer, faults.clone(), ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, faults.clone(), ResiliencePolicy::default());
             let shard_len = shards(d, n)[peer.rank() % n].len();
             let mut ef = ErrorFeedback::new(shard_len);
             let mut c = SortTopK;
@@ -61,8 +60,8 @@ proptest! {
             let mut applied = vec![0.0f32; d];
             for round in 0..rounds {
                 let mut x = data_for(peer.rank(), round, d, seed);
-                hitopk_all_reduce_ef_resilient(
-                    &mut rp, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch,
+                hitopk_all_reduce_ef_scratch(
+                    &rp, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch,
                 );
                 ops::add_assign(&mut applied, &x);
             }
@@ -119,14 +118,14 @@ proptest! {
         let k = 4;
         let faults = CommFaults::new(seed).straggle(1 % p, straggler_prob);
         let results = run_on_group(p, |peer| {
-            let mut rp = ResilientPeer::new(peer, faults.clone(), ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, faults.clone(), ResiliencePolicy::default());
             let mut ef = ErrorFeedback::new(d);
             let mut c = SortTopK;
             let mut scratch = CommScratch::new();
             let mut outs = Vec::new();
             for round in 0..3 {
                 let mut x = data_for(peer.rank(), round, d, seed);
-                gtopk_all_reduce_ef_resilient(&mut rp, &mut x, k, &mut c, &mut ef, &mut scratch);
+                gtopk_all_reduce_ef(&rp, &mut x, k, &mut c, &mut ef, &mut scratch);
                 outs.push(x);
             }
             (outs, ef.residual().to_vec(), rp.report())

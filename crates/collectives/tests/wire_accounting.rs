@@ -1,8 +1,8 @@
 //! Differential wire-byte accounting across the HiTopKComm variant family.
 //!
-//! Every hitopk twin — staged, traced, reordered and resilient — moves
-//! exactly the same inter-node traffic when the faults are clean and the
-//! node order is the identity. They all charge
+//! Every hitopk entry point — staged, traced, and either over a clean-plan
+//! `ResilientPeer` — moves exactly the same inter-node traffic. They all
+//! charge
 //! that traffic through one shared helper
 //! (`group_wire_bytes(selection, g) == pair_wire_bytes(k) * (g - 1)`), so
 //! a divergence here means a variant grew its own byte math again.
@@ -11,8 +11,6 @@ use cloudtrain_collectives::group::run_on_group;
 use cloudtrain_collectives::hierarchical::{
     hitopk_all_reduce_ef_scratch, hitopk_all_reduce_ef_traced, pair_wire_bytes, HiTopKReport,
 };
-use cloudtrain_collectives::reorder::hitopk_all_reduce_ef_reordered;
-use cloudtrain_collectives::resilience::hitopk_all_reduce_ef_resilient;
 use cloudtrain_collectives::{CommFaults, CommScratch, ResiliencePolicy, ResilientPeer};
 use cloudtrain_compress::exact::SortTopK;
 use cloudtrain_compress::ErrorFeedback;
@@ -63,19 +61,20 @@ fn all_hitopk_variants_report_identical_wire_bytes_for_identical_traffic() {
         let mut reg = Registry::new();
         hitopk_all_reduce_ef_traced(peer, x, M, N, RHO, c, ef, scratch, &mut reg)
     });
-    let reordered = reports_of(&|peer, x, c, ef, scratch| {
-        let order: Vec<usize> = (0..M).collect();
-        hitopk_all_reduce_ef_reordered(peer, x, M, N, RHO, c, ef, &order, scratch)
-    });
     let resilient = reports_of(&|peer, x, c, ef, scratch| {
-        let mut rp = ResilientPeer::new(peer, CommFaults::new(7), ResiliencePolicy::default());
-        hitopk_all_reduce_ef_resilient(&mut rp, x, M, N, RHO, c, ef, scratch)
+        let rp = ResilientPeer::new(peer, CommFaults::new(7), ResiliencePolicy::default());
+        hitopk_all_reduce_ef_scratch(&rp, x, M, N, RHO, c, ef, scratch)
+    });
+    let resilient_traced = reports_of(&|peer, x, c, ef, scratch| {
+        let rp = ResilientPeer::new(peer, CommFaults::new(7), ResiliencePolicy::default());
+        let mut reg = Registry::new();
+        hitopk_all_reduce_ef_traced(&rp, x, M, N, RHO, c, ef, scratch, &mut reg)
     });
 
     for (name, variant) in [
         ("traced", &traced),
-        ("reordered", &reordered),
         ("resilient", &resilient),
+        ("resilient traced", &resilient_traced),
     ] {
         assert_eq!(
             variant, &staged,

@@ -90,11 +90,9 @@ pub const ORACLE_COLLECTIVES: &[&str] = &[
     "torus_bucketed",
     "ring_res",
     "torus_res",
-    "torus_reordered",
     "hitopk",
     "hitopk_ef",
     "hitopk_ef_res",
-    "hitopk_ef_reordered",
     "gtopk",
     "gtopk_ef_res",
     "naiveag",
@@ -298,7 +296,6 @@ fn parse_oracle(name: &str, kv: &Kv) -> Result<OracleCase, String> {
         "hitopk"
             | "hitopk_ef"
             | "hitopk_ef_res"
-            | "hitopk_ef_reordered"
             | "gtopk"
             | "gtopk_ef_res"
             | "naiveag"
@@ -424,7 +421,6 @@ meta perm comp=dgc d=4096 k=64 seed=9
             "oracle hitopk_ef_res m=2 n=2 d=64 rho=0.1 comp=dgc seed=5 drops=0.1 degrade=0.2",
             "oracle tree_bucketed m=2 n=3 d=96 rho=0.05 comp=- seed=4",
             "oracle ring_res m=2 n=3 d=64 rho=0.05 comp=- seed=3 drops=0.2",
-            "oracle torus_reordered m=2 n=3 d=96 rho=0.05 comp=- seed=6",
             "oracle oksparse m=3 n=2 d=300 rho=0.1 comp=mstopk seed=8",
             "oracle oksparse_ef m=2 n=4 d=512 rho=0.05 comp=dgc seed=9",
             "oracle oksparse_ef_res m=2 n=2 d=128 rho=0.1 comp=randomk seed=10 drops=0.2 degrade=0.3",
@@ -480,8 +476,12 @@ meta perm comp=dgc d=4096 k=64 seed=9
                 "retired reordered ring",
             ),
             (
-                "oracle torus_reordered m=2 n=2 d=16 seed=1 degrade=0.5",
-                "degrade on reordered variant",
+                "oracle torus_reordered m=2 n=3 d=96 seed=6",
+                "retired reordered torus",
+            ),
+            (
+                "oracle hitopk_ef_reordered m=2 n=2 d=16 rho=0.1 comp=dgc seed=1",
+                "retired reordered hierarchical top-k",
             ),
             (
                 "cost torus_reordered nodes=1 gpus=8 d=1000",

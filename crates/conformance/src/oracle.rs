@@ -27,19 +27,14 @@
 use std::collections::BTreeSet;
 
 use cloudtrain_collectives::group::run_on_group;
-use cloudtrain_collectives::gtopk::gtopk_all_reduce;
+use cloudtrain_collectives::gtopk::gtopk_all_reduce_ef;
 use cloudtrain_collectives::hierarchical::{
-    hitopk_all_reduce, hitopk_all_reduce_ef, shard_k, sparse_all_reduce_naive,
+    hitopk_all_reduce, hitopk_all_reduce_ef, hitopk_all_reduce_ef_scratch, shard_k,
+    sparse_all_reduce_naive,
 };
 use cloudtrain_collectives::quantized::quantized_all_reduce;
-use cloudtrain_collectives::reorder::{hitopk_all_reduce_ef_reordered, torus_all_reduce_reordered};
-use cloudtrain_collectives::resilience::{
-    gtopk_all_reduce_ef_resilient, hitopk_all_reduce_ef_resilient,
-};
 use cloudtrain_collectives::ring::{ring_all_reduce, ring_all_reduce_scratch};
-use cloudtrain_collectives::sparse_allreduce::{
-    ok_sparse_all_reduce, ok_sparse_all_reduce_ef, ok_sparse_all_reduce_ef_resilient,
-};
+use cloudtrain_collectives::sparse_allreduce::{ok_sparse_all_reduce, ok_sparse_all_reduce_ef};
 use cloudtrain_collectives::torus::torus_all_reduce;
 use cloudtrain_collectives::tree::tree_all_reduce;
 use cloudtrain_collectives::{CommFaults, CommScratch, ResiliencePolicy, ResilientPeer};
@@ -153,10 +148,8 @@ pub fn run(index: usize, case: &OracleCase) -> CaseResult {
         "ring" | "tree" | "torus" => run_dense(case, &mut ck),
         "tree_bucketed" | "torus_bucketed" => run_dense_bucketed(case, &mut ck),
         "ring_res" | "torus_res" => run_dense_resilient(case, &mut ck),
-        "torus_reordered" => run_torus_reordered(case, &mut ck),
         "hitopk" => run_hitopk(case, &mut ck),
         "hitopk_ef" => run_hitopk_ef(case, &mut ck),
-        "hitopk_ef_reordered" => run_hitopk_ef_reordered(case, &mut ck),
         "hitopk_ef_res" => run_hitopk_ef_res(case, &mut ck),
         "gtopk" => run_gtopk(case, &mut ck),
         "gtopk_ef_res" => run_gtopk_ef_res(case, &mut ck),
@@ -341,55 +334,6 @@ fn run_dense_resilient(c: &OracleCase, ck: &mut Checks) {
     });
 }
 
-/// The non-identity node order every reordered runner exercises: node 0
-/// first (the optimizer's canonical form), remaining nodes reversed.
-fn reversed_order(m: usize) -> Vec<usize> {
-    std::iter::once(0).chain((1..m).rev()).collect()
-}
-
-fn run_torus_reordered(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (m, n, d, seed) = (c.m, c.n, c.d, c.seed);
-    // The m-node inter ring is permuted; the intra rings are not.
-    let order = reversed_order(m);
-    let run = |ord: &[usize]| {
-        run_on_group(p, |peer| {
-            let mut x = grad_for(seed, peer.rank(), d);
-            torus_all_reduce_reordered(peer, &mut x, m, n, ord);
-            x
-        })
-    };
-    let a = run(&order);
-    let b = run(&order);
-    ck.check("determinism", a == b, || {
-        "second reordered run differs from the first".to_string()
-    });
-    ck.check("replica-identity", all_ranks_eq(&a), || {
-        "ranks hold different results".to_string()
-    });
-    let reference = dense_sum(seed, p, d);
-    ck.check(
-        "dense-sum",
-        ops::approx_eq(&a[0], &reference, DENSE_TOL),
-        || format!("linf={} tol={DENSE_TOL}", linf(&a[0], &reference)),
-    );
-    // Under the identity order the reordered twin must reproduce the
-    // natural collective bitwise — the contract that makes reordering safe
-    // to route behind a config flag.
-    let identity: Vec<usize> = (0..m).collect();
-    let id = run(&identity);
-    let plain = run_on_group(p, |peer| {
-        let mut x = grad_for(seed, peer.rank(), d);
-        torus_all_reduce(peer, &mut x, m, n);
-        x
-    });
-    ck.check(
-        "identity-order-bitwise",
-        id.iter().zip(&plain).all(|(x, y)| bits_eq(x, y)),
-        || "identity-order reordered run differs from the natural twin bitwise".to_string(),
-    );
-}
-
 /// Sequential reference for HiTopKComm (Algorithm 2): per shard `j`, each
 /// node's dense shard sum is compressed by an identically-seeded replica of
 /// the owning rank's compressor (`rank = i·n + j`) and scatter-added in
@@ -538,74 +482,6 @@ fn run_hitopk_ef(c: &OracleCase, ck: &mut Checks) {
     check_ledger(ck, seed, m, n, d, EF_ITERS, &accs[0], &residuals);
 }
 
-fn run_hitopk_ef_reordered(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
-    let comp_name = c.comp.clone();
-    let order = reversed_order(m);
-    let run = |ord: &[usize]| {
-        run_on_group(p, |peer| {
-            let shard_len = shards(d, n)[peer.rank() % n].len();
-            let mut ef = ErrorFeedback::new(shard_len);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let mut scratch = CommScratch::new();
-            let mut acc = vec![0.0f32; d];
-            for t in 0..EF_ITERS {
-                let mut x = grad_iter(seed, t, peer.rank(), d);
-                hitopk_all_reduce_ef_reordered(
-                    peer,
-                    &mut x,
-                    m,
-                    n,
-                    rho,
-                    comp.as_mut(),
-                    &mut ef,
-                    ord,
-                    &mut scratch,
-                );
-                ops::add_assign(&mut acc, &x);
-            }
-            (acc, ef.residual().to_vec())
-        })
-    };
-    let a = run(&order);
-    let b = run(&order);
-    ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
-        "second reordered run differs from the first".to_string()
-    });
-    let accs: Vec<Vec<f32>> = a.iter().map(|(x, _)| x.clone()).collect();
-    ck.check("replica-identity", all_ranks_eq(&accs), || {
-        "ranks hold different accumulated results".to_string()
-    });
-    // Reordering only permutes the sparse AllGather's visit order, so the
-    // mass-conservation ledger must hold exactly as for the natural twin.
-    let residuals: Vec<Vec<f32>> = a.iter().map(|(_, r)| r.clone()).collect();
-    check_ledger(ck, seed, m, n, d, EF_ITERS, &accs[0], &residuals);
-    // Identity order must reproduce the natural EF pipeline bitwise —
-    // accumulated output and final residuals both.
-    let identity: Vec<usize> = (0..m).collect();
-    let id = run(&identity);
-    let plain = run_on_group(p, |peer| {
-        let shard_len = shards(d, n)[peer.rank() % n].len();
-        let mut ef = ErrorFeedback::new(shard_len);
-        let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-        let mut acc = vec![0.0f32; d];
-        for t in 0..EF_ITERS {
-            let mut x = grad_iter(seed, t, peer.rank(), d);
-            hitopk_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
-            ops::add_assign(&mut acc, &x);
-        }
-        (acc, ef.residual().to_vec())
-    });
-    ck.check(
-        "identity-order-bitwise",
-        id.iter()
-            .zip(&plain)
-            .all(|((acc, r), (uacc, ur))| bits_eq(acc, uacc) && bits_eq(r, ur)),
-        || "identity-order reordered EF run differs from the natural twin bitwise".to_string(),
-    );
-}
-
 fn run_hitopk_ef_res(c: &OracleCase, ck: &mut Checks) {
     let p = c.m * c.n;
     let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
@@ -622,13 +498,13 @@ fn run_hitopk_ef_res(c: &OracleCase, ck: &mut Checks) {
             let faults = CommFaults::new(seed)
                 .with_drops(drops)
                 .with_degrade(degrade);
-            let mut rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
             let mut scratch = CommScratch::new();
             let mut acc = vec![0.0f32; d];
             for t in 0..EF_ITERS {
                 let mut x = grad_iter(seed, t, peer.rank(), d);
-                hitopk_all_reduce_ef_resilient(
-                    &mut rp,
+                hitopk_all_reduce_ef_scratch(
+                    &rp,
                     &mut x,
                     m,
                     n,
@@ -697,7 +573,9 @@ fn run_gtopk(c: &OracleCase, ck: &mut Checks) {
         run_on_group(p, |peer| {
             let mut x = grad_for(seed, peer.rank(), d);
             let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let sent = gtopk_all_reduce(peer, &mut x, k, comp.as_mut());
+            let mut ef = ErrorFeedback::new(d);
+            let mut scratch = CommScratch::new();
+            let sent = gtopk_all_reduce_ef(peer, &mut x, k, comp.as_mut(), &mut ef, &mut scratch);
             (x, sent)
         })
     };
@@ -756,9 +634,9 @@ fn run_gtopk_ef_res(c: &OracleCase, ck: &mut Checks) {
             let faults = CommFaults::new(seed)
                 .with_drops(drops)
                 .with_degrade(degrade);
-            let mut rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
             let mut scratch = CommScratch::new();
-            gtopk_all_reduce_ef_resilient(&mut rp, &mut x, k, comp.as_mut(), &mut ef, &mut scratch);
+            gtopk_all_reduce_ef(&rp, &mut x, k, comp.as_mut(), &mut ef, &mut scratch);
             (x, ef.residual().to_vec(), g0)
         })
     };
@@ -938,11 +816,21 @@ fn run_oksparse_ef(c: &OracleCase, ck: &mut Checks) {
             let shard_len = shards(d, n)[peer.rank() % n].len();
             let mut ef = ErrorFeedback::new(shard_len);
             let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
+            let mut scratch = CommScratch::new();
             let mut acc = vec![0.0f32; d];
             for t in 0..EF_ITERS {
                 let mut x = grad_iter(seed, t, peer.rank(), d);
                 if ok_path {
-                    ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
+                    ok_sparse_all_reduce_ef(
+                        peer,
+                        &mut x,
+                        m,
+                        n,
+                        rho,
+                        comp.as_mut(),
+                        &mut ef,
+                        &mut scratch,
+                    );
                 } else {
                     hitopk_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
                 }
@@ -987,19 +875,10 @@ fn run_oksparse_ef_res(c: &OracleCase, ck: &mut Checks) {
             let faults = CommFaults::new(seed)
                 .with_drops(drops)
                 .with_degrade(degrade);
-            let mut rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
             let mut scratch = CommScratch::new();
             let mut x = grad_for(seed, peer.rank(), d);
-            ok_sparse_all_reduce_ef_resilient(
-                &mut rp,
-                &mut x,
-                m,
-                n,
-                rho,
-                comp.as_mut(),
-                &mut ef,
-                &mut scratch,
-            );
+            ok_sparse_all_reduce_ef(&rp, &mut x, m, n, rho, comp.as_mut(), &mut ef, &mut scratch);
             (x, ef.residual().to_vec())
         })
     };
@@ -1021,8 +900,18 @@ fn run_oksparse_ef_res(c: &OracleCase, ck: &mut Checks) {
             let shard_len = shards(d, n)[peer.rank() % n].len();
             let mut ef = ErrorFeedback::new(shard_len);
             let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
+            let mut scratch = CommScratch::new();
             let mut x = grad_for(seed, peer.rank(), d);
-            ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
+            ok_sparse_all_reduce_ef(
+                peer,
+                &mut x,
+                m,
+                n,
+                rho,
+                comp.as_mut(),
+                &mut ef,
+                &mut scratch,
+            );
             (x, ef.residual().to_vec())
         });
         ck.check(

@@ -100,7 +100,6 @@ pub fn expected_pairings() -> Vec<(&'static str, &'static str)> {
         "torus_bucketed",
         "ring_res",
         "torus_res",
-        "torus_reordered",
         "qsgd",
         "terngrad",
         "scaledsign",
@@ -111,7 +110,6 @@ pub fn expected_pairings() -> Vec<(&'static str, &'static str)> {
         "hitopk",
         "hitopk_ef",
         "hitopk_ef_res",
-        "hitopk_ef_reordered",
         "gtopk",
         "gtopk_ef_res",
         "naiveag",

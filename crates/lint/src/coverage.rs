@@ -8,7 +8,7 @@
 //!    twins folded into their base entry;
 //! 2. the **conformance matrix** — the dense/sparse tag arrays in
 //!    `expected_pairings()` crossed with the `COMPRESSORS` list
-//!    (the 61-pairing matrix `BENCH_conformance.json` snapshots);
+//!    (the 55-pairing matrix `BENCH_conformance.json` snapshots);
 //! 3. the **oracle dispatch** — the match arms of `oracle::run`.
 //!
 //! Findings: an exported collective whose derived tag is neither in the
@@ -150,6 +150,11 @@ fn tags_for(name: &str) -> Option<Vec<String>> {
     if base == "sparse_all_reduce_naive" {
         return Some(vec!["naiveag".to_string()]);
     }
+    // gTop-k has one entry, with error feedback; over a fresh residual it
+    // is the plain exchange the `gtopk` tag drives.
+    if base == "gtopk_all_reduce_ef" {
+        return Some(vec!["gtopk".to_string(), "gtopk_ef".to_string()]);
+    }
     if base == "quantized_all_reduce" {
         return Some(
             ["qsgd", "terngrad", "scaledsign"]
@@ -167,7 +172,6 @@ fn tags_for(name: &str) -> Option<Vec<String>> {
         .trim_start_matches('_')
         .split('_')
         .filter(|m| !m.is_empty())
-        .map(|m| if m == "resilient" { "res" } else { m })
         .collect();
     let tag = if mods.is_empty() {
         prefix.to_string()
@@ -246,13 +250,17 @@ pub fn check(
         }
     }
     // Bucketed execution drives the same collective through the fusion
-    // bucket scheduler, and a resilient dense run is the same collective
-    // over a fault-charging transport; the base entry claims both tags.
+    // bucket scheduler, and a resilient run is the same collective over a
+    // fault-charging transport (which, under error feedback, also draws
+    // the degradation); the base entry claims both tags.
     for (base, variant) in [
         ("tree", "bucketed"),
         ("torus", "bucketed"),
         ("ring", "res"),
         ("torus", "res"),
+        ("hitopk_ef", "res"),
+        ("oksparse_ef", "res"),
+        ("gtopk_ef", "res"),
     ] {
         if claimed.contains(base) {
             claimed.insert(format!("{base}_{variant}"));

@@ -60,13 +60,11 @@ pub const RULE_DOCS: &[(&str, &str)] = &[
     ),
     (
         "twin_drift",
-        "Structural diff between a suffix twin (_scratch/_ef/_resilient/\
-         _reordered/_traced) and its base \
-         collective. The twin's call skeleton must equal the base's modulo \
-         the suffix's declared rewrite set (see crates/lint/src/twins.rs \
-         REWRITES); a _resilient twin runs the base's body over a \
-         fault-charging transport, so its set is only the degradation \
-         draw. A finding means a hop or stage exists in one variant \
+        "Structural diff between a suffix twin (_scratch/_ef/_traced) \
+         and its base collective. The twin's call skeleton must equal the \
+         base's modulo the suffix's declared rewrite set (see \
+         crates/lint/src/twins.rs REWRITES); fault handling is not a twin \
+         but a transport every body runs over. A finding means a hop or stage exists in one variant \
          but not the other - usually a fix applied to the base and \
          forgotten in a twin. Fix: port the change to the twin; if the \
          divergence is intentional, extend the suffix's reviewed rewrite \

@@ -1,26 +1,24 @@
 //! Twin-family drift detection (`twin_drift`).
 //!
 //! Every hot collective ships as a family: a base path plus suffix twins
-//! (`_scratch`, `_ef`, `_resilient`, `_reordered`, `_traced`)
-//! that must repeat the base's structural call skeleton modulo a
-//! *declared* per-suffix rewrite. A fix applied to the
+//! (`_scratch`, `_ef`, `_traced`) that must repeat the base's structural
+//! call skeleton modulo a *declared* per-suffix rewrite. A fix applied to the
 //! base but forgotten in one twin shows up here as an unexplained skeleton
 //! difference, statically, instead of waiting for a differential test seed
 //! to hit it.
 //!
 //! Every twin is by now a thin entry into its base's one body; none sends
-//! hops of its own. A `_resilient` entry runs the body over a
-//! fault-charging `ResilientPeer` transport, so its rewrite set is only the
-//! degradation draw it hands the body (a missed deadline is that same
-//! draw).
+//! hops of its own. Faults and node order are not twins: a fault plan is a
+//! transport every body runs over (it draws the degradation too), and a
+//! ring visits its member list in the order given.
 //!
 //! The comparison model:
 //! 1. **Discovery** — for every non-test fn in a twin crate whose name
 //!    ends in known suffixes, strip suffixes right-to-left until the
 //!    remaining name is a fn in the same crate; that fn is the base and
 //!    the stripped set is the twin's rewrite budget (so
-//!    `gtopk_all_reduce_ef_resilient` pairs with `gtopk_all_reduce` under
-//!    `{ef, resilient}`).
+//!    `hitopk_all_reduce_ef_traced` pairs with `hitopk_all_reduce` under
+//!    `{traced, ef}`).
 //! 2. **Skeleton** — the set of *significant* callee names in the body:
 //!    names defined in the same crate or in the cross-crate vocabulary
 //!    (compressor/error-feedback methods), excluding neutral plumbing
@@ -34,9 +32,10 @@
 //!    single resolvable same-crate call (`hitopk_all_reduce_ef` →
 //!    `..._ef_scratch` → `hitopk_ef_impl`) is replaced by its
 //!    target's skeleton, to a fixed depth.
-//! 4. **Base expansion** — a twin that calls its own base, or the body its
-//!    base delegates to (`hitopk_all_reduce_ef_reordered` calls
-//!    `hitopk_ef_impl`), absorbs the base's skeleton in place of that call.
+//! 4. **Base expansion** — a twin that calls its own base, or a fn its
+//!    base delegates through (`hitopk_all_reduce` reaches `hitopk_ef_impl`
+//!    through `hitopk_all_reduce_ef`), absorbs the base's skeleton in place
+//!    of that call.
 //! 5. **Diff** — skeleton-set difference against the base, minus the
 //!    union of the suffixes' sanctioned adds/removes. Anything left is a
 //!    `twin_drift` finding at the twin's declaration line.
@@ -52,7 +51,7 @@ use crate::symbols::SymbolTable;
 use crate::Finding;
 
 /// The recognised twin suffixes, matched right-to-left at discovery.
-pub const SUFFIXES: &[&str] = &["traced", "scratch", "ef", "resilient", "reordered"];
+pub const SUFFIXES: &[&str] = &["traced", "scratch", "ef"];
 
 /// Cross-crate callee names that count as structural even though they
 /// resolve outside the twin crate: the compressor / error feedback surface
@@ -63,7 +62,7 @@ const VOCAB: &[&str] = &["select", "release", "withhold", "compress"];
 /// scratch-pool take/put traffic (allocation strategy is exactly what
 /// `_scratch` twins are allowed to change), obs instrumentation, and the
 /// grid position and member lists a body addresses its stages with (a
-/// reordered twin permutes them; a wrapper may compute them for its body).
+/// wrapper may compute them for its body).
 const NEUTRAL: &[&str] = &[
     "new",
     "default",
@@ -92,7 +91,6 @@ const NEUTRAL: &[&str] = &[
     "grid_pos",
     "intra_node_members",
     "inter_node_members",
-    "inter_members_ordered",
 ];
 
 /// Callee-name aliases applied before comparison: the right-hand side is
@@ -131,21 +129,6 @@ const REWRITES: &[Rewrite] = &[
         // is released from the residual.
         suffix: "ef",
         adds: &["release", "shard_k", "empty"],
-        removes: &[],
-    },
-    Rewrite {
-        // A resilient entry point is its base's body over a fault-charging
-        // transport: it numbers the sparse contribution and draws its
-        // degradation, and gTop-k's withholds a degraded contribution in
-        // the residual before the exchange.
-        suffix: "resilient",
-        adds: &["begin_instance", "contribution_degraded", "withhold"],
-        removes: &[],
-    },
-    Rewrite {
-        // Reordered twins validate and apply a node permutation.
-        suffix: "reordered",
-        adds: &["assert_valid_order"],
         removes: &[],
     },
 ];

@@ -42,14 +42,14 @@ fn twin_drift_flags_a_twin_missing_a_base_hop() {
     let src = "\
 fn hop_a() {}\n\
 fn hop_b() {}\n\
-fn begin_instance() {}\n\
+fn release() {}\n\
 pub fn reduce_pair(x: &mut [f32]) { hop_a(); hop_b(); }\n\
-pub fn reduce_pair_resilient(x: &mut [f32]) { hop_a(); begin_instance(); }\n";
+pub fn reduce_pair_ef(x: &mut [f32]) { hop_a(); release(); }\n";
     let inputs = [input("crates/fix/src/lib.rs", "fixture-collectives", src)];
     let report = run_files(&inputs, &twin_config());
     let hits = rule_hits(&report, "twin_drift");
     assert_eq!(hits.len(), 1, "{:?}", report.findings);
-    assert!(hits[0].message.contains("reduce_pair_resilient"));
+    assert!(hits[0].message.contains("reduce_pair_ef"));
     assert!(
         hits[0].message.contains("missing base calls [hop_b]"),
         "{}",
@@ -81,17 +81,17 @@ pub fn reduce_pair_scratch(x: &mut [f32]) { hop_a(); hop_b(); rogue_stage(); }\n
 
 #[test]
 fn twin_drift_accepts_declared_rewrites_and_neutral_plumbing() {
-    // The resilient twin adds begin_instance (sanctioned for `resilient`)
-    // and scratch-pool traffic (neutral); the scratch twin only swaps
-    // allocation. Both are clean.
+    // The error-feedback twin adds release (sanctioned for `ef`); the
+    // scratch twin only swaps allocation (pool traffic is neutral). Both
+    // are clean.
     let src = "\
 fn hop_a() {}\n\
 fn hop_b() {}\n\
-fn begin_instance() {}\n\
+fn release() {}\n\
 fn take_f32() {}\n\
 pub fn reduce_pair(x: &mut [f32]) { hop_a(); hop_b(); }\n\
 pub fn reduce_pair_scratch(x: &mut [f32]) { take_f32(); hop_a(); hop_b(); }\n\
-pub fn reduce_pair_resilient(x: &mut [f32]) { begin_instance(); hop_a(); hop_b(); }\n";
+pub fn reduce_pair_ef(x: &mut [f32]) { hop_a(); hop_b(); release(); }\n";
     let inputs = [input("crates/fix/src/lib.rs", "fixture-collectives", src)];
     let report = run_files(&inputs, &twin_config());
     assert_eq!(
@@ -106,17 +106,17 @@ pub fn reduce_pair_resilient(x: &mut [f32]) { begin_instance(); hop_a(); hop_b()
 #[test]
 fn twin_drift_follows_delegation_wrappers() {
     // The public twin delegates to an _impl; its skeleton must be the
-    // impl's, so the missing hop still surfaces. The reordered twin calls
-    // the base's impl itself, so it inherits the base's skeleton.
+    // impl's, so the missing hop still surfaces. The error-feedback twin
+    // calls the base's impl itself, so it inherits the base's skeleton.
     let src = "\
 fn hop_a() {}\n\
 fn hop_b() {}\n\
-fn assert_valid_order() {}\n\
+fn release() {}\n\
 fn reduce_impl(x: &mut [f32]) { hop_a(); hop_b(); }\n\
 fn reduce_traced_impl(x: &mut [f32]) { hop_a(); }\n\
 pub fn reduce_pair(x: &mut [f32]) { reduce_impl(x); }\n\
 pub fn reduce_pair_traced(x: &mut [f32]) { reduce_traced_impl(x); }\n\
-pub fn reduce_pair_reordered(x: &mut [f32]) { assert_valid_order(); reduce_impl(x); }\n";
+pub fn reduce_pair_ef(x: &mut [f32]) { release(); reduce_impl(x); }\n";
     let inputs = [input("crates/fix/src/lib.rs", "fixture-collectives", src)];
     let report = run_files(&inputs, &twin_config());
     let hits = rule_hits(&report, "twin_drift");
@@ -124,15 +124,15 @@ pub fn reduce_pair_reordered(x: &mut [f32]) { assert_valid_order(); reduce_impl(
     assert!(hits[0].message.contains("hop_b"), "{}", hits[0].message);
 }
 
-/// The error-feedback entry points are policed like any hop. The EF base
-/// selects with the base's own `compress`, on the residual its
-/// ReduceScatter accumulated, so an EF base that drops it has dropped the
-/// selection. `release` is what the `ef` rewrite adds; dropping it is left
-/// to the EF tests, because the reordered and resilient twins both run the
-/// base's body: the dropped call reaches them with it and
-/// there is no drift to report.
+/// Every HiTopKComm entry point — plain and error-feedback, staged and
+/// traced — runs the one error-feedback body, so a call dropped from it
+/// (the selection, or the release of what was sent) reaches them all
+/// together: no entry drifts from its base, and the behaviour tests
+/// (`hitopk_reference`, the folded hop's reference, the conformance
+/// ledgers) are what catch it. An entry that grew a body of its own would
+/// keep the dropped call and drift here.
 #[test]
-fn mutation_dropping_an_error_feedback_call_flags_the_ef_family() {
+fn mutation_dropping_an_error_feedback_call_reaches_every_hitopk_entry_point() {
     let config = Config::default();
     let pristine = collect_workspace(&workspace_root(), &config).expect("walk");
     let mutated = |from: &str, to: &str| {
@@ -146,29 +146,27 @@ fn mutation_dropping_an_error_feedback_call_flags_the_ef_family() {
         run_files(&inputs, &config)
     };
 
-    let report = mutated(
-        "compressor.compress(ef.residual(), k);",
-        "SparseGrad::empty(shard.len());",
-    );
-    assert!(
-        rule_hits(&report, "twin_drift").iter().any(|f| {
-            f.message.contains("`hitopk_all_reduce_ef`")
-                && f.message.contains("missing base calls [compress]")
-        }),
-        "{:?}",
-        report.findings
-    );
-
-    let report = mutated("ef.release(&selection);", "");
-    let drift = rule_hits(&report, "twin_drift");
-    for twin in [
-        "hitopk_all_reduce_ef_reordered",
-        "hitopk_all_reduce_ef_resilient",
+    for (from, to) in [
+        (
+            "compressor.compress(ef.residual(), k);",
+            "SparseGrad::empty(shard.len());",
+        ),
+        ("ef.release(&selection);", ""),
     ] {
-        assert!(
-            !drift.iter().any(|f| f.message.contains(twin)),
-            "twin `{twin}` shares the base's body and must not drift; got {drift:?}"
-        );
+        let report = mutated(from, to);
+        let drift = rule_hits(&report, "twin_drift");
+        for entry in [
+            "hitopk_all_reduce_ef",
+            "hitopk_all_reduce_ef_scratch",
+            "hitopk_all_reduce_ef_traced",
+        ] {
+            assert!(
+                !drift
+                    .iter()
+                    .any(|f| f.message.contains(&format!("`{entry}`"))),
+                "`{entry}` shares the one body and must not drift; got {drift:?}"
+            );
+        }
     }
 }
 
@@ -273,7 +271,7 @@ fn coverage_conformance_flags_a_tag_without_an_oracle_arm() {
 }
 
 /// Acceptance criterion: the matrix the analyzer re-derives from source
-/// matches the 61 pairings `BENCH_conformance.json` snapshots, and
+/// matches the 55 pairings `BENCH_conformance.json` snapshots, and
 /// deleting any one registration turns the lint red.
 #[test]
 fn real_tree_pairings_match_the_conformance_snapshot() {
@@ -281,7 +279,7 @@ fn real_tree_pairings_match_the_conformance_snapshot() {
     let config = Config::default();
     let inputs = collect_workspace(&root, &config).expect("walk");
     let report = run_files(&inputs, &config);
-    assert_eq!(report.pairings, 61, "re-derived matrix size drifted");
+    assert_eq!(report.pairings, 55, "re-derived matrix size drifted");
 
     let snapshot = std::fs::read_to_string(root.join("BENCH_conformance.json"))
         .expect("conformance snapshot present");
@@ -443,7 +441,7 @@ fn analyzer_self_metrics_reflect_the_real_tree() {
         report.call_edges
     );
     assert!(
-        report.twin_families >= 16,
+        report.twin_families >= 10,
         "twin discovery broke: {}",
         report.twin_families
     );
