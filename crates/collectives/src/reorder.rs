@@ -12,9 +12,11 @@
 //! 2. a seeded local-search optimizer ([`optimize_ring_order`]) minimizing
 //!    the directed ring cost over node permutations.
 //!
-//! The performance plane prices a reordered schedule
-//! (`cloudtrain_simnet::collectives::sim_torus_all_reduce_reordered`, the
-//! `cloudtrain reorder` command and the tail gauntlet's scrambled fabric).
+//! The performance plane prices a reordered schedule with
+//! `cloudtrain_simnet::collectives::sim_torus_all_reduce_reordered` — the
+//! one simulated 2D-torus body, run over the inter-node streams in the
+//! given node order — which the `cloudtrain reorder` command and the tail
+//! gauntlet's scrambled fabric use.
 //! The correctness plane needs no reordered collective: a flat ring
 //! ([`crate::ring::ring_all_reduce`]) visits its member list in the order
 //! given, and the modelled clusters the trainer runs on have one uniform

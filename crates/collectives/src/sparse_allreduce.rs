@@ -210,76 +210,15 @@ fn ok_sparse_wire_bytes(stats: &AggregateStats, q: usize) -> usize {
     pair_wire_bytes(stats.split_entries_sent) + pair_wire_bytes(stats.merged_len) * (q - 1)
 }
 
-/// The one body of every O(k) path, over whichever transport the caller
-/// holds. With error feedback, the transport's
-/// [`contribution_withheld`](Transport::contribution_withheld) draw is
-/// taken once, before selecting: a member that withholds keeps its whole
-/// reduced shard in the residual and sends an empty selection. Without
-/// error feedback nothing is drawn.
-#[allow(clippy::too_many_arguments)]
-fn ok_sparse_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
-    peer: &T,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    ef: Option<&mut ErrorFeedback>,
-    scratch: &mut CommScratch,
-) -> OkSparseReport {
-    assert_eq!(peer.size(), m * n, "ok_sparse_all_reduce: group is not m*n");
-    let d = x.len();
-    let pos = grid_pos(peer.rank(), m, n);
-    let intra = intra_node_members(pos.node, n);
-    let inter = inter_node_members(pos.gpu, m, n);
-
-    let shard = ring_reduce_scatter_scratch(peer, x, &intra, scratch);
-    debug_assert_eq!(shard, shard_for(d, n, pos.gpu));
-
-    let k = shard_k(d, n, rho).min(shard.len());
-    let selection: SparseGrad = match ef {
-        Some(ef) => {
-            assert_eq!(
-                ef.dim(),
-                shard.len(),
-                "ok_sparse_all_reduce_ef: residual must match the shard"
-            );
-            if peer.contribution_withheld() {
-                ef.withhold(shard.slice(x));
-                SparseGrad::empty(shard.len())
-            } else {
-                let sel = ef.select(shard.slice(x), k, compressor);
-                ef.release(&sel);
-                sel
-            }
-        }
-        None => compressor.compress(shard.slice(x), k),
-    };
-
-    let (stats, value_blocks, index_blocks) =
-        aggregate_selection(peer, shard.len(), &selection, &inter, scratch);
-    let inter_bytes_sent = ok_sparse_wire_bytes(&stats, inter.len());
-
-    // The ReduceScatter left partial sums outside the shard.
-    ops::fill(x, 0.0);
-    let shard_nonzeros =
-        scatter_and_all_gather(peer, x, &intra, value_blocks, index_blocks, scratch);
-
-    OkSparseReport {
-        k_per_shard: k,
-        merged_len: stats.merged_len,
-        shard_nonzeros,
-        inter_bytes_sent,
-    }
-}
-
 /// O(k) sparse allreduce over an `m × n` grid: HiTopKComm's hierarchy
 /// (dense intra-node ReduceScatter, per-shard top-k, intra-node AllGather
 /// of the gathered blocks) with the inter-node AllGather replaced by the
 /// split-and-merge schedule. On return every rank's `x` holds the
 /// identical aggregated vector — bitwise equal to
 /// [`crate::hierarchical::hitopk_all_reduce`]'s with the same compressor
-/// state.
+/// state. Like that entry, this is the error-feedback body over a fresh
+/// zero residual, which selects from exactly the node-local shard sum; over
+/// a plain [`Peer`] nothing is ever withheld.
 ///
 /// # Examples
 /// ```
@@ -308,14 +247,16 @@ pub fn ok_sparse_all_reduce<C: Compressor + ?Sized>(
     rho: f64,
     compressor: &mut C,
 ) -> OkSparseReport {
-    ok_sparse_impl(
+    let shard = shard_for(x.len(), n, grid_pos(peer.rank(), m, n).gpu);
+    let mut ef = ErrorFeedback::new(shard.len());
+    ok_sparse_all_reduce_ef(
         peer,
         x,
         m,
         n,
         rho,
         compressor,
-        None,
+        &mut ef,
         &mut CommScratch::new(),
     )
 }
@@ -330,7 +271,9 @@ pub fn ok_sparse_all_reduce<C: Compressor + ?Sized>(
 /// ([`Transport::contribution_withheld`], e.g. a degraded draw of a
 /// [`crate::resilience::ResilientPeer`]'s fault plan, identical on all
 /// ranks) transmits an empty selection — its whole reduced shard stays in
-/// the residual and is re-injected next invocation.
+/// the residual and is re-injected next invocation. The transport's draw
+/// is taken once per invocation, before selecting. This is the one body of
+/// every O(k) path.
 ///
 /// # Panics
 /// Panics if the group size is not `m * n` or the residual dimension does
@@ -346,7 +289,45 @@ pub fn ok_sparse_all_reduce_ef<T: Transport + ?Sized, C: Compressor + ?Sized>(
     ef: &mut ErrorFeedback,
     scratch: &mut CommScratch,
 ) -> OkSparseReport {
-    ok_sparse_impl(peer, x, m, n, rho, compressor, Some(ef), scratch)
+    assert_eq!(peer.size(), m * n, "ok_sparse_all_reduce: group is not m*n");
+    let d = x.len();
+    let pos = grid_pos(peer.rank(), m, n);
+    let intra = intra_node_members(pos.node, n);
+    let inter = inter_node_members(pos.gpu, m, n);
+
+    let shard = ring_reduce_scatter_scratch(peer, x, &intra, scratch);
+    debug_assert_eq!(shard, shard_for(d, n, pos.gpu));
+
+    let k = shard_k(d, n, rho).min(shard.len());
+    assert_eq!(
+        ef.dim(),
+        shard.len(),
+        "ok_sparse_all_reduce_ef: residual must match the shard"
+    );
+    let selection = if peer.contribution_withheld() {
+        ef.withhold(shard.slice(x));
+        SparseGrad::empty(shard.len())
+    } else {
+        let sel = ef.select(shard.slice(x), k, compressor);
+        ef.release(&sel);
+        sel
+    };
+
+    let (stats, value_blocks, index_blocks) =
+        aggregate_selection(peer, shard.len(), &selection, &inter, scratch);
+    let inter_bytes_sent = ok_sparse_wire_bytes(&stats, inter.len());
+
+    // The ReduceScatter left partial sums outside the shard.
+    ops::fill(x, 0.0);
+    let shard_nonzeros =
+        scatter_and_all_gather(peer, x, &intra, value_blocks, index_blocks, scratch);
+
+    OkSparseReport {
+        k_per_shard: k,
+        merged_len: stats.merged_len,
+        shard_nonzeros,
+        inter_bytes_sent,
+    }
 }
 
 #[cfg(test)]
@@ -594,7 +575,9 @@ mod tests {
             let mut out = Vec::new();
             for round in 0..3 {
                 let mut x = vec_for(50 * round + peer.rank(), d);
-                let rep = ok_sparse_impl(peer, &mut x, m, n, rho, &mut c, None, &mut scratch);
+                let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
+                let rep =
+                    ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
                 out.push((x, rep));
             }
             out
@@ -609,11 +592,13 @@ mod tests {
             let mut scratch = CommScratch::new();
             let mut c = SortTopK;
             let mut x = vec_for(peer.rank(), d);
-            ok_sparse_impl(peer, &mut x, m, n, rho, &mut c, None, &mut scratch);
+            let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
+            ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
             let warm = scratch.misses();
             for round in 1..4 {
                 let mut y = vec_for(50 * round + peer.rank(), d);
-                ok_sparse_impl(peer, &mut y, m, n, rho, &mut c, None, &mut scratch);
+                let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
+                ok_sparse_all_reduce_ef(peer, &mut y, m, n, rho, &mut c, &mut ef, &mut scratch);
             }
             (warm, scratch.misses())
         });

@@ -1,8 +1,12 @@
 //! Simulated timing of the paper's aggregation schemes (Figs. 7 and 8).
 //!
-//! Each function plays a collective's transfer schedule on a [`NetSim`] and
-//! returns how long it took, optionally broken into phases. The schedules
-//! mirror the real implementations in `cloudtrain-collectives`:
+//! Each function plays a collective's transfer schedule on a [`NetSim`] as
+//! a list of labelled phases; one player times them (a span and a makespan
+//! per phase, a barrier between phases). The rings run over a list of
+//! member groups (a single ring is one group) and each hierarchical scheme
+//! is one body over its inter-node streams. The schedules follow the real
+//! implementations in `cloudtrain-collectives` except for the sparse
+//! schemes' step (iv), priced `min(sparse, dense)` (see [`sim_hitopk`]).
 //!
 //! * **ring** ReduceScatter / AllGather — `P-1` dependent rounds;
 //! * **TreeAR** — NCCL-style hierarchical tree AllReduce: a pipelined
@@ -16,7 +20,9 @@
 //!   then indices), the aggregation of TopK-SGD (Eq. 3);
 //! * **2DTAR** — intra-node ReduceScatter, `n` concurrent inter-node ring
 //!   AllReduces sharing each NIC, intra-node AllGather;
-//! * **HiTopKComm** — the four steps of Algorithm 2 (Eqs. 7–10).
+//! * **HiTopKComm** — the four steps of Algorithm 2 (Eqs. 7–10);
+//! * **O(k)** — the same hierarchy with a split–merge–gather inter-node
+//!   step in place of HiTopKComm's AllGather.
 
 use crate::netsim::NetSim;
 use crate::topology::ClusterSpec;
@@ -58,123 +64,84 @@ pub struct CollectiveTiming {
     pub phases: Vec<PhaseTiming>,
 }
 
-/// Runs `f` between two makespan measurements and returns the elapsed time.
-fn measure<F: FnOnce(&mut NetSim)>(sim: &mut NetSim, f: F) -> f64 {
-    let start = sim.makespan();
-    f(sim);
-    sim.makespan() - start
-}
+/// One labelled phase of a schedule: the transfers (or compute) it plays.
+type Phase<'a> = (&'static str, &'a dyn Fn(&mut NetSim));
 
-/// [`measure`] with a scoped span on the simulator's attached observability
-/// registry (a no-op when none is attached): the span covers exactly the
-/// phase's virtual-time window, so the exported trace reproduces the same
-/// per-phase decomposition the returned [`PhaseTiming`]s report.
-fn measure_span<F: FnOnce(&mut NetSim)>(sim: &mut NetSim, name: &str, f: F) -> f64 {
-    let id = sim.span_open(name);
-    let elapsed = measure(sim, f);
-    sim.span_close(id);
-    elapsed
+/// The phase player every collective runs on: plays `phases` in order with
+/// a barrier between consecutive phases, each inside a `{prefix}/{label}`
+/// span of the attached observability registry (if any) covering exactly
+/// its virtual-time window. Returns the phases' makespans and their sum; a
+/// single-phase collective reports no breakdown.
+fn play(sim: &mut NetSim, prefix: &str, phases: &[Phase<'_>]) -> CollectiveTiming {
+    let mut timings = Vec::with_capacity(phases.len());
+    for (i, &(label, phase)) in phases.iter().enumerate() {
+        if i > 0 {
+            sim.barrier();
+        }
+        let span = sim.span_open(&format!("{prefix}/{label}"));
+        let start = sim.makespan();
+        phase(sim);
+        let seconds = sim.makespan() - start;
+        sim.span_close(span);
+        timings.push(PhaseTiming { label, seconds });
+    }
+    let total = timings.iter().map(|p| p.seconds).sum();
+    if timings.len() == 1 {
+        timings.clear();
+    }
+    CollectiveTiming {
+        total,
+        phases: timings,
+    }
 }
 
 fn chunk_bytes(total_bytes: usize, parts: usize) -> usize {
     total_bytes.div_ceil(parts)
 }
 
-/// Ring ReduceScatter over `members` of a `total_bytes` vector:
+/// Plays `P-1` ring rounds in every group of `groups` at once, a group of
+/// `P` members sending `block(P)` bytes per member per round. The rounds
+/// of all groups interleave, so groups sharing a resource (e.g. the `n`
+/// inter-node streams sharing each node's NIC) contend round by round
+/// instead of being falsely serialised; a one-member group plays nothing.
+fn ring_rounds(sim: &mut NetSim, groups: &[Vec<usize>], block: impl Fn(usize) -> usize) {
+    let rounds = groups
+        .iter()
+        .map(|g| g.len().saturating_sub(1))
+        .max()
+        .unwrap_or(0);
+    for r in 0..rounds {
+        let mut transfers = Vec::new();
+        for g in groups {
+            let p = g.len();
+            if r + 1 < p {
+                let bytes = block(p);
+                transfers.extend((0..p).map(|i| (g[i], g[(i + 1) % p], bytes)));
+            }
+        }
+        sim.round(&transfers);
+    }
+}
+
+/// Ring ReduceScatter of a `total_bytes` vector within each member group
+/// of `groups`, all groups concurrently (a single ring is one group):
 /// `P-1` rounds of `total_bytes / P` each.
-pub fn sim_ring_reduce_scatter(sim: &mut NetSim, members: &[usize], total_bytes: usize) {
-    let p = members.len();
-    if p <= 1 {
-        return;
-    }
-    let chunk = chunk_bytes(total_bytes, p);
-    for _ in 0..p - 1 {
-        let transfers: Vec<(usize, usize, usize)> = (0..p)
-            .map(|i| (members[i], members[(i + 1) % p], chunk))
-            .collect();
-        sim.round(&transfers);
-    }
+pub fn sim_ring_reduce_scatter(sim: &mut NetSim, groups: &[Vec<usize>], total_bytes: usize) {
+    ring_rounds(sim, groups, |p| chunk_bytes(total_bytes, p));
 }
 
-/// Ring AllGather over `members` where each member contributes
-/// `block_bytes`: `P-1` rounds of `block_bytes` each.
-pub fn sim_ring_all_gather(sim: &mut NetSim, members: &[usize], block_bytes: usize) {
-    let p = members.len();
-    if p <= 1 {
-        return;
-    }
-    for _ in 0..p - 1 {
-        let transfers: Vec<(usize, usize, usize)> = (0..p)
-            .map(|i| (members[i], members[(i + 1) % p], block_bytes))
-            .collect();
-        sim.round(&transfers);
-    }
+/// Ring AllGather within each member group of `groups`, all groups
+/// concurrently, where each member contributes `block_bytes`: `P-1`
+/// rounds of `block_bytes` each.
+pub fn sim_ring_all_gather(sim: &mut NetSim, groups: &[Vec<usize>], block_bytes: usize) {
+    ring_rounds(sim, groups, |_| block_bytes);
 }
 
-/// Ring AllReduce = ReduceScatter + AllGather of the shards.
-pub fn sim_ring_all_reduce(sim: &mut NetSim, members: &[usize], total_bytes: usize) {
-    sim_ring_reduce_scatter(sim, members, total_bytes);
-    sim_ring_all_gather(sim, members, chunk_bytes(total_bytes, members.len()));
-}
-
-/// Ring ReduceScatter running concurrently in several member groups, with
-/// the rounds of all groups interleaved so that groups sharing a resource
-/// (e.g. the `n` inter-node streams sharing each node's NIC) contend round
-/// by round instead of being falsely serialised.
-pub fn sim_ring_reduce_scatter_groups(sim: &mut NetSim, groups: &[Vec<usize>], total_bytes: usize) {
-    let rounds = groups
-        .iter()
-        .map(|g| g.len().saturating_sub(1))
-        .max()
-        .unwrap_or(0);
-    for r in 0..rounds {
-        let mut transfers = Vec::new();
-        for g in groups {
-            let p = g.len();
-            if p > 1 && r < p - 1 {
-                let chunk = chunk_bytes(total_bytes, p);
-                for i in 0..p {
-                    transfers.push((g[i], g[(i + 1) % p], chunk));
-                }
-            }
-        }
-        if !transfers.is_empty() {
-            sim.round(&transfers);
-        }
-    }
-}
-
-/// Ring AllGather running concurrently in several member groups
-/// (see [`sim_ring_reduce_scatter_groups`]); each member of group `g`
-/// contributes `block_bytes`.
-pub fn sim_ring_all_gather_groups(sim: &mut NetSim, groups: &[Vec<usize>], block_bytes: usize) {
-    let rounds = groups
-        .iter()
-        .map(|g| g.len().saturating_sub(1))
-        .max()
-        .unwrap_or(0);
-    for r in 0..rounds {
-        let mut transfers = Vec::new();
-        for g in groups {
-            let p = g.len();
-            if p > 1 && r < p - 1 {
-                for i in 0..p {
-                    transfers.push((g[i], g[(i + 1) % p], block_bytes));
-                }
-            }
-        }
-        if !transfers.is_empty() {
-            sim.round(&transfers);
-        }
-    }
-}
-
-/// Ring AllReduce running concurrently in several member groups of equal
-/// size, reducing `total_bytes` within each group.
-pub fn sim_ring_all_reduce_groups(sim: &mut NetSim, groups: &[Vec<usize>], total_bytes: usize) {
-    sim_ring_reduce_scatter_groups(sim, groups, total_bytes);
-    let parts = groups.first().map(|g| g.len()).unwrap_or(1).max(1);
-    sim_ring_all_gather_groups(sim, groups, chunk_bytes(total_bytes, parts));
+/// Ring AllReduce of `total_bytes` within each member group of `groups` =
+/// ReduceScatter + AllGather of the shards.
+pub fn sim_ring_all_reduce(sim: &mut NetSim, groups: &[Vec<usize>], total_bytes: usize) {
+    sim_ring_reduce_scatter(sim, groups, total_bytes);
+    ring_rounds(sim, groups, |p| chunk_bytes(total_bytes, p));
 }
 
 /// Plays a chunk-pipelined schedule: `levels[l]` is the set of edges at
@@ -328,25 +295,22 @@ pub fn sim_tree_all_reduce_hier(
     let m = spec.nodes;
     let n = spec.gpus_per_node;
     let leaders: Vec<usize> = (0..m).map(|i| i * n).collect();
-
-    // Phase 1: chain reduce to leaders (all nodes in parallel).
-    let t1 = measure_span(sim, "treear/intra chain reduce", |sim| {
+    // The chains of all nodes run in parallel, towards or from the leader.
+    let chains = |sim: &mut NetSim, towards_head: bool| {
         for i in 0..m {
             let members = spec.node_members(i);
             sim_pipelined_levels(
                 sim,
-                &chain_levels(&members, true),
+                &chain_levels(&members, towards_head),
                 total_bytes,
                 pipeline_chunk(total_bytes),
             );
         }
-    });
-    sim.barrier();
-
-    // Phase 2: double binomial tree over the leaders, half the bytes per
-    // tree, reduce then broadcast, chunk-pipelined. The protocol penalty
-    // inflates the wire bytes.
-    let t2 = measure_span(sim, "treear/inter double tree", |sim| {
+    };
+    // Double binomial tree over the leaders, half the bytes per tree,
+    // reduce then broadcast, chunk-pipelined. The protocol penalty inflates
+    // the wire bytes.
+    let double_tree = |sim: &mut NetSim| {
         if m > 1 {
             let eff_bytes = (total_bytes as f64 / 2.0 / TREE_PROTO_EFFICIENCY) as usize;
             // The second tree runs over a rotated leader order so that
@@ -360,39 +324,16 @@ pub fn sim_tree_all_reduce_hier(
             let levels = merge_levels(binary_tree_levels(&leaders), binary_tree_levels(&rotated));
             sim_pipelined_levels(sim, &levels, eff_bytes, pipeline_chunk(eff_bytes));
         }
-    });
-    sim.barrier();
-
-    // Phase 3: chain broadcast from leaders.
-    let t3 = measure_span(sim, "treear/intra chain broadcast", |sim| {
-        for i in 0..m {
-            let members = spec.node_members(i);
-            sim_pipelined_levels(
-                sim,
-                &chain_levels(&members, false),
-                total_bytes,
-                pipeline_chunk(total_bytes),
-            );
-        }
-    });
-
-    CollectiveTiming {
-        total: t1 + t2 + t3,
-        phases: vec![
-            PhaseTiming {
-                label: "intra chain reduce",
-                seconds: t1,
-            },
-            PhaseTiming {
-                label: "inter double tree",
-                seconds: t2,
-            },
-            PhaseTiming {
-                label: "intra chain broadcast",
-                seconds: t3,
-            },
+    };
+    play(
+        sim,
+        "treear",
+        &[
+            ("intra chain reduce", &|sim| chains(sim, true)),
+            ("inter double tree", &double_tree),
+            ("intra chain broadcast", &|sim| chains(sim, false)),
         ],
-    }
+    )
 }
 
 /// Flat sparse AllGather ("NaiveAG", Eq. 3): every rank contributes its
@@ -408,29 +349,21 @@ pub fn sim_naive_sparse_all_gather(
     spec: &ClusterSpec,
     k: usize,
 ) -> CollectiveTiming {
-    let members: Vec<usize> = (0..spec.world()).collect();
+    let world = [(0..spec.world()).collect::<Vec<usize>>()];
     let value_bytes = (k as f64 * 4.0 * NAIVE_STAGING_FACTOR) as usize;
     let index_bytes = (k as f64 * 8.0 * NAIVE_STAGING_FACTOR) as usize;
-    let t_values = measure_span(sim, "naiveag/all-gather values", |sim| {
-        sim_ring_all_gather(sim, &members, value_bytes);
-    });
-    sim.barrier();
-    let t_indices = measure_span(sim, "naiveag/all-gather indices", |sim| {
-        sim_ring_all_gather(sim, &members, index_bytes);
-    });
-    CollectiveTiming {
-        total: t_values + t_indices,
-        phases: vec![
-            PhaseTiming {
-                label: "all-gather values",
-                seconds: t_values,
-            },
-            PhaseTiming {
-                label: "all-gather indices",
-                seconds: t_indices,
-            },
+    play(
+        sim,
+        "naiveag",
+        &[
+            ("all-gather values", &|sim| {
+                sim_ring_all_gather(sim, &world, value_bytes)
+            }),
+            ("all-gather indices", &|sim| {
+                sim_ring_all_gather(sim, &world, index_bytes)
+            }),
         ],
-    }
+    )
 }
 
 /// gTop-k sparse AllReduce: `log2(P)` recursive-doubling rounds in which
@@ -446,26 +379,21 @@ pub fn sim_gtopk_all_reduce(
 ) -> CollectiveTiming {
     let p = spec.world();
     let block = k * (elem_bytes + 4);
-    let elapsed = measure_span(sim, "gtopk/recursive doubling", |sim| {
+    let recursive_doubling = |sim: &mut NetSim| {
         let mut mask = 1;
         while mask < p {
             // On non-power-of-two worlds the unpaired ranks sit a round
             // out (the standard virtual-rank folding); only in-range
-            // pairs transfer.
+            // pairs transfer, and rank 0's partner always is one.
             let transfers: Vec<(usize, usize, usize)> = (0..p)
                 .filter(|r| r ^ mask < p)
                 .map(|r| (r, r ^ mask, block))
                 .collect();
-            if !transfers.is_empty() {
-                sim.round(&transfers);
-            }
+            sim.round(&transfers);
             mask <<= 1;
         }
-    });
-    CollectiveTiming {
-        total: elapsed,
-        phases: Vec::new(),
-    }
+    };
+    play(sim, "gtopk", &[("recursive doubling", &recursive_doubling)])
 }
 
 /// Quantized AllReduce: a flat ring AllGather of every rank's packed codes
@@ -476,15 +404,46 @@ pub fn sim_quantized_all_reduce(
     d_elems: usize,
     bits_per_elem: usize,
 ) -> CollectiveTiming {
-    let members: Vec<usize> = (0..spec.world()).collect();
+    let world = [(0..spec.world()).collect::<Vec<usize>>()];
     let block = (d_elems * bits_per_elem).div_ceil(8) + 4;
-    let elapsed = measure_span(sim, "qsgd/all-gather codes", |sim| {
-        sim_ring_all_gather(sim, &members, block);
-    });
-    CollectiveTiming {
-        total: elapsed,
-        phases: Vec::new(),
-    }
+    play(
+        sim,
+        "qsgd",
+        &[("all-gather codes", &|sim| {
+            sim_ring_all_gather(sim, &world, block)
+        })],
+    )
+}
+
+/// The members of every node: the intra-node ring groups.
+fn node_groups(spec: &ClusterSpec) -> Vec<Vec<usize>> {
+    (0..spec.nodes).map(|i| spec.node_members(i)).collect()
+}
+
+/// The inter-node communication streams of a hierarchical schedule
+/// visiting nodes in `node_order`: stream `j` is the `j`-th GPUs of all
+/// nodes, in that order.
+///
+/// # Panics
+/// Panics if `node_order` is not a permutation of `0..spec.nodes`.
+fn reordered_stream_members(spec: &ClusterSpec, node_order: &[usize]) -> Vec<Vec<usize>> {
+    let mut sorted = node_order.to_vec();
+    sorted.sort_unstable();
+    assert!(
+        sorted.into_iter().eq(0..spec.nodes),
+        "node order is not a permutation of the nodes"
+    );
+    let n = spec.gpus_per_node;
+    (0..n)
+        .map(|j| node_order.iter().map(|&i| i * n + j).collect())
+        .collect()
+}
+
+/// The inter-node streams in natural node order.
+fn stream_groups(spec: &ClusterSpec) -> Vec<Vec<usize>> {
+    (0..spec.gpus_per_node)
+        .map(|j| spec.stream_members(j))
+        .collect()
 }
 
 /// 2D-Torus AllReduce ("2DTAR"): intra-node ReduceScatter, `n` concurrent
@@ -495,187 +454,112 @@ pub fn sim_torus_all_reduce(
     spec: &ClusterSpec,
     total_bytes: usize,
 ) -> CollectiveTiming {
-    let n = spec.gpus_per_node;
-    let shard = chunk_bytes(total_bytes, n);
-
-    let nodes: Vec<Vec<usize>> = (0..spec.nodes).map(|i| spec.node_members(i)).collect();
-    let streams: Vec<Vec<usize>> = (0..n).map(|j| spec.stream_members(j)).collect();
-    let t1 = measure_span(sim, "2dtar/intra reduce-scatter", |sim| {
-        sim_ring_reduce_scatter_groups(sim, &nodes, total_bytes);
-    });
-    sim.barrier();
-    let t2 = measure_span(sim, "2dtar/inter all-reduce", |sim| {
-        sim_ring_all_reduce_groups(sim, &streams, shard);
-    });
-    sim.barrier();
-    let t3 = measure_span(sim, "2dtar/intra all-gather", |sim| {
-        sim_ring_all_gather_groups(sim, &nodes, shard);
-    });
-    CollectiveTiming {
-        total: t1 + t2 + t3,
-        phases: vec![
-            PhaseTiming {
-                label: "intra reduce-scatter",
-                seconds: t1,
-            },
-            PhaseTiming {
-                label: "inter all-reduce",
-                seconds: t2,
-            },
-            PhaseTiming {
-                label: "intra all-gather",
-                seconds: t3,
-            },
-        ],
-    }
-}
-
-/// The `j`-th GPUs of all nodes visited in `node_order` — the inter-node
-/// communication stream of a rank-reordered hierarchical schedule.
-///
-/// # Panics
-/// Panics if `node_order` is not a permutation of `0..spec.nodes`.
-pub fn reordered_stream_members(spec: &ClusterSpec, node_order: &[usize], j: usize) -> Vec<usize> {
-    assert_valid_order(node_order, spec.nodes);
-    let n = spec.gpus_per_node;
-    node_order.iter().map(|&i| i * n + j).collect()
-}
-
-fn assert_valid_order(node_order: &[usize], nodes: usize) {
-    assert_eq!(node_order.len(), nodes, "node order has wrong length");
-    let mut seen = vec![false; nodes];
-    for &i in node_order {
-        assert!(i < nodes && !seen[i], "node order is not a permutation");
-        seen[i] = true;
-    }
+    torus(sim, spec, total_bytes, &stream_groups(spec))
 }
 
 /// [`sim_torus_all_reduce`] with the inter-node rings visiting nodes in
 /// `node_order` (the topology-probed reordering): only the traversal order
 /// of phase 2's rings changes, phases 1 and 3 are untouched. With the
 /// identity order this is byte-for-byte the natural schedule.
+///
+/// # Panics
+/// Panics if `node_order` is not a permutation of `0..spec.nodes`.
 pub fn sim_torus_all_reduce_reordered(
     sim: &mut NetSim,
     spec: &ClusterSpec,
     total_bytes: usize,
     node_order: &[usize],
 ) -> CollectiveTiming {
-    assert_valid_order(node_order, spec.nodes);
-    let n = spec.gpus_per_node;
-    let shard = chunk_bytes(total_bytes, n);
-
-    let nodes: Vec<Vec<usize>> = (0..spec.nodes).map(|i| spec.node_members(i)).collect();
-    let streams: Vec<Vec<usize>> = (0..n)
-        .map(|j| reordered_stream_members(spec, node_order, j))
-        .collect();
-    let t1 = measure_span(sim, "2dtar/intra reduce-scatter", |sim| {
-        sim_ring_reduce_scatter_groups(sim, &nodes, total_bytes);
-    });
-    sim.barrier();
-    let t2 = measure_span(sim, "2dtar/inter all-reduce", |sim| {
-        sim_ring_all_reduce_groups(sim, &streams, shard);
-    });
-    sim.barrier();
-    let t3 = measure_span(sim, "2dtar/intra all-gather", |sim| {
-        sim_ring_all_gather_groups(sim, &nodes, shard);
-    });
-    CollectiveTiming {
-        total: t1 + t2 + t3,
-        phases: vec![
-            PhaseTiming {
-                label: "intra reduce-scatter",
-                seconds: t1,
-            },
-            PhaseTiming {
-                label: "inter all-reduce",
-                seconds: t2,
-            },
-            PhaseTiming {
-                label: "intra all-gather",
-                seconds: t3,
-            },
-        ],
-    }
+    let streams = reordered_stream_members(spec, node_order);
+    torus(sim, spec, total_bytes, &streams)
 }
 
-/// [`sim_hitopk`] with the inter-node AllGather streams visiting nodes in
-/// `node_order` (see [`sim_torus_all_reduce_reordered`]).
-pub fn sim_hitopk_reordered(
+/// The one 2DTAR body, over the inter-node ring groups `streams`.
+fn torus(
     sim: &mut NetSim,
     spec: &ClusterSpec,
+    total_bytes: usize,
+    streams: &[Vec<usize>],
+) -> CollectiveTiming {
+    let shard = chunk_bytes(total_bytes, spec.gpus_per_node);
+    let nodes = node_groups(spec);
+    play(
+        sim,
+        "2dtar",
+        &[
+            ("intra reduce-scatter", &|sim| {
+                sim_ring_reduce_scatter(sim, &nodes, total_bytes)
+            }),
+            ("inter all-reduce", &|sim| {
+                sim_ring_all_reduce(sim, streams, shard)
+            }),
+            ("intra all-gather", &|sim| {
+                sim_ring_all_gather(sim, &nodes, shard)
+            }),
+        ],
+    )
+}
+
+/// Elements each shard owner selects: `k̃ = ρ·d/n`, at least one.
+fn shard_k(d_elems: usize, n: usize, rho: f64) -> usize {
+    (((d_elems as f64 * rho) / n as f64).round() as usize).max(1)
+}
+
+/// The hierarchy HiTopKComm and O(k) share: a dense intra-node
+/// ReduceScatter of the `d_elems`-element gradient, top-k compression on
+/// every GPU in parallel (`topk_seconds` each), the scheme's `inter` phases
+/// over the streams, and an intra-node AllGather of the aggregated shard —
+/// sparse (`m·k̃` value+index pairs) when that is smaller than the dense
+/// shard, else dense.
+#[allow(clippy::too_many_arguments)]
+fn sparse_hierarchy(
+    sim: &mut NetSim,
+    spec: &ClusterSpec,
+    prefix: &str,
     d_elems: usize,
     elem_bytes: usize,
-    rho: f64,
+    k_shard: usize,
     topk_seconds: f64,
-    node_order: &[usize],
+    inter: &[Phase<'_>],
 ) -> CollectiveTiming {
-    assert_valid_order(node_order, spec.nodes);
-    let m = spec.nodes;
-    let n = spec.gpus_per_node;
-    let k_shard = (((d_elems as f64 * rho) / n as f64).round() as usize).max(1);
-
-    let nodes: Vec<Vec<usize>> = (0..m).map(|i| spec.node_members(i)).collect();
-    let streams: Vec<Vec<usize>> = (0..n)
-        .map(|j| reordered_stream_members(spec, node_order, j))
-        .collect();
-
-    let t1 = measure_span(sim, "hitopk/intra reduce-scatter", |sim| {
-        sim_ring_reduce_scatter_groups(sim, &nodes, d_elems * elem_bytes);
-    });
-    sim.barrier();
-
-    let t2 = measure_span(sim, "hitopk/top-k compression", |sim| {
+    let nodes = node_groups(spec);
+    let dense_shard = chunk_bytes(d_elems, spec.gpus_per_node) * elem_bytes;
+    let sparse_shard = spec.nodes * k_shard * (elem_bytes + 4);
+    let reduce_scatter =
+        |sim: &mut NetSim| sim_ring_reduce_scatter(sim, &nodes, d_elems * elem_bytes);
+    let compress = |sim: &mut NetSim| {
         for g in 0..spec.world() {
             sim.compute(g, topk_seconds);
         }
-    });
-    sim.barrier();
-
-    let t3 = measure_span(sim, "hitopk/inter all-gather", |sim| {
-        sim_ring_all_gather_groups(sim, &streams, k_shard * elem_bytes);
-        sim_ring_all_gather_groups(sim, &streams, k_shard * 4);
-    });
-    sim.barrier();
-
-    let dense_shard = chunk_bytes(d_elems, n) * elem_bytes;
-    let sparse_shard = m * k_shard * (elem_bytes + 4);
-    let t4 = measure_span(sim, "hitopk/intra all-gather", |sim| {
-        sim_ring_all_gather_groups(sim, &nodes, sparse_shard.min(dense_shard));
-    });
-
-    CollectiveTiming {
-        total: t1 + t2 + t3 + t4,
-        phases: vec![
-            PhaseTiming {
-                label: "intra reduce-scatter",
-                seconds: t1,
-            },
-            PhaseTiming {
-                label: "top-k compression",
-                seconds: t2,
-            },
-            PhaseTiming {
-                label: "inter all-gather",
-                seconds: t3,
-            },
-            PhaseTiming {
-                label: "intra all-gather",
-                seconds: t4,
-            },
-        ],
-    }
+    };
+    let all_gather =
+        |sim: &mut NetSim| sim_ring_all_gather(sim, &nodes, sparse_shard.min(dense_shard));
+    let mut phases: Vec<Phase<'_>> = vec![
+        ("intra reduce-scatter", &reduce_scatter),
+        ("top-k compression", &compress),
+    ];
+    phases.extend_from_slice(inter);
+    phases.push(("intra all-gather", &all_gather));
+    play(sim, prefix, &phases)
 }
 
-/// HiTopKComm (Algorithm 2): the four steps of §3.2 with density `rho`.
+/// HiTopKComm (Algorithm 2): the four steps of §3.2 with density `rho` —
+/// intra-node dense ReduceScatter, MSTopK on every GPU, `n` concurrent
+/// inter-node AllGathers of values then indices (stream `j` = the `j`-th
+/// GPUs of all nodes), intra-node AllGather of the aggregated shard.
 ///
 /// * `d_elems` — gradient dimension; `elem_bytes` — wire size per value
 ///   (4 for FP32, 2 for FP16); indices are always 4 bytes.
 /// * `topk_seconds` — per-GPU compression time (step 2), typically from
 ///   `cloudtrain_compress::gpu_cost::mstopk_cost`.
 ///
-/// The final intra-node AllGather moves the aggregated shard in sparse form
-/// (`ρ·d·m/n` value+index pairs, Eq. 10) when that is smaller than the
-/// dense shard, else dense.
+/// The final intra-node AllGather is priced as the aggregated shard in
+/// sparse form (`ρ·d·m/n` value+index pairs, Eq. 10) when that is smaller
+/// than the dense shard, else dense. This diverges from the executed
+/// `hitopk_all_reduce` body, whose step (iv) forwards the `m` gathered
+/// `k̃`-pair blocks at every density: above the `2·m·k̃ ≥ ⌊d/n⌋` cut-over
+/// the body moves more bytes than this schedule charges. Re-pricing step
+/// (iv) everywhere it is modelled is the first step of ROADMAP.md item 5.
 pub fn sim_hitopk(
     sim: &mut NetSim,
     spec: &ClusterSpec,
@@ -684,67 +568,26 @@ pub fn sim_hitopk(
     rho: f64,
     topk_seconds: f64,
 ) -> CollectiveTiming {
-    let m = spec.nodes;
-    let n = spec.gpus_per_node;
-    let k_shard = (((d_elems as f64 * rho) / n as f64).round() as usize).max(1);
-
-    let nodes: Vec<Vec<usize>> = (0..m).map(|i| spec.node_members(i)).collect();
-    let streams: Vec<Vec<usize>> = (0..n).map(|j| spec.stream_members(j)).collect();
-
-    // Step 1: intra-node dense ReduceScatter.
-    let t1 = measure_span(sim, "hitopk/intra reduce-scatter", |sim| {
-        sim_ring_reduce_scatter_groups(sim, &nodes, d_elems * elem_bytes);
-    });
-    sim.barrier();
-
-    // Step 2: MSTopK on every GPU, in parallel.
-    let t2 = measure_span(sim, "hitopk/top-k compression", |sim| {
-        for g in 0..spec.world() {
-            sim.compute(g, topk_seconds);
-        }
-    });
-    sim.barrier();
-
-    // Step 3: n concurrent inter-node AllGathers of values then indices
-    // (stream `j` = the j-th GPUs of all nodes).
-    let t3 = measure_span(sim, "hitopk/inter all-gather", |sim| {
-        sim_ring_all_gather_groups(sim, &streams, k_shard * elem_bytes);
-        sim_ring_all_gather_groups(sim, &streams, k_shard * 4);
-    });
-    sim.barrier();
-
-    // Step 4: intra-node AllGather of the aggregated shard.
-    let dense_shard = chunk_bytes(d_elems, n) * elem_bytes;
-    let sparse_shard = m * k_shard * (elem_bytes + 4);
-    let t4 = measure_span(sim, "hitopk/intra all-gather", |sim| {
-        sim_ring_all_gather_groups(sim, &nodes, sparse_shard.min(dense_shard));
-    });
-
-    CollectiveTiming {
-        total: t1 + t2 + t3 + t4,
-        phases: vec![
-            PhaseTiming {
-                label: "intra reduce-scatter",
-                seconds: t1,
-            },
-            PhaseTiming {
-                label: "top-k compression",
-                seconds: t2,
-            },
-            PhaseTiming {
-                label: "inter all-gather",
-                seconds: t3,
-            },
-            PhaseTiming {
-                label: "intra all-gather",
-                seconds: t4,
-            },
-        ],
-    }
+    let k_shard = shard_k(d_elems, spec.gpus_per_node, rho);
+    let streams = stream_groups(spec);
+    let all_gather = |sim: &mut NetSim| {
+        sim_ring_all_gather(sim, &streams, k_shard * elem_bytes);
+        sim_ring_all_gather(sim, &streams, k_shard * 4);
+    };
+    sparse_hierarchy(
+        sim,
+        spec,
+        "hitopk",
+        d_elems,
+        elem_bytes,
+        k_shard,
+        topk_seconds,
+        &[("inter all-gather", &all_gather)],
+    )
 }
 
-/// O(k) sparse allreduce (Li & Hoefler): HiTopKComm's intra phases around
-/// a *split–merge–gather* inter exchange instead of the full-selection
+/// O(k) sparse allreduce (Li & Hoefler): HiTopKComm's hierarchy with a
+/// *split–merge–gather* inter exchange instead of the full-selection
 /// AllGather.
 ///
 /// * **inter split** — each stream's k̃-entry selection (8 bytes per
@@ -756,7 +599,8 @@ pub fn sim_hitopk(
 ///   `(k̃/m)·(1 + (1−overlap)·(m−1))` pairs, so at `overlap = 1` the
 ///   exchange moves `O(k̃)` total instead of hitopk's `O(k̃·m)`.
 ///
-/// Other parameters as in [`sim_hitopk`].
+/// Other parameters, and the step (iv) divergence from the executed body,
+/// as in [`sim_hitopk`].
 pub fn sim_ok_sparse(
     sim: &mut NetSim,
     spec: &ClusterSpec,
@@ -767,73 +611,28 @@ pub fn sim_ok_sparse(
     overlap: f64,
 ) -> CollectiveTiming {
     let m = spec.nodes;
-    let n = spec.gpus_per_node;
-    let k_shard = (((d_elems as f64 * rho) / n as f64).round() as usize).max(1);
-
-    let nodes: Vec<Vec<usize>> = (0..m).map(|i| spec.node_members(i)).collect();
-    let streams: Vec<Vec<usize>> = (0..n).map(|j| spec.stream_members(j)).collect();
-
-    // Step 1: intra-node dense ReduceScatter.
-    let t1 = measure_span(sim, "oksparse/intra reduce-scatter", |sim| {
-        sim_ring_reduce_scatter_groups(sim, &nodes, d_elems * elem_bytes);
-    });
-    sim.barrier();
-
-    // Step 2: top-k on every GPU, in parallel.
-    let t2 = measure_span(sim, "oksparse/top-k compression", |sim| {
-        for g in 0..spec.world() {
-            sim.compute(g, topk_seconds);
-        }
-    });
-    sim.barrier();
-
-    // Step 3a: range-split of the k̃ selected pairs across the m members.
-    let t3 = measure_span(sim, "oksparse/inter split", |sim| {
-        sim_ring_reduce_scatter_groups(sim, &streams, k_shard * (elem_bytes + 4));
-    });
-    sim.barrier();
-
-    // Step 3b: AllGather of each member's merged sublist.
+    let k_shard = shard_k(d_elems, spec.gpus_per_node, rho);
+    let streams = stream_groups(spec);
     let merged = (((k_shard as f64 / m as f64) * (1.0 + (1.0 - overlap) * (m - 1) as f64)).round()
         as usize)
         .max(1);
-    let t4 = measure_span(sim, "oksparse/inter gather-merged", |sim| {
-        sim_ring_all_gather_groups(sim, &streams, merged * (elem_bytes + 4));
-    });
-    sim.barrier();
-
-    // Step 4: intra-node AllGather of the aggregated shard.
-    let dense_shard = chunk_bytes(d_elems, n) * elem_bytes;
-    let sparse_shard = m * k_shard * (elem_bytes + 4);
-    let t5 = measure_span(sim, "oksparse/intra all-gather", |sim| {
-        sim_ring_all_gather_groups(sim, &nodes, sparse_shard.min(dense_shard));
-    });
-
-    CollectiveTiming {
-        total: t1 + t2 + t3 + t4 + t5,
-        phases: vec![
-            PhaseTiming {
-                label: "intra reduce-scatter",
-                seconds: t1,
-            },
-            PhaseTiming {
-                label: "top-k compression",
-                seconds: t2,
-            },
-            PhaseTiming {
-                label: "inter split",
-                seconds: t3,
-            },
-            PhaseTiming {
-                label: "inter gather-merged",
-                seconds: t4,
-            },
-            PhaseTiming {
-                label: "intra all-gather",
-                seconds: t5,
-            },
+    sparse_hierarchy(
+        sim,
+        spec,
+        "oksparse",
+        d_elems,
+        elem_bytes,
+        k_shard,
+        topk_seconds,
+        &[
+            ("inter split", &|sim| {
+                sim_ring_reduce_scatter(sim, &streams, k_shard * (elem_bytes + 4))
+            }),
+            ("inter gather-merged", &|sim| {
+                sim_ring_all_gather(sim, &streams, merged * (elem_bytes + 4))
+            }),
         ],
-    }
+    )
 }
 
 #[cfg(test)]
@@ -847,7 +646,7 @@ mod tests {
         let mut sim = NetSim::new(spec);
         let members: Vec<usize> = (0..8).collect();
         let bytes = 8 << 20; // 8 MiB
-        sim_ring_all_reduce(&mut sim, &members, bytes);
+        sim_ring_all_reduce(&mut sim, &[members], bytes);
         let total = sim.makespan();
         // 2(P-1) rounds of alpha + (V/P) * beta.
         let round = spec.intra.transfer_time(bytes / 8);
@@ -887,7 +686,8 @@ mod tests {
         let torus = sim_torus_all_reduce(&mut sim, &spec, bytes);
         sim.reset();
         let all: Vec<usize> = (0..spec.world()).collect();
-        let flat = measure(&mut sim, |sim| sim_ring_all_reduce(sim, &all, bytes));
+        sim_ring_all_reduce(&mut sim, &[all], bytes);
+        let flat = sim.makespan();
         assert!(
             torus.total < flat,
             "torus {} !< flat ring {}",
@@ -1017,17 +817,17 @@ mod tests {
     fn reordered_twins_with_identity_order_match_natural_bitwise() {
         let spec = clouds::tencent(4);
         let identity: Vec<usize> = (0..4).collect();
+        assert_eq!(
+            reordered_stream_members(&spec, &identity),
+            stream_groups(&spec)
+        );
         let mut a = NetSim::new(spec);
         let t1 = sim_torus_all_reduce(&mut a, &spec, 1 << 20);
         let mut b = NetSim::new(spec);
         let t2 = sim_torus_all_reduce_reordered(&mut b, &spec, 1 << 20, &identity);
         assert_eq!(t1.total.to_bits(), t2.total.to_bits());
+        assert_eq!(t1.phases, t2.phases);
         assert_eq!(a.makespan().to_bits(), b.makespan().to_bits());
-        let mut c = NetSim::new(spec);
-        let h1 = sim_hitopk(&mut c, &spec, 1 << 18, 4, 0.01, 1e-4);
-        let mut d = NetSim::new(spec);
-        let h2 = sim_hitopk_reordered(&mut d, &spec, 1 << 18, 4, 0.01, 1e-4, &identity);
-        assert_eq!(h1.total.to_bits(), h2.total.to_bits());
     }
 
     #[test]
@@ -1040,7 +840,7 @@ mod tests {
         };
         assert_eq!(run(&order).to_bits(), run(&order).to_bits());
         assert_eq!(
-            reordered_stream_members(&spec, &order, 3),
+            reordered_stream_members(&spec, &order)[3],
             vec![19, 3, 27, 11]
         );
     }

@@ -18,9 +18,13 @@
 //!   faithfully.
 //!
 //! [`collectives`] builds the paper's aggregation schemes (ring, double
-//! tree, 2D-torus, NaiveAG, HiTopKComm, gTop-k, quantized AllGather) as
-//! schedules of transfers on the simulator and reports per-phase timings —
-//! the source of Figs. 7 and 8 and the communication leg of Tables 3–5.
+//! tree, 2D-torus, NaiveAG, HiTopKComm, O(k), gTop-k, quantized AllGather)
+//! as schedules of transfers on the simulator and reports per-phase
+//! timings — the source of Figs. 7 and 8 and the communication leg of
+//! Tables 3–5. Each scheme is one body: a list of labelled phases that a
+//! single phase player times, the rings over any list of member groups,
+//! and the hierarchical schemes over their inter-node streams (natural or
+//! reordered).
 //! [`jitter`] adds multi-tenant compute jitter and straggler statistics
 //! for the BSP-penalty ablation.
 //! [`faults`] injects seeded link faults (drops, latency spikes, transient

@@ -34,7 +34,7 @@ proptest! {
                 1 => sim_torus_all_reduce(&mut sim, &spec, b).total,
                 _ => {
                     let members: Vec<usize> = (0..spec.world()).collect();
-                    sim_ring_all_reduce(&mut sim, &members, b);
+                    sim_ring_all_reduce(&mut sim, &[members], b);
                     sim.makespan()
                 }
             }
@@ -60,7 +60,7 @@ proptest! {
         let bytes = kib << 10;
         let members: Vec<usize> = (0..spec.world()).collect();
         let mut sim = NetSim::new(spec);
-        sim_ring_all_reduce(&mut sim, &members, bytes);
+        sim_ring_all_reduce(&mut sim, &[members], bytes);
         let t = sim.makespan();
         // Each node's NIC must at least carry its shard contributions once
         // in and once out: >= bytes/P * (cross-boundary rounds ~ 2(P-1)/P).

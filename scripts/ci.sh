@@ -39,12 +39,16 @@
 #                            # byte-compared, snapshots BENCH_elastic.json,
 #                            # and enforces checkpoint replay bitwise on
 #                            # every replay row plus < 5% moved / < 5%
-#                            # excess on every resharding event
+#                            # excess on every resharding event; last,
+#                            # the five deterministic snapshots it wrote
+#                            # (all but the wall-clock BENCH_e2e.json)
+#                            # must equal their committed versions
 #   scripts/ci.sh conformance # conformance harness over the shipped seed
 #                            # corpus: `cloudtrain conformance --deny` run
 #                            # twice (table + JSONL byte-compared), then
 #                            # the snapshot binary run twice the same way,
-#                            # and snapshots BENCH_conformance.json
+#                            # and snapshots BENCH_conformance.json,
+#                            # which must equal its committed version
 #   scripts/ci.sh bench      # the standing differential test of the
 #                            # library calls against the staged public
 #                            # functions: the benchmark package's unit
@@ -121,6 +125,21 @@ twice() {
     if [[ -e "$TMP/$name.1.out" ]]; then
         cmp "$TMP/$name.1.out" "$TMP/$name.2.out"
     fi
+}
+
+# snapshots_match_committed FILE...: fails if any deterministic snapshot
+# the mode just wrote differs from its committed version — a change to one
+# must be committed together with the code that causes it.
+snapshots_match_committed() {
+    if ! git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+        echo "  (not a git checkout; snapshots not compared)"
+        return
+    fi
+    if ! git diff --exit-code --stat HEAD -- "$@"; then
+        echo "deterministic snapshots differ from their committed versions (above)" >&2
+        exit 1
+    fi
+    echo "  $# snapshot(s) equal their committed versions"
 }
 
 run_lint_gate() {
@@ -299,6 +318,10 @@ print(f"  {len(rows)} rows ({len(replay)} replay), all bitwise; worst reshard {w
         echo "  (python3 unavailable; elastic gates not enforced)"
     fi
 
+    stage "gauntlet: deterministic snapshots equal their committed versions"
+    snapshots_match_committed BENCH_faults.json BENCH_obs.json BENCH_tails.json \
+        BENCH_autotune.json BENCH_elastic.json
+
     timing_summary
     echo "==> fault gauntlet: green"
     exit 0
@@ -323,6 +346,9 @@ if [[ "${1:-}" == "conformance" ]]; then
 assert s["divergences"] == 0 and s["coverage_missing"] == 0, s; \
 print("  {} cases, {} checks, fnv1a {}".format(s["cases"], s["checks"], s["jsonl_fnv1a"]))' 2>/dev/null \
         || echo "  (python3 unavailable; snapshot written unvalidated)"
+
+    stage "conformance: BENCH_conformance.json equals its committed version"
+    snapshots_match_committed BENCH_conformance.json
 
     timing_summary
     echo "==> conformance: green"
