@@ -192,6 +192,7 @@ fn cmd_train(args: &Args) -> Result<(), ParseError> {
         seed: args.num_or("seed", 42)?,
         ..DistConfig::small(strategy_of(args)?, workload)
     };
+    cfg.strategy.check_world(cfg.world()).map_err(ParseError)?;
     println!(
         "training {:?} with {} on {}x{} workers...",
         workload,
@@ -234,7 +235,12 @@ fn cmd_simulate(args: &Args) -> Result<(), ParseError> {
         datacache: args.get_or("datacache", "on") != "off",
         pto: args.get_or("pto", "on") != "off",
     };
-    let model = IterationModel::new(cluster_of(args)?, system, model_of(args)?);
+    let cluster = cluster_of(args)?;
+    system
+        .strategy
+        .check_world(cluster.world())
+        .map_err(ParseError)?;
+    let model = IterationModel::new(cluster, system, model_of(args)?);
     let b = model.breakdown();
     println!(
         "{} with {} on {} GPUs:",

@@ -84,6 +84,21 @@ pub fn trim_topk(s: &SparseGrad, k: usize) -> SparseGrad {
     )
 }
 
+/// gTop-k's one feasibility check: the recursive-doubling schedule pairs
+/// every rank in each of its `log₂ P` rounds, so the world must be a power
+/// of two. `Err` carries the one-line reason. The simulated schedule
+/// prices any world, so every caller that prices or runs gTop-k on a
+/// chosen world gates on this first; [`gtopk_all_reduce_ef`] asserts it.
+pub fn check_world(world: usize) -> Result<(), String> {
+    if world.is_power_of_two() {
+        Ok(())
+    } else {
+        Err(format!(
+            "gtopk needs a power-of-two world (recursive doubling pairs every rank), got {world} ranks"
+        ))
+    }
+}
+
 /// gTop-k AllReduce with error feedback, over whichever transport the
 /// caller holds: the gradient is accumulated into the residual, the top
 /// `k` of the residual selected and released from it, and `log₂ P`
@@ -104,8 +119,8 @@ pub fn trim_topk(s: &SparseGrad, k: usize) -> SparseGrad {
 /// warmup.
 ///
 /// # Panics
-/// Panics unless the group size is a power of two (the recursive-doubling
-/// schedule's requirement), or if the residual dimension is not `x.len()`.
+/// Panics unless the group size passes [`check_world`] (a power of two),
+/// or if the residual dimension is not `x.len()`.
 pub fn gtopk_all_reduce_ef<T: Transport + ?Sized, C: Compressor + ?Sized>(
     peer: &T,
     x: &mut [f32],
@@ -116,7 +131,7 @@ pub fn gtopk_all_reduce_ef<T: Transport + ?Sized, C: Compressor + ?Sized>(
 ) -> usize {
     let p = peer.size();
     assert!(
-        p.is_power_of_two(),
+        check_world(p).is_ok(),
         "gtopk_all_reduce_ef: group size must be 2^m"
     );
     assert_eq!(ef.dim(), x.len(), "gtopk ef: residual must match x");

@@ -82,48 +82,25 @@ pub fn pair_wire_bytes(entries: usize) -> usize {
 /// reports [`HiTopKReport::shard_nonzeros`]. The blocks are left intact,
 /// for step (iv) to forward or the caller to recycle.
 ///
-/// The count merges the blocks' index runs — each strictly ascending, the
-/// [`Compressor::compress`] contract — instead of streaming the shard: on a
-/// zeroed shard an untouched coordinate is exactly `0.0`, so only a touched
-/// one can pass `!= 0.0`, and the merge visits each touched coordinate
-/// once however many blocks name it.
+/// The count is kept inside the scatter-add ([`ops::scatter_add`] returns
+/// each block's net change in non-zero slots) instead of by a second read
+/// of the shard: on a zeroed shard an untouched coordinate is exactly
+/// `+0.0`, so the running count ends at what a full `!= 0.0` pass would
+/// find, `-0.0` and NaN included, and each `+=` touches its coordinate
+/// once.
 pub(crate) fn scatter_gathered(
     shard_buf: &mut [f32],
     values: &[Vec<f32>],
     indices: &[Vec<u32>],
 ) -> usize {
     debug_assert!(shard_buf.iter().all(|v| v.to_bits() == 0), "shard not +0.0");
-    for (vals, idxs) in values.iter().zip(indices) {
-        ops::scatter_add(shard_buf, idxs, vals);
-    }
-    merged_nonzeros(shard_buf, indices)
-}
-
-/// Distinct coordinates named by the strictly ascending index `runs` that
-/// hold a nonzero in `shard`, counted in one merge of the runs.
-fn merged_nonzeros(shard: &[f32], runs: &[Vec<u32>]) -> usize {
-    debug_assert!(
-        runs.iter().all(|run| run.is_sorted_by(|a, b| a < b)),
-        "gathered indices not strictly ascending"
-    );
-    let mut heads = vec![0; runs.len()];
-    let mut nonzeros = 0;
-    loop {
-        let next = runs
-            .iter()
-            .zip(&heads)
-            .filter_map(|(run, &h)| run.get(h))
-            .min();
-        let Some(&i) = next else {
-            return nonzeros;
-        };
-        for (run, head) in runs.iter().zip(&mut heads) {
-            if run.get(*head) == Some(&i) {
-                *head += 1;
-            }
-        }
-        nonzeros += usize::from(shard[i as usize] != 0.0);
-    }
+    let nonzeros: isize = values
+        .iter()
+        .zip(indices)
+        .map(|(vals, idxs)| ops::scatter_add(shard_buf, idxs, vals))
+        .sum();
+    debug_assert!(nonzeros >= 0, "a zeroed shard lost non-zeros");
+    nonzeros.unsigned_abs()
 }
 
 /// Returns gathered blocks to the pool.
@@ -411,6 +388,34 @@ mod tests {
     fn vec_for(rank: usize, d: usize) -> Vec<f32> {
         let mut rng = init::rng_from_seed(4000 + rank as u64);
         init::gradient_like_tensor(d, &mut rng).into_vec()
+    }
+
+    /// Reference for [`scatter_gathered`]'s count by another route:
+    /// distinct coordinates named by the strictly ascending index `runs`
+    /// that hold a non-zero in `shard`, in one merge of the runs.
+    fn merged_nonzeros(shard: &[f32], runs: &[Vec<u32>]) -> usize {
+        assert!(
+            runs.iter().all(|run| run.is_sorted_by(|a, b| a < b)),
+            "gathered indices not strictly ascending"
+        );
+        let mut heads = vec![0; runs.len()];
+        let mut nonzeros = 0;
+        loop {
+            let next = runs
+                .iter()
+                .zip(&heads)
+                .filter_map(|(run, &h)| run.get(h))
+                .min();
+            let Some(&i) = next else {
+                return nonzeros;
+            };
+            for (run, head) in runs.iter().zip(&mut heads) {
+                if run.get(*head) == Some(&i) {
+                    *head += 1;
+                }
+            }
+            nonzeros += usize::from(shard[i as usize] != 0.0);
+        }
     }
 
     /// Sequential reference for Algorithm 2 with a deterministic (exact)
@@ -894,13 +899,14 @@ mod tests {
         // selection. Across blocks: overlaps at 0, 3 and 7; a coordinate
         // that cancels to exactly +0.0 (3: 2 - 2) and one that is sent
         // -0.0 by two members (5: +0.0 + -0.0 + -0.0 stays +0.0 — from a
-        // +0.0 start no sum of additions reaches -0.0); and an empty block,
-        // as a withheld member sends.
+        // +0.0 start no sum of additions reaches -0.0); a NaN (9), which
+        // counts as a non-zero; and an empty block, as a withheld member
+        // sends.
         let candidates = [
             (vec![4.0f32, 2.0, -0.0, 1.0], vec![0u32, 3, 5, 7]),
             (vec![], vec![]),
             (vec![-2.0, -0.0, 0.5, 1.5], vec![3, 5, 7, 11]),
-            (vec![-4.0, -1.0, -1.5], vec![0, 1, 7]),
+            (vec![-4.0, -1.0, -1.5, f32::NAN], vec![0, 1, 7, 9]),
         ];
         for m in 1..=3 {
             // Every run of m consecutive candidates, so each block leads
@@ -914,7 +920,9 @@ mod tests {
 
                 let mut want = vec![0.0f32; 12];
                 for (vals, idxs) in values.iter().zip(&indices) {
-                    ops::scatter_add(&mut want, idxs, vals);
+                    for (&i, &v) in idxs.iter().zip(vals) {
+                        want[i as usize] += v;
+                    }
                 }
                 let what = format!("m={m} first={first}");
                 assert_eq!(bits(&buf), bits(&want), "{what}");
@@ -923,6 +931,7 @@ mod tests {
                     want.iter().filter(|v| **v != 0.0).count(),
                     "{what}"
                 );
+                assert_eq!(nonzeros, merged_nonzeros(&buf, &indices), "{what}");
             }
         }
 

@@ -96,6 +96,8 @@
 //! identical to the naive search; `MsTopKNaive` is retained precisely so
 //! tests can assert that equivalence.
 
+use std::fmt;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -175,6 +177,15 @@ pub struct MsTopKStats {
 
 /// The MSTopK approximate top-k operator (histogram-accelerated).
 ///
+/// The operator owns the survivor lists its compaction pass writes into
+/// and reuses them on every call — [`Self::select_with_stats`],
+/// [`Self::select_with_stats_traced`], [`Compressor::compress`] and
+/// [`Compressor::compress_accumulated`] alike — so a run of calls faults
+/// their pages in once instead of on every call. The lists keep room for
+/// the longest input seen, of which only the pages a pass has written are
+/// memory. Results, statistics and RNG consumption are bitwise those of
+/// [`mstopk_with_rng`], which starts from empty lists every call.
+///
 /// # Examples
 /// ```
 /// use cloudtrain_compress::{Compressor, MsTopK};
@@ -190,6 +201,7 @@ pub struct MsTopK {
     /// uses 30).
     pub samplings: usize,
     rng: StdRng,
+    lists: SurvivorLists,
 }
 
 impl MsTopK {
@@ -199,12 +211,13 @@ impl MsTopK {
         Self {
             samplings,
             rng: StdRng::seed_from_u64(seed),
+            lists: SurvivorLists::default(),
         }
     }
 
     /// Runs Algorithm 1, returning the selection and its search statistics.
     pub fn select_with_stats(&mut self, x: &[f32], k: usize) -> (SparseGrad, MsTopKStats) {
-        mstopk_with_rng(x, k, self.samplings, &mut self.rng)
+        self.select(Source::Plain(x), k, None)
     }
 
     /// [`Self::select_with_stats`] with per-stage spans and counters
@@ -217,7 +230,24 @@ impl MsTopK {
         k: usize,
         reg: &mut Registry,
     ) -> (SparseGrad, MsTopKStats) {
-        mstopk_with_rng_traced(x, k, self.samplings, &mut self.rng, reg)
+        self.select(Source::Plain(x), k, Some(reg))
+    }
+
+    /// Every entry point's one call: this operator's RNG and lists.
+    fn select(
+        &mut self,
+        source: Source<'_>,
+        k: usize,
+        reg: Option<&mut Registry>,
+    ) -> (SparseGrad, MsTopKStats) {
+        mstopk_impl(
+            source,
+            k,
+            self.samplings,
+            &mut self.rng,
+            &mut self.lists,
+            reg,
+        )
     }
 }
 
@@ -235,8 +265,7 @@ impl Compressor for MsTopK {
             grad.len(),
             "compress_accumulated: length mismatch"
         );
-        let source = Source::Accumulate { acc, grad };
-        mstopk_impl(source, k, self.samplings, &mut self.rng, None).0
+        self.select(Source::Accumulate { acc, grad }, k, None).0
     }
 
     fn name(&self) -> &'static str {
@@ -373,7 +402,7 @@ fn finish_selection(
     bracket: &Bracket,
     samplings: usize,
     rng: &mut StdRng,
-    accel: Option<&Survivors>,
+    accel: Option<&Survivors<'_>>,
 ) -> (SparseGrad, MsTopKStats) {
     // Lines 25–26: materialise the two index sets — `i1` as
     // `ops::indices_ge(x, thres1)` would, `i2` as
@@ -407,11 +436,11 @@ fn finish_selection(
         let top = |m: f32| take_top & (m >= bracket.thres1);
         let band = |m: f32| !top(m) & (m >= bracket.thres2);
         let n1 = s.mags.iter().filter(|&&m| top(m)).count();
-        let n2 = ops::count_ge(&s.mags, bracket.thres2) - n1;
+        let n2 = ops::count_ge(s.mags, bracket.thres2) - n1;
         i1 = vec![0u32; n1 + 1];
         i2 = vec![0u32; n2 + 1];
         let (mut n1, mut n2) = (0usize, 0usize);
-        for (&m, &i) in s.mags.iter().zip(&s.idx) {
+        for (&m, &i) in s.mags.iter().zip(s.idx) {
             i1[n1] = i;
             i2[n2] = i;
             n1 += usize::from(top(m));
@@ -506,34 +535,59 @@ fn search_counting(
     }
 }
 
+/// The lists a compaction pass writes its survivors into: owned by
+/// [`MsTopK`] across calls, fresh for each call of the free functions.
+#[derive(Default)]
+struct SurvivorLists {
+    mags: Vec<f32>,
+    idx: Vec<u32>,
+}
+
+impl fmt::Debug for SurvivorLists {
+    /// The capacity only: the contents are the last call's scratch.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SurvivorLists")
+            .field("capacity", &self.mags.capacity())
+            .finish_non_exhaustive()
+    }
+}
+
 /// The magnitudes `>= cutoff` of a tensor, in original order, each with its
 /// source index: what one compaction pass leaves for the search and the
 /// selection to work on.
-struct Survivors {
+struct Survivors<'a> {
     /// Compacted magnitudes, in input order.
-    mags: Vec<f32>,
+    mags: &'a [f32],
     /// `idx[p]` is the source index of `mags[p]`.
-    idx: Vec<u32>,
+    idx: &'a [u32],
     /// The cutoff the buffer was compacted at: `mags` covers every
     /// magnitude `>= cutoff` and nothing below it.
     cutoff: f32,
 }
 
-impl Survivors {
+impl<'a> Survivors<'a> {
     /// Runs `pass` — one of the tensor crate's fused compaction sweeps, at
-    /// `cutoff`, over a `d`-element tensor — into empty survivor lists,
-    /// keeping what it returns. The lists reserve room for the whole tensor
-    /// without initialising it, so only what survives is ever written: the
-    /// rest of the reservation is address space, not memory.
+    /// `cutoff`, over a `d`-element tensor — into `lists`, emptied first,
+    /// keeping what it returns. The lists hold room for the whole tensor,
+    /// reserved without initialising it, so only what survives is ever
+    /// written: the rest of the reservation is address space, not memory.
     fn compact<T>(
+        lists: &'a mut SurvivorLists,
         d: usize,
         cutoff: f32,
         pass: impl FnOnce(&mut Vec<f32>, &mut Vec<u32>) -> T,
     ) -> (Self, T) {
-        let mut mags = Vec::with_capacity(d);
-        let mut idx = Vec::with_capacity(d);
-        let out = pass(&mut mags, &mut idx);
-        (Self { mags, idx, cutoff }, out)
+        lists.mags.clear();
+        lists.idx.clear();
+        lists.mags.reserve_exact(d);
+        lists.idx.reserve_exact(d);
+        let out = pass(&mut lists.mags, &mut lists.idx);
+        let s = Self {
+            mags: &lists.mags,
+            idx: &lists.idx,
+            cutoff,
+        };
+        (s, out)
     }
 
     /// The count a probe at `thres` observes for `count_ge(x, thres)` of
@@ -559,14 +613,15 @@ impl Survivors {
 /// one pass compacting the tensor at the wall — or at the mean if no wall
 /// is pinned yet. Requires `u > a_mean`. Returns the survivors and the
 /// number of probes consumed.
-fn gallop_compact(
+fn gallop_compact<'a>(
     x: &[f32],
     k: usize,
     samplings: usize,
     a_mean: f32,
     u: f32,
     bracket: &mut Bracket,
-) -> (Survivors, usize) {
+    lists: &'a mut SurvivorLists,
+) -> (Survivors<'a>, usize) {
     // While every probe under-selects, the probed ratios descend 1/2, 1/4,
     // ... — count them straight off the tensor, exactly as the naive loop
     // would.
@@ -584,7 +639,7 @@ fn gallop_compact(
     // below `a_mean + 0`). Either way the buffer covers every magnitude
     // any remaining probe or the selection scan can touch.
     let cutoff = a_mean + bracket.l * (u - a_mean);
-    let (s, ()) = Survivors::compact(x.len(), cutoff, |mags, idx| {
+    let (s, ()) = Survivors::compact(lists, x.len(), cutoff, |mags, idx| {
         ops::compact_ge(x, cutoff, mags, idx)
     });
     (s, consumed)
@@ -607,7 +662,7 @@ fn gallop_compact(
 ///   final bucket answers any probes beyond the histogram depth.
 #[allow(clippy::too_many_arguments)]
 fn search_survivors(
-    s: &Survivors,
+    s: &Survivors<'_>,
     d: usize,
     k: usize,
     samplings: usize,
@@ -619,7 +674,7 @@ fn search_survivors(
     while consumed < samplings && consumed < GALLOP_MAX && bracket.l == 0.0 {
         let ratio = bracket.midpoint();
         let thres = a_mean + ratio * (u - a_mean);
-        let nnz = s.probe_count(thres, d, || ops::count_ge(&s.mags, thres));
+        let nnz = s.probe_count(thres, d, || ops::count_ge(s.mags, thres));
         bracket.observe(nnz, thres, ratio, k);
         consumed += 1;
     }
@@ -633,7 +688,7 @@ fn search_survivors(
     // `2^GALLOP_MAX`, so the sub-grid ratios below stay exact.
     let (rl, rr) = (bracket.l, bracket.r);
     let lo_val = a_mean + rl * (u - a_mean);
-    let survivors = &s.mags;
+    let survivors = s.mags;
 
     // Depth: no deeper than the probe count, the exactness cap, or a bucket
     // count comparable to the survivor count (finer buys nothing).
@@ -776,7 +831,8 @@ pub fn mstopk_with_rng(
     samplings: usize,
     rng: &mut StdRng,
 ) -> (SparseGrad, MsTopKStats) {
-    mstopk_impl(Source::Plain(x), k, samplings, rng, None)
+    let lists = &mut SurvivorLists::default();
+    mstopk_impl(Source::Plain(x), k, samplings, rng, lists, None)
 }
 
 /// [`mstopk_with_rng`] with per-stage spans and counters recorded into
@@ -801,7 +857,8 @@ pub fn mstopk_with_rng_traced(
     rng: &mut StdRng,
     reg: &mut Registry,
 ) -> (SparseGrad, MsTopKStats) {
-    mstopk_impl(Source::Plain(x), k, samplings, rng, Some(reg))
+    let lists = &mut SurvivorLists::default();
+    mstopk_impl(Source::Plain(x), k, samplings, rng, lists, Some(reg))
 }
 
 /// What the operator selects from.
@@ -871,19 +928,23 @@ impl<'a> Source<'a> {
     }
 
     /// The tensor to select from, its `(mean_abs, max_abs)` and its
-    /// [`Survivors`] at `cutoff`, all from one sweep that accumulates (if
-    /// at all) on the way.
-    fn compacted(self, cutoff: f32) -> (&'a [f32], f32, f32, Survivors) {
+    /// [`Survivors`] at `cutoff` in `lists`, all from one sweep that
+    /// accumulates (if at all) on the way.
+    fn compacted<'l>(
+        self,
+        cutoff: f32,
+        lists: &'l mut SurvivorLists,
+    ) -> (&'a [f32], f32, f32, Survivors<'l>) {
         let d = self.len();
         match self {
             Source::Plain(x) => {
-                let (s, (a_mean, u)) = Survivors::compact(d, cutoff, |mags, idx| {
+                let (s, (a_mean, u)) = Survivors::compact(lists, d, cutoff, |mags, idx| {
                     ops::abs_stats_compact(x, cutoff, mags, idx)
                 });
                 (x, a_mean, u, s)
             }
             Source::Accumulate { acc, grad } => {
-                let (s, (a_mean, u)) = Survivors::compact(d, cutoff, |mags, idx| {
+                let (s, (a_mean, u)) = Survivors::compact(lists, d, cutoff, |mags, idx| {
                     ops::add_assign_abs_stats_compact(acc, grad, cutoff, mags, idx)
                 });
                 (acc, a_mean, u, s)
@@ -904,6 +965,7 @@ fn mstopk_impl(
     k: usize,
     samplings: usize,
     rng: &mut StdRng,
+    lists: &mut SurvivorLists,
     mut reg: Option<&mut Registry>,
 ) -> (SparseGrad, MsTopKStats) {
     let d = source.len();
@@ -926,7 +988,7 @@ fn mstopk_impl(
     };
     let (x, a_mean, u, seed, scanned) = match cutoff {
         Some(cutoff) => {
-            let (x, a_mean, u, s) = source.compacted(cutoff);
+            let (x, a_mean, u, s) = source.compacted(cutoff, lists);
             (x, a_mean, u, Some(s), SAMPLE_LEN + d)
         }
         None => {
@@ -955,7 +1017,8 @@ fn mstopk_impl(
             let (s, consumed) = match seed.filter(|s| s.mags.len() > k) {
                 Some(s) => (s, 0),
                 None => {
-                    let (s, consumed) = gallop_compact(x, k, samplings, a_mean, u, &mut bracket);
+                    let (s, consumed) =
+                        gallop_compact(x, k, samplings, a_mean, u, &mut bracket, lists);
                     scanned += (consumed + 1) * d;
                     (s, consumed)
                 }
@@ -1243,7 +1306,8 @@ mod tests {
             grad: &grad,
         };
         let mut rng = StdRng::seed_from_u64(5);
-        let fused = mstopk_impl(source, k, 30, &mut rng, Some(&mut reg));
+        let lists = &mut SurvivorLists::default();
+        let fused = mstopk_impl(source, k, 30, &mut rng, lists, Some(&mut reg));
 
         let units: f64 = [
             "mstopk/mean-max passes",
@@ -1439,13 +1503,12 @@ mod tests {
         (a.1, reg)
     }
 
-    #[test]
-    fn a_sample_that_keeps_too_few_falls_back_to_the_gallop() {
-        // Large magnitudes exactly where the sample looks, small ones
-        // everywhere else: the sampled cutoff sits among the large values,
-        // of which the tensor holds fewer than `k`.
-        let stride = BIG / SAMPLE_LINES;
-        let x: Vec<f32> = (0..BIG)
+    /// Large magnitudes exactly where the sample looks, small ones
+    /// everywhere else: at `k = d / 100` the sampled cutoff sits among the
+    /// large values, of which the tensor holds fewer than `k`.
+    fn sample_decoy(d: usize) -> Vec<f32> {
+        let stride = d / SAMPLE_LINES;
+        (0..d)
             .map(|i| {
                 let u = (mix(i as u64) >> 40) as f32 / (1u64 << 24) as f32;
                 let sampled = i / stride < SAMPLE_LINES && i % stride < SAMPLE_RUN;
@@ -1455,7 +1518,12 @@ mod tests {
                     0.5 * u
                 }
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn a_sample_that_keeps_too_few_falls_back_to_the_gallop() {
+        let x = sample_decoy(BIG);
         let k = BIG / 100;
         let (stats, reg) = traced_vs_naive(&x, k, 30);
         assert_eq!(
@@ -1541,7 +1609,8 @@ mod tests {
                         acc: &mut acc,
                         grad: &x,
                     };
-                    let got = mstopk_impl(source, k, samplings, &mut rng, None);
+                    let lists = &mut SurvivorLists::default();
+                    let got = mstopk_impl(source, k, samplings, &mut rng, lists, None);
                     assert_same(&got, &want, &format!("accumulated {what}"));
                     assert_eq!(rng, naive.rng, "rng state diverged: accumulated {what}");
                     assert_eq!(bits(&acc), bits(&summed), "accumulator: {what}");
@@ -1554,6 +1623,64 @@ mod tests {
                     assert_eq!(bits(&acc), bits(&summed), "accumulator: {what}");
                 }
             }
+        }
+    }
+
+    /// One operator over changing shapes — a sampled-cutoff shard, a
+    /// sample that falls back to the gallop, a shard below the sample
+    /// floor, round and round — each shape through every entry point in
+    /// turn: each call is bitwise the free function's on the same RNG
+    /// stream, and the lists it keeps stop growing once every shape has
+    /// been seen.
+    #[test]
+    fn one_operator_reuses_its_lists_across_shapes() {
+        let shapes = [
+            ("sampled", family("heavy-tailed", BIG)),
+            ("gallop", sample_decoy(BIG)),
+            ("below the floor", family("heavy-tailed", SAMPLE_FLOOR - 1)),
+        ];
+        let residual = family("layered", BIG);
+        let mut op = MsTopK::new(30, 21);
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut warm = None;
+        for round in 0..4 {
+            for (shape, (name, x)) in shapes.iter().enumerate() {
+                let entry = (round + shape) % 4;
+                let what = format!("round {round}, {name}, entry {entry}");
+                let k = x.len() / 100;
+                // The selection, its statistics where the entry returns
+                // them, and the free function's on the same stream.
+                let (sel, stats, want) = match entry {
+                    0 => {
+                        let (sel, stats) = op.select_with_stats(x, k);
+                        (sel, Some(stats), mstopk_with_rng(x, k, 30, &mut rng))
+                    }
+                    1 => {
+                        let mut reg = Registry::new();
+                        let (sel, stats) = op.select_with_stats_traced(x, k, &mut reg);
+                        assert_eq!(reg.counter("mstopk/invocations"), 1, "{what}");
+                        (sel, Some(stats), mstopk_with_rng(x, k, 30, &mut rng))
+                    }
+                    2 => (op.compress(x, k), None, mstopk_with_rng(x, k, 30, &mut rng)),
+                    _ => {
+                        let mut acc = residual[..x.len()].to_vec();
+                        let sel = op.compress_accumulated(&mut acc, x, k);
+                        let mut summed = residual[..x.len()].to_vec();
+                        ops::add_assign(&mut summed, x);
+                        assert_eq!(bits(&acc), bits(&summed), "{what}");
+                        (sel, None, mstopk_with_rng(&summed, k, 30, &mut rng))
+                    }
+                };
+                assert_same(&(sel, stats.unwrap_or(want.1)), &want, &what);
+                assert_eq!(op.rng, rng, "rng state diverged: {what}");
+            }
+            let capacity = (op.lists.mags.capacity(), op.lists.idx.capacity());
+            assert!(capacity.0 >= BIG && capacity.1 >= BIG, "round {round}");
+            assert_eq!(
+                *warm.get_or_insert(capacity),
+                capacity,
+                "round {round} grew"
+            );
         }
     }
 

@@ -38,8 +38,8 @@ use crate::checkpoint::{Checkpoint, ShardManifest};
 use crate::fusion::{cloud_calibrated_model, plan_buckets, plan_buckets_cost_model, FusionMode};
 use crate::strategy::Strategy;
 use crate::trainer::{
-    workload_layer_ranges, DistConfig, DistTrainer, OptimizerKind, SegmentCtx, SegmentEnd,
-    SegmentInit, TrainReport,
+    assert_feasible, workload_layer_ranges, DistConfig, DistTrainer, OptimizerKind, SegmentCtx,
+    SegmentEnd, SegmentInit, TrainReport,
 };
 
 /// One contiguous stretch of epochs trained under a fixed membership.
@@ -112,8 +112,11 @@ impl DistTrainer {
     ///
     /// # Panics
     /// Panics if the config disagrees with the scenario's initial
-    /// topology/epochs, or uses optimizer state the checkpoint format
-    /// does not carry (LAMB/Adam moments, the loss scaler).
+    /// topology/epochs, uses optimizer state the checkpoint format does
+    /// not carry (LAMB/Adam moments, the loss scaler), or names a strategy
+    /// that cannot run over some segment's world
+    /// ([`crate::Strategy::check_world`]) — checked before any segment
+    /// runs.
     pub fn run_elastic(&self, scenario: &ElasticScenario) -> ElasticReport {
         self.run_membership(scenario, true)
     }
@@ -154,6 +157,9 @@ impl DistTrainer {
 
         let timeline = scenario.simulate();
         let segments = timeline.segments();
+        for (_, _, members) in &segments {
+            assert_feasible(cfg.strategy, members.len() * cfg.gpus_per_node);
+        }
         let resharding = timeline.reshard_events(scenario.seed, scenario.dataset_len);
 
         // Control-plane observability: membership events and spans from

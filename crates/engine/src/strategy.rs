@@ -1,5 +1,6 @@
 //! The aggregation strategies the paper compares.
 
+use cloudtrain_collectives::gtopk;
 use serde::{Deserialize, Serialize};
 
 /// Gradient-aggregation scheme for one training run.
@@ -61,6 +62,16 @@ impl Strategy {
         )
     }
 
+    /// Whether the strategy's collective can run over `world` ranks; `Err`
+    /// carries the one-line reason. Only gTop-k constrains the world
+    /// ([`gtopk::check_world`]: a power of two).
+    pub fn check_world(&self, world: usize) -> Result<(), String> {
+        match self {
+            Strategy::GTopK { .. } => gtopk::check_world(world),
+            _ => Ok(()),
+        }
+    }
+
     /// The paper's default MSTopK-SGD configuration (ρ = 0.01, N = 30).
     pub fn mstopk_default() -> Self {
         Strategy::MsTopKHiTopK {
@@ -86,6 +97,21 @@ mod tests {
         assert!(!Strategy::DenseTorus.is_sparse());
         assert!(Strategy::topk_default().is_sparse());
         assert!(Strategy::mstopk_default().is_sparse());
+    }
+
+    #[test]
+    fn only_gtopk_constrains_the_world() {
+        for world in [1, 2, 8, 16] {
+            assert_eq!(Strategy::GTopK { rho: 0.01 }.check_world(world), Ok(()));
+        }
+        for world in [3, 6, 12, 24] {
+            let why = Strategy::GTopK { rho: 0.01 }
+                .check_world(world)
+                .unwrap_err();
+            assert!(why.contains(&format!("got {world} ranks")), "{why}");
+            assert_eq!(Strategy::mstopk_default().check_world(world), Ok(()));
+            assert_eq!(Strategy::DenseTorus.check_world(world), Ok(()));
+        }
     }
 
     #[test]

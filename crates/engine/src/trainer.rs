@@ -367,6 +367,13 @@ pub(crate) struct SegmentEnd {
     pub step: u64,
 }
 
+/// Panics with [`Strategy::check_world`]'s reason if `strategy` cannot
+/// run over `world` ranks.
+pub(crate) fn assert_feasible(strategy: Strategy, world: usize) {
+    let reason = strategy.check_world(world).err();
+    assert!(reason.is_none(), "{}", reason.unwrap_or_default());
+}
+
 /// Runs one distributed training job and returns rank 0's report (all
 /// ranks produce identical reports; the harness asserts so in tests).
 #[derive(Debug, Clone)]
@@ -382,9 +389,13 @@ impl DistTrainer {
     }
 
     /// Executes the run; returns the per-rank reports in rank order.
+    ///
+    /// # Panics
+    /// Panics, before any rank starts, if the strategy cannot run over
+    /// the configured world ([`Strategy::check_world`]).
     pub fn run_all_ranks(&self) -> Vec<TrainReport> {
         let phases = [(self.cfg.strategy, self.cfg.epochs)];
-        run_on_group(self.cfg.world(), |peer| self.worker(peer, &phases))
+        self.run_ranks(&phases)
             .into_iter()
             .map(|(report, _)| report)
             .collect()
@@ -403,7 +414,7 @@ impl DistTrainer {
     /// instrumentation only reads values the untraced path computes.
     pub fn run_observed(&self) -> (TrainReport, Registry) {
         let phases = [(self.cfg.strategy, self.cfg.epochs)];
-        run_on_group(self.cfg.world(), |peer| self.worker(peer, &phases)).remove(0)
+        self.run_ranks(&phases).remove(0)
     }
 
     /// Executes a multi-phase run — the DAWNBench mechanic (§5.6): the
@@ -412,12 +423,21 @@ impl DistTrainer {
     /// `cfg.strategy`/`cfg.epochs` are ignored in favour of the phases.
     ///
     /// # Panics
-    /// Panics if `phases` is empty.
+    /// Panics if `phases` is empty, or as [`Self::run_all_ranks`] does for
+    /// any phase's strategy.
     pub fn run_phases(&self, phases: &[(Strategy, usize)]) -> TrainReport {
         assert!(!phases.is_empty(), "run_phases: need at least one phase");
+        self.run_ranks(phases).remove(0).0
+    }
+
+    /// Every rank's worker over `phases`, once each phase's strategy is
+    /// known to run over the world — checked here, so an infeasible world
+    /// fails with the check's message instead of inside a rank thread.
+    fn run_ranks(&self, phases: &[(Strategy, usize)]) -> Vec<(TrainReport, Registry)> {
+        for (strategy, _) in phases {
+            assert_feasible(*strategy, self.cfg.world());
+        }
         run_on_group(self.cfg.world(), |peer| self.worker(peer, phases))
-            .remove(0)
-            .0
     }
 
     fn worker(&self, peer: &Peer, phases: &[(Strategy, usize)]) -> (TrainReport, Registry) {
@@ -886,6 +906,16 @@ mod tests {
             report.epochs
         );
         assert!(report.epochs.last().unwrap().residual_norm > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "gtopk needs a power-of-two world")]
+    fn gtopk_on_three_ranks_is_refused_before_any_rank_starts() {
+        // Inside a rank the executed collective's own assert would surface
+        // only as "worker thread panicked".
+        let mut cfg = quick(Strategy::GTopK { rho: 0.05 }, Workload::Mlp);
+        (cfg.nodes, cfg.gpus_per_node) = (3, 1);
+        DistTrainer::new(cfg).run();
     }
 
     #[test]

@@ -371,6 +371,11 @@ pub fn sim_naive_sparse_all_gather(
 /// indices) with its partner. Rounds with `mask >= n` pair GPUs on
 /// different nodes, pushing `2 * n` sparse sets through every NIC per
 /// round.
+///
+/// Any world is priced — on one that is not a power of two the unpaired
+/// ranks sit a round out — although the executed collective needs a power
+/// of two: callers gate feasibility (`collectives::gtopk::check_world`)
+/// before they price a run.
 pub fn sim_gtopk_all_reduce(
     sim: &mut NetSim,
     spec: &ClusterSpec,

@@ -488,19 +488,31 @@ pub fn gather(x: &[f32], idx: &[u32]) -> Vec<f32> {
     idx.iter().map(|&i| x[i as usize]).collect()
 }
 
-/// Scatter-add: `y[idx[i]] += vals[i]`, applied in `idx` order.
+/// Scatter-add: `y[idx[i]] += vals[i]`, applied in `idx` order. Returns
+/// the net change in `y`'s count of slots that pass `!= 0.0`: each `+=`
+/// adds `(new != 0.0) - (old != 0.0)`, so the count is kept while the slot
+/// is in a register and `y` is never read a second time.
 ///
 /// Used to accumulate sparse gradient contributions after an AllGather of
-/// (values, indices) pairs (Algorithm 2 line 18).
+/// (values, indices) pairs (Algorithm 2 line 18). On a `y` that starts all
+/// zero the returned sums over successive calls are exactly the number of
+/// non-zeros a full pass would find — `-0.0` counts as zero and NaN as
+/// non-zero, as `!= 0.0` has it. A caller that does not need the count
+/// ignores it.
 ///
 /// # Panics
 /// Panics if `idx` and `vals` have different lengths or an index is out of
 /// bounds.
-pub fn scatter_add(y: &mut [f32], idx: &[u32], vals: &[f32]) {
+pub fn scatter_add(y: &mut [f32], idx: &[u32], vals: &[f32]) -> isize {
     assert_eq!(idx.len(), vals.len(), "scatter_add: length mismatch");
+    let mut nonzeros = 0isize;
     for (&i, &v) in idx.iter().zip(vals) {
-        y[i as usize] += v;
+        let slot = &mut y[i as usize];
+        let old = *slot;
+        *slot = old + v;
+        nonzeros += isize::from(*slot != 0.0) - isize::from(old != 0.0);
     }
+    nonzeros
 }
 
 /// Zeros the elements of `x` at the given indices (used by error-feedback to

@@ -8,6 +8,37 @@ fn small_vec() -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-1e4f32..1e4, 0..200)
 }
 
+/// Values that cancel to `+0.0` (`1 + -1`, `2 + -1 + -1`), keep a `-0.0`
+/// start at `-0.0` (`-0.0 + -0.0`), and poison a slot for good (NaN).
+const PALETTE: [f32; 8] = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, f32::NAN];
+
+/// Up to four strictly ascending `(indices, values)` blocks over
+/// `codes.len()` coordinates, sharing coordinates wherever two blocks pick
+/// the same one: nibble `t` of `codes[c]` puts coordinate `c` into block
+/// `t` (bit 3) with value `PALETTE[low 3 bits]`.
+fn sorted_blocks(codes: &[u16], m: usize) -> Vec<(Vec<u32>, Vec<f32>)> {
+    (0..m)
+        .map(|t| {
+            codes
+                .iter()
+                .enumerate()
+                .filter_map(|(c, code)| {
+                    let nibble = (code >> (4 * t)) & 0xF;
+                    (nibble & 0x8 != 0).then(|| (c as u32, PALETTE[usize::from(nibble & 0x7)]))
+                })
+                .unzip()
+        })
+        .collect()
+}
+
+fn nonzeros(y: &[f32]) -> usize {
+    y.iter().filter(|v| **v != 0.0).count()
+}
+
+fn bits(y: &[f32]) -> Vec<u32> {
+    y.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #[test]
     fn count_ge_matches_filter(x in small_vec(), thres in 0.0f32..1e4) {
@@ -45,6 +76,31 @@ proptest! {
             } else {
                 prop_assert_eq!(*v, 0.0);
             }
+        }
+    }
+
+    #[test]
+    fn scatter_add_counts_what_a_full_pass_would(
+        codes in prop::collection::vec(any::<u16>(), 0..64),
+        start in prop::collection::vec(0usize..8, 0..64),
+        m in 1usize..5,
+    ) {
+        // From an all-`+0.0` start, as step (iv) scatters, and from a
+        // drawn one (`-0.0`, NaN and non-zeros included): each call
+        // returns how many non-zeros it added, net of those it cancelled,
+        // and adds exactly as the plain loop does.
+        let drawn = (0..codes.len()).map(|c| start.get(c).map_or(0.0, |&p| PALETTE[p]));
+        for mut y in [vec![0.0f32; codes.len()], drawn.collect()] {
+            let mut want = y.clone();
+            for (idx, vals) in sorted_blocks(&codes, m) {
+                let before = nonzeros(&y) as isize;
+                let delta = ops::scatter_add(&mut y, &idx, &vals);
+                prop_assert_eq!(delta, nonzeros(&y) as isize - before);
+                for (&i, &v) in idx.iter().zip(&vals) {
+                    want[i as usize] += v;
+                }
+            }
+            prop_assert_eq!(bits(&y), bits(&want));
         }
     }
 

@@ -20,7 +20,10 @@
 # medians and quartiles, the ratio of medians with its base, and the §8
 # verdict — `gain` (`regression`) when the working tree wins (loses) at
 # least 9/10 of the pairs and the medians differ by more than the base's
-# IQR, `identical` when every pair ties, otherwise `unresolved`. The last
+# IQR, `identical` when every pair ties, otherwise `unresolved`. Fewer
+# than 6 pairs never read `gain` or `regression` (nine tenths of one to
+# five pairs is every pair, which chance alone reaches too often): such a
+# metric reads `unresolved (pairs < 6)` unless it ties. The last
 # line is one JSON object: for one workload its medians and verdicts, for
 # `all` a complete row of BENCH_history.jsonl (keyed by the base commit and
 # the optional PR number and title).
@@ -92,11 +95,16 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else [xs[0]] * 3
     return q[0], q[2]
 
+MIN_PAIRS = 6
+
 def verdict(wins, losses, gap, iqr):
     # choosing-metrics §8: nine tenths of all pairs run, ties counting for
-    # neither side, and medians further apart than the base's own spread.
+    # neither side, and medians further apart than the base's own spread —
+    # on at least MIN_PAIRS pairs.
     if wins == 0 and losses == 0:
         return "identical"
+    if pairs < MIN_PAIRS:
+        return f"unresolved (pairs < {MIN_PAIRS})"
     if gap > iqr and 10 * wins >= 9 * pairs:
         return "gain"
     if gap > iqr and 10 * losses >= 9 * pairs:
