@@ -8,17 +8,16 @@
 //! the binary twice, `cmp`s the full output, and snapshots
 //! `BENCH_autotune.json`. The traffic-validation rows are the CI teeth:
 //! at every (m, n, k̃) point where the cost model predicts an O(k) win
-//! under overlapping selections, the real `ok_sparse_all_reduce_ef` must
-//! move strictly fewer inter-node bytes than `hitopk_all_reduce_ef` on
-//! the same heavy-hitter payloads.
+//! under overlapping selections, the real `hitopk_all_reduce_ef` with
+//! `InterStep::SplitMerge` must move strictly fewer inter-node bytes than
+//! with `InterStep::AllGatherPairs` on the same heavy-hitter payloads.
 //!
 //! Output markers: the deterministic section sits between
 //! `AUTOTUNE-BEGIN` / `AUTOTUNE-END`; the snapshot JSON rides a
 //! `JSON autotune_snapshot {...}` line.
 
 use cloudtrain::collectives::group::run_on_group;
-use cloudtrain::collectives::hierarchical::hitopk_all_reduce_ef;
-use cloudtrain::collectives::sparse_allreduce::ok_sparse_all_reduce_ef;
+use cloudtrain::collectives::hierarchical::{hitopk_all_reduce_ef, InterStep};
 use cloudtrain::collectives::CommScratch;
 use cloudtrain::compress::exact::SortTopK;
 use cloudtrain::compress::ErrorFeedback;
@@ -88,14 +87,15 @@ fn heavy_hitter_vec(rank: usize, d: usize) -> Vec<f32> {
 fn measure_traffic(m: usize, n: usize, d: usize, rho: f64) -> (usize, usize, usize) {
     let reports = run_on_group(m * n, move |peer| {
         let shard_len = partition::shards(d, n)[peer.rank() % n].len();
-        let mut x = heavy_hitter_vec(peer.rank(), d);
-        let mut c = SortTopK;
-        let mut ef = ErrorFeedback::new(shard_len);
         let mut scratch = CommScratch::new();
-        let ok = ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
-        let mut y = heavy_hitter_vec(peer.rank(), d);
-        let mut ef2 = ErrorFeedback::new(shard_len);
-        let hi = hitopk_all_reduce_ef(peer, &mut y, m, n, rho, &mut c, &mut ef2);
+        let mut run = |step| {
+            let mut x = heavy_hitter_vec(peer.rank(), d);
+            let mut ef = ErrorFeedback::new(shard_len);
+            let (c, ef, scratch) = (&mut SortTopK, &mut ef, &mut scratch);
+            hitopk_all_reduce_ef(peer, &mut x, m, n, rho, step, c, ef, scratch)
+        };
+        let ok = run(InterStep::SplitMerge);
+        let hi = run(InterStep::AllGatherPairs);
         (ok.inter_bytes_sent, hi.inter_bytes_sent, ok.k_per_shard)
     });
     reports[0]

@@ -88,15 +88,14 @@ fn run_sim(
     (log, sim.makespan(), sim.fault_counters())
 }
 
-/// Collectives-plane checks under the same seed: the resilient HiTopKComm
-/// and O(k) sparse entry points (each its plain body over a
-/// `ResilientPeer`) complete, ranks agree bitwise, re-runs are identical,
-/// the two agree bitwise with each other, and the error-feedback ledger
-/// conserves mass.
+/// Collectives-plane checks under the same seed: the sparse hierarchy over
+/// a `ResilientPeer`, run with HiTopKComm's step (iii) and with O(k)'s,
+/// completes, ranks agree bitwise, re-runs are identical, the two steps
+/// agree bitwise with each other, and the error-feedback ledger conserves
+/// mass.
 fn check_collectives(seed: u64) {
-    use cloudtrain::collectives::hierarchical::hitopk_all_reduce_ef_scratch;
+    use cloudtrain::collectives::hierarchical::{hitopk_all_reduce_ef, InterStep};
     use cloudtrain::collectives::resilience::{ResiliencePolicy, ResilientPeer};
-    use cloudtrain::collectives::sparse_allreduce::ok_sparse_all_reduce_ef;
     use cloudtrain::collectives::{CommFaults, CommScratch};
     use cloudtrain::compress::exact::SortTopK;
     use cloudtrain::tensor::{init, ops};
@@ -106,7 +105,7 @@ fn check_collectives(seed: u64) {
         .with_drops(0.01)
         .straggle(1, 0.7)
         .straggle(5, 0.7);
-    let run = |ok_path: bool| {
+    let run = |step: InterStep| {
         cloudtrain::collectives::group::run_on_group(m * n, |peer| {
             let rp = ResilientPeer::new(peer, faults.clone(), ResiliencePolicy::default());
             let shard_len = cloudtrain::tensor::partition::shard_for(d, n, peer.rank() % n).len();
@@ -118,29 +117,17 @@ fn check_collectives(seed: u64) {
                 let mut rng =
                     init::rng_from_seed(seed ^ ((peer.rank() as u64) << 8) ^ round as u64);
                 let mut x = init::gradient_like_tensor(d, &mut rng).into_vec();
-                if ok_path {
-                    ok_sparse_all_reduce_ef(&rp, &mut x, m, n, 0.1, &mut c, &mut ef, &mut scratch);
-                } else {
-                    hitopk_all_reduce_ef_scratch(
-                        &rp,
-                        &mut x,
-                        m,
-                        n,
-                        0.1,
-                        &mut c,
-                        &mut ef,
-                        &mut scratch,
-                    );
-                }
+                let (c, ef, scratch) = (&mut c, &mut ef, &mut scratch);
+                hitopk_all_reduce_ef(&rp, &mut x, m, n, 0.1, step, c, ef, scratch);
                 ops::add_assign(&mut applied, &x);
             }
             (applied, ef.residual().to_vec(), rp.report())
         })
     };
-    let a = run(false);
-    let b = run(false);
-    let o = run(true);
-    let o2 = run(true);
+    let a = run(InterStep::AllGatherPairs);
+    let b = run(InterStep::AllGatherPairs);
+    let o = run(InterStep::SplitMerge);
+    let o2 = run(InterStep::SplitMerge);
     for (rank, (r1, r2)) in a.iter().zip(&b).enumerate() {
         assert_eq!(r1.0, r2.0, "seed {seed} rank {rank}: re-run diverged");
         assert_eq!(

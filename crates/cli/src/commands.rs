@@ -286,6 +286,10 @@ fn cmd_sweep(args: &Args) -> Result<(), ParseError> {
         Strategy::GTopK { rho },
         Strategy::Qsgd { levels: 127 },
     ] {
+        if let Err(reason) = strategy.check_world(cluster.world()) {
+            println!("{:<12} {reason}", strategy.label());
+            continue;
+        }
         let m = IterationModel::new(
             cluster,
             SystemConfig {
@@ -448,6 +452,7 @@ fn cmd_trace(args: &Args) -> Result<(), ParseError> {
     let cluster = cluster_of(args)?;
     let profile = model_of(args)?;
     let strategy = strategy_of(args)?;
+    strategy.check_world(cluster.world()).map_err(ParseError)?;
     let samples: u64 = args.num_or("samples", 256)?;
     let mut reg = Registry::new();
 

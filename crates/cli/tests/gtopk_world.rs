@@ -1,16 +1,25 @@
-//! `cloudtrain simulate` and `cloudtrain train` refuse gTop-k on a world
-//! that is not a power of two before pricing or running anything: both
-//! exit non-zero with the same one-line message.
+//! `cloudtrain simulate`, `cloudtrain train` and `cloudtrain trace` refuse
+//! gTop-k on a world that is not a power of two before pricing or running
+//! anything: each exits non-zero with the same one-line message.
+//! `cloudtrain sweep` prices the other strategies and names the reason in
+//! gTop-k's row instead of a price.
 
 use std::process::Command;
 
-/// Exit code and stderr of one `cloudtrain` run.
-fn cloudtrain(args: &str) -> (Option<i32>, String) {
+/// Exit code, stderr and stdout of one `cloudtrain` run.
+fn run(args: &str) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_cloudtrain"))
         .args(args.split_whitespace())
         .output()
         .unwrap();
-    (out.status.code(), String::from_utf8(out.stderr).unwrap())
+    let text = |bytes| String::from_utf8(bytes).unwrap();
+    (out.status.code(), text(out.stderr), text(out.stdout))
+}
+
+/// Exit code and stderr of one `cloudtrain` run.
+fn cloudtrain(args: &str) -> (Option<i32>, String) {
+    let (code, stderr, _) = run(args);
+    (code, stderr)
 }
 
 const REFUSAL: &str =
@@ -32,6 +41,29 @@ fn train_refuses_gtopk_on_three_nodes() {
         cloudtrain("train --strategy gtopk --nodes 3 --gpus 8"),
         (Some(2), REFUSAL.to_string())
     );
+}
+
+#[test]
+fn trace_refuses_gtopk_on_three_nodes() {
+    // Refused before the schedule is priced or the cache is touched.
+    assert_eq!(
+        cloudtrain("trace --strategy gtopk --nodes 3 --samples 4"),
+        (Some(2), REFUSAL.to_string())
+    );
+}
+
+#[test]
+fn sweep_names_the_refusal_instead_of_pricing_gtopk() {
+    let (code, stderr, stdout) = run("sweep --model resnet50-96 --nodes 3");
+    assert_eq!((code, stderr.as_str()), (Some(0), ""));
+    let gtopk: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("gTopK-SGD"))
+        .collect();
+    let reason = REFUSAL.trim_start_matches("error: ").trim_end();
+    assert_eq!(gtopk, [format!("{:<12} {reason}", "gTopK-SGD")], "{stdout}");
+    // The other strategies are still priced.
+    assert!(stdout.lines().any(|l| l.starts_with("MSTopK")), "{stdout}");
 }
 
 #[test]

@@ -19,9 +19,13 @@
 //!   ReduceScatter, inter-row AllReduce on the shard, intra-row AllGather.
 //! * [`hierarchical`] — **HiTopKComm** (§3.2, Algorithm 2): the paper's
 //!   hierarchical sparse aggregation, plus the flat `NaiveAG` sparse
-//!   baseline. The error-feedback path folds the last intra-node
-//!   ReduceScatter hop straight into the residual, so the dense node sum
-//!   is never materialized between reduction and selection.
+//!   baseline. One body serves every sparse-hierarchy path; its inter-node
+//!   step (iii) is named by [`hierarchical::InterStep`]: the paper's
+//!   AllGather, or the **O(k) split-and-merge** of Li & Hoefler (PPoPP
+//!   2022), which replaces the `O(m·k̃)` AllGather with an `O(k̃)` schedule
+//!   and leaves bitwise the same values. The error feedback folds the last
+//!   intra-node ReduceScatter hop straight into the residual, so the dense
+//!   node sum is never materialized between reduction and selection.
 //! * [`gtopk`] — gTop-k recursive-doubling sparse AllReduce with error
 //!   feedback (Shi et al. 2019, cited in §6).
 //! * [`quantized`] — AllReduce of QSGD/TernGrad/sign-quantized gradients.
@@ -36,18 +40,13 @@
 //!   every message a timeout/retry/backoff ladder and draws graceful
 //!   degradation (a contribution that misses its deadline is an empty
 //!   sparse block, safe under error feedback) for the error-feedback
-//!   bodies of HiTopKComm, O(k) and gTop-k. Every collective runs over it
+//!   bodies of the sparse hierarchy and gTop-k. Every collective runs over it
 //!   unchanged. The lateness-vs-budget tail model itself lives in
 //!   `cloudtrain-simnet` (`SimResilience::deadline_bounded`).
 //! * [`reorder`] — topology-aware ring ordering: a pairwise α–β cost model
 //!   and a seeded deterministic ring-order optimizer, which the
 //!   performance plane prices. A reordered ring is
 //!   [`ring::ring_all_reduce`] over a permuted member list.
-//! * [`sparse_allreduce`] — the **O(k) sparse allreduce** (Li & Hoefler,
-//!   PPoPP 2022): balanced index partitioning plus split-and-merge
-//!   reduction replaces HiTopKComm's `O(m·k̃)` inter-node AllGather with an
-//!   `O(k̃)` schedule, bitwise identical in value to the hitopk paths;
-//!   plain and error-feedback entry points.
 //!
 //! All collectives run on a [`group::Group`] of mesh-connected peers created
 //! with [`group::Group::connect`]; each worker thread owns one
@@ -68,7 +67,7 @@ pub mod reorder;
 pub mod resilience;
 pub mod ring;
 pub mod scratch;
-pub mod sparse_allreduce;
+mod sparse_allreduce;
 pub mod torus;
 pub mod tree;
 
@@ -76,4 +75,3 @@ pub use group::{Group, Peer};
 pub use reorder::{optimize_ring_order, PairCost};
 pub use resilience::{CommFaults, ResiliencePolicy, ResilienceReport, ResilientPeer};
 pub use scratch::CommScratch;
-pub use sparse_allreduce::OkSparseReport;

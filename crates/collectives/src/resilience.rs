@@ -336,10 +336,9 @@ mod tests {
     use super::*;
     use crate::group::{run_on_group, Withholding};
     use crate::gtopk::gtopk_all_reduce_ef;
-    use crate::hierarchical::hitopk_all_reduce_ef_scratch;
+    use crate::hierarchical::{hitopk_all_reduce_ef, hitopk_all_reduce_ef_scratch, InterStep};
     use crate::ring::{ring_all_reduce_scratch, HOP_PIECE};
     use crate::scratch::CommScratch;
-    use crate::sparse_allreduce::ok_sparse_all_reduce_ef;
     use crate::torus::torus_all_reduce;
     use cloudtrain_compress::exact::SortTopK;
     use cloudtrain_compress::{ErrorFeedback, MsTopK};
@@ -455,12 +454,13 @@ mod tests {
                             );
                         }
                         "oksparse" => {
-                            ok_sparse_all_reduce_ef(
+                            hitopk_all_reduce_ef(
                                 &rp,
                                 &mut x,
                                 m,
                                 n,
                                 rho,
+                                InterStep::SplitMerge,
                                 &mut c,
                                 &mut ef,
                                 &mut scratch,
@@ -539,7 +539,8 @@ mod tests {
                         format!("{r:?}")
                     }
                     "oksparse" => {
-                        let r = ok_sparse_all_reduce_ef(transport, x, m, n, rho, c, ef, scratch);
+                        let step = InterStep::SplitMerge;
+                        let r = hitopk_all_reduce_ef(transport, x, m, n, rho, step, c, ef, scratch);
                         format!("{r:?}")
                     }
                     "gtopk" => gtopk_all_reduce_ef(transport, x, k, c, ef, scratch).to_string(),

@@ -28,12 +28,11 @@
 //!
 //! Callers of the variable-payload gathers ([`crate::ring::all_gather_f32_scratch`])
 //! own the returned blocks and must `put` them back once consumed —
-//! [`crate::hierarchical::hitopk_all_reduce_ef_scratch`] does so after its
+//! [`crate::hierarchical::hitopk_all_reduce_ef`] does so after its
 //! scatter-accumulate — otherwise the pool re-allocates every iteration.
 //!
 //! The sparse error-feedback entry points take the arena from their caller
-//! ([`crate::hierarchical::hitopk_all_reduce_ef_scratch`],
-//! [`crate::sparse_allreduce::ok_sparse_all_reduce_ef`],
+//! ([`crate::hierarchical::hitopk_all_reduce_ef`] under either step (iii),
 //! [`crate::gtopk::gtopk_all_reduce_ef`]) over whichever transport the
 //! caller holds, so a fault-charging peer reaches the same zero-miss
 //! steady state as a clean one.

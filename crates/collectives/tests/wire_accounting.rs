@@ -1,4 +1,4 @@
-//! Differential wire-byte accounting across the HiTopKComm variant family.
+//! Wire-byte accounting of the sparse hierarchy.
 //!
 //! Every hitopk entry point — staged, traced, and either over a clean-plan
 //! `ResilientPeer` — moves exactly the same inter-node traffic. They all
@@ -6,12 +6,18 @@
 //! that traffic through one shared helper
 //! (`group_wire_bytes(selection, g) == pair_wire_bytes(k) * (g - 1)`), so
 //! a divergence here means a variant grew its own byte math again.
+//!
+//! And for either step (iii), the bytes the reports claim are the bytes a
+//! counting transport sees cross between nodes.
 
-use cloudtrain_collectives::group::run_on_group;
+use std::cell::Cell;
+
+use cloudtrain_collectives::group::{run_on_group, Transport};
 use cloudtrain_collectives::hierarchical::{
-    hitopk_all_reduce_ef_scratch, hitopk_all_reduce_ef_traced, pair_wire_bytes, HiTopKReport,
+    hitopk_all_reduce_ef, hitopk_all_reduce_ef_scratch, hitopk_all_reduce_ef_traced,
+    pair_wire_bytes, HiTopKReport, InterStep,
 };
-use cloudtrain_collectives::{CommFaults, CommScratch, ResiliencePolicy, ResilientPeer};
+use cloudtrain_collectives::{CommFaults, CommScratch, Peer, ResiliencePolicy, ResilientPeer};
 use cloudtrain_compress::exact::SortTopK;
 use cloudtrain_compress::ErrorFeedback;
 use cloudtrain_obs::Registry;
@@ -91,5 +97,85 @@ fn all_hitopk_variants_report_identical_wire_bytes_for_identical_traffic() {
             pair_wire_bytes(rep.k_per_shard) * (M - 1),
             "staged report bytes disagree with pair_wire_bytes * (m - 1)"
         );
+    }
+}
+
+/// A clean peer that sums the payload bytes this rank sends to ranks on
+/// other nodes.
+struct Counting<'a> {
+    peer: &'a Peer,
+    inter_node_bytes: Cell<usize>,
+}
+
+impl Counting<'_> {
+    fn count(&self, to: usize, bytes: usize) {
+        if to / N != self.peer.rank() / N {
+            self.inter_node_bytes
+                .set(self.inter_node_bytes.get() + bytes);
+        }
+    }
+}
+
+impl Transport for Counting<'_> {
+    fn rank(&self) -> usize {
+        self.peer.rank()
+    }
+
+    fn size(&self) -> usize {
+        self.peer.size()
+    }
+
+    fn send_f32(&self, to: usize, data: Vec<f32>) {
+        self.count(to, 4 * data.len());
+        self.peer.send_f32(to, data);
+    }
+
+    fn send_u32(&self, to: usize, data: Vec<u32>) {
+        self.count(to, 4 * data.len());
+        self.peer.send_u32(to, data);
+    }
+
+    fn recv_f32(&self, from: usize) -> Vec<f32> {
+        self.peer.recv_f32(from)
+    }
+
+    fn recv_u32(&self, from: usize) -> Vec<u32> {
+        self.peer.recv_u32(from)
+    }
+}
+
+#[test]
+fn reported_inter_node_bytes_are_the_bytes_moved() {
+    for step in [InterStep::AllGatherPairs, InterStep::SplitMerge] {
+        // Per rank: (reported, moved).
+        let bytes = run_on_group(M * N, |peer| {
+            let counting = Counting {
+                peer,
+                inter_node_bytes: Cell::new(0),
+            };
+            let mut x = vec_for(peer.rank(), D);
+            let mut ef = ErrorFeedback::new(shard_len(peer.rank()));
+            let (c, ef, scratch) = (&mut SortTopK, &mut ef, &mut CommScratch::new());
+            let rep = hitopk_all_reduce_ef(&counting, &mut x, M, N, RHO, step, c, ef, scratch);
+            (rep.inter_bytes_sent, counting.inter_node_bytes.get())
+        });
+        // Split-and-merge frames each message as [len, indices, values]:
+        // per group, M·(M-1) split frames and M·(M-1) ring forwards of the
+        // merged lists, each with one 4-byte length word the reports do
+        // not charge.
+        let framing = match step {
+            InterStep::AllGatherPairs => 0,
+            InterStep::SplitMerge => 4 * 2 * M * (M - 1),
+        };
+        // Totals per inter-node group, not per rank: a ring forwards other
+        // members' blocks, so a rank's report is attribution, not its own
+        // sends.
+        for gpu in 0..N {
+            let group: Vec<usize> = (0..M).map(|node| node * N + gpu).collect();
+            let reported: usize = group.iter().map(|&r| bytes[r].0).sum();
+            let moved: usize = group.iter().map(|&r| bytes[r].1).sum();
+            assert!(reported > 0, "{step:?} gpu {gpu}: nothing reported");
+            assert_eq!(reported + framing, moved, "{step:?} gpu {gpu}");
+        }
     }
 }

@@ -30,11 +30,10 @@ use cloudtrain_collectives::group::run_on_group;
 use cloudtrain_collectives::gtopk::gtopk_all_reduce_ef;
 use cloudtrain_collectives::hierarchical::{
     hitopk_all_reduce, hitopk_all_reduce_ef, hitopk_all_reduce_ef_scratch, shard_k,
-    sparse_all_reduce_naive,
+    sparse_all_reduce_naive, InterStep,
 };
 use cloudtrain_collectives::quantized::quantized_all_reduce;
 use cloudtrain_collectives::ring::{ring_all_reduce, ring_all_reduce_scratch};
-use cloudtrain_collectives::sparse_allreduce::{ok_sparse_all_reduce, ok_sparse_all_reduce_ef};
 use cloudtrain_collectives::torus::torus_all_reduce;
 use cloudtrain_collectives::tree::tree_all_reduce;
 use cloudtrain_collectives::{CommFaults, CommScratch, ResiliencePolicy, ResilientPeer};
@@ -43,7 +42,7 @@ use cloudtrain_compress::exact::{QuickTopK, SortTopK};
 use cloudtrain_compress::quantize::{Qsgd, Quantizer, ScaledSign, TernGrad};
 use cloudtrain_compress::randomk::RandomK;
 use cloudtrain_compress::{Compressor, ErrorFeedback, MsTopK};
-use cloudtrain_tensor::partition::shards;
+use cloudtrain_tensor::partition::{shard_for, shards};
 use cloudtrain_tensor::{init, ops};
 
 use crate::corpus::OracleCase;
@@ -461,7 +460,16 @@ fn run_hitopk_ef(c: &OracleCase, ck: &mut Checks) {
             let mut acc = vec![0.0f32; d];
             for t in 0..EF_ITERS {
                 let mut x = grad_iter(seed, t, peer.rank(), d);
-                hitopk_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
+                hitopk_all_reduce_ef_scratch(
+                    peer,
+                    &mut x,
+                    m,
+                    n,
+                    rho,
+                    comp.as_mut(),
+                    &mut ef,
+                    &mut CommScratch::new(),
+                );
                 ops::add_assign(&mut acc, &x);
             }
             (acc, ef.residual().to_vec())
@@ -547,7 +555,16 @@ fn run_hitopk_ef_res(c: &OracleCase, ck: &mut Checks) {
             let mut acc = vec![0.0f32; d];
             for t in 0..EF_ITERS {
                 let mut x = grad_iter(seed, t, peer.rank(), d);
-                hitopk_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
+                hitopk_all_reduce_ef_scratch(
+                    peer,
+                    &mut x,
+                    m,
+                    n,
+                    rho,
+                    comp.as_mut(),
+                    &mut ef,
+                    &mut CommScratch::new(),
+                );
                 ops::add_assign(&mut acc, &x);
             }
             (acc, ef.residual().to_vec())
@@ -749,12 +766,30 @@ fn run_oksparse(c: &OracleCase, ck: &mut Checks) {
     let p = c.m * c.n;
     let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
     let comp_name = c.comp.clone();
+    // A plain O(k) run: the sparse hierarchy with split-and-merge over a
+    // fresh zero residual. A member's merged-list length is read from the
+    // output: the non-zeros of its owner range within its shard.
     let run = || {
         run_on_group(p, |peer| {
             let mut x = grad_for(seed, peer.rank(), d);
             let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let rep = ok_sparse_all_reduce(peer, &mut x, m, n, rho, comp.as_mut());
-            (x, rep)
+            let (node, gpu) = (peer.rank() / n, peer.rank() % n);
+            let shard = shard_for(d, n, gpu);
+            let mut ef = ErrorFeedback::new(shard.len());
+            let rep = hitopk_all_reduce_ef(
+                peer,
+                &mut x,
+                m,
+                n,
+                rho,
+                InterStep::SplitMerge,
+                comp.as_mut(),
+                &mut ef,
+                &mut CommScratch::new(),
+            );
+            let owned = shards(shard.len(), m)[node].slice(shard.slice(&x));
+            let merged_len = owned.iter().filter(|v| **v != 0.0).count();
+            (x, rep, merged_len)
         })
     };
     let a = run();
@@ -762,7 +797,7 @@ fn run_oksparse(c: &OracleCase, ck: &mut Checks) {
     ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
         "second run differs from the first".to_string()
     });
-    let xs: Vec<Vec<f32>> = a.iter().map(|(x, _)| x.clone()).collect();
+    let xs: Vec<Vec<f32>> = a.iter().map(|(x, _, _)| x.clone()).collect();
     ck.check("replica-identity", all_ranks_eq(&xs), || {
         "ranks hold different results".to_string()
     });
@@ -780,7 +815,7 @@ fn run_oksparse(c: &OracleCase, ck: &mut Checks) {
     });
     ck.check(
         "hitopk-bitwise",
-        a.iter().zip(&twin).all(|((x, rep), (hx, hrep))| {
+        a.iter().zip(&twin).all(|((x, rep, _), (hx, hrep))| {
             bits_eq(x, hx)
                 && rep.k_per_shard == hrep.k_per_shard
                 && rep.shard_nonzeros == hrep.shard_nonzeros
@@ -788,17 +823,17 @@ fn run_oksparse(c: &OracleCase, ck: &mut Checks) {
         || "O(k) aggregate differs from the HiTopKComm twin bitwise".to_string(),
     );
     let k_full = shard_k(d, n, rho);
-    for (r, (_, rep)) in a.iter().enumerate() {
+    for (r, (_, rep, merged_len)) in a.iter().enumerate() {
         let ok = rep.k_per_shard >= 1
             && rep.k_per_shard <= k_full
-            && rep.merged_len <= m * rep.k_per_shard
+            && *merged_len <= m * rep.k_per_shard
             && rep.inter_bytes_sent <= ok_wire_cap(m, rep.k_per_shard);
         if !ok {
             ck.fail(
                 "wire-bound",
                 format!(
                     "rank {r}: k_per_shard={} merged_len={} inter_bytes={} (k_full={k_full}, m={m})",
-                    rep.k_per_shard, rep.merged_len, rep.inter_bytes_sent
+                    rep.k_per_shard, merged_len, rep.inter_bytes_sent
                 ),
             );
             return;
@@ -811,7 +846,7 @@ fn run_oksparse_ef(c: &OracleCase, ck: &mut Checks) {
     let p = c.m * c.n;
     let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
     let comp_name = c.comp.clone();
-    let run = |ok_path: bool| {
+    let run = |step: InterStep| {
         run_on_group(p, |peer| {
             let shard_len = shards(d, n)[peer.rank() % n].len();
             let mut ef = ErrorFeedback::new(shard_len);
@@ -820,27 +855,15 @@ fn run_oksparse_ef(c: &OracleCase, ck: &mut Checks) {
             let mut acc = vec![0.0f32; d];
             for t in 0..EF_ITERS {
                 let mut x = grad_iter(seed, t, peer.rank(), d);
-                if ok_path {
-                    ok_sparse_all_reduce_ef(
-                        peer,
-                        &mut x,
-                        m,
-                        n,
-                        rho,
-                        comp.as_mut(),
-                        &mut ef,
-                        &mut scratch,
-                    );
-                } else {
-                    hitopk_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
-                }
+                let (comp, ef, scratch) = (comp.as_mut(), &mut ef, &mut scratch);
+                hitopk_all_reduce_ef(peer, &mut x, m, n, rho, step, comp, ef, scratch);
                 ops::add_assign(&mut acc, &x);
             }
             (acc, ef.residual().to_vec())
         })
     };
-    let a = run(true);
-    let b = run(true);
+    let a = run(InterStep::SplitMerge);
+    let b = run(InterStep::SplitMerge);
     ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
         "second run differs from the first".to_string()
     });
@@ -852,7 +875,7 @@ fn run_oksparse_ef(c: &OracleCase, ck: &mut Checks) {
     check_ledger(ck, seed, m, n, d, EF_ITERS, &accs[0], &residuals);
     // Residual carry-over included: the O(k) EF pipeline must reproduce the
     // hitopk EF twin bitwise — accumulated output and final residuals both.
-    let twin = run(false);
+    let twin = run(InterStep::AllGatherPairs);
     ck.check(
         "hitopk-bitwise",
         a.iter()
@@ -878,7 +901,17 @@ fn run_oksparse_ef_res(c: &OracleCase, ck: &mut Checks) {
             let rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
             let mut scratch = CommScratch::new();
             let mut x = grad_for(seed, peer.rank(), d);
-            ok_sparse_all_reduce_ef(&rp, &mut x, m, n, rho, comp.as_mut(), &mut ef, &mut scratch);
+            hitopk_all_reduce_ef(
+                &rp,
+                &mut x,
+                m,
+                n,
+                rho,
+                InterStep::SplitMerge,
+                comp.as_mut(),
+                &mut ef,
+                &mut scratch,
+            );
             (x, ef.residual().to_vec())
         })
     };
@@ -902,12 +935,13 @@ fn run_oksparse_ef_res(c: &OracleCase, ck: &mut Checks) {
             let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
             let mut scratch = CommScratch::new();
             let mut x = grad_for(seed, peer.rank(), d);
-            ok_sparse_all_reduce_ef(
+            hitopk_all_reduce_ef(
                 peer,
                 &mut x,
                 m,
                 n,
                 rho,
+                InterStep::SplitMerge,
                 comp.as_mut(),
                 &mut ef,
                 &mut scratch,

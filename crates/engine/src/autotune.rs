@@ -135,8 +135,8 @@ impl CommModel {
     }
 
     /// Predicted inter-node bytes one GPU sends for a `d`-parameter layer
-    /// under `scheme` (the quantity `OkSparseReport::inter_bytes_sent`
-    /// and `HiTopKReport::inter_bytes_sent` measure).
+    /// under `scheme` (the quantity `HiTopKReport::inter_bytes_sent`
+    /// measures, under either step (iii)).
     pub fn inter_bytes(&self, scheme: CommScheme, d: usize, cfg: &AutotuneConfig) -> f64 {
         let m = self.cluster.nodes as f64;
         let n = self.cluster.gpus_per_node as f64;

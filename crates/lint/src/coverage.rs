@@ -155,6 +155,17 @@ fn tags_for(name: &str) -> Option<Vec<String>> {
     if base == "gtopk_all_reduce_ef" {
         return Some(vec!["gtopk".to_string(), "gtopk_ef".to_string()]);
     }
+    // The sparse hierarchy's one entry names its step (iii): with
+    // split-and-merge it is the O(k) collective, plain over a fresh
+    // residual and with error feedback over a carried one.
+    if base == "hitopk_all_reduce_ef" {
+        return Some(
+            ["hitopk_ef", "oksparse", "oksparse_ef"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
+        );
+    }
     if base == "quantized_all_reduce" {
         return Some(
             ["qsgd", "terngrad", "scaledsign"]
@@ -164,10 +175,6 @@ fn tags_for(name: &str) -> Option<Vec<String>> {
         );
     }
     let (prefix, rest) = base.split_once("_all_reduce")?;
-    let prefix = match prefix {
-        "ok_sparse" => "oksparse",
-        p => p,
-    };
     let mods: Vec<&str> = rest
         .trim_start_matches('_')
         .split('_')

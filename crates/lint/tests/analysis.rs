@@ -441,7 +441,7 @@ fn analyzer_self_metrics_reflect_the_real_tree() {
         report.call_edges
     );
     assert!(
-        report.twin_families >= 10,
+        report.twin_families >= 9,
         "twin discovery broke: {}",
         report.twin_families
     );
