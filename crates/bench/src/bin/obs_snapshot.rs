@@ -88,7 +88,8 @@ fn main() {
     );
     for _epoch in 0..2 {
         for id in 0..128u64 {
-            loader.load_traced(id, &mut reg);
+            let (_, by, t) = loader.load(id);
+            reg.charge(by.span_name(), t);
         }
     }
     loader.publish_obs(&mut reg);
@@ -98,7 +99,8 @@ fn main() {
         LoaderConfig::default(),
     );
     for id in 0..128u64 {
-        restarted.load_traced(id, &mut reg);
+        let (_, by, t) = restarted.load(id);
+        reg.charge(by.span_name(), t);
     }
     restarted.publish_obs(&mut reg);
     let _ = std::fs::remove_dir_all(&cache_dir);

@@ -530,7 +530,8 @@ fn cmd_trace(args: &Args) -> Result<(), ParseError> {
     for epoch in 0..2 {
         let _ = epoch;
         for id in 0..samples {
-            loader.load_traced(id, &mut reg);
+            let (_, by, t) = loader.load(id);
+            reg.charge(by.span_name(), t);
         }
     }
     loader.publish_obs(&mut reg);
@@ -540,7 +541,8 @@ fn cmd_trace(args: &Args) -> Result<(), ParseError> {
         LoaderConfig::default(),
     );
     for id in 0..samples {
-        restarted.load_traced(id, &mut reg);
+        let (_, by, t) = restarted.load(id);
+        reg.charge(by.span_name(), t);
     }
     restarted.publish_obs(&mut reg);
     let _ = std::fs::remove_dir_all(&cache_dir);

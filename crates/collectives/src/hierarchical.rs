@@ -24,7 +24,7 @@
 //! exactly this (§5.5.1).
 
 use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
-use cloudtrain_obs::{self as obs, Registry};
+use cloudtrain_obs::Registry;
 use cloudtrain_tensor::ops;
 use cloudtrain_tensor::partition::shard_for;
 
@@ -51,6 +51,26 @@ pub struct HiTopKReport {
     /// merged list's broadcast under [`InterStep::SplitMerge`]. Summed over
     /// an inter-node group, this is the payload the group moves.
     pub inter_bytes_sent: usize,
+}
+
+impl HiTopKReport {
+    /// Records one invocation into `reg`, Fig. 8's four stages in order,
+    /// charged in logical work units (elements touched): `d` for each
+    /// intra-node step, `shard_len` for the selection and `2·m·k̃` for the
+    /// inter-node step. Counters `hitopk/invocations`,
+    /// `hitopk/inter_bytes_sent` and `hitopk/shard_nonzeros`, gauge
+    /// `hitopk/k_per_shard`. Every number is known once the call returns,
+    /// so recording after it leaves the breakdown it would have had.
+    pub fn record(&self, reg: &mut Registry, d: usize, shard_len: usize, m: usize) {
+        reg.charge("hitopk/intra reduce-scatter", d as f64);
+        reg.charge("hitopk/top-k compression", shard_len as f64);
+        reg.charge("hitopk/inter all-gather", (2 * m * self.k_per_shard) as f64);
+        reg.charge("hitopk/intra all-gather", d as f64);
+        reg.counter_add("hitopk/invocations", 1);
+        reg.counter_add("hitopk/inter_bytes_sent", self.inter_bytes_sent as u64);
+        reg.counter_add("hitopk/shard_nonzeros", self.shard_nonzeros as u64);
+        reg.gauge_set("hitopk/k_per_shard", self.k_per_shard as f64);
+    }
 }
 
 /// Step (iii) of the sparse hierarchy: how the `m` shard owners of one GPU
@@ -262,9 +282,7 @@ pub fn hitopk_all_reduce_ef<T: Transport + ?Sized, C: Compressor + ?Sized>(
     ef: &mut ErrorFeedback,
     scratch: &mut CommScratch,
 ) -> HiTopKReport {
-    hitopk_ef_impl(
-        peer, x, m, n, rho, step, compressor, ef, scratch, None, HOP_PIECE,
-    )
+    hitopk_ef_impl(peer, x, m, n, rho, step, compressor, ef, scratch, HOP_PIECE)
 }
 
 /// HiTopKComm proper: [`hitopk_all_reduce_ef`] with
@@ -293,43 +311,6 @@ pub fn hitopk_all_reduce_ef_scratch<T: Transport + ?Sized, C: Compressor + ?Size
     )
 }
 
-/// [`hitopk_all_reduce_ef_scratch`] with per-stage spans and counters
-/// recorded into `reg`.
-///
-/// The correctness plane has no clock, so spans are charged in *logical
-/// work units* (elements touched per stage: `d` for each intra-node step,
-/// the shard length for selection, `2·m·k̃` for the inter-node gather).
-/// The resulting breakdown has the same shape as the performance plane's
-/// Fig. 8 decomposition and is byte-stable across runs. Instrumentation
-/// does not perturb the aggregation: the traced entry point is bitwise
-/// identical to the untraced one.
-#[allow(clippy::too_many_arguments)]
-pub fn hitopk_all_reduce_ef_traced<T: Transport + ?Sized, C: Compressor + ?Sized>(
-    peer: &T,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    ef: &mut ErrorFeedback,
-    scratch: &mut CommScratch,
-    reg: &mut Registry,
-) -> HiTopKReport {
-    hitopk_ef_impl(
-        peer,
-        x,
-        m,
-        n,
-        rho,
-        InterStep::AllGatherPairs,
-        compressor,
-        ef,
-        scratch,
-        Some(reg),
-        HOP_PIECE,
-    )
-}
-
 /// The one body of every sparse-hierarchy path, HiTopKComm and O(k)
 /// alike, over whichever transport the caller holds. The transport's
 /// [`contribution_withheld`](Transport::contribution_withheld) draw is
@@ -348,7 +329,6 @@ fn hitopk_ef_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
     compressor: &mut C,
     ef: &mut ErrorFeedback,
     scratch: &mut CommScratch,
-    mut reg: Option<&mut Registry>,
     piece: usize,
 ) -> HiTopKReport {
     assert_eq!(peer.size(), m * n, "hitopk_all_reduce_ef: group is not m*n");
@@ -364,13 +344,10 @@ fn hitopk_ef_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
 
     // Error feedback on the shard: the ReduceScatter accumulates it into
     // the residual and leaves all of `x` +0.0 for step (iv) below.
-    let span = obs::span_begin(&mut reg, "hitopk/intra reduce-scatter");
     let shard = ring_reduce_scatter_ef(peer, x, &intra, ef.residual_mut(), scratch, piece);
-    obs::span_end(&mut reg, span, d as f64);
 
     // Select from the accumulated residual, clear what goes on the wire.
     let k = shard_k(d, n, rho).min(shard.len());
-    let span = obs::span_begin(&mut reg, "hitopk/top-k compression");
     let selection: SparseGrad = if peer.contribution_withheld() {
         SparseGrad::empty(shard.len())
     } else {
@@ -378,9 +355,7 @@ fn hitopk_ef_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
         ef.release(&selection);
         selection
     };
-    obs::span_end(&mut reg, span, shard.len() as f64);
 
-    let span = obs::span_begin(&mut reg, "hitopk/inter all-gather");
     let (value_blocks, index_blocks, inter_bytes_sent) = match step {
         InterStep::AllGatherPairs => (
             all_gather_f32_scratch(peer, &selection.values, &inter, scratch),
@@ -389,23 +364,13 @@ fn hitopk_ef_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
         ),
         InterStep::SplitMerge => split_merge(peer, shard.len(), &selection, &inter, scratch),
     };
-    obs::span_end(&mut reg, span, (2 * m * k) as f64);
 
     // Step (iv): scatter the blocks into this member's shard, then
     // reassemble the vector by forwarding the blocks themselves.
-    let span = obs::span_begin(&mut reg, "hitopk/intra all-gather");
     let shard_nonzeros = scatter_gathered(shard.slice_mut(x), &value_blocks, &index_blocks);
     let (value_blocks, index_blocks) =
         ring_all_gather_blocks(peer, x, &intra, value_blocks, index_blocks);
     recycle_blocks(value_blocks, index_blocks, scratch);
-    obs::span_end(&mut reg, span, d as f64);
-
-    if let Some(reg) = reg.as_mut() {
-        reg.counter_add("hitopk/invocations", 1);
-        reg.counter_add("hitopk/inter_bytes_sent", inter_bytes_sent as u64);
-        reg.counter_add("hitopk/shard_nonzeros", shard_nonzeros as u64);
-        reg.gauge_set("hitopk/k_per_shard", k as f64);
-    }
 
     HiTopKReport {
         k_per_shard: k,
@@ -754,115 +719,65 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
+    /// The breakdown recorded from what the call returns: per invocation,
+    /// the four stages in order with their work units, and the counters
+    /// summing the reports.
     #[test]
-    fn ef_traced_variant_is_bitwise_identical_to_scratch() {
-        let (m, n, d, rho) = (2usize, 2usize, 64usize, 0.1f64);
-        let run = |trace: bool| {
-            run_on_group(m * n, move |peer| {
-                let shard_len = shards(d, n)[peer.rank() % n].len();
-                let mut ef = cloudtrain_compress::ErrorFeedback::new(shard_len);
-                let mut c = SortTopK;
-                let mut scratch = CommScratch::new();
-                let mut reg = Registry::new();
-                let mut out = Vec::new();
-                for round in 0..3 {
-                    let mut x = vec_for(100 * round + peer.rank(), d);
-                    if trace {
-                        hitopk_all_reduce_ef_traced(
-                            peer,
-                            &mut x,
-                            m,
-                            n,
-                            rho,
-                            &mut c,
-                            &mut ef,
-                            &mut scratch,
-                            &mut reg,
-                        );
-                    } else {
-                        hitopk_all_reduce_ef_scratch(
-                            peer,
-                            &mut x,
-                            m,
-                            n,
-                            rho,
-                            &mut c,
-                            &mut ef,
-                            &mut scratch,
-                        );
-                    }
-                    out.push(x);
-                }
-                if trace {
-                    assert_eq!(reg.counter("hitopk/invocations"), 3);
-                    assert_eq!(reg.spans().len(), 12);
-                }
-                (out, ef.residual_norm())
-            })
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn traced_variant_is_bitwise_identical_and_records_stages() {
+    fn report_record_charges_the_four_stages() {
         let (m, n, d, rho) = (2usize, 4usize, 300usize, 0.05f64);
-        let run = |trace: bool| {
-            run_on_group(m * n, move |peer| {
-                let shard_len = shards(d, n)[peer.rank() % n].len();
-                let mut ef = cloudtrain_compress::ErrorFeedback::new(shard_len);
-                let mut c = MsTopK::new(25, peer.rank() as u64);
-                let mut scratch = CommScratch::new();
-                let mut reg = Registry::new();
-                let mut x = vec_for(peer.rank(), d);
-                let rep = if trace {
-                    hitopk_all_reduce_ef_traced(
-                        peer,
-                        &mut x,
-                        m,
-                        n,
-                        rho,
-                        &mut c,
-                        &mut ef,
-                        &mut scratch,
-                        &mut reg,
-                    )
-                } else {
-                    hitopk_all_reduce_ef_scratch(
-                        peer,
-                        &mut x,
-                        m,
-                        n,
-                        rho,
-                        &mut c,
-                        &mut ef,
-                        &mut scratch,
-                    )
-                };
-                scratch.publish_obs(&mut reg);
-                ((x, rep, ef.residual_norm()), reg)
-            })
-        };
-        let plain = run(false);
-        let traced = run(true);
+        let rounds = 3;
+        let recorded = run_on_group(m * n, move |peer| {
+            let shard_len = shards(d, n)[peer.rank() % n].len();
+            let mut ef = cloudtrain_compress::ErrorFeedback::new(shard_len);
+            let mut c = MsTopK::new(25, peer.rank() as u64);
+            let mut scratch = CommScratch::new();
+            let mut reg = Registry::new();
+            let mut reports = Vec::new();
+            for round in 0..rounds {
+                let mut x = vec_for(100 * round + peer.rank(), d);
+                let rep = hitopk_all_reduce_ef_scratch(
+                    peer,
+                    &mut x,
+                    m,
+                    n,
+                    rho,
+                    &mut c,
+                    &mut ef,
+                    &mut scratch,
+                );
+                rep.record(&mut reg, d, shard_len, m);
+                reports.push(rep);
+            }
+            (shard_len, reports, reg)
+        });
         let k = shard_k(d, n, rho);
-        for (((p, _), (t, reg)), peer_rank) in plain.iter().zip(&traced).zip(0..) {
-            assert_eq!(p, t, "rank {peer_rank}: tracing perturbed the result");
-            // Four stages, charged in logical work units, zero-gap.
-            assert_eq!(reg.spans().len(), 4);
-            assert_eq!(reg.span_total("hitopk/intra reduce-scatter"), d as f64);
-            assert_eq!(reg.span_total("hitopk/top-k compression") as usize, d / n);
+        for (rank, (shard_len, reports, reg)) in recorded.iter().enumerate() {
+            let stages = [
+                ("hitopk/intra reduce-scatter", d),
+                ("hitopk/top-k compression", *shard_len),
+                ("hitopk/inter all-gather", 2 * m * k),
+                ("hitopk/intra all-gather", d),
+            ];
+            let spans = reg.spans();
+            assert_eq!(spans.len(), 4 * rounds, "rank {rank}");
+            let mut clock = 0.0;
+            for (span, (name, units)) in spans.iter().zip(stages.iter().cycle()) {
+                assert_eq!(span.name, *name, "rank {rank}");
+                assert_eq!((span.start, span.end), (clock, clock + *units as f64));
+                assert_eq!(span.depth, 0);
+                clock = span.end;
+            }
+            let sum = |f: fn(&HiTopKReport) -> usize| reports.iter().map(f).sum::<usize>() as u64;
+            assert_eq!(reg.counter("hitopk/invocations"), rounds as u64);
             assert_eq!(
-                reg.span_total("hitopk/inter all-gather"),
-                (2 * m * k) as f64
+                reg.counter("hitopk/inter_bytes_sent"),
+                sum(|r| r.inter_bytes_sent)
             );
-            assert_eq!(reg.span_total("hitopk/intra all-gather"), d as f64);
-            assert_eq!(reg.counter("hitopk/invocations"), 1);
             assert_eq!(
-                reg.counter("hitopk/inter_bytes_sent") as usize,
-                t.1.inter_bytes_sent
+                reg.counter("hitopk/shard_nonzeros"),
+                sum(|r| r.shard_nonzeros)
             );
             assert_eq!(reg.gauge("hitopk/k_per_shard"), Some(k as f64));
-            assert!(reg.counter("scratch/f32_takes") > 0);
         }
     }
 
@@ -1133,7 +1048,7 @@ mod tests {
                 let mut y = x.clone();
                 let (c, feedback, scratch) = &mut got;
                 let mut rep = hitopk_ef_impl(
-                    &transport, &mut x, m, n, rho, step, c, feedback, scratch, None, piece,
+                    &transport, &mut x, m, n, rho, step, c, feedback, scratch, piece,
                 );
                 let (c, feedback, scratch) = &mut want;
                 let withhold = withheld(round as u64, peer.rank());

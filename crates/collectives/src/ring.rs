@@ -365,22 +365,34 @@ pub fn all_gather_pairs_scratch<T: Transport + ?Sized>(
 
 /// Packs a `(values, indices)` pair into one `u32` frame:
 /// `[len, indices…, value-bits…]`. The inverse of [`unframe_pair`].
+/// The frame is taken from `scratch` at its full length, so a pooled
+/// buffer too small for it counts as the miss it is.
 pub(crate) fn frame_pair(values: &[f32], indices: &[u32], scratch: &mut CommScratch) -> Vec<u32> {
-    let mut frame = scratch.take_u32(0);
-    frame.push(values.len() as u32);
-    frame.extend(indices.iter().copied());
-    frame.extend(values.iter().map(|v| v.to_bits()));
+    let len = values.len();
+    debug_assert_eq!(len, indices.len(), "frame_pair: unpaired entries");
+    let mut frame = scratch.take_u32(1 + 2 * len);
+    let words = std::iter::once(len as u32)
+        .chain(indices.iter().copied())
+        .chain(values.iter().map(|v| v.to_bits()));
+    for (slot, w) in frame.iter_mut().zip(words) {
+        *slot = w;
+    }
     frame
 }
 
-/// Unpacks a frame built by [`frame_pair`], recycling the frame buffer.
+/// Unpacks a frame built by [`frame_pair`] into buffers taken at the
+/// frame's length, recycling the frame buffer.
 pub(crate) fn unframe_pair(block: Vec<u32>, scratch: &mut CommScratch) -> (Vec<f32>, Vec<u32>) {
-    let mut words = block.iter().copied();
-    let len = words.next().unwrap_or(0) as usize;
-    let mut idxs = scratch.take_u32(0);
-    idxs.extend(words.by_ref().take(len));
-    let mut vals = scratch.take_f32(0);
-    vals.extend(words.by_ref().take(len).map(f32::from_bits));
+    let len = block.first().map_or(0, |&w| w as usize);
+    let mut idxs = scratch.take_u32(len);
+    let mut vals = scratch.take_f32(len);
+    let mut words = block.iter().skip(1);
+    for (i, w) in idxs.iter_mut().zip(words.by_ref()) {
+        *i = *w;
+    }
+    for (v, w) in vals.iter_mut().zip(words) {
+        *v = f32::from_bits(*w);
+    }
     scratch.put_u32(block);
     (vals, idxs)
 }
@@ -689,6 +701,27 @@ mod tests {
         for (warm, total) in &miss_growth {
             assert_eq!(total, warm, "recycled gathers must not re-allocate");
         }
+    }
+
+    /// A frame outgrowing the pooled buffer it is cut from is an
+    /// allocation, and the arena counts it; its unpacked halves are taken
+    /// at the frame's length too, and the round trip is bit-exact.
+    #[test]
+    fn framing_counts_the_buffers_it_grows() {
+        let values: Vec<f32> = (0..20).map(|i| i as f32 - 7.5).collect();
+        let indices: Vec<u32> = (0..20).map(|i| 3 * i).collect();
+        let mut scratch = CommScratch::new();
+        scratch.put_u32(Vec::with_capacity(16));
+        let frame = frame_pair(&values, &indices, &mut scratch);
+        assert_eq!(frame.len(), 41);
+        assert_eq!(scratch.u32_stats().misses, 1, "a 41-word frame in 16 words");
+
+        scratch.put_f32(Vec::with_capacity(16));
+        scratch.put_u32(Vec::with_capacity(16));
+        let (vals, idxs) = unframe_pair(frame, &mut scratch);
+        assert_eq!((bits(&vals), idxs), (bits(&values), indices));
+        assert_eq!(scratch.f32_stats().misses, 1, "20 values in 16 words");
+        assert_eq!(scratch.u32_stats().misses, 2, "20 indices in 16 words");
     }
 
     fn bits(x: &[f32]) -> Vec<u32> {

@@ -101,7 +101,6 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use cloudtrain_obs::{self as obs, Registry};
 use cloudtrain_tensor::ops;
 
 use crate::{Compressor, SparseGrad};
@@ -179,12 +178,12 @@ pub struct MsTopKStats {
 ///
 /// The operator owns the survivor lists its compaction pass writes into
 /// and reuses them on every call — [`Self::select_with_stats`],
-/// [`Self::select_with_stats_traced`], [`Compressor::compress`] and
-/// [`Compressor::compress_accumulated`] alike — so a run of calls faults
-/// their pages in once instead of on every call. The lists keep room for
-/// the longest input seen, of which only the pages a pass has written are
-/// memory. Results, statistics and RNG consumption are bitwise those of
-/// [`mstopk_with_rng`], which starts from empty lists every call.
+/// [`Compressor::compress`] and [`Compressor::compress_accumulated`]
+/// alike — so a run of calls faults their pages in once instead of on
+/// every call. The lists keep room for the longest input seen, of which
+/// only the pages a pass has written are memory. Results, statistics and
+/// RNG consumption are bitwise those of [`mstopk_with_rng`], which starts
+/// from empty lists every call.
 ///
 /// # Examples
 /// ```
@@ -217,37 +216,13 @@ impl MsTopK {
 
     /// Runs Algorithm 1, returning the selection and its search statistics.
     pub fn select_with_stats(&mut self, x: &[f32], k: usize) -> (SparseGrad, MsTopKStats) {
-        self.select(Source::Plain(x), k, None)
-    }
-
-    /// [`Self::select_with_stats`] with per-stage spans and counters
-    /// recorded into `reg` (see [`mstopk_with_rng_traced`]). The selection,
-    /// statistics, and RNG consumption are bitwise identical to the
-    /// untraced call.
-    pub fn select_with_stats_traced(
-        &mut self,
-        x: &[f32],
-        k: usize,
-        reg: &mut Registry,
-    ) -> (SparseGrad, MsTopKStats) {
-        self.select(Source::Plain(x), k, Some(reg))
+        let (selection, stats, _) = self.select(Source::Plain(x), k);
+        (selection, stats)
     }
 
     /// Every entry point's one call: this operator's RNG and lists.
-    fn select(
-        &mut self,
-        source: Source<'_>,
-        k: usize,
-        reg: Option<&mut Registry>,
-    ) -> (SparseGrad, MsTopKStats) {
-        mstopk_impl(
-            source,
-            k,
-            self.samplings,
-            &mut self.rng,
-            &mut self.lists,
-            reg,
-        )
+    fn select(&mut self, source: Source<'_>, k: usize) -> (SparseGrad, MsTopKStats, Work) {
+        mstopk_impl(source, k, self.samplings, &mut self.rng, &mut self.lists)
     }
 }
 
@@ -265,7 +240,7 @@ impl Compressor for MsTopK {
             grad.len(),
             "compress_accumulated: length mismatch"
         );
-        self.select(Source::Accumulate { acc, grad }, k, None).0
+        self.select(Source::Accumulate { acc, grad }, k).0
     }
 
     fn name(&self) -> &'static str {
@@ -832,33 +807,26 @@ pub fn mstopk_with_rng(
     rng: &mut StdRng,
 ) -> (SparseGrad, MsTopKStats) {
     let lists = &mut SurvivorLists::default();
-    mstopk_impl(Source::Plain(x), k, samplings, rng, lists, None)
+    let (selection, stats, _) = mstopk_impl(Source::Plain(x), k, samplings, rng, lists);
+    (selection, stats)
 }
 
-/// [`mstopk_with_rng`] with per-stage spans and counters recorded into
-/// `reg`.
-///
-/// Spans are charged in logical work units (elements streamed):
-/// `mstopk/mean-max passes` — the sample plus one `d`-element pass when the
-/// sampled cutoff seeds the search, else one `d` per staged pass (mean,
-/// max, and the accumulation under error feedback);
-/// `mstopk/histogram search` — the survivor buffer, plus `d` per
-/// full-tensor pass the search had to make (gallop counts and the wall
-/// compaction on the fallback path, the `k2` repair count); and
-/// `mstopk/selection` (the final materialisation scan). Counters:
-/// `mstopk/invocations`, `mstopk/passes`, `mstopk/selected`,
-/// `mstopk/survivors`. Instrumentation reads only values the untraced path
-/// already computes — the selection, statistics, and RNG consumption stay
-/// bitwise identical.
-pub fn mstopk_with_rng_traced(
-    x: &[f32],
-    k: usize,
-    samplings: usize,
-    rng: &mut StdRng,
-    reg: &mut Registry,
-) -> (SparseGrad, MsTopKStats) {
-    let lists = &mut SurvivorLists::default();
-    mstopk_impl(Source::Plain(x), k, samplings, rng, lists, Some(reg))
+/// Elements one call streamed, stage by stage: the pass count the tests
+/// pin. Counted from values the selection computes anyway.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Work {
+    /// The sample plus the one `d`-element pass when the sampled cutoff
+    /// seeds the search, else one `d` per staged pass (mean, max, and the
+    /// accumulation under error feedback).
+    mean_max: usize,
+    /// The survivor buffer, plus `d` per full-tensor pass the search had
+    /// to make (gallop counts and the wall compaction on the fallback
+    /// path, the `k2` repair count); 0 without a search.
+    search: usize,
+    /// Length of the survivor buffer the search compacted (0 if none).
+    survivors: usize,
+    /// The final materialisation scan.
+    selection: usize,
 }
 
 /// What the operator selects from.
@@ -953,28 +921,15 @@ impl<'a> Source<'a> {
     }
 }
 
-/// Records one stage's span, charged `units` of logical work. The clock is
-/// logical, so opening the span after the work it covers changes nothing.
-fn charge(reg: &mut Option<&mut Registry>, name: &str, units: usize) {
-    let span = obs::span_begin(reg, name);
-    obs::span_end(reg, span, units as f64);
-}
-
 fn mstopk_impl(
     source: Source<'_>,
     k: usize,
     samplings: usize,
     rng: &mut StdRng,
     lists: &mut SurvivorLists,
-    mut reg: Option<&mut Registry>,
-) -> (SparseGrad, MsTopKStats) {
+) -> (SparseGrad, MsTopKStats, Work) {
     let d = source.len();
     let k = k.min(d);
-    if let Some(reg) = reg.as_mut() {
-        reg.counter_add("mstopk/invocations", 1);
-        reg.counter_add("mstopk/passes", samplings as u64);
-        reg.counter_add("mstopk/selected", k as u64);
-    }
 
     // Lines 1–3: `mean|x|` and `max|x|` of the (accumulated) tensor — the
     // statistics the naive path computes, bit for bit. When a search
@@ -986,7 +941,7 @@ fn mstopk_impl(
     } else {
         None
     };
-    let (x, a_mean, u, seed, scanned) = match cutoff {
+    let (x, a_mean, u, seed, mean_max) = match cutoff {
         Some(cutoff) => {
             let (x, a_mean, u, s) = source.compacted(cutoff, lists);
             (x, a_mean, u, Some(s), SAMPLE_LEN + d)
@@ -994,8 +949,8 @@ fn mstopk_impl(
         None => {
             let adds = usize::from(matches!(source, Source::Accumulate { .. }));
             let x = source.accumulated();
-            if let Some(out) = trivial_selection(x, d, k) {
-                return out;
+            if let Some((selection, stats)) = trivial_selection(x, d, k) {
+                return (selection, stats, Work::default());
             }
             // The max only feeds the search.
             let a_mean = ops::mean_abs(x);
@@ -1004,12 +959,11 @@ fn mstopk_impl(
             (x, a_mean, u, None, passes * d)
         }
     };
-    charge(&mut reg, "mstopk/mean-max passes", scanned);
 
     let mut bracket = Bracket::new(d);
     let mut survivors = None;
+    let mut search = 0usize;
     if samplings > 0 {
-        let mut scanned = 0usize;
         if u > a_mean {
             // A sampled seed stands only if it kept more than `k`: that is
             // what lets a probe below its cutoff go uncounted. Otherwise
@@ -1019,7 +973,7 @@ fn mstopk_impl(
                 None => {
                     let (s, consumed) =
                         gallop_compact(x, k, samplings, a_mean, u, &mut bracket, lists);
-                    scanned += (consumed + 1) * d;
+                    search += (consumed + 1) * d;
                     (s, consumed)
                 }
             };
@@ -1029,9 +983,9 @@ fn mstopk_impl(
                 // cutoff, so `k2` still holds the stand-in count: take the
                 // real one.
                 bracket.k2 = ops::count_ge(x, bracket.thres2);
-                scanned += d;
+                search += d;
             }
-            scanned += s.mags.len();
+            search += s.mags.len();
             survivors = Some(s);
         } else if u == a_mean {
             // Degenerate grid: every probe threshold collapses to
@@ -1040,20 +994,15 @@ fn mstopk_impl(
             // first updates the bracket.
             let nnz = ops::count_ge(x, a_mean);
             bracket.observe(nnz, a_mean, bracket.midpoint(), k);
-            scanned += d;
+            search += d;
         } else {
             // `mean_abs` rounding pathologically exceeded `max_abs` (or
             // NaN poisoned a statistic): the histogram grid would be
             // inverted. Fall back to the literal search (still
             // identical, just not accelerated).
             search_counting(x, k, samplings, a_mean, u, &mut bracket);
-            scanned += samplings * d;
+            search += samplings * d;
         }
-        if let Some(reg) = reg.as_mut() {
-            let survivor_len = survivors.as_ref().map_or(0, |s| s.mags.len());
-            reg.counter_add("mstopk/survivors", survivor_len as u64);
-        }
-        charge(&mut reg, "mstopk/histogram search", scanned);
     }
 
     // The survivor buffer can stand in for a selection rescan only if it
@@ -1062,10 +1011,14 @@ fn mstopk_impl(
     // unset it is 0.0, which qualifies only in the all-magnitudes-survive
     // case `cutoff == 0`.
     let accel = survivors.as_ref().filter(|s| bracket.thres2 >= s.cutoff);
-    let scan_len = accel.map_or(d, |s| s.mags.len());
-    let out = finish_selection(x, d, k, &bracket, samplings, rng, accel);
-    charge(&mut reg, "mstopk/selection", scan_len);
-    out
+    let work = Work {
+        mean_max,
+        search,
+        survivors: survivors.as_ref().map_or(0, |s| s.mags.len()),
+        selection: accel.map_or(d, |s| s.mags.len()),
+    };
+    let (selection, stats) = finish_selection(x, d, k, &bracket, samplings, rng, accel);
+    (selection, stats, work)
 }
 
 /// Algorithm 1 with an explicit RNG, exactly as printed in the paper: `N`
@@ -1248,58 +1201,39 @@ mod tests {
     }
 
     #[test]
-    fn traced_selection_is_bitwise_identical_and_records_stages() {
+    fn stage_work_counts_the_elements_streamed() {
         // Below the sampling floor: the gallop path, one `d` per pass.
         let x = grad(31, 20_000);
         let k = 200;
         let plain = MsTopK::new(30, 7).select_with_stats(&x, k);
-        let mut reg = Registry::new();
-        let traced = MsTopK::new(30, 7).select_with_stats_traced(&x, k, &mut reg);
-        assert_eq!(plain, traced, "tracing perturbed the selection");
-        // Three stages per invocation, charged in elements streamed.
-        assert_eq!(reg.spans().len(), 3);
-        assert_eq!(
-            reg.span_total("mstopk/mean-max passes"),
-            (2 * x.len()) as f64
-        );
+        let (sel, stats, work) = MsTopK::new(30, 7).select(Source::Plain(&x), k);
+        assert_eq!(plain, (sel, stats), "the entries share one body");
+        assert_eq!(work.mean_max, 2 * x.len());
         // At least the wall compaction, at most the two gallop counts too.
-        let survivors = reg.counter("mstopk/survivors") as usize;
-        let search = reg.span_total("mstopk/histogram search") as usize;
-        assert!((x.len()..=3 * x.len()).contains(&(search - survivors)));
-        assert_eq!((search - survivors) % x.len(), 0);
-        assert_eq!(reg.counter("mstopk/invocations"), 1);
-        assert_eq!(reg.counter("mstopk/passes"), 30);
-        assert_eq!(reg.counter("mstopk/selected"), k as u64);
+        let full_passes = work.search - work.survivors;
+        assert!((x.len()..=3 * x.len()).contains(&full_passes));
+        assert_eq!(full_passes % x.len(), 0);
         // The accelerated selection scans only the survivor buffer.
-        assert_eq!(reg.span_total("mstopk/selection"), survivors as f64);
+        assert_eq!(work.selection, work.survivors);
 
         // Above it: the sample, one pass, and the survivors it left.
         let x = family("heavy-tailed", BIG);
         let k = BIG / 100;
-        let plain = MsTopK::new(30, 7).select_with_stats(&x, k);
-        let mut reg = Registry::new();
-        let traced = MsTopK::new(30, 7).select_with_stats_traced(&x, k, &mut reg);
-        assert_eq!(plain, traced, "tracing perturbed the selection");
-        assert_eq!(reg.spans().len(), 3);
-        assert_eq!(
-            reg.span_total("mstopk/mean-max passes"),
-            (SAMPLE_LEN + BIG) as f64
-        );
-        let survivors = reg.counter("mstopk/survivors") as usize;
-        assert!(survivors > k && survivors < 2 * SAMPLE_KEEP * k);
-        assert_eq!(reg.span_total("mstopk/histogram search"), survivors as f64);
-        assert_eq!(reg.span_total("mstopk/selection"), survivors as f64);
+        let (_, _, work) = MsTopK::new(30, 7).select(Source::Plain(&x), k);
+        assert_eq!(work.mean_max, SAMPLE_LEN + BIG);
+        assert!(work.survivors > k && work.survivors < 2 * SAMPLE_KEEP * k);
+        assert_eq!(work.search, work.survivors);
+        assert_eq!(work.selection, work.survivors);
     }
 
     /// The acceptance pin: at the error-feedback sparsification point the
-    /// operator streams the shard once. Counted on the traced variant's
-    /// `mstopk/*` work units so the pass count cannot creep back.
+    /// operator streams the shard once. Counted on the body's per-stage
+    /// work so the pass count cannot creep back.
     #[test]
     fn accumulated_selection_streams_the_tensor_once() {
         let grad = family("heavy-tailed", BIG);
         let residual = family("layered", BIG);
         let k = BIG / 100;
-        let mut reg = Registry::new();
         let mut acc = residual.clone();
         let source = Source::Accumulate {
             acc: &mut acc,
@@ -1307,24 +1241,17 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(5);
         let lists = &mut SurvivorLists::default();
-        let fused = mstopk_impl(source, k, 30, &mut rng, lists, Some(&mut reg));
+        let (sel, stats, work) = mstopk_impl(source, k, 30, &mut rng, lists);
 
-        let units: f64 = [
-            "mstopk/mean-max passes",
-            "mstopk/histogram search",
-            "mstopk/selection",
-        ]
-        .iter()
-        .map(|name| reg.span_total(name))
-        .sum();
-        let passes = units / BIG as f64;
+        let units = work.mean_max + work.search + work.selection;
+        let passes = units as f64 / BIG as f64;
         assert!(
             (1.0..1.25).contains(&passes),
             "{passes} streaming passes at the sparsification point"
         );
         assert_eq!(
-            reg.span_total("mstopk/mean-max passes"),
-            (SAMPLE_LEN + BIG) as f64,
+            work.mean_max,
+            SAMPLE_LEN + BIG,
             "accumulate, mean and max must share the one pass"
         );
 
@@ -1332,21 +1259,19 @@ mod tests {
         let mut staged_acc = residual;
         ops::add_assign(&mut staged_acc, &grad);
         let staged = MsTopKNaive::new(30, 5).select_with_stats(&staged_acc, k);
-        assert_same(&fused, &staged, "fused accumulate");
+        assert_same(&(sel, stats), &staged, "fused accumulate");
         assert_eq!(bits(&acc), bits(&staged_acc));
     }
 
     #[test]
-    fn traced_matches_naive_across_shapes() {
+    fn matches_naive_across_shapes_with_the_search_off_and_on() {
         for (seed, d) in [(41u64, 1_000usize), (42, 65_537)] {
             let x = grad(seed, d);
             for k in [1usize, d / 10] {
                 for samplings in [0usize, 1, 30] {
-                    let mut reg = Registry::new();
-                    let traced =
-                        MsTopK::new(samplings, 77).select_with_stats_traced(&x, k, &mut reg);
+                    let fast = MsTopK::new(samplings, 77).select_with_stats(&x, k);
                     let naive = MsTopKNaive::new(samplings, 77).select_with_stats(&x, k);
-                    assert_eq!(traced, naive, "diverged d={d} k={k} n={samplings}");
+                    assert_eq!(fast, naive, "diverged d={d} k={k} n={samplings}");
                 }
             }
         }
@@ -1493,14 +1418,13 @@ mod tests {
         sampled_path_matches_naive("nan-7th");
     }
 
-    /// Runs the traced operator and the naive one, asserts they agree, and
-    /// returns the statistics with the registry for path assertions.
-    fn traced_vs_naive(x: &[f32], k: usize, samplings: usize) -> (MsTopKStats, Registry) {
-        let mut reg = Registry::new();
-        let a = MsTopK::new(samplings, 3).select_with_stats_traced(x, k, &mut reg);
+    /// Runs the operator and the naive one, asserts they agree, and
+    /// returns the statistics with the stage work for path assertions.
+    fn work_vs_naive(x: &[f32], k: usize, samplings: usize) -> (MsTopKStats, Work) {
+        let (sel, stats, work) = MsTopK::new(samplings, 3).select(Source::Plain(x), k);
         let b = MsTopKNaive::new(samplings, 3).select_with_stats(x, k);
-        assert_same(&a, &b, "forced fallback");
-        (a.1, reg)
+        assert_same(&(sel, stats), &b, "forced fallback");
+        (stats, work)
     }
 
     /// Large magnitudes exactly where the sample looks, small ones
@@ -1525,16 +1449,15 @@ mod tests {
     fn a_sample_that_keeps_too_few_falls_back_to_the_gallop() {
         let x = sample_decoy(BIG);
         let k = BIG / 100;
-        let (stats, reg) = traced_vs_naive(&x, k, 30);
+        let (stats, work) = work_vs_naive(&x, k, 30);
         assert_eq!(
-            reg.span_total("mstopk/mean-max passes"),
-            (SAMPLE_LEN + BIG) as f64,
+            work.mean_max,
+            SAMPLE_LEN + BIG,
             "the sample must have been taken"
         );
         // ... and voided: the search went back to the tensor for at least
         // the wall compaction.
-        let survivors = reg.counter("mstopk/survivors") as f64;
-        assert!(reg.span_total("mstopk/histogram search") >= BIG as f64 + survivors);
+        assert!(work.search >= BIG + work.survivors);
         assert!(stats.k1 <= k && k < stats.k2);
     }
 
@@ -1545,7 +1468,7 @@ mod tests {
         // that keeps 3 %, and it is the last (only) over-selecting probe.
         let x = family("uniform-ties", BIG);
         let k = BIG / 100;
-        let (stats, reg) = traced_vs_naive(&x, k, 1);
+        let (stats, work) = work_vs_naive(&x, k, 1);
         assert_eq!(stats.k1, 0);
         assert!(
             stats.k2 > BIG / 5,
@@ -1554,12 +1477,8 @@ mod tests {
         );
         assert!(stats.thres2 > 0.0);
         // One repair count on top of the survivors; no selection shortcut.
-        let survivors = reg.counter("mstopk/survivors") as f64;
-        assert_eq!(
-            reg.span_total("mstopk/histogram search"),
-            BIG as f64 + survivors
-        );
-        assert_eq!(reg.span_total("mstopk/selection"), BIG as f64);
+        assert_eq!(work.search, BIG + work.survivors);
+        assert_eq!(work.selection, BIG);
     }
 
     #[test]
@@ -1567,16 +1486,13 @@ mod tests {
         // Six outliers a million times the bulk: five halvings of the
         // range never come down to where more than `k` elements live.
         let x = family("outliers", BIG);
-        let (stats, reg) = traced_vs_naive(&x, 100, 5);
+        let (stats, work) = work_vs_naive(&x, 100, 5);
         assert_eq!((stats.k2, stats.thres2), (BIG, 0.0));
         assert_eq!(stats.k1, 6);
         // Seeded (no gallop back to the tensor), but the band is the whole
         // tensor, so the selection rescans it.
-        assert_eq!(
-            reg.span_total("mstopk/histogram search"),
-            reg.counter("mstopk/survivors") as f64
-        );
-        assert_eq!(reg.span_total("mstopk/selection"), BIG as f64);
+        assert_eq!(work.search, work.survivors);
+        assert_eq!(work.selection, BIG);
     }
 
     /// Degenerate shapes at the sampling floor, where the operator switches
@@ -1610,8 +1526,8 @@ mod tests {
                         grad: &x,
                     };
                     let lists = &mut SurvivorLists::default();
-                    let got = mstopk_impl(source, k, samplings, &mut rng, lists, None);
-                    assert_same(&got, &want, &format!("accumulated {what}"));
+                    let (sel, stats, _) = mstopk_impl(source, k, samplings, &mut rng, lists);
+                    assert_same(&(sel, stats), &want, &format!("accumulated {what}"));
                     assert_eq!(rng, naive.rng, "rng state diverged: accumulated {what}");
                     assert_eq!(bits(&acc), bits(&summed), "accumulator: {what}");
 
@@ -1656,10 +1572,13 @@ mod tests {
                         (sel, Some(stats), mstopk_with_rng(x, k, 30, &mut rng))
                     }
                     1 => {
-                        let mut reg = Registry::new();
-                        let (sel, stats) = op.select_with_stats_traced(x, k, &mut reg);
-                        assert_eq!(reg.counter("mstopk/invocations"), 1, "{what}");
-                        (sel, Some(stats), mstopk_with_rng(x, k, 30, &mut rng))
+                        // Kept lists change no stage's work either.
+                        let (sel, stats, work) = op.select(Source::Plain(x), k);
+                        let lists = &mut SurvivorLists::default();
+                        let (want_sel, want_stats, want_work) =
+                            mstopk_impl(Source::Plain(x), k, 30, &mut rng, lists);
+                        assert_eq!(work, want_work, "{what}");
+                        (sel, Some(stats), (want_sel, want_stats))
                     }
                     2 => (op.compress(x, k), None, mstopk_with_rng(x, k, 30, &mut rng)),
                     _ => {

@@ -48,6 +48,19 @@ pub enum ServedBy {
     Nfs,
 }
 
+impl ServedBy {
+    /// The span a trace charges this tier's access time to: `cache/memory`,
+    /// `cache/disk` or `cache/nfs`, so summed spans reproduce Fig. 9's
+    /// per-tier time breakdown.
+    pub fn span_name(self) -> &'static str {
+        match self {
+            ServedBy::Memory => "cache/memory",
+            ServedBy::Disk => "cache/disk",
+            ServedBy::Nfs => "cache/nfs",
+        }
+    }
+}
+
 /// Cumulative per-tier accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TierStats {
@@ -186,28 +199,6 @@ impl CachedLoader {
         (sample, served, io_t + t_dec + t_aug)
     }
 
-    /// [`Self::load`] with the access recorded as a span in `reg`, named
-    /// after the tier that served it (`cache/memory`, `cache/disk`,
-    /// `cache/nfs`) and charged in virtual seconds — so a trace snapshot
-    /// reproduces Fig. 9's per-tier time breakdown directly from
-    /// [`cloudtrain_obs::Registry::span_total`].
-    pub fn load_traced(
-        &mut self,
-        id: SampleId,
-        reg: &mut Registry,
-    ) -> (Arc<Sample>, ServedBy, f64) {
-        let (sample, served, t) = self.load(id);
-        let name = match served {
-            ServedBy::Memory => "cache/memory",
-            ServedBy::Disk => "cache/disk",
-            ServedBy::Nfs => "cache/nfs",
-        };
-        let span = reg.span_open(name, reg.now());
-        reg.advance(t);
-        reg.span_close(span, reg.now());
-        (sample, served, t)
-    }
-
     /// Publishes the loader's cumulative tier statistics — and the memory
     /// tier's hit/miss/eviction counters when enabled — into `reg`.
     pub fn publish_obs(&self, reg: &mut Registry) {
@@ -308,11 +299,13 @@ mod tests {
     }
 
     #[test]
-    fn traced_load_records_tier_spans_in_virtual_seconds() {
-        let mut l = loader("traced", LoaderConfig::default());
+    fn charged_loads_record_tier_spans_in_virtual_seconds() {
+        let mut l = loader("charged", LoaderConfig::default());
         let mut reg = Registry::new();
-        let (_, by1, t1) = l.load_traced(7, &mut reg);
-        let (_, by2, t2) = l.load_traced(7, &mut reg);
+        let (_, by1, t1) = l.load(7);
+        reg.charge(by1.span_name(), t1);
+        let (_, by2, t2) = l.load(7);
+        reg.charge(by2.span_name(), t2);
         assert_eq!((by1, by2), (ServedBy::Nfs, ServedBy::Memory));
         assert_eq!(reg.spans().len(), 2);
         assert_eq!(reg.span_total("cache/nfs"), t1);

@@ -10,7 +10,7 @@
 
 use cloudtrain_collectives::group::{run_on_group, Transport};
 use cloudtrain_collectives::gtopk::gtopk_all_reduce_ef;
-use cloudtrain_collectives::hierarchical::{hitopk_all_reduce_ef_traced, sparse_all_reduce_naive};
+use cloudtrain_collectives::hierarchical::{hitopk_all_reduce_ef_scratch, sparse_all_reduce_naive};
 use cloudtrain_collectives::quantized::quantized_all_reduce;
 use cloudtrain_collectives::resilience::ResilienceReport;
 use cloudtrain_collectives::ring::all_gather_f32;
@@ -411,7 +411,7 @@ impl DistTrainer {
     /// HiTopKComm stage spans nested inside on the MSTopK strategy),
     /// per-epoch fault/allocation counters, and final-accuracy gauges.
     /// The training outcome is bitwise identical to [`Self::run`] —
-    /// instrumentation only reads values the untraced path computes.
+    /// instrumentation only records what the calls return.
     pub fn run_observed(&self) -> (TrainReport, Registry) {
         let phases = [(self.cfg.strategy, self.cfg.epochs)];
         self.run_ranks(&phases).remove(0)
@@ -533,9 +533,9 @@ impl DistTrainer {
             epochs: Vec::new(),
         };
         // Observability journal: spans advance on a logical clock — one
-        // unit per iteration plus whatever the nested traced collectives
-        // charge in elements touched — so the trace is deterministic and
-        // byte-stable across runs.
+        // unit per iteration plus the elements each HiTopKComm report
+        // charges — so the trace is deterministic and byte-stable across
+        // runs.
         let mut reg = Registry::new();
 
         // Tensor-fusion plan for the dense paths: backward-order buckets
@@ -666,7 +666,7 @@ impl DistTrainer {
                             // A member whose contribution the transport
                             // withholds ships an empty block; its shard
                             // gradient survives in `ef_shard`.
-                            hitopk_all_reduce_ef_traced(
+                            let report = hitopk_all_reduce_ef_scratch(
                                 transport,
                                 &mut grads,
                                 m,
@@ -675,8 +675,8 @@ impl DistTrainer {
                                 &mut mstopk,
                                 &mut ef_shard,
                                 &mut scratch,
-                                &mut reg,
                             );
+                            report.record(&mut reg, d, shard_len, m);
                         }
                         Strategy::GTopK { rho } => {
                             let k = ((d as f64 * rho).round() as usize).max(1);
@@ -1248,12 +1248,29 @@ mod tests {
         assert_eq!(
             reg.counter("hitopk/invocations"),
             hitopk_iters as u64,
-            "one traced hitopk per iteration"
+            "one recorded hitopk per iteration"
         );
         assert!(reg
             .spans()
             .iter()
             .any(|s| s.name == "hitopk/inter all-gather" && s.depth == 1));
+        // Each step charges rank 0's four stages in elements touched.
+        let (m, n) = (cfg.nodes, cfg.gpus_per_node);
+        let d = build_model(&cfg).param_count();
+        let shard_len = partition::shard_for(d, n, 0).len();
+        let k = cloudtrain_collectives::hierarchical::shard_k(d, n, 0.1).min(shard_len);
+        for (name, units) in [
+            ("hitopk/intra reduce-scatter", d),
+            ("hitopk/top-k compression", shard_len),
+            ("hitopk/inter all-gather", 2 * m * k),
+            ("hitopk/intra all-gather", d),
+        ] {
+            assert_eq!(
+                reg.span_total(name),
+                (hitopk_iters * units) as f64,
+                "{name}"
+            );
+        }
         assert_eq!(reg.counter("train/epochs"), cfg.epochs as u64);
         assert_eq!(
             reg.gauge("train/final_top1"),

@@ -4,8 +4,8 @@
 //! source tokens instead of trusting a generated artifact:
 //!
 //! 1. the **exported collective surface** — every `pub fn *all_reduce*`
-//!    in the collectives crate, with `_scratch`/`_traced` allocation
-//!    twins folded into their base entry;
+//!    in the collectives crate, with `_scratch` allocation twins folded
+//!    into their base entry;
 //! 2. the **conformance matrix** — the dense/sparse tag arrays in
 //!    `expected_pairings()` crossed with the `COMPRESSORS` list
 //!    (the 55-pairing matrix `BENCH_conformance.json` snapshots);
@@ -139,12 +139,9 @@ fn oracle_arms(units: &[FileUnit], table: &SymbolTable) -> BTreeMap<String, u32>
 /// Maps one exported collective fn name to the matrix tags that cover it.
 /// Returns `None` for names outside the tag grammar (helpers).
 fn tags_for(name: &str) -> Option<Vec<String>> {
-    // Allocation/tracing twins are covered through their base entry.
+    // Allocation twins are covered through their base entry.
     let mut base = name.to_string();
-    while let Some(p) = base
-        .strip_suffix("_scratch")
-        .or_else(|| base.strip_suffix("_traced"))
-    {
+    while let Some(p) = base.strip_suffix("_scratch") {
         base = p.to_string();
     }
     if base == "sparse_all_reduce_naive" {

@@ -60,7 +60,7 @@ pub const RULE_DOCS: &[(&str, &str)] = &[
     ),
     (
         "twin_drift",
-        "Structural diff between a suffix twin (_scratch/_ef/_traced) \
+        "Structural diff between a suffix twin (_scratch/_ef) \
          and its base collective. The twin's call skeleton must equal the \
          base's modulo the suffix's declared rewrite set (see \
          crates/lint/src/twins.rs REWRITES); fault handling is not a twin \

@@ -1,7 +1,7 @@
 //! Twin-family drift detection (`twin_drift`).
 //!
 //! Every hot collective ships as a family: a base path plus suffix twins
-//! (`_scratch`, `_ef`, `_traced`) that must repeat the base's structural
+//! (`_scratch`, `_ef`) that must repeat the base's structural
 //! call skeleton modulo a *declared* per-suffix rewrite. A fix applied to the
 //! base but forgotten in one twin shows up here as an unexplained skeleton
 //! difference, statically, instead of waiting for a differential test seed
@@ -17,8 +17,8 @@
 //!    ends in known suffixes, strip suffixes right-to-left until the
 //!    remaining name is a fn in the same crate; that fn is the base and
 //!    the stripped set is the twin's rewrite budget (so
-//!    `hitopk_all_reduce_ef_traced` pairs with `hitopk_all_reduce` under
-//!    `{traced, ef}`).
+//!    `hitopk_all_reduce_ef_scratch` pairs with `hitopk_all_reduce` under
+//!    `{scratch, ef}`).
 //! 2. **Skeleton** — the set of *significant* callee names in the body:
 //!    names defined in the same crate or in the cross-crate vocabulary
 //!    (compressor/error-feedback methods), excluding neutral plumbing
@@ -51,7 +51,7 @@ use crate::symbols::SymbolTable;
 use crate::Finding;
 
 /// The recognised twin suffixes, matched right-to-left at discovery.
-pub const SUFFIXES: &[&str] = &["traced", "scratch", "ef"];
+pub const SUFFIXES: &[&str] = &["scratch", "ef"];
 
 /// Cross-crate callee names that count as structural even though they
 /// resolve outside the twin crate: the compressor / error feedback surface
@@ -111,13 +111,6 @@ struct Rewrite {
 }
 
 const REWRITES: &[Rewrite] = &[
-    Rewrite {
-        // Traced twins may only add obs instrumentation — which is
-        // neutral, so nothing structural may change at all.
-        suffix: "traced",
-        adds: &[],
-        removes: &[],
-    },
     Rewrite {
         // Scratch twins swap allocation sites; pool traffic is neutral.
         suffix: "scratch",
@@ -198,7 +191,7 @@ fn skeleton(
     }
     // Delegation: exactly one distinct significant callee, resolvable in
     // the same crate — use its skeleton instead (wrapper fns only differ
-    // in how they thread scratch/registry arguments).
+    // in how they thread scratch arguments).
     if depth > 0 && out.len() == 1 {
         let raw = significant_raw[0];
         if let Some(target) = table.resolve(raw, &sym.crate_name) {

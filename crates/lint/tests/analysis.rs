@@ -113,9 +113,9 @@ fn hop_a() {}\n\
 fn hop_b() {}\n\
 fn release() {}\n\
 fn reduce_impl(x: &mut [f32]) { hop_a(); hop_b(); }\n\
-fn reduce_traced_impl(x: &mut [f32]) { hop_a(); }\n\
+fn reduce_pooled_impl(x: &mut [f32]) { hop_a(); }\n\
 pub fn reduce_pair(x: &mut [f32]) { reduce_impl(x); }\n\
-pub fn reduce_pair_traced(x: &mut [f32]) { reduce_traced_impl(x); }\n\
+pub fn reduce_pair_scratch(x: &mut [f32]) { reduce_pooled_impl(x); }\n\
 pub fn reduce_pair_ef(x: &mut [f32]) { release(); reduce_impl(x); }\n";
     let inputs = [input("crates/fix/src/lib.rs", "fixture-collectives", src)];
     let report = run_files(&inputs, &twin_config());
@@ -124,8 +124,8 @@ pub fn reduce_pair_ef(x: &mut [f32]) { release(); reduce_impl(x); }\n";
     assert!(hits[0].message.contains("hop_b"), "{}", hits[0].message);
 }
 
-/// Every HiTopKComm entry point — plain and error-feedback, staged and
-/// traced — runs the one error-feedback body, so a call dropped from it
+/// Every HiTopKComm entry point — plain, error-feedback and staged — runs
+/// the one error-feedback body, so a call dropped from it
 /// (the selection, or the release of what was sent) reaches them all
 /// together: no entry drifts from its base, and the behaviour tests
 /// (`hitopk_reference`, the folded hop's reference, the conformance
@@ -155,11 +155,7 @@ fn mutation_dropping_an_error_feedback_call_reaches_every_hitopk_entry_point() {
     ] {
         let report = mutated(from, to);
         let drift = rule_hits(&report, "twin_drift");
-        for entry in [
-            "hitopk_all_reduce_ef",
-            "hitopk_all_reduce_ef_scratch",
-            "hitopk_all_reduce_ef_traced",
-        ] {
+        for entry in ["hitopk_all_reduce_ef", "hitopk_all_reduce_ef_scratch"] {
             assert!(
                 !drift
                     .iter()
@@ -441,7 +437,7 @@ fn analyzer_self_metrics_reflect_the_real_tree() {
         report.call_edges
     );
     assert!(
-        report.twin_families >= 9,
+        report.twin_families >= 8,
         "twin discovery broke: {}",
         report.twin_families
     );

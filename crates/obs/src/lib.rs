@@ -16,12 +16,14 @@
 //!
 //! * the performance plane (`cloudtrain-simnet`) charges spans from the
 //!   simulator's **virtual time** (`NetSim::makespan`),
-//! * the correctness plane (`cloudtrain-collectives`,
-//!   `cloudtrain-compress`) charges spans from the registry's **logical
-//!   clock** ([`Registry::advance`]), a monotone counter of deterministic
-//!   work units (elements touched),
+//! * the correctness plane (`cloudtrain-collectives`) charges spans on the
+//!   registry's **logical clock** ([`Registry::charge`]), a monotone
+//!   counter of deterministic work units (elements touched),
 //! * the data plane (`cloudtrain-datacache`) charges the loader's modelled
 //!   virtual seconds.
+//!
+//! No collective, compressor or loader body takes a registry: a call
+//! returns what it did, and the caller charges it afterwards.
 //!
 //! Two runs of the same seeded workload therefore produce **byte-identical**
 //! [`Registry::to_jsonl`] output — the same determinism bar the CI fault
@@ -202,6 +204,16 @@ impl Registry {
         self.depth = self.depth.saturating_sub(1);
     }
 
+    /// Records `units` of work done as one span: opens `name` at
+    /// [`Self::now`], advances the clock by `units` and closes it there.
+    /// The clock is logical, so a span charged after the work it covers
+    /// is the one that would have been recorded around it.
+    pub fn charge(&mut self, name: &str, units: f64) {
+        let id = self.span_open(name, self.now());
+        self.advance(units);
+        self.span_close(id, self.now());
+    }
+
     /// All recorded spans, in open order.
     pub fn spans(&self) -> &[Span] {
         &self.spans
@@ -359,26 +371,6 @@ pub fn gauge_percentiles(reg: &mut Registry, prefix: &str, samples: &[f64]) {
         reg.gauge_set(&format!("{prefix}/{tag}"), sorted_percentile(&sorted, q));
     }
     reg.gauge_set(&format!("{prefix}/count"), samples.len() as f64);
-}
-
-/// Opens a span on an *optional* registry — the idiom for hot paths that
-/// take `Option<&mut Registry>` so the uninstrumented call sites pay
-/// nothing. Pair with [`span_end`].
-pub fn span_begin(obs: &mut Option<&mut Registry>, name: &str) -> Option<SpanId> {
-    obs.as_deref_mut().map(|reg| {
-        let t = reg.now();
-        reg.span_open(name, t)
-    })
-}
-
-/// Closes a span opened by [`span_begin`], first advancing the logical
-/// clock by `units` of deterministic work.
-pub fn span_end(obs: &mut Option<&mut Registry>, id: Option<SpanId>, units: f64) {
-    if let (Some(reg), Some(id)) = (obs.as_deref_mut(), id) {
-        reg.advance(units);
-        let t = reg.now();
-        reg.span_close(id, t);
-    }
 }
 
 #[cfg(test)]
@@ -572,16 +564,18 @@ mod tests {
     }
 
     #[test]
-    fn optional_registry_helpers_are_noops_when_absent() {
-        let mut none: Option<&mut Registry> = None;
-        let id = span_begin(&mut none, "x");
-        assert!(id.is_none());
-        span_end(&mut none, id, 10.0);
-
+    fn charge_records_one_span_of_the_given_units() {
         let mut reg = Registry::new();
-        let mut some = Some(&mut reg);
-        let id = span_begin(&mut some, "x");
-        span_end(&mut some, id, 10.0);
-        assert_eq!(reg.span_total("x"), 10.0);
+        reg.advance(2.0);
+        let outer = reg.span_open("outer", reg.now());
+        reg.charge("x", 10.0);
+        reg.charge("x", 5.0);
+        let t = reg.now();
+        reg.span_close(outer, t);
+        assert_eq!(reg.span_total("x"), 15.0);
+        assert_eq!(reg.now(), 17.0);
+        let x: Vec<_> = reg.spans().iter().filter(|s| s.name == "x").collect();
+        assert_eq!((x[0].start, x[0].end, x[0].depth), (2.0, 12.0, 1));
+        assert_eq!((x[1].start, x[1].end, x[1].depth), (12.0, 17.0, 1));
     }
 }

@@ -8,7 +8,9 @@
 #                            # doctests + tests
 #   scripts/ci.sh lint       # cloudtrain lint only: runs the analyzer twice
 #                            # with --deny and requires both the table and
-#                            # the JSONL report to be byte-identical
+#                            # the JSONL report to be byte-identical; fails
+#                            # on any `fn *_traced` or parameter typed
+#                            # `Option<&mut Registry>` under crates/*/src
 #   scripts/ci.sh gauntlet   # deterministic fault gauntlet (8 seeds x
 #                            # {drops, spikes, stragglers}); runs the
 #                            # harness twice and requires byte-identical
@@ -151,6 +153,15 @@ run_lint_gate() {
     # reappearing [[allow]] entry is new debt and fails CI outright.
     if grep -q '^\[\[allow\]\]' lint-baseline.toml; then
         echo "lint-baseline.toml has [[allow]] entries; fix findings at the source" >&2
+        exit 1
+    fi
+
+    stage "cloudtrain lint: traced-twin guard"
+    # A call returns what it did and the caller records it; a `_traced`
+    # entry point or an optional-registry parameter is the old pattern.
+    if grep -rEn 'fn [A-Za-z0-9_]*_traced\b|:[[:space:]]*(&mut[[:space:]]+)?Option<&mut[[:space:]]+Registry>' \
+        crates/*/src; then
+        echo "record from what the call returns instead (Registry::charge)" >&2
         exit 1
     fi
 
