@@ -343,12 +343,21 @@ fn hitopk_ef_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
     );
 
     // Error feedback on the shard: the ReduceScatter accumulates it into
-    // the residual and leaves all of `x` +0.0 for step (iv) below.
-    let shard = ring_reduce_scatter_ef(peer, x, &intra, ef.residual_mut(), scratch, piece);
+    // the residual and leaves all of `x` +0.0 for step (iv) below. A member
+    // that will select offers the last hop's fold to the compressor, which
+    // may sweep the residual as it is written.
+    let withheld = peer.contribution_withheld();
+    let sink = if withheld {
+        None
+    } else {
+        compressor.fold_sink(ef.dim())
+    };
+    let residual = ef.residual_mut();
+    let shard = ring_reduce_scatter_ef(peer, x, &intra, residual, scratch, piece, sink);
 
     // Select from the accumulated residual, clear what goes on the wire.
     let k = shard_k(d, n, rho).min(shard.len());
-    let selection: SparseGrad = if peer.contribution_withheld() {
+    let selection: SparseGrad = if withheld {
         SparseGrad::empty(shard.len())
     } else {
         let selection = compressor.compress(ef.residual(), k);
@@ -410,7 +419,8 @@ mod tests {
     use crate::group::{run_on_group, Withholding};
     use crate::ring::{ring_all_gather_scratch, ring_reduce_scatter_scratch};
     use cloudtrain_compress::exact::{topk_sort, SortTopK};
-    use cloudtrain_compress::MsTopK;
+    use cloudtrain_compress::mstopk::SAMPLE_FLOOR;
+    use cloudtrain_compress::{FusedCounts, MsTopK};
     use cloudtrain_tensor::init;
     use cloudtrain_tensor::partition::shards;
 
@@ -1019,10 +1029,26 @@ mod tests {
     /// selections, so its `inter_bytes_sent` is compared for
     /// [`InterStep::AllGatherPairs`] only.
     fn assert_folded_hop_equals_reference(
-        (m, n, d, rho): (usize, usize, usize, f64),
+        shape: (usize, usize, usize, f64),
         piece: usize,
         step: InterStep,
     ) {
+        let input = |round: usize, rank: usize, d: usize| vec_for(100 * round + rank, d);
+        folded_hop_against_reference(shape, piece, step, 3, input, |_, _| {});
+    }
+
+    /// [`assert_folded_hop_equals_reference`] over `rounds` rounds of
+    /// `input(round, rank, d)`, with `between(round, operator)` run on both
+    /// sides' operators before each round. Returns each rank's
+    /// [`MsTopK::fused_counts`] after each round.
+    fn folded_hop_against_reference(
+        (m, n, d, rho): (usize, usize, usize, f64),
+        piece: usize,
+        step: InterStep,
+        rounds: usize,
+        input: impl Fn(usize, usize, usize) -> Vec<f32> + Sync,
+        between: impl Fn(usize, &mut MsTopK) + Sync,
+    ) -> Vec<Vec<FusedCounts>> {
         let withheld = |round: u64, rank: usize| round == 1 && rank.is_multiple_of(2);
         run_on_group(m * n, |peer| {
             let what = format!(
@@ -1043,8 +1069,11 @@ mod tests {
                 CommScratch::new(),
             );
             let mut warm = 0;
-            for round in 0..3 {
-                let mut x = vec_for(100 * round + peer.rank(), d);
+            let mut counts = Vec::new();
+            for round in 0..rounds {
+                between(round, &mut got.0);
+                between(round, &mut want.0);
+                let mut x = input(round, peer.rank(), d);
                 let mut y = x.clone();
                 let (c, feedback, scratch) = &mut got;
                 let mut rep = hitopk_ef_impl(
@@ -1058,15 +1087,15 @@ mod tests {
                     rep.inter_bytes_sent = want_rep.inter_bytes_sent;
                 }
                 assert_eq!(rep, want_rep, "report, round {round}, {what}");
-                assert_eq!(bits(&x), bits(&y), "output, round {round}, {what}");
-                assert_eq!(
-                    bits(got.1.residual()),
-                    bits(want.1.residual()),
+                assert!(bits(&x) == bits(&y), "output, round {round}, {what}");
+                assert!(
+                    bits(got.1.residual()) == bits(want.1.residual()),
                     "residual, round {round}, {what}"
                 );
                 if round == 0 {
                     warm = got.2.misses();
                 }
+                counts.push(got.0.fused_counts());
             }
             // Split-and-merge payloads follow the data (a merged list holds
             // its owner range's non-zeros), and pooled buffers of different
@@ -1076,7 +1105,8 @@ mod tests {
             if step == InterStep::AllGatherPairs {
                 assert_eq!(got.2.misses(), warm, "steady state allocated, {what}");
             }
-        });
+            counts
+        })
     }
 
     #[test]
@@ -1103,6 +1133,63 @@ mod tests {
                             assert_folded_hop_equals_reference((m, n, d, rho), piece, step);
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// The folded hop with an MSTopK that sweeps it: shards just below,
+    /// at and just above the size the operator samples, and four times
+    /// it, over rounds that take every path of the sink — none offered
+    /// (first round; below the floor; withheld by the even ranks in round
+    /// 1), hits, a round whose input is a thousandth of the residual's
+    /// scale (the cutoff falls far under the hint: a miss), and an
+    /// operator whose hint is stale, set between rounds by a selection on
+    /// an unrelated tensor a thousand times larger (a miss). Every round is
+    /// the reference's bit for bit.
+    #[test]
+    fn folded_hop_sweeping_for_mstopk_equals_reduce_then_select() {
+        let (m, n, rho) = (2usize, 2usize, 0.01f64);
+        let input = |round: usize, rank: usize, d: usize| {
+            let scale = if round == 3 { 1e-3 } else { 1.0 };
+            let mut v = vec_for(100 * round + rank, d);
+            ops::scale(&mut v, scale);
+            v
+        };
+        let between = |round: usize, c: &mut MsTopK| {
+            if round == 4 {
+                let mut unrelated = vec_for(7, 4 * SAMPLE_FLOOR);
+                ops::scale(&mut unrelated, 1e3);
+                c.compress(&unrelated, SAMPLE_FLOOR / 25);
+            }
+        };
+        for shard in [
+            SAMPLE_FLOOR - 1,
+            SAMPLE_FLOOR,
+            SAMPLE_FLOOR + 1,
+            4 * SAMPLE_FLOOR + 3,
+        ] {
+            let d = n * shard;
+            for step in [InterStep::AllGatherPairs, InterStep::SplitMerge] {
+                let counts = folded_hop_against_reference(
+                    (m, n, d, rho),
+                    HOP_PIECE,
+                    step,
+                    5,
+                    input,
+                    between,
+                );
+                for (rank, counts) in counts.iter().enumerate() {
+                    let what = format!("shard {shard} {step:?} rank {rank}");
+                    let seen: Vec<(u64, u64)> = counts.iter().map(|c| (c.hits, c.misses)).collect();
+                    let want = if shard < SAMPLE_FLOOR {
+                        vec![(0, 0); 5]
+                    } else if rank % 2 == 0 {
+                        vec![(0, 0), (0, 0), (1, 0), (1, 1), (1, 2)]
+                    } else {
+                        vec![(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)]
+                    };
+                    assert_eq!(seen, want, "(hits, misses) after each round, {what}");
                 }
             }
         }

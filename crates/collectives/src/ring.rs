@@ -18,6 +18,7 @@
 //! schedule nor the order in which any element is reduced. Over a
 //! `ResilientPeer` each piece is one message, so it is one fault draw.
 
+use cloudtrain_compress::FoldSink;
 use cloudtrain_tensor::ops;
 use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 
@@ -94,6 +95,11 @@ pub fn ring_reduce_scatter_scratch<T: Transport + ?Sized>(
 /// chunk through the drain — comes back `+0.0`, ready for a sparse
 /// AllGather to scatter into. On a ring of one the fold is local:
 /// `residual += x`, `x` zeroed.
+///
+/// Given a `sink`, the last hop folds each piece through it instead — the
+/// same additions, which the sink may sweep while the piece is in cache —
+/// handing it the pieces of the residual in order. A ring of one has no
+/// last hop and never calls the sink.
 pub(crate) fn ring_reduce_scatter_ef<T: Transport + ?Sized>(
     peer: &T,
     x: &mut [f32],
@@ -101,6 +107,7 @@ pub(crate) fn ring_reduce_scatter_ef<T: Transport + ?Sized>(
     residual: &mut [f32],
     scratch: &mut CommScratch,
     piece: usize,
+    mut sink: Option<&mut dyn FoldSink>,
 ) -> Shard {
     if members.len() == 1 {
         ops::add_assign(residual, x);
@@ -116,7 +123,11 @@ pub(crate) fn ring_reduce_scatter_ef<T: Transport + ?Sized>(
         0,
         ops::add_assign,
         Some(&mut |at, mine: &mut [f32], arrived: &[f32]| {
-            ops::add_sum_drain(&mut residual[at..at + mine.len()], mine, arrived)
+            let acc = &mut residual[at..at + mine.len()];
+            match sink.as_deref_mut() {
+                Some(sink) => sink.fold(at, acc, mine, arrived),
+                None => ops::add_sum_drain(acc, mine, arrived),
+            }
         }),
     )
 }
@@ -886,6 +897,7 @@ mod tests {
                         &mut residual,
                         &mut scratch,
                         piece,
+                        None,
                     );
                     assert_eq!(got, shard, "{what}");
                     assert_eq!(bits(&residual), bits(&want), "residual, {what}");

@@ -40,7 +40,7 @@ pub mod randomk;
 mod sparse;
 
 pub use error_feedback::ErrorFeedback;
-pub use mstopk::{MsTopK, MsTopKNaive};
+pub use mstopk::{FusedCounts, MsTopK, MsTopKNaive};
 pub use sparse::SparseGrad;
 
 /// A top-k (or top-k-like) gradient compressor.
@@ -75,8 +75,32 @@ pub trait Compressor {
         self.compress(acc, k)
     }
 
+    /// A sink for the fold that is about to produce the `d`-element tensor
+    /// the next [`Self::compress`] call selects from, so the operator can
+    /// sweep each piece while the fold has it in cache (HiTopKComm's last
+    /// ReduceScatter hop offers one). The default, for operators with
+    /// nothing to gain, is none.
+    ///
+    /// The fold must hand the sink the pieces it writes, in order, and the
+    /// next `compress` call must be on the whole folded slice as the fold
+    /// left it. Whatever the sink gathers changes no bit of any result: it
+    /// only spares the operator a pass.
+    fn fold_sink(&mut self, d: usize) -> Option<&mut dyn FoldSink> {
+        let _ = d;
+        None
+    }
+
     /// Short human-readable operator name (used in benchmark tables).
     fn name(&self) -> &'static str;
+}
+
+/// The last fold of a tensor that a [`Compressor`] asked to see
+/// ([`Compressor::fold_sink`]).
+pub trait FoldSink {
+    /// Folds one piece — `acc[i] += x[i] + y[i]`, then `x[i] = 0.0`, bitwise
+    /// as `ops::add_sum_drain(acc, x, y)` — where `acc` is the tensor's
+    /// elements from offset `at` on.
+    fn fold(&mut self, at: usize, acc: &mut [f32], x: &mut [f32], y: &[f32]);
 }
 
 #[cfg(test)]

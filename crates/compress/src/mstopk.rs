@@ -31,17 +31,21 @@
 //! * **Sample-seeded cutoff.** Before the pass, a fixed strided sample of
 //!   magnitudes (`SAMPLE_LINES` runs of `SAMPLE_RUN` consecutive elements;
 //!   with error feedback `|gradient + residual|` at those positions) is
-//!   drawn and its `≈ 3k/d` upper quantile taken as a *compaction cutoff*:
-//!   about `3k` elements are expected at or above it. The sample only
-//!   decides how much the pass keeps, never what is selected.
+//!   drawn and one of its upper order statistics taken as a *compaction
+//!   cutoff*: the sample rank of `k` plus four binomial standard deviations
+//!   (`SAMPLE_SIGMAS`), so that more than `k` elements survive unless the
+//!   sample is four deviations off, and about `1.16k` survive at ρ = 0.01
+//!   (`1.5k` at ρ = 0.001). The sample only decides how much the pass
+//!   keeps, never what is selected.
 //! * **The pass.** One sweep of the tensor crate's
 //!   ([`ops::abs_stats_compact`], or [`ops::add_assign_abs_stats_compact`]
 //!   with error feedback), reading each [`ops::REDUCE_BLOCK`] once, 64
 //!   elements at a time: add (with error feedback), feed the canonical lane
 //!   partials of `Σ|x|` and `max|x|` — so `mean|x|` and `max|x|` are
 //!   bitwise those of `ops::mean_abs` / `ops::max_abs` — and, while the
-//!   elements are in registers, copy the magnitudes at or above the cutoff
-//!   into a dense *survivor* buffer, each beside its source index.
+//!   elements are in registers, copy the elements whose magnitude is at or
+//!   above the cutoff into a dense *survivor* buffer, each beside its
+//!   source index.
 //! * **Probes from the survivors.** A probe at or above the cutoff is
 //!   counted exactly on the survivors (everything it can count survived).
 //!   A probe *below* the cutoff needs no count: all `S > k` survivors
@@ -51,7 +55,7 @@
 //!   thresholds, hence non-increasing counts, so the last of them alone
 //!   decides `k2`/`thres2`; only if that last one sits below the cutoff is
 //!   its count taken, by one extra `count_ge` (rare: the search converges
-//!   on the `k`-th magnitude, far above a cutoff that keeps `3k`).
+//!   on the `k`-th magnitude, above a cutoff placed below it).
 //! * **Two fallbacks, chosen from what the pass observed.** If the sample
 //!   misses (`S <= k`, e.g. a NaN or unlucky cutoff), if `k` is too dense
 //!   for the sample to place a useful cutoff, or if the input is shorter
@@ -83,6 +87,34 @@
 //! * After the histogram's levels are spent the search interval *is* one
 //!   bucket. Any remaining probes are answered by scanning just that
 //!   bucket's elements gathered from the live buffer.
+//! * The finish reads the selection off the survivors too: the index sets
+//!   are sized from the bracket's exact counts `k1` and `k2`, and the
+//!   buffer keeps each survivor's signed value, so no selected value is
+//!   gathered from the tensor.
+//!
+//! # Riding the fold
+//!
+//! Where the tensor is produced by a fold the caller runs piece by piece
+//! (HiTopKComm's last ReduceScatter hop folds the node sum into the
+//! residual), the operator's [`Compressor::fold_sink`] sweeps each
+//! [`ops::REDUCE_BLOCK`] as the fold writes it
+//! ([`ops::add_sum_drain_abs_stats_compact`]): the block partials of
+//! `Σ|x|` and `max|x|`, the sample runs the block holds, and every element
+//! at or above a *hint* — the previous call's sampled cutoff, a little
+//! lowered (`HINT_SCALE`). The selection then draws this call's cutoff from
+//! the captured sample, the same positions ranked by the same code, and:
+//!
+//! * the hint at or below the cutoff — the provisional list is a superset
+//!   of what the cutoff keeps, and one pass over it leaves exactly the
+//!   survivors a separate sweep would have;
+//! * the hint above the cutoff but more than `k` listed — the list seeds
+//!   the search as a sampled buffer would (the argument above needs only
+//!   more than `k` survivors);
+//! * otherwise, a miss: the separate sweep runs, with the fold's
+//!   statistics.
+//!
+//! The hint decides what the fold keeps, never what is selected: every
+//! selection is bitwise the naive one, hit or miss.
 //!
 //! Streaming passes over a `d`-element tensor at the error-feedback
 //! sparsification point, before → after: compensate (2 reads, 1 write),
@@ -90,7 +122,8 @@
 //! — 8 reads, 2 writes — against 2 reads (gradient, residual) and 1 write
 //! (residual) in one pass, plus `O(k)` survivor work. Where the producer of
 //! the gradient folds it into the residual itself (HiTopKComm's last
-//! ReduceScatter hop), the operator `compress`es the residual: 1 read.
+//! ReduceScatter hop), the operator `compress`es the residual: 1 read, or
+//! **0** on a hint hit, where the sweep rode the fold.
 //!
 //! The result — selection, statistics, and RNG consumption — is bitwise
 //! identical to the naive search; `MsTopKNaive` is retained precisely so
@@ -103,7 +136,7 @@ use rand::{RngExt, SeedableRng};
 
 use cloudtrain_tensor::ops;
 
-use crate::{Compressor, SparseGrad};
+use crate::{Compressor, FoldSink, SparseGrad};
 
 /// Histogram resolution cap: at most `2^12` buckets, keeping the boundary
 /// and count tables L1-resident during placement. Any value with
@@ -130,28 +163,46 @@ const GALLOP_MAX: usize = 4;
 /// [`SAMPLE_LINES`] evenly spaced runs of [`SAMPLE_RUN`] consecutive
 /// elements — one 64-byte cache line each, so the 65,536 samples cost 4,096
 /// line fetches per operand instead of 65,536 (~0.5 ms with the ranking).
-/// At the `3k/d` quantile of a ρ = 0.01 selection the cutoff rank is ~2,000
-/// samples, whose binomial spread puts the survivor count within a few
-/// percent of `3k`.
 const SAMPLE_LINES: usize = 4096;
 const SAMPLE_RUN: usize = 16;
 const SAMPLE_LEN: usize = SAMPLE_LINES * SAMPLE_RUN;
 
-/// The cutoff aims to keep this many times `k` elements: enough margin that
-/// a sample estimate essentially never keeps `k` or fewer (which would void
-/// the seed), small enough that the survivor buffer stays a few percent of
-/// the tensor at trained sparsities.
-const SAMPLE_KEEP: usize = 3;
+/// Margin of the compaction cutoff, in binomial standard deviations. The
+/// number of samples at or above the `k`-th largest magnitude is about
+/// `Binomial(SAMPLE_LEN, k/d)`: mean `r = k·SAMPLE_LEN/d`, spread at most
+/// `√r`. Taking the cutoff at sample rank `r + SAMPLE_SIGMAS·√r` puts it
+/// below the `k`-th magnitude — so that more than `k` elements survive and
+/// the seed stands — unless the sample over-counts by four deviations
+/// (a one-sided tail of ~3·10⁻⁵), while the survivors stay within a few
+/// deviations of `k`: ≈ 1.16·k at ρ = 0.01 and ≈ 1.5·k at ρ = 0.001. (The
+/// binomial model takes the elements of a run as independent draws; a
+/// tensor correlated within runs of 16 spreads the count wider.) A sample
+/// that does miss costs passes, never bits: the gallop takes over.
+const SAMPLE_SIGMAS: f64 = 4.0;
 
 /// Lowest cutoff rank taken from the sample. Below ~16 samples the order
 /// statistic is too noisy to trust (relative spread `1/sqrt(rank)`), so a
-/// very sparse `k` keeps `16·d/SAMPLE_LEN` elements instead of `3k`.
+/// very sparse `k` keeps `16·d/SAMPLE_LEN` elements instead.
 const SAMPLE_MIN_RANK: usize = 16;
 
-/// Inputs shorter than this take the gallop path: drawing and ranking the
-/// sample costs about as much as one streaming pass over `SAMPLE_LEN`
-/// elements, which only pays off against a tensor several times that size.
-pub(crate) const SAMPLE_FLOOR: usize = 4 * SAMPLE_LEN;
+/// The hint a fused sweep compacts at ([`Compressor::fold_sink`]) is this
+/// fraction of the previous call's sampled cutoff. Error feedback moves a
+/// shard's upper quantiles slowly from one step to the next — the residual
+/// keeps what was not sent and one step's gradient joins it — so a cutoff
+/// that fell by less than 5 % keeps every survivor the sample asks for,
+/// and the sweep rides the fold (a hit). A cutoff that fell further is a
+/// miss only if the hint then kept `k` or fewer; a miss sweeps the tensor
+/// again, which costs a pass and changes no bit. The lower the factor, the
+/// rarer the miss and the longer the provisional list the fold writes. (On
+/// the 2 × 2-rank, 25.5 M-element HiTopKComm benchmark the cutoff rises
+/// 0.2–50 % from call to call and never falls.)
+const HINT_SCALE: f32 = 0.95;
+
+/// Inputs shorter than this take the gallop path, and are never offered a
+/// fold sink: drawing and ranking the sample costs about as much as one
+/// streaming pass over 65,536 elements, which only pays off against a
+/// tensor several times that size.
+pub const SAMPLE_FLOOR: usize = 4 * SAMPLE_LEN;
 
 /// Chunk width for the skip-scan in [`finish_selection`]: each chunk is
 /// first screened with a vectorizable count, and index materialisation only
@@ -194,13 +245,26 @@ pub struct MsTopKStats {
 /// let s = op.compress(&x, 10);
 /// assert_eq!(s.len(), 10);
 /// ```
+///
+/// # Riding the fold
+///
+/// Where the tensor to select from is produced by a fold the caller runs
+/// piece by piece — HiTopKComm's last ReduceScatter hop folds the node sum
+/// into the residual — the operator offers that fold a sink
+/// ([`Compressor::fold_sink`]) once it holds a *hint*: a compaction cutoff
+/// 5 % below its previous call's sampled one. Each folded
+/// [`ops::REDUCE_BLOCK`] then feeds `mean|x|` and `max|x|`, the strided
+/// sample and a provisional survivor list while it is in cache, and the
+/// next [`Compressor::compress`] of that tensor reads none of it again
+/// unless the hint missed. Hits and misses are counted
+/// ([`Self::fused_counts`]); the result is the same bits either way.
 #[derive(Debug)]
 pub struct MsTopK {
     /// Number of threshold-search iterations (`N` in Algorithm 1; the paper
     /// uses 30).
     pub samplings: usize,
     rng: StdRng,
-    lists: SurvivorLists,
+    kept: Kept,
 }
 
 impl MsTopK {
@@ -210,7 +274,7 @@ impl MsTopK {
         Self {
             samplings,
             rng: StdRng::seed_from_u64(seed),
-            lists: SurvivorLists::default(),
+            kept: Kept::default(),
         }
     }
 
@@ -220,15 +284,48 @@ impl MsTopK {
         (selection, stats)
     }
 
-    /// Every entry point's one call: this operator's RNG and lists.
-    fn select(&mut self, source: Source<'_>, k: usize) -> (SparseGrad, MsTopKStats, Work) {
-        mstopk_impl(source, k, self.samplings, &mut self.rng, &mut self.lists)
+    /// How the fused sweeps this operator offered have fared so far.
+    pub fn fused_counts(&self) -> FusedCounts {
+        self.kept.counts
     }
+
+    /// Every entry point's one call: this operator's RNG and kept state.
+    fn select(&mut self, source: Source<'_>, k: usize) -> (SparseGrad, MsTopKStats, Work) {
+        mstopk_impl(source, k, self.samplings, &mut self.rng, &mut self.kept)
+    }
+}
+
+/// Running counts of one [`MsTopK`]'s fused sweeps
+/// ([`MsTopK::fused_counts`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FusedCounts {
+    /// Selections that took everything from a fold's sink: no pass over
+    /// the tensor before the search.
+    pub hits: u64,
+    /// Selections after a sink was offered that swept the tensor anyway:
+    /// the hint kept `k` or fewer, the sample declined a cutoff, or the
+    /// fold did not deliver whole, block-aligned pieces.
+    pub misses: u64,
+    /// Full-tensor passes after a survivor buffer was built, on any path:
+    /// `k2` repairs, and finishes the buffer could not serve.
+    pub rescans: u64,
 }
 
 impl Compressor for MsTopK {
     fn compress(&mut self, x: &[f32], k: usize) -> SparseGrad {
         self.select_with_stats(x, k).0
+    }
+
+    /// Offered once the operator holds a hint and `d` is large enough to
+    /// be sampled ([`SAMPLE_FLOOR`]); see the type docs.
+    fn fold_sink(&mut self, d: usize) -> Option<&mut dyn FoldSink> {
+        let kept = &mut self.kept;
+        kept.fold.offered = false;
+        kept.fold.armed = false;
+        let hint = kept.hint.filter(|_| d >= SAMPLE_FLOOR)?;
+        kept.fold.arm(d, hint);
+        kept.lists.clear_for(d);
+        Some(kept)
     }
 
     /// The addition rides the selection's one streaming pass (see the
@@ -382,8 +479,9 @@ fn finish_selection(
     // Lines 25–26: materialise the two index sets — `i1` as
     // `ops::indices_ge(x, thres1)` would, `i2` as
     // `ops::indices_in_band(x, thres2, band_hi)` would, fused into one
-    // scan. Survivor order matches input order, so both routes produce the
-    // same vectors. Without survivors, each chunk is screened with a
+    // scan. From survivors they hold positions in the lists instead, which
+    // follow input order, so both routes select the same elements. Without
+    // survivors, each chunk is screened with a
     // vectorizable candidate count and the scalar index loop only runs on
     // chunks that contain a magnitude above `thres2` (a few per million at
     // trained sparsities).
@@ -396,30 +494,40 @@ fn finish_selection(
     let mut i1: Vec<u32> = Vec::new();
     let mut i2: Vec<u32> = Vec::new();
     if let Some(s) = accel {
-        // Candidates are the survivors with `m >= thres2`, each carrying
-        // its source index. `band_hi` is `thres1` (or +inf when unset), so
+        // Candidates are the survivors with `|v| >= thres2`, each at its
+        // list position. `band_hi` is `thres1` (or +inf when unset), so
         // within the candidate set the original two-way split reduces to
         // this: an infinite magnitude (which `m < band_hi` would exclude)
         // forces `a_mean = +inf`, which disables the accel path. Every
         // survivor is written to both runs and advances the one it belongs
         // to: which one is data-dependent with no pattern, so a branch on
-        // it would mispredict on most candidates. Counting passes first
-        // size the runs (plus the one spare slot each needs); the top run
-        // lies inside the candidates, as `thres1 >= thres2` (a probe that
+        // it would mispredict on most candidates. The runs are sized first
+        // (plus the one spare slot each needs); the top run lies inside
+        // the candidates, as `thres1 >= thres2` (a probe that
         // under-selects sits above one that over-selects, and an unset
-        // `thres2` is 0).
-        let top = |m: f32| take_top & (m >= bracket.thres1);
-        let band = |m: f32| !top(m) & (m >= bracket.thres2);
-        let n1 = s.mags.iter().filter(|&&m| top(m)).count();
-        let n2 = ops::count_ge(s.mags, bracket.thres2) - n1;
+        // `thres2` is 0). The bracket's counts are the sizes once a probe
+        // has over-selected: `k1` is an exact count whenever it is set,
+        // and with `thres2` at or above the cutoff so is `k2` — no
+        // magnitude is infinite here, so `[thres2, thres1)` holds
+        // `k2 - k1`. Only an unset `thres2` leaves them to be counted.
+        let top = |v: f32| take_top & (v.abs() >= bracket.thres1);
+        let band = |v: f32| !top(v) & (v.abs() >= bracket.thres2);
+        let (n1, n2) = if bracket.l > 0.0 {
+            (bracket.k1, bracket.k2 - bracket.k1)
+        } else {
+            let n1 = s.vals.iter().filter(|&&v| top(v)).count();
+            (n1, ops::count_ge(s.vals, bracket.thres2) - n1)
+        };
+        debug_assert_eq!(n1, s.vals.iter().filter(|&&v| top(v)).count());
+        debug_assert_eq!(n2, s.vals.iter().filter(|&&v| band(v)).count());
         i1 = vec![0u32; n1 + 1];
         i2 = vec![0u32; n2 + 1];
         let (mut n1, mut n2) = (0usize, 0usize);
-        for (&m, &i) in s.mags.iter().zip(s.idx) {
-            i1[n1] = i;
-            i2[n2] = i;
-            n1 += usize::from(top(m));
-            n2 += usize::from(band(m));
+        for (p, &v) in s.vals.iter().enumerate() {
+            i1[n1] = p as u32;
+            i2[n2] = p as u32;
+            n1 += usize::from(top(v));
+            n2 += usize::from(band(v));
         }
         i1.truncate(n1);
         i2.truncate(n2);
@@ -453,9 +561,12 @@ fn finish_selection(
     // slicing out of bounds when a diverged tensor reaches the operator.
     //
     // Both sets come out in index order, so the selection is their merge.
+    // From the survivors, the sets hold list positions, which ascend with
+    // the indices: the selected values and indices are read off the lists,
+    // not gathered from the tensor.
     let need = k - bracket.k1;
     let take = need.min(i2.len());
-    let indices = if take > 0 {
+    let mut indices = if take > 0 {
         let slack = i2.len() - take;
         let start = if slack == 0 {
             0
@@ -466,7 +577,16 @@ fn finish_selection(
     } else {
         i1
     };
-    let values = ops::gather(x, &indices);
+    let values = match accel {
+        Some(s) => {
+            let values = indices.iter().map(|&p| s.vals[p as usize]).collect();
+            for p in &mut indices {
+                *p = s.idx[*p as usize];
+            }
+            values
+        }
+        None => ops::gather(x, &indices),
+    };
 
     let stats = MsTopKStats {
         k1: bracket.k1,
@@ -510,32 +630,190 @@ fn search_counting(
     }
 }
 
-/// The lists a compaction pass writes its survivors into: owned by
-/// [`MsTopK`] across calls, fresh for each call of the free functions.
+/// The lists a compaction pass writes its survivors into.
 #[derive(Default)]
 struct SurvivorLists {
-    mags: Vec<f32>,
+    vals: Vec<f32>,
     idx: Vec<u32>,
 }
 
-impl fmt::Debug for SurvivorLists {
-    /// The capacity only: the contents are the last call's scratch.
+impl SurvivorLists {
+    /// Empties the lists and reserves room for a `d`-element tensor's
+    /// survivors, without initialising it: only what a pass writes is ever
+    /// memory.
+    fn clear_for(&mut self, d: usize) {
+        self.vals.clear();
+        self.idx.clear();
+        self.vals.reserve_exact(d);
+        self.idx.reserve_exact(d);
+    }
+
+    /// Keeps the survivors at or above `cutoff`, in order — what a
+    /// compaction at `cutoff` would have written, since every magnitude
+    /// there is already listed.
+    fn retain_ge(&mut self, cutoff: f32) {
+        let mut kept = 0;
+        for p in 0..self.vals.len() {
+            let v = self.vals[p];
+            self.vals[kept] = v;
+            self.idx[kept] = self.idx[p];
+            kept += usize::from(v.abs() >= cutoff);
+        }
+        self.vals.truncate(kept);
+        self.idx.truncate(kept);
+    }
+}
+
+/// What an operator keeps from call to call: owned by [`MsTopK`], fresh
+/// for each call of the free functions.
+#[derive(Default)]
+struct Kept {
+    /// The survivor lists, so a run of calls faults their pages in once.
+    lists: SurvivorLists,
+    /// [`HINT_SCALE`] times the last sampled cutoff, if the last call drew
+    /// one.
+    hint: Option<f32>,
+    /// What the offered fold sink gathered.
+    fold: Fold,
+    counts: FusedCounts,
+}
+
+impl fmt::Debug for Kept {
+    /// The lists' capacity, not their contents: those are the last call's
+    /// scratch.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SurvivorLists")
-            .field("capacity", &self.mags.capacity())
+        f.debug_struct("Kept")
+            .field("capacity", &self.lists.vals.capacity())
+            .field("hint", &self.hint)
+            .field("counts", &self.counts)
             .finish_non_exhaustive()
     }
 }
 
-/// The magnitudes `>= cutoff` of a tensor, in original order, each with its
-/// source index: what one compaction pass leaves for the search and the
-/// selection to work on.
+/// A fold sink's view of the tensor being folded: `Σ|x|` and `max|x|` in
+/// block order, the strided sample, and — in the kept lists — every
+/// magnitude at or above the hint.
+#[derive(Default)]
+struct Fold {
+    /// Set when the sink is offered, cleared by the next selection.
+    offered: bool,
+    /// Set when the sink is offered, cleared by the next selection or by a
+    /// piece the sink cannot take.
+    armed: bool,
+    /// Address of the folded tensor's first element, and its length.
+    base: usize,
+    d: usize,
+    /// Offset the next piece must start at: `d` once the fold is whole.
+    next: usize,
+    hint: f32,
+    total: f32,
+    top: f32,
+    /// The strided sample's magnitudes, in [`Source::sample_into`]'s order.
+    sample: Vec<f32>,
+}
+
+/// A whole fold's statistics, as the selection takes them.
+#[derive(Clone, Copy)]
+struct Folded {
+    hint: f32,
+    a_mean: f32,
+    u: f32,
+}
+
+impl Fold {
+    fn arm(&mut self, d: usize, hint: f32) {
+        *self = Self {
+            offered: true,
+            armed: true,
+            base: 0,
+            d,
+            next: 0,
+            hint,
+            total: 0.0,
+            top: 0.0,
+            sample: std::mem::take(&mut self.sample),
+        };
+        self.sample.resize(SAMPLE_LEN, 0.0);
+    }
+
+    /// Whether a sink was offered since the last selection, and the fold's
+    /// statistics if it is whole and of the tensor `source` selects from;
+    /// clears the offer either way.
+    fn take<'a>(&mut self, source: &Source<'a>) -> (bool, Option<(&'a [f32], Folded)>) {
+        let offered = std::mem::replace(&mut self.offered, false);
+        let armed = std::mem::replace(&mut self.armed, false);
+        let &Source::Plain(x) = source else {
+            return (offered, None);
+        };
+        let whole = self.next == self.d && x.len() == self.d && x.as_ptr() as usize == self.base;
+        let folded = Folded {
+            hint: self.hint,
+            a_mean: self.total / self.d as f32,
+            u: self.top,
+        };
+        (offered, (armed && whole).then_some((x, folded)))
+    }
+}
+
+impl FoldSink for Kept {
+    /// One [`ops::add_sum_drain_abs_stats_compact`] per block: the pieces
+    /// must be whole [`ops::REDUCE_BLOCK`]s in order (the last may be
+    /// short), so the block partials combine into `mean_abs` and `max_abs`
+    /// bitwise. Any other piece disarms the fold, which then goes on as a
+    /// plain [`ops::add_sum_drain`].
+    fn fold(&mut self, at: usize, acc: &mut [f32], x: &mut [f32], y: &[f32]) {
+        let f = &mut self.fold;
+        let end = at + acc.len();
+        let whole_block = acc.len() == ops::REDUCE_BLOCK || end == f.d;
+        let in_order = at == f.next && at.is_multiple_of(ops::REDUCE_BLOCK) && end <= f.d;
+        f.armed &= acc.is_empty() || (in_order && whole_block);
+        if !f.armed || acc.is_empty() {
+            ops::add_sum_drain(acc, x, y);
+            return;
+        }
+        if at == 0 {
+            f.base = acc.as_ptr() as usize;
+        }
+        let lists = &mut self.lists;
+        let (sum, max) = ops::add_sum_drain_abs_stats_compact(
+            acc,
+            x,
+            y,
+            at,
+            f.hint,
+            &mut lists.vals,
+            &mut lists.idx,
+        );
+        f.total += sum;
+        f.top = f.top.max(max);
+        f.next = end;
+        // The sample runs this piece holds (a run may straddle two).
+        let stride = f.d / SAMPLE_LINES;
+        let first = (at + 1).saturating_sub(SAMPLE_RUN).div_ceil(stride);
+        for line in first..SAMPLE_LINES {
+            let start = line * stride;
+            if start >= end {
+                break;
+            }
+            let (lo, hi) = (start.max(at), end.min(start + SAMPLE_RUN));
+            let slots = &mut f.sample[line * SAMPLE_RUN + lo - start..][..hi - lo];
+            for (s, v) in slots.iter_mut().zip(&acc[lo - at..hi - at]) {
+                *s = v.abs();
+            }
+        }
+    }
+}
+
+/// The elements of a tensor whose magnitude is `>= cutoff`, in original
+/// order, each with its source index: what one compaction pass leaves for
+/// the search and the selection to work on. The values keep their signs,
+/// so the selection reads its values here; the search compares `|v|`.
 struct Survivors<'a> {
-    /// Compacted magnitudes, in input order.
-    mags: &'a [f32],
-    /// `idx[p]` is the source index of `mags[p]`.
+    /// Compacted values, in input order.
+    vals: &'a [f32],
+    /// `idx[p]` is the source index of `vals[p]`.
     idx: &'a [u32],
-    /// The cutoff the buffer was compacted at: `mags` covers every
+    /// The cutoff the buffer was compacted at: `vals` covers every
     /// magnitude `>= cutoff` and nothing below it.
     cutoff: f32,
 }
@@ -552,17 +830,18 @@ impl<'a> Survivors<'a> {
         cutoff: f32,
         pass: impl FnOnce(&mut Vec<f32>, &mut Vec<u32>) -> T,
     ) -> (Self, T) {
-        lists.mags.clear();
-        lists.idx.clear();
-        lists.mags.reserve_exact(d);
-        lists.idx.reserve_exact(d);
-        let out = pass(&mut lists.mags, &mut lists.idx);
-        let s = Self {
-            mags: &lists.mags,
+        lists.clear_for(d);
+        let out = pass(&mut lists.vals, &mut lists.idx);
+        (Self::of(lists, cutoff), out)
+    }
+
+    /// The lists as they stand, covering every magnitude `>= cutoff`.
+    fn of(lists: &'a SurvivorLists, cutoff: f32) -> Self {
+        Self {
+            vals: &lists.vals,
             idx: &lists.idx,
             cutoff,
-        };
-        (s, out)
+        }
     }
 
     /// The count a probe at `thres` observes for `count_ge(x, thres)` of
@@ -614,8 +893,8 @@ fn gallop_compact<'a>(
     // below `a_mean + 0`). Either way the buffer covers every magnitude
     // any remaining probe or the selection scan can touch.
     let cutoff = a_mean + bracket.l * (u - a_mean);
-    let (s, ()) = Survivors::compact(lists, x.len(), cutoff, |mags, idx| {
-        ops::compact_ge(x, cutoff, mags, idx)
+    let (s, ()) = Survivors::compact(lists, x.len(), cutoff, |vals, idx| {
+        ops::compact_ge(x, cutoff, vals, idx)
     });
     (s, consumed)
 }
@@ -649,7 +928,7 @@ fn search_survivors(
     while consumed < samplings && consumed < GALLOP_MAX && bracket.l == 0.0 {
         let ratio = bracket.midpoint();
         let thres = a_mean + ratio * (u - a_mean);
-        let nnz = s.probe_count(thres, d, || ops::count_ge(s.mags, thres));
+        let nnz = s.probe_count(thres, d, || ops::count_ge(s.vals, thres));
         bracket.observe(nnz, thres, ratio, k);
         consumed += 1;
     }
@@ -663,7 +942,7 @@ fn search_survivors(
     // `2^GALLOP_MAX`, so the sub-grid ratios below stay exact.
     let (rl, rr) = (bracket.l, bracket.r);
     let lo_val = a_mean + rl * (u - a_mean);
-    let survivors = s.mags;
+    let survivors = s.vals;
 
     // Depth: no deeper than the probe count, the exactness cap, or a bucket
     // count comparable to the survivor count (finer buys nothing).
@@ -704,15 +983,16 @@ fn search_survivors(
     // NaN, which the cast maps to 0 and the fix-up walk resolves; the
     // counts stay exact.)
     // lint:allow(panic_free, reason = "bounds always has buckets+1 >= 2 boundary entries by construction of the histogram grid")
-    let guess_scale = buckets as f32 / (bounds[buckets] - bounds[0]);
+    let (first, last) = (bounds[0], bounds[buckets]);
+    let guess_scale = buckets as f32 / (last - first);
     let mut counts = vec![0u32; buckets];
     let mut keys = [0u16; SCAN_CHUNK];
     for chunk in survivors.chunks(SCAN_CHUNK) {
-        for (kk, &m) in keys.iter_mut().zip(chunk) {
-            // lint:allow(panic_free, reason = "bounds always has buckets+1 >= 2 boundary entries by construction of the histogram grid")
-            *kk = (((m - bounds[0]) * guess_scale) as i32).clamp(0, buckets as i32 - 1) as u16;
+        for (kk, &v) in keys.iter_mut().zip(chunk) {
+            *kk = (((v.abs() - first) * guess_scale) as i32).clamp(0, buckets as i32 - 1) as u16;
         }
-        for (&kk, &m) in keys.iter().zip(chunk) {
+        for (&kk, &v) in keys.iter().zip(chunk) {
+            let m = v.abs();
             if m < lo_val {
                 continue;
             }
@@ -774,11 +1054,15 @@ fn search_survivors(
         // hit.
         let mut cell_m: Vec<f32> = Vec::with_capacity((counts[cell] as usize).min(survivors.len()));
         for chunk in survivors.chunks(SCAN_CHUNK) {
-            let hits: usize = chunk.iter().map(|&m| usize::from(m >= lo && m < hi)).sum();
+            let hits: usize = chunk
+                .iter()
+                .map(|&v| usize::from(v.abs() >= lo && v.abs() < hi))
+                .sum();
             if hits == 0 {
                 continue;
             }
-            for &m in chunk {
+            for &v in chunk {
+                let m = v.abs();
                 if m >= lo && m < hi {
                     cell_m.push(m);
                 }
@@ -806,8 +1090,8 @@ pub fn mstopk_with_rng(
     samplings: usize,
     rng: &mut StdRng,
 ) -> (SparseGrad, MsTopKStats) {
-    let lists = &mut SurvivorLists::default();
-    let (selection, stats, _) = mstopk_impl(Source::Plain(x), k, samplings, rng, lists);
+    let kept = &mut Kept::default();
+    let (selection, stats, _) = mstopk_impl(Source::Plain(x), k, samplings, rng, kept);
     (selection, stats)
 }
 
@@ -846,26 +1130,12 @@ impl<'a> Source<'a> {
         }
     }
 
-    /// The compaction cutoff a strided sample of the (accumulated)
-    /// magnitudes suggests for selecting `k`: the value about
-    /// `SAMPLE_KEEP·k` elements are expected to reach. `None` when sampling
-    /// cannot pay off — the input is below [`SAMPLE_FLOOR`] — or the sample
-    /// itself says the cutoff is useless: it does not clear the sample's
-    /// mean (`k` too dense, a mostly-zero tensor, NaNs), where compacting at
-    /// the mean, which no probe can undercut, keeps less.
-    fn sampled_cutoff(&self, k: usize) -> Option<f32> {
-        let d = self.len();
-        if d < SAMPLE_FLOOR {
-            return None;
-        }
-        // Rank of the cutoff among the samples, counted from the largest.
-        let keep = SAMPLE_KEEP as u64 * k as u64 * SAMPLE_LEN as u64;
-        let rank = (keep.div_ceil(d as u64) as usize).max(SAMPLE_MIN_RANK);
-        if rank > SAMPLE_LEN {
-            return None;
-        }
-        let stride = d / SAMPLE_LINES;
-        let mut sample = Vec::with_capacity(SAMPLE_LEN);
+    /// Fills `sample` with the magnitudes of the (accumulated) tensor at
+    /// the strided sample's positions, run by run. Requires
+    /// `self.len() >= SAMPLE_FLOOR`.
+    fn sample_into(&self, sample: &mut Vec<f32>) {
+        let stride = self.len() / SAMPLE_LINES;
+        sample.clear();
         for line in 0..SAMPLE_LINES {
             let run = line * stride..line * stride + SAMPLE_RUN;
             match self {
@@ -878,9 +1148,6 @@ impl<'a> Source<'a> {
                 ),
             }
         }
-        let mean = ops::mean_abs(&sample);
-        let (_, cutoff, _) = sample.select_nth_unstable_by(rank - 1, |a, b| b.total_cmp(a));
-        (*cutoff > mean).then_some(*cutoff)
     }
 
     /// The tensor to select from, accumulated (if at all) as a pass of its
@@ -906,14 +1173,14 @@ impl<'a> Source<'a> {
         let d = self.len();
         match self {
             Source::Plain(x) => {
-                let (s, (a_mean, u)) = Survivors::compact(lists, d, cutoff, |mags, idx| {
-                    ops::abs_stats_compact(x, cutoff, mags, idx)
+                let (s, (a_mean, u)) = Survivors::compact(lists, d, cutoff, |vals, idx| {
+                    ops::abs_stats_compact(x, cutoff, vals, idx)
                 });
                 (x, a_mean, u, s)
             }
             Source::Accumulate { acc, grad } => {
-                let (s, (a_mean, u)) = Survivors::compact(lists, d, cutoff, |mags, idx| {
-                    ops::add_assign_abs_stats_compact(acc, grad, cutoff, mags, idx)
+                let (s, (a_mean, u)) = Survivors::compact(lists, d, cutoff, |vals, idx| {
+                    ops::add_assign_abs_stats_compact(acc, grad, cutoff, vals, idx)
                 });
                 (acc, a_mean, u, s)
             }
@@ -921,35 +1188,88 @@ impl<'a> Source<'a> {
     }
 }
 
+/// Rank, counted from the largest, of the compaction cutoff among the
+/// samples for selecting `k` of `d`: the sample count expected at or above
+/// the `k`-th magnitude plus [`SAMPLE_SIGMAS`] binomial deviations, at
+/// least [`SAMPLE_MIN_RANK`]. `None` when sampling cannot pay off: the
+/// input is below [`SAMPLE_FLOOR`], or `k` is so dense that the rank runs
+/// past the sample.
+fn cutoff_rank(k: usize, d: usize) -> Option<usize> {
+    if d < SAMPLE_FLOOR {
+        return None;
+    }
+    let r = k as f64 * SAMPLE_LEN as f64 / d as f64;
+    let rank = ((r + SAMPLE_SIGMAS * r.sqrt()).ceil() as usize).max(SAMPLE_MIN_RANK);
+    (rank <= SAMPLE_LEN).then_some(rank)
+}
+
+/// The compaction cutoff a sample suggests: its `rank`-th largest
+/// magnitude, unless that does not clear the sample's mean (`k` too dense,
+/// a mostly-zero tensor, NaNs), where compacting at the mean, which no
+/// probe can undercut, keeps less. Reorders `sample`.
+fn sampled_cutoff(sample: &mut [f32], rank: usize) -> Option<f32> {
+    let mean = ops::mean_abs(sample);
+    let (_, cutoff, _) = sample.select_nth_unstable_by(rank - 1, |a, b| b.total_cmp(a));
+    (*cutoff > mean).then_some(*cutoff)
+}
+
 fn mstopk_impl(
     source: Source<'_>,
     k: usize,
     samplings: usize,
     rng: &mut StdRng,
-    lists: &mut SurvivorLists,
+    kept: &mut Kept,
 ) -> (SparseGrad, MsTopKStats, Work) {
     let d = source.len();
     let k = k.min(d);
+    let (offered, folded) = kept.fold.take(&source);
 
     // Lines 1–3: `mean|x|` and `max|x|` of the (accumulated) tensor — the
     // statistics the naive path computes, bit for bit. When a search
     // follows and a sampled cutoff is on offer, one pass does all of it
-    // and compacts the survivors on the way.
+    // and compacts the survivors on the way — or the fold that produced
+    // the tensor already did, and left the sample and the survivors at or
+    // above its hint behind.
     let searches = 0 < k && k < d && samplings > 0;
-    let cutoff = if searches {
-        source.sampled_cutoff(k)
-    } else {
-        None
-    };
-    let (x, a_mean, u, seed, mean_max) = match cutoff {
-        Some(cutoff) => {
-            let (x, a_mean, u, s) = source.compacted(cutoff, lists);
+    let rank = if searches { cutoff_rank(k, d) } else { None };
+    let cutoff = rank.and_then(|rank| {
+        if folded.is_none() {
+            source.sample_into(&mut kept.fold.sample);
+        }
+        sampled_cutoff(&mut kept.fold.sample, rank)
+    });
+    kept.hint = cutoff.map(|c| c * HINT_SCALE);
+    let mut hit = false;
+    let (x, a_mean, u, seed, mean_max) = match (cutoff, folded) {
+        (Some(cutoff), Some((x, f))) => {
+            let lists = &mut kept.lists;
+            let listed = lists.vals.len();
+            // A hint at or below the cutoff listed a superset of what the
+            // cutoff keeps; one above it listed fewer, which still seed the
+            // search if they are more than `k`. Otherwise sweep again.
+            let (cutoff, swept) = if f.hint <= cutoff {
+                lists.retain_ge(cutoff);
+                (cutoff, 0)
+            } else if listed > k {
+                (f.hint, 0)
+            } else {
+                lists.clear_for(d);
+                ops::compact_ge(x, cutoff, &mut lists.vals, &mut lists.idx);
+                (cutoff, d)
+            };
+            hit = swept == 0;
+            let s = Survivors::of(lists, cutoff);
+            (x, f.a_mean, f.u, Some(s), listed + swept)
+        }
+        (Some(cutoff), None) => {
+            let (x, a_mean, u, s) = source.compacted(cutoff, &mut kept.lists);
             (x, a_mean, u, Some(s), SAMPLE_LEN + d)
         }
-        None => {
+        (None, _) => {
             let adds = usize::from(matches!(source, Source::Accumulate { .. }));
             let x = source.accumulated();
             if let Some((selection, stats)) = trivial_selection(x, d, k) {
+                kept.counts.misses += u64::from(offered);
                 return (selection, stats, Work::default());
             }
             // The max only feeds the search.
@@ -963,16 +1283,17 @@ fn mstopk_impl(
     let mut bracket = Bracket::new(d);
     let mut survivors = None;
     let mut search = 0usize;
+    let mut repaired = false;
     if samplings > 0 {
         if u > a_mean {
             // A sampled seed stands only if it kept more than `k`: that is
             // what lets a probe below its cutoff go uncounted. Otherwise
             // the sample missed and the gallop finds a wall to compact at.
-            let (s, consumed) = match seed.filter(|s| s.mags.len() > k) {
+            let (s, consumed) = match seed.filter(|s| s.vals.len() > k) {
                 Some(s) => (s, 0),
                 None => {
                     let (s, consumed) =
-                        gallop_compact(x, k, samplings, a_mean, u, &mut bracket, lists);
+                        gallop_compact(x, k, samplings, a_mean, u, &mut bracket, &mut kept.lists);
                     search += (consumed + 1) * d;
                     (s, consumed)
                 }
@@ -984,8 +1305,9 @@ fn mstopk_impl(
                 // real one.
                 bracket.k2 = ops::count_ge(x, bracket.thres2);
                 search += d;
+                repaired = true;
             }
-            search += s.mags.len();
+            search += s.vals.len();
             survivors = Some(s);
         } else if u == a_mean {
             // Degenerate grid: every probe threshold collapses to
@@ -1011,11 +1333,15 @@ fn mstopk_impl(
     // unset it is 0.0, which qualifies only in the all-magnitudes-survive
     // case `cutoff == 0`.
     let accel = survivors.as_ref().filter(|s| bracket.thres2 >= s.cutoff);
+    let counts = &mut kept.counts;
+    counts.hits += u64::from(offered && hit);
+    counts.misses += u64::from(offered && !hit);
+    counts.rescans += u64::from(repaired) + u64::from(survivors.is_some() && accel.is_none());
     let work = Work {
         mean_max,
         search,
-        survivors: survivors.as_ref().map_or(0, |s| s.mags.len()),
-        selection: accel.map_or(d, |s| s.mags.len()),
+        survivors: survivors.as_ref().map_or(0, |s| s.vals.len()),
+        selection: accel.map_or(d, |s| s.vals.len()),
     };
     let (selection, stats) = finish_selection(x, d, k, &bracket, samplings, rng, accel);
     (selection, stats, work)
@@ -1221,7 +1547,15 @@ mod tests {
         let k = BIG / 100;
         let (_, _, work) = MsTopK::new(30, 7).select(Source::Plain(&x), k);
         assert_eq!(work.mean_max, SAMPLE_LEN + BIG);
-        assert!(work.survivors > k && work.survivors < 2 * SAMPLE_KEEP * k);
+        // The survivors sit a few binomial deviations above `k`: at the
+        // cutoff rank's share of the tensor, give or take the sample's
+        // spread.
+        let rank = cutoff_rank(k, BIG).unwrap();
+        let keep = rank * BIG / SAMPLE_LEN;
+        assert!(
+            work.survivors > k && work.survivors < keep + (keep - k),
+            "{work:?}"
+        );
         assert_eq!(work.search, work.survivors);
         assert_eq!(work.selection, work.survivors);
     }
@@ -1240,8 +1574,8 @@ mod tests {
             grad: &grad,
         };
         let mut rng = StdRng::seed_from_u64(5);
-        let lists = &mut SurvivorLists::default();
-        let (sel, stats, work) = mstopk_impl(source, k, 30, &mut rng, lists);
+        let kept = &mut Kept::default();
+        let (sel, stats, work) = mstopk_impl(source, k, 30, &mut rng, kept);
 
         let units = work.mean_max + work.search + work.selection;
         let passes = units as f64 / BIG as f64;
@@ -1290,10 +1624,16 @@ mod tests {
 
     /// Named input families for the differential tests.
     fn family(name: &str, d: usize) -> Vec<f32> {
+        family_at(name, d, 0)
+    }
+
+    /// [`family`] drawn from the hash stream `salt`.
+    fn family_at(name: &str, d: usize, salt: u64) -> Vec<f32> {
         let stride = d / SAMPLE_LINES;
+        let salt = salt.wrapping_mul(0xD1B5_4A32_D192_ED03);
         (0..d)
             .map(|i| {
-                let h = mix(i as u64);
+                let h = mix(i as u64 ^ salt);
                 let sign = if h & 1 == 0 { 1.0f32 } else { -1.0 };
                 // (0, 1], 24 bits.
                 let u = ((h >> 40) + 1) as f32 / (1u64 << 24) as f32;
@@ -1525,8 +1865,8 @@ mod tests {
                         acc: &mut acc,
                         grad: &x,
                     };
-                    let lists = &mut SurvivorLists::default();
-                    let (sel, stats, _) = mstopk_impl(source, k, samplings, &mut rng, lists);
+                    let kept = &mut Kept::default();
+                    let (sel, stats, _) = mstopk_impl(source, k, samplings, &mut rng, kept);
                     assert_same(&(sel, stats), &want, &format!("accumulated {what}"));
                     assert_eq!(rng, naive.rng, "rng state diverged: accumulated {what}");
                     assert_eq!(bits(&acc), bits(&summed), "accumulator: {what}");
@@ -1574,9 +1914,9 @@ mod tests {
                     1 => {
                         // Kept lists change no stage's work either.
                         let (sel, stats, work) = op.select(Source::Plain(x), k);
-                        let lists = &mut SurvivorLists::default();
+                        let kept = &mut Kept::default();
                         let (want_sel, want_stats, want_work) =
-                            mstopk_impl(Source::Plain(x), k, 30, &mut rng, lists);
+                            mstopk_impl(Source::Plain(x), k, 30, &mut rng, kept);
                         assert_eq!(work, want_work, "{what}");
                         (sel, Some(stats), (want_sel, want_stats))
                     }
@@ -1593,13 +1933,124 @@ mod tests {
                 assert_same(&(sel, stats.unwrap_or(want.1)), &want, &what);
                 assert_eq!(op.rng, rng, "rng state diverged: {what}");
             }
-            let capacity = (op.lists.mags.capacity(), op.lists.idx.capacity());
+            let lists = &op.kept.lists;
+            let capacity = (lists.vals.capacity(), lists.idx.capacity());
             assert!(capacity.0 >= BIG && capacity.1 >= BIG, "round {round}");
             assert_eq!(
                 *warm.get_or_insert(capacity),
                 capacity,
                 "round {round} grew"
             );
+        }
+    }
+
+    /// The spread the cutoff rank allows for: over many seeds, at both
+    /// trained densities, on the two families without hostile structure,
+    /// the sample never keeps `k` or fewer (no gallop back to the tensor),
+    /// the search never needs a `k2` repair, and the finish is served by
+    /// the survivors — no pass over the tensor after the sweep.
+    #[test]
+    fn the_sampling_margin_holds_across_seeds() {
+        for name in ["heavy-tailed", "layered"] {
+            for seed in 0..200 {
+                let x = family_at(name, BIG, seed + 1);
+                for k in [BIG / 100, BIG / 1000] {
+                    let mut op = MsTopK::new(30, seed);
+                    let (_, _, work) = op.select(Source::Plain(&x), k);
+                    let what = format!("{name} seed {seed} k {k}: {work:?}");
+                    assert!(work.survivors > k, "{what}");
+                    assert_eq!(work.search, work.survivors, "a pass back: {what}");
+                    assert_eq!(work.selection, work.survivors, "{what}");
+                    assert_eq!(op.fused_counts().rescans, 0, "{what}");
+                }
+            }
+        }
+    }
+
+    /// Folds `x + y` into `acc` as HiTopKComm's last hop does, `piece`
+    /// elements per call, through `op`'s sink if it offers one; returns
+    /// whether it did.
+    fn fold_through(
+        op: &mut MsTopK,
+        acc: &mut [f32],
+        x: &mut [f32],
+        y: &[f32],
+        piece: usize,
+    ) -> bool {
+        let d = acc.len();
+        let Some(sink) = op.fold_sink(d) else {
+            ops::add_sum_drain(acc, x, y);
+            return false;
+        };
+        for at in (0..d).step_by(piece) {
+            let end = d.min(at + piece);
+            sink.fold(at, &mut acc[at..end], &mut x[at..end], &y[at..end]);
+        }
+        true
+    }
+
+    /// Error feedback round after round through the fold sink: each
+    /// selection is the naive operator's on the staged sum — selection,
+    /// statistics, RNG state — whether the sink was not offered (first
+    /// call), hit (no pass before the search), missed because the
+    /// tensor's magnitudes fell a thousandfold under the hint, was fed
+    /// pieces off the block grid, or was followed by a selection on a copy
+    /// of the folded tensor; and the counts say which.
+    #[test]
+    fn a_fused_sweep_selects_the_separate_sweeps_bits() {
+        const BLOCK: usize = ops::REDUCE_BLOCK;
+        // (what, input scale, piece, select from a copy, hit, miss)
+        let rounds = [
+            ("no hint yet", 1.0f32, BLOCK, false, 0, 0),
+            ("hit", 1.0, BLOCK, false, 1, 0),
+            ("hit", 1.0, BLOCK, false, 1, 0),
+            ("overshot hint", 1e-3, BLOCK, false, 0, 1),
+            ("pieces off the grid", 1.0, 3 * BLOCK / 2, false, 0, 1),
+            ("a copy selected", 1.0, BLOCK, true, 0, 1),
+            ("hit again", 1.0, BLOCK, false, 1, 0),
+        ];
+        let d = BIG;
+        let k = d / 100;
+        let mut op = MsTopK::new(30, 17);
+        let mut naive = MsTopKNaive::new(30, 17);
+        let mut acc = vec![0.0f32; d];
+        let mut want_acc = acc.clone();
+        for (round, &(what, scale, piece, copy, hit, miss)) in rounds.iter().enumerate() {
+            let what = format!("round {round}, {what}");
+            let scaled = |salt| -> Vec<f32> {
+                let v = family_at("heavy-tailed", d, salt);
+                v.into_iter().map(|v| v * scale).collect()
+            };
+            let (mut x, y) = (scaled(2 * round as u64 + 1), scaled(2 * round as u64 + 2));
+            let mut sum = x.clone();
+            ops::add_assign(&mut sum, &y);
+            ops::add_assign(&mut want_acc, &sum);
+            let offered = fold_through(&mut op, &mut acc, &mut x, &y, piece);
+            assert_eq!(offered, round > 0, "{what}");
+            assert_eq!(bits(&acc), bits(&want_acc), "fold, {what}");
+            assert!(x.iter().all(|v| v.to_bits() == 0), "drain, {what}");
+
+            let before = op.fused_counts();
+            let copied = acc.clone();
+            let from = if copy { &copied } else { &acc };
+            let (sel, stats, work) = op.select(Source::Plain(from), k);
+            let want = naive.select_with_stats(&want_acc, k);
+            assert_same(&(sel.clone(), stats), &want, &what);
+            assert_eq!(op.rng, naive.rng, "rng state diverged: {what}");
+            let after = op.fused_counts();
+            assert_eq!(after.hits - before.hits, hit, "hits, {what}");
+            assert_eq!(after.misses - before.misses, miss, "misses, {what}");
+            assert_eq!(after.rescans, 0, "{what}");
+            if hit == 1 {
+                // The pass-count pin: a hit streams no sample and no tensor
+                // before the search, only the fold's provisional list.
+                assert!(work.mean_max < SAMPLE_LEN, "{what}: {work:?}");
+                assert!(work.mean_max >= work.survivors, "{what}: {work:?}");
+            } else {
+                assert!(work.mean_max >= d, "{what}: {work:?}");
+            }
+            ops::zero_at(&mut acc, &sel.indices);
+            ops::zero_at(&mut want_acc, &sel.indices);
         }
     }
 

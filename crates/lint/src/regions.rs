@@ -73,11 +73,48 @@ fn match_pairs(tokens: &[Token], open: char, close: char) -> Vec<usize> {
 }
 
 /// Whether the attribute tokens between `[` and its matching `]` mark test
-/// code: `cfg(test)` / `cfg_attr(test, ..)` or a bare `#[test]`.
+/// code: a bare `#[test]`, or `cfg` / `cfg_attr` whose predicate holds only
+/// under test — `test` itself or `all(.., test, ..)`. A predicate that can
+/// hold outside tests (`not(test)`, `any(test, ..)`) marks production code.
 fn is_test_attr(tokens: &[Token]) -> bool {
-    let has = |name: &str| tokens.iter().any(|t| is_ident(t, name));
-    let has_cfg = has("cfg") || has("cfg_attr");
-    has("test") && (has_cfg || tokens.len() == 1)
+    match tokens {
+        [t] => is_ident(t, "test"),
+        [attr, open, pred @ ..] if is_punct(open, '(') => {
+            (is_ident(attr, "cfg") || is_ident(attr, "cfg_attr")) && predicate_needs_test(pred)
+        }
+        _ => false,
+    }
+}
+
+/// Whether the `cfg` predicate at the head of `tokens` — ended by `,` or
+/// `)` — is `test`, or an `all(..)` with `test` among its arguments.
+fn predicate_needs_test(tokens: &[Token]) -> bool {
+    match tokens {
+        [t, end, ..] if is_ident(t, "test") => is_punct(end, ',') || is_punct(end, ')'),
+        [all, open, args @ ..] if is_ident(all, "all") && is_punct(open, '(') => {
+            // Arguments at the `all(..)` depth, up to its closing paren.
+            let mut depth = 0usize;
+            let mut at_arg = true;
+            for (i, t) in args.iter().enumerate() {
+                if depth == 0 && at_arg && predicate_needs_test(&args[i..]) {
+                    return true;
+                }
+                at_arg = false;
+                if is_punct(t, '(') {
+                    depth += 1;
+                } else if is_punct(t, ')') {
+                    if depth == 0 {
+                        return false;
+                    }
+                    depth -= 1;
+                } else if depth == 0 && is_punct(t, ',') {
+                    at_arg = true;
+                }
+            }
+            false
+        }
+        _ => false,
+    }
 }
 
 /// Builds the region table for a token stream.
@@ -258,5 +295,28 @@ mod tests {
         let (tokens, r) = regions_of(src);
         let x = tokens.iter().position(|t| is_ident(t, "x")).unwrap();
         assert!(r.in_test(x));
+    }
+
+    #[test]
+    fn only_predicates_that_need_test_mark_test_code() {
+        for (attr, test) in [
+            ("#[test]", true),
+            ("#[cfg(test)]", true),
+            ("#[cfg_attr(test, allow(dead_code))]", true),
+            ("#[cfg(all(test, unix))]", true),
+            ("#[cfg(all(unix, test))]", true),
+            ("#[cfg(all(unix, all(test, windows)))]", true),
+            ("#[cfg(not(test))]", false),
+            ("#[cfg_attr(not(test), inline)]", false),
+            ("#[cfg(any(test, unix))]", false),
+            ("#[cfg(all(unix, not(test)))]", false),
+            ("#[cfg(feature = \"test\")]", false),
+            ("#[allow(test)]", false),
+        ] {
+            let src = format!("{attr}\nfn f() {{ body(); }}");
+            let (tokens, r) = regions_of(&src);
+            let body = tokens.iter().position(|t| is_ident(t, "body")).unwrap();
+            assert_eq!(r.in_test(body), test, "{attr}");
+        }
     }
 }

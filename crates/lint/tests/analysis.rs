@@ -472,3 +472,21 @@ pub fn reduce_pair_scratch(x: &mut [f32]) { hop_a(); }\n";
     );
     assert!(report.suppressed >= 1);
 }
+
+/// Code compiled outside tests is production code whatever its `cfg`
+/// mentions: `not(test)` and `any(test, ..)` bodies stay under every rule.
+#[test]
+fn cfg_not_test_code_is_not_hidden_from_the_rules() {
+    let src = "\
+pub fn a(v: Option<u8>) -> u8 { v.unwrap() }\n\
+#[cfg(not(test))]\n\
+pub fn b(v: Option<u8>) -> u8 { v.unwrap() }\n\
+#[cfg(any(test, unix))]\n\
+pub fn c(v: Option<u8>) -> u8 { v.unwrap() }\n\
+#[cfg(test)]\n\
+pub fn d(v: Option<u8>) -> u8 { v.unwrap() }\n";
+    let inputs = [input("crates/obs/src/lib.rs", "cloudtrain-obs", src)];
+    let report = run_files(&inputs, &Config::default());
+    let hits = rule_hits(&report, "panic_free");
+    assert_eq!(hits.len(), 3, "{:?}", report.findings);
+}

@@ -11,8 +11,9 @@
 //!
 //! Every kernel exists once, and the blocked floating-point reductions
 //! ([`mean_abs`], [`max_abs`] and the fused statistics-and-compaction
-//! sweeps [`abs_stats_compact`] / [`add_assign_abs_stats_compact`]) follow
-//! one fixed schedule, so a result never depends on how a caller fuses or
+//! sweeps [`abs_stats_compact`] / [`add_assign_abs_stats_compact`], and
+//! [`add_sum_drain_abs_stats_compact`] one block at a time) follow one
+//! fixed schedule, so a result never depends on how a caller fuses or
 //! stages the pass. Across blocks, fixed-width blocks of
 //! [`REDUCE_BLOCK`] elements are folded with per-block partials combined in
 //! block-index order. Within a block, element `i` accumulates into lane
@@ -240,6 +241,26 @@ impl SweepSource for Accumulating<'_> {
     }
 }
 
+/// [`add_sum_drain`]'s `acc[i] += x[i] + y[i]`, `x[i] = 0.0`, applied one
+/// word ahead of the sweep, which reads `acc`.
+struct Draining<'a> {
+    acc: &'a mut [f32],
+    x: &'a mut [f32],
+    y: &'a [f32],
+}
+
+impl SweepSource for Draining<'_> {
+    fn len(&self) -> usize {
+        self.acc.len()
+    }
+
+    fn word(&mut self, range: std::ops::Range<usize>) -> &[f32] {
+        let acc = &mut self.acc[range.clone()];
+        add_sum_drain(acc, &mut self.x[range.clone()], &self.y[range]);
+        acc
+    }
+}
+
 /// Survivors a sweep holds back before appending them to the caller's
 /// vectors: the four-slot copy below writes past the last survivor, which
 /// only a buffer of its own can allow, and appending a few hundred at a time
@@ -247,7 +268,7 @@ impl SweepSource for Accumulating<'_> {
 const STAGE: usize = 4 * WORD;
 
 /// Copies out the elements of `word` whose `member` byte is set — their
-/// magnitudes to `mags`, their indices (`base` + offset) to `idx`, from
+/// values to `vals`, their indices (`base` + offset) to `idx`, from
 /// position `kept` on, which must leave at least a word of room — and
 /// returns the new count.
 ///
@@ -265,7 +286,7 @@ fn keep_members(
     word: &[f32],
     base: usize,
     member: &[u8; WORD],
-    mags: &mut [f32; STAGE],
+    vals: &mut [f32; STAGE],
     idx: &mut [u32; STAGE],
     mut kept: usize,
 ) -> usize {
@@ -280,7 +301,7 @@ fn keep_members(
     for _ in 0..4 {
         // With no bit left this is word[0]: `word` is never empty.
         let b = bits.trailing_zeros() as usize % WORD;
-        mags[kept] = word[b].abs();
+        vals[kept] = word[b];
         idx[kept] = (base + b) as u32;
         kept += usize::from(bits != 0);
         bits &= bits.wrapping_sub(1);
@@ -288,7 +309,7 @@ fn keep_members(
     while bits != 0 {
         let b = bits.trailing_zeros() as usize;
         bits &= bits - 1;
-        mags[kept] = word[b].abs();
+        vals[kept] = word[b];
         idx[kept] = (base + b) as u32;
         kept += 1;
     }
@@ -296,22 +317,25 @@ fn keep_members(
 }
 
 /// The fused sweep behind [`abs_stats_compact`],
-/// [`add_assign_abs_stats_compact`] and [`compact_ge`]: each
-/// [`REDUCE_BLOCK`] is read once, [`WORD`] elements at a time, and each
-/// word feeds the block's canonical lane partials of `Σ|v|` and `max|v|`
-/// (when `STATS`; otherwise the result is `(0, 0)`) and is compacted while
-/// it is in registers and L1.
+/// [`add_assign_abs_stats_compact`], [`add_sum_drain_abs_stats_compact`]
+/// and [`compact_ge`]: each [`REDUCE_BLOCK`] is read once, [`WORD`]
+/// elements at a time, and each word feeds the block's canonical lane
+/// partials of `Σ|v|` and `max|v|` (when `STATS`; otherwise the result is
+/// `(0, 0)`) and is compacted while it is in registers and L1, element `i`
+/// recorded as index `first + i`. Returns the block partials of `Σ|v|`
+/// combined in block order, and `max|v|`.
 fn sweep<const STATS: bool>(
     mut src: impl SweepSource,
+    first: usize,
     cutoff: f32,
-    mags: &mut Vec<f32>,
+    vals: &mut Vec<f32>,
     idx: &mut Vec<u32>,
 ) -> (f32, f32) {
     let d = src.len();
-    debug_assert!(d <= u32::MAX as usize, "indices are u32 repo-wide");
+    debug_assert!(first + d <= u32::MAX as usize, "indices are u32 repo-wide");
     let mut total = 0.0f32;
     let mut top = 0.0f32;
-    let mut staged_mags = [0.0f32; STAGE];
+    let mut staged_vals = [0.0f32; STAGE];
     let mut staged_idx = [0u32; STAGE];
     let mut staged = 0usize;
     for start in (0..d).step_by(REDUCE_BLOCK) {
@@ -349,14 +373,14 @@ fn sweep<const STATS: bool>(
             }
             staged = keep_members(
                 word,
-                base,
+                first + base,
                 &member,
-                &mut staged_mags,
+                &mut staged_vals,
                 &mut staged_idx,
                 staged,
             );
             if staged > STAGE - WORD {
-                mags.extend_from_slice(&staged_mags[..staged]);
+                vals.extend_from_slice(&staged_vals[..staged]);
                 idx.extend_from_slice(&staged_idx[..staged]);
                 staged = 0;
             }
@@ -378,15 +402,23 @@ fn sweep<const STATS: bool>(
         total += block_sum;
         top = top.max(block_max);
     }
-    mags.extend_from_slice(&staged_mags[..staged]);
+    vals.extend_from_slice(&staged_vals[..staged]);
     idx.extend_from_slice(&staged_idx[..staged]);
-    let mean = if d == 0 { 0.0 } else { total / d as f32 };
-    (mean, top)
+    (total, top)
+}
+
+/// `Σ|x|` over `d` elements to [`mean_abs`]'s mean.
+fn mean_of(total: f32, d: usize) -> f32 {
+    if d == 0 {
+        0.0
+    } else {
+        total / d as f32
+    }
 }
 
 /// `(mean_abs(x), max_abs(x))` from one sweep that also appends every
 /// element with `|x[i]| >= cutoff`, in index order, to the survivor lists:
-/// its magnitude to `mags`, its index to `idx`.
+/// its value `x[i]`, sign and all, to `vals`, its index to `idx`.
 ///
 /// The statistics follow the canonical schedule, so they are bitwise those
 /// of [`mean_abs`] and [`max_abs`]; a NaN magnitude stays out of the max and
@@ -396,17 +428,18 @@ fn sweep<const STATS: bool>(
 pub fn abs_stats_compact(
     x: &[f32],
     cutoff: f32,
-    mags: &mut Vec<f32>,
+    vals: &mut Vec<f32>,
     idx: &mut Vec<u32>,
 ) -> (f32, f32) {
-    sweep::<true>(x, cutoff, mags, idx)
+    let (total, top) = sweep::<true>(x, 0, cutoff, vals, idx);
+    (mean_of(total, x.len()), top)
 }
 
 /// [`abs_stats_compact`]'s survivors alone, for a caller that already has
-/// the statistics: appends `|x[i]|` to `mags` and `i` to `idx` for every
+/// the statistics: appends `x[i]` to `vals` and `i` to `idx` for every
 /// `|x[i]| >= cutoff`, in index order.
-pub fn compact_ge(x: &[f32], cutoff: f32, mags: &mut Vec<f32>, idx: &mut Vec<u32>) {
-    sweep::<false>(x, cutoff, mags, idx);
+pub fn compact_ge(x: &[f32], cutoff: f32, vals: &mut Vec<f32>, idx: &mut Vec<u32>) {
+    sweep::<false>(x, 0, cutoff, vals, idx);
 }
 
 /// [`add_assign`] fused into [`abs_stats_compact`]: `y[i] += x[i]`, and the
@@ -419,7 +452,7 @@ pub fn add_assign_abs_stats_compact(
     y: &mut [f32],
     x: &[f32],
     cutoff: f32,
-    mags: &mut Vec<f32>,
+    vals: &mut Vec<f32>,
     idx: &mut Vec<u32>,
 ) -> (f32, f32) {
     assert_eq!(
@@ -427,7 +460,45 @@ pub fn add_assign_abs_stats_compact(
         x.len(),
         "add_assign_abs_stats_compact: length mismatch"
     );
-    sweep::<true>(Accumulating { y, x }, cutoff, mags, idx)
+    let d = y.len();
+    let (total, top) = sweep::<true>(Accumulating { y, x }, 0, cutoff, vals, idx);
+    (mean_of(total, d), top)
+}
+
+/// [`add_sum_drain`] fused into the sweep of one reduction block:
+/// `acc[i] += x[i] + y[i]` and `x[i] = 0.0`, and, of the updated `acc`, the
+/// block's `Σ|acc|` and `max|acc|` partials — what [`mean_abs`] and
+/// [`max_abs`] fold for it — with every `|acc[i]| >= cutoff` appended to the
+/// survivor lists as in [`abs_stats_compact`], its index recorded as
+/// `first + i`. One read of `x` and `y`, one read and one write of `acc`.
+///
+/// For a tensor folded block by block, at offsets `first` that are
+/// multiples of [`REDUCE_BLOCK`], summing the partials in block order from
+/// `0.0` and dividing by the tensor's length gives [`mean_abs`], and
+/// folding the maxima with `f32::max` from `0.0` gives [`max_abs`], bit for
+/// bit.
+///
+/// # Panics
+/// Panics if the slices have different lengths or `acc` is longer than one
+/// [`REDUCE_BLOCK`].
+pub fn add_sum_drain_abs_stats_compact(
+    acc: &mut [f32],
+    x: &mut [f32],
+    y: &[f32],
+    first: usize,
+    cutoff: f32,
+    vals: &mut Vec<f32>,
+    idx: &mut Vec<u32>,
+) -> (f32, f32) {
+    assert!(
+        acc.len() == x.len() && x.len() == y.len(),
+        "add_sum_drain_abs_stats_compact: length mismatch"
+    );
+    assert!(
+        acc.len() <= REDUCE_BLOCK,
+        "add_sum_drain_abs_stats_compact: more than one block"
+    );
+    sweep::<true>(Draining { acc, x, y }, first, cutoff, vals, idx)
 }
 
 /// Counts elements whose absolute value is `>= thres` (Algorithm 1 line 10's
@@ -594,19 +665,19 @@ mod reference {
         x.iter().filter(|v| v.abs() >= thres).count()
     }
 
-    /// What a compaction at `cutoff` keeps, by definition: `|x[i]|` and
+    /// What a compaction at `cutoff` keeps, by definition: `x[i]` and
     /// `i` for every `i` with `|x[i]| >= cutoff`, in index order.
     #[allow(clippy::needless_range_loop)]
     pub fn survivors(x: &[f32], cutoff: f32) -> (Vec<f32>, Vec<u32>) {
-        let mut mags = Vec::new();
+        let mut vals = Vec::new();
         let mut idx = Vec::new();
         for i in 0..x.len() {
             if x[i].abs() >= cutoff {
-                mags.push(x[i].abs());
+                vals.push(x[i]);
                 idx.push(i as u32);
             }
         }
-        (mags, idx)
+        (vals, idx)
     }
 }
 
@@ -803,13 +874,13 @@ mod tests {
             let mut staged = base.clone();
             add_assign(&mut staged, &x);
             let mut fused = base;
-            let (mut mags, mut idx) = (Vec::new(), Vec::new());
+            let (mut vals, mut idx) = (Vec::new(), Vec::new());
             let (mean, max) =
-                add_assign_abs_stats_compact(&mut fused, &x, 0.5, &mut mags, &mut idx);
+                add_assign_abs_stats_compact(&mut fused, &x, 0.5, &mut vals, &mut idx);
             assert_eq!(fused, staged);
             assert_eq!(mean.to_bits(), mean_abs(&staged).to_bits());
             assert_eq!(max.to_bits(), max_abs(&staged).to_bits());
-            assert_eq!((mags, idx), reference::survivors(&staged, 0.5));
+            assert_eq!((vals, idx), reference::survivors(&staged, 0.5));
         }
     }
 
@@ -820,13 +891,13 @@ mod tests {
     fn fused_sweep_appends_to_the_survivor_lists() {
         let x: Vec<f32> = (0..5000).map(|i| ((i * 37) % 101) as f32 - 50.0).collect();
         for cutoff in [0.0f32, 25.0, 49.5, 51.0] {
-            let (mut want_mags, mut want_idx) = (vec![-1.0f32], vec![7u32]);
-            let (more_mags, more_idx) = reference::survivors(&x, cutoff);
-            want_mags.extend(more_mags);
+            let (mut want_vals, mut want_idx) = (vec![-1.0f32], vec![7u32]);
+            let (more_vals, more_idx) = reference::survivors(&x, cutoff);
+            want_vals.extend(more_vals);
             want_idx.extend(more_idx);
-            let (mut mags, mut idx) = (vec![-1.0f32], vec![7u32]);
-            abs_stats_compact(&x, cutoff, &mut mags, &mut idx);
-            assert_eq!(mags, want_mags, "cutoff {cutoff}");
+            let (mut vals, mut idx) = (vec![-1.0f32], vec![7u32]);
+            abs_stats_compact(&x, cutoff, &mut vals, &mut idx);
+            assert_eq!(vals, want_vals, "cutoff {cutoff}");
             assert_eq!(idx, want_idx, "cutoff {cutoff}");
         }
     }
@@ -889,9 +960,9 @@ mod tests {
 
         fn check(x: &[f32], cutoff: f32) {
             let n = x.len();
-            let (want_mags, want_idx) = reference::survivors(x, cutoff);
-            let (mut mags, mut idx) = (Vec::new(), Vec::new());
-            let (mean, max) = abs_stats_compact(x, cutoff, &mut mags, &mut idx);
+            let (want_vals, want_idx) = reference::survivors(x, cutoff);
+            let (mut vals, mut idx) = (Vec::new(), Vec::new());
+            let (mean, max) = abs_stats_compact(x, cutoff, &mut vals, &mut idx);
             let what = format!("d = {n}, cutoff = {cutoff:e}");
             assert_eq!(mean.to_bits(), mean_abs(x).to_bits(), "mean, {what}");
             assert_eq!(mean.to_bits(), reference::mean_abs(x).to_bits(), "{what}");
@@ -900,14 +971,14 @@ mod tests {
             assert!(!max.is_nan(), "a NaN magnitude reached the max, {what}");
             assert_eq!(idx, want_idx, "survivor indices, {what}");
             assert_eq!(
-                bit_vec(&mags),
-                bit_vec(&want_mags),
-                "survivor magnitudes, {what}"
+                bit_vec(&vals),
+                bit_vec(&want_vals),
+                "survivor values, {what}"
             );
-            let (mut mags, mut idx) = (Vec::new(), Vec::new());
-            compact_ge(x, cutoff, &mut mags, &mut idx);
+            let (mut vals, mut idx) = (Vec::new(), Vec::new());
+            compact_ge(x, cutoff, &mut vals, &mut idx);
             assert_eq!(idx, want_idx, "compact_ge indices, {what}");
-            assert_eq!(bit_vec(&mags), bit_vec(&want_mags), "compact_ge, {what}");
+            assert_eq!(bit_vec(&vals), bit_vec(&want_vals), "compact_ge, {what}");
         }
 
         proptest! {
@@ -939,15 +1010,47 @@ mod tests {
                 let mut staged = base.clone();
                 add_assign(&mut staged, &x);
                 let mut fused = base;
-                let (mut mags, mut idx) = (Vec::new(), Vec::new());
+                let (mut vals, mut idx) = (Vec::new(), Vec::new());
                 let (mean, max) =
-                    add_assign_abs_stats_compact(&mut fused, &x, cutoff, &mut mags, &mut idx);
+                    add_assign_abs_stats_compact(&mut fused, &x, cutoff, &mut vals, &mut idx);
                 prop_assert_eq!(bit_vec(&fused), bit_vec(&staged));
                 prop_assert_eq!(mean.to_bits(), mean_abs(&staged).to_bits());
                 prop_assert_eq!(max.to_bits(), max_abs(&staged).to_bits());
-                let (want_mags, want_idx) = reference::survivors(&staged, cutoff);
+                let (want_vals, want_idx) = reference::survivors(&staged, cutoff);
                 prop_assert_eq!(idx, want_idx);
-                prop_assert_eq!(bit_vec(&mags), bit_vec(&want_mags));
+                prop_assert_eq!(bit_vec(&vals), bit_vec(&want_vals));
+
+                // Draining, block by block: `acc += x + y`, `x` zeroed, and
+                // the block partials folded in block order are the
+                // statistics of the sum; the survivors carry their offsets.
+                let y: Vec<f32> = (0..n as u64).map(|i| value(mix(salt ^ !i), rare)).collect();
+                let mut drained = x.clone();
+                add_sum_drain(&mut staged, &mut drained, &y);
+                let mut acc = fused;
+                let mut x = x;
+                let (mut vals, mut idx) = (Vec::new(), Vec::new());
+                let (mut total, mut top) = (0.0f32, 0.0f32);
+                for first in (0..n).step_by(REDUCE_BLOCK) {
+                    let end = n.min(first + REDUCE_BLOCK);
+                    let (sum, max) = add_sum_drain_abs_stats_compact(
+                        &mut acc[first..end],
+                        &mut x[first..end],
+                        &y[first..end],
+                        first,
+                        cutoff,
+                        &mut vals,
+                        &mut idx,
+                    );
+                    total += sum;
+                    top = top.max(max);
+                }
+                prop_assert_eq!(bit_vec(&acc), bit_vec(&staged));
+                prop_assert_eq!(bit_vec(&x), bit_vec(&drained));
+                prop_assert_eq!(mean_of(total, n).to_bits(), mean_abs(&staged).to_bits());
+                prop_assert_eq!(top.to_bits(), max_abs(&staged).to_bits());
+                let (want_vals, want_idx) = reference::survivors(&staged, cutoff);
+                prop_assert_eq!(idx, want_idx);
+                prop_assert_eq!(bit_vec(&vals), bit_vec(&want_vals));
             }
         }
 
