@@ -146,10 +146,14 @@ impl CachedLoader {
         self.stats
     }
 
-    /// Resets the cumulative statistics (e.g. between epochs) without
-    /// touching cache contents.
+    /// Resets the cumulative statistics (e.g. between epochs) — the tier
+    /// counters and the memory tier's hit/miss/eviction counters alike —
+    /// without touching cache contents.
     pub fn reset_stats(&mut self) {
         self.stats = TierStats::default();
+        if let Some(mem) = self.mem.as_mut() {
+            mem.reset_stats();
+        }
     }
 
     /// Loads sample `id`, returning it, the tier that served it, and the
@@ -340,5 +344,30 @@ mod tests {
             "epoch1 {epoch1} should dwarf epoch2 {epoch2}"
         );
         assert_eq!(l.stats().from_memory, 50);
+    }
+
+    #[test]
+    fn reset_stats_resets_the_memory_tier_counters_too() {
+        let mut l = loader("reset", LoaderConfig::default());
+        // Epoch 1 hits, misses and all, then a reset.
+        for id in (0..20).chain(0..10) {
+            l.load(id);
+        }
+        l.reset_stats();
+        for id in (0..30).rev() {
+            l.load(id);
+        }
+        let mut reg = Registry::new();
+        l.publish_obs(&mut reg);
+        let stats = l.stats();
+        assert_eq!((stats.from_memory, stats.from_nfs), (20, 10));
+        assert_eq!(
+            reg.counter("memcache/hits"),
+            reg.counter("cache/from_memory")
+        );
+        assert_eq!(
+            reg.counter("memcache/misses"),
+            reg.counter("cache/from_disk") + reg.counter("cache/from_nfs")
+        );
     }
 }

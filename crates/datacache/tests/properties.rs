@@ -2,7 +2,7 @@
 
 use cloudtrain_datacache::decode::decode;
 use cloudtrain_datacache::loader::{CachedLoader, LoaderConfig, ServedBy};
-use cloudtrain_datacache::memcache::{EvictionPolicy, MemoryCache};
+use cloudtrain_datacache::memcache::MemoryCache;
 use cloudtrain_datacache::nfs::{synth_blob, SyntheticNfs};
 use cloudtrain_datacache::sampler::ShardedSampler;
 use cloudtrain_datacache::timing::CpuModel;
@@ -51,11 +51,10 @@ proptest! {
     }
 
     /// Memory cache never exceeds capacity and a hit always returns what
-    /// was inserted, under an arbitrary put/get workload, both policies.
+    /// was inserted, under an arbitrary put/get workload.
     #[test]
     fn memcache_respects_capacity(
         ops in prop::collection::vec((0u64..20, any::<bool>()), 1..100),
-        lru in any::<bool>(),
     ) {
         let sample = |id: u64| {
             Arc::new(cloudtrain_datacache::decode::Sample {
@@ -64,8 +63,7 @@ proptest! {
             })
         };
         let bytes = sample(0).mem_bytes();
-        let policy = if lru { EvictionPolicy::Lru } else { EvictionPolicy::Fifo };
-        let mut c = MemoryCache::with_policy(3 * bytes, policy);
+        let mut c = MemoryCache::new(3 * bytes);
         for (id, is_put) in ops {
             if is_put {
                 c.put(id, sample(id));

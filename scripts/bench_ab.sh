@@ -23,7 +23,11 @@
 # IQR, `identical` when every pair ties, otherwise `unresolved`. Fewer
 # than 6 pairs never read `gain` or `regression` (nine tenths of one to
 # five pairs is every pair, which chance alone reaches too often): such a
-# metric reads `unresolved (pairs < 6)` unless it ties. The last
+# metric reads `unresolved (pairs < 6)` unless it ties. Separately, every
+# metric prints its median move relative to the base median as a share of
+# that metric's `bound` in BENCHMARK.json (the largest worsening the
+# benchmark tolerates), flagged `beyond bound` when the head median is
+# worse than the base median by more than the bound. The last
 # line is one JSON object: for one workload its medians and verdicts, for
 # `all` a complete row of BENCH_history.jsonl (keyed by the base commit and
 # the optional PR number and title).
@@ -89,7 +93,9 @@ import json, statistics, sys
 
 results, workload, sha, pairs, pr, title, *workloads = sys.argv[1:]
 pairs = int(pairs)
-better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
+end_to_end = json.load(open("BENCHMARK.json"))["end_to_end"]
+better = {m["name"]: m["better"] for m in end_to_end}
+bound = {m["name"]: m["bound"] for m in end_to_end}
 
 def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else [xs[0]] * 3
@@ -110,6 +116,14 @@ def verdict(wins, losses, gap, iqr):
     if gap > iqr and 10 * losses >= 9 * pairs:
         return "regression"
     return "unresolved"
+
+def bound_share(mb, mh, direction, bound):
+    # The median move toward "worse", relative to the base median, as a
+    # share of the bound: > 1 is beyond it, < 0 an improvement.
+    if mb == 0:
+        return None
+    worse = (mh - mb) / mb if direction == "lower" else (mb - mh) / mb
+    return worse / bound
 
 def compare(workload):
     lines = [json.loads(l) for l in open(f"{results}/{workload}") if l.strip()]
@@ -140,14 +154,25 @@ def compare(workload):
         print(f"  head median {mh:.6f}  quartiles [{hl:.6f}, {hu:.6f}]")
         print(f"  head/base of medians {ratio} (base {mb:.6f}); median gap {abs(mh - mb):.6f} vs base IQR {bu - bl:.6f}")
         print(f"  verdict: {v}")
+        share = bound_share(mb, mh, direction, bound[name])
+        beyond = share is not None and share > 1
+        if share is None:
+            print(f"  median move: n/a (base median 0); bound {bound[name]:.0%}")
+        else:
+            move = (mh - mb) / mb
+            side = "worse" if share > 0 else "better" if share < 0 else "unmoved"
+            flag = "  beyond bound" if beyond else ""
+            print(f"  median move {move:+.2%} ({side}) = {abs(share):.3f} of its bound {bound[name]:.0%}{flag}")
         metrics[name] = {"base_median": mb, "head_median": mh, "base_iqr": bu - bl,
-                         "wins": wins, "ties": ties, "verdict": v}
+                         "wins": wins, "ties": ties, "verdict": v,
+                         "bound_share": share, "beyond_bound": beyond}
     print()
     return metrics
 
 rows = {w: {"pairs": pairs, "metrics": compare(w)} for w in workloads}
 for w, row in rows.items():
-    print(f"{w}: " + "  ".join(f"{m}={r['verdict']}" for m, r in row["metrics"].items()))
+    print(f"{w}: " + "  ".join(f"{m}={r['verdict']}" + (" (beyond bound)" if r["beyond_bound"] else "")
+                              for m, r in row["metrics"].items()))
 print()
 if workload == "all":
     print(json.dumps({
