@@ -7,6 +7,11 @@
 //! to `BENCH_topk.json` (or the path given as the first argument). The
 //! acceptance bar for the PR is a >= 5x histogram speedup at d = 25M.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark binary times real kernels by design; its output is a measurement, never a trace"
+)]
+
 use cloudtrain::compress::{Compressor, MsTopK, MsTopKNaive, SparseGrad};
 use cloudtrain::tensor::init;
 use cloudtrain_bench::{fmt_secs, header};

@@ -18,6 +18,11 @@
 //!
 //! Usage: `e2e_snapshot [out.json]`.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark binary times real kernels by design; its output is a measurement, never a trace"
+)]
+
 use cloudtrain::prelude::*;
 use cloudtrain_bench::{fmt_secs, header};
 use serde::Serialize;
@@ -187,10 +192,7 @@ fn main() {
     }
 
     let fusion_speedup = {
-        let get = |name: &str| {
-            // lint:allow(panic_free, reason = "every name queried here is a literal from cases(), so the row always exists")
-            steps_per_sec(&configs, name).expect("config row missing")
-        };
+        let get = |name: &str| steps_per_sec(&configs, name).expect("config row missing");
         get("dense_costmodel") / get("dense_perlayer")
     };
     let snapshot = Snapshot {

@@ -9,6 +9,11 @@
 //! * **real CPU wall time** of this crate's implementations on smaller
 //!   sizes, confirming the same ordering holds mechanically.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark binary times real kernels by design; its output is a measurement, never a trace"
+)]
+
 use cloudtrain::compress::dgc::Dgc;
 use cloudtrain::compress::exact::SortTopK;
 use cloudtrain::compress::gpu_cost::{dgc_cost, exact_topk_cost, mstopk_cost, GpuRates};

@@ -269,7 +269,6 @@ fn main() {
     let straggler_dense = summaries
         .iter()
         .find(|s| s.family == "stragglers" && s.workload == "2dtar")
-        // lint:allow(panic_free, reason = "the sweep above always pushes this summary row")
         .expect("straggler dense summary missing");
     assert!(
         straggler_dense.deadline_p99 < straggler_dense.baseline_p99,

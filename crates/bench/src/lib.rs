@@ -5,7 +5,6 @@
 //! human-readable table and (b) a machine-readable JSON record via
 //! [`emit_json`], so EXPERIMENTS.md can cite exact numbers.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use serde::Serialize;

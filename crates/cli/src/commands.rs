@@ -51,11 +51,10 @@ pub fn print_help() {
          \x20            properties over the seed corpus; byte-stable\n\
          \x20            table plus JSONL report\n\
          \x20            --corpus FILE --out FILE --fuzz N --seed N --deny\n\
-         \x20 lint       determinism & safety static analysis over every\n\
-         \x20            workspace crate: per-file rules (wall-clock ban,\n\
-         \x20            unordered iteration, panic-free libraries, checked\n\
-         \x20            decode arithmetic, feature-gate hygiene, ambient\n\
-         \x20            nondeterminism, forbid(unsafe_code)) plus the\n\
+         \x20 lint       determinism & safety analysis of what clippy cannot\n\
+         \x20            state, over every workspace crate: per-file rules\n\
+         \x20            (literal indexing and path-form unwrap in panic-free\n\
+         \x20            crates, checked decode arithmetic) plus the\n\
          \x20            call-graph/dataflow passes (twin_drift,\n\
          \x20            coverage_conformance, cast_flow,\n\
          \x20            float_determinism)\n\
@@ -680,7 +679,7 @@ fn cmd_lint(args: &Args) -> Result<(), ParseError> {
     }
     if args.flag("deny") && !report.clean() {
         return Err(ParseError(format!(
-            "lint --deny: {} finding(s) not covered by a suppression or the baseline",
+            "lint --deny: {} finding(s) not covered by a suppression",
             report.findings.len()
         )));
     }

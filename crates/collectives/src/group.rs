@@ -140,33 +140,51 @@ impl Transport for Peer {
     }
 
     fn send_f32(&self, to: usize, data: Vec<f32>) {
+        #[expect(
+            clippy::expect_used,
+            reason = "a closed channel means a peer already panicked; unwinding the group loudly is the harness contract"
+        )]
         self.txs[to]
             .send(Message::F32(data))
-            // lint:allow(panic_free, reason = "a closed channel means a peer already panicked; unwinding the group loudly is the harness contract")
             .expect("peer channel closed");
     }
 
     fn send_u32(&self, to: usize, data: Vec<u32>) {
+        #[expect(
+            clippy::expect_used,
+            reason = "a closed channel means a peer already panicked; unwinding the group loudly is the harness contract"
+        )]
         self.txs[to]
             .send(Message::U32(data))
-            // lint:allow(panic_free, reason = "a closed channel means a peer already panicked; unwinding the group loudly is the harness contract")
             .expect("peer channel closed");
     }
 
     fn recv_f32(&self, from: usize) -> Vec<f32> {
-        // lint:allow(panic_free, reason = "a closed channel means a peer already panicked; unwinding the group loudly is the harness contract")
+        #[expect(
+            clippy::expect_used,
+            reason = "a closed channel means a peer already panicked; unwinding the group loudly is the harness contract"
+        )]
         match self.rxs[from].recv().expect("peer channel closed") {
             Message::F32(v) => v,
-            // lint:allow(panic_free, reason = "schedule type mismatch is a collective programming bug, documented in this impl's Panics section")
+            #[expect(
+                clippy::panic,
+                reason = "schedule type mismatch is a collective programming bug, documented in this impl's Panics section"
+            )]
             Message::U32(_) => panic!("peer {}: expected F32 from {}, got U32", self.rank, from),
         }
     }
 
     fn recv_u32(&self, from: usize) -> Vec<u32> {
-        // lint:allow(panic_free, reason = "a closed channel means a peer already panicked; unwinding the group loudly is the harness contract")
+        #[expect(
+            clippy::expect_used,
+            reason = "a closed channel means a peer already panicked; unwinding the group loudly is the harness contract"
+        )]
         match self.rxs[from].recv().expect("peer channel closed") {
             Message::U32(v) => v,
-            // lint:allow(panic_free, reason = "schedule type mismatch is a collective programming bug, documented in this impl's Panics section")
+            #[expect(
+                clippy::panic,
+                reason = "schedule type mismatch is a collective programming bug, documented in this impl's Panics section"
+            )]
             Message::F32(_) => panic!("peer {}: expected U32 from {}, got F32", self.rank, from),
         }
     }
@@ -204,12 +222,18 @@ where
             // Each thread owns its peer: if a worker panics, its channel
             // endpoints drop, peers blocked on recv fail loudly, and the
             // whole group unwinds instead of deadlocking.
-            // lint:allow(ambient, reason = "run_on_group IS the deterministic worker harness; results are joined in rank order so scheduling cannot leak into output")
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "run_on_group IS the deterministic worker harness; results are joined in rank order so scheduling cannot leak into output"
+            )]
             handles.push(s.spawn(move || f(&peer)));
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "propagating a worker panic to the caller is the documented harness contract"
+        )]
         handles
             .into_iter()
-            // lint:allow(panic_free, reason = "propagating a worker panic to the caller is the documented harness contract")
             .map(|h| h.join().expect("worker thread panicked"))
             .collect()
     })

@@ -270,7 +270,10 @@ pub fn hitopk_all_reduce<C: Compressor + ?Sized>(
 /// # Panics
 /// Panics if the group size is not `m * n` or the residual dimension does
 /// not match this rank's shard.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the public HiTopKComm entry takes its knobs flat"
+)]
 pub fn hitopk_all_reduce_ef<T: Transport + ?Sized, C: Compressor + ?Sized>(
     peer: &T,
     x: &mut [f32],
@@ -287,7 +290,10 @@ pub fn hitopk_all_reduce_ef<T: Transport + ?Sized, C: Compressor + ?Sized>(
 
 /// HiTopKComm proper: [`hitopk_all_reduce_ef`] with
 /// [`InterStep::AllGatherPairs`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the public HiTopKComm entry takes its knobs flat"
+)]
 pub fn hitopk_all_reduce_ef_scratch<T: Transport + ?Sized, C: Compressor + ?Sized>(
     peer: &T,
     x: &mut [f32],
@@ -318,7 +324,10 @@ pub fn hitopk_all_reduce_ef_scratch<T: Transport + ?Sized, C: Compressor + ?Size
 /// and contributes an empty selection — the ReduceScatter has already
 /// folded the node sum into the residual, which is
 /// `ErrorFeedback::withhold` on the reduced shard, bit for bit.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the one body behind both public entries"
+)]
 fn hitopk_ef_impl<T: Transport + ?Sized, C: Compressor + ?Sized>(
     peer: &T,
     x: &mut [f32],
@@ -831,7 +840,10 @@ mod tests {
 
     /// [`hitopk_all_reduce_ef_scratch`] recomposed over the whole-chunk
     /// reference ring loops.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the library entry's signature"
+    )]
     fn hitopk_ef_over_whole_chunk_hops(
         peer: &Peer,
         x: &mut [f32],
@@ -978,7 +990,10 @@ mod tests {
     mod reference {
         use super::*;
 
-        #[allow(clippy::too_many_arguments)]
+        #[expect(
+            clippy::too_many_arguments,
+            reason = "mirrors the library body's signature"
+        )]
         pub(super) fn hitopk_ef(
             peer: &Peer,
             x: &mut [f32],

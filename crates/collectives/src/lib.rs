@@ -55,7 +55,7 @@
 //! and the fault-charging [`ResilientPeer`] alike: the transport decides
 //! when bytes land and whether a sparse contribution is withheld.
 
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod group;

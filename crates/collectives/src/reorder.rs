@@ -122,7 +122,10 @@ fn assert_valid_order(node_order: &[usize], nodes: usize) {
 /// Rotates `order` so node 0 is first (ring cost is rotation-invariant,
 /// so this is the canonical representative the determinism gate compares).
 fn canonicalize(mut order: Vec<usize>) -> Vec<usize> {
-    // lint:allow(panic_free, reason = "assert_valid_order guarantees node 0 is present")
+    #[expect(
+        clippy::expect_used,
+        reason = "assert_valid_order guarantees node 0 is present"
+    )]
     let z = order.iter().position(|&i| i == 0).expect("0 not in order");
     order.rotate_left(z);
     order

@@ -35,10 +35,13 @@ pub(crate) const HOP_PIECE: usize = ops::REDUCE_BLOCK;
 /// Panics if `rank` is not a member — collectives must only be called by
 /// participants.
 pub(crate) fn member_index(members: &[usize], rank: usize) -> usize {
+    #[expect(
+        clippy::panic,
+        reason = "a rank outside its own member list is a schedule construction bug, documented in the Panics section above"
+    )]
     members
         .iter()
         .position(|&m| m == rank)
-        // lint:allow(panic_free, reason = "a rank outside its own member list is a schedule construction bug, documented in the Panics section above")
         .unwrap_or_else(|| panic!("rank {rank} is not in members {members:?}"))
 }
 
@@ -220,7 +223,10 @@ type LastFold<'a> = &'a mut dyn FnMut(usize, &mut [f32], &[f32]);
 /// block (the channels are unbounded) and a piece is only sent once the
 /// previous one has arrived, so no member runs more than `p - 1` pieces
 /// ahead of another and at most that many buffers are in flight per link.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is a knob of the one pieced ring pass"
+)]
 fn ring_pass_pieced<T: Transport + ?Sized>(
     peer: &T,
     x: &mut [f32],
@@ -329,7 +335,10 @@ pub fn all_gather_f32_scratch<T: Transport + ?Sized>(
         let recv_idx = (me + 2 * p - s - 1) % p;
         // Pooled copy instead of a per-hop clone: the forwarded block stays
         // in `blocks` for the caller while its copy rides the channel.
-        // lint:allow(panic_free, reason = "the ring schedule fills block s before step s sends it; a hole is an unconditional schedule bug")
+        #[expect(
+            clippy::expect_used,
+            reason = "the ring schedule fills block s before step s sends it; a hole is an unconditional schedule bug"
+        )]
         let src = blocks[send_idx].as_deref().expect("ring schedule hole");
         let payload = scratch.copy_f32(src);
         peer.send_f32(right, payload);
@@ -438,7 +447,10 @@ pub fn all_gather_u32_scratch<T: Transport + ?Sized>(
     for s in 0..p - 1 {
         let send_idx = (me + p - s) % p;
         let recv_idx = (me + 2 * p - s - 1) % p;
-        // lint:allow(panic_free, reason = "the ring schedule fills block s before step s sends it; a hole is an unconditional schedule bug")
+        #[expect(
+            clippy::expect_used,
+            reason = "the ring schedule fills block s before step s sends it; a hole is an unconditional schedule bug"
+        )]
         let src = blocks[send_idx].as_deref().expect("ring schedule hole");
         let payload = scratch.copy_u32(src);
         peer.send_u32(right, payload);

@@ -72,10 +72,13 @@ fn binomial_reduce_broadcast<T: Transport + ?Sized>(
 /// tree. Cost per half: `2 log2(P)` steps of `d/2` elements.
 pub fn tree_all_reduce<T: Transport + ?Sized>(peer: &T, x: &mut [f32], members: &[usize]) {
     let p = members.len();
+    #[expect(
+        clippy::panic,
+        reason = "a rank outside its own member list is a schedule construction bug; every collective would deadlock anyway"
+    )]
     let pos = members
         .iter()
         .position(|&m| m == peer.rank())
-        // lint:allow(panic_free, reason = "a rank outside its own member list is a schedule construction bug; every collective would deadlock anyway")
         .unwrap_or_else(|| panic!("rank {} not in members", peer.rank()));
     if p == 1 {
         return;

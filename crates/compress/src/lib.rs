@@ -26,7 +26,7 @@
 //! [`SparseGrad`] of `(values, indices)` pairs — the wire format aggregated
 //! by the hierarchical top-k communication in `cloudtrain-collectives`.
 
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod analysis;

@@ -914,7 +914,10 @@ fn gallop_compact<'a>(
 ///   again. A histogram of the elements at or above the wall (the others
 ///   are passed over) answers the next `levels` probes, and a gather of the
 ///   final bucket answers any probes beyond the histogram depth.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the search state is passed flat, not bundled"
+)]
 fn search_survivors(
     s: &Survivors<'_>,
     d: usize,

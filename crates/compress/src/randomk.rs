@@ -34,6 +34,10 @@ impl Compressor for RandomK {
             return SparseGrad::empty(d);
         }
         // Floyd's algorithm: k distinct indices in O(k) expected draws.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "hasher order is washed out by the sort_unstable on the next line before anything observes it"
+        )]
         let mut chosen = std::collections::HashSet::with_capacity(k);
         for j in (d - k)..d {
             let t = self.rng.random_range(0..=j);
@@ -41,7 +45,6 @@ impl Compressor for RandomK {
                 chosen.insert(j as u32);
             }
         }
-        // lint:allow(unordered_iter, reason = "hasher order is washed out by the sort_unstable on the next line before anything observes it")
         let mut indices: Vec<u32> = chosen.into_iter().collect();
         indices.sort_unstable();
         let values = indices.iter().map(|&i| x[i as usize]).collect();

@@ -115,7 +115,7 @@ proptest! {
         let k = k.min(x.len());
         let s: SparseGrad = topk_sort(&x, k);
         let min_sel = s.values.iter().map(|v| v.abs()).fold(f32::INFINITY, f32::min);
-        let sel: std::collections::HashSet<u32> = s.indices.iter().copied().collect();
+        let sel: std::collections::BTreeSet<u32> = s.indices.iter().copied().collect();
         for (i, v) in x.iter().enumerate() {
             if !sel.contains(&(i as u32)) {
                 prop_assert!(v.abs() <= min_sel);

@@ -408,7 +408,10 @@ fn run_hitopk(c: &OracleCase, ck: &mut Checks) {
 /// `Σ_t aggregated_j(t) + Σ_i residual_{i,j}(T)` elementwise. Compensated
 /// mass telescopes to the raw node shard sums because each iteration's
 /// compensation re-injects the previous residual.
-#[allow(clippy::too_many_arguments)] // ledger identity is over exactly these inputs
+#[expect(
+    clippy::too_many_arguments,
+    reason = "ledger identity is over exactly these inputs"
+)]
 fn check_ledger(
     ck: &mut Checks,
     seed: u64,

@@ -48,7 +48,6 @@
 //! assert!(model.scaling_efficiency() > 0.5);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use cloudtrain_collectives as collectives;

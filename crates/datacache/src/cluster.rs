@@ -200,7 +200,10 @@ impl CacheCluster {
         // Cold: fetch + decode, then cache on the owner.
         self.stats.nfs_fetches += 1;
         let (blob, t_nfs) = self.nfs.fetch(id);
-        // lint:allow(panic_free, reason = "the blob came from this crate's own synthetic NFS generator; a malformed one is a generator bug, not input")
+        #[expect(
+            clippy::expect_used,
+            reason = "the blob came from this crate's own synthetic NFS generator; a malformed one is a generator bug, not input"
+        )]
         let (sample, t_dec) = decode(&blob, &self.cpu).expect("synthetic blob must decode");
         let sample = Arc::new(sample);
         self.shards[owner].put(id, Arc::clone(&sample));

@@ -27,7 +27,7 @@
 //! holds one shard of the pre-processed set in memory and serves peers
 //! over the (fast-enough) inter-node link instead of the filer.
 
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod cluster;

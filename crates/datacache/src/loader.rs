@@ -184,7 +184,10 @@ impl CachedLoader {
         };
 
         // CPU stage: decode + augment.
-        // lint:allow(panic_free, reason = "the blob came from this crate's own synthetic NFS generator; a malformed one is a generator bug, not input")
+        #[expect(
+            clippy::expect_used,
+            reason = "the blob came from this crate's own synthetic NFS generator; a malformed one is a generator bug, not input"
+        )]
         let (mut sample, t_dec) = decode(&blob, &self.cfg.cpu).expect("synthetic blob must decode");
         let t_aug = augment(&mut sample, id.is_multiple_of(2), &self.cfg.cpu);
         let sample = Arc::new(sample);

@@ -51,7 +51,10 @@ impl Prefetcher {
     pub fn start(loader: CachedLoader, ids: Vec<SampleId>, depth: usize) -> Self {
         assert!(depth > 0, "Prefetcher: depth must be positive");
         let (tx, rx) = bounded(depth);
-        // lint:allow(ambient, reason = "the single prefetch worker produces an in-order id stream; consumer order is the deterministic channel order")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the single prefetch worker produces an in-order id stream; consumer order is the deterministic channel order"
+        )]
         let handle = std::thread::spawn(move || {
             let mut loader = loader;
             for id in ids {
@@ -75,7 +78,10 @@ impl Prefetcher {
 
     /// Receives the next prefetched sample, or `None` when the sequence is
     /// exhausted.
-    #[allow(clippy::should_implement_trait)] // blocking recv, not an Iterator
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "a blocking recv, not an Iterator"
+    )]
     pub fn next(&mut self) -> Option<Prefetched> {
         self.rx.recv().ok()
     }
@@ -88,12 +94,14 @@ impl Prefetcher {
         // Dropping the receiver unblocks a worker stuck on a full channel.
         let (_, dead_rx) = bounded(1);
         self.rx = dead_rx;
+        #[expect(
+            clippy::expect_used,
+            reason = "finish consumes self, so the handle is always present, and propagating a worker panic to the caller is the documented contract (see Panics)"
+        )]
         self.handle
             .take()
-            // lint:allow(panic_free, reason = "finish consumes self, so the handle is always present; documented in the Panics section")
             .expect("finish called twice")
             .join()
-            // lint:allow(panic_free, reason = "propagating a worker panic to the caller is the documented contract")
             .expect("prefetch worker panicked")
     }
 }

@@ -24,7 +24,6 @@
 //! interface the distributed engine compresses, aggregates, and applies
 //! LARS over.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod activation;

@@ -24,7 +24,6 @@
 //! cache ownership. Everything here is pure in the scenario seed — no
 //! wall clock, no ambient randomness, ordered maps only.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod membership;

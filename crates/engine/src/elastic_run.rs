@@ -214,7 +214,10 @@ impl DistTrainer {
                     let bytes = ckpt.to_bytes();
                     reg.counter_add("elastic/checkpoint_bytes", bytes.len() as u64);
                     reg.counter_add("elastic/checkpoints_cut", 1);
-                    // lint:allow(panic_free, reason = "decoding bytes this process just encoded can only fail on an engine bug; the gauntlet's bitwise twin would catch a silent miss")
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "decoding bytes this process just encoded can only fail on an engine bug; the gauntlet's bitwise twin would catch a silent miss"
+                    )]
                     Checkpoint::from_bytes(&bytes).expect("round-trip of a just-encoded checkpoint")
                 } else {
                     ckpt

@@ -259,7 +259,10 @@ pub fn plan_buckets_cost_model(
         }
         threshold = threshold.saturating_mul(2);
     }
-    // lint:allow(panic_free, reason = "the loop body always runs at least once, so best is Some")
+    #[expect(
+        clippy::expect_used,
+        reason = "the loop body always runs at least once, so best is Some"
+    )]
     let (_, plan, threshold) = best.expect("cost-model sweep evaluated no candidate");
     (plan, threshold)
 }

@@ -16,7 +16,7 @@
 //! [`strategy::Strategy`] names the four aggregation schemes the paper
 //! compares and is shared by both planes.
 
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod autotune;

@@ -315,7 +315,10 @@ fn adapt_input(cfg: &DistConfig, mut batch: Batch) -> Batch {
         if let cloudtrain_dnn::model::Input::Dense(t) = &mut batch.input {
             let b = t.shape()[0];
             let rest = t.len() / b;
-            // lint:allow(panic_free, reason = "b * rest == t.len() by construction of rest on the previous line, so the reshape cannot fail")
+            #[expect(
+                clippy::expect_used,
+                reason = "b * rest == t.len() by construction of rest on the previous line, so the reshape cannot fail"
+            )]
             t.reshape(vec![b, rest]).expect("flatten for mlp");
         }
     }
@@ -733,15 +736,21 @@ impl DistTrainer {
                                 *w -= lr * *v;
                             }
                         }
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "lamb state is constructed above whenever the optimizer kind is Lamb; a None is an engine wiring bug"
+                        )]
                         OptimizerKind::Lamb => {
                             lamb.as_mut()
-                                // lint:allow(panic_free, reason = "lamb state is constructed above whenever the optimizer kind is Lamb; a None is an engine wiring bug")
                                 .expect("lamb state")
                                 .step(&mut params, &grads, lr)
                         }
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "adam state is constructed above whenever the optimizer kind is Adam; a None is an engine wiring bug"
+                        )]
                         OptimizerKind::Adam => {
                             adam.as_mut()
-                                // lint:allow(panic_free, reason = "adam state is constructed above whenever the optimizer kind is Adam; a None is an engine wiring bug")
                                 .expect("adam state")
                                 .step(&mut params, &grads, lr)
                         }

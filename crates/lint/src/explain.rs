@@ -1,34 +1,24 @@
 //! One-stop rule documentation, rendered by `cloudtrain lint --explain`.
 //!
-//! The table below is the single source for what each rule protects, what
-//! a finding means, and how to fix or waive it. A unit test asserts every
+//! The table below is the single source for what each analyzer rule
+//! protects, what a finding means, and how to fix or waive it (the rules
+//! the compiler states are documented where they are configured: the
+//! root `Cargo.toml`'s `[workspace.lints]` and `clippy.toml`). A unit test asserts every
 //! entry of [`crate::RULES`] is documented, so adding a rule without docs
 //! fails the build.
 
 /// `(rule, documentation)` in [`crate::RULES`] order.
 pub const RULE_DOCS: &[(&str, &str)] = &[
     (
-        "wall_clock",
-        "Flags wall-clock reads (Instant::now, SystemTime) outside the bench \
-         binaries. Traces and reports must be byte-stable across runs; time \
-         belongs in the simnet clock or the bench harness, never in library \
-         code. Fix: thread the virtual clock through, or move the timing \
-         into crates/bench. Waive: lint:allow(wall_clock, reason) on the \
-         offending line.",
-    ),
-    (
-        "unordered_iter",
-        "Flags iteration over HashMap/HashSet in library code. Hash order \
-         varies across runs and platforms, so anything derived from it \
-         (reduction order, report lines) breaks byte-stability. Fix: use \
-         BTreeMap/BTreeSet, or collect-and-sort before iterating.",
-    ),
-    (
         "panic_free",
-        "Flags unwrap/expect/panic!/index-free arithmetic hazards in crates \
-         whose library code must be panic-free (collectives, compress, \
-         engine, ...). A panic in one rank deadlocks the group. Fix: return \
-         Result or use checked accessors; tests are exempt.",
+        "Flags indexing by an integer literal (xs[1]) and unwrap/expect \
+         named as a path (.map(Option::unwrap)) in the library code of \
+         crates whose root carries #![warn(clippy::unwrap_used, ..)] \
+         (collectives, compress, engine, ...). A panic in one rank \
+         deadlocks the group. Method-call unwrap/expect and panic! are \
+         clippy's unwrap_used, expect_used and panic in the same crates, \
+         waived with #[expect(.., reason)]. Fix: .get(i) or a checked map; \
+         tests and bins are exempt.",
     ),
     (
         "checked_decode",
@@ -36,27 +26,6 @@ pub const RULE_DOCS: &[(&str, &str)] = &[
          (from_bytes and *decode* fns). A crafted or truncated frame must \
          fail loudly, not over-allocate. Fix: usize::try_from + checked_mul \
          with explicit error returns.",
-    ),
-    (
-        "feature_gate",
-        "Flags references to feature-gated names outside a matching \
-         #[cfg(feature = ...)] region, and cfg features the crate does not \
-         declare. Fix: gate the use site or declare the feature.",
-    ),
-    (
-        "ambient",
-        "Flags ambient nondeterminism in library code: std::env reads, \
-         thread spawns, rand::thread_rng and friends. All entropy must come \
-         from seeded RNGs threaded through init::rng_from_seed. Fix: plumb \
-         seeds/config explicitly; a spawn whose results cannot depend on \
-         scheduling carries lint:allow(ambient, reason = \"..\") stating \
-         why; bench binaries are exempt by path.",
-    ),
-    (
-        "forbid_unsafe",
-        "Checks that each listed crate's lib.rs keeps the \
-         #![forbid(unsafe_code)] pragma. The workspace's soundness story is \
-         'no unsafe outside shims'. Fix: restore the pragma.",
     ),
     (
         "twin_drift",
@@ -105,14 +74,11 @@ pub const RULE_DOCS: &[(&str, &str)] = &[
         "suppression",
         "Meta-rule: malformed lint:allow comments (unknown rule name, \
          missing reason) are findings themselves, so a typo cannot silently \
-         disable a check. Fix: lint:allow(rule, reason) with a rule from \
-         --explain's list and a non-empty reason.",
-    ),
-    (
-        "baseline",
-        "Meta-rule: lint-baseline.toml entries that no longer match any \
-         finding are reported, keeping the baseline shrink-only. Fix: \
-         delete the stale [[allow]] entry.",
+         disable a check; so is a well-formed one that waives no finding \
+         of a rule that ran, so a fixed site cannot keep a dead waiver. \
+         Fix: lint:allow(rule, reason) with a rule from --explain's list \
+         and a non-empty reason, on or above the finding's line; delete a \
+         stale one.",
     ),
 ];
 

@@ -5,23 +5,24 @@
 //! determinism: the CI gauntlet `cmp`s twice-run traces, the obs plane
 //! exports `{:.9e}` JSONL, and the paper's figures are only meaningful if
 //! two same-seed runs emit identical bytes. This crate makes the
-//! conventions machine-checked. It walks every `crates/*/src` file with a
-//! hand-rolled lexer (no registry deps, consistent with the `shims/`
-//! policy) and enforces the rules listed in [`RULES`] — see
-//! [`rules`] for what each protects.
+//! conventions machine-checked in two places. Every rule rustc or clippy
+//! can state exactly is a compiler lint: the root `Cargo.toml`'s
+//! `[workspace.lints]`, the root `clippy.toml`, and each panic-free
+//! crate's `#![warn(clippy::unwrap_used, ..)]`, waived with
+//! `#[expect(lint, reason = "..")]`. This crate holds the rest. It walks
+//! every `crates/*/src` file with a hand-rolled lexer (no registry deps,
+//! consistent with the `shims/` policy) and enforces the rules listed in
+//! [`RULES`] — see [`rules`] for the per-file ones.
 //!
 //! The analyzer's own report is held to the same bar: file walk order,
 //! finding order, and every formatted byte are deterministic, so CI runs
 //! it twice and `cmp`s the output.
 //!
-//! Findings can be waived two ways:
-//! * inline, with a documented suppression comment — see [`suppress`];
-//! * via the shrink-only `lint-baseline.toml` — see [`baseline`].
+//! A finding is waived inline, with a documented suppression comment —
+//! see [`suppress`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod coverage;
 pub mod dataflow;
@@ -37,27 +38,20 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use baseline::Baseline;
 use rules::FileCtx;
 
-/// Every rule the analyzer knows, in report order. The first block are
+/// Every rule the analyzer knows, in report order. The first two are
 /// per-file token rules; `twin_drift` through `float_determinism` are the
-/// workspace passes over the symbol table / call graph; `suppression` and
-/// `baseline` are meta-rules for malformed waivers.
+/// workspace passes over the symbol table / call graph; `suppression` is
+/// the meta-rule for malformed or stale waivers.
 pub const RULES: &[&str] = &[
-    "wall_clock",
-    "unordered_iter",
     "panic_free",
     "checked_decode",
-    "feature_gate",
-    "ambient",
-    "forbid_unsafe",
     "twin_drift",
     "coverage_conformance",
     "cast_flow",
     "float_determinism",
     "suppression",
-    "baseline",
 ];
 
 /// One lint finding.
@@ -77,14 +71,6 @@ pub struct Finding {
 /// fixture tests narrow or widen it per case.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Crates whose library code must be panic-free (rule `panic_free`).
-    pub panic_free_crates: Vec<String>,
-    /// Crates whose `lib.rs` must `#![forbid(unsafe_code)]`.
-    pub forbid_unsafe_crates: Vec<String>,
-    /// Path prefixes exempt from `wall_clock` and `ambient` (bench
-    /// binaries time real kernels and may parallelise; their output is
-    /// gated by the twice-run `cmp` in CI instead).
-    pub wall_clock_allow_prefixes: Vec<String>,
     /// Workspace-relative path prefixes the walker skips entirely —
     /// checked-in data corpora (e.g. the conformance seed corpus) are
     /// inputs to harnesses, not source code, and must never influence
@@ -112,26 +98,6 @@ impl Default for Config {
     fn default() -> Self {
         let owned = |names: &[&str]| names.iter().map(|s| s.to_string()).collect();
         Self {
-            panic_free_crates: owned(&[
-                "cloudtrain-collectives",
-                "cloudtrain-compress",
-                "cloudtrain-datacache",
-                "cloudtrain-engine",
-                "cloudtrain-simnet",
-                "cloudtrain-obs",
-            ]),
-            forbid_unsafe_crates: owned(&[
-                "cloudtrain",
-                "cloudtrain-compress",
-                "cloudtrain-collectives",
-                "cloudtrain-datacache",
-                "cloudtrain-obs",
-                "cloudtrain-simnet",
-                "cloudtrain-optim",
-                "cloudtrain-pto",
-                "cloudtrain-conformance",
-            ]),
-            wall_clock_allow_prefixes: owned(&["crates/bench/src/bin/"]),
             excluded_path_prefixes: owned(&["crates/conformance/corpus/"]),
             twin_crates: owned(&["cloudtrain-collectives"]),
             float_crates: owned(&["cloudtrain-tensor", "cloudtrain-compress"]),
@@ -160,8 +126,6 @@ pub struct FileInput {
     pub src: String,
     /// Owning crate's `package.name`.
     pub crate_name: String,
-    /// Feature names the owning crate declares.
-    pub features: Vec<String>,
 }
 
 /// A lexed and region-analyzed file — the unit the workspace passes
@@ -172,8 +136,6 @@ pub struct FileUnit {
     pub rel_path: String,
     /// Owning crate's `package.name`.
     pub crate_name: String,
-    /// Feature names the owning crate declares.
-    pub features: Vec<String>,
     /// Token stream.
     pub tokens: Vec<lexer::Token>,
     /// Comments (suppression carriers).
@@ -183,32 +145,28 @@ pub struct FileUnit {
 }
 
 /// Lints one file's source text with the per-file rules only (the
-/// workspace passes need the whole unit list; see [`run_files`]).
+/// workspace passes need the whole unit list; see [`run_files`]). The
+/// file is its own crate root: `panic_free` applies when it carries the
+/// crate-level `clippy::unwrap_used` attribute.
 ///
-/// `crate_name` and `features` come from the owning crate's `Cargo.toml`;
-/// `rel_path` should be workspace-relative with `/` separators (it is
-/// matched against the config's path allowlists and reported verbatim).
-pub fn lint_source(
-    rel_path: &str,
-    src: &str,
-    crate_name: &str,
-    features: &[String],
-    config: &Config,
-) -> FileLint {
+/// `rel_path` should be workspace-relative with `/` separators (the
+/// rules key off its shape and report it verbatim).
+pub fn lint_source(rel_path: &str, src: &str) -> FileLint {
     let (tokens, comments) = lexer::lex(src);
     let regions = regions::analyze(&tokens);
     let ctx = FileCtx {
         path: rel_path,
-        crate_name,
-        features,
+        panic_free: rules::denies_unwrap(&tokens),
         tokens: &tokens,
         regions: &regions,
-        config,
     };
-    let findings = rules::run_all(&ctx);
     let (sup, mut bad) = suppress::parse(rel_path, &comments, RULES);
-    let (mut kept, suppressed) = suppress::apply(findings, &sup, &regions.attr_lines);
+    let mut used = vec![false; sup.len()];
+    let (mut kept, suppressed) = suppress::apply(rules::run_all(&ctx), &sup, &mut used);
     kept.append(&mut bad);
+    kept.extend(suppress::stale(rel_path, &sup, &used, |rule| {
+        rules::PER_FILE_RULES.contains(&rule)
+    }));
     FileLint {
         findings: kept,
         suppressed,
@@ -218,13 +176,11 @@ pub fn lint_source(
 /// The aggregate result of a workspace run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Findings after suppressions and baseline, sorted by
+    /// Findings after suppressions, sorted by
     /// `(path, line, rule, message)`.
     pub findings: Vec<Finding>,
     /// Findings waived by inline suppressions.
     pub suppressed: usize,
-    /// Findings absorbed by the baseline.
-    pub baselined: usize,
     /// Files scanned.
     pub files: usize,
     /// Crates scanned.
@@ -257,14 +213,13 @@ impl Report {
     pub fn table(&self) -> String {
         let mut out = format!(
             "cloudtrain-lint: {} finding(s) across {} file(s) in {} crate(s) \
-             ({} suppressed inline, {} baselined)\n\
+             ({} suppressed inline)\n\
              analyzer: {} symbols, {} resolved call edges, {} twin families, \
              {} conformance pairings\n",
             self.findings.len(),
             self.files,
             self.crates,
             self.suppressed,
-            self.baselined,
             self.symbols,
             self.call_edges,
             self.twin_families,
@@ -292,7 +247,6 @@ impl Report {
     /// line in sorted order.
     pub fn to_jsonl(&self) -> String {
         let mut reg = cloudtrain_obs::Registry::new();
-        reg.counter_add("lint/baselined", self.baselined as u64);
         reg.counter_add("lint/call_edges", self.call_edges as u64);
         reg.counter_add("lint/crates", self.crates as u64);
         reg.counter_add("lint/files", self.files as u64);
@@ -345,36 +299,24 @@ impl std::fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// Package metadata the walker extracts from a crate's `Cargo.toml`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CrateMeta {
-    /// The `package.name` value.
-    pub name: String,
-    /// Names declared under `[features]`.
-    pub features: Vec<String>,
-}
-
-/// Parses the small slice of `Cargo.toml` the lint needs: the package
-/// name and the declared feature names.
-pub fn parse_manifest(text: &str) -> CrateMeta {
-    let mut meta = CrateMeta::default();
-    let mut section = String::new();
+/// Reads `key = value` under `[section]` from a `Cargo.toml`, the value
+/// unquoted — the small slice of TOML the lint needs (`[package] name`,
+/// and `[lints] workspace` for the manifest guard).
+pub fn manifest_value(text: &str, section: &str, key: &str) -> Option<String> {
+    let mut current = "";
     for raw in text.lines() {
         let line = raw.trim();
         if line.starts_with('[') {
-            section = line.to_string();
-            continue;
-        }
-        if let Some((key, value)) = line.split_once('=') {
-            let key = key.trim();
-            if section == "[package]" && key == "name" {
-                meta.name = value.trim().trim_matches('"').to_string();
-            } else if section == "[features]" && !key.is_empty() && !key.starts_with('#') {
-                meta.features.push(key.to_string());
+            current = line;
+        } else if let Some((k, v)) = line.split_once('=') {
+            if current.strip_prefix('[').and_then(|c| c.strip_suffix(']')) == Some(section)
+                && k.trim() == key
+            {
+                return Some(v.trim().trim_matches('"').to_string());
             }
         }
     }
-    meta
+    None
 }
 
 /// Recursively collects `.rs` files under `dir` in sorted order.
@@ -399,9 +341,6 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintError> {
 /// — over an in-memory file set. This is the core both
 /// [`run_workspace_with`] and the fixture tests drive; it never touches
 /// the filesystem, so tests can lint mutated copies of real sources.
-///
-/// Baseline absorption is the caller's job (the baseline lives next to
-/// the real workspace root); the returned report has `baselined == 0`.
 pub fn run_files(inputs: &[FileInput], config: &Config) -> Report {
     let mut report = Report::default();
     let mut findings = Vec::new();
@@ -415,7 +354,6 @@ pub fn run_files(inputs: &[FileInput], config: &Config) -> Report {
         units.push(FileUnit {
             rel_path: input.rel_path.clone(),
             crate_name: input.crate_name.clone(),
-            features: input.features.clone(),
             tokens,
             comments,
             regions,
@@ -429,25 +367,31 @@ pub fn run_files(inputs: &[FileInput], config: &Config) -> Report {
         names.len()
     };
 
-    // Per-file stage, keeping each file's parsed suppressions for the
-    // workspace findings below.
-    let mut waivers: Vec<Vec<suppress::Suppression>> = Vec::with_capacity(units.len());
+    // A crate is panic-free when its root carries the crate-level
+    // `clippy::unwrap_used` attribute clippy reads too.
+    let panic_free_crates: Vec<&str> = units
+        .iter()
+        .filter(|u| u.rel_path.ends_with("/src/lib.rs") && rules::denies_unwrap(&u.tokens))
+        .map(|u| u.crate_name.as_str())
+        .collect();
+
+    // Per-file stage, keeping each file's parsed suppressions (and which
+    // of them waived something) for the workspace findings below.
+    let mut waivers: Vec<(Vec<suppress::Suppression>, Vec<bool>)> = Vec::with_capacity(units.len());
     for unit in &units {
         let ctx = FileCtx {
             path: &unit.rel_path,
-            crate_name: &unit.crate_name,
-            features: &unit.features,
+            panic_free: panic_free_crates.contains(&unit.crate_name.as_str()),
             tokens: &unit.tokens,
             regions: &unit.regions,
-            config,
         };
-        let file_findings = rules::run_all(&ctx);
         let (sup, mut bad) = suppress::parse(&unit.rel_path, &unit.comments, RULES);
-        let (mut kept, suppressed) = suppress::apply(file_findings, &sup, &unit.regions.attr_lines);
+        let mut used = vec![false; sup.len()];
+        let (mut kept, suppressed) = suppress::apply(rules::run_all(&ctx), &sup, &mut used);
         report.suppressed += suppressed;
         kept.append(&mut bad);
         findings.extend(kept);
-        waivers.push(sup);
+        waivers.push((sup, used));
     }
 
     // Workspace stage.
@@ -494,9 +438,16 @@ pub fn run_files(inputs: &[FileInput], config: &Config) -> Report {
         }
     }
     for (i, group) in by_unit {
-        let (kept, suppressed) = suppress::apply(group, &waivers[i], &units[i].regions.attr_lines);
+        let (sup, used) = &mut waivers[i];
+        let (kept, suppressed) = suppress::apply(group, sup, used);
         report.suppressed += suppressed;
         findings.extend(kept);
+    }
+
+    // A waiver for a rule that ran and found nothing at its site is stale.
+    let ran = |rule: &str| rules::PER_FILE_RULES.contains(&rule) || wants(rule);
+    for (unit, (sup, used)) in units.iter().zip(&waivers) {
+        findings.extend(suppress::stale(&unit.rel_path, sup, used, ran));
     }
 
     if let Some(rule) = &config.only_rule {
@@ -508,11 +459,11 @@ pub fn run_files(inputs: &[FileInput], config: &Config) -> Report {
 }
 
 /// Runs the analyzer over a workspace root (the directory holding
-/// `crates/` and `lint-baseline.toml`), applying the default [`Config`].
+/// `crates/`), applying the default [`Config`].
 ///
 /// # Errors
-/// Returns a [`LintError`] for I/O failures or a malformed baseline —
-/// both fail the run loudly rather than under-linting.
+/// Returns a [`LintError`] for I/O failures, which fail the run loudly
+/// rather than under-linting.
 pub fn run_workspace(root: &Path) -> Result<Report, LintError> {
     run_workspace_with(root, &Config::default())
 }
@@ -521,25 +472,10 @@ pub fn run_workspace(root: &Path) -> Result<Report, LintError> {
 /// widen the crate lists and path prefixes per case).
 ///
 /// # Errors
-/// Returns a [`LintError`] for I/O failures or a malformed baseline —
-/// both fail the run loudly rather than under-linting.
+/// Returns a [`LintError`] for I/O failures, which fail the run loudly
+/// rather than under-linting.
 pub fn run_workspace_with(root: &Path, config: &Config) -> Result<Report, LintError> {
-    let inputs = collect_workspace(root, config)?;
-    let mut report = run_files(&inputs, config);
-
-    let baseline_path = root.join("lint-baseline.toml");
-    let baseline = if baseline_path.is_file() {
-        let text = fs::read_to_string(&baseline_path)
-            .map_err(|e| LintError(format!("read {}: {e}", baseline_path.display())))?;
-        Baseline::parse(&text).map_err(LintError)?
-    } else {
-        Baseline::default()
-    };
-    let (kept, absorbed) = baseline.apply(std::mem::take(&mut report.findings));
-    report.findings = kept;
-    report.baselined = absorbed;
-    report.sort();
-    Ok(report)
+    Ok(run_files(&collect_workspace(root, config)?, config))
 }
 
 /// Reads every lintable `.rs` file under `root/crates` into memory, in
@@ -567,7 +503,7 @@ pub fn collect_workspace(root: &Path, config: &Config) -> Result<Vec<FileInput>,
         }
         let manifest = fs::read_to_string(&manifest_path)
             .map_err(|e| LintError(format!("read {}: {e}", manifest_path.display())))?;
-        let meta = parse_manifest(&manifest);
+        let crate_name = manifest_value(&manifest, "package", "name").unwrap_or_default();
 
         let mut files = Vec::new();
         rust_files(&src_dir, &mut files)?;
@@ -591,8 +527,7 @@ pub fn collect_workspace(root: &Path, config: &Config) -> Result<Vec<FileInput>,
             inputs.push(FileInput {
                 rel_path: rel,
                 src,
-                crate_name: meta.name.clone(),
-                features: meta.features.clone(),
+                crate_name: crate_name.clone(),
             });
         }
     }
@@ -623,12 +558,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn manifest_parsing_extracts_name_and_features() {
+    fn manifest_parsing_reads_a_key_of_one_section() {
         let toml = "[package]\nname = \"cloudtrain-tensor\"\nversion = \"0.1.0\"\n\n\
-                    [features]\nparallel = []\nrayon = [\"parallel\"]\n\n[dependencies]\nx = \"1\"\n";
-        let meta = parse_manifest(toml);
-        assert_eq!(meta.name, "cloudtrain-tensor");
-        assert_eq!(meta.features, vec!["parallel", "rayon"]);
+                    [dependencies]\nname = \"x\"\n\n[lints]\nworkspace = true\n";
+        let get = |section, key| manifest_value(toml, section, key);
+        assert_eq!(get("package", "name").as_deref(), Some("cloudtrain-tensor"));
+        assert_eq!(get("lints", "workspace").as_deref(), Some("true"));
+        assert_eq!(get("package", "workspace"), None);
+        assert_eq!(get("features", "name"), None);
     }
 
     #[test]
@@ -660,10 +597,10 @@ mod tests {
         };
         let mut r = Report {
             findings: vec![
-                mk("b.rs", 1, "ambient"),
-                mk("a.rs", 9, "ambient"),
+                mk("b.rs", 1, "checked_decode"),
+                mk("a.rs", 9, "checked_decode"),
                 mk("a.rs", 2, "panic_free"),
-                mk("a.rs", 2, "ambient"),
+                mk("a.rs", 2, "checked_decode"),
             ],
             ..Report::default()
         };
@@ -676,10 +613,10 @@ mod tests {
         assert_eq!(
             order,
             vec![
-                ("a.rs".to_string(), 2, "ambient"),
+                ("a.rs".to_string(), 2, "checked_decode"),
                 ("a.rs".to_string(), 2, "panic_free"),
-                ("a.rs".to_string(), 9, "ambient"),
-                ("b.rs".to_string(), 1, "ambient"),
+                ("a.rs".to_string(), 9, "checked_decode"),
+                ("b.rs".to_string(), 1, "checked_decode"),
             ]
         );
     }

@@ -32,11 +32,6 @@ pub struct Regions {
     pub test: Vec<Span>,
     /// Every named `fn` body, in source order.
     pub fns: Vec<FnSpan>,
-    /// 1-based line ranges `[first, last]` of every outer `#[...]`
-    /// attribute — suppression scoping treats a multi-line attribute as
-    /// one unit, so an allow above `#[cfg(\n feature = ...\n)]` covers
-    /// findings anywhere inside the attribute span.
-    pub attr_lines: Vec<(u32, u32)>,
 }
 
 impl Regions {
@@ -174,9 +169,6 @@ pub fn analyze(tokens: &[Token]) -> Regions {
             }
             k += 1;
         }
-        regions
-            .attr_lines
-            .push((tokens[i].line, tokens[close].line));
         if let Some(end) = end {
             if is_test && end != usize::MAX {
                 regions.test.push((i, end));

@@ -1,11 +1,14 @@
-//! Inline suppressions.
+//! Inline suppressions of analyzer rules.
 //!
-//! A finding can be waived at the site with a comment of the form
-//! `lint:allow(panic_free, reason = "why the rule does not apply here")`
+//! A finding can be waived at the site with a comment spelled `lint:allow`
+//! followed by `(panic_free, reason = "why the rule does not apply here")`,
 //! placed on the finding's line or the line directly above it — the first
 //! argument names the rule being waived. The reason is mandatory and must be
 //! non-empty: an allow without a documented why is itself a finding
-//! (rule `suppression`), so suppressions can never silently accumulate.
+//! (rule `suppression`), and so is an allow that waives nothing, so
+//! suppressions can never silently accumulate. Compiler lints are waived
+//! with `#[expect(lint, reason = "..")]` instead, which rustc holds to the
+//! same two conditions.
 
 use crate::lexer::Comment;
 use crate::Finding;
@@ -102,29 +105,24 @@ pub fn parse(
 
 /// Splits `findings` into (kept, suppressed-count) by applying the
 /// suppressions: a finding is waived when a suppression for its rule sits
-/// on its line or the line above. `attr_lines` holds the 1-based line
-/// ranges of outer attributes (see `Regions::attr_lines`): a suppression
-/// directly above a multi-line `#[cfg(...)]` attribute covers findings
-/// anywhere inside that attribute's span, so the allow does not have to
-/// chase the exact line the `feature` token lands on.
+/// on its line or the line above. `used[i]` is set for every suppression
+/// `sup[i]` that waived a finding, so a caller applying several finding
+/// sets to one file can report the waivers none of them used ([`stale`]).
 pub fn apply(
     findings: Vec<Finding>,
     sup: &[Suppression],
-    attr_lines: &[(u32, u32)],
+    used: &mut [bool],
 ) -> (Vec<Finding>, usize) {
     let mut kept = Vec::new();
     let mut waived = 0usize;
     for f in findings {
-        let hit = sup.iter().any(|s| {
-            s.rule == f.rule
-                && (s.line == f.line
-                    || s.line + 1 == f.line
-                    || attr_lines.iter().any(|&(first, last)| {
-                        (s.line == first || s.line + 1 == first)
-                            && f.line >= first
-                            && f.line <= last
-                    }))
-        });
+        let mut hit = false;
+        for (s, u) in sup.iter().zip(used.iter_mut()) {
+            if s.rule == f.rule && (s.line == f.line || s.line + 1 == f.line) {
+                *u = true;
+                hit = true;
+            }
+        }
         if hit {
             waived += 1;
         } else {
@@ -134,12 +132,36 @@ pub fn apply(
     (kept, waived)
 }
 
+/// One `suppression` finding per well-formed suppression that waived
+/// nothing, counting only rules for which `ran` holds (a rule a `--rule`
+/// filter skipped cannot have fulfilled its waivers).
+pub fn stale(
+    path: &str,
+    sup: &[Suppression],
+    used: &[bool],
+    ran: impl Fn(&str) -> bool,
+) -> Vec<Finding> {
+    sup.iter()
+        .zip(used)
+        .filter(|&(s, &u)| !u && ran(&s.rule))
+        .map(|(s, _)| Finding {
+            rule: "suppression",
+            path: path.to_string(),
+            line: s.line,
+            message: format!(
+                "lint:allow({}) waives no finding on its line or the next; delete it",
+                s.rule
+            ),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    const RULES: &[&str] = &["panic_free", "ambient"];
+    const RULES: &[&str] = &["panic_free", "checked_decode"];
 
     fn parse_src(src: &str) -> (Vec<Suppression>, Vec<Finding>) {
         let (_, comments) = lex(src);
@@ -160,7 +182,7 @@ mod tests {
     #[test]
     fn missing_or_empty_reason_is_a_finding() {
         let (ok, bad) =
-            parse_src("// lint:allow(panic_free)\n// lint:allow(ambient, reason = \"\")");
+            parse_src("// lint:allow(panic_free)\n// lint:allow(checked_decode, reason = \"\")");
         assert!(ok.is_empty());
         assert_eq!(bad.len(), 2);
         assert!(bad.iter().all(|f| f.rule == "suppression"));
@@ -176,50 +198,41 @@ mod tests {
 
     #[test]
     fn apply_waives_same_line_and_next_line() {
-        let sup = vec![Suppression {
-            rule: "panic_free".to_string(),
-            line: 10,
-            reason: "r".to_string(),
-        }];
+        let sup = vec![
+            Suppression {
+                rule: "panic_free".to_string(),
+                line: 10,
+                reason: "r".to_string(),
+            },
+            Suppression {
+                rule: "panic_free".to_string(),
+                line: 20,
+                reason: "r".to_string(),
+            },
+        ];
         let mk = |rule: &'static str, line| Finding {
             rule,
             path: "f.rs".to_string(),
             line,
             message: String::new(),
         };
+        let mut used = vec![false; 2];
         let (kept, waived) = apply(
             vec![
                 mk("panic_free", 10),
                 mk("panic_free", 11),
                 mk("panic_free", 12),
-                mk("ambient", 10),
+                mk("checked_decode", 10),
             ],
             &sup,
-            &[],
+            &mut used,
         );
         assert_eq!(waived, 2);
         assert_eq!(kept.len(), 2);
-    }
-
-    #[test]
-    fn apply_covers_a_multiline_attribute_span() {
-        let sup = vec![Suppression {
-            rule: "feature_gate".to_string(),
-            line: 1,
-            reason: "r".to_string(),
-        }];
-        let mk = |line| Finding {
-            rule: "feature_gate",
-            path: "f.rs".to_string(),
-            line,
-            message: String::new(),
-        };
-        // Attribute spans lines 2..=4; the finding sits on line 4, past the
-        // plain line+1 window, but the suppression above the attribute
-        // still covers it. Line 5 is outside the attribute and stays.
-        let (kept, waived) = apply(vec![mk(4), mk(5)], &sup, &[(2, 4)]);
-        assert_eq!(waived, 1);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].line, 5);
+        assert_eq!(used, [true, false]);
+        let stale_ran = stale("f.rs", &sup, &used, |_| true);
+        assert_eq!(stale_ran.len(), 1);
+        assert_eq!((stale_ran[0].rule, stale_ran[0].line), ("suppression", 20));
+        assert!(stale("f.rs", &sup, &used, |_| false).is_empty());
     }
 }

@@ -7,7 +7,7 @@
 //! resolves callee names against it. Test-region functions are indexed but
 //! flagged, so structural rules can skip them while keeping indices stable.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::FileUnit;
 
@@ -39,7 +39,7 @@ pub struct SymbolTable {
     pub fns: Vec<FnSym>,
     /// Name → indices into `fns` (a name may have many definitions:
     /// trait impls, per-module helpers).
-    pub by_name: HashMap<String, Vec<usize>>,
+    pub by_name: BTreeMap<String, Vec<usize>>,
 }
 
 impl SymbolTable {

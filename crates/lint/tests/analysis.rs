@@ -20,7 +20,6 @@ fn input(rel_path: &str, crate_name: &str, src: &str) -> FileInput {
         rel_path: rel_path.to_string(),
         src: src.to_string(),
         crate_name: crate_name.to_string(),
-        features: Vec::new(),
     }
 }
 
@@ -478,13 +477,14 @@ pub fn reduce_pair_scratch(x: &mut [f32]) { hop_a(); }\n";
 #[test]
 fn cfg_not_test_code_is_not_hidden_from_the_rules() {
     let src = "\
-pub fn a(v: Option<u8>) -> u8 { v.unwrap() }\n\
+#![warn(clippy::unwrap_used)]\n\
+pub fn a(v: &[u8]) -> u8 { v[0] }\n\
 #[cfg(not(test))]\n\
-pub fn b(v: Option<u8>) -> u8 { v.unwrap() }\n\
+pub fn b(v: &[u8]) -> u8 { v[0] }\n\
 #[cfg(any(test, unix))]\n\
-pub fn c(v: Option<u8>) -> u8 { v.unwrap() }\n\
+pub fn c(v: &[u8]) -> u8 { v[0] }\n\
 #[cfg(test)]\n\
-pub fn d(v: Option<u8>) -> u8 { v.unwrap() }\n";
+pub fn d(v: &[u8]) -> u8 { v[0] }\n";
     let inputs = [input("crates/obs/src/lib.rs", "cloudtrain-obs", src)];
     let report = run_files(&inputs, &Config::default());
     let hits = rule_hits(&report, "panic_free");

@@ -1,6 +1,8 @@
 //! Negative fixture: deadline jitter from a caller-seeded RNG (the
 //! `DeadlineFaults::new(seed)` shape), and the probe thread documented
-//! with a suppression.
+//! with an `#[expect]`.
+
+use rand::SeedableRng;
 
 pub fn jittered_budget(base: f64, seed: u64) -> f64 {
     let rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -9,7 +11,10 @@ pub fn jittered_budget(base: f64, seed: u64) -> f64 {
 }
 
 pub fn probe_in_background() -> i32 {
-    // lint:allow(ambient, reason = "fixture: the probe is joined before its value is read")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fixture: the probe is joined before its value is read"
+    )]
     let handle = std::thread::spawn(|| 42);
     handle.join().unwrap_or(0)
 }

@@ -1,10 +1,11 @@
-//! Self-run tests: the linter must pass over its own workspace, and the
+//! Self-run tests: the linter must pass over its own workspace, the
 //! report must be byte-stable across runs — the property the CI gate
-//! checks with `cmp` on two consecutive `cloudtrain lint` outputs.
+//! checks with `cmp` on two consecutive `cloudtrain lint` outputs — and
+//! every crate must inherit the compiler-stated rules.
 
 use std::path::{Path, PathBuf};
 
-use cloudtrain_lint::run_workspace;
+use cloudtrain_lint::{manifest_value, run_workspace};
 
 fn workspace_root() -> PathBuf {
     // crates/lint -> crates -> workspace root
@@ -16,14 +17,41 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn workspace_is_clean_modulo_baseline() {
+fn workspace_is_clean() {
     let report = run_workspace(&workspace_root()).expect("lint run succeeds");
     assert!(report.files > 0, "walker found no Rust sources");
     assert!(report.crates > 0, "walker found no crates");
     assert!(
         report.clean(),
-        "workspace has non-baselined lint findings:\n{}",
+        "workspace has lint findings:\n{}",
         report.table()
+    );
+}
+
+/// The compiler-stated rules (`unsafe_code = "forbid"`, the reasoned
+/// `#[expect]` waiver form) live in the root `[workspace.lints]`; a crate
+/// reaches them only through `[lints] workspace = true`.
+#[test]
+fn every_crate_inherits_the_workspace_lints() {
+    let crates = workspace_root().join("crates");
+    let mut manifests: Vec<PathBuf> = std::fs::read_dir(&crates)
+        .expect("crates/ is readable")
+        .map(|e| e.expect("dir entry").path().join("Cargo.toml"))
+        .filter(|p| p.is_file())
+        .collect();
+    manifests.sort();
+    assert!(manifests.len() > 1, "found no crate manifests");
+    let missing: Vec<String> = manifests
+        .iter()
+        .filter(|p| {
+            let text = std::fs::read_to_string(p).expect("manifest is readable");
+            manifest_value(&text, "lints", "workspace").as_deref() != Some("true")
+        })
+        .map(|p| p.display().to_string())
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "crates without `[lints] workspace = true`: {missing:?}"
     );
 }
 
@@ -41,7 +69,7 @@ fn report_is_byte_stable_across_runs() {
 }
 
 /// `excluded_path_prefixes` removes whole subtrees from the walk: a file
-/// with an obvious `wall_clock` violation under an excluded prefix
+/// with an obvious `panic_free` violation under an excluded prefix
 /// produces no findings, while the same tree with no exclusions does.
 /// The default config excludes the conformance seed corpus so checked-in
 /// case data can never perturb lint output.
@@ -60,12 +88,12 @@ fn excluded_path_prefixes_skip_subtrees() {
         "[package]\nname = \"cloudtrain-demo\"\n",
     )
     .expect("write");
-    fs::write(src.join("lib.rs"), "pub fn ok() {}\n").expect("write");
     fs::write(
-        gen.join("bad.rs"),
-        "pub fn t() -> std::time::Instant { std::time::Instant::now() }\n",
+        src.join("lib.rs"),
+        "#![warn(clippy::unwrap_used)]\npub fn ok() {}\n",
     )
     .expect("write");
+    fs::write(gen.join("bad.rs"), "pub fn t(x: &[u8]) -> u8 { x[0] }\n").expect("write");
 
     let mut config = Config::default();
     assert!(
@@ -85,7 +113,7 @@ fn excluded_path_prefixes_skip_subtrees() {
     assert_eq!(included.files, 2, "both files should be walked");
     assert!(
         !included.findings.is_empty(),
-        "wall_clock violation should be reported without the exclusion"
+        "panic_free violation should be reported without the exclusion"
     );
 
     let _ = fs::remove_dir_all(&root);

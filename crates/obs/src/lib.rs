@@ -44,7 +44,7 @@
 //! Floats are rendered with the workspace-wide `{:.9e}` fixed-precision
 //! convention so formatting can never introduce run-to-run drift.
 
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;

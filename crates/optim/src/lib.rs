@@ -17,7 +17,6 @@
 //! * [`mixed`] — mixed-precision support: dynamic loss scaling and the
 //!   FP16 gradient wire format (§5.5.2).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adam;

@@ -16,7 +16,6 @@
 //! * [`cost`] — the analytic win/lose model (PTO helps iff the AllGather
 //!   costs less than the saved compute).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cost;

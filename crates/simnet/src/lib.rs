@@ -31,7 +31,7 @@
 //! degradation) and node-level stragglers so resilience policies can be
 //! evaluated deterministically.
 
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod clouds;

@@ -18,7 +18,7 @@
 //! ```
 //!
 //! Everything is derived from the simulator's virtual clock — no wall time
-//! anywhere (the `wall_clock` lint rule holds for this module like every
+//! anywhere (the `clippy.toml` wall-clock ban holds for this module like every
 //! other library path) — and every fault decision inside the probe is a
 //! pure function of the injected [`FaultPlan`] seed, so two probes of the
 //! same `(spec, plan)` are bitwise identical. Degradation windows active at

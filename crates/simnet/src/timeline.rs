@@ -40,7 +40,10 @@ pub fn render_timeline(
 
     let glyph = |n: u32| match n {
         0 => ' ',
-        // lint:allow(panic_free, reason = "the match arm guarantees n is a single decimal digit, for which from_digit always succeeds")
+        #[expect(
+            clippy::unwrap_used,
+            reason = "the match arm guarantees n is a single decimal digit, for which from_digit always succeeds"
+        )]
         1..=9 => char::from_digit(n, 10).unwrap(),
         _ => '#',
     };
@@ -151,8 +154,11 @@ pub fn event_log_with_spans(
         ));
     }
     events.sort_by(|a, b| {
+        #[expect(
+            clippy::expect_used,
+            reason = "span times come from the virtual clock, which only ever adds finite non-negative costs"
+        )]
         a.0.partial_cmp(&b.0)
-            // lint:allow(panic_free, reason = "span times come from the virtual clock, which only ever adds finite non-negative costs")
             .expect("finite span times")
             .then(a.1.cmp(&b.1))
     });

@@ -17,7 +17,6 @@
 //!
 //! Everything is deterministic given a seed; no global RNG state is used.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod buffer;

@@ -667,7 +667,10 @@ mod reference {
 
     /// What a compaction at `cutoff` keeps, by definition: `x[i]` and
     /// `i` for every `i` with `|x[i]| >= cutoff`, in index order.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "the definition, spelled as an indexed loop"
+    )]
     pub fn survivors(x: &[f32], cutoff: f32) -> (Vec<f32>, Vec<u32>) {
         let mut vals = Vec::new();
         let mut idx = Vec::new();
@@ -1105,7 +1108,10 @@ mod tests {
     /// lane chunks and ragged tails).
     // The expected values are spelled as indexed loops on purpose: they must
     // not share an iterator shape with the kernels they check.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "expected values are indexed loops on purpose"
+    )]
     mod lane_tier_properties {
         use super::super::*;
         use proptest::prelude::*;

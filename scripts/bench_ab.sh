@@ -4,6 +4,13 @@
 #
 # Usage:
 #   scripts/bench_ab.sh <base-ref> <workload|all> [pairs=10] [pr] [title]
+#   scripts/bench_ab.sh --aa <ref> <workload|all> [pairs=10]
+#
+# `--aa` runs one revision against itself: both sides are `git archive`
+# exports of <ref>, into .bench_build/base-<sha>/ and .bench_build/head-<sha>/
+# (paths of one length), built, seeded and alternated exactly as in an A/B.
+# Any `gain` or `regression` it prints is the tool's own asymmetry (build
+# directory, layout, run order), not a code change.
 #
 # The host drifts 10-20 % over minutes, which no single-run statistic
 # removes; so each pair runs both sides back to back at the same seed,
@@ -34,8 +41,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+aa=
+if [[ ${1:-} == --aa ]]; then
+    aa=1
+    shift
+fi
 if [[ $# -lt 2 ]]; then
-    sed -n '2,7p' "$0" >&2
+    sed -n '2,14p' "$0" >&2
     exit 2
 fi
 base_ref=$1
@@ -52,19 +64,29 @@ else
 fi
 
 sha=$(git rev-parse --short=12 "${base_ref}^{commit}")
+export_to() { # <dir>: a `git archive` of the base revision, made once
+    if [[ ! -d $1 ]]; then
+        mkdir -p "$1"
+        git archive "$sha" | tar -x -C "$1"
+    fi
+}
 base_dir=.bench_build/base-$sha
-if [[ ! -d $base_dir ]]; then
-    mkdir -p "$base_dir"
-    git archive "$sha" | tar -x -C "$base_dir"
+export_to "$base_dir"
+head_dir=.
+head_name="the working tree"
+if [[ -n $aa ]]; then
+    head_dir=.bench_build/head-$sha
+    head_name="a second export of $sha"
+    export_to "$head_dir"
 fi
 
 build() { # <root>: the benchmark's own build, in that root's benchmark/target
     (cd "$1" && CARGO_TARGET_DIR=benchmark/target \
         cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
 }
-echo "building base $sha and the working tree" >&2
+echo "building base $sha and $head_name" >&2
 build "$base_dir"
-build .
+build "$head_dir"
 
 run_one() { # <root> <workload> <seed>: the result object, the run's last line
     (cd "$1" && benchmark/target/release/cloudtrain-benchmark \
@@ -78,9 +100,9 @@ for w in "${workloads[@]}"; do
         seed=$((43 + i))
         if ((i % 2 == 0)); then
             b=$(run_one "$base_dir" "$w" "$seed")
-            h=$(run_one . "$w" "$seed")
+            h=$(run_one "$head_dir" "$w" "$seed")
         else
-            h=$(run_one . "$w" "$seed")
+            h=$(run_one "$head_dir" "$w" "$seed")
             b=$(run_one "$base_dir" "$w" "$seed")
         fi
         echo "$w: pair $i seed $seed done" >&2
@@ -88,10 +110,10 @@ for w in "${workloads[@]}"; do
     done
 done
 
-python3 - "$results" "$workload" "$sha" "$pairs" "$pr" "$title" "${workloads[@]}" <<'PY'
+python3 - "$results" "$workload" "$sha" "$pairs" "$pr" "$title" "$head_name" "${workloads[@]}" <<'PY'
 import json, statistics, sys
 
-results, workload, sha, pairs, pr, title, *workloads = sys.argv[1:]
+results, workload, sha, pairs, pr, title, head_name, *workloads = sys.argv[1:]
 pairs = int(pairs)
 end_to_end = json.load(open("BENCHMARK.json"))["end_to_end"]
 better = {m["name"]: m["better"] for m in end_to_end}
@@ -130,7 +152,7 @@ def compare(workload):
     base, head = lines[0::2], lines[1::2]
     assert len(base) == len(head) == pairs, "a run printed no result object (did a check fail?)"
     failed = lambda runs: sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs))
-    print(f"{workload}: {pairs} alternating pairs, base {sha} vs working tree")
+    print(f"{workload}: {pairs} alternating pairs, base {sha} vs {head_name}")
     print(f"  failed_share  base {failed(base):.6f}  head {failed(head):.6f}")
     metrics = {}
     for name, direction in better.items():

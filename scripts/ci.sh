@@ -6,11 +6,17 @@
 # Usage:
 #   scripts/ci.sh            # cloudtrain lint + fmt + clippy + docs +
 #                            # doctests + tests
-#   scripts/ci.sh lint       # cloudtrain lint only: runs the analyzer twice
-#                            # with --deny and requires both the table and
-#                            # the JSONL report to be byte-identical; fails
-#                            # on any `fn *_traced` or parameter typed
-#                            # `Option<&mut Registry>` under crates/*/src
+#   scripts/ci.sh lint       # cloudtrain lint only: plants every fixture
+#                            # of the compiler-stated rules in a throwaway
+#                            # workspace that takes the root lint tables
+#                            # and clippy.toml, and requires each marked
+#                            # site to fail with its named lint and each
+#                            # negative to be clean; then runs the analyzer
+#                            # twice with --deny and requires both the
+#                            # table and the JSONL report to be
+#                            # byte-identical; fails on any `fn *_traced`
+#                            # or parameter typed `Option<&mut Registry>`
+#                            # under crates/*/src
 #   scripts/ci.sh gauntlet   # deterministic fault gauntlet (8 seeds x
 #                            # {drops, spikes, stragglers}); runs the
 #                            # harness twice and requires byte-identical
@@ -144,17 +150,102 @@ snapshots_match_committed() {
     echo "  $# snapshot(s) equal their committed versions"
 }
 
+# compiler_rules: the standing check that the rules rustc and clippy state
+# still fire. Every fixture under crates/lint/tests/compiler/, plus the
+# analyzer's panic_free fixtures, becomes one library crate of a throwaway
+# workspace in $TMP whose `[workspace.lints*]` tables are the root
+# Cargo.toml's (read with tomllib) and whose clippy.toml is the root's,
+# copied unchanged — so the check cannot drift from the real config. A
+# fixture marks each line that must fail with `//~ LINT...` (a lint name
+# or rustc error code); the set of (line, lint) diagnostics clippy reports
+# under `-D warnings` must equal the marked set, so a fixture without
+# marks must be clean.
+compiler_rules() {
+    local ws=$TMP/compiler-rules
+    mkdir -p "$ws"
+    cp clippy.toml "$ws/clippy.toml"
+    python3 - "$ws" crates/lint/tests/compiler/*.rs \
+        crates/lint/tests/fixtures/panic_free_{pos,neg}.rs <<'PY'
+import json, os, sys, tomllib
+ws, fixtures = sys.argv[1], sys.argv[2:]
+root = os.getcwd()
+lints = tomllib.load(open("Cargo.toml", "rb"))["workspace"]["lints"]
+def value(v):
+    if isinstance(v, str):
+        return json.dumps(v)
+    return "{ " + ", ".join(f"{k} = {json.dumps(x)}" for k, x in v.items()) + " }"
+tables = "".join(f"\n[workspace.lints.{tool}]\n" + "".join(f"{k} = {value(v)}\n" for k, v in t.items())
+                 for tool, t in lints.items())
+names = []
+for path in fixtures:
+    name = os.path.basename(path)[:-3]
+    names.append(name)
+    os.makedirs(f"{ws}/{name}")
+    with open(f"{ws}/{name}/lib.rs", "w") as out:
+        out.write(open(path).read())
+    with open(f"{ws}/{name}/Cargo.toml", "w") as out:
+        out.write(f"""[package]
+name = "{name}"
+version = "0.0.0"
+edition = "2021"
+publish = false
+
+[lib]
+path = "lib.rs"
+
+[features]
+parallel = []
+
+[dependencies]
+rand = {{ path = "{root}/shims/rand" }}
+
+[lints]
+workspace = true
+""")
+with open(f"{ws}/Cargo.toml", "w") as out:
+    out.write(f"[workspace]\nmembers = {json.dumps(names)}\nresolver = \"2\"\n{tables}")
+PY
+    # Positives fail by design: the verdict is the comparison below.
+    (cd "$ws" && CARGO_TARGET_DIR="$ws/target" cargo clippy --offline --workspace --all-targets \
+        --keep-going --message-format=json -q -- -D warnings > "$ws/messages.jsonl" 2>/dev/null) || true
+    python3 - "$ws" <<'PY'
+import glob, json, os, sys
+ws = sys.argv[1]
+got, built = {}, set()
+for line in open(f"{ws}/messages.jsonl"):
+    m = json.loads(line)
+    name = os.path.basename(os.path.dirname(m.get("target", {}).get("src_path", "")))
+    if m["reason"] == "compiler-artifact":
+        built.add(name)
+    if m["reason"] != "compiler-message":
+        continue
+    msg = m["message"]
+    for span in msg["spans"]:
+        if span["is_primary"]:
+            code = (msg["code"] or {}).get("code") or msg["level"]
+            got.setdefault(name, set()).add((span["line_start"], code))
+failed = False
+for lib in sorted(glob.glob(f"{ws}/*/lib.rs")):
+    name = os.path.basename(os.path.dirname(lib))
+    want = {(n, code) for n, text in enumerate(open(lib), 1) if "//~" in text
+            for code in text.split("//~", 1)[1].split()}
+    have = got.get(name, set())
+    ok = have == want and (want or name in built)
+    failed |= not ok
+    verdict = ", ".join(sorted({c for _, c in want})) or "clean"
+    print(f"  {'ok  ' if ok else 'FAIL'} {name:<28} {verdict}")
+    if not ok:
+        print(f"       want {sorted(want)}\n       have {sorted(have)}")
+sys.exit(1 if failed else 0)
+PY
+}
+
 run_lint_gate() {
+    stage "cloudtrain lint: compiler-stated rules fire on their fixtures"
+    compiler_rules
+
     stage "cloudtrain lint: build"
     cargo build --release -q -p cloudtrain-cli
-
-    stage "cloudtrain lint: assert the baseline carries zero entries"
-    # The baseline is shrink-only and has been paid down to empty; any
-    # reappearing [[allow]] entry is new debt and fails CI outright.
-    if grep -q '^\[\[allow\]\]' lint-baseline.toml; then
-        echo "lint-baseline.toml has [[allow]] entries; fix findings at the source" >&2
-        exit 1
-    fi
 
     stage "cloudtrain lint: traced-twin guard"
     # A call returns what it did and the caller records it; a `_traced`

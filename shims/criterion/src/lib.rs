@@ -8,6 +8,10 @@
 //! as ns/iter on stdout. No statistical analysis, plots, or baselines.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark harness measures wall time by definition"
+)]
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};

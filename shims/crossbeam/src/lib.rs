@@ -242,6 +242,10 @@ mod tests {
     #[test]
     fn cross_thread_handoff() {
         let (tx, rx) = channel::bounded(2);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test is the cross-thread handoff; its assertions hold for every interleaving"
+        )]
         let handle = std::thread::spawn(move || {
             for i in 0..100 {
                 tx.send(i).unwrap();
